@@ -48,7 +48,7 @@ TOOL_VERSION = "0.1.0"
 
 TRACE_SCHEMA = "cts-1"
 VECTORIZATION = "vecs-sqrt2"
-BACKEND = "numpy.linalg (eigh, lstsq)"
+BACKEND = "numpy.linalg (eigh, lstsq, pinv)"
 BUDGET_BASIS = "ceil(log(trace(X0*Z0)/epsilon)/log(1/sigma))"
 
 LISTING_FLAVORS = ("pseudo-matlab", "c-like")
@@ -875,6 +875,14 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     ens("init-gap-upper", ia("init-gap-upper"))
     ens("init-neighborhood", ia("init-neighborhood"))
     blank()
+    comment("--- Newton system invariants -------------------------------------------")
+    comment("Z never moves, so its scaling pair, H and a factor of transpose(F) are")
+    comment("computed once. H is kept only to check dXm against its equation.")
+    code("Zh = Z^0.5;")
+    code("Zhi = Zh^-1;")
+    code("H = krons(Zhi*Z,Zh,n);")
+    code("Fti = pinv(transpose(F));")
+    blank()
     comment("--- main loop ----------------------------------------------------------")
     req("I1", la("I1"))
     req("I2", ia("init-gap-upper"))
@@ -883,14 +891,12 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     items.append(("while", "phi > epsilon"))
     code("Xm = X; Zm = Z; pm = p;")
     code("mu = trace(Xm*Zm)/n;")
-    code("Zh = Zm^0.5;")
-    code("Zhi = Zh^-1;")
-    code("G = krons(Zhi,Zh*Xm,n);")
-    code("H = krons(Zhi*Zm,Zh,n);")
     code("r = sigma*mu*eye(n,n)-Zh*Xm*Zh;")
-    code("dZm = lsqr(F,zeros(m,1));")
-    code("dXm = lsqr(H,vecs(r)-G*dZm);")
-    code("dpm = lsqr(transpose(F),-dXm);")
+    comment("minimum-norm solutions; the solver checks H*dXm==vecs(r) and")
+    comment("transpose(F)*dpm==-dXm to lsqr_tol. inv(H) is krons(Zhi,Zhi,n).")
+    code("dZm = zeros(n*(n+1)/2,1);")
+    code("dXm = vecs(Zhi*r*Zhi);")
+    code("dpm = -Fti*dXm;")
     ens("I5", la("I5"))
     ens("I6", la("I6"))
     ens("I7", la("I7"))

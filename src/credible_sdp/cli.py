@@ -136,7 +136,7 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
         lines.append(f"violation:   {report.violation_id} (strict mode abort)")
     lines.append(
         "scope:       records certify the update logic; "
-        "numpy.linalg (eigh, lstsq) is trusted as the algebra backend"
+        "numpy.linalg (eigh, lstsq, pinv) is trusted as the algebra backend"
     )
     if verbose:
         lines.append("")

@@ -131,12 +131,28 @@ def lsqr_solve(
         raise ValueError(f"lsqr_solve({equation}): non-finite input")
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     if expect_consistent:
-        if tol is None:
-            tol = LSQR_TOL * max(1.0, float(np.linalg.norm(b)))
-        residual = float(np.linalg.norm(A @ x - b))
-        if residual > tol:
-            raise LsqrContractViolation(equation, residual, tol)
+        require_consistent(A, x, b, equation=equation, tol=tol)
     return x
+
+
+def require_consistent(
+    A: np.ndarray,
+    x: np.ndarray,
+    b: np.ndarray,
+    *,
+    equation: str,
+    tol: float | None = None,
+) -> None:
+    """Raise LsqrContractViolation unless ||A@x - b|| <= tol.
+
+    ``tol`` defaults to LSQR_TOL * max(1, ||b||). This is the consistency
+    contract of ``lsqr_solve``, for solutions obtained some other way.
+    """
+    if tol is None:
+        tol = LSQR_TOL * max(1.0, float(np.linalg.norm(b)))
+    residual = float(np.linalg.norm(A @ x - b))
+    if residual > tol:
+        raise LsqrContractViolation(equation, residual, tol)
 
 
 def frob_norm(M: np.ndarray) -> float:

@@ -2,19 +2,25 @@
 
 The iteration keeps a strictly feasible primal-dual pair (X, Z, p) inside a
 narrow central-path neighborhood and shrinks the duality gap trace(X @ Z) by
-a fixed factor ``sigma`` per step. Search directions come from a scaled
-Newton system assembled with the symmetric square root of Z:
+a fixed factor ``sigma`` per step. Search directions solve the scaled
+(Monteiro-Zhang) Newton system built with the symmetric square root of Z:
 
     Zh  = Z^(1/2),  Zhi = Zh^(-1)
-    G   = krons(Zhi, Zh @ X)
-    H   = krons(Zhi @ Z, Zh)
+    H   = krons(Zhi @ Z, Zh) = krons(Zh, Zh)
     r   = sigma * mu * I - Zh @ X @ Zh
 
-and are obtained sequentially by minimum-norm least squares: dZ from the
-dual-feasibility equations (zero right-hand side, hence dZ == 0 and the dual
-iterate never moves), dX from H @ vecs(dX) = vecs(r) - G @ vecs(dZ), and dp
-from the primal-feasibility equations. The full step (length 1) is always
-taken.
+    F @ vecs(dZ) = 0,   H @ vecs(dX) = vecs(r),   F' @ dp = -vecs(dX)
+
+each at minimum norm. The minimum-norm solution of the homogeneous dual
+equations is exactly dZ = 0, so the dual iterate never moves and the dX
+equation loses its dZ coupling term krons(Zhi, Zh @ X) @ vecs(dZ). Zh, Zhi,
+H and a factor of F' are therefore computed once per solve
+(``prepare_newton``). A step then costs O(n^3): krons(Zh, Zh) has the
+closed-form inverse krons(Zhi, Zhi), so dX = Zhi @ r @ Zhi, and dp comes from
+the stored pseudo-inverse of F'. Both are checked against their equations
+with the consistency contract of a least-squares solve
+(``LsqrContractViolation`` naming "newton-dX" or "newton-dp"). The full step
+(length 1) is always taken.
 
 Every iteration is checked against its runtime contracts by the ``monitor``
 module; ``solve`` returns a report bundling the trajectory with the per-step
@@ -30,7 +36,15 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .linalg import frob_norm, lsqr_solve, require_pd, sym_inv, sym_sqrt, trace_inner
+from .linalg import (
+    frob_norm,
+    lsqr_solve,
+    require_consistent,
+    require_pd,
+    sym_inv,
+    sym_sqrt,
+    trace_inner,
+)
 from .problem import SdpProblem
 from .symvec import krons, mats, require_symmetric, symmetrize, vecs
 
@@ -161,13 +175,30 @@ class IterateState:
     iteration: int
 
 
+@dataclass(frozen=True)
+class NewtonScaling:
+    """The loop invariants of the Newton system, computed once per solve.
+
+    The dual iterate Z never moves, so neither do its scaling pair (Zh, Zhi)
+    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``; H is kept only to
+    check each dX against its equation. ``ft_pinv`` is the pseudo-inverse
+    of F': it maps a right-hand side to the minimum-norm dp, as lstsq would.
+    """
+
+    Zh: np.ndarray
+    Zhi: np.ndarray
+    H: np.ndarray
+    ft_pinv: np.ndarray
+
+
 @dataclass
 class NewtonStep:
     """Scaled Newton system and its minimum-norm solution.
 
     ``mu`` and ``sigma`` are the values used to build the right-hand side
-    (mu is the gap of the point being stepped FROM, divided by n). G, H, r
-    are kept for inspection; contract checking never reads them, so a step
+    (mu is the gap of the point being stepped FROM, divided by n). H and r
+    are kept for inspection (H is the one array of the solve's
+    NewtonScaling); contract checking never reads them, so a step
     reconstructed from a trace may leave them as None.
     """
 
@@ -178,50 +209,74 @@ class NewtonStep:
     Zhi: np.ndarray
     mu: float
     sigma: float
-    G: np.ndarray | None = None
     H: np.ndarray | None = None
     r: np.ndarray | None = None
 
 
+def _consistency_tol(base_tol: float, b: np.ndarray) -> float:
+    return base_tol * max(1.0, float(np.linalg.norm(np.asarray(b, dtype=float).ravel())))
+
+
 def _lsqr(A: np.ndarray, b: np.ndarray, equation: str, base_tol: float) -> np.ndarray:
-    return lsqr_solve(
-        A,
-        b,
-        equation=equation,
-        tol=base_tol * max(1.0, float(np.linalg.norm(np.asarray(b, dtype=float).ravel()))),
+    return lsqr_solve(A, b, equation=equation, tol=_consistency_tol(base_tol, b))
+
+
+def prepare_newton(prob: SdpProblem, Z: np.ndarray) -> NewtonScaling:
+    """Compute the per-solve invariants of the Newton system at the fixed Z."""
+    Zh = sym_sqrt(Z)
+    Zhi = sym_inv(Zh)
+    # the singular-value cutoff lstsq uses with rcond=None
+    cutoff = max(prob.fmat.shape) * np.finfo(float).eps
+    return NewtonScaling(
+        Zh=Zh,
+        Zhi=Zhi,
+        H=krons(Zhi @ Z, Zh, prob.n),
+        ft_pinv=np.linalg.pinv(prob.fmat.T, rcond=cutoff),
     )
 
 
-def assemble_newton(prob: SdpProblem, state: IterateState, sigma: float) -> NewtonStep:
-    """Build the scaled Newton system at ``state`` (directions left empty)."""
+def assemble_newton(
+    prob: SdpProblem, state: IterateState, sigma: float, scaling: NewtonScaling
+) -> NewtonStep:
+    """Build the Newton right-hand side at ``state`` (directions left empty)."""
     n = prob.n
     mu = state.phi / n
-    Zh = sym_sqrt(state.Z)
-    Zhi = sym_inv(Zh)
-    G = krons(Zhi, Zh @ state.X, n)
-    H = krons(Zhi @ state.Z, Zh, n)
-    r = symmetrize(sigma * mu * np.eye(n) - Zh @ state.X @ Zh)
+    Zh = scaling.Zh
     return NewtonStep(
         dX=np.zeros((n, n)),
         dZ=np.zeros((n, n)),
         dp=np.zeros(prob.m),
         Zh=Zh,
-        Zhi=Zhi,
+        Zhi=scaling.Zhi,
         mu=mu,
         sigma=sigma,
-        G=G,
-        H=H,
-        r=r,
+        H=scaling.H,
+        r=symmetrize(sigma * mu * np.eye(n) - Zh @ state.X @ Zh),
     )
 
 
-def solve_newton(prob: SdpProblem, step: NewtonStep, lsqr_tol: float) -> NewtonStep:
-    """Fill in (dZ, dX, dp) by sequential minimum-norm least squares."""
-    dZ_vec = _lsqr(prob.fmat, np.zeros(prob.m), "newton-dZ", lsqr_tol)
-    dX_vec = _lsqr(step.H, vecs(step.r) - step.G @ dZ_vec, "newton-dX", lsqr_tol)
-    dp = _lsqr(prob.fmat.T, -dX_vec, "newton-dp", lsqr_tol)
-    step.dZ = mats(dZ_vec, prob.n)
-    step.dX = mats(dX_vec, prob.n)
+def solve_newton(
+    prob: SdpProblem, step: NewtonStep, scaling: NewtonScaling, lsqr_tol: float
+) -> NewtonStep:
+    """Fill in (dZ, dX, dp) and check dX and dp against their equations.
+
+    dZ is the minimum-norm solution of F @ vecs(dZ) = 0, which is exactly 0.
+    dX = Zhi @ r @ Zhi inverts H in closed form; dp is the minimum-norm
+    solution of F' @ dp = -vecs(dX).
+    """
+    r_vec = vecs(step.r)
+    dX = symmetrize(scaling.Zhi @ step.r @ scaling.Zhi)
+    dX_vec = vecs(dX)
+    require_consistent(
+        scaling.H, dX_vec, r_vec, equation="newton-dX", tol=_consistency_tol(lsqr_tol, r_vec)
+    )
+    dp_rhs = -dX_vec
+    dp = scaling.ft_pinv @ dp_rhs
+    require_consistent(
+        prob.fmat.T, dp, dp_rhs, equation="newton-dp", tol=_consistency_tol(lsqr_tol, dp_rhs)
+    )
+    step.dZ = np.zeros((prob.n, prob.n))
+    step.dX = dX
     step.dp = dp
     return step
 
@@ -395,6 +450,7 @@ def solve(
 
     state, init_records = initialize(prob, opts, X0=X0)
     initial_state = state
+    scaling = prepare_newton(prob, state.Z)
     budget = iteration_bound(state.phi, opts.epsilon, opts.sigma)
     cap = opts.max_iterations if opts.max_iterations is not None else max(10, 10 * budget)
 
@@ -406,8 +462,8 @@ def solve(
         if len(snapshots) >= cap:
             status = SolveStatus.ITERATION_CAP
             break
-        step = assemble_newton(prob, state, opts.sigma)
-        step = solve_newton(prob, step, opts.lsqr_tol)
+        step = assemble_newton(prob, state, opts.sigma, scaling)
+        step = solve_newton(prob, step, scaling, opts.lsqr_tol)
         new_state = take_step(prob, state, step)
         records = monitor.check_iteration(prob, new_state, step, opts)
         snapshot = IterationSnapshot(state=new_state, step=step, records=records)

@@ -15,6 +15,7 @@ the symmetric Kronecker product ``krons``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,6 +34,21 @@ class SymmetryError(ValueError):
 def sym_dim(n: int) -> int:
     """Length of the vectorization of an n-by-n symmetric matrix."""
     return n * (n + 1) // 2
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle indices (i, j) and the vecs and svec scales, per n.
+
+    The arrays are shared between calls, so they are returned read-only.
+    """
+    i, j = np.triu_indices(n)
+    scale_vecs = np.where(i == j, 1.0, _SQRT2)
+    scale_svec = np.where(i == j, 1.0, 2.0)
+    out = (i, j, scale_vecs, scale_svec)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -67,9 +83,7 @@ def vecs(M: np.ndarray) -> np.ndarray:
     The result v satisfies dot(vecs(A), vecs(B)) == Tr(A@B).
     """
     M = require_symmetric(M, what="vecs input")
-    n = M.shape[0]
-    i, j = np.triu_indices(n)
-    scale = np.where(i == j, 1.0, _SQRT2)
+    i, j, scale, _ = _layout(M.shape[0])
     return M[i, j] * scale
 
 
@@ -78,8 +92,7 @@ def mats(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != sym_dim(n):
         raise DimensionError(f"mats: expected length {sym_dim(n)} for n={n}, got {v.shape[0]}")
-    i, j = np.triu_indices(n)
-    scale = np.where(i == j, 1.0, _SQRT2)
+    i, j, scale, _ = _layout(n)
     M = np.zeros((n, n))
     M[i, j] = v / scale
     M[j, i] = M[i, j]
@@ -89,9 +102,7 @@ def mats(v: np.ndarray, n: int) -> np.ndarray:
 def svec(M: np.ndarray) -> np.ndarray:
     """Vectorize with off-diagonals multiplied by 2 instead of sqrt(2)."""
     M = require_symmetric(M, what="svec input")
-    n = M.shape[0]
-    i, j = np.triu_indices(n)
-    scale = np.where(i == j, 1.0, 2.0)
+    i, j, _, scale = _layout(M.shape[0])
     return M[i, j] * scale
 
 
@@ -100,8 +111,7 @@ def smat(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != sym_dim(n):
         raise DimensionError(f"smat: expected length {sym_dim(n)} for n={n}, got {v.shape[0]}")
-    i, j = np.triu_indices(n)
-    scale = np.where(i == j, 1.0, 2.0)
+    i, j, _, scale = _layout(n)
     M = np.zeros((n, n))
     M[i, j] = v / scale
     M[j, i] = M[i, j]
@@ -126,13 +136,17 @@ def krons(Q1: np.ndarray, Q2: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionError(f"krons: Q1 {Q1.shape} and Q2 {Q2.shape} differ")
     if n is not None and n != Q1.shape[0]:
         raise DimensionError(f"krons: matrices are {Q1.shape[0]}x{Q1.shape[0]}, expected n={n}")
-    dim = Q1.shape[0]
-    N = sym_dim(dim)
-    out = np.empty((N, N))
-    basis = np.zeros(N)
-    for k in range(N):
-        basis[k] = 1.0
-        B = mats(basis, dim)
-        basis[k] = 0.0
-        out[:, k] = vecs(symmetrize(0.5 * (Q1 @ B @ Q2.T + Q2 @ B @ Q1.T)))
-    return out
+    # Column k is the image of the basis matrix mats(e_k): for the entry
+    # (a, b) that is (e_a e_b' + e_b e_a') / sqrt(2) off the diagonal and
+    # e_a e_a' on it. Its (i, j) entry under the product, times the vecs
+    # scale of row (i, j), gives every entry in one broadcast expression.
+    i, j, scale, _ = _layout(Q1.shape[0])
+    a, b = i, j
+    cross = (
+        Q1[np.ix_(i, a)] * Q2[np.ix_(j, b)]
+        + Q1[np.ix_(i, b)] * Q2[np.ix_(j, a)]
+        + Q2[np.ix_(i, a)] * Q1[np.ix_(j, b)]
+        + Q2[np.ix_(i, b)] * Q1[np.ix_(j, a)]
+    )
+    col_weight = np.where(a == b, 0.25, 0.5)
+    return (scale[:, None] / scale[None, :]) * col_weight[None, :] * cross

@@ -49,6 +49,14 @@ mu = phi/n;
 %% ensures trace(X*Z)<=0.1  [init-gap-upper]
 %% ensures norm(X*Z-(trace(X*Z)/n)*eye(n,n),'fro')<=0.3105*(trace(X*Z)/n)  [init-neighborhood]
 
+% --- Newton system invariants -------------------------------------------
+% Z never moves, so its scaling pair, H and a factor of transpose(F) are
+% computed once. H is kept only to check dXm against its equation.
+Zh = Z^0.5;
+Zhi = Zh^-1;
+H = krons(Zhi*Z,Zh,n);
+Fti = pinv(transpose(F));
+
 % --- main loop ----------------------------------------------------------
 %% requires X>0 && Z>0  [I1]
 %% requires trace(X*Z)<=0.1  [I2]
@@ -57,14 +65,12 @@ mu = phi/n;
 while phi > epsilon
   Xm = X; Zm = Z; pm = p;
   mu = trace(Xm*Zm)/n;
-  Zh = Zm^0.5;
-  Zhi = Zh^-1;
-  G = krons(Zhi,Zh*Xm,n);
-  H = krons(Zhi*Zm,Zh,n);
   r = sigma*mu*eye(n,n)-Zh*Xm*Zh;
-  dZm = lsqr(F,zeros(m,1));
-  dXm = lsqr(H,vecs(r)-G*dZm);
-  dpm = lsqr(transpose(F),-dXm);
+  % minimum-norm solutions; the solver checks H*dXm==vecs(r) and
+  % transpose(F)*dpm==-dXm to lsqr_tol. inv(H) is krons(Zhi,Zhi,n).
+  dZm = zeros(n*(n+1)/2,1);
+  dXm = vecs(Zhi*r*Zhi);
+  dpm = -Fti*dXm;
   %% ensures norm(Zhi*mats(dZm,n)*Zhi,'fro')<=0.7  [I5]
   %% ensures norm(Zhi*mats(dXm,n)*mats(dZm,n)*Zh,'fro')<=0.3105*sigma*mu  [I6]
   %% ensures trace(Xm*mats(dZm,n))+trace(mats(dXm,n)*Zm)+trace(Xm*Zm)-sigma*n*mu==0  [I7]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from credible_sdp.annotator import (
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS
 from credible_sdp.problem import build_problem
 from credible_sdp.solver import SolverOptions
+
+#: Proof trace of the bundled example, written by an earlier solver and kept
+#: byte for byte: traces already in the wild must keep re-checking clean.
+#: Never regenerate it to make a test pass.
+GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 
 # -- line surgery helpers ------------------------------------------------------
 
@@ -155,6 +161,13 @@ def test_check_trace_clean_roundtrip(example_trace, example_problem):
 def test_check_trace_accepts_parsed_input(example_trace, example_problem):
     result = check_trace(parse_trace(example_trace), example_problem)
     assert result.clean
+
+
+def test_golden_trace_from_an_earlier_solver_checks_clean(example_problem):
+    result = check_trace(GOLDEN_TRACE.read_bytes(), example_problem)
+    assert result.findings == []
+    assert result.iterations == 56
+    assert result.records_checked == 16 + 56 * 12
 
 
 def test_check_trace_rejects_wrong_problem(example_trace):

@@ -104,8 +104,8 @@ def test_solve_iteration_cap_exit_code(capsys, problem_file):
 
 
 def test_solve_divergence_guard_exit_code(capsys, problem_file, monkeypatch):
-    def sabotage(prob, state, sigma):
-        step = assemble_newton(prob, state, sigma)
+    def sabotage(prob, state, sigma, scaling):
+        step = assemble_newton(prob, state, sigma, scaling)
         step.r = -step.r
         return step
 
@@ -116,8 +116,8 @@ def test_solve_divergence_guard_exit_code(capsys, problem_file, monkeypatch):
 
 
 def test_solve_strict_mode_violation_exit_code(capsys, problem_file, monkeypatch):
-    def sabotage(prob, state, sigma):
-        step = assemble_newton(prob, state, sigma)
+    def sabotage(prob, state, sigma, scaling):
+        step = assemble_newton(prob, state, sigma, scaling)
         step.r = -step.r
         return step
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from credible_sdp.linalg import NotPositiveDefiniteError
+from credible_sdp.linalg import LsqrContractViolation, NotPositiveDefiniteError, sym_inv, sym_sqrt
 from credible_sdp.monitor import LOOP_IDS, THETA
 from credible_sdp.problem import build_problem
 from credible_sdp.solver import (
@@ -17,12 +19,14 @@ from credible_sdp.solver import (
     default_options,
     initialize,
     iteration_bound,
+    prepare_newton,
     sigma_from_nu,
     solve,
     solve_newton,
     take_step,
     validate_options,
 )
+from credible_sdp.symvec import krons, symmetrize, vecs
 from problem_gen import random_problem
 
 # values frozen from an independent implementation of the same iteration
@@ -170,29 +174,99 @@ def test_initialize_gap_above_ceiling_names_the_contract(example_problem):
 def first_step(example_problem):
     opts = default_options(example_problem)
     state, _ = initialize(example_problem, opts)
-    step = assemble_newton(example_problem, state, opts.sigma)
-    step = solve_newton(example_problem, step, opts.lsqr_tol)
+    scaling = prepare_newton(example_problem, state.Z)
+    step = assemble_newton(example_problem, state, opts.sigma, scaling)
+    step = solve_newton(example_problem, step, scaling, opts.lsqr_tol)
     return state, step
 
 
-def test_assemble_newton_scaling_pair(first_step, example_problem):
+def test_prepare_newton_scaling_pair(first_step, example_problem):
     state, step = first_step
     assert step.mu == pytest.approx(state.phi / example_problem.n, rel=1e-15)
     assert step.sigma == 0.75
     np.testing.assert_allclose(step.Zh @ step.Zh, state.Z, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(step.Zh @ step.Zhi, np.eye(2), rtol=0, atol=1e-13)
-    assert step.G is not None and step.H is not None and step.r is not None
+    # H is Zh (x) Zh, whose inverse is Zhi (x) Zhi
+    np.testing.assert_allclose(step.H, krons(step.Zh, step.Zh), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(step.H @ krons(step.Zhi, step.Zhi), np.eye(3), rtol=0, atol=1e-12)
 
 
-def test_newton_directions_satisfy_their_equations(first_step, example_problem):
-    state, step = first_step
-    from credible_sdp.symvec import vecs
+@pytest.fixture(scope="module")
+def random_report():
+    return solve(random_problem(np.random.default_rng(2024), n=4))
 
-    assert np.linalg.norm(example_problem.fmat @ vecs(step.dZ)) < 1e-12
-    lhs = step.H @ vecs(step.dX)
-    rhs = vecs(step.r) - step.G @ vecs(step.dZ)
-    assert np.linalg.norm(lhs - rhs) < 1e-12
-    assert np.linalg.norm(example_problem.fmat.T @ step.dp + vecs(step.dX)) < 1e-12
+
+@pytest.fixture(scope="module", params=["example", "random"])
+def trajectory(request, example_report, random_report):
+    return example_report if request.param == "example" else random_report
+
+
+def test_scaling_is_one_set_of_arrays_per_solve(trajectory):
+    first = trajectory.snapshots[0].step
+    for snap in trajectory.snapshots:
+        assert snap.step.Zh is first.Zh
+        assert snap.step.Zhi is first.Zhi
+        assert snap.step.H is first.H
+    # the same values the trace checker recomputes from Zm at every iteration
+    Zh = sym_sqrt(trajectory.initial_state.Z)
+    np.testing.assert_array_equal(first.Zh, Zh)
+    np.testing.assert_array_equal(first.Zhi, sym_inv(Zh))
+
+
+def test_newton_dx_satisfies_the_scaled_equation(trajectory):
+    tol = trajectory.options.lsqr_tol
+    for snap in trajectory.snapshots:
+        r = vecs(snap.step.r)
+        residual = np.linalg.norm(snap.step.H @ vecs(snap.step.dX) - r)
+        assert residual <= tol * max(1.0, float(np.linalg.norm(r)))
+
+
+def test_newton_dp_keeps_primal_feasibility(trajectory):
+    tol = trajectory.options.lsqr_tol
+    fmat = trajectory.problem.fmat
+    for snap in trajectory.snapshots:
+        dX = vecs(snap.step.dX)
+        residual = np.linalg.norm(fmat.T @ snap.step.dp + dX)
+        assert residual <= tol * max(1.0, float(np.linalg.norm(dX)))
+
+
+def _underdetermined_problem(f0_in_span: bool):
+    """n = 3 with m = 5 < n(n+1)/2 constraints, so transpose(F) cannot
+    represent every symmetric dX. Z = I is planted through F1 = I and the
+    warm start X0 = mu*(I + E) is central enough; E lies outside span(F).
+    With ``f0_in_span`` the initial primal solve is consistent (F0 + X0 = I)
+    and only the first dX is out of reach."""
+    rng = np.random.default_rng(5)
+    fs = [np.eye(3)] + [symmetrize(rng.normal(size=(3, 3))) for _ in range(4)]
+    b = -np.array([np.trace(Fi) for Fi in fs])  # F @ vecs(I) + b == 0
+    E = symmetrize(rng.normal(size=(3, 3)))
+    E -= np.trace(E) / 3 * np.eye(3)
+    X0 = 0.02 * (np.eye(3) + 0.1 * E / np.linalg.norm(E))
+    f0 = np.eye(3) - X0 if f0_in_span else np.eye(3)
+    return build_problem(f0, fs, b, x0=X0, validate=True)
+
+
+@pytest.mark.parametrize(
+    "f0_in_span, equation", [(False, "initial primal solve"), (True, "newton-dp")]
+)
+def test_unrepresentable_directions_raise_naming_the_equation(f0_in_span, equation):
+    prob = _underdetermined_problem(f0_in_span)
+    assert prob.m == 5 and prob.fmat.shape == (5, 6)
+    with pytest.raises(LsqrContractViolation) as exc_info:
+        solve(prob)
+    assert exc_info.value.equation == equation
+    assert exc_info.value.residual > exc_info.value.tolerance
+
+
+def test_newton_dx_check_fires_on_a_wrong_operator(example_problem):
+    opts = default_options(example_problem)
+    state, _ = initialize(example_problem, opts)
+    scaling = prepare_newton(example_problem, state.Z)
+    broken = dataclasses.replace(scaling, H=2.0 * scaling.H)
+    step = assemble_newton(example_problem, state, opts.sigma, broken)
+    with pytest.raises(LsqrContractViolation) as exc_info:
+        solve_newton(example_problem, step, broken, opts.lsqr_tol)
+    assert exc_info.value.equation == "newton-dX"
 
 
 def test_dual_direction_is_exactly_zero(first_step):
@@ -227,11 +301,14 @@ def test_solve_converges_on_the_bundled_example(example_report):
     assert all(len(snap.records) == 12 for snap in rep.snapshots)
 
 
-def test_solve_keeps_the_dual_iterate_fixed(example_report):
-    Z0 = example_report.initial_state.Z
-    for snap in example_report.snapshots:
-        np.testing.assert_array_equal(snap.state.Z, Z0)
-        assert np.all(snap.step.dZ == 0.0)
+def test_solve_keeps_the_dual_iterate_fixed(example_report, random_report):
+    for report in (example_report, random_report):
+        Z0 = report.initial_state.Z
+        assert report.iterations > 0
+        for snap in report.snapshots:
+            np.testing.assert_array_equal(snap.state.Zm, Z0)
+            np.testing.assert_array_equal(snap.state.Z, Z0)
+            assert np.all(snap.step.dZ == 0.0)
 
 
 def test_solve_gap_contracts_exactly_each_iteration(example_report):
@@ -305,10 +382,10 @@ def test_solve_iteration_cap_reports_truncation(example_problem):
     assert rep.final_gap > 1e-8
 
 
-def _sabotaged_assemble(prob, state, sigma):
+def _sabotaged_assemble(prob, state, sigma, scaling):
     """Assemble a step whose right-hand side is negated: the update then moves
     away from the target point and the gap grows, tripping the guards."""
-    step = assemble_newton(prob, state, sigma)
+    step = assemble_newton(prob, state, sigma, scaling)
     step.r = -step.r
     return step
 
