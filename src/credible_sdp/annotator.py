@@ -3,8 +3,8 @@
 A *proof trace* is a JSON-lines account of one solver run: a header (schema
 tag, problem hash, options, starting state), one record line per contract
 evaluation, one state line per iteration carrying the full iterates and
-directions, and a footer with the outcome. Floats are written with 17
-significant digits so every value round-trips bit-exactly.
+directions, and a footer with the outcome. Floats are written as their
+shortest exact repr, so every value round-trips bit-exactly.
 
 ``check_trace`` replays a trace against the problem file it claims to come
 from: it re-derives every contract record from the stored iterates with the
@@ -24,7 +24,6 @@ so listing, trace, and checker all speak the same contract catalog.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -51,8 +50,6 @@ VECTORIZATION = "vecs-sqrt2"
 BACKEND = "numpy.linalg (eigh, lstsq, pinv)"
 BUDGET_BASIS = "ceil(log(trace(X0*Z0)/epsilon)/log(1/sigma))"
 
-LISTING_FLAVORS = ("pseudo-matlab", "c-like")
-
 #: Relative tolerance when comparing stored against recomputed floats.
 CHECK_RTOL = 1e-12
 
@@ -62,50 +59,23 @@ class TraceFormatError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# JSON-lines writing (floats at 17 significant digits)
+# JSON-lines writing
 # --------------------------------------------------------------------------
 
 
-def _write_json(obj, out: list) -> None:
-    if isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("refusing to serialize a non-finite value")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _write_json(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_json(value, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a trace")
+def _numpy_to_json(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a trace")
 
 
-def _dumps(obj) -> str:
-    parts: list = []
-    _write_json(obj, parts)
-    return "".join(parts)
+#: Compact JSON with every float as its shortest exact repr; NaN and
+#: infinity raise ValueError, since strict JSON readers cannot take them.
+_dumps = json.JSONEncoder(
+    allow_nan=False, separators=(",", ":"), default=_numpy_to_json
+).encode
 
 
 def _record_obj(rec: "monitor.InvariantRecord") -> dict:
@@ -926,69 +896,51 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     return items
 
 
-def _render_pseudo_matlab(items: list[tuple]) -> tuple[list[str], list[tuple[str, int, str, str]]]:
+#: Per-flavor syntax of the listing items; code and blank lines read the
+#: same in every flavor.
+_SYNTAX = {
+    "pseudo-matlab": {
+        "comment": "% {}",
+        "contract": "%% {kind} {expr}  [{rid}]",
+        "while": "while {}",
+        "if": "if {}",
+        "return": "return",
+        "end": "end",
+    },
+    "c-like": {
+        "comment": "// {}",
+        "contract": "/*@ {kind} {expr}; */  // [{rid}]",
+        "while": "while ({}) {{",
+        "if": "if ({}) {{",
+        "return": "return;",
+        "end": "}}",
+    },
+}
+
+LISTING_FLAVORS = tuple(_SYNTAX)
+
+
+def _render(items: list[tuple], flavor: str) -> tuple[list[str], list[tuple[str, int, str, str]]]:
+    syntax = _SYNTAX[flavor]
     lines: list[str] = []
     index: list[tuple[str, int, str, str]] = []
     depth = 0
-    for item in items:
+    for kind, *args in items:
+        if kind == "end":
+            depth -= 1
         pad = "  " * depth
-        kind = item[0]
-        if kind == "comment":
-            lines.append(f"{pad}% {item[1]}")
-        elif kind == "blank":
+        if kind == "blank":
             lines.append("")
         elif kind == "code":
-            lines.append(f"{pad}{item[1]}")
+            lines.append(pad + args[0])
         elif kind == "contract":
-            _, ckind, rid, expr = item
-            lines.append(f"{pad}%% {ckind} {expr}  [{rid}]")
+            ckind, rid, expr = args
+            lines.append(pad + syntax["contract"].format(kind=ckind, expr=expr, rid=rid))
             index.append((rid, len(lines), ckind, expr))
-        elif kind == "while":
-            lines.append(f"{pad}while {item[1]}")
-            depth += 1
-        elif kind == "if":
-            lines.append(f"{pad}if {item[1]}")
-            depth += 1
-        elif kind == "return":
-            lines.append(f"{pad}return")
-        elif kind == "end":
-            depth -= 1
-            lines.append(f"{'  ' * depth}end")
-        else:  # pragma: no cover — builder and renderer move together
-            raise ValueError(f"unknown listing item {kind!r}")
-    return lines, index
-
-
-def _render_c_like(items: list[tuple]) -> tuple[list[str], list[tuple[str, int, str, str]]]:
-    lines: list[str] = []
-    index: list[tuple[str, int, str, str]] = []
-    depth = 0
-    for item in items:
-        pad = "  " * depth
-        kind = item[0]
-        if kind == "comment":
-            lines.append(f"{pad}// {item[1]}")
-        elif kind == "blank":
-            lines.append("")
-        elif kind == "code":
-            lines.append(f"{pad}{item[1]}")
-        elif kind == "contract":
-            _, ckind, rid, expr = item
-            lines.append(f"{pad}/*@ {ckind} {expr}; */  // [{rid}]")
-            index.append((rid, len(lines), ckind, expr))
-        elif kind == "while":
-            lines.append(f"{pad}while ({item[1]}) {{")
-            depth += 1
-        elif kind == "if":
-            lines.append(f"{pad}if ({item[1]}) {{")
-            depth += 1
-        elif kind == "return":
-            lines.append(f"{pad}return;")
-        elif kind == "end":
-            depth -= 1
-            lines.append(f"{'  ' * depth}}}")
-        else:  # pragma: no cover
-            raise ValueError(f"unknown listing item {kind!r}")
+        else:
+            lines.append(pad + syntax[kind].format(*args))
+            if kind in ("while", "if"):
+                depth += 1
     return lines, index
 
 
@@ -1003,9 +955,5 @@ def emit_annotated_listing(
     if prob.x0 is None:
         raise ValueError("an annotated listing needs the problem's primal warm start X0")
     options = opts if opts is not None else default_options(prob)
-    items = _listing_items(prob, options)
-    if flavor == "pseudo-matlab":
-        lines, index = _render_pseudo_matlab(items)
-    else:
-        lines, index = _render_c_like(items)
+    lines, index = _render(_listing_items(prob, options), flavor)
     return AnnotatedListing(flavor=flavor, lines=lines, contract_index=index)

@@ -113,15 +113,13 @@ def lsqr_solve(
     b: np.ndarray,
     *,
     equation: str = "lsqr",
-    expect_consistent: bool = True,
     tol: float | None = None,
 ) -> np.ndarray:
     """Minimum-2-norm least-squares solution of A @ x = b.
 
-    When ``expect_consistent`` (the default), the residual ||A@x - b|| must
-    not exceed ``tol`` (default LSQR_TOL * max(1, ||b||)); otherwise
-    LsqrContractViolation is raised naming the equation. Pass
-    ``expect_consistent=False`` for genuinely inconsistent systems.
+    The residual ||A@x - b|| must not exceed ``tol`` (default
+    LSQR_TOL * max(1, ||b||)); otherwise LsqrContractViolation is raised
+    naming the equation.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -130,8 +128,7 @@ def lsqr_solve(
     if not np.all(np.isfinite(b)) or not np.all(np.isfinite(A)):
         raise ValueError(f"lsqr_solve({equation}): non-finite input")
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if expect_consistent:
-        require_consistent(A, x, b, equation=equation, tol=tol)
+    require_consistent(A, x, b, equation=equation, tol=tol)
     return x
 
 

@@ -63,15 +63,6 @@ class SdpProblem:
 
     # -- derived quantities ------------------------------------------------
 
-    def dual_cost(self, Z: np.ndarray) -> float:
-        return trace_inner(self.f0, Z)
-
-    def primal_cost(self, p: np.ndarray) -> float:
-        return float(np.dot(self.b, np.asarray(p, dtype=float).ravel()))
-
-    def duality_gap(self, X: np.ndarray, Z: np.ndarray) -> float:
-        return trace_inner(X, Z)
-
     def primal_slack(self, p: np.ndarray) -> np.ndarray:
         """-(F0 + sum_i p[i] Fi); equals X when p is primal feasible for X."""
         acc = np.array(self.f0, dtype=float, copy=True)
@@ -89,16 +80,10 @@ class SdpProblem:
 
     # -- potentials ---------------------------------------------------------
 
-    def potential_loggap(self, X: np.ndarray, Z: np.ndarray) -> float:
-        return float(np.log(self.duality_gap(X, Z)))
-
-    def barrier(self, X: np.ndarray, Z: np.ndarray) -> float:
-        return -_logdet(X, "barrier X") - _logdet(Z, "barrier Z")
-
     def potential_tanabe(self, X: np.ndarray, Z: np.ndarray, nu: float) -> float:
         """Weighted Tanabe-Todd-Ye potential for weight nu > 0."""
         n = self.n
-        gap = self.duality_gap(X, Z)
+        gap = trace_inner(X, Z)
         return float(
             (n + nu * np.sqrt(n)) * np.log(gap)
             - _logdet(X, "potential X")

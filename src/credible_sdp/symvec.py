@@ -6,7 +6,8 @@ used, differing only in how off-diagonal entries are scaled:
 * ``vecs`` / ``mats`` — off-diagonals multiplied by sqrt(2). This variant is
   an isometry for the trace inner product: dot(vecs(A), vecs(B)) == Tr(A@B).
 * ``svec`` / ``smat`` — off-diagonals multiplied by 2 (halved on the way
-  back). This is the convention the annotation language uses.
+  back). The solver, monitor and annotated listings all use ``vecs``; this
+  pair is kept as public algebra.
 
 Entries are enumerated row-major over the upper triangle (i <= j). Every
 function in this module shares that ordering, including the column layout of

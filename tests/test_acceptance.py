@@ -32,7 +32,10 @@ from credible_sdp.solver import (
 from credible_sdp.symvec import krons, mats, smat, svec, sym_dim, symmetrize, vecs
 from problem_gen import random_problem
 
-GOLDEN = Path(__file__).parent / "golden" / "running_example_listing.m"
+GOLDEN = {
+    "pseudo-matlab": Path(__file__).parent / "golden" / "running_example_listing.m",
+    "c-like": Path(__file__).parent / "golden" / "running_example_listing.c",
+}
 
 
 def _ok(num: int, text: str) -> None:
@@ -275,9 +278,10 @@ def test_criterion_08_annotated_listing_stability(example_problem):
     assert first.text == second.text
     assert "phi-0.76*phim<0" in first.text
     assert "trace(X*Z)<=0.1" in first.text
-    assert first.text == GOLDEN.read_text()
+    for flavor, golden in GOLDEN.items():
+        assert emit_annotated_listing(example_problem, flavor=flavor).text == golden.read_text()
     _ok(8, f"listing is deterministic ({len(first.lines)} lines, "
-           f"{len(first.contract_index)} annotations) and matches the golden copy")
+           f"{len(first.contract_index)} annotations) and both flavors match their golden copies")
 
 
 # 9 ---------------------------------------------------------------------------

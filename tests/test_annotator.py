@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +75,62 @@ def test_trace_layout(example_trace, example_report):
     assert "violation_id" not in foot
 
 
+def assert_same_bits(stored, expected, what: str) -> None:
+    """Shape and every float of ``stored`` equal ``expected`` bit for bit."""
+    a = np.asarray(stored, dtype=float)
+    b = np.asarray(expected, dtype=float)
+    assert a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def assert_record_roundtrips(stored: dict, rec, where: str) -> None:
+    what = f"{where} [{rec.id}]"
+    assert_same_bits(stored["measured"], rec.measured, f"{what} measured")
+    assert_same_bits(stored["bound"], rec.bound, f"{what} bound")
+    assert stored["detail"].keys() == rec.detail.keys(), what
+    for key, value in rec.detail.items():
+        if isinstance(value, (bool, np.bool_, str)):
+            assert stored["detail"][key] == value, f"{what} detail {key}"
+        else:
+            assert_same_bits(stored["detail"][key], value, f"{what} detail {key}")
+
+
 def test_trace_floats_roundtrip_exactly(example_trace, example_report):
     trace = parse_trace(example_trace)
-    snap = example_report.snapshots[0]
-    line = trace.iterations[0]["state"]
-    np.testing.assert_array_equal(np.array(line["X"]), snap.state.X)
-    np.testing.assert_array_equal(np.array(line["dX"]), snap.step.dX)
-    assert line["phi"] == snap.state.phi
-    assert line["mu"] == snap.state.mu
-    head_x = np.array(trace.header["init_state"]["X"])
-    np.testing.assert_array_equal(head_x, example_report.initial_state.X)
+
+    init = trace.header["init_state"]
+    state0 = example_report.initial_state
+    for key in ("X", "Z", "p", "mu", "phi", "phim"):
+        assert_same_bits(init[key], getattr(state0, key), f"init_state {key}")
+    assert_same_bits(init["sigma"], example_report.sigma, "init_state sigma")
+    for stored, rec in zip(trace.init_records, example_report.init_records, strict=True):
+        assert_record_roundtrips(stored, rec, "init")
+
+    for block, snap in zip(trace.iterations, example_report.snapshots, strict=True):
+        line, where = block["state"], f"iteration {snap.state.iteration}"
+        for key in ("Xm", "Zm", "pm", "X", "Z", "p", "mu", "phi", "phim"):
+            assert_same_bits(line[key], getattr(snap.state, key), f"{where} {key}")
+        for key in ("dX", "dZ", "dp"):
+            assert_same_bits(line[key], getattr(snap.step, key), f"{where} {key}")
+        for stored, rec in zip(block["records"], snap.records, strict=True):
+            assert_record_roundtrips(stored, rec, where)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_trace_refuses_non_finite_values(example_report, bad):
+    state0 = example_report.initial_state
+    X = state0.X.copy()
+    X[0, 1] = bad
+    for state in (replace(state0, X=X), replace(state0, mu=bad)):
+        with pytest.raises(ValueError):
+            write_trace(replace(example_report, initial_state=state))
+
+
+def test_write_trace_refuses_unknown_detail_objects(example_report):
+    rec = replace(example_report.init_records[0], detail={"opaque": object()})
+    broken = replace(example_report, init_records=[rec, *example_report.init_records[1:]])
+    with pytest.raises(TypeError, match="object"):
+        write_trace(broken)
 
 
 def test_write_trace_tees_to_sink(example_report):

@@ -132,13 +132,6 @@ def test_lsqr_flags_inconsistent_systems():
     assert "toy system" in str(err)
 
 
-def test_lsqr_inconsistency_can_be_waived():
-    A = np.array([[1.0], [1.0]])
-    b = np.array([0.0, 1.0])
-    x = lsqr_solve(A, b, expect_consistent=False)
-    np.testing.assert_allclose(x, [0.5], rtol=1e-14)
-
-
 def test_lsqr_tolerance_scales_with_rhs_norm():
     # residual ~1e-8 on a ||b|| ~1e2 system: inside 1e-9 * max(1, ||b||)
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])

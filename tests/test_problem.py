@@ -217,16 +217,6 @@ def test_load_rejects_non_numeric_epsilon():
 # -- derived quantities -----------------------------------------------------------
 
 
-def test_costs_and_gap_are_the_expected_bilinear_forms():
-    prob = toy_problem()
-    Z = np.array([[1.0, 0.25], [0.25, 2.0]])
-    X = np.array([[0.5, 0.0], [0.0, 0.5]])
-    p = np.array([0.1, -0.2])
-    assert prob.dual_cost(Z) == pytest.approx(np.trace(F0 @ Z))
-    assert prob.primal_cost(p) == pytest.approx(np.dot(B, p))
-    assert prob.duality_gap(X, Z) == pytest.approx(np.trace(X @ Z))
-
-
 def test_primal_slack_and_residual_vanish_for_feasible_pairs():
     prob = toy_problem()
     p = np.array([0.25, -0.5])
@@ -246,20 +236,26 @@ def test_dual_residual_measures_constraint_violation():
 def test_potentials_match_their_closed_forms():
     prob = toy_problem()
     X = np.diag([0.5, 0.25])
-    Z = np.diag([2.0, 1.0])
+    Z = np.array([[2.0, 0.5], [0.5, 1.0]])
     gap = float(np.trace(X @ Z))
-    assert prob.potential_loggap(X, Z) == pytest.approx(np.log(gap), rel=1e-14)
     logdet = lambda S: float(np.sum(np.log(np.linalg.eigvalsh(S))))  # noqa: E731
-    assert prob.barrier(X, Z) == pytest.approx(-logdet(X) - logdet(Z), rel=1e-13)
-    nu = 0.4714
     n = 2
-    expected = (n + nu * np.sqrt(n)) * np.log(gap) - logdet(X) - logdet(Z) - n * np.log(n)
-    assert prob.potential_tanabe(X, Z, nu) == pytest.approx(expected, rel=1e-13)
+    for nu in (0.4714, 1.0, 3.0):
+        expected = (n + nu * np.sqrt(n)) * np.log(gap) - logdet(X) - logdet(Z) - n * np.log(n)
+        assert prob.potential_tanabe(X, Z, nu) == pytest.approx(expected, rel=1e-13)
+    # on the central path (X = mu * Z^-1) only the weighted log-gap term remains
+    mu = 0.01
+    on_path = mu * np.linalg.inv(Z)
+    assert prob.potential_tanabe(on_path, Z, 1.0) == pytest.approx(
+        np.sqrt(n) * np.log(n * mu), rel=1e-12
+    )
 
 
 def test_potentials_reject_indefinite_arguments():
     prob = toy_problem()
     from credible_sdp.linalg import NotPositiveDefiniteError
 
-    with pytest.raises(NotPositiveDefiniteError):
-        prob.barrier(-np.eye(2), np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError, match="potential X"):
+        prob.potential_tanabe(np.diag([2.0, -1.0]), np.eye(2), 1.0)
+    with pytest.raises(NotPositiveDefiniteError, match="potential Z"):
+        prob.potential_tanabe(np.eye(2), np.diag([2.0, -1.0]), 1.0)
