@@ -7,12 +7,16 @@ directions, and a footer with the outcome. Floats are written as their
 shortest exact repr, so every value round-trips bit-exactly.
 
 ``check_trace`` replays a trace against the problem file it claims to come
-from: it re-derives every contract record from the stored iterates with the
-same monitor code the solver used, re-checks the state chaining and update
-arithmetic, and recomputes the footer bookkeeping. Discrepancies become
-``Finding`` values in a ``CheckReport`` — a tampered trace yields findings,
-never a crash. Only malformed input (bad JSON, wrong schema, wrong problem
-hash, missing header fields) raises ``TraceFormatError``.
+from. It redoes each iteration with the solver's ``take_step`` from the
+previous line's stored point and the stored directions, re-evaluates the
+contracts with the same monitor code the solver used, and compares every
+stored line with the line the writer's own builders (``_iteration_obj``,
+``_record_obj``, ``_footer_obj``) would emit for the recomputed values, so
+the trace format is stated once, by the writer. Discrepancies, missing and
+unexpected fields become ``Finding`` values in a ``CheckReport`` — a
+tampered trace yields findings, never a crash. Only malformed input (bad
+JSON, wrong schema, wrong problem hash, missing or invalid header fields)
+raises ``TraceFormatError``.
 
 ``emit_annotated_listing`` renders the solver algorithm for a concrete
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
@@ -24,8 +28,8 @@ so listing, trace, and checker all speak the same contract catalog.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import IO
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +44,8 @@ from .solver import (
     SolverOptions,
     default_options,
     iteration_bound,
+    take_step,
+    validate_options,
 )
 
 TOOL_NAME = "credible-sdp"
@@ -144,28 +150,30 @@ def _iteration_obj(state: IterateState, step: NewtonStep) -> dict:
     }
 
 
-def _footer_obj(report: SolveReport) -> dict:
-    total = len(report.init_records) + sum(len(s.records) for s in report.snapshots)
+def _footer_obj(
+    status: str,
+    iterations: int,
+    final_gap: float,
+    budget: int,
+    records: int,
+    violation_id: str | None,
+) -> dict:
     obj = {
         "type": "footer",
-        "status": report.status.value,
-        "iterations": report.iterations,
-        "final_gap": report.final_gap,
-        "budget": report.budget,
+        "status": status,
+        "iterations": iterations,
+        "final_gap": final_gap,
+        "budget": budget,
         "budget_basis": BUDGET_BASIS,
-        "records": total,
+        "records": records,
     }
-    if report.violation_id is not None:
-        obj["violation_id"] = report.violation_id
+    if violation_id is not None:
+        obj["violation_id"] = violation_id
     return obj
 
 
-def write_trace(report: SolveReport, sink: IO[bytes] | None = None) -> bytes:
-    """Serialize a solve report as a JSON-lines proof trace.
-
-    Returns the trace bytes; when ``sink`` (a binary file object) is given,
-    also writes them there.
-    """
+def write_trace(report: SolveReport) -> bytes:
+    """Serialize a solve report as a JSON-lines proof trace."""
     lines = [_dumps(_header_obj(report))]
     for rec in report.init_records:
         lines.append(_dumps(_record_obj(rec)))
@@ -173,11 +181,17 @@ def write_trace(report: SolveReport, sink: IO[bytes] | None = None) -> bytes:
         lines.append(_dumps(_iteration_obj(snap.state, snap.step)))
         for rec in snap.records:
             lines.append(_dumps(_record_obj(rec)))
-    lines.append(_dumps(_footer_obj(report)))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if sink is not None:
-        sink.write(data)
-    return data
+    records = len(report.init_records) + sum(len(s.records) for s in report.snapshots)
+    footer = _footer_obj(
+        report.status.value,
+        report.iterations,
+        report.final_gap,
+        report.budget,
+        records,
+        report.violation_id,
+    )
+    lines.append(_dumps(footer))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +318,8 @@ class CheckReport:
 def _close(a: float, b: float) -> bool:
     if a == b:
         return True
-    return abs(a - b) <= CHECK_RTOL * max(abs(a), abs(b))
+    # the tolerance must be finite, or an infinite value passes for any other
+    return abs(a - b) <= CHECK_RTOL * max(abs(a), abs(b)) < math.inf
 
 
 def _close_mat(A: np.ndarray, B: np.ndarray) -> bool:
@@ -312,7 +327,70 @@ def _close_mat(A: np.ndarray, B: np.ndarray) -> bool:
     if diff == 0.0:
         return True
     scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    return diff <= CHECK_RTOL * scale
+    return diff <= CHECK_RTOL * scale < math.inf
+
+
+_SCALARS = (float, int, str, bool)
+
+
+def _diff(
+    stored: object,
+    expected: object,
+    where: str,
+    rid: str | None,
+    findings: list[Finding],
+    kind: str | None = None,
+    key: str = "",
+) -> None:
+    """Report every place where a stored value departs from the recomputed one.
+
+    Objects are compared key by key, recursively; a missing or unexpected
+    key is a finding. Arrays compare with ``_close_mat`` and floats (stored
+    as JSON int or float) with ``_close``; everything else must be equal and
+    of the same type. The finding kind follows the recomputed value: array
+    -> "chain", float -> "recompute", bool -> "verdict", anything else, or a
+    stored value of the wrong type, -> "structure"; ``kind`` overrides it.
+    """
+    if isinstance(expected, dict):
+        if not isinstance(stored, dict):
+            findings.append(Finding(kind or "structure", where, rid, f"{key} is not an object"))
+            return
+        prefix = f"{key}." if key else ""
+        for name in expected:
+            if name not in stored:
+                findings.append(Finding(kind or "structure", where, rid, f"{prefix}{name} is missing"))
+        for name, value in stored.items():
+            if name not in expected:
+                findings.append(Finding(kind or "structure", where, rid, f"unexpected key {prefix}{name}"))
+                continue
+            mine = expected[name]
+            # a genuine trace stores every scalar bit for bit
+            if type(value) is type(mine) and type(mine) in _SCALARS and value == mine:
+                continue
+            _diff(value, mine, where, rid, findings, kind, prefix + name)
+        return
+    if isinstance(expected, np.ndarray):
+        if not _close_mat(stored, expected):
+            findings.append(Finding(kind or "chain", where, rid, f"{key} does not match its recomputation"))
+        return
+    if type(stored) is type(expected) and stored == expected:
+        return
+    if isinstance(expected, float) and type(stored) in (int, float):
+        if not _close(float(stored), expected):
+            findings.append(
+                Finding(
+                    kind or "recompute",
+                    where,
+                    rid,
+                    f"{key}: trace has {stored!r}, recomputation gives {expected!r}",
+                    delta=float(stored) - expected,
+                )
+            )
+        return
+    default = "verdict" if isinstance(expected, bool) and type(stored) is bool else "structure"
+    findings.append(
+        Finding(kind or default, where, rid, f"{key}: trace has {stored!r}, expected {expected!r}")
+    )
 
 
 def _options_from_header(header: dict) -> SolverOptions:
@@ -320,7 +398,7 @@ def _options_from_header(header: dict) -> SolverOptions:
     if not isinstance(options, dict):
         raise TraceFormatError("trace header is missing its options object")
     try:
-        return SolverOptions(
+        opts = SolverOptions(
             epsilon=float(options["epsilon"]),
             nu=float(options["nu"]),
             sigma=float(options["sigma"]),
@@ -330,8 +408,10 @@ def _options_from_header(header: dict) -> SolverOptions:
             pd_margin=float(options["pd_margin"]),
             lsqr_tol=float(options["lsqr_tol"]),
         )
+        validate_options(opts)
     except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"trace header options are malformed: {exc}") from None
+        raise TraceFormatError(f"trace header options are invalid: {exc}") from None
+    return opts
 
 
 def _state_from_header(header: dict, n: int) -> IterateState:
@@ -354,20 +434,17 @@ def _state_from_header(header: dict, n: int) -> IterateState:
     return IterateState(X=X, Z=Z, p=p, Xm=X, Zm=Z, pm=p, mu=mu, phi=phi, phim=phim, iteration=0)
 
 
-def _take_array(line: dict, key: str, shape: tuple) -> np.ndarray:
+_ARRAY_KEYS = ("Xm", "Zm", "pm", "dX", "dZ", "dp", "X", "Z", "p")
+
+
+def _take_array(line: dict, key: str, n: int, m: int) -> np.ndarray:
     value = np.array(line[key], dtype=float)
+    shape = (n, n)
     if key in ("pm", "dp", "p"):
-        value = value.ravel()
+        value, shape = value.ravel(), (m,)
     if value.shape != shape:
         raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
     return value
-
-
-def _take_float(line: dict, key: str) -> float:
-    value = line[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} is not a number")
-    return float(value)
 
 
 def _compare_records(
@@ -393,107 +470,21 @@ def _compare_records(
         ours = by_id.get(rid)
         if ours is None:
             findings.append(Finding("catalog", where, rid, f"unknown record id {rid!r}"))
-            continue
-        for key in ("measured", "bound"):
-            value = stored_rec.get(key)
-            mine = getattr(ours, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                findings.append(Finding("structure", where, rid, f"{key} is not a number"))
-            elif not _close(float(value), mine):
-                findings.append(
-                    Finding(
-                        "recompute",
-                        where,
-                        rid,
-                        f"{key} mismatch: trace has {value!r}, recomputation gives {mine:.17g}",
-                        delta=float(value) - mine,
-                    )
-                )
-        if bool(stored_rec.get("passed")) != ours.passed:
-            findings.append(
-                Finding(
-                    "verdict",
-                    where,
-                    rid,
-                    f"passed flag mismatch: trace says {stored_rec.get('passed')}, "
-                    f"recomputation says {ours.passed}",
-                )
-            )
-        if stored_rec.get("anchor") != ours.anchor:
-            findings.append(
-                Finding(
-                    "recompute",
-                    where,
-                    rid,
-                    f"anchor text mismatch: trace has {stored_rec.get('anchor')!r}, "
-                    f"expected {ours.anchor!r}",
-                )
-            )
-        if stored_rec.get("phase") != ours.phase or stored_rec.get("iteration") != ours.iteration:
-            findings.append(
-                Finding(
-                    "structure",
-                    where,
-                    rid,
-                    f"phase/iteration fields ({stored_rec.get('phase')!r}, "
-                    f"{stored_rec.get('iteration')!r}) do not match "
-                    f"({ours.phase!r}, {ours.iteration})",
-                )
-            )
-        _compare_detail(stored_rec.get("detail"), ours.detail, where, rid, findings)
-
-
-def _compare_detail(
-    stored: object,
-    recomputed: dict,
-    where: str,
-    rid: str | None,
-    findings: list[Finding],
-) -> None:
-    if not isinstance(stored, dict):
-        findings.append(Finding("structure", where, rid, "detail is not an object"))
-        return
-    for key in recomputed:
-        if key not in stored:
-            findings.append(Finding("structure", where, rid, f"detail key {key!r} is missing"))
-    for key, value in stored.items():
-        if key not in recomputed:
-            findings.append(Finding("structure", where, rid, f"unexpected detail key {key!r}"))
-            continue
-        mine = recomputed[key]
-        if isinstance(mine, bool):
-            if not isinstance(value, bool) or value != mine:
-                findings.append(
-                    Finding("verdict", where, rid, f"detail flag {key!r}: trace has {value!r}, recomputation says {mine}")
-                )
-        elif isinstance(mine, (int, float, np.integer, np.floating)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                findings.append(Finding("structure", where, rid, f"detail value {key!r} is not a number"))
-            elif not _close(float(value), float(mine)):
-                findings.append(
-                    Finding(
-                        "recompute",
-                        where,
-                        rid,
-                        f"detail value {key!r} mismatch: trace has {value!r}, "
-                        f"recomputation gives {float(mine):.17g}",
-                        delta=float(value) - float(mine),
-                    )
-                )
         else:
-            if value != mine:
-                findings.append(
-                    Finding("recompute", where, rid, f"detail value {key!r} mismatch: trace has {value!r}, expected {mine!r}")
-                )
+            _diff(stored_rec, _record_obj(ours), where, rid, findings)
 
 
 def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport:
     """Replay a trace against a problem and report every discrepancy.
 
     The problem hash must match (TraceFormatError otherwise — a trace is only
-    checkable against the constraints it was made from). Everything else, from
-    record values to footer bookkeeping, is recomputed and compared at
-    relative tolerance CHECK_RTOL; mismatches come back as findings.
+    checkable against the constraints it was made from), and so must the
+    header options pass ``validate_options``. Each iteration is then redone
+    with the solver's ``take_step`` from the previous line's stored point and
+    the stored directions, its contracts are re-evaluated by the monitor, and
+    every stored line is compared with the line ``write_trace`` would emit
+    for the recomputed values (``_diff``, relative tolerance CHECK_RTOL).
+    Mismatches, missing and unexpected fields come back as findings.
     """
     trace = data if isinstance(data, ProofTrace) else parse_trace(data)
     header = trace.header
@@ -520,18 +511,8 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
                 f"do not match the problem ({prob.n}, {prob.m})",
             )
         )
-    init_sigma = header.get("init_state", {}).get("sigma")
-    if not isinstance(init_sigma, (int, float)) or isinstance(init_sigma, bool) or not _close(
-        float(init_sigma), opts.sigma
-    ):
-        findings.append(
-            Finding(
-                "structure",
-                "header",
-                None,
-                f"init_state sigma {init_sigma!r} disagrees with options sigma {opts.sigma!r}",
-            )
-        )
+    init_sigma = header["init_state"].get("sigma")
+    _diff(init_sigma, opts.sigma, "header", None, findings, "structure", "init_state.sigma")
 
     try:
         recomputed = monitor.check_initialization(prob, state0, opts)
@@ -541,96 +522,48 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
         findings.append(Finding("error", "init", None, f"checker error: {exc}"))
 
     n, m = prob.n, prob.m
-    prev_X, prev_Z, prev_p = state0.X, state0.Z, state0.p
+    state = prev = state0
+    scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
 
     for k, block in enumerate(trace.iterations, 1):
         where = f"iteration {k}"
         line = block["state"]
         try:
-            Xm = _take_array(line, "Xm", (n, n))
-            Zm = _take_array(line, "Zm", (n, n))
-            pm = _take_array(line, "pm", (m,))
-            dX = _take_array(line, "dX", (n, n))
-            dZ = _take_array(line, "dZ", (n, n))
-            dp = _take_array(line, "dp", (m,))
-            X = _take_array(line, "X", (n, n))
-            Z = _take_array(line, "Z", (n, n))
-            p = _take_array(line, "p", (m,))
-            mu = _take_float(line, "mu")
-            phi = _take_float(line, "phi")
-            phim = _take_float(line, "phim")
+            arrays = {key: _take_array(line, key, n, m) for key in _ARRAY_KEYS}
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"unreadable iteration line: {exc}"))
             break
 
-        if line.get("iteration") != k:
-            findings.append(
-                Finding(
-                    "structure",
-                    where,
-                    None,
-                    f"iteration field is {line.get('iteration')!r}, expected {k}",
-                )
-            )
-        if not _close_mat(Xm, prev_X):
-            findings.append(Finding("chain", where, None, "Xm does not match the previous X"))
-        if not _close_mat(Zm, prev_Z):
-            findings.append(Finding("chain", where, None, "Zm does not match the previous Z"))
-        if not _close_mat(pm, prev_p):
-            findings.append(Finding("chain", where, None, "pm does not match the previous p"))
-        if not _close_mat(X, Xm + dX):
-            findings.append(Finding("chain", where, None, "X does not equal Xm + dX"))
-        if not _close_mat(Z, Zm + dZ):
-            findings.append(Finding("chain", where, None, "Z does not equal Zm + dZ"))
-        if not _close_mat(p, pm + dp):
-            findings.append(Finding("chain", where, None, "p does not equal pm + dp"))
-        if not _close(phim, trace_inner(Xm, Zm)):
-            findings.append(
-                Finding(
-                    "recompute",
-                    where,
-                    None,
-                    f"phim is {phim!r} but trace(Xm*Zm) recomputes to "
-                    f"{trace_inner(Xm, Zm):.17g}",
-                )
-            )
-        if not _close(phi, trace_inner(X, Z)):
-            findings.append(
-                Finding(
-                    "recompute",
-                    where,
-                    None,
-                    f"phi is {phi!r} but trace(X*Z) recomputes to {trace_inner(X, Z):.17g}",
-                )
-            )
-        if not _close(mu, phi / n):
-            findings.append(
-                Finding("recompute", where, None, f"mu is {mu!r} but phi/n is {phi / n:.17g}")
-            )
-
         try:
-            Zh = sym_sqrt(Zm)
+            if scaled is None or not np.array_equal(scaled[0], prev.Z):
+                Zh = sym_sqrt(prev.Z)
+                scaled = (prev.Z, Zh, sym_inv(Zh))
             step = NewtonStep(
-                dX=dX,
-                dZ=dZ,
-                dp=dp,
-                Zh=Zh,
-                Zhi=sym_inv(Zh),
-                mu=trace_inner(Xm, Zm) / n,
+                dX=arrays["dX"],
+                dZ=arrays["dZ"],
+                dp=arrays["dp"],
+                Zh=scaled[1],
+                Zhi=scaled[2],
+                mu=trace_inner(prev.X, prev.Z) / n,
                 sigma=opts.sigma,
             )
-            new_state = IterateState(
-                X=X, Z=Z, p=p, Xm=Xm, Zm=Zm, pm=pm, mu=mu, phi=phi, phim=phim, iteration=k
-            )
-            recomputed = monitor.check_iteration(prob, new_state, step, opts)
+            state = take_step(prob, prev, step)
+            _diff({**line, **arrays}, _iteration_obj(state, step), where, None, findings)
+            recomputed = monitor.check_iteration(prob, state, step, opts)
             _compare_records(block["records"], recomputed, where, monitor.LOOP_IDS, findings)
             records_checked += len(block["records"])
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"checker error: {exc}"))
 
-        prev_X, prev_Z, prev_p = X, Z, p
+        # The next step starts from this line's stored point, not the
+        # recomputed one, so a tampered X is flagged here and again where the
+        # next line steps from it. take_step reads only X, Z, p and iteration.
+        prev = replace(prev, X=arrays["X"], Z=arrays["Z"], p=arrays["p"], iteration=k)
 
-    _check_footer(trace, state0, opts, findings)
+    try:
+        _check_footer(trace, state0, state, opts, findings)
+    except Exception as exc:  # noqa: BLE001
+        findings.append(Finding("error", "footer", None, f"checker error: {exc}"))
     return CheckReport(
         findings=findings,
         iterations=len(trace.iterations),
@@ -638,112 +571,52 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
     )
 
 
+_STATUSES = tuple(s.value for s in SolveStatus)
+
+
 def _check_footer(
     trace: ProofTrace,
-    state0: IterateState,
+    initial: IterateState,
+    final: IterateState,
     opts: SolverOptions,
     findings: list[Finding],
 ) -> None:
     footer = trace.footer
-    known = {s.value for s in SolveStatus}
     status = footer.get("status")
-    if status not in known:
-        findings.append(
-            Finding("footer", "footer", None, f"unknown status {status!r}; expected one of {sorted(known)}")
-        )
-    if footer.get("iterations") != len(trace.iterations):
-        findings.append(
-            Finding(
-                "footer",
-                "footer",
-                None,
-                f"iteration count is {footer.get('iterations')!r}, "
-                f"trace holds {len(trace.iterations)}",
-            )
-        )
+    violating = status == SolveStatus.INVARIANT_VIOLATION.value
+    violation_id = footer.get("violation_id") if violating else None
+    records = len(trace.init_records) + sum(len(b["records"]) for b in trace.iterations)
+    budget = iteration_bound(initial.phi, opts.epsilon, opts.sigma)
+    expected = _footer_obj(status, len(trace.iterations), final.phi, budget, records, violation_id)
+    _diff(footer, expected, "footer", None, findings, kind="footer")
 
-    if trace.iterations:
-        last_line = trace.iterations[-1]["state"]
-        last_phi = last_line.get("phi")
-        last_phim = last_line.get("phim")
-    else:
-        last_phi, last_phim = state0.phi, None
-
-    final_gap = footer.get("final_gap")
-    if not isinstance(final_gap, (int, float)) or isinstance(final_gap, bool):
-        findings.append(Finding("footer", "footer", None, "final_gap is not a number"))
-    elif isinstance(last_phi, (int, float)) and not _close(float(final_gap), float(last_phi)):
-        findings.append(
-            Finding(
-                "footer",
-                "footer",
-                None,
-                f"final_gap is {final_gap!r} but the last recorded gap is {last_phi!r}",
-                delta=float(final_gap) - float(last_phi),
-            )
-        )
-
-    expected_budget = iteration_bound(state0.phi, opts.epsilon, opts.sigma)
-    if footer.get("budget") != expected_budget:
-        findings.append(
-            Finding(
-                "footer",
-                "footer",
-                None,
-                f"budget is {footer.get('budget')!r}, recomputation gives {expected_budget}",
-            )
-        )
-
-    total = len(trace.init_records) + sum(len(b["records"]) for b in trace.iterations)
-    if footer.get("records") != total:
-        findings.append(
-            Finding(
-                "footer",
-                "footer",
-                None,
-                f"record count is {footer.get('records')!r}, trace holds {total}",
-            )
-        )
-
-    if status == SolveStatus.CONVERGED.value and isinstance(last_phi, (int, float)):
-        if float(last_phi) > opts.epsilon:
-            findings.append(
-                Finding(
-                    "footer",
-                    "footer",
-                    None,
-                    f"status is Converged but the final gap {last_phi!r} exceeds "
-                    f"epsilon {opts.epsilon!r}",
-                )
-            )
-    if status == SolveStatus.INVARIANT_VIOLATION.value:
-        violation_id = footer.get("violation_id")
-        if not violation_id:
-            findings.append(
-                Finding("footer", "footer", None, "status is InvariantViolation but violation_id is missing")
-            )
-        elif not trace.iterations or not any(
-            rec.get("id") == violation_id and not rec.get("passed")
-            for rec in trace.iterations[-1]["records"]
-        ):
-            findings.append(
-                Finding(
-                    "footer",
-                    "footer",
-                    violation_id,
-                    "violation_id does not name a failed record in the last iteration",
-                )
-            )
-    if status == SolveStatus.DIVERGENCE_GUARD.value:
-        grew = (
-            isinstance(last_phi, (int, float))
-            and isinstance(last_phim, (int, float))
-            and float(last_phi) - float(last_phim) > 0
-        )
-        if not grew:
-            findings.append(
-                Finding("footer", "footer", None, "status is DivergenceGuard but the gap did not grow")
-            )
+    # The status is a claim about the run; these are the ones a trace can back.
+    last_records = trace.iterations[-1]["records"] if trace.iterations else []
+    claims = [
+        (
+            status not in _STATUSES,
+            f"unknown status {status!r}; expected one of {list(_STATUSES)}",
+        ),
+        (
+            status == SolveStatus.CONVERGED.value and final.phi > opts.epsilon,
+            f"status is Converged but the final gap {final.phi!r} exceeds epsilon {opts.epsilon!r}",
+        ),
+        (
+            violating
+            and not any(
+                rec.get("id") == violation_id and rec.get("passed") is False for rec in last_records
+            ),
+            "status is InvariantViolation but violation_id does not name a failed record "
+            "in the last iteration",
+        ),
+        (
+            status == SolveStatus.DIVERGENCE_GUARD.value and not final.phi - final.phim > 0,
+            "status is DivergenceGuard but the gap did not grow",
+        ),
+    ]
+    for failed, message in claims:
+        if failed:
+            findings.append(Finding("footer", "footer", violation_id, message))
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -432,16 +432,13 @@ def solve(
     prob: SdpProblem,
     options: SolverOptions | None = None,
     X0: np.ndarray | None = None,
-    *,
-    hook: Callable[[IterationSnapshot], None] | None = None,
 ) -> SolveReport:
     """Run the short-step iteration to convergence or abort.
 
     Iterates while the duality gap exceeds epsilon, subject to three guards:
     an iteration cap (``max_iterations``, default ten times the certified
     budget), a strict-mode abort on the first failed contract record, and a
-    divergence guard that stops if the gap ever increases. ``hook``, when
-    given, is called with each IterationSnapshot as it is produced.
+    divergence guard that stops if the gap ever increases.
     """
     from . import monitor
 
@@ -466,10 +463,7 @@ def solve(
         step = solve_newton(prob, step, scaling, opts.lsqr_tol)
         new_state = take_step(prob, state, step)
         records = monitor.check_iteration(prob, new_state, step, opts)
-        snapshot = IterationSnapshot(state=new_state, step=step, records=records)
-        if hook is not None:
-            hook(snapshot)
-        snapshots.append(snapshot)
+        snapshots.append(IterationSnapshot(state=new_state, step=step, records=records))
         state = new_state
         if opts.mode == "strict":
             bad = next((rec for rec in records if not rec.passed), None)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -18,9 +17,10 @@ from credible_sdp.annotator import (
     parse_trace,
     write_trace,
 )
+from credible_sdp.linalg import sym_sqrt
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS
 from credible_sdp.problem import build_problem
-from credible_sdp.solver import SolverOptions
+from credible_sdp.solver import SolverOptions, assemble_newton, solve
 
 #: Proof trace of the bundled example, written by an earlier solver and kept
 #: byte for byte: traces already in the wild must keep re-checking clean.
@@ -133,12 +133,6 @@ def test_write_trace_refuses_unknown_detail_objects(example_report):
         write_trace(broken)
 
 
-def test_write_trace_tees_to_sink(example_report):
-    sink = io.BytesIO()
-    data = write_trace(example_report, sink)
-    assert sink.getvalue() == data
-
-
 def test_parse_trace_collects_iteration_blocks(example_trace):
     trace = parse_trace(example_trace)
     assert len(trace.init_records) == 16
@@ -215,6 +209,42 @@ def test_golden_trace_from_an_earlier_solver_checks_clean(example_problem):
     assert result.findings == []
     assert result.iterations == 56
     assert result.records_checked == 16 + 56 * 12
+
+
+@pytest.mark.parametrize("field,value", [("pd_margin", -1.0), ("mode", "bogus")])
+def test_check_trace_rejects_invalid_header_options(example_trace, example_problem, field, value):
+    bad = edit_line(example_trace, 0, lambda o: o["options"].update({field: value}))
+    with pytest.raises(TraceFormatError, match="options"):
+        check_trace(bad, example_problem)
+
+
+def _count_sym_sqrt(monkeypatch) -> list:
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return sym_sqrt(S)
+
+    monkeypatch.setattr("credible_sdp.annotator.sym_sqrt", counted)
+    return calls
+
+
+def test_replay_scales_once_while_z_stays_fixed(example_trace, example_problem, monkeypatch):
+    calls = _count_sym_sqrt(monkeypatch)
+    assert check_trace(example_trace, example_problem).clean
+    assert len(calls) == 1
+
+
+def test_replay_rescales_when_a_stored_z_moves(example_trace, example_problem, monkeypatch):
+    idx = find_line(example_trace, lambda o: o.get("type") == "iteration" and o.get("iteration") == 55)
+
+    def move_z(obj):
+        obj["Z"][0][0] *= 1 + 1e-9
+
+    calls = _count_sym_sqrt(monkeypatch)
+    result = check_trace(edit_line(example_trace, idx, move_z), example_problem)
+    assert any(f.kind == "chain" and f.where == "iteration 55" for f in result.findings)
+    assert len(calls) == 2
 
 
 def test_check_trace_rejects_wrong_problem(example_trace):
@@ -345,6 +375,137 @@ def test_check_flags_header_dimension_lie(example_trace, example_problem):
     bad = edit_line(example_trace, 0, lambda o: o.update(m=4))
     result = check_trace(bad, example_problem)
     assert any(f.where == "header" for f in result.findings)
+
+
+@pytest.mark.parametrize(
+    "target,mutate",
+    [
+        ("record", lambda o: o.update(measured=float("inf"))),
+        ("record", lambda o: o["detail"].update(min_eigenvalue_X=float("inf"))),
+        ("footer", lambda o: o.update(final_gap=float("inf"))),
+    ],
+    ids=["measured", "detail", "final-gap"],
+)
+def test_check_flags_infinite_values(example_trace, example_problem, target, mutate):
+    idx = find_line(
+        example_trace,
+        lambda o: o.get("type") == target and o.get("id", "I1") == "I1" and o.get("iteration", 1) == 1,
+    )
+    assert not check_trace(edit_line(example_trace, idx, mutate), example_problem).clean
+
+
+def _negated_rhs(prob, state, sigma, scaling):
+    step = assemble_newton(prob, state, sigma, scaling)
+    step.r = -step.r
+    return step
+
+
+#: Options that end a solve of the example in each status other than
+#: Converged; every run but the capped one steps along a negated Newton
+#: right-hand side, so the gap grows and loop contracts fail.
+NON_CONVERGED = {
+    "IterationCap": {"max_iterations": 5},
+    "DivergenceGuard": {},
+    "InvariantViolation": {"mode": "strict"},
+}
+
+
+@pytest.fixture(scope="module")
+def traces_by_status(example_problem, example_trace):
+    traces = {"Converged": example_trace}
+    for status, options in NON_CONVERGED.items():
+        with pytest.MonkeyPatch.context() as mp:
+            if status != "IterationCap":
+                mp.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
+            report = solve(example_problem, SolverOptions(epsilon=example_problem.epsilon, **options))
+        assert report.status.value == status
+        traces[status] = write_trace(report)
+    return traces
+
+
+@pytest.mark.parametrize("status", list(NON_CONVERGED))
+def test_genuine_trace_of_every_status_checks_clean(traces_by_status, example_problem, status):
+    result = check_trace(traces_by_status[status], example_problem)
+    assert result.findings == []
+
+
+def _claim_passing_violation(footer: dict, last_records: list[dict]) -> None:
+    footer["violation_id"] = next(rec["id"] for rec in last_records if rec["passed"])
+
+
+@pytest.mark.parametrize(
+    "status,forge",
+    [
+        ("InvariantViolation", _claim_passing_violation),
+        ("Converged", lambda footer, _: footer.update(status="DivergenceGuard")),
+        ("IterationCap", lambda footer, _: footer.update(status="Converged")),
+    ],
+    ids=["violation-id-names-a-passing-record", "divergence-without-growth", "converged-above-epsilon"],
+)
+def test_check_flags_false_status_claims(traces_by_status, example_problem, status, forge):
+    trace = traces_by_status[status]
+    last_records = parse_trace(trace).iterations[-1]["records"]
+    bad = edit_line(trace, len(trace_lines(trace)) - 1, lambda o: forge(o, last_records))
+    result = check_trace(bad, example_problem)
+    assert any(f.kind == "footer" for f in result.findings), result.describe()
+
+
+def _structural_mutations(obj: dict, path: tuple = ()):
+    """(label, mutate) pairs: delete each key, add one key to each object,
+    flip each bool and edit each string, at every depth of ``obj``."""
+
+    def at(root, keys):
+        for key in keys:
+            root = root[key]
+        return root
+
+    yield f"add key under {path}", lambda root: at(root, path).update(unexpected=0.0)
+    for key, value in obj.items():
+        here = path + (key,)
+        yield f"delete {here}", lambda root, p=path, k=key: at(root, p).pop(k)
+        if isinstance(value, bool):
+            yield f"flip {here}", lambda root, p=path, k=key: at(root, p).update({k: not at(root, p)[k]})
+        elif isinstance(value, str):
+            yield f"edit {here}", lambda root, p=path, k=key: at(root, p).update({k: at(root, p)[k] + "x"})
+        elif isinstance(value, dict):
+            yield from _structural_mutations(value, here)
+
+
+def _detected(trace: bytes, prob) -> bool:
+    try:
+        return not check_trace(trace, prob).clean
+    except TraceFormatError:
+        return True
+
+
+STRUCTURE_TARGETS = {
+    "iteration line": lambda o: o.get("type") == "iteration" and o.get("iteration") == 5,
+    "loop record": lambda o: o.get("type") == "record" and o.get("id") == "I11" and o.get("iteration") == 5,
+    "footer": lambda o: o.get("type") == "footer",
+}
+
+
+@pytest.mark.parametrize("target", list(STRUCTURE_TARGETS))
+def test_check_flags_structural_tampering(example_trace, example_problem, target):
+    idx = find_line(example_trace, STRUCTURE_TARGETS[target])
+    mutations = list(_structural_mutations(json.loads(trace_lines(example_trace)[idx])))
+    assert len(mutations) >= 6
+    missed = [
+        label for label, mutate in mutations
+        if not _detected(edit_line(example_trace, idx, mutate), example_problem)
+    ]
+    assert not missed, f"undetected: {missed}"
+
+
+@pytest.mark.parametrize("value", ["no", 1, [0]], ids=repr)
+def test_check_requires_a_bool_verdict(example_trace, example_problem, value):
+    idx = find_line(
+        example_trace,
+        lambda o: o.get("type") == "record" and o.get("id") == "I8" and o.get("iteration") == 3,
+    )
+    bad = edit_line(example_trace, idx, lambda o: o.update(passed=value))
+    result = check_trace(bad, example_problem)
+    assert any(f.record_id == "I8" for f in result.findings)
 
 
 def test_describe_reports_failures(example_trace, example_problem):

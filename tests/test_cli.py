@@ -255,6 +255,22 @@ def test_check_trace_against_wrong_problem(capsys, problem_file, tmp_path):
     assert "hash" in err
 
 
+@pytest.mark.parametrize("field,value", [("pd_margin", -1.0), ("mode", "bogus")])
+def test_check_trace_refuses_invalid_header_options(capsys, problem_file, tmp_path, field, value):
+    trace_path = tmp_path / "run.trace"
+    run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["options"][field] = value
+    lines[0] = json.dumps(header)
+    trace_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(trace_path)
+    )
+    assert code == 1
+    assert "options" in err and out == ""
+
+
 # -- environment tolerance -----------------------------------------------------------
 
 

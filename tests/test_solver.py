@@ -349,12 +349,6 @@ def test_solve_neighborhood_stays_tight(example_report):
         assert dev <= THETA * s.mu
 
 
-def test_solve_hook_sees_every_snapshot(example_problem):
-    seen = []
-    report = solve(example_problem, hook=lambda snap: seen.append(snap.state.iteration))
-    assert seen == list(range(1, report.iterations + 1))
-
-
 def test_solve_strict_mode_is_clean_on_the_example(example_problem):
     opts = SolverOptions(epsilon=example_problem.epsilon, mode="strict")
     rep = solve(example_problem, opts)
