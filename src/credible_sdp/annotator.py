@@ -10,11 +10,12 @@ shortest exact repr, so every value round-trips bit-exactly.
 from. It redoes each iteration with the solver's ``take_step`` from the
 previous line's stored point and the stored directions, re-evaluates the
 contracts with the same monitor code the solver used, and compares every
-stored line with the line the writer's own builders (``_iteration_obj``,
-``_record_obj``, ``_footer_obj``) would emit for the recomputed values, so
-the trace format is stated once, by the writer. Discrepancies, missing and
-unexpected fields become ``Finding`` values in a ``CheckReport`` — a
-tampered trace yields findings, never a crash. Only malformed input (bad
+stored line with the line the writer's own builders (``_header_obj``,
+``_iteration_obj``, ``_record_obj``, ``_footer_obj``) would emit for the
+recomputed values and the catalog's tolerances, so the trace format is
+stated once, by the writer, and no trace sets its own rules. Discrepancies,
+missing and unexpected fields become ``Finding`` values in a ``CheckReport``
+— a tampered trace yields findings, never a crash. Only malformed input (bad
 JSON, wrong schema, wrong problem hash, missing or invalid header fields)
 raises ``TraceFormatError``.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import monitor
-from .linalg import sym_inv, sym_sqrt, trace_inner
+from .linalg import LSQR_TOL, PD_TOL, sym_inv, sym_sqrt, trace_inner
 from .problem import SdpProblem
 from .solver import (
     IterateState,
@@ -98,8 +99,7 @@ def _record_obj(rec: "monitor.InvariantRecord") -> dict:
     }
 
 
-def _header_obj(report: SolveReport) -> dict:
-    prob, opts, state = report.problem, report.options, report.initial_state
+def _header_obj(prob: SdpProblem, opts: SolverOptions, state: IterateState) -> dict:
     return {
         "type": "header",
         "schema": TRACE_SCHEMA,
@@ -111,13 +111,13 @@ def _header_obj(report: SolveReport) -> dict:
         "backend": BACKEND,
         "options": {
             "epsilon": opts.epsilon,
-            "sigma": report.sigma,
+            "sigma": opts.sigma,
             "nu": opts.nu,
             "mode": opts.mode,
-            "gap_ceiling": opts.gap_ceiling,
-            "equality_tol": opts.equality_tol,
-            "pd_margin": opts.pd_margin,
-            "lsqr_tol": opts.lsqr_tol,
+            "gap_ceiling": monitor.GAP_CEILING,
+            "equality_tol": monitor.EQUALITY_TOL,
+            "pd_margin": PD_TOL,
+            "lsqr_tol": LSQR_TOL,
         },
         "init_state": {
             "X": state.X,
@@ -126,7 +126,7 @@ def _header_obj(report: SolveReport) -> dict:
             "mu": state.mu,
             "phi": state.phi,
             "phim": state.phim,
-            "sigma": report.sigma,
+            "sigma": opts.sigma,
         },
     }
 
@@ -174,7 +174,7 @@ def _footer_obj(
 
 def write_trace(report: SolveReport) -> bytes:
     """Serialize a solve report as a JSON-lines proof trace."""
-    lines = [_dumps(_header_obj(report))]
+    lines = [_dumps(_header_obj(report.problem, report.options, report.initial_state))]
     for rec in report.init_records:
         lines.append(_dumps(_record_obj(rec)))
     for snap in report.snapshots:
@@ -292,11 +292,15 @@ class Finding:
 
 @dataclass
 class CheckReport:
-    """Outcome of replaying a trace; clean means no findings at all."""
+    """Outcome of replaying a trace; clean means no findings at all.
+
+    ``failed_ids``: the contracts whose recomputed records fail, sorted.
+    """
 
     findings: list[Finding]
     iterations: int
     records_checked: int
+    failed_ids: list[str]
 
     @property
     def clean(self) -> bool:
@@ -304,10 +308,14 @@ class CheckReport:
 
     def describe(self) -> str:
         if self.clean:
-            return (
-                f"trace OK: {self.iterations} iteration(s), "
+            summary = (
+                f"{self.iterations} iteration(s), "
                 f"{self.records_checked} record(s) recomputed, no findings"
             )
+            if self.failed_ids:
+                failed = ", ".join(self.failed_ids)
+                return f"trace consistent, contracts FAILED: {failed}; {summary}"
+            return f"trace OK: {summary}"
         out = [f"trace FAILED: {len(self.findings)} finding(s)"]
         for f in self.findings:
             where = f.where + (f" [{f.record_id}]" if f.record_id else "")
@@ -376,14 +384,18 @@ def _diff(
     if type(stored) is type(expected) and stored == expected:
         return
     if isinstance(expected, float) and type(stored) in (int, float):
-        if not _close(float(stored), expected):
+        try:
+            value = float(stored)
+        except OverflowError:  # an int no float can hold matches nothing
+            value = math.inf
+        if not _close(value, expected):
             findings.append(
                 Finding(
                     kind or "recompute",
                     where,
                     rid,
                     f"{key}: trace has {stored!r}, recomputation gives {expected!r}",
-                    delta=float(stored) - expected,
+                    delta=value - expected,
                 )
             )
         return
@@ -393,58 +405,46 @@ def _diff(
     )
 
 
+def _take(value: object, shape: tuple[int, ...]) -> float | np.ndarray:
+    """Read a stored number (shape ``()``) or array as floats; anything but
+    JSON ints and floats in exactly the writer's shape raises ValueError."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "if" or arr.shape != shape:
+        raise ValueError(f"expected numbers of shape {shape}, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(float)
+    return float(arr) if shape == () else arr
+
+
 def _options_from_header(header: dict) -> SolverOptions:
     options = header.get("options")
     if not isinstance(options, dict):
         raise TraceFormatError("trace header is missing its options object")
     try:
         opts = SolverOptions(
-            epsilon=float(options["epsilon"]),
-            nu=float(options["nu"]),
-            sigma=float(options["sigma"]),
-            gap_ceiling=float(options["gap_ceiling"]),
-            mode=str(options["mode"]),
-            equality_tol=float(options["equality_tol"]),
-            pd_margin=float(options["pd_margin"]),
-            lsqr_tol=float(options["lsqr_tol"]),
+            epsilon=_take(options["epsilon"], ()),
+            nu=_take(options["nu"], ()),
+            sigma=_take(options["sigma"], ()),
+            mode=options["mode"],
         )
         validate_options(opts)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"trace header options are invalid: {exc}") from None
     return opts
 
 
-def _state_from_header(header: dict, n: int) -> IterateState:
+def _state_from_header(header: dict, n: int, m: int) -> IterateState:
     init = header.get("init_state")
     if not isinstance(init, dict):
         raise TraceFormatError("trace header is missing its init_state object")
     try:
-        X = np.array(init["X"], dtype=float)
-        Z = np.array(init["Z"], dtype=float)
-        p = np.array(init["p"], dtype=float).ravel()
-        mu = float(init["mu"])
-        phi = float(init["phi"])
-        phim = float(init["phim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        X, Z, p = _take(init["X"], (n, n)), _take(init["Z"], (n, n)), _take(init["p"], (m,))
+        mu, phi, phim = (_take(init[key], ()) for key in ("mu", "phi", "phim"))
+    except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"trace header init_state is malformed: {exc}") from None
-    if X.shape != (n, n) or Z.shape != (n, n):
-        raise TraceFormatError(
-            f"init_state matrices have shape {X.shape}/{Z.shape}, expected {(n, n)}"
-        )
     return IterateState(X=X, Z=Z, p=p, Xm=X, Zm=Z, pm=p, mu=mu, phi=phi, phim=phim, iteration=0)
 
 
 _ARRAY_KEYS = ("Xm", "Zm", "pm", "dX", "dZ", "dp", "X", "Z", "p")
-
-
-def _take_array(line: dict, key: str, n: int, m: int) -> np.ndarray:
-    value = np.array(line[key], dtype=float)
-    shape = (n, n)
-    if key in ("pm", "dp", "p"):
-        value, shape = value.ravel(), (m,)
-    if value.shape != shape:
-        raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
-    return value
 
 
 def _compare_records(
@@ -482,8 +482,9 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
     header options pass ``validate_options``. Each iteration is then redone
     with the solver's ``take_step`` from the previous line's stored point and
     the stored directions, its contracts are re-evaluated by the monitor, and
-    every stored line is compared with the line ``write_trace`` would emit
-    for the recomputed values (``_diff``, relative tolerance CHECK_RTOL).
+    every stored line, the header included, is compared with the line
+    ``write_trace`` would emit for the recomputed values (``_diff``, relative
+    tolerance CHECK_RTOL), so tolerances are the catalog's, not the trace's.
     Mismatches, missing and unexpected fields come back as findings.
     """
     trace = data if isinstance(data, ProofTrace) else parse_trace(data)
@@ -496,32 +497,30 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
             f"{str(stored_hash)[:12]}…, this problem is {prob.problem_hash[:12]}…"
         )
 
+    n, m = prob.n, prob.m
     opts = _options_from_header(header)
-    state0 = _state_from_header(header, prob.n)
+    state0 = _state_from_header(header, n, m)
     findings: list[Finding] = []
+    failed: set[str] = set()
     records_checked = 0
 
-    if header.get("n") != prob.n or header.get("m") != prob.m:
-        findings.append(
-            Finding(
-                "structure",
-                "header",
-                None,
-                f"header dimensions ({header.get('n')!r}, {header.get('m')!r}) "
-                f"do not match the problem ({prob.n}, {prob.m})",
-            )
-        )
-    init_sigma = header["init_state"].get("sigma")
-    _diff(init_sigma, opts.sigma, "header", None, findings, "structure", "init_state.sigma")
+    expected = _header_obj(prob, opts, state0)
+    for key in ("tool", "backend"):  # these name the software that wrote the trace
+        if isinstance(header.get(key), str):
+            expected[key] = header[key]
+    # the starting arrays as read, since _diff compares arrays, not JSON lists
+    init = {**header["init_state"], "X": state0.X, "Z": state0.Z, "p": state0.p}
+    _diff({**header, "init_state": init}, expected, "header", None, findings)
 
     try:
         recomputed = monitor.check_initialization(prob, state0, opts)
+        failed.update(rec.id for rec in recomputed if not rec.passed)
         _compare_records(trace.init_records, recomputed, "init", monitor.INIT_IDS, findings)
         records_checked += len(trace.init_records)
     except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
         findings.append(Finding("error", "init", None, f"checker error: {exc}"))
 
-    n, m = prob.n, prob.m
+    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in _ARRAY_KEYS}
     state = prev = state0
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
 
@@ -529,7 +528,7 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
         where = f"iteration {k}"
         line = block["state"]
         try:
-            arrays = {key: _take_array(line, key, n, m) for key in _ARRAY_KEYS}
+            arrays = {key: _take(line[key], shape) for key, shape in shapes.items()}
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"unreadable iteration line: {exc}"))
             break
@@ -549,7 +548,8 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
             )
             state = take_step(prob, prev, step)
             _diff({**line, **arrays}, _iteration_obj(state, step), where, None, findings)
-            recomputed = monitor.check_iteration(prob, state, step, opts)
+            recomputed = monitor.check_iteration(prob, state, step)
+            failed.update(rec.id for rec in recomputed if not rec.passed)
             _compare_records(block["records"], recomputed, where, monitor.LOOP_IDS, findings)
             records_checked += len(block["records"])
         except Exception as exc:  # noqa: BLE001
@@ -568,6 +568,7 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
         findings=findings,
         iterations=len(trace.iterations),
         records_checked=records_checked,
+        failed_ids=sorted(failed),
     )
 
 
@@ -652,13 +653,13 @@ def _vec_literal(v: np.ndarray) -> str:
 
 
 def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
-    sigma, ceiling = opts.sigma, opts.gap_ceiling
+    sigma = opts.sigma
 
     def la(rid: str) -> str:
-        return monitor.loop_anchor(rid, sigma, ceiling)
+        return monitor.loop_anchor(rid, sigma)
 
     def ia(rid: str) -> str:
-        return monitor.init_anchor(rid, sigma, ceiling)
+        return monitor.init_anchor(rid, sigma)
 
     items: list[tuple] = []
     comment = lambda text: items.append(("comment", text))  # noqa: E731

@@ -6,19 +6,16 @@ alone), ``check-trace`` (replay a trace against its problem file), and
 ``demo`` (exercise the whole pipeline on the bundled example).
 
 Exit codes form a total map of outcomes: 0 for a converged run with every
-contract passing (or a clean trace check), 2 when contracts failed or a
-checked trace has findings, 3 for a divergence-guard abort, 4 for an
-iteration-cap abort, and 1 for anything that prevented a run: unreadable
-files, malformed problems or traces, bad flags, hash or schema mismatches.
-
-The environment variable CREDIBLE_SDP_TOL overrides the equality tolerance
-used by the contract checks (default 1e-9).
+contract passing (or a clean trace check of such a run), 2 when contracts
+failed (in the run, or in the run a checked trace records) or a checked
+trace has findings, 3 for a divergence-guard abort, 4 for an iteration-cap
+abort, and 1 for anything that prevented a run: unreadable files, malformed
+problems or traces, bad flags, hash or schema mismatches.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -44,9 +41,6 @@ from .solver import (
 )
 from .symvec import DimensionError, SymmetryError
 
-ENV_TOL = "CREDIBLE_SDP_TOL"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors on stderr and exits 1, not 2."""
 
@@ -56,21 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _equality_tol_from_env() -> float:
-    raw = os.environ.get(ENV_TOL)
-    if raw is None or raw.strip() == "":
-        return 1e-9
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_TOL} must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise ValueError(f"{ENV_TOL} must be positive, got {value}")
-    return value
-
-
 def _build_options(args: argparse.Namespace, prob: SdpProblem) -> SolverOptions:
-    """Resolve options from flags, problem file, environment, and defaults.
+    """Resolve options from flags, problem file, and defaults.
 
     --sigma wins outright; --nu without --sigma derives sigma from the
     potential weight; a nu stored in the problem file only sets the potential
@@ -99,7 +80,6 @@ def _build_options(args: argparse.Namespace, prob: SdpProblem) -> SolverOptions:
         sigma=sigma,
         mode=args.mode,
         max_iterations=getattr(args, "max_iterations", None),
-        equality_tol=_equality_tol_from_env(),
         sigma_derived=sigma_derived,
     )
 
@@ -120,13 +100,13 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
     failed_ids = sorted({rec.id for rec in report.all_records() if not rec.passed})
     cap = opts.max_iterations if opts.max_iterations is not None else max(10, 10 * report.budget)
     implied = sigma_from_nu(report.problem.n, opts.nu)
-    origin = "derived from nu" if report.sigma_derived else "fixed"
+    origin = "derived from nu" if opts.sigma_derived else "fixed"
 
     lines = [
         f"status:      {report.status.value}",
         f"iterations:  {report.iterations} (budget {report.budget}, cap {cap})",
         f"final gap:   {report.final_gap:.12e} (epsilon {opts.epsilon:g})",
-        f"sigma:       {report.sigma!r} ({origin}; nu={opts.nu!r} would imply {implied:.10g})",
+        f"sigma:       {opts.sigma!r} ({origin}; nu={opts.nu!r} would imply {implied:.10g})",
     ]
     if failed_ids:
         lines.append(f"contracts:   {total} records, FAILED: {', '.join(failed_ids)}")
@@ -188,16 +168,12 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
     data = Path(args.trace).read_bytes()
     result = check_trace(data, prob)
     print(result.describe())
-    return 0 if result.clean else 2
+    return 0 if result.clean and not result.failed_ids else 2
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     prob = running_example()
-    opts = SolverOptions(
-        epsilon=prob.epsilon,
-        mode=args.mode,
-        equality_tol=_equality_tol_from_env(),
-    )
+    opts = SolverOptions(epsilon=prob.epsilon, mode=args.mode)
     report = solve(prob, opts)
     trace = write_trace(report)
     result = check_trace(trace, prob)

@@ -19,10 +19,10 @@ import numpy as np
 
 from .symvec import DimensionError, require_symmetric, symmetrize
 
-#: Default absolute tolerance on the minimum eigenvalue for "positive definite".
+#: Absolute tolerance on the minimum eigenvalue for "positive definite".
 PD_TOL = 1e-12
 
-#: Default consistency tolerance for least-squares solves of consistent systems,
+#: Consistency tolerance for least-squares solves of consistent systems,
 #: scaled by max(1, ||b||).
 LSQR_TOL = 1e-9
 
@@ -77,16 +77,16 @@ def min_eigenvalue(S: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(S)[0])
 
 
-def is_pd(S: np.ndarray, tol: float = PD_TOL) -> PdCertificate:
+def is_pd(S: np.ndarray) -> PdCertificate:
     """Check positive definiteness of a symmetric matrix.
 
-    Returns a certificate whose ``ok`` flag reflects min_eigenvalue > tol.
+    Returns a certificate whose ``ok`` flag reflects min_eigenvalue > PD_TOL.
     """
-    return PdCertificate(min_eigenvalue=min_eigenvalue(S), tolerance=tol)
+    return PdCertificate(min_eigenvalue=min_eigenvalue(S), tolerance=PD_TOL)
 
 
-def require_pd(S: np.ndarray, what: str = "matrix", tol: float = PD_TOL) -> PdCertificate:
-    cert = is_pd(S, tol)
+def require_pd(S: np.ndarray, what: str = "matrix") -> PdCertificate:
+    cert = is_pd(S)
     if not cert.ok:
         raise NotPositiveDefiniteError(what, cert.min_eigenvalue, cert.tolerance)
     return cert
@@ -113,13 +113,11 @@ def lsqr_solve(
     b: np.ndarray,
     *,
     equation: str = "lsqr",
-    tol: float | None = None,
 ) -> np.ndarray:
     """Minimum-2-norm least-squares solution of A @ x = b.
 
-    The residual ||A@x - b|| must not exceed ``tol`` (default
-    LSQR_TOL * max(1, ||b||)); otherwise LsqrContractViolation is raised
-    naming the equation.
+    The residual ||A@x - b|| must not exceed LSQR_TOL * max(1, ||b||);
+    otherwise LsqrContractViolation is raised naming the equation.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -128,7 +126,7 @@ def lsqr_solve(
     if not np.all(np.isfinite(b)) or not np.all(np.isfinite(A)):
         raise ValueError(f"lsqr_solve({equation}): non-finite input")
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    require_consistent(A, x, b, equation=equation, tol=tol)
+    require_consistent(A, x, b, equation=equation)
     return x
 
 
@@ -138,15 +136,13 @@ def require_consistent(
     b: np.ndarray,
     *,
     equation: str,
-    tol: float | None = None,
 ) -> None:
-    """Raise LsqrContractViolation unless ||A@x - b|| <= tol.
+    """Raise LsqrContractViolation unless ||A@x - b|| <= LSQR_TOL * max(1, ||b||).
 
-    ``tol`` defaults to LSQR_TOL * max(1, ||b||). This is the consistency
-    contract of ``lsqr_solve``, for solutions obtained some other way.
+    This is the consistency contract of ``lsqr_solve``, for solutions
+    obtained some other way.
     """
-    if tol is None:
-        tol = LSQR_TOL * max(1.0, float(np.linalg.norm(b)))
+    tol = LSQR_TOL * max(1.0, float(np.linalg.norm(b)))
     residual = float(np.linalg.norm(A @ x - b))
     if residual > tol:
         raise LsqrContractViolation(equation, residual, tol)

@@ -10,9 +10,10 @@ point at the same text.
 
 Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
-I1..I12 (phase "loop"). Equality contracts are checked to a relative
-tolerance scaled by max(1, |reference|); positive-definiteness contracts
-compare the minimum eigenvalue against a margin, strictly.
+I1..I12 (phase "loop"). Equality contracts are checked to ``EQUALITY_TOL``
+scaled by max(1, |reference|); positive-definiteness contracts compare the
+minimum eigenvalue against ``linalg.PD_TOL``, strictly. Tolerances are
+constants of the catalog, so a trace is checked by rules it cannot state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frob_norm, trace_inner
+from .linalg import PD_TOL, frob_norm, trace_inner
 from .problem import SdpProblem
 from .solver import IterateState, NewtonStep, SolverOptions
 from .symvec import mats, sym_dim, symmetrize, vecs
@@ -31,6 +32,12 @@ THETA = 0.3105
 
 #: Bound on the scaled dual direction norm (contract I5).
 DZ_BOUND = 0.7
+
+#: Admission ceiling on the duality gap (init-gap-upper and I2).
+GAP_CEILING = 0.1
+
+#: Relative tolerance of the equality contracts, scaled by max(1, |reference|).
+EQUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class InvariantRecord:
 
 _LOOP_TEMPLATES: list[tuple[str, str]] = [
     ("I1", "X>0 && Z>0"),
-    ("I2", "phi>0 && phi<={ceiling}"),
+    ("I2", "phi>0 && phi<=0.1"),
     ("I3", "phi-{sigma1}*phim<0"),
     ("I4", "norm(X*Z-mu*eye(n,n),'fro')<=0.3105*mu"),
     ("I5", "norm(Zhi*mats(dZm,n)*Zhi,'fro')<=0.7"),
@@ -86,7 +93,7 @@ _INIT_TEMPLATES: list[tuple[str, str]] = [
     ("init-dual-feasibility", "F*vecs(Z)+b==zeros(m,1)"),
     ("init-x0-pd", "X>0"),
     ("init-neighborhood", "norm(X*Z-(trace(X*Z)/n)*eye(n,n),'fro')<=0.3105*(trace(X*Z)/n)"),
-    ("init-gap-upper", "trace(X*Z)<={ceiling}"),
+    ("init-gap-upper", "trace(X*Z)<=0.1"),
     ("init-gap-positive", "trace(X*Z)>0"),
     ("init-p-symmetric", "transpose(P)==P"),
     ("init-primal-feasibility", "F0+sum(p(i)*Fi,i,1,m)+X==0"),
@@ -109,22 +116,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _render(template: str, sigma: float, ceiling: float) -> str:
-    return template.format(
-        sigma=_fmt(sigma),
-        sigma1=_fmt(sigma + 0.01),
-        ceiling=_fmt(ceiling),
-    )
+def _render(template: str, sigma: float) -> str:
+    return template.format(sigma=_fmt(sigma), sigma1=_fmt(sigma + 0.01))
 
 
-def loop_anchor(record_id: str, sigma: float, ceiling: float) -> str:
+def loop_anchor(record_id: str, sigma: float) -> str:
     """The annotation-language expression for a per-iteration contract."""
-    return _render(_LOOP_BY_ID[record_id], sigma, ceiling)
+    return _render(_LOOP_BY_ID[record_id], sigma)
 
 
-def init_anchor(record_id: str, sigma: float, ceiling: float) -> str:
+def init_anchor(record_id: str, sigma: float) -> str:
     """The annotation-language expression for an initialization contract."""
-    return _render(_INIT_BY_ID[record_id], sigma, ceiling)
+    return _render(_INIT_BY_ID[record_id], sigma)
 
 
 def _min_eig(S: np.ndarray) -> float:
@@ -136,7 +139,6 @@ def check_iteration(
     prob: SdpProblem,
     state: IterateState,
     step: NewtonStep,
-    opts: SolverOptions,
 ) -> list[InvariantRecord]:
     """Evaluate the twelve per-iteration contracts for one completed step.
 
@@ -154,7 +156,6 @@ def check_iteration(
     dX, dZ, dp = step.dX, step.dZ, step.dp
     Zh, Zhi = step.Zh, step.Zhi
     sigma, mu = step.sigma, step.mu
-    eqtol = opts.equality_tol
     out: list[InvariantRecord] = []
 
     def rec(rid: str, measured: float, bound: float, passed: bool, detail: dict | None = None):
@@ -163,7 +164,7 @@ def check_iteration(
                 id=rid,
                 phase="loop",
                 iteration=state.iteration,
-                anchor=loop_anchor(rid, sigma, opts.gap_ceiling),
+                anchor=loop_anchor(rid, sigma),
                 measured=float(measured),
                 bound=float(bound),
                 passed=bool(passed),
@@ -178,8 +179,8 @@ def check_iteration(
     rec(
         "I1",
         -lam,
-        -opts.pd_margin,
-        lam > opts.pd_margin,
+        -PD_TOL,
+        lam > PD_TOL,
         {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z},
     )
 
@@ -187,8 +188,8 @@ def check_iteration(
     rec(
         "I2",
         state.phi,
-        opts.gap_ceiling,
-        (state.phi > 0.0) and (state.phi <= opts.gap_ceiling),
+        GAP_CEILING,
+        (state.phi > 0.0) and (state.phi <= GAP_CEILING),
         {"lower_ok": state.phi > 0.0},
     )
 
@@ -213,12 +214,12 @@ def check_iteration(
     lhs7 = trace_inner(Xm, dZ) + trace_inner(dX, Zm) + trace_inner(Xm, Zm)
     rhs7 = sigma * n * mu
     v7 = abs(lhs7 - rhs7)
-    b7 = eqtol * max(1.0, abs(rhs7))
+    b7 = EQUALITY_TOL * max(1.0, abs(rhs7))
     rec("I7", v7, b7, v7 <= b7, {"lhs": lhs7, "rhs": rhs7})
 
     # I8: realized gap contraction equals sigma exactly.
     v8 = abs(state.phi - sigma * state.phim)
-    b8 = eqtol * max(1.0, abs(state.phim))
+    b8 = EQUALITY_TOL * max(1.0, abs(state.phim))
     rec("I8", v8, b8, v8 <= b8, {"phi": state.phi, "phim": state.phim})
 
     # I9: directions preserve dual and primal feasibility.
@@ -228,7 +229,7 @@ def check_iteration(
         acc = acc + pi * Fi
     r_primal = frob_norm(acc + dX)
     v9 = max(r_dual, r_primal)
-    b9 = eqtol * max(1.0, frob_norm(dX))
+    b9 = EQUALITY_TOL * max(1.0, frob_norm(dX))
     rec("I9", v9, b9, v9 <= b9, {"dual_residual": r_dual, "primal_residual": r_primal})
 
     # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
@@ -237,7 +238,7 @@ def check_iteration(
     )
     rhs10 = sigma * mu * eye - Zh @ Xm @ Zh
     v10 = frob_norm(lhs10 - rhs10)
-    b10 = eqtol * max(1.0, frob_norm(rhs10))
+    b10 = EQUALITY_TOL * max(1.0, frob_norm(rhs10))
     rec("I10", v10, b10, v10 <= b10)
 
     # I11: proximity chain for the new pair under the old scaling. The outer
@@ -252,7 +253,7 @@ def check_iteration(
         "I11",
         a11,
         c11,
-        (a11 <= c11) and (a11 <= b11 + eqtol * max(1.0, b11)),
+        (a11 <= c11) and (a11 <= b11 + EQUALITY_TOL * max(1.0, b11)),
         {
             "chain_first": a11,
             "chain_middle": b11,
@@ -264,7 +265,7 @@ def check_iteration(
 
     # I12: the scaled dual update keeps the next Z positive definite.
     lam12 = _min_eig(eye + Zhi @ dZ @ Zhi)
-    rec("I12", -lam12, -opts.pd_margin, lam12 > opts.pd_margin, {"min_eigenvalue": lam12})
+    rec("I12", -lam12, -PD_TOL, lam12 > PD_TOL, {"min_eigenvalue": lam12})
 
     return out
 
@@ -283,7 +284,6 @@ def check_initialization(
     eye = np.eye(n)
     X, Z, p = state.X, state.Z, state.p
     sigma = opts.sigma
-    eqtol = opts.equality_tol
     phi_rec = trace_inner(X, Z)
     mu_rec = phi_rec / n
     out: list[InvariantRecord] = []
@@ -294,7 +294,7 @@ def check_initialization(
                 id=rid,
                 phase="init",
                 iteration=state.iteration,
-                anchor=init_anchor(rid, sigma, opts.gap_ceiling),
+                anchor=init_anchor(rid, sigma),
                 measured=float(measured),
                 bound=float(bound),
                 passed=bool(passed),
@@ -303,7 +303,7 @@ def check_initialization(
         )
 
     lam0 = _min_eig(prob.f0)
-    rec("init-f0-pd", -lam0, -opts.pd_margin, lam0 > opts.pd_margin, {"min_eigenvalue": lam0})
+    rec("init-f0-pd", -lam0, -PD_TOL, lam0 > PD_TOL, {"min_eigenvalue": lam0})
 
     if m:
         asyms = [float(np.max(np.abs(Fi - Fi.T))) for Fi in prob.fs]
@@ -313,8 +313,8 @@ def check_initialization(
         rec(
             "init-fi-symmetric",
             v,
-            eqtol * scale,
-            v <= eqtol * scale,
+            EQUALITY_TOL * scale,
+            v <= EQUALITY_TOL * scale,
             {"worst_index": worst + 1},
         )
     else:
@@ -323,19 +323,19 @@ def check_initialization(
     rec("init-size", -min(n, m), -1.0, n >= 1 and m >= 1, {"n": n, "m": m})
 
     lam_z = _min_eig(Z)
-    rec("init-z0-pd", -lam_z, -opts.pd_margin, lam_z > opts.pd_margin, {"min_eigenvalue": lam_z})
+    rec("init-z0-pd", -lam_z, -PD_TOL, lam_z > PD_TOL, {"min_eigenvalue": lam_z})
 
     res_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b))
-    b_dual = eqtol * max(1.0, float(np.linalg.norm(prob.b)))
+    b_dual = EQUALITY_TOL * max(1.0, float(np.linalg.norm(prob.b)))
     rec("init-dual-feasibility", res_dual, b_dual, res_dual <= b_dual, {"residual": res_dual})
 
     lam_x = _min_eig(X)
-    rec("init-x0-pd", -lam_x, -opts.pd_margin, lam_x > opts.pd_margin, {"min_eigenvalue": lam_x})
+    rec("init-x0-pd", -lam_x, -PD_TOL, lam_x > PD_TOL, {"min_eigenvalue": lam_x})
 
     dev = frob_norm(X @ Z - mu_rec * eye)
     rec("init-neighborhood", dev, THETA * mu_rec, dev <= THETA * mu_rec)
 
-    rec("init-gap-upper", phi_rec, opts.gap_ceiling, phi_rec <= opts.gap_ceiling)
+    rec("init-gap-upper", phi_rec, GAP_CEILING, phi_rec <= GAP_CEILING)
 
     rec("init-gap-positive", -phi_rec, 0.0, phi_rec > 0.0, {"gap": phi_rec})
 
@@ -343,7 +343,7 @@ def check_initialization(
     if m == sym_dim(n) and p_arr.shape[0] == m:
         P = mats(p_arr, n)
         asym_p = float(np.max(np.abs(P - P.T)))
-        scale_p = eqtol * max(1.0, float(np.max(np.abs(P))))
+        scale_p = EQUALITY_TOL * max(1.0, float(np.max(np.abs(P))))
         rec("init-p-symmetric", asym_p, scale_p, asym_p <= scale_p, {"reshaped": True})
     else:
         rec(
@@ -358,7 +358,7 @@ def check_initialization(
     for pi, Fi in zip(p_arr, prob.fs):
         acc = acc + pi * Fi
     res_primal = frob_norm(acc + X)
-    b_primal = eqtol * max(1.0, frob_norm(prob.f0))
+    b_primal = EQUALITY_TOL * max(1.0, frob_norm(prob.f0))
     rec(
         "init-primal-feasibility",
         res_primal,
@@ -372,7 +372,7 @@ def check_initialization(
     rec("init-sigma-constant", 0.0, 0.0, True, {"sigma": sigma})
 
     v_phi = abs(state.phi - phi_rec)
-    b_phi = eqtol * max(1.0, abs(phi_rec))
+    b_phi = EQUALITY_TOL * max(1.0, abs(phi_rec))
     rec(
         "init-phi-definition",
         v_phi,
@@ -385,7 +385,7 @@ def check_initialization(
     rec("init-phim-seed", v_seed, 0.0, v_seed < 0.0, {"phi": state.phi, "phim": state.phim})
 
     v_mu = abs(n * state.mu - phi_rec)
-    b_mu = eqtol * max(1.0, abs(phi_rec))
+    b_mu = EQUALITY_TOL * max(1.0, abs(phi_rec))
     rec("init-mu-definition", v_mu, b_mu, v_mu <= b_mu, {"stored": state.mu})
 
     return out

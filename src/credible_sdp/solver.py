@@ -58,9 +58,6 @@ DEFAULT_SIGMA = 0.75
 #: factor of about 0.75 via ``sigma_from_nu``.
 DEFAULT_NU = 0.4714
 
-#: Default admission ceiling on the initial duality gap.
-DEFAULT_GAP_CEILING = 0.1
-
 
 class InitializationError(RuntimeError):
     """The starting point could not be built or violates its contracts."""
@@ -83,7 +80,8 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for ``solve``.
+    """Settings of one ``solve`` run. The contract tolerances are constants
+    of the catalog (``monitor``, ``linalg``), not settings.
 
     ``mode`` selects what happens when a per-iteration contract fails:
     "strict" aborts the run with status InvariantViolation, "audit" records
@@ -97,12 +95,8 @@ class SolverOptions:
     epsilon: float = 1e-8
     nu: float = DEFAULT_NU
     sigma: float = DEFAULT_SIGMA
-    gap_ceiling: float = DEFAULT_GAP_CEILING
     mode: str = "audit"
     max_iterations: int | None = None
-    equality_tol: float = 1e-9
-    pd_margin: float = 1e-12
-    lsqr_tol: float = 1e-9
     sigma_derived: bool = False
 
 
@@ -115,12 +109,6 @@ def validate_options(opts: SolverOptions) -> None:
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {opts.sigma}")
     if not (math.isfinite(opts.nu) and opts.nu > 0):
         raise ValueError(f"nu must be positive, got {opts.nu}")
-    if not (math.isfinite(opts.gap_ceiling) and opts.gap_ceiling > 0):
-        raise ValueError(f"gap ceiling must be positive, got {opts.gap_ceiling}")
-    if opts.equality_tol <= 0 or opts.lsqr_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    if opts.pd_margin < 0:
-        raise ValueError("pd margin must be nonnegative")
     if opts.max_iterations is not None and opts.max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
 
@@ -213,14 +201,6 @@ class NewtonStep:
     r: np.ndarray | None = None
 
 
-def _consistency_tol(base_tol: float, b: np.ndarray) -> float:
-    return base_tol * max(1.0, float(np.linalg.norm(np.asarray(b, dtype=float).ravel())))
-
-
-def _lsqr(A: np.ndarray, b: np.ndarray, equation: str, base_tol: float) -> np.ndarray:
-    return lsqr_solve(A, b, equation=equation, tol=_consistency_tol(base_tol, b))
-
-
 def prepare_newton(prob: SdpProblem, Z: np.ndarray) -> NewtonScaling:
     """Compute the per-solve invariants of the Newton system at the fixed Z."""
     Zh = sym_sqrt(Z)
@@ -255,9 +235,7 @@ def assemble_newton(
     )
 
 
-def solve_newton(
-    prob: SdpProblem, step: NewtonStep, scaling: NewtonScaling, lsqr_tol: float
-) -> NewtonStep:
+def solve_newton(prob: SdpProblem, step: NewtonStep, scaling: NewtonScaling) -> NewtonStep:
     """Fill in (dZ, dX, dp) and check dX and dp against their equations.
 
     dZ is the minimum-norm solution of F @ vecs(dZ) = 0, which is exactly 0.
@@ -267,14 +245,10 @@ def solve_newton(
     r_vec = vecs(step.r)
     dX = symmetrize(scaling.Zhi @ step.r @ scaling.Zhi)
     dX_vec = vecs(dX)
-    require_consistent(
-        scaling.H, dX_vec, r_vec, equation="newton-dX", tol=_consistency_tol(lsqr_tol, r_vec)
-    )
+    require_consistent(scaling.H, dX_vec, r_vec, equation="newton-dX")
     dp_rhs = -dX_vec
     dp = scaling.ft_pinv @ dp_rhs
-    require_consistent(
-        prob.fmat.T, dp, dp_rhs, equation="newton-dp", tol=_consistency_tol(lsqr_tol, dp_rhs)
-    )
+    require_consistent(prob.fmat.T, dp, dp_rhs, equation="newton-dp")
     step.dZ = np.zeros((prob.n, prob.n))
     step.dX = dX
     step.dp = dp
@@ -320,9 +294,9 @@ def initialize(
     from . import monitor
 
     n = prob.n
-    z_vec = _lsqr(prob.fmat, -prob.b, "initial dual solve", opts.lsqr_tol)
+    z_vec = lsqr_solve(prob.fmat, -prob.b, equation="initial dual solve")
     Z = mats(z_vec, n)
-    require_pd(Z, what="initial dual iterate Z", tol=opts.pd_margin)
+    require_pd(Z, what="initial dual iterate Z")
 
     if X0 is None:
         X0 = prob.x0
@@ -333,9 +307,9 @@ def initialize(
     X = require_symmetric(np.array(X0, dtype=float), what="X0")
     if X.shape != (n, n):
         raise InitializationError(f"X0 has shape {X.shape}, expected {(n, n)}")
-    require_pd(X, what="initial primal iterate X", tol=opts.pd_margin)
+    require_pd(X, what="initial primal iterate X")
 
-    p = _lsqr(prob.fmat.T, -vecs(symmetrize(prob.f0 + X)), "initial primal solve", opts.lsqr_tol)
+    p = lsqr_solve(prob.fmat.T, -vecs(symmetrize(prob.f0 + X)), equation="initial primal solve")
 
     phi = trace_inner(X, Z)
     mu = phi / n
@@ -385,8 +359,6 @@ class SolveReport:
 
     problem: SdpProblem
     options: SolverOptions
-    sigma: float
-    sigma_derived: bool
     status: SolveStatus
     iterations: int
     initial_state: IterateState
@@ -460,9 +432,9 @@ def solve(
             status = SolveStatus.ITERATION_CAP
             break
         step = assemble_newton(prob, state, opts.sigma, scaling)
-        step = solve_newton(prob, step, scaling, opts.lsqr_tol)
+        step = solve_newton(prob, step, scaling)
         new_state = take_step(prob, state, step)
-        records = monitor.check_iteration(prob, new_state, step, opts)
+        records = monitor.check_iteration(prob, new_state, step)
         snapshots.append(IterationSnapshot(state=new_state, step=step, records=records))
         state = new_state
         if opts.mode == "strict":
@@ -478,8 +450,6 @@ def solve(
     return SolveReport(
         problem=prob,
         options=opts,
-        sigma=opts.sigma,
-        sigma_derived=opts.sigma_derived,
         status=status,
         iterations=len(snapshots),
         initial_state=initial_state,

@@ -208,7 +208,7 @@ def _numeric_paths(obj, prefix=()):
 
 
 # informational header fields no recomputation depends on
-_UNCHECKED = {("options", "nu"), ("options", "lsqr_tol")}
+_UNCHECKED = {("options", "nu")}
 
 
 def _mutate(trace: bytes, line_idx: int, path: tuple, factor: float) -> bytes:

@@ -102,7 +102,7 @@ def test_trace_floats_roundtrip_exactly(example_trace, example_report):
     state0 = example_report.initial_state
     for key in ("X", "Z", "p", "mu", "phi", "phim"):
         assert_same_bits(init[key], getattr(state0, key), f"init_state {key}")
-    assert_same_bits(init["sigma"], example_report.sigma, "init_state sigma")
+    assert_same_bits(init["sigma"], example_report.options.sigma, "init_state sigma")
     for stored, rec in zip(trace.init_records, example_report.init_records, strict=True):
         assert_record_roundtrips(stored, rec, "init")
 
@@ -211,7 +211,7 @@ def test_golden_trace_from_an_earlier_solver_checks_clean(example_problem):
     assert result.records_checked == 16 + 56 * 12
 
 
-@pytest.mark.parametrize("field,value", [("pd_margin", -1.0), ("mode", "bogus")])
+@pytest.mark.parametrize("field,value", [("epsilon", -1.0), ("mode", "bogus")])
 def test_check_trace_rejects_invalid_header_options(example_trace, example_problem, field, value):
     bad = edit_line(example_trace, 0, lambda o: o["options"].update({field: value}))
     with pytest.raises(TraceFormatError, match="options"):
@@ -378,6 +378,76 @@ def test_check_flags_header_dimension_lie(example_trace, example_problem):
 
 
 @pytest.mark.parametrize(
+    "field,value",
+    [("gap_ceiling", 0.2), ("equality_tol", 1e300), ("pd_margin", 0.5), ("lsqr_tol", 1e-6)],
+)
+def test_check_holds_a_trace_to_the_catalog_tolerances(example_trace, example_problem, field, value):
+    # a trace cannot loosen (or tighten) the rules it is checked by
+    bad = edit_line(example_trace, 0, lambda o: o["options"].update({field: value}))
+    result = check_trace(bad, example_problem)
+    assert not result.clean
+    assert any(f.where == "header" and f"options.{field}" in f.message for f in result.findings)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda o: o.update(unexpected=0.0),
+        lambda o: o.update(vectorization=o["vectorization"] + "x"),
+        lambda o: o.pop("tool"),
+        lambda o: o.pop("backend"),
+        lambda o: o.update(tool=1),
+    ],
+    ids=["extra-key", "vectorization", "no-tool", "no-backend", "tool-not-a-string"],
+)
+def test_check_flags_header_structure(example_trace, example_problem, mutate):
+    result = check_trace(edit_line(example_trace, 0, mutate), example_problem)
+    assert any(f.kind == "structure" and f.where == "header" for f in result.findings)
+
+
+def test_check_accepts_any_writer_name(example_trace, example_problem):
+    def rename(obj):
+        obj["tool"] = "credible-sdp 9.9"
+        obj["backend"] = "numpy.linalg (eigh, lstsq)"
+
+    assert check_trace(edit_line(example_trace, 0, rename), example_problem).clean
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        ("init_state", "mu", 10**400),
+        ("options", "epsilon", 10**400),
+        ("init_state", "mu", "0.05"),
+        ("init_state", "p", [0.1, 0.2]),
+        ("init_state", "X", [[True, False], [False, True]]),
+    ],
+    ids=["mu-beyond-float", "epsilon-beyond-float", "mu-string", "p-short", "X-bool"],
+)
+def test_check_refuses_header_numbers_the_writer_cannot_emit(
+    example_trace, example_problem, section, field, value
+):
+    bad = edit_line(example_trace, 0, lambda o: o[section].update({field: value}))
+    with pytest.raises(TraceFormatError, match=section):
+        check_trace(bad, example_problem)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda o: o.update(dX=[[str(v) for v in row] for row in o["dX"]]),
+        lambda o: o.update(p=[[v] for v in o["p"]]),
+        lambda o: o.update(Z=[[bool(v) for v in row] for row in o["Z"]]),
+    ],
+    ids=["dX-strings", "p-column", "Z-bools"],
+)
+def test_check_flags_iteration_arrays_the_writer_cannot_emit(example_trace, example_problem, mutate):
+    idx = find_line(example_trace, lambda o: o.get("type") == "iteration" and o.get("iteration") == 5)
+    result = check_trace(edit_line(example_trace, idx, mutate), example_problem)
+    assert any(f.kind == "error" and f.where == "iteration 5" for f in result.findings)
+
+
+@pytest.mark.parametrize(
     "target,mutate",
     [
         ("record", lambda o: o.update(measured=float("inf"))),
@@ -427,6 +497,18 @@ def traces_by_status(example_problem, example_trace):
 def test_genuine_trace_of_every_status_checks_clean(traces_by_status, example_problem, status):
     result = check_trace(traces_by_status[status], example_problem)
     assert result.findings == []
+
+
+@pytest.mark.parametrize("status", ["Converged", *NON_CONVERGED])
+def test_check_names_the_contracts_a_clean_trace_records_as_failed(
+    traces_by_status, example_problem, status
+):
+    trace = parse_trace(traces_by_status[status])
+    records = trace.init_records + [rec for block in trace.iterations for rec in block["records"]]
+    result = check_trace(trace, example_problem)
+    assert result.clean
+    assert result.failed_ids == sorted({rec["id"] for rec in records if not rec["passed"]})
+    assert result.describe().startswith("trace OK") == (not result.failed_ids)
 
 
 def _claim_passing_violation(footer: dict, last_records: list[dict]) -> None:
@@ -552,10 +634,10 @@ def test_listing_flavors_share_contract_content(example_problem):
 
 
 def test_listing_substitutes_nondefault_parameters(example_problem):
-    opts = SolverOptions(sigma=0.5, gap_ceiling=0.2)
+    opts = SolverOptions(sigma=0.5)
     text = emit_annotated_listing(example_problem, opts).text
     assert "phi-0.51*phim<0" in text
-    assert "trace(X*Z)<=0.2" in text
+    assert "sigma==0.5" in text
     assert "phi-0.76*phim<0" not in text
 
 

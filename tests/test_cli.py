@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from credible_sdp.cli import ENV_TOL, exit_code_for, main, render_report
+from credible_sdp.cli import exit_code_for, main, render_report
 from credible_sdp.solver import SolveStatus, assemble_newton
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -103,25 +107,43 @@ def test_solve_iteration_cap_exit_code(capsys, problem_file):
     assert "IterationCap" in out
 
 
-def test_solve_divergence_guard_exit_code(capsys, problem_file, monkeypatch):
-    def sabotage(prob, state, sigma, scaling):
-        step = assemble_newton(prob, state, sigma, scaling)
-        step.r = -step.r
-        return step
+def _negated_rhs(prob, state, sigma, scaling):
+    step = assemble_newton(prob, state, sigma, scaling)
+    step.r = -step.r
+    return step
 
-    monkeypatch.setattr("credible_sdp.solver.assemble_newton", sabotage)
+
+def test_solve_divergence_guard_exit_code(capsys, problem_file, monkeypatch):
+    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
     code, out, _ = run_cli(capsys, "solve", "--problem", str(problem_file))
     assert code == 3
     assert "DivergenceGuard" in out
 
 
-def test_solve_strict_mode_violation_exit_code(capsys, problem_file, monkeypatch):
-    def sabotage(prob, state, sigma, scaling):
-        step = assemble_newton(prob, state, sigma, scaling)
-        step.r = -step.r
-        return step
+def test_check_trace_exits_two_when_the_trace_records_failed_contracts(
+    capsys, problem_file, tmp_path, monkeypatch
+):
+    trace_path = tmp_path / "run.trace"
+    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
+    code, _, _ = run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
+    assert code == 3
+    monkeypatch.undo()
+    failed = sorted(
+        {obj["id"] for obj in map(json.loads, trace_path.read_text().splitlines())
+         if obj["type"] == "record" and not obj["passed"]}
+    )
+    assert failed
+    code, out, _ = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(trace_path)
+    )
+    assert code == 2
+    assert not out.startswith("trace OK")
+    assert f"contracts FAILED: {', '.join(failed)};" in out
+    assert "no findings" in out
 
-    monkeypatch.setattr("credible_sdp.solver.assemble_newton", sabotage)
+
+def test_solve_strict_mode_violation_exit_code(capsys, problem_file, monkeypatch):
+    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
     code, out, _ = run_cli(
         capsys, "solve", "--problem", str(problem_file), "--mode", "strict"
     )
@@ -200,6 +222,17 @@ def test_demo_runs_clean(capsys):
     assert "contract annotations" in out
 
 
+def test_readme_quick_start_matches_the_demo(capsys):
+    # the output block that follows the `credible-sdp demo` command
+    block = re.search(r"```sh\ncredible-sdp demo\n```\s*```\n(.*?)```", README.read_text(), re.S)
+    expected = [line for line in block.group(1).splitlines() if line != "..."]
+    assert len(expected) >= 5
+    code, out, _ = run_cli(capsys, "demo")
+    assert code == 0
+    missing = [line for line in expected if line not in out.splitlines()]
+    assert not missing, f"README quick start lines not in the demo output: {missing}"
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
@@ -255,7 +288,7 @@ def test_check_trace_against_wrong_problem(capsys, problem_file, tmp_path):
     assert "hash" in err
 
 
-@pytest.mark.parametrize("field,value", [("pd_margin", -1.0), ("mode", "bogus")])
+@pytest.mark.parametrize("field,value", [("epsilon", -1.0), ("mode", "bogus")])
 def test_check_trace_refuses_invalid_header_options(capsys, problem_file, tmp_path, field, value):
     trace_path = tmp_path / "run.trace"
     run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
@@ -271,34 +304,33 @@ def test_check_trace_refuses_invalid_header_options(capsys, problem_file, tmp_pa
     assert "options" in err and out == ""
 
 
-# -- environment tolerance -----------------------------------------------------------
+# -- the checker's own rules ------------------------------------------------------------
 
 
-def test_env_tolerance_must_be_numeric(capsys, problem_file, monkeypatch):
-    monkeypatch.setenv(ENV_TOL, "not-a-number")
-    code, _, err = run_cli(capsys, "solve", "--problem", str(problem_file))
-    assert code == 1
-    assert ENV_TOL in err
-
-
-def test_env_tolerance_must_be_positive(capsys, problem_file, monkeypatch):
-    monkeypatch.setenv(ENV_TOL, "-1e-9")
-    code, _, err = run_cli(capsys, "solve", "--problem", str(problem_file))
-    assert code == 1
-
-
-def test_env_tolerance_loosens_equality_checks(capsys, problem_file, monkeypatch, tmp_path):
-    monkeypatch.setenv(ENV_TOL, "1e-6")
+def test_environment_cannot_set_a_contract_tolerance(capsys, problem_file, monkeypatch, tmp_path):
+    # the tolerances are catalog constants; CREDIBLE_SDP_TOL once set this one
+    monkeypatch.setenv("CREDIBLE_SDP_TOL", "1e300")
     trace_path = tmp_path / "run.trace"
-    code, out, _ = run_cli(
-        capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path)
-    )
+    code, _, _ = run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
     assert code == 0
     header = json.loads(trace_path.read_text().splitlines()[0])
-    assert header["options"]["equality_tol"] == 1e-6
+    assert header["options"]["equality_tol"] == 1e-9
 
 
-def test_env_tolerance_ignored_when_blank(capsys, problem_file, monkeypatch):
-    monkeypatch.setenv(ENV_TOL, "  ")
-    code, _, _ = run_cli(capsys, "solve", "--problem", str(problem_file))
-    assert code == 0
+@pytest.mark.parametrize("section,field", [("init_state", "mu"), ("options", "epsilon")])
+def test_check_trace_refuses_header_numbers_beyond_float(
+    capsys, problem_file, tmp_path, section, field
+):
+    trace_path = tmp_path / "run.trace"
+    run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[section][field] = 10**400
+    lines[0] = json.dumps(header)
+    trace_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(trace_path)
+    )
+    assert code == 1
+    assert err.startswith("error: trace header") and "Traceback" not in err
+    assert out == ""

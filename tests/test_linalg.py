@@ -133,13 +133,14 @@ def test_lsqr_flags_inconsistent_systems():
 
 
 def test_lsqr_tolerance_scales_with_rhs_norm():
-    # residual ~1e-8 on a ||b|| ~1e2 system: inside 1e-9 * max(1, ||b||)
+    # residual 5e-8 on a ||b|| ~1e2 system: inside 1e-9 * max(1, ||b||)
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     b = np.array([100.0, 50.0, 5e-8])
     x = lsqr_solve(A, b)
     np.testing.assert_allclose(x, [100.0, 50.0], rtol=1e-12)
+    # the same residual with ||b|| < 1 meets the unscaled 1e-9 and fails
     with pytest.raises(LsqrContractViolation):
-        lsqr_solve(A, b, tol=1e-9)
+        lsqr_solve(A, np.array([0.5, 0.5, 5e-8]))
 
 
 def test_lsqr_rejects_shape_mismatch():

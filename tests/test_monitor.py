@@ -5,8 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from credible_sdp.linalg import PD_TOL
 from credible_sdp.monitor import (
     DZ_BOUND,
+    EQUALITY_TOL,
+    GAP_CEILING,
     INIT_IDS,
     LOOP_IDS,
     THETA,
@@ -45,32 +48,34 @@ def test_init_catalog_has_sixteen_entries():
 def test_constants():
     assert THETA == 0.3105
     assert DZ_BOUND == 0.7
+    assert GAP_CEILING == 0.1
+    assert EQUALITY_TOL == 1e-9
 
 
 # -- anchor rendering --------------------------------------------------------------
 
 
 def test_anchor_substitutes_contraction_margin():
-    assert loop_anchor("I3", 0.75, 0.1) == "phi-0.76*phim<0"
-    assert loop_anchor("I3", 0.5, 0.1) == "phi-0.51*phim<0"
+    assert loop_anchor("I3", 0.75) == "phi-0.76*phim<0"
+    assert loop_anchor("I3", 0.5) == "phi-0.51*phim<0"
 
 
 def test_anchor_substitutes_sigma_and_ceiling():
-    assert loop_anchor("I8", 0.75, 0.1) == "trace(X*Z)-0.75*trace(Xm*Zm)==0"
-    assert loop_anchor("I2", 0.75, 0.2) == "phi>0 && phi<=0.2"
-    assert init_anchor("init-gap-upper", 0.75, 0.1) == "trace(X*Z)<=0.1"
-    assert init_anchor("init-sigma-constant", 0.75, 0.1) == "sigma==0.75"
-    assert init_anchor("init-phim-seed", 0.75, 0.1) == "phi-0.76*phim<0"
+    assert loop_anchor("I8", 0.75) == "trace(X*Z)-0.75*trace(Xm*Zm)==0"
+    assert loop_anchor("I2", 0.75) == "phi>0 && phi<=0.1"
+    assert init_anchor("init-gap-upper", 0.75) == "trace(X*Z)<=0.1"
+    assert init_anchor("init-sigma-constant", 0.75) == "sigma==0.75"
+    assert init_anchor("init-phim-seed", 0.75) == "phi-0.76*phim<0"
 
 
 def test_anchor_mentions_literal_bounds():
-    assert "0.3105" in loop_anchor("I4", 0.75, 0.1)
-    assert "0.7" in loop_anchor("I5", 0.75, 0.1)
+    assert "0.3105" in loop_anchor("I4", 0.75)
+    assert "0.7" in loop_anchor("I5", 0.75)
 
 
 def test_unknown_anchor_id_raises():
     with pytest.raises(KeyError):
-        loop_anchor("I99", 0.75, 0.1)
+        loop_anchor("I99", 0.75)
 
 
 # -- initialization sweep ------------------------------------------------------------
@@ -84,7 +89,7 @@ def test_initialization_sweep_passes_on_the_example(example_problem):
     assert all(rec.passed for rec in records)
     assert all(rec.phase == "init" and rec.iteration == 0 for rec in records)
     for rec in records:
-        assert rec.anchor == init_anchor(rec.id, opts.sigma, opts.gap_ceiling)
+        assert rec.anchor == init_anchor(rec.id, opts.sigma)
 
 
 def _identity_state(n, m, sigma=0.75):
@@ -132,25 +137,25 @@ def test_initialization_sweep_flags_indefinite_x(example_problem):
 def test_iteration_sweep_passes_on_real_snapshots(example_report):
     opts = example_report.options
     for snap in example_report.snapshots[:3]:
-        records = check_iteration(example_report.problem, snap.state, snap.step, opts)
+        records = check_iteration(example_report.problem, snap.state, snap.step)
         assert [rec.id for rec in records] == list(LOOP_IDS)
         assert all(rec.passed for rec in records)
         assert all(rec.iteration == snap.state.iteration for rec in records)
         assert all(rec.phase == "loop" for rec in records)
         for rec in records:
-            assert rec.anchor == loop_anchor(rec.id, opts.sigma, opts.gap_ceiling)
+            assert rec.anchor == loop_anchor(rec.id, opts.sigma)
 
 
 def test_iteration_sweep_is_deterministic(example_report):
     snap = example_report.snapshots[0]
-    a = check_iteration(example_report.problem, snap.state, snap.step, example_report.options)
-    b = check_iteration(example_report.problem, snap.state, snap.step, example_report.options)
+    a = check_iteration(example_report.problem, snap.state, snap.step)
+    b = check_iteration(example_report.problem, snap.state, snap.step)
     assert a == b
 
 
 def test_iteration_sweep_matches_recorded_outcomes(example_report):
     snap = example_report.snapshots[10]
-    fresh = check_iteration(example_report.problem, snap.state, snap.step, example_report.options)
+    fresh = check_iteration(example_report.problem, snap.state, snap.step)
     for stored, again in zip(snap.records, fresh):
         assert stored.id == again.id
         assert stored.measured == again.measured
@@ -170,7 +175,7 @@ def _copy_step(step, **overrides):
 def test_iteration_sweep_catches_scaled_primal_direction(example_report):
     snap = example_report.snapshots[0]
     tampered = _copy_step(snap.step, dX=1.5 * snap.step.dX)
-    records = check_iteration(example_report.problem, snap.state, tampered, example_report.options)
+    records = check_iteration(example_report.problem, snap.state, tampered)
     failed = {rec.id for rec in records if not rec.passed}
     assert failed == {"I7", "I9", "I10"}
 
@@ -178,19 +183,27 @@ def test_iteration_sweep_catches_scaled_primal_direction(example_report):
 def test_iteration_sweep_catches_drifted_state(example_report):
     snap = example_report.snapshots[0]
     drifted = dataclasses.replace(snap.state, X=snap.state.X + 0.05 * np.eye(2))
-    records = check_iteration(example_report.problem, drifted, snap.step, example_report.options)
+    records = check_iteration(example_report.problem, drifted, snap.step)
     by_id = {rec.id: rec for rec in records}
     assert not by_id["I4"].passed
     assert len(records) == 12
 
 
 def test_iteration_sweep_respects_pd_margin(example_report):
+    # positive, but not by the margin: lambda_min(X) and lambda_min(I + Zhi dZ Zhi)
+    # land at PD_TOL / 2
     snap = example_report.snapshots[0]
-    opts = dataclasses.replace(example_report.options, pd_margin=2.0)
-    records = check_iteration(example_report.problem, snap.state, snap.step, opts)
+    X = snap.state.X - (np.linalg.eigvalsh(snap.state.X)[0] - PD_TOL / 2) * np.eye(2)
+    dZ = -(1.0 - PD_TOL / 2) * snap.state.Zm
+    records = check_iteration(
+        example_report.problem,
+        dataclasses.replace(snap.state, X=X),
+        _copy_step(snap.step, dZ=dZ),
+    )
     by_id = {rec.id: rec for rec in records}
-    assert not by_id["I1"].passed
-    assert not by_id["I12"].passed
+    for rid, key in (("I1", "min_eigenvalue_X"), ("I12", "min_eigenvalue")):
+        assert 0.0 < by_id[rid].detail[key] <= PD_TOL, rid
+        assert not by_id[rid].passed, rid
 
 
 def test_records_carry_useful_detail(example_report):

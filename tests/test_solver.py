@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from credible_sdp.linalg import LsqrContractViolation, NotPositiveDefiniteError, sym_inv, sym_sqrt
+from credible_sdp.linalg import (
+    LSQR_TOL,
+    LsqrContractViolation,
+    NotPositiveDefiniteError,
+    sym_inv,
+    sym_sqrt,
+)
 from credible_sdp.monitor import LOOP_IDS, THETA
 from credible_sdp.problem import build_problem
 from credible_sdp.solver import (
@@ -61,10 +67,11 @@ def test_default_options_pull_problem_scalars(example_problem):
         SolverOptions(sigma=0.0),
         SolverOptions(sigma=1.0),
         SolverOptions(nu=-0.1),
-        SolverOptions(gap_ceiling=0.0),
-        SolverOptions(equality_tol=0.0),
-        SolverOptions(lsqr_tol=-1.0),
-        SolverOptions(pd_margin=-1e-9),
+        # a trace header can spell these (json reads NaN and Infinity)
+        SolverOptions(epsilon=float("nan")),
+        SolverOptions(sigma=float("nan")),
+        SolverOptions(nu=float("inf")),
+        SolverOptions(nu=float("nan")),
         SolverOptions(max_iterations=0),
     ],
 )
@@ -176,7 +183,7 @@ def first_step(example_problem):
     state, _ = initialize(example_problem, opts)
     scaling = prepare_newton(example_problem, state.Z)
     step = assemble_newton(example_problem, state, opts.sigma, scaling)
-    step = solve_newton(example_problem, step, scaling, opts.lsqr_tol)
+    step = solve_newton(example_problem, step, scaling)
     return state, step
 
 
@@ -214,20 +221,18 @@ def test_scaling_is_one_set_of_arrays_per_solve(trajectory):
 
 
 def test_newton_dx_satisfies_the_scaled_equation(trajectory):
-    tol = trajectory.options.lsqr_tol
     for snap in trajectory.snapshots:
         r = vecs(snap.step.r)
         residual = np.linalg.norm(snap.step.H @ vecs(snap.step.dX) - r)
-        assert residual <= tol * max(1.0, float(np.linalg.norm(r)))
+        assert residual <= LSQR_TOL * max(1.0, float(np.linalg.norm(r)))
 
 
 def test_newton_dp_keeps_primal_feasibility(trajectory):
-    tol = trajectory.options.lsqr_tol
     fmat = trajectory.problem.fmat
     for snap in trajectory.snapshots:
         dX = vecs(snap.step.dX)
         residual = np.linalg.norm(fmat.T @ snap.step.dp + dX)
-        assert residual <= tol * max(1.0, float(np.linalg.norm(dX)))
+        assert residual <= LSQR_TOL * max(1.0, float(np.linalg.norm(dX)))
 
 
 def _underdetermined_problem(f0_in_span: bool):
@@ -265,7 +270,7 @@ def test_newton_dx_check_fires_on_a_wrong_operator(example_problem):
     broken = dataclasses.replace(scaling, H=2.0 * scaling.H)
     step = assemble_newton(example_problem, state, opts.sigma, broken)
     with pytest.raises(LsqrContractViolation) as exc_info:
-        solve_newton(example_problem, step, broken, opts.lsqr_tol)
+        solve_newton(example_problem, step, broken)
     assert exc_info.value.equation == "newton-dX"
 
 
