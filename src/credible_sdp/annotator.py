@@ -1,23 +1,37 @@
 """Proof-trace serialization, independent re-checking, and annotated listings.
 
-A *proof trace* is a JSON-lines account of one solver run: a header (schema
-tag, problem hash, options, starting state), one record line per contract
-evaluation, one state line per iteration carrying the full iterates and
-directions, and a footer with the outcome. Floats are written as their
-shortest exact repr, so every value round-trips bit-exactly.
+A *proof trace* is a JSON-lines account of one solver run. Schema ``cts-2``
+stores the claims and leaves out whatever the checker derives: a header
+(schema tag, problem hash, options, starting state), the initialization
+records, then per iteration one line with the directions (dX, dZ, dp)
+followed by its contract records (id, measured value, bound, verdict,
+detail), and a footer with the outcome. The iterates, gaps, contract anchors
+and record positions are not stored; records before the first iteration line
+are the initialization records. The problem hash is SHA-256 over the raw
+float64 bytes of the constraint data. Floats are written as their shortest
+exact repr, so every value round-trips bit-exactly.
 
 ``check_trace`` replays a trace against the problem file it claims to come
 from. It redoes each iteration with the solver's ``take_step`` from the
-previous line's stored point and the stored directions, re-evaluates the
-contracts with the same monitor code the solver used, and compares every
-stored line with the line the writer's own builders (``_header_obj``,
-``_iteration_obj``, ``_record_obj``, ``_footer_obj``) would emit for the
-recomputed values and the catalog's tolerances, so the trace format is
-stated once, by the writer, and no trace sets its own rules. Discrepancies,
-missing and unexpected fields become ``Finding`` values in a ``CheckReport``
-— a tampered trace yields findings, never a crash. Only malformed input (bad
-JSON, wrong schema, wrong problem hash, missing or invalid header fields)
-raises ``TraceFormatError``.
+recomputed previous point and the stored directions, as the solver did,
+re-evaluates the contracts with the same monitor code the solver used, and
+compares every stored line with the line the writer's own builders
+(``_header_obj``, ``_iteration_obj``, ``_record_obj``, ``_footer_obj``)
+would emit for the recomputed values and the catalog's tolerances, so the
+trace format is stated once, by the writer, and no trace sets its own rules.
+Discrepancies, missing and unexpected fields become ``Finding`` values in a
+``CheckReport`` — a tampered trace yields findings, never a crash. Only
+malformed input (bad JSON, unknown schema, wrong problem hash, missing or
+invalid header fields) raises ``TraceFormatError``.
+
+Traces of the older schema ``cts-1`` are still read. Its lines are the
+``cts-2`` lines plus derived keys (each iteration line also stores the
+iterates, gaps and mu, each record its anchor, phase and iteration, the
+header ``options.lsqr_tol``), and its problem hash is taken over the
+constraint data written as ``.17g`` text. The builders emit those keys when
+asked for ``cts-1``, and a ``cts-1`` replay steps from each line's stored
+point, so a tampered iterate is flagged where it is stored and where the
+next line steps from it.
 
 ``emit_annotated_listing`` renders the solver algorithm for a concrete
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
@@ -28,6 +42,7 @@ so listing, trace, and checker all speak the same contract catalog.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -52,7 +67,9 @@ from .solver import (
 TOOL_NAME = "credible-sdp"
 TOOL_VERSION = "0.1.0"
 
-TRACE_SCHEMA = "cts-1"
+TRACE_SCHEMA = "cts-2"
+#: The earlier schema, still read: ``TRACE_SCHEMA`` lines plus derived keys.
+LEGACY_SCHEMA = "cts-1"
 VECTORIZATION = "vecs-sqrt2"
 BACKEND = "numpy.linalg (eigh, lstsq, pinv)"
 BUDGET_BASIS = "ceil(log(trace(X0*Z0)/epsilon)/log(1/sigma))"
@@ -85,26 +102,32 @@ _dumps = json.JSONEncoder(
 ).encode
 
 
-def _record_obj(rec: "monitor.InvariantRecord") -> dict:
-    return {
+def _record_obj(rec: "monitor.InvariantRecord", schema: str = TRACE_SCHEMA) -> dict:
+    obj = {
         "type": "record",
-        "phase": rec.phase,
-        "iteration": rec.iteration,
         "id": rec.id,
-        "anchor": rec.anchor,
         "measured": rec.measured,
         "bound": rec.bound,
         "passed": rec.passed,
         "detail": rec.detail,
     }
+    if schema == LEGACY_SCHEMA:
+        obj.update(phase=rec.phase, iteration=rec.iteration, anchor=rec.anchor)
+    return obj
 
 
-def _header_obj(prob: SdpProblem, opts: SolverOptions, state: IterateState) -> dict:
-    return {
+def _problem_hash(prob: SdpProblem, schema: str) -> str:
+    return prob.text_hash if schema == LEGACY_SCHEMA else prob.problem_hash
+
+
+def _header_obj(
+    prob: SdpProblem, opts: SolverOptions, state: IterateState, schema: str = TRACE_SCHEMA
+) -> dict:
+    obj = {
         "type": "header",
-        "schema": TRACE_SCHEMA,
+        "schema": schema,
         "tool": f"{TOOL_NAME} {TOOL_VERSION}",
-        "problem_hash": prob.problem_hash,
+        "problem_hash": _problem_hash(prob, schema),
         "n": prob.n,
         "m": prob.m,
         "vectorization": VECTORIZATION,
@@ -117,7 +140,6 @@ def _header_obj(prob: SdpProblem, opts: SolverOptions, state: IterateState) -> d
             "gap_ceiling": monitor.GAP_CEILING,
             "equality_tol": monitor.EQUALITY_TOL,
             "pd_margin": PD_TOL,
-            "lsqr_tol": LSQR_TOL,
         },
         "init_state": {
             "X": state.X,
@@ -129,25 +151,32 @@ def _header_obj(prob: SdpProblem, opts: SolverOptions, state: IterateState) -> d
             "sigma": opts.sigma,
         },
     }
+    if schema == LEGACY_SCHEMA:
+        obj["options"]["lsqr_tol"] = LSQR_TOL
+    return obj
 
 
-def _iteration_obj(state: IterateState, step: NewtonStep) -> dict:
-    return {
+def _iteration_obj(state: IterateState, step: NewtonStep, schema: str = TRACE_SCHEMA) -> dict:
+    obj = {
         "type": "iteration",
         "iteration": state.iteration,
-        "Xm": state.Xm,
-        "Zm": state.Zm,
-        "pm": state.pm,
         "dX": step.dX,
         "dZ": step.dZ,
         "dp": step.dp,
-        "X": state.X,
-        "Z": state.Z,
-        "p": state.p,
-        "mu": state.mu,
-        "phi": state.phi,
-        "phim": state.phim,
     }
+    if schema == LEGACY_SCHEMA:
+        obj.update(
+            Xm=state.Xm,
+            Zm=state.Zm,
+            pm=state.pm,
+            X=state.X,
+            Z=state.Z,
+            p=state.p,
+            mu=state.mu,
+            phi=state.phi,
+            phim=state.phim,
+        )
+    return obj
 
 
 def _footer_obj(
@@ -212,8 +241,11 @@ class ProofTrace:
 def parse_trace(data: bytes | str) -> ProofTrace:
     """Split a JSON-lines trace into its structural parts.
 
-    Raises TraceFormatError for anything that is not a well-formed trace of
-    the supported schema; content errors are left to ``check_trace``.
+    Records before the first iteration line are the initialization records;
+    every later record belongs to the iteration line above it. Raises
+    TraceFormatError for anything that is not a well-formed trace of a
+    supported schema (``cts-2`` or ``cts-1``); content errors are left to
+    ``check_trace``.
     """
     if isinstance(data, bytes):
         try:
@@ -239,9 +271,10 @@ def parse_trace(data: bytes | str) -> ProofTrace:
     header = objs[0]
     if header.get("type") != "header":
         raise TraceFormatError("first line must be the trace header")
-    if header.get("schema") != TRACE_SCHEMA:
+    if header.get("schema") not in (TRACE_SCHEMA, LEGACY_SCHEMA):
         raise TraceFormatError(
-            f"unsupported trace schema {header.get('schema')!r}; this tool reads {TRACE_SCHEMA!r}"
+            f"unsupported trace schema {header.get('schema')!r}; "
+            f"this tool reads {TRACE_SCHEMA!r} and {LEGACY_SCHEMA!r}"
         )
     if len(objs) < 2 or objs[-1].get("type") != "footer":
         raise TraceFormatError("last line must be the trace footer")
@@ -253,19 +286,12 @@ def parse_trace(data: bytes | str) -> ProofTrace:
     for lineno, obj in enumerate(objs[1:-1], 2):
         kind = obj.get("type")
         if kind == "record":
-            phase = obj.get("phase")
-            if phase == "init":
-                if iterations:
-                    raise TraceFormatError(f"line {lineno}: init record after iteration lines")
+            if current is None:
                 init_records.append(obj)
-            elif phase == "loop":
-                if current is None:
-                    raise TraceFormatError(
-                        f"line {lineno}: loop record before any iteration line"
-                    )
-                current["records"].append(obj)
+            elif obj.get("id") in monitor.INIT_IDS:
+                raise TraceFormatError(f"line {lineno}: init record after iteration lines")
             else:
-                raise TraceFormatError(f"line {lineno}: unknown record phase {phase!r}")
+                current["records"].append(obj)
         elif kind == "iteration":
             current = {"state": obj, "records": []}
             iterations.append(current)
@@ -411,6 +437,12 @@ def _take(value: object, shape: tuple[int, ...]) -> float | np.ndarray:
     arr = np.array(value)
     if arr.dtype.kind not in "if" or arr.shape != shape:
         raise ValueError(f"expected numbers of shape {shape}, got {arr.dtype} {arr.shape}")
+    # numpy promotes [0.5, true] to floats, so look at the entries as parsed
+    entries = value
+    for _ in shape[1:]:
+        entries = itertools.chain.from_iterable(entries)
+    if shape and not set(map(type, entries)) <= {int, float}:
+        raise ValueError(f"expected numbers of shape {shape}, got a boolean among them")
     arr = arr.astype(float)
     return float(arr) if shape == () else arr
 
@@ -444,7 +476,12 @@ def _state_from_header(header: dict, n: int, m: int) -> IterateState:
     return IterateState(X=X, Z=Z, p=p, Xm=X, Zm=Z, pm=p, mu=mu, phi=phi, phim=phim, iteration=0)
 
 
-_ARRAY_KEYS = ("Xm", "Zm", "pm", "dX", "dZ", "dp", "X", "Z", "p")
+#: The arrays an iteration line stores: the directions, and in cts-1 also
+#: the iterates.
+_ARRAY_KEYS = {
+    TRACE_SCHEMA: ("dX", "dZ", "dp"),
+    LEGACY_SCHEMA: ("Xm", "Zm", "pm", "dX", "dZ", "dp", "X", "Z", "p"),
+}
 
 
 def _compare_records(
@@ -452,6 +489,7 @@ def _compare_records(
     recomputed: list["monitor.InvariantRecord"],
     where: str,
     expected_ids: tuple[str, ...],
+    schema: str,
     findings: list[Finding],
 ) -> None:
     stored_ids = [rec.get("id") for rec in stored]
@@ -471,7 +509,7 @@ def _compare_records(
         if ours is None:
             findings.append(Finding("catalog", where, rid, f"unknown record id {rid!r}"))
         else:
-            _diff(stored_rec, _record_obj(ours), where, rid, findings)
+            _diff(stored_rec, _record_obj(ours, schema), where, rid, findings)
 
 
 def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport:
@@ -480,21 +518,26 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
     The problem hash must match (TraceFormatError otherwise — a trace is only
     checkable against the constraints it was made from), and so must the
     header options pass ``validate_options``. Each iteration is then redone
-    with the solver's ``take_step`` from the previous line's stored point and
-    the stored directions, its contracts are re-evaluated by the monitor, and
-    every stored line, the header included, is compared with the line
-    ``write_trace`` would emit for the recomputed values (``_diff``, relative
-    tolerance CHECK_RTOL), so tolerances are the catalog's, not the trace's.
-    Mismatches, missing and unexpected fields come back as findings.
+    with the solver's ``take_step`` and the stored directions, from the
+    recomputed previous point (``cts-2``, as the solver did) or from the
+    previous line's stored point (``cts-1``); a ``cts-2`` replay stops at the
+    first step it cannot redo. Its contracts are re-evaluated by the monitor,
+    and every stored line, the header included, is compared with the line
+    the writer would emit in the trace's schema for the recomputed values
+    (``_diff``, relative tolerance CHECK_RTOL), so tolerances are the
+    catalog's, not the trace's. Mismatches, missing and unexpected fields
+    come back as findings.
     """
     trace = data if isinstance(data, ProofTrace) else parse_trace(data)
     header = trace.header
+    schema = header["schema"]
 
     stored_hash = header.get("problem_hash")
-    if stored_hash != prob.problem_hash:
+    problem_hash = _problem_hash(prob, schema)
+    if stored_hash != problem_hash:
         raise TraceFormatError(
-            "problem hash mismatch: trace was made for "
-            f"{str(stored_hash)[:12]}…, this problem is {prob.problem_hash[:12]}…"
+            f"problem hash mismatch: {schema} trace was made for "
+            f"{str(stored_hash)[:12]}…, this problem is {problem_hash[:12]}…"
         )
 
     n, m = prob.n, prob.m
@@ -504,7 +547,7 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
     failed: set[str] = set()
     records_checked = 0
 
-    expected = _header_obj(prob, opts, state0)
+    expected = _header_obj(prob, opts, state0, schema)
     for key in ("tool", "backend"):  # these name the software that wrote the trace
         if isinstance(header.get(key), str):
             expected[key] = header[key]
@@ -515,12 +558,12 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
     try:
         recomputed = monitor.check_initialization(prob, state0, opts)
         failed.update(rec.id for rec in recomputed if not rec.passed)
-        _compare_records(trace.init_records, recomputed, "init", monitor.INIT_IDS, findings)
+        _compare_records(trace.init_records, recomputed, "init", monitor.INIT_IDS, schema, findings)
         records_checked += len(trace.init_records)
     except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
         findings.append(Finding("error", "init", None, f"checker error: {exc}"))
 
-    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in _ARRAY_KEYS}
+    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in _ARRAY_KEYS[schema]}
     state = prev = state0
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
 
@@ -547,18 +590,25 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
                 sigma=opts.sigma,
             )
             state = take_step(prob, prev, step)
-            _diff({**line, **arrays}, _iteration_obj(state, step), where, None, findings)
+            _diff({**line, **arrays}, _iteration_obj(state, step, schema), where, None, findings)
             recomputed = monitor.check_iteration(prob, state, step)
             failed.update(rec.id for rec in recomputed if not rec.passed)
-            _compare_records(block["records"], recomputed, where, monitor.LOOP_IDS, findings)
+            _compare_records(
+                block["records"], recomputed, where, monitor.LOOP_IDS, schema, findings
+            )
             records_checked += len(block["records"])
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"checker error: {exc}"))
+            if schema == TRACE_SCHEMA:
+                break  # every later point derives from this step
 
-        # The next step starts from this line's stored point, not the
-        # recomputed one, so a tampered X is flagged here and again where the
-        # next line steps from it. take_step reads only X, Z, p and iteration.
-        prev = replace(prev, X=arrays["X"], Z=arrays["Z"], p=arrays["p"], iteration=k)
+        if schema == LEGACY_SCHEMA:
+            # A cts-1 line stores its point, and the next step starts from it,
+            # so a tampered X is flagged here and again where the next line
+            # steps from it. take_step reads only X, Z, p and iteration.
+            prev = replace(prev, X=arrays["X"], Z=arrays["Z"], p=arrays["p"], iteration=k)
+        else:
+            prev = state
 
     try:
         _check_footer(trace, state0, state, opts, findings)

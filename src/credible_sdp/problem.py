@@ -22,13 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Any
 
 import numpy as np
 
 from . import symvec
-from .linalg import frob_norm, is_pd, require_pd, trace_inner
+from .linalg import is_pd, require_pd, trace_inner
 from .symvec import require_symmetric, sym_dim, symmetrize, vecs
 
 #: Tolerance for symmetry of matrices arriving from files.
@@ -61,22 +62,17 @@ class SdpProblem:
     nu: float | None = None
     problem_hash: str = field(default="")
 
-    # -- derived quantities ------------------------------------------------
-
-    def primal_slack(self, p: np.ndarray) -> np.ndarray:
-        """-(F0 + sum_i p[i] Fi); equals X when p is primal feasible for X."""
-        acc = np.array(self.f0, dtype=float, copy=True)
-        for pi, Fi in zip(np.asarray(p, dtype=float).ravel(), self.fs):
-            acc += pi * Fi
-        return -acc
-
-    def primal_residual(self, X: np.ndarray, p: np.ndarray) -> float:
-        """Frobenius norm of F0 + sum_i p[i] Fi + X."""
-        return frob_norm(X - self.primal_slack(p))
-
-    def dual_residual(self, Z: np.ndarray) -> float:
-        """Euclidean norm of fmat @ vecs(Z) + b."""
-        return float(np.linalg.norm(self.fmat @ vecs(Z) + self.b))
+    @cached_property
+    def text_hash(self) -> str:
+        """The problem hash a ``cts-1`` trace carries: SHA-256 of the
+        constraint data written as ``.17g`` text. Computed on first use, since
+        only the check of a ``cts-1`` trace needs it."""
+        parts = [f"n={self.n}", f"m={self.m}"]
+        named = [("F0", self.f0), *((f"F{i}", Fi) for i, Fi in enumerate(self.fs, 1))]
+        for name, M in [*named, ("b", self.b)]:
+            values = tuple(np.asarray(M, dtype=float).ravel().tolist())
+            parts.append(f"{name}=[" + ("%.17g," * len(values) % values)[:-1] + "]")
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
     # -- potentials ---------------------------------------------------------
 
@@ -103,18 +99,17 @@ def _logdet(S: np.ndarray, what: str) -> float:
 def compute_problem_hash(
     n: int, m: int, f0: np.ndarray, fs: tuple[np.ndarray, ...], b: np.ndarray
 ) -> str:
-    """SHA-256 of a canonical text rendering of the constraint data.
+    """SHA-256 of n and m as little-endian int64, followed by the
+    little-endian float64 bytes of F0, F1..Fm and b (matrices row by row).
 
-    Covers exactly n, m, F0, F1..Fm, and b — not warm starts or options — so
-    a trace made from one file can be checked against a re-load of the same
-    constraints.
+    Covers exactly the constraint data — not warm starts or options — so a
+    trace made from one file can be checked against a re-load of the same
+    constraints. Equal hashes mean equal bit patterns: 0.0 and -0.0 differ.
     """
-    parts = [f"n={n}", f"m={m}"]
-    for name, M in [("F0", f0), *[(f"F{i + 1}", Fi) for i, Fi in enumerate(fs)]]:
-        entries = ",".join(f"{v:.17g}" for v in np.asarray(M, dtype=float).ravel())
-        parts.append(f"{name}=[{entries}]")
-    parts.append("b=[" + ",".join(f"{v:.17g}" for v in np.asarray(b, dtype=float).ravel()) + "]")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(np.array([n, m], dtype="<i8").tobytes())
+    for M in (f0, *fs, b):
+        digest.update(np.asarray(M, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def build_problem(

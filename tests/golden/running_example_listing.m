@@ -1,5 +1,5 @@
 % Short-step primal-dual SDP solver with its runtime contract catalog.
-% Emitted by credible-sdp 0.1.0; problem hash 75a871657f7f.
+% Emitted by credible-sdp 0.1.0; problem hash e4f098fca2a5.
 
 % Dual form:   maximize trace(F0*Z)
 %              subject to trace(Fi*Z)+b(i)==0 for i=1..m and Z>=0.

@@ -37,6 +37,9 @@ GOLDEN = {
     "c-like": Path(__file__).parent / "golden" / "running_example_listing.c",
 }
 
+#: The cts-1 proof trace of the bundled example, kept byte for byte.
+GOLDEN_CTS1 = Path(__file__).parent / "golden" / "running_example.cts"
+
 
 def _ok(num: int, text: str) -> None:
     print(f"PASS criterion {num}: {text}")
@@ -230,9 +233,18 @@ def _detected(trace: bytes, prob) -> bool:
 
 
 def test_criterion_07_trace_tamper_detection(example_trace, example_problem):
-    assert check_trace(example_trace, example_problem).clean
+    # the cts-2 trace this solver writes, and a cts-1 trace that stores every iterate
+    for trace in (example_trace, GOLDEN_CTS1.read_bytes()):
+        _sweep(trace, example_problem)
+    _ok(7, "round-trip is clean; 100/100 random field mutations and "
+           f"{len(INIT_IDS) + len(LOOP_IDS)}/28 single-record removals detected, "
+           "on a cts-2 and a cts-1 trace")
 
-    lines = example_trace.decode("utf-8").splitlines()
+
+def _sweep(trace: bytes, prob) -> None:
+    assert check_trace(trace, prob).clean
+
+    lines = trace.decode("utf-8").splitlines()
     candidates = []
     for i, line in enumerate(lines):
         for path in _numeric_paths(json.loads(line)):
@@ -248,8 +260,8 @@ def test_criterion_07_trace_tamper_detection(example_trace, example_problem):
         line_idx, path = candidates[int(j)]
         magnitude = float(10.0 ** rng.uniform(-6, -3))
         sign = 1.0 if rng.integers(2) else -1.0
-        mutated = _mutate(example_trace, line_idx, path, 1.0 + sign * magnitude)
-        if not _detected(mutated, example_problem):
+        mutated = _mutate(trace, line_idx, path, 1.0 + sign * magnitude)
+        if not _detected(mutated, prob):
             missed.append((line_idx, path))
     assert not missed, f"undetected mutations: {missed}"
 
@@ -261,12 +273,10 @@ def test_criterion_07_trace_tamper_detection(example_trace, example_problem):
             if obj.get("type") == "record" and obj.get("id") == rid:
                 shorter = lines[:i] + lines[i + 1:]
                 data = ("\n".join(shorter) + "\n").encode("utf-8")
-                if not _detected(data, example_problem):
+                if not _detected(data, prob):
                     removed_missed.append(rid)
                 break
     assert not removed_missed, f"undetected removals: {removed_missed}"
-    _ok(7, "round-trip is clean; 100/100 random field mutations and "
-           f"{len(INIT_IDS) + len(LOOP_IDS)}/28 single-record removals detected")
 
 
 # 8 ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from credible_sdp.annotator import (
     CHECK_RTOL,
+    LEGACY_SCHEMA,
     LISTING_FLAVORS,
     TRACE_SCHEMA,
     TraceFormatError,
@@ -20,12 +21,20 @@ from credible_sdp.annotator import (
 from credible_sdp.linalg import sym_sqrt
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS
 from credible_sdp.problem import build_problem
-from credible_sdp.solver import SolverOptions, assemble_newton, solve
+from credible_sdp.solver import NewtonStep, SolverOptions, assemble_newton, solve, take_step
 
-#: Proof trace of the bundled example, written by an earlier solver and kept
+#: Proof traces of the bundled example, written by earlier solvers and kept
 #: byte for byte: traces already in the wild must keep re-checking clean.
-#: Never regenerate it to make a test pass.
+#: Never regenerate them to make a test pass. GOLDEN_TRACE is schema cts-1,
+#: which stores every iterate; GOLDEN_CTS2 is the first cts-2 trace.
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
+GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
+
+
+@pytest.fixture(scope="module")
+def golden_trace() -> bytes:
+    return GOLDEN_TRACE.read_bytes()
+
 
 # -- line surgery helpers ------------------------------------------------------
 
@@ -52,6 +61,23 @@ def find_line(trace: bytes, predicate) -> int:
         if predicate(json.loads(line)):
             return i
     raise AssertionError("no line matched")
+
+
+def find_record(trace: bytes, rid: str, iteration: int) -> int:
+    """Line index of record ``rid`` under iteration line ``iteration`` (0 for
+    the initialization records), found by position as the checker reads it."""
+    block = 0
+    for i, line in enumerate(trace_lines(trace)):
+        obj = json.loads(line)
+        if obj.get("type") == "iteration":
+            block = obj["iteration"]
+        elif obj.get("type") == "record" and obj.get("id") == rid and block == iteration:
+            return i
+    raise AssertionError("no line matched")
+
+
+def find_iteration(trace: bytes, k: int) -> int:
+    return find_line(trace, lambda o: o.get("type") == "iteration" and o.get("iteration") == k)
 
 
 # -- serialization --------------------------------------------------------------
@@ -97,6 +123,7 @@ def assert_record_roundtrips(stored: dict, rec, where: str) -> None:
 
 def test_trace_floats_roundtrip_exactly(example_trace, example_report):
     trace = parse_trace(example_trace)
+    prob = example_report.problem
 
     init = trace.header["init_state"]
     state0 = example_report.initial_state
@@ -106,13 +133,23 @@ def test_trace_floats_roundtrip_exactly(example_trace, example_report):
     for stored, rec in zip(trace.init_records, example_report.init_records, strict=True):
         assert_record_roundtrips(stored, rec, "init")
 
+    # the iterates are not stored: stepping with the stored directions from
+    # the stored start re-derives every one of them bit for bit
+    state = state0
     for block, snap in zip(trace.iterations, example_report.snapshots, strict=True):
         line, where = block["state"], f"iteration {snap.state.iteration}"
-        for key in ("Xm", "Zm", "pm", "X", "Z", "p", "mu", "phi", "phim"):
-            assert_same_bits(line[key], getattr(snap.state, key), f"{where} {key}")
+        assert line.keys() == {"type", "iteration", "dX", "dZ", "dp"}, where
         for key in ("dX", "dZ", "dp"):
             assert_same_bits(line[key], getattr(snap.step, key), f"{where} {key}")
+        step = NewtonStep(
+            dX=np.array(line["dX"]), dZ=np.array(line["dZ"]), dp=np.array(line["dp"]),
+            Zh=None, Zhi=None, mu=None, sigma=None,
+        )
+        state = take_step(prob, state, step)
+        for key in ("Xm", "Zm", "pm", "X", "Z", "p", "mu", "phi", "phim"):
+            assert_same_bits(getattr(state, key), getattr(snap.state, key), f"{where} {key}")
         for stored, rec in zip(block["records"], snap.records, strict=True):
+            assert stored.keys() == {"type", "id", "measured", "bound", "passed", "detail"}, where
             assert_record_roundtrips(stored, rec, where)
 
 
@@ -182,7 +219,7 @@ def test_parse_rejects_header_elsewhere(example_trace):
 
 def test_parse_rejects_init_record_after_iterations(example_trace):
     lines = trace_lines(example_trace)
-    init_rec = lines[1]  # phase "init"
+    init_rec = lines[1]  # an initialization record
     lines.insert(len(lines) - 1, init_rec)
     with pytest.raises(TraceFormatError):
         parse_trace(reassemble(lines))
@@ -211,6 +248,32 @@ def test_golden_trace_from_an_earlier_solver_checks_clean(example_problem):
     assert result.records_checked == 16 + 56 * 12
 
 
+def test_golden_cts2_trace_checks_clean(example_problem):
+    data = GOLDEN_CTS2.read_bytes()
+    assert parse_trace(data).header["schema"] == "cts-2"
+    result = check_trace(data, example_problem)
+    assert result.findings == []
+    assert result.iterations == 56
+    assert result.records_checked == 16 + 56 * 12
+
+
+@pytest.mark.parametrize("to_schema", [LEGACY_SCHEMA, TRACE_SCHEMA])
+def test_a_trace_read_under_the_other_schema_is_refused_or_flagged(
+    example_trace, golden_trace, example_problem, to_schema
+):
+    trace = example_trace if to_schema == LEGACY_SCHEMA else golden_trace
+    relabelled = edit_line(trace, 0, lambda o: o.update(schema=to_schema))
+    with pytest.raises(TraceFormatError, match="hash"):
+        check_trace(relabelled, example_problem)
+    # with the hash that schema takes, the lines still do not fit it
+    prob = example_problem
+    other_hash = prob.text_hash if to_schema == LEGACY_SCHEMA else prob.problem_hash
+    forged = edit_line(relabelled, 0, lambda o: o.update(problem_hash=other_hash))
+    result = check_trace(forged, example_problem)
+    assert any(f.kind == "structure" for f in result.findings)
+    assert any(f.where == "iteration 1" for f in result.findings)
+
+
 @pytest.mark.parametrize("field,value", [("epsilon", -1.0), ("mode", "bogus")])
 def test_check_trace_rejects_invalid_header_options(example_trace, example_problem, field, value):
     bad = edit_line(example_trace, 0, lambda o: o["options"].update({field: value}))
@@ -235,16 +298,42 @@ def test_replay_scales_once_while_z_stays_fixed(example_trace, example_problem, 
     assert len(calls) == 1
 
 
-def test_replay_rescales_when_a_stored_z_moves(example_trace, example_problem, monkeypatch):
-    idx = find_line(example_trace, lambda o: o.get("type") == "iteration" and o.get("iteration") == 55)
+def test_replay_rescales_when_a_stored_z_moves(golden_trace, example_problem, monkeypatch):
+    # only a cts-1 line stores Z
+    idx = find_iteration(golden_trace, 55)
 
     def move_z(obj):
         obj["Z"][0][0] *= 1 + 1e-9
 
     calls = _count_sym_sqrt(monkeypatch)
-    result = check_trace(edit_line(example_trace, idx, move_z), example_problem)
+    result = check_trace(edit_line(golden_trace, idx, move_z), example_problem)
     assert any(f.kind == "chain" and f.where == "iteration 55" for f in result.findings)
     assert len(calls) == 2
+
+
+def test_replay_rescales_when_a_stored_dz_moves_z(example_trace, example_problem, monkeypatch):
+    idx = find_iteration(example_trace, 55)
+
+    def move_z(obj):
+        obj["dZ"][0][0] = 1e-9
+
+    calls = _count_sym_sqrt(monkeypatch)
+    result = check_trace(edit_line(example_trace, idx, move_z), example_problem)
+    assert any(f.kind == "recompute" and f.where == "iteration 55" for f in result.findings)
+    assert len(calls) == 2
+
+
+def test_replay_stops_at_a_step_it_cannot_redo(example_trace, golden_trace, example_problem):
+    # a dZ that makes the next Z indefinite: no later cts-2 point can be derived
+    idx = find_iteration(example_trace, 10)
+    bad = edit_line(example_trace, idx, lambda o: o.update(dZ=[[-5.0, 0.0], [0.0, 0.0]]))
+    errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
+    assert errors == ["iteration 11"]
+    # a cts-1 replay steps on from the next stored point
+    idx = find_iteration(golden_trace, 10)
+    bad = edit_line(golden_trace, idx, lambda o: o.update(Z=[[-5.0, 0.0], [0.0, 0.2]]))
+    errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
+    assert errors == ["iteration 11"]
 
 
 def test_check_trace_rejects_wrong_problem(example_trace):
@@ -265,10 +354,7 @@ def finding_ids(result):
 
 
 def test_check_flags_tampered_measured_value(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "record" and o.get("id") == "I4" and o.get("iteration") == 7,
-    )
+    idx = find_record(example_trace, "I4", 7)
     bad = edit_line(example_trace, idx, lambda o: o.update(measured=o["measured"] * 2.0))
     result = check_trace(bad, example_problem)
     assert not result.clean
@@ -276,30 +362,22 @@ def test_check_flags_tampered_measured_value(example_trace, example_problem):
 
 
 def test_check_flags_flipped_verdict(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "record" and o.get("id") == "I8" and o.get("iteration") == 3,
-    )
+    idx = find_record(example_trace, "I8", 3)
     bad = edit_line(example_trace, idx, lambda o: o.update(passed=False))
     result = check_trace(bad, example_problem)
     assert any(f.kind == "verdict" and f.record_id == "I8" for f in result.findings)
 
 
-def test_check_flags_tampered_anchor_text(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "record" and o.get("id") == "I3" and o.get("iteration") == 1,
-    )
-    bad = edit_line(example_trace, idx, lambda o: o.update(anchor="phi-0.99*phim<0"))
+def test_check_flags_tampered_anchor_text(golden_trace, example_problem):
+    # only a cts-1 record stores its anchor
+    idx = find_record(golden_trace, "I3", 1)
+    bad = edit_line(golden_trace, idx, lambda o: o.update(anchor="phi-0.99*phim<0"))
     result = check_trace(bad, example_problem)
     assert any(f.record_id == "I3" for f in result.findings)
 
 
 def test_check_flags_tampered_detail_value(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "record" and o.get("id") == "I9" and o.get("iteration") == 2,
-    )
+    idx = find_record(example_trace, "I9", 2)
     bad = edit_line(
         example_trace, idx,
         lambda o: o["detail"].update(primal_residual=o["detail"]["primal_residual"] + 1e-3),
@@ -308,16 +386,14 @@ def test_check_flags_tampered_detail_value(example_trace, example_problem):
     assert any(f.kind == "recompute" and f.record_id == "I9" for f in result.findings)
 
 
-def test_check_flags_broken_iterate_chain(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "iteration" and o.get("iteration") == 5,
-    )
+def test_check_flags_broken_iterate_chain(golden_trace, example_problem):
+    # only a cts-1 line stores X
+    idx = find_iteration(golden_trace, 5)
 
     def bump_x(obj):
         obj["X"][0][0] += 1e-5
 
-    bad = edit_line(example_trace, idx, bump_x)
+    bad = edit_line(golden_trace, idx, bump_x)
     result = check_trace(bad, example_problem)
     assert not result.clean
     assert any(f.kind == "chain" and f.where == "iteration 5" for f in result.findings)
@@ -325,21 +401,16 @@ def test_check_flags_broken_iterate_chain(example_trace, example_problem):
     assert any(f.kind == "chain" and f.where == "iteration 6" for f in result.findings)
 
 
-def test_check_flags_tampered_scalar_recompute(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "iteration" and o.get("iteration") == 9,
-    )
-    bad = edit_line(example_trace, idx, lambda o: o.update(phi=o["phi"] * (1 + 1e-6)))
+def test_check_flags_tampered_scalar_recompute(golden_trace, example_problem):
+    # only a cts-1 line stores phi
+    idx = find_iteration(golden_trace, 9)
+    bad = edit_line(golden_trace, idx, lambda o: o.update(phi=o["phi"] * (1 + 1e-6)))
     result = check_trace(bad, example_problem)
     assert any(f.kind == "recompute" and f.where == "iteration 9" for f in result.findings)
 
 
 def test_check_flags_dropped_record(example_trace, example_problem):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "record" and o.get("id") == "I11" and o.get("iteration") == 4,
-    )
+    idx = find_record(example_trace, "I11", 4)
     lines = trace_lines(example_trace)
     del lines[idx]
     result = check_trace(reassemble(lines), example_problem)
@@ -381,12 +452,17 @@ def test_check_flags_header_dimension_lie(example_trace, example_problem):
     "field,value",
     [("gap_ceiling", 0.2), ("equality_tol", 1e300), ("pd_margin", 0.5), ("lsqr_tol", 1e-6)],
 )
-def test_check_holds_a_trace_to_the_catalog_tolerances(example_trace, example_problem, field, value):
-    # a trace cannot loosen (or tighten) the rules it is checked by
-    bad = edit_line(example_trace, 0, lambda o: o["options"].update({field: value}))
-    result = check_trace(bad, example_problem)
-    assert not result.clean
-    assert any(f.where == "header" and f"options.{field}" in f.message for f in result.findings)
+def test_check_holds_a_trace_to_the_catalog_tolerances(
+    example_trace, golden_trace, example_problem, field, value
+):
+    # a trace cannot loosen (or tighten) the rules it is checked by; a cts-2
+    # header does not state lsqr_tol at all, so there it is an unexpected key
+    # (and "unexpected key options.lsqr_tol" is the finding's message)
+    for trace in (example_trace, golden_trace):
+        bad = edit_line(trace, 0, lambda o: o["options"].update({field: value}))
+        result = check_trace(bad, example_problem)
+        assert not result.clean
+        assert any(f.where == "header" and f"options.{field}" in f.message for f in result.findings)
 
 
 @pytest.mark.parametrize(
@@ -421,8 +497,11 @@ def test_check_accepts_any_writer_name(example_trace, example_problem):
         ("init_state", "mu", "0.05"),
         ("init_state", "p", [0.1, 0.2]),
         ("init_state", "X", [[True, False], [False, True]]),
+        ("init_state", "X", [[0.0995, True], [0.0359, 0.2248]]),
+        ("init_state", "p", [1, True, 0.5]),
     ],
-    ids=["mu-beyond-float", "epsilon-beyond-float", "mu-string", "p-short", "X-bool"],
+    ids=["mu-beyond-float", "epsilon-beyond-float", "mu-string", "p-short", "X-bool", "X-one-bool",
+         "p-one-bool"],
 )
 def test_check_refuses_header_numbers_the_writer_cannot_emit(
     example_trace, example_problem, section, field, value
@@ -433,18 +512,24 @@ def test_check_refuses_header_numbers_the_writer_cannot_emit(
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "keys,mutate",
     [
-        lambda o: o.update(dX=[[str(v) for v in row] for row in o["dX"]]),
-        lambda o: o.update(p=[[v] for v in o["p"]]),
-        lambda o: o.update(Z=[[bool(v) for v in row] for row in o["Z"]]),
+        (("dX", "dX"), lambda v: [[str(x) for x in row] for row in v]),
+        (("p", "dp"), lambda v: [[x] for x in v]),
+        (("Z", "dZ"), lambda v: [[bool(x) for x in row] for row in v]),
+        (("X", "dX"), lambda v: [[v[0][0], True], v[1]]),
     ],
-    ids=["dX-strings", "p-column", "Z-bools"],
+    ids=["dX-strings", "p-column", "Z-bools", "dX-one-bool"],
 )
-def test_check_flags_iteration_arrays_the_writer_cannot_emit(example_trace, example_problem, mutate):
-    idx = find_line(example_trace, lambda o: o.get("type") == "iteration" and o.get("iteration") == 5)
-    result = check_trace(edit_line(example_trace, idx, mutate), example_problem)
-    assert any(f.kind == "error" and f.where == "iteration 5" for f in result.findings)
+def test_check_flags_iteration_arrays_the_writer_cannot_emit(
+    example_trace, golden_trace, example_problem, keys, mutate
+):
+    # the array on a cts-1 line, and the cts-2 array of the same shape
+    for trace, key in zip((golden_trace, example_trace), keys):
+        idx = find_iteration(trace, 5)
+        bad = edit_line(trace, idx, lambda o: o.update({key: mutate(o[key])}))
+        result = check_trace(bad, example_problem)
+        assert any(f.kind == "error" and f.where == "iteration 5" for f in result.findings), key
 
 
 @pytest.mark.parametrize(
@@ -561,30 +646,42 @@ def _detected(trace: bytes, prob) -> bool:
 
 
 STRUCTURE_TARGETS = {
-    "iteration line": lambda o: o.get("type") == "iteration" and o.get("iteration") == 5,
-    "loop record": lambda o: o.get("type") == "record" and o.get("id") == "I11" and o.get("iteration") == 5,
-    "footer": lambda o: o.get("type") == "footer",
+    "iteration line": lambda trace: find_iteration(trace, 5),
+    "loop record": lambda trace: find_record(trace, "I11", 5),
+    "footer": lambda trace: len(trace_lines(trace)) - 1,
 }
 
 
 @pytest.mark.parametrize("target", list(STRUCTURE_TARGETS))
-def test_check_flags_structural_tampering(example_trace, example_problem, target):
-    idx = find_line(example_trace, STRUCTURE_TARGETS[target])
-    mutations = list(_structural_mutations(json.loads(trace_lines(example_trace)[idx])))
-    assert len(mutations) >= 6
-    missed = [
-        label for label, mutate in mutations
-        if not _detected(edit_line(example_trace, idx, mutate), example_problem)
-    ]
-    assert not missed, f"undetected: {missed}"
+def test_check_flags_structural_tampering(example_trace, golden_trace, example_problem, target):
+    for trace in (example_trace, golden_trace):
+        idx = STRUCTURE_TARGETS[target](trace)
+        mutations = list(_structural_mutations(json.loads(trace_lines(trace)[idx])))
+        assert len(mutations) >= 6
+        missed = [
+            label for label, mutate in mutations
+            if not _detected(edit_line(trace, idx, mutate), example_problem)
+        ]
+        assert not missed, f"undetected: {missed}"
+
+
+#: Keys only a cts-1 line carries, by line kind.
+CTS1_ONLY_KEYS = [
+    ("iteration line", key) for key in ("Xm", "Zm", "pm", "X", "Z", "p", "mu", "phi", "phim")
+] + [("loop record", key) for key in ("anchor", "phase", "iteration")]
+
+
+@pytest.mark.parametrize("target,key", CTS1_ONLY_KEYS)
+def test_a_cts1_key_on_a_cts2_line_is_unexpected(example_trace, golden_trace, example_problem, target, key):
+    value = json.loads(trace_lines(golden_trace)[STRUCTURE_TARGETS[target](golden_trace)])[key]
+    idx = STRUCTURE_TARGETS[target](example_trace)
+    result = check_trace(edit_line(example_trace, idx, lambda o: o.update({key: value})), example_problem)
+    assert [(f.kind, f.message) for f in result.findings] == [("structure", f"unexpected key {key}")]
 
 
 @pytest.mark.parametrize("value", ["no", 1, [0]], ids=repr)
 def test_check_requires_a_bool_verdict(example_trace, example_problem, value):
-    idx = find_line(
-        example_trace,
-        lambda o: o.get("type") == "record" and o.get("id") == "I8" and o.get("iteration") == 3,
-    )
+    idx = find_record(example_trace, "I8", 3)
     bad = edit_line(example_trace, idx, lambda o: o.update(passed=value))
     result = check_trace(bad, example_problem)
     assert any(f.record_id == "I8" for f in result.findings)

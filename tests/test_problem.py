@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from credible_sdp.problem import (
     load_problem_file,
     running_example,
 )
-from credible_sdp.symvec import sym_dim, symmetrize, vecs
+from credible_sdp.symvec import sym_dim, vecs
 
 F0 = np.array([[2.0, 0.0], [0.0, 1.0]])
 F1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -152,6 +154,38 @@ def test_hash_function_is_deterministic():
     assert h1 == h2 and len(h1) == 64
 
 
+def test_hash_is_sha256_of_the_little_endian_bytes():
+    data = struct.pack("<2q", 2, 2)
+    data += b"".join(struct.pack("<4d", *M.ravel()) for M in (F0, F1, F2))
+    data += struct.pack("<2d", *B)
+    base = toy_problem().problem_hash
+    assert base == hashlib.sha256(data).hexdigest()
+    # row by row whatever the memory layout; equal bits, not equal values
+    assert compute_problem_hash(2, 2, np.asfortranarray(F0), (F1, F2), B) == base
+    signed_zero = F1.copy()
+    signed_zero[0, 1] = -0.0
+    assert compute_problem_hash(2, 2, F0, (signed_zero, F2), B) != base
+
+
+def _text_hash_by_generator(prob) -> str:
+    """The cts-1 hash exactly as the first solver wrote it."""
+    parts = [f"n={prob.n}", f"m={prob.m}"]
+    for name, M in [("F0", prob.f0), *[(f"F{i + 1}", Fi) for i, Fi in enumerate(prob.fs)]]:
+        entries = ",".join(f"{v:.17g}" for v in np.asarray(M, dtype=float).ravel())
+        parts.append(f"{name}=[{entries}]")
+    parts.append("b=[" + ",".join(f"{v:.17g}" for v in np.asarray(prob.b, dtype=float).ravel()) + "]")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def test_text_hash_matches_the_generator_it_replaced(example_problem):
+    assert example_problem.text_hash == _text_hash_by_generator(example_problem)
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    odd = np.array([[-0.0, tiny], [-tiny, 1e308]])
+    fs = (np.array([[-1e308, 2.2250738585072014e-308 / 3], [0.1, huge]]),)
+    prob = SdpProblem(n=2, m=1, f0=odd, fs=fs, b=np.array([-huge]), fmat=np.zeros((1, 3)))
+    assert prob.text_hash == _text_hash_by_generator(prob)
+
+
 # -- JSON loading ----------------------------------------------------------------
 
 
@@ -214,23 +248,7 @@ def test_load_rejects_non_numeric_epsilon():
         load_problem(json.dumps(payload))
 
 
-# -- derived quantities -----------------------------------------------------------
-
-
-def test_primal_slack_and_residual_vanish_for_feasible_pairs():
-    prob = toy_problem()
-    p = np.array([0.25, -0.5])
-    X = prob.primal_slack(p)
-    np.testing.assert_allclose(X, -(F0 + p[0] * F1 + p[1] * F2), rtol=0, atol=0)
-    assert prob.primal_residual(X, p) == pytest.approx(0.0, abs=1e-15)
-    assert prob.primal_residual(X + 0.1 * np.eye(2), p) == pytest.approx(0.1 * np.sqrt(2.0))
-
-
-def test_dual_residual_measures_constraint_violation():
-    prob = toy_problem()
-    Z = symmetrize(np.array([[1.0, 0.2], [0.2, 0.7]]))
-    expected = np.linalg.norm(prob.fmat @ vecs(Z) + B)
-    assert prob.dual_residual(Z) == pytest.approx(expected, rel=1e-14)
+# -- potentials -------------------------------------------------------------------
 
 
 def test_potentials_match_their_closed_forms():

@@ -125,9 +125,10 @@ def test_initialize_recovers_the_planted_dual_point(example_problem):
 
 
 def test_initialize_primal_point_is_feasible(example_problem):
-    state, _ = initialize(example_problem, default_options(example_problem))
-    assert example_problem.primal_residual(state.X, state.p) < 1e-10
-    assert example_problem.dual_residual(state.Z) < 1e-10
+    _, records = initialize(example_problem, default_options(example_problem))
+    by_id = {rec.id: rec for rec in records}
+    assert by_id["init-primal-feasibility"].measured < 1e-10
+    assert by_id["init-dual-feasibility"].measured < 1e-10
 
 
 def test_initialize_explicit_warm_start_wins_over_file(example_problem):
