@@ -695,7 +695,7 @@ def _fmt_num(x: float) -> str:
 
 def _mat_literal(M: np.ndarray) -> str:
     rows = np.asarray(M, dtype=float).tolist()
-    return "[" + ";".join(",".join(_fmt_num(v) for v in row) for row in rows) + "]"
+    return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
 
 
 def _vec_literal(v: np.ndarray) -> str:

@@ -13,6 +13,7 @@ free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,10 @@ def require_consistent(
 
 
 def frob_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=float), "fro"))
+    """Frobenius norm, computed as ``np.linalg.norm(M, "fro")`` computes it
+    for a 2-d float array (same bits), without its dispatch."""
+    x = np.asarray(M, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> float:

@@ -3,10 +3,12 @@
 Each solver step is judged against a fixed catalog of contracts. A contract
 evaluation never raises: it produces an ``InvariantRecord`` holding the
 measured quantity, the bound it was compared against, and the verdict, so a
-failed contract is data, not control flow. The ``anchor`` field carries the
+failed contract is data, not control flow. A record's ``anchor`` is the
 contract as an expression in the annotation language used by the listing
 generator, which makes records, annotated listings, and trace checking all
-point at the same text.
+point at the same text. Anchors are derived, not stored: a record keeps the
+sigma its anchor is rendered with, and the text is built only when read (by
+the slack table of the verbose report and by ``cts-1`` traces).
 
 Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
@@ -14,6 +16,10 @@ I1..I12 (phase "loop"). Equality contracts are checked to ``EQUALITY_TOL``
 scaled by max(1, |reference|); positive-definiteness contracts compare the
 minimum eigenvalue against ``linalg.PD_TOL``, strictly. Tolerances are
 constants of the catalog, so a trace is checked by rules it cannot state.
+
+Sums over the constraint matrices run over the problem's (m, n, n) stack in
+one numpy expression that adds the terms in the same order, so they give
+the same bits as the loop ``acc = acc + p[i] * F[i]`` (see ``_fold``).
 """
 
 from __future__ import annotations
@@ -47,16 +53,22 @@ class InvariantRecord:
     ``measured`` and ``bound`` are oriented so that, up to the strictness
     noted in the anchor, passing means measured <= bound; ``detail`` carries
     auxiliary numbers (component residuals, eigenvalues, raw chain verdicts).
+    ``anchor`` is a property rendered from ``id``, ``phase`` and ``sigma``.
     """
 
     id: str
     phase: str
     iteration: int
-    anchor: str
+    sigma: float
     measured: float
     bound: float
     passed: bool
     detail: dict = field(default_factory=dict)
+
+    @property
+    def anchor(self) -> str:
+        render = loop_anchor if self.phase == "loop" else init_anchor
+        return render(self.id, self.sigma)
 
 
 _LOOP_TEMPLATES: list[tuple[str, str]] = [
@@ -130,6 +142,24 @@ def init_anchor(record_id: str, sigma: float) -> str:
     return _render(_INIT_BY_ID[record_id], sigma)
 
 
+def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """start + c[0]*F[0] + c[1]*F[1] + ..., added left to right, bit for bit
+    the loop ``acc = start; acc = acc + c[i] * F[i]``.
+
+    Reducing the leading axis of a C-contiguous stack whose matrices have two
+    or more entries is that running sum, entry by entry. With 1 x 1 matrices
+    numpy would sum the column pairwise instead, so they take ``accumulate``,
+    which is a running sum by definition.
+    """
+    terms = coeffs[:, None, None] * F
+    if not len(terms):
+        return start + np.zeros(F.shape[1:])
+    terms[0] += start
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
 def _min_eig(S: np.ndarray) -> float:
     """Minimum eigenvalue of the symmetric part (never raises on asymmetry)."""
     return float(np.linalg.eigvalsh(symmetrize(np.asarray(S, dtype=float)))[0])
@@ -164,7 +194,7 @@ def check_iteration(
                 id=rid,
                 phase="loop",
                 iteration=state.iteration,
-                anchor=loop_anchor(rid, sigma),
+                sigma=sigma,
                 measured=float(measured),
                 bound=float(bound),
                 passed=bool(passed),
@@ -224,10 +254,7 @@ def check_iteration(
 
     # I9: directions preserve dual and primal feasibility.
     r_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(dZ))))
-    acc = np.zeros((n, n))
-    for pi, Fi in zip(np.asarray(dp, dtype=float).ravel(), prob.fs):
-        acc = acc + pi * Fi
-    r_primal = frob_norm(acc + dX)
+    r_primal = frob_norm(_fold(0.0, np.asarray(dp, dtype=float).ravel(), prob.fstack) + dX)
     v9 = max(r_dual, r_primal)
     b9 = EQUALITY_TOL * max(1.0, frob_norm(dX))
     rec("I9", v9, b9, v9 <= b9, {"dual_residual": r_dual, "primal_residual": r_primal})
@@ -294,7 +321,7 @@ def check_initialization(
                 id=rid,
                 phase="init",
                 iteration=state.iteration,
-                anchor=init_anchor(rid, sigma),
+                sigma=sigma,
                 measured=float(measured),
                 bound=float(bound),
                 passed=bool(passed),
@@ -306,10 +333,11 @@ def check_initialization(
     rec("init-f0-pd", -lam0, -PD_TOL, lam0 > PD_TOL, {"min_eigenvalue": lam0})
 
     if m:
-        asyms = [float(np.max(np.abs(Fi - Fi.T))) for Fi in prob.fs]
+        F = prob.fstack
+        asyms = np.abs(F - F.transpose(0, 2, 1)).max(axis=(1, 2))
         worst = int(np.argmax(asyms))
-        scale = max(1.0, max(float(np.max(np.abs(Fi))) for Fi in prob.fs))
-        v = asyms[worst]
+        scale = max(1.0, float(np.abs(F).max()))
+        v = float(asyms[worst])
         rec(
             "init-fi-symmetric",
             v,
@@ -354,10 +382,7 @@ def check_initialization(
             {"reshaped": False, "note": "p reshapes to a square matrix only when m == n*(n+1)/2"},
         )
 
-    acc = np.array(prob.f0, dtype=float, copy=True)
-    for pi, Fi in zip(p_arr, prob.fs):
-        acc = acc + pi * Fi
-    res_primal = frob_norm(acc + X)
+    res_primal = frob_norm(_fold(prob.f0, p_arr, prob.fstack) + X)
     b_primal = EQUALITY_TOL * max(1.0, frob_norm(prob.f0))
     rec(
         "init-primal-feasibility",

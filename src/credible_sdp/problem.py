@@ -15,11 +15,15 @@ together with its primal
 ``SdpProblem`` itself is a plain record: direct construction performs no
 validation, so checkers can be exercised on deliberately broken data.
 ``build_problem`` and ``load_problem`` are the validating entry points.
+
+The constraint matrices F1..Fm are held once, in one C-contiguous (m, n, n)
+array, so checks over all of them are single numpy expressions.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import symvec
 from .linalg import is_pd, require_pd, trace_inner
-from .symvec import require_symmetric, sym_dim, symmetrize, vecs
+from .symvec import require_symmetric, vecs_stack
 
 #: Tolerance for symmetry of matrices arriving from files.
 LOAD_SYMMETRY_TOL = 1e-12
@@ -43,6 +47,11 @@ class ProblemFormatError(ValueError):
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
     """An SDP instance with pre-assembled constraint matrix.
+
+    ``fstack`` holds F1..Fm as one C-contiguous (m, n, n) array, and ``fs``
+    is the tuple of its rows: views, so the data is held once. ``fs`` may be
+    given as a sequence of n x n matrices or as such an array; either way it
+    is copied into ``fstack`` unless it already is one.
 
     ``fmat`` is the m x (n(n+1)/2) matrix whose i-th row is vecs(Fi), so the
     dual feasibility constraint reads fmat @ vecs(Z) + b == 0.
@@ -61,6 +70,12 @@ class SdpProblem:
     epsilon: float = 1e-8
     nu: float | None = None
     problem_hash: str = field(default="")
+    fstack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        stack = np.ascontiguousarray(self.fs, dtype=float).reshape(self.m, self.n, self.n)
+        object.__setattr__(self, "fstack", stack)
+        object.__setattr__(self, "fs", tuple(stack))
 
     @cached_property
     def text_hash(self) -> str:
@@ -97,7 +112,7 @@ def _logdet(S: np.ndarray, what: str) -> float:
 
 
 def compute_problem_hash(
-    n: int, m: int, f0: np.ndarray, fs: tuple[np.ndarray, ...], b: np.ndarray
+    n: int, m: int, f0: np.ndarray, fs: tuple[np.ndarray, ...] | np.ndarray, b: np.ndarray
 ) -> str:
     """SHA-256 of n and m as little-endian int64, followed by the
     little-endian float64 bytes of F0, F1..Fm and b (matrices row by row).
@@ -105,9 +120,10 @@ def compute_problem_hash(
     Covers exactly the constraint data — not warm starts or options — so a
     trace made from one file can be checked against a re-load of the same
     constraints. Equal hashes mean equal bit patterns: 0.0 and -0.0 differ.
+    ``fs`` is the matrices or their (m, n, n) stack; the bytes are the same.
     """
     digest = hashlib.sha256(np.array([n, m], dtype="<i8").tobytes())
-    for M in (f0, *fs, b):
+    for M in (f0, fs, b):
         digest.update(np.asarray(M, dtype="<f8").tobytes())
     return digest.hexdigest()
 
@@ -124,12 +140,12 @@ def build_problem(
 ) -> SdpProblem:
     """Validate and assemble an SdpProblem from its constituent arrays."""
     f0 = np.array(f0, dtype=float)
-    fs_t = tuple(np.array(Fi, dtype=float) for Fi in fs)
+    fs = [np.asarray(Fi, dtype=float) for Fi in fs]
     b = np.array(b, dtype=float).ravel()
     if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
         raise ProblemFormatError(f"F0 must be square, got shape {f0.shape}")
     n = f0.shape[0]
-    m = len(fs_t)
+    m = len(fs)
 
     if validate:
         if n < 1:
@@ -146,17 +162,20 @@ def build_problem(
             raise ProblemFormatError(str(exc)) from None
         if not is_pd(f0):
             raise ProblemFormatError("F0 must be positive definite")
-        checked = []
-        for i, Fi in enumerate(fs_t):
+        for i, Fi in enumerate(fs):
             if Fi.shape != (n, n):
                 raise ProblemFormatError(
                     f"F{i + 1} has shape {Fi.shape}, expected {(n, n)}"
                 )
-            try:
-                checked.append(require_symmetric(Fi, tol=LOAD_SYMMETRY_TOL, what=f"F{i + 1}"))
-            except symvec.SymmetryError as exc:
-                raise ProblemFormatError(str(exc)) from None
-        fs_t = tuple(checked)
+    stack = np.array(fs, dtype=float).reshape(m, n, n)
+    if validate:
+        # require_symmetric's test, on every matrix of the stack at once
+        asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+        bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
+        if bad.size:
+            i = bad[0]
+            raise ProblemFormatError(f"F{i + 1} is not symmetric: max |a - a.T| = {asym[i]:.3e}")
         if not np.isfinite(epsilon) or epsilon <= 0:
             raise ProblemFormatError(f"epsilon must be positive, got {epsilon}")
         if nu is not None and (not np.isfinite(nu) or nu <= 0):
@@ -172,26 +191,57 @@ def build_problem(
     elif x0 is not None:
         x0 = np.array(x0, dtype=float)
 
-    fmat = np.vstack([vecs(symmetrize(Fi)) for Fi in fs_t]) if m else np.zeros((0, sym_dim(n)))
     return SdpProblem(
         n=n,
         m=m,
         f0=f0,
-        fs=fs_t,
+        fs=stack,
         b=b,
-        fmat=fmat,
+        fmat=vecs_stack(stack),
         x0=x0,
         epsilon=float(epsilon),
         nu=None if nu is None else float(nu),
-        problem_hash=compute_problem_hash(n, m, f0, fs_t, b),
+        problem_hash=compute_problem_hash(n, m, f0, stack, b),
     )
+
+
+def _numbers(obj: Any, name: str, kind: str, ndim: int | None = None) -> np.ndarray:
+    """Read JSON numbers (a number or nested lists of ``ndim`` levels, any
+    depth if None) as a float64 array.
+
+    Entry types are checked as parsed, because numpy would read a JSON
+    ``true`` as 1.0 and keep an integer beyond the float range as an object:
+    either, or anything else but ints and floats, is a ProblemFormatError
+    naming ``name``.
+    """
+    try:
+        arr = np.array(obj)
+    except ValueError:
+        raise ProblemFormatError(f"{name} is not {kind}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ProblemFormatError(f"{name} must be {kind}, got {arr.ndim}-d")
+    entries = [obj] if arr.ndim == 0 else obj
+    for _ in range(arr.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    odd = set(map(type, entries)) - {int, float}
+    if odd:
+        found = ", ".join(sorted(t.__name__ for t in odd))
+        raise ProblemFormatError(f"{name} is not {kind}: it holds {found}")
+    try:
+        arr = arr.astype(float)
+    except OverflowError:
+        raise ProblemFormatError(f"{name} has an integer beyond the float range") from None
+    if not np.all(np.isfinite(arr)):
+        raise ProblemFormatError(f"{name} contains non-finite entries")
+    return arr
 
 
 def load_problem(source: str | bytes) -> SdpProblem:
     """Parse a problem from JSON text.
 
     Expected keys: "F0" (n x n nested lists), "F" (list of m such matrices),
-    "b" (length-m list). Optional: "X0", "epsilon", "nu".
+    "b" (length-m list). Optional: "X0", "epsilon", "nu". Every entry must be
+    a JSON number within the float range; ``true`` is not read as 1.
     """
     try:
         data = json.loads(source)
@@ -204,34 +254,18 @@ def load_problem(source: str | bytes) -> SdpProblem:
             raise ProblemFormatError(f"problem file is missing required key {key!r}")
 
     def as_matrix(obj: Any, name: str) -> np.ndarray:
-        try:
-            M = np.array(obj, dtype=float)
-        except (TypeError, ValueError):
-            raise ProblemFormatError(f"{name} is not a numeric matrix") from None
-        if M.ndim != 2:
-            raise ProblemFormatError(f"{name} must be a 2-d matrix, got {M.ndim}-d")
-        if not np.all(np.isfinite(M)):
-            raise ProblemFormatError(f"{name} contains non-finite entries")
-        return M
+        return _numbers(obj, name, "a numeric matrix", ndim=2)
 
     f0 = as_matrix(data["F0"], "F0")
     if not isinstance(data["F"], list) or not data["F"]:
         raise ProblemFormatError('"F" must be a non-empty list of matrices')
     fs = [as_matrix(Fi, f"F{i + 1}") for i, Fi in enumerate(data["F"])]
-    try:
-        b = np.array(data["b"], dtype=float).ravel()
-    except (TypeError, ValueError):
-        raise ProblemFormatError('"b" is not a numeric vector') from None
-    if not np.all(np.isfinite(b)):
-        raise ProblemFormatError('"b" contains non-finite entries')
-
-    x0 = as_matrix(data["X0"], "X0") if "X0" in data and data["X0"] is not None else None
-    epsilon = data.get("epsilon", 1e-8)
+    b = _numbers(data["b"], '"b"', "a numeric vector").ravel()
+    x0 = as_matrix(data["X0"], "X0") if data.get("X0") is not None else None
+    epsilon = _numbers(data.get("epsilon", 1e-8), '"epsilon"', "a number", ndim=0)
     nu = data.get("nu")
-    if not isinstance(epsilon, (int, float)):
-        raise ProblemFormatError('"epsilon" must be a number')
-    if nu is not None and not isinstance(nu, (int, float)):
-        raise ProblemFormatError('"nu" must be a number when present')
+    if nu is not None:
+        nu = float(_numbers(nu, '"nu"', "a number", ndim=0))
     return build_problem(f0, fs, b, x0=x0, epsilon=float(epsilon), nu=nu)
 
 

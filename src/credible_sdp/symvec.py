@@ -88,6 +88,15 @@ def vecs(M: np.ndarray) -> np.ndarray:
     return M[i, j] * scale
 
 
+def vecs_stack(S: np.ndarray) -> np.ndarray:
+    """``vecs(symmetrize(Si))`` of every matrix Si of an (m, n, n) stack, as
+    the rows of one C-contiguous (m, n(n+1)/2) array, equal bit for bit to
+    stacking the rows one by one. Symmetry is not checked."""
+    S = np.asarray(S, dtype=float)
+    i, j, scale, _ = _layout(S.shape[-1])
+    return np.ascontiguousarray(0.5 * (S[:, i, j] + S[:, j, i]) * scale)
+
+
 def mats(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of ``vecs``: rebuild the symmetric matrix from its vector."""
     v = np.asarray(v, dtype=float).ravel()

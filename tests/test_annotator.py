@@ -20,15 +20,21 @@ from credible_sdp.annotator import (
 )
 from credible_sdp.linalg import sym_sqrt
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS
-from credible_sdp.problem import build_problem
+from credible_sdp.problem import build_problem, load_problem
 from credible_sdp.solver import NewtonStep, SolverOptions, assemble_newton, solve, take_step
 
 #: Proof traces of the bundled example, written by earlier solvers and kept
 #: byte for byte: traces already in the wild must keep re-checking clean.
 #: Never regenerate them to make a test pass. GOLDEN_TRACE is schema cts-1,
 #: which stores every iterate; GOLDEN_CTS2 is the first cts-2 trace.
+#: GOLDEN_N6 is a cts-2 trace of a random n = 6, m = 21 problem (the file
+#: GOLDEN_N6_PROBLEM, ``problem_gen.random_problem`` with rng seed 7): at
+#: m > 3 the order in which sums over the constraints round shows in the
+#: stored measured values, which n = 2 cannot pin.
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
+GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_cts2.cts"
+GOLDEN_N6_PROBLEM = Path(__file__).parent / "golden" / "random_n6_problem.json"
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +261,15 @@ def test_golden_cts2_trace_checks_clean(example_problem):
     assert result.findings == []
     assert result.iterations == 56
     assert result.records_checked == 16 + 56 * 12
+
+
+def test_golden_n6_trace_checks_clean():
+    prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
+    assert (prob.n, prob.m) == (6, 21)
+    result = check_trace(GOLDEN_N6.read_bytes(), prob)
+    assert result.findings == []
+    assert result.iterations == 30
+    assert result.records_checked == 16 + 30 * 12
 
 
 @pytest.mark.parametrize("to_schema", [LEGACY_SCHEMA, TRACE_SCHEMA])

@@ -264,6 +264,26 @@ def test_malformed_problem_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("epsilon", 10**400), ("nu", 10**400), ("b", 10**400), ("epsilon", True), ("F0", True)],
+    ids=["epsilon-int1e400", "nu-int1e400", "b-int1e400", "epsilon-true", "F0-true"],
+)
+def test_problem_numbers_numpy_would_coerce_exit_one(capsys, tmp_path, problem_file, field, value):
+    data = json.loads(problem_file.read_text())
+    if isinstance(data.get(field), list):
+        target = data[field] if field == "b" else data[field][1]
+        target[1] = value
+    else:
+        data[field] = value
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f'error: "{field}"' if field != "F0" else "error: F0")
+    assert "Traceback" not in err
+
+
 def test_problem_with_rejected_warm_start(capsys, tmp_path, problem_file):
     data = json.loads(problem_file.read_text())
     data["X0"] = (100.0 * np.eye(2)).tolist()

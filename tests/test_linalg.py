@@ -167,6 +167,14 @@ def test_frob_norm_matches_numpy():
     assert frob_norm(A) == pytest.approx(5.0)
 
 
+def test_frob_norm_gives_numpys_bits_in_any_layout():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 6, 16):
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-8, 8, size=(n, n))
+        for M in (A, np.asfortranarray(A), A.T, A[::-1], (A @ A)[:, ::2]):
+            assert frob_norm(M) == float(np.linalg.norm(M, "fro"))
+
+
 @given(st.integers(1, 6), seeds)
 def test_trace_inner_matches_trace_of_product(n, seed):
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from problem_gen import random_problem
 
 from credible_sdp.linalg import PD_TOL
 from credible_sdp.monitor import (
@@ -13,6 +14,7 @@ from credible_sdp.monitor import (
     INIT_IDS,
     LOOP_IDS,
     THETA,
+    _fold,
     check_initialization,
     check_iteration,
     init_anchor,
@@ -25,6 +27,7 @@ from credible_sdp.solver import (
     SolverOptions,
     default_options,
     initialize,
+    solve,
 )
 
 F1 = np.diag([1.0, -1.0])
@@ -233,3 +236,77 @@ def test_sweeps_never_raise_on_asymmetric_garbage(example_problem):
     )
     records = check_initialization(example_problem, state, SolverOptions())
     assert len(records) == len(INIT_IDS)
+
+
+# -- sums over the constraint stack ------------------------------------------------------
+
+
+def _loop_fold(start, coeffs, fs):
+    """The per-constraint loop the stacked sums replaced."""
+    acc = np.array(start, dtype=float) + np.zeros(fs[0].shape)
+    for ci, Fi in zip(coeffs, fs):
+        acc = acc + ci * Fi
+    return acc
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", [1, 3, 9, 21, 40])
+def test_fold_adds_left_to_right_like_the_loop(n, m):
+    # nine or more terms is where a pairwise sum would start to differ; 1 x 1
+    # matrices are where numpy's axis-0 reduce would sum pairwise
+    rng = np.random.default_rng([n, m])
+    for _ in range(20):
+        F = rng.normal(size=(m, n, n)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1, 1))
+        coeffs = rng.normal(size=m) * 10.0 ** rng.uniform(-12, 2, size=m)
+        coeffs[rng.random(m) < 0.2] = -0.0
+        F[rng.random(F.shape) < 0.1] = 0.0
+        for start in (0.0, rng.normal(size=(n, n))):
+            expected = _loop_fold(start, coeffs, list(F))
+            np.testing.assert_array_equal(_bits(_fold(start, coeffs, F)), _bits(expected))
+
+
+def test_i9_primal_residual_is_the_loop_residual_bit_for_bit():
+    prob = random_problem(np.random.default_rng(7), n=6)
+    report = solve(prob)
+    rng = np.random.default_rng(1)
+    for snap in report.snapshots[:5]:
+        dp = snap.step.dp * 10.0 ** rng.uniform(-12, 2, size=prob.m)
+        dp[rng.random(prob.m) < 0.2] = -0.0
+        for step in (snap.step, _copy_step(snap.step, dp=dp)):
+            by_id = {rec.id: rec for rec in check_iteration(prob, snap.state, step)}
+            loop = float(np.linalg.norm(_loop_fold(0.0, step.dp, prob.fs) + step.dX, "fro"))
+            assert by_id["I9"].detail["primal_residual"] == loop
+
+
+def test_fi_symmetric_names_the_first_of_equally_asymmetric_matrices():
+    skew = np.array([[0.0, 1e-3], [0.0, 0.0]])
+    fs = [F1, F1 + skew, F1 + 0.5 * skew, -F1 - skew.T]
+    prob = build_problem(np.eye(2), fs, np.zeros(4), validate=False)
+    state = _identity_state(2, 4)
+    rec = {r.id: r for r in check_initialization(prob, state, SolverOptions())}["init-fi-symmetric"]
+    assert rec.detail["worst_index"] == 2
+    assert rec.measured == 1e-3 and not rec.passed
+
+
+def test_sweeps_render_no_anchor_text(example_problem, monkeypatch):
+    # cts-2 traces store no anchors, so neither the solve nor its check
+    # renders one; a record renders its anchor only when it is read
+    from credible_sdp import monitor
+    from credible_sdp.annotator import check_trace, write_trace
+
+    def refuse(*args):
+        raise AssertionError("an anchor was rendered")
+
+    monkeypatch.setattr(monitor, "loop_anchor", refuse)
+    monkeypatch.setattr(monitor, "init_anchor", refuse)
+    report = solve(example_problem)
+    assert check_trace(write_trace(report), example_problem).clean
+    monkeypatch.undo()
+    rec = report.snapshots[0].records[2]
+    assert rec.anchor == loop_anchor("I3", rec.sigma) == "phi-0.76*phim<0"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.sigma = 0.5

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +18,18 @@ from credible_sdp.problem import (
     load_problem_file,
     running_example,
 )
-from credible_sdp.symvec import sym_dim, vecs
+from credible_sdp.symvec import require_symmetric, sym_dim, symmetrize, vecs
+
+GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_problem.json"
 
 F0 = np.array([[2.0, 0.0], [0.0, 1.0]])
 F1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 B = np.array([0.5, -0.25])
+
+
+def running_example_json() -> str:
+    return resources.files("credible_sdp").joinpath("data/running_example.json").read_text()
 
 
 def toy_problem(**kwargs):
@@ -50,6 +58,47 @@ def test_fmat_rows_are_vectorized_constraints(example_problem):
     prob = example_problem
     for i, Fi in enumerate(prob.fs):
         np.testing.assert_array_equal(prob.fmat[i], vecs(Fi))
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_constraints_are_one_c_contiguous_stack(order):
+    # m = 21 at n = 6; Fortran-ordered inputs must not leak into the layout,
+    # since the BLAS order of fmat @ v (and so init-dual-feasibility's
+    # measured value) follows the layout of fmat
+    rng = np.random.default_rng(7)
+    n, m = 6, sym_dim(6)
+    fs = [np.asarray(symmetrize(rng.normal(size=(n, n))), order=order) for _ in range(m)]
+    # a signed zero and an asymmetry at rounding level must come through as is
+    fs[3][0, 1], fs[3][1, 0] = -0.0, 0.0
+    fs[4][1, 2] += 1e-15
+    prob = build_problem(np.eye(n), fs, rng.normal(size=m))
+    assert prob.fstack.shape == (m, n, n)
+    assert prob.fstack.flags.c_contiguous and prob.fmat.flags.c_contiguous
+    assert isinstance(prob.fs, tuple) and len(prob.fs) == m
+    for Fi_in, Fi, row in zip(fs, prob.fs, prob.fmat):
+        assert np.shares_memory(Fi, prob.fstack)
+        np.testing.assert_array_equal(_bits(Fi), _bits(Fi_in))
+        np.testing.assert_array_equal(_bits(row), _bits(vecs(symmetrize(Fi))))
+
+
+def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
+    # F0 and X0 are tested by require_symmetric (F0 twice: is_pd tests it
+    # again); the m constraint matrices by one test over their stack
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(kwargs.get("what"))
+        return require_symmetric(a, *args, **kwargs)
+
+    for module in ("symvec", "problem", "linalg"):
+        monkeypatch.setattr(f"credible_sdp.{module}.require_symmetric", counted)
+    prob = load_problem(GOLDEN_N6.read_text())
+    assert prob.m == 21
+    assert sorted(calls) == ["F0", "X0", "eigenvalue input"]
 
 
 # -- construction and validation ----------------------------------------------
@@ -98,6 +147,18 @@ def test_build_rejects_asymmetric_constraint():
         build_problem(F0, [np.array([[0.0, 1.0], [0.0, 0.0]])], [0.0])
 
 
+def test_the_first_asymmetric_constraint_is_named():
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ProblemFormatError) as exc:
+        build_problem(F0, [F1, skew, 3.0 * skew], [0.0, 0.0, 0.0])
+    assert str(exc.value) == "F2 is not symmetric: max |a - a.T| = 1.000e+00"
+    # the relative tolerance: 1e-12 * max(1, max |Fi|)
+    big = np.array([[1e6, 1e6], [1e6 * (1 + 1e-13), 1e6]])
+    assert build_problem(F0, [big], [0.0]).m == 1
+    with pytest.raises(ProblemFormatError, match="F1 is not symmetric"):
+        build_problem(F0, [big + [[0.0, 0.0], [1e-5, 0.0]]], [0.0])
+
+
 def test_build_rejects_bad_scalars():
     with pytest.raises(ProblemFormatError):
         toy_problem(epsilon=0.0)
@@ -128,6 +189,10 @@ def test_direct_dataclass_construction_skips_validation():
         fmat=vecs(F1)[None, :],
     )
     assert prob.epsilon == 1e-8 and prob.nu is None
+    # the matrices given are copied into one stack, and fs are its rows
+    assert prob.fstack.shape == (1, 2, 2) and prob.fstack.flags.c_contiguous
+    np.testing.assert_array_equal(prob.fs[0], F1)
+    assert np.shares_memory(prob.fs[0], prob.fstack)
 
 
 # -- hashing --------------------------------------------------------------------
@@ -239,6 +304,55 @@ def test_load_rejects_ragged_matrix():
 def test_load_rejects_empty_constraint_list():
     with pytest.raises(ProblemFormatError):
         load_problem(json.dumps({"F0": F0.tolist(), "F": [], "b": []}))
+
+
+def _example_payload() -> dict:
+    return json.loads(running_example_json())
+
+
+_ENTRIES = [
+    ("epsilon", ()),
+    ("nu", ()),
+    ("b", (1,)),
+    ("F0", (1, 1)),
+    ("F", (2, 1, 1)),
+    ("X0", (0, 0)),
+]
+_COERCED = {"true": True, "false": False, "int1e400": 10**400, "-int1e400": -(10**400),
+            "null": None, "string": "1"}
+
+
+@pytest.mark.parametrize(
+    "field,path,value",
+    [
+        pytest.param(field, path, value, id=f"{field}-{label}")
+        for field, path in _ENTRIES
+        for label, value in _COERCED.items()
+        if (field, value) != ("nu", None)  # "nu": null means no nu
+    ],
+)
+def test_load_refuses_entries_numpy_would_coerce(field, path, value):
+    # a JSON true would read as 1.0 and 10**400 would escape as OverflowError
+    data = _example_payload()
+    if path:
+        target = data[field]
+        for i in path[:-1]:
+            target = target[i]
+        target[path[-1]] = value
+    else:
+        data[field] = value
+    name = f"F{path[0] + 1}" if field == "F" else field
+    with pytest.raises(ProblemFormatError, match=name):
+        load_problem(json.dumps(data))
+
+
+def test_load_still_reads_integers_within_float_range():
+    data = _example_payload()
+    data["b"] = [10**30, 0, -(2**63)]
+    data["epsilon"] = 1
+    prob = load_problem(json.dumps(data))
+    assert prob.b.tolist() == [1e30, 0.0, -(2.0**63)]
+    assert prob.epsilon == 1.0 and type(prob.epsilon) is float
 
 
 def test_load_rejects_non_numeric_epsilon():
