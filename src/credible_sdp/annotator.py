@@ -27,11 +27,11 @@ invalid header fields) raises ``TraceFormatError``.
 Traces of the older schema ``cts-1`` are still read. Its lines are the
 ``cts-2`` lines plus derived keys (each iteration line also stores the
 iterates, gaps and mu, each record its anchor, phase and iteration, the
-header ``options.lsqr_tol``), and its problem hash is taken over the
-constraint data written as ``.17g`` text. The builders emit those keys when
-asked for ``cts-1``, and a ``cts-1`` replay steps from each line's stored
-point, so a tampered iterate is flagged where it is stored and where the
-next line steps from it.
+header ``options.lsqr_tol``, always ``LEGACY_LSQR_TOL``), and its problem
+hash is taken over the constraint data written as ``.17g`` text. The
+builders emit those keys when asked for ``cts-1``, and a ``cts-1`` replay
+steps from each line's stored point, so a tampered iterate is flagged where
+it is stored and where the next line steps from it.
 
 ``emit_annotated_listing`` renders the solver algorithm for a concrete
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import monitor
-from .linalg import LSQR_TOL, PD_TOL, sym_inv, sym_sqrt, trace_inner
+from .linalg import PD_TOL, sym_inv, sym_sqrt, trace_inner
 from .problem import SdpProblem
 from .solver import (
     IterateState,
@@ -70,6 +70,8 @@ TOOL_VERSION = "0.1.0"
 TRACE_SCHEMA = "cts-2"
 #: The earlier schema, still read: ``TRACE_SCHEMA`` lines plus derived keys.
 LEGACY_SCHEMA = "cts-1"
+#: The least-squares tolerance every ``cts-1`` header states.
+LEGACY_LSQR_TOL = 1e-9
 VECTORIZATION = "vecs-sqrt2"
 BACKEND = "numpy.linalg (eigh, lstsq, pinv)"
 BUDGET_BASIS = "ceil(log(trace(X0*Z0)/epsilon)/log(1/sigma))"
@@ -152,7 +154,7 @@ def _header_obj(
         },
     }
     if schema == LEGACY_SCHEMA:
-        obj["options"]["lsqr_tol"] = LSQR_TOL
+        obj["options"]["lsqr_tol"] = LEGACY_LSQR_TOL
     return obj
 
 
@@ -689,17 +691,13 @@ class AnnotatedListing:
         return "\n".join(self.lines) + "\n"
 
 
-def _fmt_num(x: float) -> str:
-    return repr(float(x))
-
-
 def _mat_literal(M: np.ndarray) -> str:
     rows = np.asarray(M, dtype=float).tolist()
     return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
 
 
 def _vec_literal(v: np.ndarray) -> str:
-    return "[" + ";".join(_fmt_num(x) for x in np.asarray(v, dtype=float).ravel().tolist()) + "]"
+    return "[" + ";".join(map(repr, np.asarray(v, dtype=float).ravel().tolist())) + "]"
 
 
 def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
@@ -740,8 +738,8 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     rows = ";".join(f"vecs(F{i})" for i in range(1, prob.m + 1))
     code(f"F = [{rows}];")
     code(f"b = {_vec_literal(prob.b)};")
-    code(f"epsilon = {_fmt_num(opts.epsilon)};")
-    code(f"sigma = {_fmt_num(sigma)};")
+    code(f"epsilon = {monitor.fmt_num(opts.epsilon)};")
+    code(f"sigma = {monitor.fmt_num(sigma)};")
     req("init-f0-pd", ia("init-f0-pd"))
     req("init-fi-symmetric", ia("init-fi-symmetric"))
     req("init-size", ia("init-size"))
@@ -771,7 +769,7 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     blank()
     comment("--- Newton system invariants -------------------------------------------")
     comment("Z never moves, so its scaling pair, H and a factor of transpose(F) are")
-    comment("computed once. H is kept only to check dXm against its equation.")
+    comment("computed once. H is kept for inspection: no statement below reads it.")
     code("Zh = Z^0.5;")
     code("Zhi = Zh^-1;")
     code("H = krons(Zhi*Z,Zh,n);")
@@ -786,8 +784,8 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     code("Xm = X; Zm = Z; pm = p;")
     code("mu = trace(Xm*Zm)/n;")
     code("r = sigma*mu*eye(n,n)-Zh*Xm*Zh;")
-    comment("minimum-norm solutions; the solver checks H*dXm==vecs(r) and")
-    comment("transpose(F)*dpm==-dXm to lsqr_tol. inv(H) is krons(Zhi,Zhi,n).")
+    comment("minimum-norm solutions of H*dXm==vecs(r) and transpose(F)*dpm==-dXm;")
+    comment("inv(H) is krons(Zhi,Zhi,n). I10 checks the first equation, I9 the second.")
     code("dZm = zeros(n*(n+1)/2,1);")
     code("dXm = vecs(Zhi*r*Zhi);")
     code("dpm = -Fti*dXm;")

@@ -22,13 +22,11 @@ from pathlib import Path
 from .annotator import (
     LISTING_FLAVORS,
     TOOL_VERSION,
-    TraceFormatError,
     check_trace,
     emit_annotated_listing,
     write_trace,
 )
-from .linalg import LsqrContractViolation, NotPositiveDefiniteError
-from .problem import ProblemFormatError, SdpProblem, load_problem_file, running_example
+from .problem import SdpProblem, load_problem_file, running_example
 from .solver import (
     DEFAULT_NU,
     DEFAULT_SIGMA,
@@ -39,7 +37,6 @@ from .solver import (
     sigma_from_nu,
     solve,
 )
-from .symvec import DimensionError, SymmetryError
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors on stderr and exits 1, not 2."""
@@ -251,17 +248,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        OSError,
-        ProblemFormatError,
-        TraceFormatError,
-        InitializationError,
-        NotPositiveDefiniteError,
-        LsqrContractViolation,
-        SymmetryError,
-        DimensionError,
-        ValueError,
-    ) as exc:
+    # ValueError covers the format, symmetry, dimension and PD errors
+    except (OSError, ValueError, InitializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -123,13 +123,13 @@ _LOOP_BY_ID = dict(_LOOP_TEMPLATES)
 _INIT_BY_ID = dict(_INIT_TEMPLATES)
 
 
-def _fmt(x: float) -> str:
+def fmt_num(x: float) -> str:
     """Shortest round-tripping decimal form, e.g. 0.75 -> '0.75'."""
     return repr(float(x))
 
 
 def _render(template: str, sigma: float) -> str:
-    return template.format(sigma=_fmt(sigma), sigma1=_fmt(sigma + 0.01))
+    return template.format(sigma=fmt_num(sigma), sigma1=fmt_num(sigma + 0.01))
 
 
 def loop_anchor(record_id: str, sigma: float) -> str:

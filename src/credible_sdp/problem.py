@@ -14,7 +14,9 @@ together with its primal
 
 ``SdpProblem`` itself is a plain record: direct construction performs no
 validation, so checkers can be exercised on deliberately broken data.
-``build_problem`` and ``load_problem`` are the validating entry points.
+``build_problem`` and ``load_problem`` are the validating entry points. They
+also admit only problems the solver can solve: m = n(n+1)/2 linearly
+independent F1..Fm, so that every Newton direction has an exact dp.
 
 The constraint matrices F1..Fm are held once, in one C-contiguous (m, n, n)
 array, so checks over all of them are single numpy expressions.
@@ -136,9 +138,13 @@ def build_problem(
     x0: np.ndarray | None = None,
     epsilon: float = 1e-8,
     nu: float | None = None,
-    validate: bool = True,
 ) -> SdpProblem:
-    """Validate and assemble an SdpProblem from its constituent arrays."""
+    """Validate, admit and assemble an SdpProblem from its constituent arrays.
+
+    Admission: each Newton step solves sum(dp[i] * Fi) = -dX for a symmetric
+    dX that can be any symmetric matrix, so F1..Fm must be a basis of the
+    symmetric n x n matrices: m = n(n+1)/2 and linearly independent.
+    """
     f0 = np.array(f0, dtype=float)
     fs = [np.asarray(Fi, dtype=float) for Fi in fs]
     b = np.array(b, dtype=float).ravel()
@@ -147,49 +153,61 @@ def build_problem(
     n = f0.shape[0]
     m = len(fs)
 
-    if validate:
-        if n < 1:
-            raise ProblemFormatError("matrix dimension must be at least 1")
-        if m < 1:
-            raise ProblemFormatError("at least one constraint matrix is required")
-        if b.shape[0] != m:
-            raise ProblemFormatError(
-                f"b has length {b.shape[0]} but there are {m} constraint matrices"
-            )
+    if n < 1:
+        raise ProblemFormatError("matrix dimension must be at least 1")
+    if m < 1:
+        raise ProblemFormatError("at least one constraint matrix is required")
+    if b.shape[0] != m:
+        raise ProblemFormatError(
+            f"b has length {b.shape[0]} but there are {m} constraint matrices"
+        )
+    try:
+        f0 = require_symmetric(f0, tol=LOAD_SYMMETRY_TOL, what="F0")
+    except symvec.SymmetryError as exc:
+        raise ProblemFormatError(str(exc)) from None
+    if not is_pd(f0):
+        raise ProblemFormatError("F0 must be positive definite")
+    for i, Fi in enumerate(fs):
+        if Fi.shape != (n, n):
+            raise ProblemFormatError(f"F{i + 1} has shape {Fi.shape}, expected {(n, n)}")
+    stack = np.array(fs, dtype=float).reshape(m, n, n)
+    # require_symmetric's test, on every matrix of the stack at once
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise ProblemFormatError(f"F{i + 1} is not symmetric: max |a - a.T| = {asym[i]:.3e}")
+    if not np.isfinite(epsilon) or epsilon <= 0:
+        raise ProblemFormatError(f"epsilon must be positive, got {epsilon}")
+    if nu is not None and (not np.isfinite(nu) or nu <= 0):
+        raise ProblemFormatError(f"nu must be positive when given, got {nu}")
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (n, n):
+            raise ProblemFormatError(f"X0 has shape {x0.shape}, expected {(n, n)}")
         try:
-            f0 = require_symmetric(f0, tol=LOAD_SYMMETRY_TOL, what="F0")
+            x0 = require_symmetric(x0, tol=LOAD_SYMMETRY_TOL, what="X0")
         except symvec.SymmetryError as exc:
             raise ProblemFormatError(str(exc)) from None
-        if not is_pd(f0):
-            raise ProblemFormatError("F0 must be positive definite")
-        for i, Fi in enumerate(fs):
-            if Fi.shape != (n, n):
-                raise ProblemFormatError(
-                    f"F{i + 1} has shape {Fi.shape}, expected {(n, n)}"
-                )
-    stack = np.array(fs, dtype=float).reshape(m, n, n)
-    if validate:
-        # require_symmetric's test, on every matrix of the stack at once
-        asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-        scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-        bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
-        if bad.size:
-            i = bad[0]
-            raise ProblemFormatError(f"F{i + 1} is not symmetric: max |a - a.T| = {asym[i]:.3e}")
-        if not np.isfinite(epsilon) or epsilon <= 0:
-            raise ProblemFormatError(f"epsilon must be positive, got {epsilon}")
-        if nu is not None and (not np.isfinite(nu) or nu <= 0):
-            raise ProblemFormatError(f"nu must be positive when given, got {nu}")
-        if x0 is not None:
-            x0 = np.array(x0, dtype=float)
-            if x0.shape != (n, n):
-                raise ProblemFormatError(f"X0 has shape {x0.shape}, expected {(n, n)}")
-            try:
-                x0 = require_symmetric(x0, tol=LOAD_SYMMETRY_TOL, what="X0")
-            except symvec.SymmetryError as exc:
-                raise ProblemFormatError(str(exc)) from None
-    elif x0 is not None:
-        x0 = np.array(x0, dtype=float)
+
+    if m != symvec.sym_dim(n):
+        raise ProblemFormatError(
+            f"m = n(n+1)/2 constraint matrices are required, so that every "
+            f"symmetric direction dX is a combination of F1..Fm: n = {n} needs "
+            f"{symvec.sym_dim(n)}, got m = {m}"
+        )
+    fmat = vecs_stack(stack)
+    # matrix_rank's test, keeping the singular values for cond(F)
+    sv = np.linalg.svd(fmat, compute_uv=False)
+    rank = int(np.count_nonzero(sv > sv[0] * m * np.finfo(float).eps))
+    if rank < m:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sv[0] / sv[-1]
+        raise ProblemFormatError(
+            f"F1..Fm must be linearly independent: rank(F) = {rank} < m = {m} "
+            f"(cond(F) = {cond:.3e})"
+        )
 
     return SdpProblem(
         n=n,
@@ -197,7 +215,7 @@ def build_problem(
         f0=f0,
         fs=stack,
         b=b,
-        fmat=vecs_stack(stack),
+        fmat=fmat,
         x0=x0,
         epsilon=float(epsilon),
         nu=None if nu is None else float(nu),

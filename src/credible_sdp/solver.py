@@ -17,10 +17,13 @@ equation loses its dZ coupling term krons(Zhi, Zh @ X) @ vecs(dZ). Zh, Zhi,
 H and a factor of F' are therefore computed once per solve
 (``prepare_newton``). A step then costs O(n^3): krons(Zh, Zh) has the
 closed-form inverse krons(Zhi, Zhi), so dX = Zhi @ r @ Zhi, and dp comes from
-the stored pseudo-inverse of F'. Both are checked against their equations
-with the consistency contract of a least-squares solve
-(``LsqrContractViolation`` naming "newton-dX" or "newton-dp"). The full step
-(length 1) is always taken.
+the stored pseudo-inverse of F'. The full step (length 1) is always taken.
+
+The solver does not check the directions itself: contract I10 checks dX
+against the Newton equation with its right-hand side recomputed, and I9
+checks dZ and dp against the feasibility equations. Every problem that
+``problem.build_problem`` admits has m = n(n+1)/2 independent constraints,
+so F' is invertible and dp solves its equation for any dX.
 
 Every iteration is checked against its runtime contracts by the ``monitor``
 module; ``solve`` returns a report bundling the trajectory with the per-step
@@ -39,7 +42,6 @@ import numpy as np
 from .linalg import (
     frob_norm,
     lsqr_solve,
-    require_consistent,
     require_pd,
     sym_inv,
     sym_sqrt,
@@ -168,9 +170,10 @@ class NewtonScaling:
     """The loop invariants of the Newton system, computed once per solve.
 
     The dual iterate Z never moves, so neither do its scaling pair (Zh, Zhi)
-    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``; H is kept only to
-    check each dX against its equation. ``ft_pinv`` is the pseudo-inverse
-    of F': it maps a right-hand side to the minimum-norm dp, as lstsq would.
+    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``. H is kept for
+    inspection only: no step or contract reads it. ``ft_pinv`` is the
+    pseudo-inverse of F': it maps a right-hand side to the minimum-norm dp,
+    as lstsq would.
     """
 
     Zh: np.ndarray
@@ -185,7 +188,7 @@ class NewtonStep:
 
     ``mu`` and ``sigma`` are the values used to build the right-hand side
     (mu is the gap of the point being stepped FROM, divided by n). H and r
-    are kept for inspection (H is the one array of the solve's
+    are kept for inspection only (H is the one array of the solve's
     NewtonScaling); contract checking never reads them, so a step
     reconstructed from a trace may leave them as None.
     """
@@ -236,22 +239,15 @@ def assemble_newton(
 
 
 def solve_newton(prob: SdpProblem, step: NewtonStep, scaling: NewtonScaling) -> NewtonStep:
-    """Fill in (dZ, dX, dp) and check dX and dp against their equations.
+    """Fill in dX and dp; dZ stays the zero ``assemble_newton`` set.
 
     dZ is the minimum-norm solution of F @ vecs(dZ) = 0, which is exactly 0.
     dX = Zhi @ r @ Zhi inverts H in closed form; dp is the minimum-norm
-    solution of F' @ dp = -vecs(dX).
+    solution of F' @ dp = -vecs(dX). Contracts I10 and I9 check both.
     """
-    r_vec = vecs(step.r)
     dX = symmetrize(scaling.Zhi @ step.r @ scaling.Zhi)
-    dX_vec = vecs(dX)
-    require_consistent(scaling.H, dX_vec, r_vec, equation="newton-dX")
-    dp_rhs = -dX_vec
-    dp = scaling.ft_pinv @ dp_rhs
-    require_consistent(prob.fmat.T, dp, dp_rhs, equation="newton-dp")
-    step.dZ = np.zeros((prob.n, prob.n))
     step.dX = dX
-    step.dp = dp
+    step.dp = scaling.ft_pinv @ -vecs(dX)
     return step
 
 

@@ -51,7 +51,7 @@ mu = phi/n;
 
 % --- Newton system invariants -------------------------------------------
 % Z never moves, so its scaling pair, H and a factor of transpose(F) are
-% computed once. H is kept only to check dXm against its equation.
+% computed once. H is kept for inspection: no statement below reads it.
 Zh = Z^0.5;
 Zhi = Zh^-1;
 H = krons(Zhi*Z,Zh,n);
@@ -66,8 +66,8 @@ while phi > epsilon
   Xm = X; Zm = Z; pm = p;
   mu = trace(Xm*Zm)/n;
   r = sigma*mu*eye(n,n)-Zh*Xm*Zh;
-  % minimum-norm solutions; the solver checks H*dXm==vecs(r) and
-  % transpose(F)*dpm==-dXm to lsqr_tol. inv(H) is krons(Zhi,Zhi,n).
+  % minimum-norm solutions of H*dXm==vecs(r) and transpose(F)*dpm==-dXm;
+  % inv(H) is krons(Zhi,Zhi,n). I10 checks the first equation, I9 the second.
   dZm = zeros(n*(n+1)/2,1);
   dXm = vecs(Zhi*r*Zhi);
   dpm = -Fti*dXm;

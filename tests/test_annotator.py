@@ -354,8 +354,8 @@ def test_replay_stops_at_a_step_it_cannot_redo(example_trace, golden_trace, exam
 def test_check_trace_rejects_wrong_problem(example_trace):
     other = build_problem(
         np.eye(2),
-        [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
-        [0.5, -0.25],
+        [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)],
+        [0.5, -0.25, 1.0],
     )
     with pytest.raises(TraceFormatError, match="hash"):
         check_trace(example_trace, other)
@@ -769,8 +769,8 @@ def test_listing_rejects_unknown_flavor(example_problem):
 def test_listing_requires_a_warm_start():
     prob = build_problem(
         np.eye(2),
-        [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
-        [0.5, -0.25],
+        [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)],
+        [0.5, -0.25, 1.0],
     )
     with pytest.raises(ValueError):
         emit_annotated_listing(prob)

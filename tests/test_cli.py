@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from credible_sdp.cli import exit_code_for, main, render_report
-from credible_sdp.solver import SolveStatus, assemble_newton
+from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -140,6 +140,29 @@ def test_check_trace_exits_two_when_the_trace_records_failed_contracts(
     assert not out.startswith("trace OK")
     assert f"contracts FAILED: {', '.join(failed)};" in out
     assert "no findings" in out
+
+
+def _skewed_operator(prob, step, scaling):
+    # dX from a wrong inverse of H (Zhi 0.5 % too large); the step, and so
+    # every contract, keeps the true scaling pair
+    return solve_newton(prob, step, dataclasses.replace(scaling, Zhi=1.005 * scaling.Zhi))
+
+
+def test_a_wrong_direction_is_evidence_in_the_trace(capsys, problem_file, tmp_path, monkeypatch):
+    trace_path = tmp_path / "run.trace"
+    monkeypatch.setattr("credible_sdp.solver.solve_newton", _skewed_operator)
+    code, out, _ = run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
+    assert code == 2
+    assert "status:      Converged" in out and "I10" in out
+    code, out, _ = run_cli(capsys, "solve", "--problem", str(problem_file), "--mode", "strict")
+    assert code == 2
+    assert "status:      InvariantViolation" in out
+    monkeypatch.undo()
+    code, out, _ = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(trace_path)
+    )
+    assert code == 2
+    assert re.match(r"trace consistent, contracts FAILED: [^;]*\bI10\b[^;]*; .* no findings$", out)
 
 
 def test_solve_strict_mode_violation_exit_code(capsys, problem_file, monkeypatch):
@@ -281,6 +304,27 @@ def test_problem_numbers_numpy_would_coerce_exit_one(capsys, tmp_path, problem_f
     code, out, err = run_cli(capsys, "solve", "--problem", str(path))
     assert code == 1 and out == ""
     assert err.startswith(f'error: "{field}"' if field != "F0" else "error: F0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fs,rule",
+    [
+        (lambda fs: fs[:2], "n = 2 needs 3, got m = 2"),
+        (lambda fs: [fs[0], fs[1], (np.array(fs[0]) + np.array(fs[1])).tolist()],
+         "rank(F) = 2 < m = 3"),
+    ],
+    ids=["too-few-constraints", "dependent-constraints"],
+)
+def test_unadmitted_problem_exits_one(capsys, tmp_path, problem_file, fs, rule):
+    data = json.loads(problem_file.read_text())
+    data["F"] = fs(data["F"])
+    data["b"] = data["b"][: len(data["F"])]
+    path = tmp_path / "unadmitted.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and rule in err
     assert "Traceback" not in err
 
 

@@ -20,7 +20,7 @@ from credible_sdp.monitor import (
     init_anchor,
     loop_anchor,
 )
-from credible_sdp.problem import build_problem
+from credible_sdp.problem import SdpProblem
 from credible_sdp.solver import (
     IterateState,
     NewtonStep,
@@ -29,9 +29,20 @@ from credible_sdp.solver import (
     initialize,
     solve,
 )
+from credible_sdp.symvec import vecs_stack
 
 F1 = np.diag([1.0, -1.0])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _unchecked_problem(f0, fs, b) -> SdpProblem:
+    """A problem built without validation or admission, as build_problem
+    would assemble it."""
+    stack = np.array(fs, dtype=float)
+    return SdpProblem(
+        n=stack.shape[1], m=len(stack), f0=np.asarray(f0, dtype=float), fs=stack,
+        b=np.asarray(b, dtype=float), fmat=vecs_stack(stack),
+    )
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -108,7 +119,7 @@ def _identity_state(n, m, sigma=0.75):
 def test_initialization_sweep_reports_broken_inputs_without_raising():
     # an indefinite F0 is constructible with validation off, precisely so the
     # sweep can describe what is wrong with it
-    prob = build_problem(-np.eye(2), [F1, F2], [0.5, -0.25], validate=False)
+    prob = _unchecked_problem(-np.eye(2), [F1, F2], [0.5, -0.25])
     records = check_initialization(prob, _identity_state(2, 2), SolverOptions())
     assert [rec.id for rec in records] == list(INIT_IDS)
     failed = {rec.id for rec in records if not rec.passed}
@@ -285,7 +296,7 @@ def test_i9_primal_residual_is_the_loop_residual_bit_for_bit():
 def test_fi_symmetric_names_the_first_of_equally_asymmetric_matrices():
     skew = np.array([[0.0, 1e-3], [0.0, 0.0]])
     fs = [F1, F1 + skew, F1 + 0.5 * skew, -F1 - skew.T]
-    prob = build_problem(np.eye(2), fs, np.zeros(4), validate=False)
+    prob = _unchecked_problem(np.eye(2), fs, np.zeros(4))
     state = _identity_state(2, 4)
     rec = {r.id: r for r in check_initialization(prob, state, SolverOptions())}["init-fi-symmetric"]
     assert rec.detail["worst_index"] == 2

@@ -25,7 +25,8 @@ GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_problem.json"
 F0 = np.array([[2.0, 0.0], [0.0, 1.0]])
 F1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-B = np.array([0.5, -0.25])
+F3 = np.eye(2)
+B = np.array([0.5, -0.25, 1.0])
 
 
 def running_example_json() -> str:
@@ -33,7 +34,7 @@ def running_example_json() -> str:
 
 
 def toy_problem(**kwargs):
-    return build_problem(F0, [F1, F2], B, **kwargs)
+    return build_problem(F0, [F1, F2, F3], B, **kwargs)
 
 
 # -- bundled example ----------------------------------------------------------
@@ -106,7 +107,7 @@ def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
 
 def test_build_assembles_consistent_problem():
     prob = toy_problem(x0=np.eye(2), epsilon=1e-6, nu=0.5)
-    assert (prob.n, prob.m) == (2, 2)
+    assert (prob.n, prob.m) == (2, 3)
     assert prob.epsilon == 1e-6
     assert prob.nu == 0.5
     np.testing.assert_array_equal(prob.x0, np.eye(2))
@@ -154,7 +155,7 @@ def test_the_first_asymmetric_constraint_is_named():
     assert str(exc.value) == "F2 is not symmetric: max |a - a.T| = 1.000e+00"
     # the relative tolerance: 1e-12 * max(1, max |Fi|)
     big = np.array([[1e6, 1e6], [1e6 * (1 + 1e-13), 1e6]])
-    assert build_problem(F0, [big], [0.0]).m == 1
+    assert build_problem(F0, [big, F1, F2], [0.0, 0.0, 0.0]).m == 3
     with pytest.raises(ProblemFormatError, match="F1 is not symmetric"):
         build_problem(F0, [big + [[0.0, 0.0], [1e-5, 0.0]]], [0.0])
 
@@ -175,10 +176,69 @@ def test_build_rejects_bad_x0():
         toy_problem(x0=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+# -- admission -------------------------------------------------------------------
+
+
+def _underdetermined_n3():
+    rng = np.random.default_rng(5)
+    return np.eye(3), [symmetrize(rng.normal(size=(3, 3))) for _ in range(5)], np.zeros(5)
+
+
+def _dependent_square_set():
+    # m = 3 = n(n+1)/2 at n = 2, but F3 = F1 + F2
+    return F0, [F1, F2, F1 + F2], B
+
+
+def test_admission_needs_n_times_n_plus_one_over_two_constraints():
+    with pytest.raises(ProblemFormatError) as exc:
+        build_problem(*_underdetermined_n3())
+    assert str(exc.value) == (
+        "m = n(n+1)/2 constraint matrices are required, so that every symmetric "
+        "direction dX is a combination of F1..Fm: n = 3 needs 6, got m = 5"
+    )
+    with pytest.raises(ProblemFormatError, match="n = 2 needs 3, got m = 4"):
+        build_problem(F0, [F1, F2, F3, F1 - F3], [0.0] * 4)
+
+
+def test_admission_needs_independent_constraints():
+    with pytest.raises(ProblemFormatError) as exc:
+        build_problem(*_dependent_square_set())
+    assert str(exc.value).startswith(
+        "F1..Fm must be linearly independent: rank(F) = 2 < m = 3 (cond(F) = "
+    )
+    # a zero constraint leaves a zero singular value: cond(F) reads inf
+    zero_row = r"rank\(F\) = 2 < m = 3 \(cond\(F\) = inf\)"
+    with pytest.raises(ProblemFormatError, match=zero_row):
+        build_problem(F0, [F1, F2, 0.0 * F3], B)
+    with pytest.raises(ProblemFormatError, match=r"rank\(F\) = 0 < m = 1"):
+        build_problem(np.eye(1), [np.zeros((1, 1))], [0.0])
+
+
+@pytest.mark.parametrize("data", [_underdetermined_n3, _dependent_square_set])
+def test_load_refuses_what_admission_refuses(data):
+    f0, fs, b = data()
+    payload = {"F0": f0.tolist(), "F": [Fi.tolist() for Fi in fs], "b": list(b)}
+    with pytest.raises(ProblemFormatError, match="m = |linearly independent"):
+        load_problem(json.dumps(payload))
+
+
+def test_generated_and_golden_problems_are_admitted():
+    from problem_gen import random_problem
+
+    for seed in range(8):
+        for n in (1, 2, 3, 4, 6):
+            prob = random_problem(np.random.default_rng(seed), n=n)
+            assert prob.m == sym_dim(n)
+    assert load_problem(GOLDEN_N6.read_text()).m == sym_dim(6)
+
+
 def test_validation_can_be_bypassed_for_diagnostic_inputs():
     # deliberately broken data must be constructible so the initialization
     # contract sweep can run against it and report the failures
-    prob = build_problem(-np.eye(2), [F1, F2], B, validate=False)
+    prob = SdpProblem(
+        n=2, m=3, f0=-np.eye(2), fs=(F1, F2, F3), b=B,
+        fmat=np.array([vecs(F1), vecs(F2), vecs(F3)]),
+    )
     assert prob.n == 2
     assert not np.all(np.linalg.eigvalsh(prob.f0) > 0)
 
@@ -207,29 +267,29 @@ def test_hash_covers_constraints_only():
 
 def test_hash_changes_with_constraint_data():
     base = toy_problem()
-    changed_b = build_problem(F0, [F1, F2], [0.5, -0.2])
+    changed_b = build_problem(F0, [F1, F2, F3], [0.5, -0.2, 1.0])
     assert changed_b.problem_hash != base.problem_hash
-    changed_f = build_problem(F0, [F1, 2.0 * F2], B)
+    changed_f = build_problem(F0, [F1, 2.0 * F2, F3], B)
     assert changed_f.problem_hash != base.problem_hash
 
 
 def test_hash_function_is_deterministic():
-    h1 = compute_problem_hash(2, 2, F0, (F1, F2), B)
-    h2 = compute_problem_hash(2, 2, F0.copy(), (F1.copy(), F2.copy()), B.copy())
+    h1 = compute_problem_hash(2, 3, F0, (F1, F2, F3), B)
+    h2 = compute_problem_hash(2, 3, F0.copy(), (F1.copy(), F2.copy(), F3.copy()), B.copy())
     assert h1 == h2 and len(h1) == 64
 
 
 def test_hash_is_sha256_of_the_little_endian_bytes():
-    data = struct.pack("<2q", 2, 2)
-    data += b"".join(struct.pack("<4d", *M.ravel()) for M in (F0, F1, F2))
-    data += struct.pack("<2d", *B)
+    data = struct.pack("<2q", 2, 3)
+    data += b"".join(struct.pack("<4d", *M.ravel()) for M in (F0, F1, F2, F3))
+    data += struct.pack("<3d", *B)
     base = toy_problem().problem_hash
     assert base == hashlib.sha256(data).hexdigest()
     # row by row whatever the memory layout; equal bits, not equal values
-    assert compute_problem_hash(2, 2, np.asfortranarray(F0), (F1, F2), B) == base
+    assert compute_problem_hash(2, 3, np.asfortranarray(F0), (F1, F2, F3), B) == base
     signed_zero = F1.copy()
     signed_zero[0, 1] = -0.0
-    assert compute_problem_hash(2, 2, F0, (signed_zero, F2), B) != base
+    assert compute_problem_hash(2, 3, F0, (signed_zero, F2, F3), B) != base
 
 
 def _text_hash_by_generator(prob) -> str:
@@ -257,14 +317,14 @@ def test_text_hash_matches_the_generator_it_replaced(example_problem):
 def test_load_problem_roundtrip(tmp_path):
     payload = {
         "F0": F0.tolist(),
-        "F": [F1.tolist(), F2.tolist()],
+        "F": [F1.tolist(), F2.tolist(), F3.tolist()],
         "b": B.tolist(),
         "X0": np.eye(2).tolist(),
         "epsilon": 1e-7,
         "nu": 0.3,
     }
     prob = load_problem(json.dumps(payload))
-    assert (prob.n, prob.m) == (2, 2)
+    assert (prob.n, prob.m) == (2, 3)
     assert prob.epsilon == 1e-7 and prob.nu == 0.3
     path = tmp_path / "p.json"
     path.write_text(json.dumps(payload))

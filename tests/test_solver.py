@@ -5,15 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from credible_sdp.linalg import (
-    LSQR_TOL,
-    LsqrContractViolation,
-    NotPositiveDefiniteError,
-    sym_inv,
-    sym_sqrt,
-)
-from credible_sdp.monitor import LOOP_IDS, THETA
-from credible_sdp.problem import build_problem
+from credible_sdp.linalg import NotPositiveDefiniteError, sym_inv, sym_sqrt
+from credible_sdp.monitor import EQUALITY_TOL, LOOP_IDS, THETA, check_iteration
+from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
 from credible_sdp.solver import (
     DEFAULT_NU,
     DEFAULT_SIGMA,
@@ -32,7 +26,7 @@ from credible_sdp.solver import (
     take_step,
     validate_options,
 )
-from credible_sdp.symvec import krons, symmetrize, vecs
+from credible_sdp.symvec import krons, symmetrize, vecs, vecs_stack
 from problem_gen import random_problem
 
 # values frozen from an independent implementation of the same iteration
@@ -225,7 +219,7 @@ def test_newton_dx_satisfies_the_scaled_equation(trajectory):
     for snap in trajectory.snapshots:
         r = vecs(snap.step.r)
         residual = np.linalg.norm(snap.step.H @ vecs(snap.step.dX) - r)
-        assert residual <= LSQR_TOL * max(1.0, float(np.linalg.norm(r)))
+        assert residual <= EQUALITY_TOL * max(1.0, float(np.linalg.norm(r)))
 
 
 def test_newton_dp_keeps_primal_feasibility(trajectory):
@@ -233,46 +227,75 @@ def test_newton_dp_keeps_primal_feasibility(trajectory):
     for snap in trajectory.snapshots:
         dX = vecs(snap.step.dX)
         residual = np.linalg.norm(fmat.T @ snap.step.dp + dX)
-        assert residual <= LSQR_TOL * max(1.0, float(np.linalg.norm(dX)))
+        assert residual <= EQUALITY_TOL * max(1.0, float(np.linalg.norm(dX)))
 
 
-def _underdetermined_problem(f0_in_span: bool):
+def _underdetermined_data():
     """n = 3 with m = 5 < n(n+1)/2 constraints, so transpose(F) cannot
     represent every symmetric dX. Z = I is planted through F1 = I and the
     warm start X0 = mu*(I + E) is central enough; E lies outside span(F).
-    With ``f0_in_span`` the initial primal solve is consistent (F0 + X0 = I)
-    and only the first dX is out of reach."""
+    F0 + X0 = I, so the initial primal solve is consistent and only the
+    first dX is out of reach."""
     rng = np.random.default_rng(5)
     fs = [np.eye(3)] + [symmetrize(rng.normal(size=(3, 3))) for _ in range(4)]
     b = -np.array([np.trace(Fi) for Fi in fs])  # F @ vecs(I) + b == 0
     E = symmetrize(rng.normal(size=(3, 3)))
     E -= np.trace(E) / 3 * np.eye(3)
     X0 = 0.02 * (np.eye(3) + 0.1 * E / np.linalg.norm(E))
-    f0 = np.eye(3) - X0 if f0_in_span else np.eye(3)
-    return build_problem(f0, fs, b, x0=X0, validate=True)
+    return np.eye(3) - X0, fs, b, X0
 
 
-@pytest.mark.parametrize(
-    "f0_in_span, equation", [(False, "initial primal solve"), (True, "newton-dp")]
-)
-def test_unrepresentable_directions_raise_naming_the_equation(f0_in_span, equation):
-    prob = _underdetermined_problem(f0_in_span)
-    assert prob.m == 5 and prob.fmat.shape == (5, 6)
-    with pytest.raises(LsqrContractViolation) as exc_info:
-        solve(prob)
-    assert exc_info.value.equation == equation
-    assert exc_info.value.residual > exc_info.value.tolerance
+def test_underdetermined_problem_is_refused_at_admission():
+    f0, fs, b, X0 = _underdetermined_data()
+    with pytest.raises(ProblemFormatError, match=r"n = 3 needs 6, got m = 5"):
+        build_problem(f0, fs, b, x0=X0)
+    # unadmitted, it starts clean and its first dp misses its equation: I9
+    stack = np.array(fs)
+    prob = SdpProblem(n=3, m=5, f0=f0, fs=stack, b=b, fmat=vecs_stack(stack), x0=X0)
+    report = solve(prob)
+    assert all(rec.passed for rec in report.init_records)
+    first = {rec.id: rec for rec in report.snapshots[0].records}
+    assert not first["I9"].passed and first["I10"].passed
+
+
+def _one_step_records(prob, scaling_edit=None, step_edit=None):
+    """Contract records of the first step, with the scaling or the assembled
+    step replaced by ``scaling_edit(scaling)`` or ``step_edit(step)``."""
+    opts = default_options(prob)
+    state, _ = initialize(prob, opts)
+    scaling = prepare_newton(prob, state.Z)
+    if scaling_edit is not None:
+        scaling = scaling_edit(scaling)
+    step = assemble_newton(prob, state, opts.sigma, scaling)
+    if step_edit is not None:
+        step = step_edit(step)
+    step = solve_newton(prob, step, scaling)
+    records = check_iteration(prob, take_step(prob, state, step), step)
+    return {rec.id: rec for rec in records}
 
 
 def test_newton_dx_check_fires_on_a_wrong_operator(example_problem):
-    opts = default_options(example_problem)
-    state, _ = initialize(example_problem, opts)
-    scaling = prepare_newton(example_problem, state.Z)
-    broken = dataclasses.replace(scaling, H=2.0 * scaling.H)
-    step = assemble_newton(example_problem, state, opts.sigma, broken)
-    with pytest.raises(LsqrContractViolation) as exc_info:
-        solve_newton(example_problem, step, broken)
-    assert exc_info.value.equation == "newton-dX"
+    assert all(rec.passed for rec in _one_step_records(example_problem).values())
+    # I10 checks dX against H built from the step's scaling pair
+    doubled = _one_step_records(
+        example_problem, scaling_edit=lambda s: dataclasses.replace(s, Zhi=2.0 * s.Zhi)
+    )
+    assert not doubled["I10"].passed
+    # and recomputes the right-hand side, so a wrong r fails it too, while
+    # dp still solves its equation for the wrong dX
+    negated = _one_step_records(
+        example_problem, step_edit=lambda st: dataclasses.replace(st, r=-st.r)
+    )
+    assert not negated["I10"].passed and negated["I9"].passed
+
+
+def test_newton_dp_check_fires_on_a_wrong_pseudo_inverse(example_problem):
+    by_id = _one_step_records(
+        example_problem,
+        scaling_edit=lambda s: dataclasses.replace(s, ft_pinv=2.0 * s.ft_pinv),
+    )
+    assert not by_id["I9"].passed and by_id["I10"].passed
+    assert by_id["I9"].detail["dual_residual"] == 0.0
 
 
 def test_dual_direction_is_exactly_zero(first_step):
