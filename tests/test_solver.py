@@ -230,32 +230,50 @@ def test_newton_dp_keeps_primal_feasibility(trajectory):
         assert residual <= EQUALITY_TOL * max(1.0, float(np.linalg.norm(dX)))
 
 
-def _underdetermined_data():
+def _underdetermined_data(f0_in_span: bool):
     """n = 3 with m = 5 < n(n+1)/2 constraints, so transpose(F) cannot
     represent every symmetric dX. Z = I is planted through F1 = I and the
     warm start X0 = mu*(I + E) is central enough; E lies outside span(F).
-    F0 + X0 = I, so the initial primal solve is consistent and only the
-    first dX is out of reach."""
+    With ``f0_in_span`` the initial primal solve is consistent (F0 + X0 = I)
+    and only the first dX is out of reach."""
     rng = np.random.default_rng(5)
     fs = [np.eye(3)] + [symmetrize(rng.normal(size=(3, 3))) for _ in range(4)]
     b = -np.array([np.trace(Fi) for Fi in fs])  # F @ vecs(I) + b == 0
     E = symmetrize(rng.normal(size=(3, 3)))
     E -= np.trace(E) / 3 * np.eye(3)
     X0 = 0.02 * (np.eye(3) + 0.1 * E / np.linalg.norm(E))
-    return np.eye(3) - X0, fs, b, X0
+    f0 = np.eye(3) - X0 if f0_in_span else np.eye(3)
+    return f0, fs, b, X0
 
 
-def test_underdetermined_problem_is_refused_at_admission():
-    f0, fs, b, X0 = _underdetermined_data()
+# the catalog contract that certifies each least-squares equation
+CERTIFYING_CONTRACT = {"initial primal solve": "init-primal-feasibility", "newton-dp": "I9"}
+
+
+@pytest.mark.parametrize(
+    "f0_in_span, equation", [(False, "initial primal solve"), (True, "newton-dp")]
+)
+def test_unrepresentable_directions_raise_naming_the_equation(f0_in_span, equation):
+    f0, fs, b, X0 = _underdetermined_data(f0_in_span)
     with pytest.raises(ProblemFormatError, match=r"n = 3 needs 6, got m = 5"):
         build_problem(f0, fs, b, x0=X0)
-    # unadmitted, it starts clean and its first dp misses its equation: I9
+    # unadmitted, the solve stops on the contract of the equation it misses
     stack = np.array(fs)
     prob = SdpProblem(n=3, m=5, f0=f0, fs=stack, b=b, fmat=vecs_stack(stack), x0=X0)
+    contract = CERTIFYING_CONTRACT[equation]
+    if not f0_in_span:
+        with pytest.raises(InitializationError, match=contract) as exc_info:
+            solve(prob)
+        failed = [rec.id for rec in exc_info.value.records if not rec.passed]
+        assert failed == [contract]
+        return
     report = solve(prob)
     assert all(rec.passed for rec in report.init_records)
     first = {rec.id: rec for rec in report.snapshots[0].records}
-    assert not first["I9"].passed and first["I10"].passed
+    assert not first[contract].passed and first["I10"].passed
+    strict = solve(prob, dataclasses.replace(default_options(prob), mode="strict"))
+    assert strict.status is SolveStatus.INVARIANT_VIOLATION
+    assert strict.violation_id == contract
 
 
 def _one_step_records(prob, scaling_edit=None, step_edit=None):
