@@ -42,7 +42,6 @@ so listing, trace, and checker all speak the same contract catalog.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -51,7 +50,7 @@ import numpy as np
 
 from . import monitor
 from .linalg import PD_TOL, sym_inv, sym_sqrt, trace_inner
-from .problem import SdpProblem
+from .problem import SdpProblem, json_numbers
 from .solver import (
     IterateState,
     NewtonStep,
@@ -212,13 +211,12 @@ def write_trace(report: SolveReport) -> bytes:
         lines.append(_dumps(_iteration_obj(snap.state, snap.step)))
         for rec in snap.records:
             lines.append(_dumps(_record_obj(rec)))
-    records = len(report.init_records) + sum(len(s.records) for s in report.snapshots)
     footer = _footer_obj(
         report.status.value,
         report.iterations,
         report.final_gap,
         report.budget,
-        records,
+        report.record_count,
         report.violation_id,
     )
     lines.append(_dumps(footer))
@@ -433,31 +431,15 @@ def _diff(
     )
 
 
-def _take(value: object, shape: tuple[int, ...]) -> float | np.ndarray:
-    """Read a stored number (shape ``()``) or array as floats; anything but
-    JSON ints and floats in exactly the writer's shape raises ValueError."""
-    arr = np.array(value)
-    if arr.dtype.kind not in "if" or arr.shape != shape:
-        raise ValueError(f"expected numbers of shape {shape}, got {arr.dtype} {arr.shape}")
-    # numpy promotes [0.5, true] to floats, so look at the entries as parsed
-    entries = value
-    for _ in shape[1:]:
-        entries = itertools.chain.from_iterable(entries)
-    if shape and not set(map(type, entries)) <= {int, float}:
-        raise ValueError(f"expected numbers of shape {shape}, got a boolean among them")
-    arr = arr.astype(float)
-    return float(arr) if shape == () else arr
-
-
 def _options_from_header(header: dict) -> SolverOptions:
     options = header.get("options")
     if not isinstance(options, dict):
         raise TraceFormatError("trace header is missing its options object")
     try:
         opts = SolverOptions(
-            epsilon=_take(options["epsilon"], ()),
-            nu=_take(options["nu"], ()),
-            sigma=_take(options["sigma"], ()),
+            epsilon=float(json_numbers(options["epsilon"], shape=())),
+            nu=float(json_numbers(options["nu"], shape=())),
+            sigma=float(json_numbers(options["sigma"], shape=())),
             mode=options["mode"],
         )
         validate_options(opts)
@@ -470,9 +452,10 @@ def _state_from_header(header: dict, n: int, m: int) -> IterateState:
     init = header.get("init_state")
     if not isinstance(init, dict):
         raise TraceFormatError("trace header is missing its init_state object")
+    shapes = {"X": (n, n), "Z": (n, n), "p": (m,)}
     try:
-        X, Z, p = _take(init["X"], (n, n)), _take(init["Z"], (n, n)), _take(init["p"], (m,))
-        mu, phi, phim = (_take(init[key], ()) for key in ("mu", "phi", "phim"))
+        X, Z, p = (json_numbers(init[key], shape=shape) for key, shape in shapes.items())
+        mu, phi, phim = (float(json_numbers(init[key], shape=())) for key in ("mu", "phi", "phim"))
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"trace header init_state is malformed: {exc}") from None
     return IterateState(X=X, Z=Z, p=p, Xm=X, Zm=Z, pm=p, mu=mu, phi=phi, phim=phim, iteration=0)
@@ -573,7 +556,7 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
         where = f"iteration {k}"
         line = block["state"]
         try:
-            arrays = {key: _take(line[key], shape) for key, shape in shapes.items()}
+            arrays = {key: json_numbers(line[key], shape=shape) for key, shape in shapes.items()}
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"unreadable iteration line: {exc}"))
             break

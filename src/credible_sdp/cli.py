@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .annotator import (
+    BACKEND,
     LISTING_FLAVORS,
     TOOL_VERSION,
     check_trace,
@@ -34,6 +35,7 @@ from .solver import (
     SolveReport,
     SolveStatus,
     SolverOptions,
+    iteration_cap,
     sigma_from_nu,
     solve,
 )
@@ -93,9 +95,9 @@ def exit_code_for(report: SolveReport) -> int:
 
 def render_report(report: SolveReport, verbose: bool = False) -> str:
     opts = report.options
-    total = len(report.init_records) + sum(len(s.records) for s in report.snapshots)
+    total = report.record_count
     failed_ids = sorted({rec.id for rec in report.all_records() if not rec.passed})
-    cap = opts.max_iterations if opts.max_iterations is not None else max(10, 10 * report.budget)
+    cap = iteration_cap(opts, report.budget)
     implied = sigma_from_nu(report.problem.n, opts.nu)
     origin = "derived from nu" if opts.sigma_derived else "fixed"
 
@@ -113,7 +115,7 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
         lines.append(f"violation:   {report.violation_id} (strict mode abort)")
     lines.append(
         "scope:       records certify the update logic; "
-        "numpy.linalg (eigh, lstsq, pinv) is trusted as the algebra backend"
+        f"{BACKEND} is trusted as the algebra backend"
     )
     if verbose:
         lines.append("")

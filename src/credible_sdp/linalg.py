@@ -1,10 +1,15 @@
 """Contracted linear-algebra primitives.
 
 Every operation either returns a value satisfying its stated contract or
-raises an error carrying the measured violation: positive-definiteness
-failures report the offending minimum eigenvalue. Least-squares solves check
+raises an error carrying the measured violation. Least-squares solves check
 only their inputs; whether a solution satisfies its equation is a contract
 of the catalog (``monitor``), recorded where the trace checker sees it.
+
+Positive definiteness is decided in one place: ``min_eigenvalue`` measures
+the smallest eigenvalue of the symmetric part, and a matrix is positive
+definite when that exceeds ``PD_TOL``. ``require_pd`` raises on the same
+test; the catalog's PD records, admission's test of F0, ``sym_sqrt``,
+``sym_inv`` and the potential all read these two functions.
 
 Square roots and inverses of symmetric positive-definite matrices are
 computed spectrally (symmetric eigendecomposition), which yields the
@@ -15,7 +20,6 @@ free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,43 +42,17 @@ class NotPositiveDefiniteError(ValueError):
         self.tolerance = tolerance
 
 
-@dataclass(frozen=True)
-class PdCertificate:
-    """Outcome of a positive-definiteness check.
-
-    ``ok`` is True exactly when min_eigenvalue > tolerance; a failed check is
-    a value, not an exception.
-    """
-
-    min_eigenvalue: float
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.min_eigenvalue > self.tolerance
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def min_eigenvalue(S: np.ndarray) -> float:
-    S = require_symmetric(S, what="eigenvalue input")
-    return float(np.linalg.eigvalsh(S)[0])
+    """Smallest eigenvalue of the symmetric part of S; never raises on asymmetry."""
+    return float(np.linalg.eigvalsh(symmetrize(S))[0])
 
 
-def is_pd(S: np.ndarray) -> PdCertificate:
-    """Check positive definiteness of a symmetric matrix.
-
-    Returns a certificate whose ``ok`` flag reflects min_eigenvalue > PD_TOL.
-    """
-    return PdCertificate(min_eigenvalue=min_eigenvalue(S), tolerance=PD_TOL)
-
-
-def require_pd(S: np.ndarray, what: str = "matrix") -> PdCertificate:
-    cert = is_pd(S)
-    if not cert.ok:
-        raise NotPositiveDefiniteError(what, cert.min_eigenvalue, cert.tolerance)
-    return cert
+def require_pd(S: np.ndarray, what: str = "matrix") -> float:
+    """``min_eigenvalue(S)`` if it exceeds PD_TOL; NotPositiveDefiniteError otherwise."""
+    lam = min_eigenvalue(S)
+    if not lam > PD_TOL:
+        raise NotPositiveDefiniteError(what, lam, PD_TOL)
+    return lam
 
 
 def sym_sqrt(S: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ the slack table of the verbose report and by ``cts-1`` traces).
 
 Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
-I1..I12 (phase "loop"). Equality contracts are checked to ``EQUALITY_TOL``
-scaled by max(1, |reference|); positive-definiteness contracts compare the
-minimum eigenvalue against ``linalg.PD_TOL``, strictly. Tolerances are
+I1..I12 (phase "loop"). Both sweeps build their records with one builder
+(``_Sweep``), which states each kind of rule once: an equality contract
+passes when its residual is within ``equality_bound`` (``EQUALITY_TOL``
+scaled by max(1, |reference|)), a positive-definiteness contract when
+``linalg.min_eigenvalue`` exceeds ``linalg.PD_TOL``. Tolerances are
 constants of the catalog, so a trace is checked by rules it cannot state.
 
 Sums over the constraint matrices run over the problem's (m, n, n) stack in
@@ -28,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PD_TOL, frob_norm, trace_inner
+from .linalg import PD_TOL, frob_norm, min_eigenvalue, trace_inner
 from .problem import SdpProblem
 from .solver import IterateState, NewtonStep, SolverOptions
-from .symvec import mats, sym_dim, symmetrize, vecs
+from .symvec import asymmetry, mats, sym_dim, symmetrize, vecs
 
 #: Radius factor of the central-path neighborhood: ||X@Z - mu*I||_F <= THETA * mu.
 THETA = 0.3105
@@ -160,9 +162,43 @@ def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.nd
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _min_eig(S: np.ndarray) -> float:
-    """Minimum eigenvalue of the symmetric part (never raises on asymmetry)."""
-    return float(np.linalg.eigvalsh(symmetrize(np.asarray(S, dtype=float)))[0])
+def equality_bound(ref: float) -> float:
+    """The bound of an equality contract whose reference magnitude is ``ref``."""
+    return EQUALITY_TOL * max(1.0, abs(ref))
+
+
+class _Sweep:
+    """The records of one contract sweep, all of one phase, iteration and sigma."""
+
+    def __init__(self, phase: str, iteration: int, sigma: float):
+        self.phase, self.iteration, self.sigma = phase, iteration, sigma
+        self.records: list[InvariantRecord] = []
+
+    def add(
+        self, rid: str, measured: float, bound: float, passed: bool, detail: dict | None = None
+    ):
+        self.records.append(
+            InvariantRecord(
+                id=rid,
+                phase=self.phase,
+                iteration=self.iteration,
+                sigma=self.sigma,
+                measured=float(measured),
+                bound=float(bound),
+                passed=bool(passed),
+                detail=detail if detail is not None else {},
+            )
+        )
+
+    def pd(self, rid: str, lam: float, detail: dict | None = None):
+        """Positive definiteness: the minimum eigenvalue ``lam`` exceeds PD_TOL."""
+        detail = detail if detail is not None else {"min_eigenvalue": lam}
+        self.add(rid, -lam, -PD_TOL, lam > PD_TOL, detail)
+
+    def equal(self, rid: str, residual: float, ref: float, detail: dict | None = None):
+        """An equality whose ``residual`` is within ``equality_bound(ref)``."""
+        bound = equality_bound(ref)
+        self.add(rid, residual, bound, residual <= bound, detail)
 
 
 def check_iteration(
@@ -186,36 +222,15 @@ def check_iteration(
     dX, dZ, dp = step.dX, step.dZ, step.dp
     Zh, Zhi = step.Zh, step.Zhi
     sigma, mu = step.sigma, step.mu
-    out: list[InvariantRecord] = []
-
-    def rec(rid: str, measured: float, bound: float, passed: bool, detail: dict | None = None):
-        out.append(
-            InvariantRecord(
-                id=rid,
-                phase="loop",
-                iteration=state.iteration,
-                sigma=sigma,
-                measured=float(measured),
-                bound=float(bound),
-                passed=bool(passed),
-                detail=detail if detail is not None else {},
-            )
-        )
+    out = _Sweep("loop", state.iteration, sigma)
 
     # I1: both iterates stay positive definite.
-    lam_x = _min_eig(X)
-    lam_z = _min_eig(Z)
-    lam = min(lam_x, lam_z)
-    rec(
-        "I1",
-        -lam,
-        -PD_TOL,
-        lam > PD_TOL,
-        {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z},
-    )
+    lam_x = min_eigenvalue(X)
+    lam_z = min_eigenvalue(Z)
+    out.pd("I1", min(lam_x, lam_z), {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z})
 
     # I2: the gap stays positive and under the admission ceiling.
-    rec(
+    out.add(
         "I2",
         state.phi,
         GAP_CEILING,
@@ -225,48 +240,46 @@ def check_iteration(
 
     # I3: strict contraction with a one-percent margin over sigma.
     v3 = state.phi - (sigma + 0.01) * state.phim
-    rec("I3", v3, 0.0, v3 < 0.0, {"phi": state.phi, "phim": state.phim})
+    out.add("I3", v3, 0.0, v3 < 0.0, {"phi": state.phi, "phim": state.phim})
 
     # I4: the new pair stays in the central-path neighborhood (new mu).
     dev4 = frob_norm(X @ Z - state.mu * eye)
-    rec("I4", dev4, THETA * state.mu, dev4 <= THETA * state.mu)
+    out.add("I4", dev4, THETA * state.mu, dev4 <= THETA * state.mu)
 
     # I5: scaled dual direction is small.
     v5 = frob_norm(Zhi @ dZ @ Zhi)
-    rec("I5", v5, DZ_BOUND, v5 <= DZ_BOUND)
+    out.add("I5", v5, DZ_BOUND, v5 <= DZ_BOUND)
 
     # I6: second-order cross term is small (mu of the point stepped from).
     v6 = frob_norm(Zhi @ dX @ dZ @ Zh)
     b6 = THETA * sigma * mu
-    rec("I6", v6, b6, v6 <= b6)
+    out.add("I6", v6, b6, v6 <= b6)
 
     # I7: linearized gap identity.
     lhs7 = trace_inner(Xm, dZ) + trace_inner(dX, Zm) + trace_inner(Xm, Zm)
     rhs7 = sigma * n * mu
-    v7 = abs(lhs7 - rhs7)
-    b7 = EQUALITY_TOL * max(1.0, abs(rhs7))
-    rec("I7", v7, b7, v7 <= b7, {"lhs": lhs7, "rhs": rhs7})
+    out.equal("I7", abs(lhs7 - rhs7), rhs7, {"lhs": lhs7, "rhs": rhs7})
 
     # I8: realized gap contraction equals sigma exactly.
     v8 = abs(state.phi - sigma * state.phim)
-    b8 = EQUALITY_TOL * max(1.0, abs(state.phim))
-    rec("I8", v8, b8, v8 <= b8, {"phi": state.phi, "phim": state.phim})
+    out.equal("I8", v8, state.phim, {"phi": state.phi, "phim": state.phim})
 
     # I9: directions preserve dual and primal feasibility.
     r_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(dZ))))
     r_primal = frob_norm(_fold(0.0, np.asarray(dp, dtype=float).ravel(), prob.fstack) + dX)
-    v9 = max(r_dual, r_primal)
-    b9 = EQUALITY_TOL * max(1.0, frob_norm(dX))
-    rec("I9", v9, b9, v9 <= b9, {"dual_residual": r_dual, "primal_residual": r_primal})
+    out.equal(
+        "I9",
+        max(r_dual, r_primal),
+        frob_norm(dX),
+        {"dual_residual": r_dual, "primal_residual": r_primal},
+    )
 
     # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
     lhs10 = 0.5 * (
         Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi
     )
     rhs10 = sigma * mu * eye - Zh @ Xm @ Zh
-    v10 = frob_norm(lhs10 - rhs10)
-    b10 = EQUALITY_TOL * max(1.0, frob_norm(rhs10))
-    rec("I10", v10, b10, v10 <= b10)
+    out.equal("I10", frob_norm(lhs10 - rhs10), frob_norm(rhs10))
 
     # I11: proximity chain for the new pair under the old scaling. The outer
     # comparison (first <= bound) is exact; the inner one (first <= middle)
@@ -276,11 +289,11 @@ def check_iteration(
         Zhi @ (Z @ X - sigma * mu * eye) @ Zh + Zh @ (X @ Z - sigma * mu * eye) @ Zhi
     )
     c11 = THETA * sigma * mu
-    rec(
+    out.add(
         "I11",
         a11,
         c11,
-        (a11 <= c11) and (a11 <= b11 + EQUALITY_TOL * max(1.0, b11)),
+        (a11 <= c11) and (a11 <= b11 + equality_bound(b11)),
         {
             "chain_first": a11,
             "chain_middle": b11,
@@ -291,10 +304,9 @@ def check_iteration(
     )
 
     # I12: the scaled dual update keeps the next Z positive definite.
-    lam12 = _min_eig(eye + Zhi @ dZ @ Zhi)
-    rec("I12", -lam12, -PD_TOL, lam12 > PD_TOL, {"min_eigenvalue": lam12})
+    out.pd("I12", min_eigenvalue(eye + Zhi @ dZ @ Zhi))
 
-    return out
+    return out.records
 
 
 def check_initialization(
@@ -308,73 +320,48 @@ def check_initialization(
     (say, an indefinite F0) yields failing records rather than exceptions.
     """
     n, m = prob.n, prob.m
-    eye = np.eye(n)
     X, Z, p = state.X, state.Z, state.p
     sigma = opts.sigma
     phi_rec = trace_inner(X, Z)
     mu_rec = phi_rec / n
-    out: list[InvariantRecord] = []
+    out = _Sweep("init", state.iteration, sigma)
 
-    def rec(rid: str, measured: float, bound: float, passed: bool, detail: dict | None = None):
-        out.append(
-            InvariantRecord(
-                id=rid,
-                phase="init",
-                iteration=state.iteration,
-                sigma=sigma,
-                measured=float(measured),
-                bound=float(bound),
-                passed=bool(passed),
-                detail=detail if detail is not None else {},
-            )
-        )
-
-    lam0 = _min_eig(prob.f0)
-    rec("init-f0-pd", -lam0, -PD_TOL, lam0 > PD_TOL, {"min_eigenvalue": lam0})
+    out.pd("init-f0-pd", min_eigenvalue(prob.f0))
 
     if m:
         F = prob.fstack
-        asyms = np.abs(F - F.transpose(0, 2, 1)).max(axis=(1, 2))
+        asyms = asymmetry(F)
         worst = int(np.argmax(asyms))
-        scale = max(1.0, float(np.abs(F).max()))
         v = float(asyms[worst])
-        rec(
-            "init-fi-symmetric",
-            v,
-            EQUALITY_TOL * scale,
-            v <= EQUALITY_TOL * scale,
-            {"worst_index": worst + 1},
-        )
+        out.equal("init-fi-symmetric", v, float(np.abs(F).max()), {"worst_index": worst + 1})
     else:
-        rec("init-fi-symmetric", 0.0, 0.0, True, {"note": "no constraint matrices"})
+        out.add("init-fi-symmetric", 0.0, 0.0, True, {"note": "no constraint matrices"})
 
-    rec("init-size", -min(n, m), -1.0, n >= 1 and m >= 1, {"n": n, "m": m})
+    out.add("init-size", -min(n, m), -1.0, n >= 1 and m >= 1, {"n": n, "m": m})
 
-    lam_z = _min_eig(Z)
-    rec("init-z0-pd", -lam_z, -PD_TOL, lam_z > PD_TOL, {"min_eigenvalue": lam_z})
+    out.pd("init-z0-pd", min_eigenvalue(Z))
 
     res_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b))
-    b_dual = EQUALITY_TOL * max(1.0, float(np.linalg.norm(prob.b)))
-    rec("init-dual-feasibility", res_dual, b_dual, res_dual <= b_dual, {"residual": res_dual})
+    out.equal(
+        "init-dual-feasibility", res_dual, float(np.linalg.norm(prob.b)), {"residual": res_dual}
+    )
 
-    lam_x = _min_eig(X)
-    rec("init-x0-pd", -lam_x, -PD_TOL, lam_x > PD_TOL, {"min_eigenvalue": lam_x})
+    out.pd("init-x0-pd", min_eigenvalue(X))
 
-    dev = frob_norm(X @ Z - mu_rec * eye)
-    rec("init-neighborhood", dev, THETA * mu_rec, dev <= THETA * mu_rec)
+    dev = frob_norm(X @ Z - mu_rec * np.eye(n))
+    out.add("init-neighborhood", dev, THETA * mu_rec, dev <= THETA * mu_rec)
 
-    rec("init-gap-upper", phi_rec, GAP_CEILING, phi_rec <= GAP_CEILING)
+    out.add("init-gap-upper", phi_rec, GAP_CEILING, phi_rec <= GAP_CEILING)
 
-    rec("init-gap-positive", -phi_rec, 0.0, phi_rec > 0.0, {"gap": phi_rec})
+    out.add("init-gap-positive", -phi_rec, 0.0, phi_rec > 0.0, {"gap": phi_rec})
 
     p_arr = np.asarray(p, dtype=float).ravel()
     if m == sym_dim(n) and p_arr.shape[0] == m:
         P = mats(p_arr, n)
-        asym_p = float(np.max(np.abs(P - P.T)))
-        scale_p = EQUALITY_TOL * max(1.0, float(np.max(np.abs(P))))
-        rec("init-p-symmetric", asym_p, scale_p, asym_p <= scale_p, {"reshaped": True})
+        v_p = float(asymmetry(P))
+        out.equal("init-p-symmetric", v_p, float(np.max(np.abs(P))), {"reshaped": True})
     else:
-        rec(
+        out.add(
             "init-p-symmetric",
             0.0,
             0.0,
@@ -383,34 +370,23 @@ def check_initialization(
         )
 
     res_primal = frob_norm(_fold(prob.f0, p_arr, prob.fstack) + X)
-    b_primal = EQUALITY_TOL * max(1.0, frob_norm(prob.f0))
-    rec(
-        "init-primal-feasibility",
-        res_primal,
-        b_primal,
-        res_primal <= b_primal,
-        {"residual": res_primal},
-    )
+    out.equal("init-primal-feasibility", res_primal, frob_norm(prob.f0), {"residual": res_primal})
 
-    rec("init-epsilon-positive", -opts.epsilon, 0.0, opts.epsilon > 0.0, {"epsilon": opts.epsilon})
+    eps = opts.epsilon
+    out.add("init-epsilon-positive", -eps, 0.0, eps > 0.0, {"epsilon": eps})
 
-    rec("init-sigma-constant", 0.0, 0.0, True, {"sigma": sigma})
+    out.add("init-sigma-constant", 0.0, 0.0, True, {"sigma": sigma})
 
-    v_phi = abs(state.phi - phi_rec)
-    b_phi = EQUALITY_TOL * max(1.0, abs(phi_rec))
-    rec(
+    out.equal(
         "init-phi-definition",
-        v_phi,
-        b_phi,
-        v_phi <= b_phi,
+        abs(state.phi - phi_rec),
+        phi_rec,
         {"stored": state.phi, "recomputed": phi_rec},
     )
 
     v_seed = state.phi - (sigma + 0.01) * state.phim
-    rec("init-phim-seed", v_seed, 0.0, v_seed < 0.0, {"phi": state.phi, "phim": state.phim})
+    out.add("init-phim-seed", v_seed, 0.0, v_seed < 0.0, {"phi": state.phi, "phim": state.phim})
 
-    v_mu = abs(n * state.mu - phi_rec)
-    b_mu = EQUALITY_TOL * max(1.0, abs(phi_rec))
-    rec("init-mu-definition", v_mu, b_mu, v_mu <= b_mu, {"stored": state.mu})
+    out.equal("init-mu-definition", abs(n * state.mu - phi_rec), phi_rec, {"stored": state.mu})
 
-    return out
+    return out.records

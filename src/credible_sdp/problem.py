@@ -35,8 +35,8 @@ from typing import Any
 import numpy as np
 
 from . import symvec
-from .linalg import is_pd, require_pd, trace_inner
-from .symvec import require_symmetric, vecs_stack
+from .linalg import NotPositiveDefiniteError, require_pd, trace_inner
+from .symvec import asymmetry, require_symmetric, vecs_stack
 
 #: Tolerance for symmetry of matrices arriving from files.
 LOAD_SYMMETRY_TOL = 1e-12
@@ -165,14 +165,16 @@ def build_problem(
         f0 = require_symmetric(f0, tol=LOAD_SYMMETRY_TOL, what="F0")
     except symvec.SymmetryError as exc:
         raise ProblemFormatError(str(exc)) from None
-    if not is_pd(f0):
-        raise ProblemFormatError("F0 must be positive definite")
+    try:
+        require_pd(f0, what="F0")
+    except NotPositiveDefiniteError as exc:
+        raise ProblemFormatError(f"F0 must be positive definite: {exc}") from None
     for i, Fi in enumerate(fs):
         if Fi.shape != (n, n):
             raise ProblemFormatError(f"F{i + 1} has shape {Fi.shape}, expected {(n, n)}")
     stack = np.array(fs, dtype=float).reshape(m, n, n)
     # require_symmetric's test, on every matrix of the stack at once
-    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    asym = asymmetry(stack)
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
     if bad.size:
@@ -223,34 +225,38 @@ def build_problem(
     )
 
 
-def _numbers(obj: Any, name: str, kind: str, ndim: int | None = None) -> np.ndarray:
-    """Read JSON numbers (a number or nested lists of ``ndim`` levels, any
-    depth if None) as a float64 array.
+def json_numbers(
+    obj: Any, ndim: int | None = None, shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Read parsed JSON numbers (a number, or lists nested ``ndim`` deep, or
+    in exactly ``shape``; any nesting if neither is given) as a float64 array.
 
     Entry types are checked as parsed, because numpy would read a JSON
-    ``true`` as 1.0 and keep an integer beyond the float range as an object:
-    either, or anything else but ints and floats, is a ProblemFormatError
-    naming ``name``.
+    ``true`` as 1.0 and keep an integer beyond the float range as an object.
+    Ragged nesting, the wrong depth or shape, any entry but a JSON int or
+    float, an integer beyond the float range and a non-finite value each
+    raise ValueError, whose message says which.
     """
     try:
         arr = np.array(obj)
     except ValueError:
-        raise ProblemFormatError(f"{name} is not {kind}") from None
+        raise ValueError("ragged nesting") from None
     if ndim is not None and arr.ndim != ndim:
-        raise ProblemFormatError(f"{name} must be {kind}, got {arr.ndim}-d")
+        raise ValueError(f"{arr.ndim}-d, expected {ndim}-d")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"shape {arr.shape}, expected {shape}")
     entries = [obj] if arr.ndim == 0 else obj
     for _ in range(arr.ndim - 1):
         entries = itertools.chain.from_iterable(entries)
     odd = set(map(type, entries)) - {int, float}
     if odd:
-        found = ", ".join(sorted(t.__name__ for t in odd))
-        raise ProblemFormatError(f"{name} is not {kind}: it holds {found}")
+        raise ValueError("it holds " + ", ".join(sorted(t.__name__ for t in odd)))
     try:
         arr = arr.astype(float)
     except OverflowError:
-        raise ProblemFormatError(f"{name} has an integer beyond the float range") from None
-    if not np.all(np.isfinite(arr)):
-        raise ProblemFormatError(f"{name} contains non-finite entries")
+        raise ValueError("an integer beyond the float range") from None
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries")
     return arr
 
 
@@ -271,19 +277,25 @@ def load_problem(source: str | bytes) -> SdpProblem:
         if key not in data:
             raise ProblemFormatError(f"problem file is missing required key {key!r}")
 
+    def numbers(obj: Any, name: str, kind: str, ndim: int | None) -> np.ndarray:
+        try:
+            return json_numbers(obj, ndim)
+        except ValueError as exc:
+            raise ProblemFormatError(f"{name} is not {kind}: {exc}") from None
+
     def as_matrix(obj: Any, name: str) -> np.ndarray:
-        return _numbers(obj, name, "a numeric matrix", ndim=2)
+        return numbers(obj, name, "a numeric matrix", 2)
 
     f0 = as_matrix(data["F0"], "F0")
     if not isinstance(data["F"], list) or not data["F"]:
         raise ProblemFormatError('"F" must be a non-empty list of matrices')
     fs = [as_matrix(Fi, f"F{i + 1}") for i, Fi in enumerate(data["F"])]
-    b = _numbers(data["b"], '"b"', "a numeric vector").ravel()
+    b = numbers(data["b"], '"b"', "a numeric vector", None).ravel()
     x0 = as_matrix(data["X0"], "X0") if data.get("X0") is not None else None
-    epsilon = _numbers(data.get("epsilon", 1e-8), '"epsilon"', "a number", ndim=0)
+    epsilon = numbers(data.get("epsilon", 1e-8), '"epsilon"', "a number", 0)
     nu = data.get("nu")
     if nu is not None:
-        nu = float(_numbers(nu, '"nu"', "a number", ndim=0))
+        nu = float(numbers(nu, '"nu"', "a number", 0))
     return build_problem(f0, fs, b, x0=x0, epsilon=float(epsilon), nu=nu)
 
 
@@ -304,6 +316,7 @@ __all__ = [
     "SdpProblem",
     "build_problem",
     "compute_problem_hash",
+    "json_numbers",
     "load_problem",
     "load_problem_file",
     "running_example",

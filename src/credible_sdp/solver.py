@@ -39,14 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .linalg import (
-    frob_norm,
-    lsqr_solve,
-    require_pd,
-    sym_inv,
-    sym_sqrt,
-    trace_inner,
-)
+from .linalg import lsqr_solve, sym_inv, sym_sqrt, trace_inner
 from .problem import SdpProblem
 from .symvec import krons, mats, require_symmetric, symmetrize, vecs
 
@@ -70,7 +63,8 @@ class InitializationError(RuntimeError):
 
 
 class NeighborhoodViolation(InitializationError):
-    """The starting pair lies outside the central-path neighborhood."""
+    """The starting pair lies outside the central-path neighborhood
+    (``init-neighborhood`` failed, possibly among other contracts)."""
 
 
 class SolveStatus(str, Enum):
@@ -140,6 +134,11 @@ def iteration_bound(initial_gap: float, epsilon: float, sigma: float) -> int:
     if initial_gap <= epsilon:
         return 0
     return math.ceil(math.log(initial_gap / epsilon) / math.log(1.0 / sigma))
+
+
+def iteration_cap(opts: SolverOptions, budget: int) -> int:
+    """``max_iterations``, or by default ten times the certified budget (at least 10)."""
+    return opts.max_iterations if opts.max_iterations is not None else max(10, 10 * budget)
 
 
 @dataclass(frozen=True)
@@ -282,17 +281,16 @@ def initialize(
     Z solves the dual-feasibility equations by minimum-norm least squares
     (and stays fixed thereafter); X comes from the explicit warm start
     (argument wins over the problem file); p solves the primal-feasibility
-    equations for that X. Checks run in order: positive definiteness of Z and
-    X, then the central-path neighborhood gate (NeighborhoodViolation), then
-    the full initialization contract sweep (InitializationError naming the
-    failed record ids). All of this is enforced in both modes.
+    equations for that X. The initialization contract sweep alone judges the
+    result, in both modes: if any record fails, the error lists each failed
+    id with its measured value and bound, and is a NeighborhoodViolation when
+    ``init-neighborhood`` is among them.
     """
     from . import monitor
 
     n = prob.n
     z_vec = lsqr_solve(prob.fmat, -prob.b, equation="initial dual solve")
     Z = mats(z_vec, n)
-    require_pd(Z, what="initial dual iterate Z")
 
     if X0 is None:
         X0 = prob.x0
@@ -303,12 +301,10 @@ def initialize(
     X = require_symmetric(np.array(X0, dtype=float), what="X0")
     if X.shape != (n, n):
         raise InitializationError(f"X0 has shape {X.shape}, expected {(n, n)}")
-    require_pd(X, what="initial primal iterate X")
 
     p = lsqr_solve(prob.fmat.T, -vecs(symmetrize(prob.f0 + X)), equation="initial primal solve")
 
     phi = trace_inner(X, Z)
-    mu = phi / n
     state = IterateState(
         X=X,
         Z=Z,
@@ -316,27 +312,24 @@ def initialize(
         Xm=X,
         Zm=Z,
         pm=p,
-        mu=mu,
+        mu=phi / n,
         phi=phi,
         phim=phi / opts.sigma,
         iteration=0,
     )
 
-    deviation = frob_norm(X @ Z - mu * np.eye(n))
-    if deviation > monitor.THETA * mu:
-        raise NeighborhoodViolation(
-            "starting pair lies outside the central-path neighborhood: "
-            f"||X @ Z - mu*I||_F = {deviation:.6e} > {monitor.THETA} * mu = "
-            f"{monitor.THETA * mu:.6e}"
-        )
-
     records = monitor.check_initialization(prob, state, opts)
-    failed = [rec.id for rec in records if not rec.passed]
+    failed = [rec for rec in records if not rec.passed]
     if failed:
-        raise InitializationError(
-            "starting point violates initialization contracts: " + ", ".join(failed),
-            records=records,
+        ids = {rec.id for rec in failed}
+        message = "starting point violates initialization contracts: " + "; ".join(
+            f"{rec.id} (measured {rec.measured:.6e}, bound {rec.bound:.6e})" for rec in failed
         )
+        if ids & {"init-dual-feasibility", "init-primal-feasibility"}:
+            cond = np.linalg.cond(prob.fmat)
+            message += f"; cond(F) = {cond:.3e} (a large value means F1..Fm are nearly dependent)"
+        error = NeighborhoodViolation if "init-neighborhood" in ids else InitializationError
+        raise error(message, records=records)
     return state, records
 
 
@@ -369,6 +362,10 @@ class SolveReport:
     def clean(self) -> bool:
         """True when every contract record, initialization included, passed."""
         return all(rec.passed for rec in self.all_records())
+
+    @property
+    def record_count(self) -> int:
+        return len(self.init_records) + sum(len(s.records) for s in self.snapshots)
 
     def all_records(self) -> Iterator["InvariantRecord"]:
         yield from self.init_records
@@ -417,7 +414,7 @@ def solve(
     initial_state = state
     scaling = prepare_newton(prob, state.Z)
     budget = iteration_bound(state.phi, opts.epsilon, opts.sigma)
-    cap = opts.max_iterations if opts.max_iterations is not None else max(10, 10 * budget)
+    cap = iteration_cap(opts, budget)
 
     snapshots: list[IterationSnapshot] = []
     status = SolveStatus.CONVERGED

@@ -63,6 +63,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def asymmetry(a: np.ndarray) -> np.ndarray:
+    """max |a - a.T| over the last two axes: one value for a matrix, one per
+    matrix for a stack, 0.0 for an empty matrix."""
+    a = np.asarray(a, dtype=float)
+    return np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
 def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is square and symmetric within ``tol`` (relative).
 
@@ -71,7 +78,7 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    asym = float(asymmetry(a))
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if asym > tol * scale:
         raise SymmetryError(f"{what} is not symmetric: max |a - a.T| = {asym:.3e}")

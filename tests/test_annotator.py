@@ -514,9 +514,12 @@ def test_check_accepts_any_writer_name(example_trace, example_problem):
         ("init_state", "X", [[True, False], [False, True]]),
         ("init_state", "X", [[0.0995, True], [0.0359, 0.2248]]),
         ("init_state", "p", [1, True, 0.5]),
+        ("init_state", "mu", float("nan")),
+        ("init_state", "X", [[0.0995, float("inf")], [0.0359, 0.2248]]),
+        ("options", "sigma", float("-inf")),
     ],
     ids=["mu-beyond-float", "epsilon-beyond-float", "mu-string", "p-short", "X-bool", "X-one-bool",
-         "p-one-bool"],
+         "p-one-bool", "mu-nan", "X-one-inf", "sigma-inf"],
 )
 def test_check_refuses_header_numbers_the_writer_cannot_emit(
     example_trace, example_problem, section, field, value
@@ -533,8 +536,10 @@ def test_check_refuses_header_numbers_the_writer_cannot_emit(
         (("p", "dp"), lambda v: [[x] for x in v]),
         (("Z", "dZ"), lambda v: [[bool(x) for x in row] for row in v]),
         (("X", "dX"), lambda v: [[v[0][0], True], v[1]]),
+        (("X", "dX"), lambda v: [[v[0][0], float("nan")], v[1]]),
+        (("p", "dp"), lambda v: [float("inf"), *v[1:]]),
     ],
-    ids=["dX-strings", "p-column", "Z-bools", "dX-one-bool"],
+    ids=["dX-strings", "p-column", "Z-bools", "dX-one-bool", "dX-one-nan", "dp-one-inf"],
 )
 def test_check_flags_iteration_arrays_the_writer_cannot_emit(
     example_trace, golden_trace, example_problem, keys, mutate

@@ -328,6 +328,43 @@ def test_unadmitted_problem_exits_one(capsys, tmp_path, problem_file, fs, rule):
     assert "Traceback" not in err
 
 
+def _planted_problem_file(tmp_path, problem_file, Z, edit_fs=None):
+    """The example's problem file with b set so that Z solves the dual
+    equations, after ``edit_fs`` has replaced the constraint matrices."""
+    data = json.loads(problem_file.read_text())
+    fs = [np.array(Fi) for Fi in data["F"]]
+    if edit_fs is not None:
+        fs = edit_fs(fs)
+    data["F"] = [Fi.tolist() for Fi in fs]
+    data["b"] = [-float(np.sum(Fi * Z)) for Fi in fs]
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_indefinite_planted_dual_start_exits_one(capsys, tmp_path, problem_file):
+    path = _planted_problem_file(tmp_path, problem_file, np.diag([1.0, -0.5]))
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "init-z0-pd (measured" in err
+    assert "Traceback" not in err
+
+
+def test_nearly_dependent_constraints_exit_one_stating_cond_f(
+    capsys, tmp_path, problem_file, example_report
+):
+    # admitted at cond(F) = 3.6e9, but the primal solve misses its equation
+    Z0 = example_report.initial_state.Z
+    path = _planted_problem_file(
+        tmp_path, problem_file, Z0, lambda fs: [fs[0], fs[1], fs[0] + fs[1] + 1e-9 * fs[2]]
+    )
+    code, out, err = run_cli(capsys, "solve", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "init-primal-feasibility (measured" in err
+    assert "cond(F) = " in err
+    assert "Traceback" not in err
+
+
 def test_problem_with_rejected_warm_start(capsys, tmp_path, problem_file):
     data = json.loads(problem_file.read_text())
     data["X0"] = (100.0 * np.eye(2)).tolist()

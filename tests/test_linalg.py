@@ -9,9 +9,7 @@ from credible_sdp.annotator import LEGACY_LSQR_TOL
 from credible_sdp.linalg import (
     PD_TOL,
     NotPositiveDefiniteError,
-    PdCertificate,
     frob_norm,
-    is_pd,
     lsqr_solve,
     min_eigenvalue,
     require_pd,
@@ -19,7 +17,7 @@ from credible_sdp.linalg import (
     sym_sqrt,
     trace_inner,
 )
-from credible_sdp.symvec import DimensionError, SymmetryError, symmetrize
+from credible_sdp.symvec import DimensionError, symmetrize
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -33,26 +31,44 @@ def random_spd(rng, n):
 
 
 def test_certificate_truthiness_tracks_margin():
-    assert PdCertificate(min_eigenvalue=1.0, tolerance=1e-12).ok
-    assert bool(PdCertificate(min_eigenvalue=1.0, tolerance=1e-12))
-    assert not PdCertificate(min_eigenvalue=1e-13, tolerance=1e-12).ok
-    assert not PdCertificate(min_eigenvalue=-1.0, tolerance=1e-12).ok
+    # the verdict is min eigenvalue > PD_TOL = 1e-12, strictly
+    assert require_pd(np.diag([1.0, 2.0])) == 1.0
+    for lam in (1e-13, -1.0):
+        with pytest.raises(NotPositiveDefiniteError):
+            require_pd(np.diag([lam, 2.0]))
 
 
-def test_is_pd_on_definite_and_indefinite_matrices():
-    assert is_pd(np.eye(3)).ok
-    assert not is_pd(-np.eye(2)).ok
+def test_require_pd_on_definite_and_indefinite_matrices():
+    assert require_pd(np.eye(3)) == 1.0
+    assert min_eigenvalue(-np.eye(2)) == -1.0
     # eigenvalues -1 and 3: symmetric but indefinite
-    assert not is_pd(np.array([[1.0, 2.0], [2.0, 1.0]])).ok
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert min_eigenvalue(indefinite) == pytest.approx(-1.0)
+    for S in (-np.eye(2), indefinite):
+        with pytest.raises(NotPositiveDefiniteError):
+            require_pd(S)
 
 
-def test_is_pd_treats_zero_matrix_as_not_definite():
-    assert not is_pd(np.zeros((2, 2))).ok
+def test_require_pd_treats_zero_matrix_as_not_definite():
+    assert min_eigenvalue(np.zeros((2, 2))) == 0.0
+    with pytest.raises(NotPositiveDefiniteError):
+        require_pd(np.zeros((2, 2)))
 
 
-def test_min_eigenvalue_requires_symmetry():
-    with pytest.raises(SymmetryError):
-        min_eigenvalue(np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_require_pd_refuses_a_minimum_eigenvalue_equal_to_the_margin():
+    S = np.diag([PD_TOL, 1.0])
+    assert min_eigenvalue(S) == PD_TOL
+    with pytest.raises(NotPositiveDefiniteError) as exc_info:
+        require_pd(S)
+    assert exc_info.value.min_eigenvalue == PD_TOL
+
+
+def test_min_eigenvalue_reads_the_symmetric_part():
+    # no symmetry error: the eigenvalues are those of 0.5 * (S + S.T)
+    S = np.array([[1.0, 1.0], [0.0, 1.0]])
+    lam = min_eigenvalue(S)
+    assert lam == float(np.linalg.eigvalsh(symmetrize(S))[0]) == pytest.approx(0.5)
+    assert require_pd(S) == lam
 
 
 def test_require_pd_reports_the_offending_eigenvalue():
@@ -66,8 +82,8 @@ def test_require_pd_reports_the_offending_eigenvalue():
 
 
 def test_require_pd_returns_certificate_on_success():
-    cert = require_pd(np.diag([2.0, 5.0]))
-    assert cert.ok and cert.min_eigenvalue == pytest.approx(2.0)
+    # the certificate is the minimum eigenvalue that passed the margin
+    assert require_pd(np.diag([2.0, 5.0])) == pytest.approx(2.0)
 
 
 # -- spectral square root and inverse ----------------------------------------

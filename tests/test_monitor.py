@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from problem_gen import random_problem
 
-from credible_sdp.linalg import PD_TOL
+from credible_sdp.linalg import PD_TOL, min_eigenvalue, require_pd
 from credible_sdp.monitor import (
     DZ_BOUND,
     EQUALITY_TOL,
@@ -143,6 +143,29 @@ def test_initialization_sweep_flags_indefinite_x(example_problem):
     by_id = {rec.id: rec for rec in records}
     assert not by_id["init-x0-pd"].passed
     assert by_id["init-z0-pd"].passed
+
+
+def test_f0_with_minimum_eigenvalue_at_the_margin_fails_init_f0_pd(example_problem):
+    opts = default_options(example_problem)
+    state, _ = initialize(example_problem, opts)
+    at_margin = dataclasses.replace(example_problem, f0=np.diag([PD_TOL, 1.0]))
+    rec = check_initialization(at_margin, state, opts)[0]
+    assert rec.id == "init-f0-pd"
+    assert not rec.passed
+    assert rec.measured == rec.bound == -PD_TOL
+    assert rec.detail == {"min_eigenvalue": PD_TOL}
+
+
+def test_pd_records_and_require_pd_agree_on_a_slightly_asymmetric_matrix(example_problem):
+    opts = default_options(example_problem)
+    state, _ = initialize(example_problem, opts)
+    X = state.X.copy()
+    X[0, 1] += 1e-13
+    assert np.max(np.abs(X - X.T)) > 0
+    records = check_initialization(example_problem, dataclasses.replace(state, X=X), opts)
+    rec = {r.id: r for r in records}
+    assert rec["init-x0-pd"].passed
+    assert rec["init-x0-pd"].detail["min_eigenvalue"] == require_pd(X) == min_eigenvalue(X)
 
 
 # -- per-iteration sweep ---------------------------------------------------------------

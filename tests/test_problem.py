@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from credible_sdp.linalg import PD_TOL
 from credible_sdp.problem import (
     ProblemFormatError,
     SdpProblem,
@@ -87,8 +88,8 @@ def test_constraints_are_one_c_contiguous_stack(order):
 
 
 def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
-    # F0 and X0 are tested by require_symmetric (F0 twice: is_pd tests it
-    # again); the m constraint matrices by one test over their stack
+    # F0 and X0 are tested by require_symmetric; the m constraint matrices by
+    # one test over their stack
     calls = []
 
     def counted(a, *args, **kwargs):
@@ -99,7 +100,7 @@ def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
         monkeypatch.setattr(f"credible_sdp.{module}.require_symmetric", counted)
     prob = load_problem(GOLDEN_N6.read_text())
     assert prob.m == 21
-    assert sorted(calls) == ["F0", "X0", "eigenvalue input"]
+    assert sorted(calls) == ["F0", "X0"]
 
 
 # -- construction and validation ----------------------------------------------
@@ -126,6 +127,11 @@ def test_build_rejects_asymmetric_f0():
 def test_build_rejects_indefinite_f0():
     with pytest.raises(ProblemFormatError, match="positive definite"):
         build_problem(-np.eye(2), [F1], [0.0])
+
+
+def test_build_rejects_f0_with_minimum_eigenvalue_at_the_margin():
+    with pytest.raises(ProblemFormatError, match="F0 must be positive definite"):
+        build_problem(np.diag([PD_TOL, 1.0]), [F1, F2, F3], B)
 
 
 def test_build_rejects_empty_constraint_list():

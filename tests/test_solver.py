@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from credible_sdp.linalg import NotPositiveDefiniteError, sym_inv, sym_sqrt
+from credible_sdp.linalg import sym_inv, sym_sqrt
 from credible_sdp.monitor import EQUALITY_TOL, LOOP_IDS, THETA, check_iteration
 from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
 from credible_sdp.solver import (
@@ -145,13 +145,35 @@ def test_initialize_requires_some_warm_start():
 
 
 def test_initialize_rejects_far_off_center_warm_start(example_problem):
-    with pytest.raises(NeighborhoodViolation):
+    with pytest.raises(NeighborhoodViolation) as exc_info:
         initialize(example_problem, default_options(example_problem), X0=100.0 * np.eye(2))
+    # the message lists every failed record with its measured value and bound
+    failed = [rec for rec in exc_info.value.records if not rec.passed]
+    assert "init-neighborhood" in [rec.id for rec in failed]
+    message = str(exc_info.value)
+    for rec in failed:
+        assert f"{rec.id} (measured {rec.measured:.6e}, bound {rec.bound:.6e})" in message
+    assert "cond(F)" not in message
 
 
 def test_initialize_rejects_indefinite_warm_start(example_problem):
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(InitializationError) as exc_info:
         initialize(example_problem, default_options(example_problem), X0=-np.eye(2))
+    failed = [rec.id for rec in exc_info.value.records if not rec.passed]
+    assert "init-x0-pd" in failed
+    assert "init-x0-pd (measured 1.000000e+00, bound -1.000000e-12)" in str(exc_info.value)
+
+
+def test_initialize_names_an_indefinite_planted_dual_start(example_problem):
+    # b planted so that the indefinite Z solves the dual equations
+    Z = np.diag([1.0, -0.5])
+    b = -np.array([np.sum(Fi * Z) for Fi in example_problem.fs])
+    prob = dataclasses.replace(example_problem, b=b)
+    with pytest.raises(InitializationError) as exc_info:
+        initialize(prob, default_options(prob))
+    failed = [rec.id for rec in exc_info.value.records if not rec.passed]
+    assert "init-z0-pd" in failed
+    assert "init-z0-pd (measured 5.000000e-01, bound -1.000000e-12)" in str(exc_info.value)
 
 
 def test_initialize_rejects_wrong_shape_warm_start(example_problem):
