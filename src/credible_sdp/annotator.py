@@ -238,7 +238,7 @@ class ProofTrace:
     footer: dict
 
 
-def parse_trace(data: bytes | str) -> ProofTrace:
+def parse_trace(data: bytes) -> ProofTrace:
     """Split a JSON-lines trace into its structural parts.
 
     Records before the first iteration line are the initialization records;
@@ -247,13 +247,10 @@ def parse_trace(data: bytes | str) -> ProofTrace:
     supported schema (``cts-2`` or ``cts-1``); content errors are left to
     ``check_trace``.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"trace is not valid UTF-8: {exc}") from None
-    else:
-        text = data
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace is not valid UTF-8: {exc}") from None
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise TraceFormatError("trace is empty")
@@ -497,7 +494,7 @@ def _compare_records(
             _diff(stored_rec, _record_obj(ours, schema), where, rid, findings)
 
 
-def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport:
+def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     """Replay a trace against a problem and report every discrepancy.
 
     The problem hash must match (TraceFormatError otherwise — a trace is only
@@ -513,7 +510,7 @@ def check_trace(data: bytes | str | ProofTrace, prob: SdpProblem) -> CheckReport
     catalog's, not the trace's. Mismatches, missing and unexpected fields
     come back as findings.
     """
-    trace = data if isinstance(data, ProofTrace) else parse_trace(data)
+    trace = parse_trace(data)
     header = trace.header
     schema = header["schema"]
 
@@ -685,18 +682,16 @@ def _vec_literal(v: np.ndarray) -> str:
 
 def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     sigma = opts.sigma
-
-    def la(rid: str) -> str:
-        return monitor.loop_anchor(rid, sigma)
-
-    def ia(rid: str) -> str:
-        return monitor.init_anchor(rid, sigma)
-
     items: list[tuple] = []
+
+    def req(rid: str, anchor_id: str | None = None) -> None:
+        items.append(("contract", "requires", rid, monitor.anchor(anchor_id or rid, sigma)))
+
+    def ens(rid: str) -> None:
+        items.append(("contract", "ensures", rid, monitor.anchor(rid, sigma)))
+
     comment = lambda text: items.append(("comment", text))  # noqa: E731
     code = lambda text: items.append(("code", text))  # noqa: E731
-    req = lambda rid, expr: items.append(("contract", "requires", rid, expr))  # noqa: E731
-    ens = lambda rid, expr: items.append(("contract", "ensures", rid, expr))  # noqa: E731
     blank = lambda: items.append(("blank",))  # noqa: E731
 
     comment("Short-step primal-dual SDP solver with its runtime contract catalog.")
@@ -723,32 +718,32 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     code(f"b = {_vec_literal(prob.b)};")
     code(f"epsilon = {monitor.fmt_num(opts.epsilon)};")
     code(f"sigma = {monitor.fmt_num(sigma)};")
-    req("init-f0-pd", ia("init-f0-pd"))
-    req("init-fi-symmetric", ia("init-fi-symmetric"))
-    req("init-size", ia("init-size"))
-    req("init-epsilon-positive", ia("init-epsilon-positive"))
-    req("init-sigma-constant", ia("init-sigma-constant"))
+    req("init-f0-pd")
+    req("init-fi-symmetric")
+    req("init-size")
+    req("init-epsilon-positive")
+    req("init-sigma-constant")
     blank()
     comment("--- starting point -----------------------------------------------------")
     code(f"X = {_mat_literal(prob.x0)};")
-    ens("init-x0-pd", ia("init-x0-pd"))
+    ens("init-x0-pd")
     code("Z = mats(lsqr(F,-b),n);")
     comment("Z solves the dual equations at minimum norm and never moves again:")
     comment("every pass below produces dZm == 0, so dual feasibility is inherited.")
-    ens("init-z0-pd", ia("init-z0-pd"))
-    ens("init-dual-feasibility", ia("init-dual-feasibility"))
+    ens("init-z0-pd")
+    ens("init-dual-feasibility")
     code("p = lsqr(transpose(F),vecs(-F0-X));")
-    ens("init-p-symmetric", ia("init-p-symmetric"))
-    ens("init-primal-feasibility", ia("init-primal-feasibility"))
+    ens("init-p-symmetric")
+    ens("init-primal-feasibility")
     code("phi = trace(X*Z);")
     code("phim = phi/sigma;")
     code("mu = phi/n;")
-    ens("init-phi-definition", ia("init-phi-definition"))
-    ens("init-mu-definition", ia("init-mu-definition"))
-    ens("init-phim-seed", ia("init-phim-seed"))
-    ens("init-gap-positive", ia("init-gap-positive"))
-    ens("init-gap-upper", ia("init-gap-upper"))
-    ens("init-neighborhood", ia("init-neighborhood"))
+    ens("init-phi-definition")
+    ens("init-mu-definition")
+    ens("init-phim-seed")
+    ens("init-gap-positive")
+    ens("init-gap-upper")
+    ens("init-neighborhood")
     blank()
     comment("--- Newton system invariants -------------------------------------------")
     comment("Z never moves, so its scaling pair, H and a factor of transpose(F) are")
@@ -759,10 +754,10 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     code("Fti = pinv(transpose(F));")
     blank()
     comment("--- main loop ----------------------------------------------------------")
-    req("I1", la("I1"))
-    req("I2", ia("init-gap-upper"))
-    req("I3", la("I3"))
-    req("I4", la("I4"))
+    req("I1")
+    req("I2", "init-gap-upper")  # the admission ceiling, in init-gap-upper's words
+    req("I3")
+    req("I4")
     items.append(("while", "phi > epsilon"))
     code("Xm = X; Zm = Z; pm = p;")
     code("mu = trace(Xm*Zm)/n;")
@@ -772,24 +767,24 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     code("dZm = zeros(n*(n+1)/2,1);")
     code("dXm = vecs(Zhi*r*Zhi);")
     code("dpm = -Fti*dXm;")
-    ens("I5", la("I5"))
-    ens("I6", la("I6"))
-    ens("I7", la("I7"))
-    ens("I9", la("I9"))
-    ens("I10", la("I10"))
-    ens("I12", la("I12"))
+    ens("I5")
+    ens("I6")
+    ens("I7")
+    ens("I9")
+    ens("I10")
+    ens("I12")
     code("X = Xm+mats(dXm,n);")
     code("Z = Zm+mats(dZm,n);")
     code("p = pm+dpm;")
-    ens("I1", la("I1"))
-    ens("I11", la("I11"))
+    ens("I1")
+    ens("I11")
     code("phim = trace(Xm*Zm);")
     code("phi = trace(X*Z);")
-    ens("I8", la("I8"))
-    ens("I2", la("I2"))
-    ens("I3", la("I3"))
+    ens("I8")
+    ens("I2")
+    ens("I3")
     code("mu = phi/n;")
-    ens("I4", la("I4"))
+    ens("I4")
     items.append(("if", "phi-phim > 0"))
     comment("divergence guard: the gap may never grow; abort the run if it does.")
     items.append(("return",))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .annotator import (
@@ -29,12 +30,12 @@ from .annotator import (
 )
 from .problem import SdpProblem, load_problem_file, running_example
 from .solver import (
-    DEFAULT_NU,
     DEFAULT_SIGMA,
     InitializationError,
     SolveReport,
     SolveStatus,
     SolverOptions,
+    default_options,
     iteration_cap,
     sigma_from_nu,
     solve,
@@ -50,37 +51,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_options(args: argparse.Namespace, prob: SdpProblem) -> SolverOptions:
-    """Resolve options from flags, problem file, and defaults.
+    """Resolve options: flags over ``default_options(prob)``.
 
     --sigma wins outright; --nu without --sigma derives sigma from the
     potential weight; a nu stored in the problem file only sets the potential
     weight and never changes sigma.
     """
-    epsilon = args.epsilon if args.epsilon is not None else prob.epsilon
+    flags = {"mode": args.mode, "max_iterations": getattr(args, "max_iterations", None)}
+    if args.epsilon is not None:
+        flags["epsilon"] = args.epsilon
     if args.nu is not None:
-        nu = args.nu
-    elif prob.nu is not None:
-        nu = prob.nu
-    else:
-        nu = DEFAULT_NU
-
-    sigma_derived = False
+        flags["nu"] = args.nu
     if args.sigma is not None:
-        sigma = args.sigma
+        flags["sigma"] = args.sigma
     elif args.nu is not None:
-        sigma = sigma_from_nu(prob.n, args.nu)
-        sigma_derived = True
-    else:
-        sigma = DEFAULT_SIGMA
-
-    return SolverOptions(
-        epsilon=epsilon,
-        nu=nu,
-        sigma=sigma,
-        mode=args.mode,
-        max_iterations=getattr(args, "max_iterations", None),
-        sigma_derived=sigma_derived,
-    )
+        flags["sigma"] = sigma_from_nu(prob.n, args.nu)
+    return replace(default_options(prob), **flags)
 
 
 def exit_code_for(report: SolveReport) -> int:
@@ -99,7 +85,7 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
     failed_ids = sorted({rec.id for rec in report.all_records() if not rec.passed})
     cap = iteration_cap(opts, report.budget)
     implied = sigma_from_nu(report.problem.n, opts.nu)
-    origin = "derived from nu" if opts.sigma_derived else "fixed"
+    origin = "derived from nu" if opts.sigma == implied else "fixed"
 
     lines = [
         f"status:      {report.status.value}",
@@ -172,7 +158,7 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     prob = running_example()
-    opts = SolverOptions(epsilon=prob.epsilon, mode=args.mode)
+    opts = replace(default_options(prob), mode=args.mode)
     report = solve(prob, opts)
     trace = write_trace(report)
     result = check_trace(trace, prob)

@@ -12,11 +12,13 @@ the slack table of the verbose report and by ``cts-1`` traces).
 
 Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
-I1..I12 (phase "loop"). Both sweeps build their records with one builder
-(``_Sweep``), which states each kind of rule once: an equality contract
-passes when its residual is within ``equality_bound`` (``EQUALITY_TOL``
-scaled by max(1, |reference|)), a positive-definiteness contract when
-``linalg.min_eigenvalue`` exceeds ``linalg.PD_TOL``. Tolerances are
+I1..I12 (phase "loop"). They share no id, so one table maps every id to its
+anchor template (``anchor``), and a record's phase follows from its id.
+Both sweeps build their records with one builder (``_Sweep``), which states
+each kind of rule once: an equality contract passes when its residual is
+within ``equality_bound`` (``EQUALITY_TOL`` scaled by max(1, |reference|)),
+a positive-definiteness contract when ``linalg.min_eigenvalue`` exceeds
+``linalg.PD_TOL``. Tolerances are
 constants of the catalog, so a trace is checked by rules it cannot state.
 
 Sums over the constraint matrices run over the problem's (m, n, n) stack in
@@ -55,11 +57,10 @@ class InvariantRecord:
     ``measured`` and ``bound`` are oriented so that, up to the strictness
     noted in the anchor, passing means measured <= bound; ``detail`` carries
     auxiliary numbers (component residuals, eigenvalues, raw chain verdicts).
-    ``anchor`` is a property rendered from ``id``, ``phase`` and ``sigma``.
+    ``phase`` and ``anchor`` are properties, rendered from ``id`` and ``sigma``.
     """
 
     id: str
-    phase: str
     iteration: int
     sigma: float
     measured: float
@@ -68,9 +69,12 @@ class InvariantRecord:
     detail: dict = field(default_factory=dict)
 
     @property
+    def phase(self) -> str:
+        return "loop" if self.id in LOOP_IDS else "init"
+
+    @property
     def anchor(self) -> str:
-        render = loop_anchor if self.phase == "loop" else init_anchor
-        return render(self.id, self.sigma)
+        return anchor(self.id, self.sigma)
 
 
 _LOOP_TEMPLATES: list[tuple[str, str]] = [
@@ -121,8 +125,8 @@ _INIT_TEMPLATES: list[tuple[str, str]] = [
 LOOP_IDS: tuple[str, ...] = tuple(rid for rid, _ in _LOOP_TEMPLATES)
 INIT_IDS: tuple[str, ...] = tuple(rid for rid, _ in _INIT_TEMPLATES)
 
-_LOOP_BY_ID = dict(_LOOP_TEMPLATES)
-_INIT_BY_ID = dict(_INIT_TEMPLATES)
+#: Every contract's anchor template, by id; the two catalogs share no id.
+_TEMPLATES = dict(_INIT_TEMPLATES + _LOOP_TEMPLATES)
 
 
 def fmt_num(x: float) -> str:
@@ -130,18 +134,10 @@ def fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _render(template: str, sigma: float) -> str:
-    return template.format(sigma=fmt_num(sigma), sigma1=fmt_num(sigma + 0.01))
-
-
-def loop_anchor(record_id: str, sigma: float) -> str:
-    """The annotation-language expression for a per-iteration contract."""
-    return _render(_LOOP_BY_ID[record_id], sigma)
-
-
-def init_anchor(record_id: str, sigma: float) -> str:
-    """The annotation-language expression for an initialization contract."""
-    return _render(_INIT_BY_ID[record_id], sigma)
+def anchor(record_id: str, sigma: float) -> str:
+    """The annotation-language expression of a contract, with ``sigma``
+    substituted; KeyError for an id of neither catalog."""
+    return _TEMPLATES[record_id].format(sigma=fmt_num(sigma), sigma1=fmt_num(sigma + 0.01))
 
 
 def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -168,10 +164,10 @@ def equality_bound(ref: float) -> float:
 
 
 class _Sweep:
-    """The records of one contract sweep, all of one phase, iteration and sigma."""
+    """The records of one contract sweep, all of one iteration and sigma."""
 
-    def __init__(self, phase: str, iteration: int, sigma: float):
-        self.phase, self.iteration, self.sigma = phase, iteration, sigma
+    def __init__(self, iteration: int, sigma: float):
+        self.iteration, self.sigma = iteration, sigma
         self.records: list[InvariantRecord] = []
 
     def add(
@@ -180,7 +176,6 @@ class _Sweep:
         self.records.append(
             InvariantRecord(
                 id=rid,
-                phase=self.phase,
                 iteration=self.iteration,
                 sigma=self.sigma,
                 measured=float(measured),
@@ -222,7 +217,7 @@ def check_iteration(
     dX, dZ, dp = step.dX, step.dZ, step.dp
     Zh, Zhi = step.Zh, step.Zhi
     sigma, mu = step.sigma, step.mu
-    out = _Sweep("loop", state.iteration, sigma)
+    out = _Sweep(state.iteration, sigma)
 
     # I1: both iterates stay positive definite.
     lam_x = min_eigenvalue(X)
@@ -324,7 +319,7 @@ def check_initialization(
     sigma = opts.sigma
     phi_rec = trace_inner(X, Z)
     mu_rec = phi_rec / n
-    out = _Sweep("init", state.iteration, sigma)
+    out = _Sweep(state.iteration, sigma)
 
     out.pd("init-f0-pd", min_eigenvalue(prob.f0))
 

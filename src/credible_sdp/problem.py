@@ -19,7 +19,10 @@ also admit only problems the solver can solve: m = n(n+1)/2 linearly
 independent F1..Fm, so that every Newton direction has an exact dp.
 
 The constraint matrices F1..Fm are held once, in one C-contiguous (m, n, n)
-array, so checks over all of them are single numpy expressions.
+array, so checks over all of them are single numpy expressions. Every value
+they determine (n, m, the assembled constraint matrix ``fmat`` and the
+problem hash) is derived from them, never stored beside them, so no problem
+can carry a hash or an ``fmat`` of other constraints.
 """
 
 from __future__ import annotations
@@ -48,36 +51,60 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """An SDP instance with pre-assembled constraint matrix.
+    """An SDP instance: six stored values, and what they determine.
 
-    ``fstack`` holds F1..Fm as one C-contiguous (m, n, n) array, and ``fs``
-    is the tuple of its rows: views, so the data is held once. ``fs`` may be
-    given as a sequence of n x n matrices or as such an array; either way it
-    is copied into ``fstack`` unless it already is one.
+    Stored: ``f0``, ``fs``, ``b``, an optional primal warm start ``x0``, the
+    convergence threshold ``epsilon`` on trace(X @ Z) and an optional
+    potential-function weight ``nu``. ``fs`` may be a sequence of n x n
+    matrices or an (m, n, n) array; it is copied into the C-contiguous stack
+    ``fstack`` unless it already is one, and ``fs`` becomes the tuple of its
+    rows (views), so the data is held once.
 
-    ``fmat`` is the m x (n(n+1)/2) matrix whose i-th row is vecs(Fi), so the
-    dual feasibility constraint reads fmat @ vecs(Z) + b == 0.
-
-    ``x0`` is an optional primal warm start; ``epsilon`` the convergence
-    threshold on trace(X @ Z); ``nu`` an optional potential-function weight.
+    Derived, so ``dataclasses.replace`` cannot leave them stale: ``n`` and
+    ``m`` from the shape of ``fstack``, and on first use ``fmat`` (row i is
+    vecs(Fi), so dual feasibility reads fmat @ vecs(Z) + b == 0) and the
+    hashes.
     """
 
-    n: int
-    m: int
     f0: np.ndarray
     fs: tuple[np.ndarray, ...]
     b: np.ndarray
-    fmat: np.ndarray
     x0: np.ndarray | None = None
     epsilon: float = 1e-8
     nu: float | None = None
-    problem_hash: str = field(default="")
     fstack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        stack = np.ascontiguousarray(self.fs, dtype=float).reshape(self.m, self.n, self.n)
+        stack = np.ascontiguousarray(self.fs, dtype=float)
         object.__setattr__(self, "fstack", stack)
         object.__setattr__(self, "fs", tuple(stack))
+
+    @property
+    def n(self) -> int:
+        return self.fstack.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.fstack.shape[0]
+
+    @cached_property
+    def fmat(self) -> np.ndarray:
+        return vecs_stack(self.fstack)
+
+    @cached_property
+    def problem_hash(self) -> str:
+        """SHA-256 of n and m as little-endian int64, followed by the
+        little-endian float64 bytes of F0, F1..Fm and b (matrices row by row).
+
+        Covers exactly the constraint data — not warm starts or options — so
+        a trace made from one file can be checked against a re-load of the
+        same constraints. Equal hashes mean equal bit patterns: 0.0 and -0.0
+        differ.
+        """
+        digest = hashlib.sha256(np.array([self.n, self.m], dtype="<i8").tobytes())
+        for M in (self.f0, self.fstack, self.b):
+            digest.update(np.asarray(M, dtype="<f8").tobytes())
+        return digest.hexdigest()
 
     @cached_property
     def text_hash(self) -> str:
@@ -111,23 +138,6 @@ def _logdet(S: np.ndarray, what: str) -> float:
 
 
 # -- construction ----------------------------------------------------------
-
-
-def compute_problem_hash(
-    n: int, m: int, f0: np.ndarray, fs: tuple[np.ndarray, ...] | np.ndarray, b: np.ndarray
-) -> str:
-    """SHA-256 of n and m as little-endian int64, followed by the
-    little-endian float64 bytes of F0, F1..Fm and b (matrices row by row).
-
-    Covers exactly the constraint data — not warm starts or options — so a
-    trace made from one file can be checked against a re-load of the same
-    constraints. Equal hashes mean equal bit patterns: 0.0 and -0.0 differ.
-    ``fs`` is the matrices or their (m, n, n) stack; the bytes are the same.
-    """
-    digest = hashlib.sha256(np.array([n, m], dtype="<i8").tobytes())
-    for M in (f0, fs, b):
-        digest.update(np.asarray(M, dtype="<f8").tobytes())
-    return digest.hexdigest()
 
 
 def build_problem(
@@ -199,9 +209,10 @@ def build_problem(
             f"symmetric direction dX is a combination of F1..Fm: n = {n} needs "
             f"{symvec.sym_dim(n)}, got m = {m}"
         )
-    fmat = vecs_stack(stack)
+    nu = None if nu is None else float(nu)
+    prob = SdpProblem(f0=f0, fs=stack, b=b, x0=x0, epsilon=float(epsilon), nu=nu)
     # matrix_rank's test, keeping the singular values for cond(F)
-    sv = np.linalg.svd(fmat, compute_uv=False)
+    sv = np.linalg.svd(prob.fmat, compute_uv=False)
     rank = int(np.count_nonzero(sv > sv[0] * m * np.finfo(float).eps))
     if rank < m:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,18 +222,7 @@ def build_problem(
             f"(cond(F) = {cond:.3e})"
         )
 
-    return SdpProblem(
-        n=n,
-        m=m,
-        f0=f0,
-        fs=stack,
-        b=b,
-        fmat=fmat,
-        x0=x0,
-        epsilon=float(epsilon),
-        nu=None if nu is None else float(nu),
-        problem_hash=compute_problem_hash(n, m, f0, stack, b),
-    )
+    return prob
 
 
 def json_numbers(
@@ -315,7 +315,6 @@ __all__ = [
     "ProblemFormatError",
     "SdpProblem",
     "build_problem",
-    "compute_problem_hash",
     "json_numbers",
     "load_problem",
     "load_problem_file",

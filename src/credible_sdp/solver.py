@@ -27,7 +27,9 @@ so F' is invertible and dp solves its equation for any dX.
 
 Every iteration is checked against its runtime contracts by the ``monitor``
 module; ``solve`` returns a report bundling the trajectory with the per-step
-contract records.
+contract records. The report stores each fact once: the iteration count, the
+final state and the final gap are read off its snapshots. Neither stores
+whether sigma came from nu: that is ``sigma == sigma_from_nu(n, nu)``.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ class SolverOptions:
     "strict" aborts the run with status InvariantViolation, "audit" records
     the failure and keeps iterating. Initialization contracts are enforced in
     both modes.
-
-    ``sigma_derived`` is informational: True when sigma was derived from the
-    potential weight nu rather than given directly.
     """
 
     epsilon: float = 1e-8
@@ -93,7 +92,6 @@ class SolverOptions:
     sigma: float = DEFAULT_SIGMA
     mode: str = "audit"
     max_iterations: int | None = None
-    sigma_derived: bool = False
 
 
 def validate_options(opts: SolverOptions) -> None:
@@ -212,7 +210,7 @@ def prepare_newton(prob: SdpProblem, Z: np.ndarray) -> NewtonScaling:
     return NewtonScaling(
         Zh=Zh,
         Zhi=Zhi,
-        H=krons(Zhi @ Z, Zh, prob.n),
+        H=krons(Zhi @ Z, Zh),
         ft_pinv=np.linalg.pinv(prob.fmat.T, rcond=cutoff),
     )
 
@@ -280,7 +278,8 @@ def initialize(
 
     Z solves the dual-feasibility equations by minimum-norm least squares
     (and stays fixed thereafter); X comes from the explicit warm start
-    (argument wins over the problem file); p solves the primal-feasibility
+    (argument wins over the problem file), refused before any arithmetic on
+    it unless every entry is finite; p solves the primal-feasibility
     equations for that X. The initialization contract sweep alone judges the
     result, in both modes: if any record fails, the error lists each failed
     id with its measured value and bound, and is a NeighborhoodViolation when
@@ -298,7 +297,10 @@ def initialize(
         raise InitializationError(
             "no primal warm start: pass X0 or include one in the problem file"
         )
-    X = require_symmetric(np.array(X0, dtype=float), what="X0")
+    X = np.array(X0, dtype=float)
+    if not np.isfinite(X).all():
+        raise InitializationError("X0 has non-finite entries")
+    X = require_symmetric(X, what="X0")
     if X.shape != (n, n):
         raise InitializationError(f"X0 has shape {X.shape}, expected {(n, n)}")
 
@@ -344,19 +346,29 @@ class IterationSnapshot:
 
 @dataclass
 class SolveReport:
-    """Full account of one solver run."""
+    """Full account of one solver run. The iteration count, the final state
+    and the final gap are read off the snapshots."""
 
     problem: SdpProblem
     options: SolverOptions
     status: SolveStatus
-    iterations: int
     initial_state: IterateState
-    final_state: IterateState
-    final_gap: float
     budget: int
     init_records: list["InvariantRecord"]
     snapshots: list[IterationSnapshot]
     violation_id: str | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.snapshots)
+
+    @property
+    def final_state(self) -> IterateState:
+        return self.snapshots[-1].state if self.snapshots else self.initial_state
+
+    @property
+    def final_gap(self) -> float:
+        return self.final_state.phi
 
     @property
     def clean(self) -> bool:
@@ -444,10 +456,7 @@ def solve(
         problem=prob,
         options=opts,
         status=status,
-        iterations=len(snapshots),
         initial_state=initial_state,
-        final_state=state,
-        final_gap=state.phi,
         budget=budget,
         init_records=init_records,
         snapshots=snapshots,

@@ -80,7 +80,7 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
     asym = float(asymmetry(a))
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if asym > tol * scale:
+    if not asym <= tol * scale:  # a NaN asymmetry fails too
         raise SymmetryError(f"{what} is not symmetric: max |a - a.T| = {asym:.3e}")
     return a
 
@@ -135,7 +135,7 @@ def smat(v: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def krons(Q1: np.ndarray, Q2: np.ndarray, n: int | None = None) -> np.ndarray:
+def krons(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
     """Symmetric Kronecker product as a dense N-by-N matrix, N = n(n+1)/2.
 
     Defined by its action on vectorized symmetric matrices:
@@ -143,7 +143,6 @@ def krons(Q1: np.ndarray, Q2: np.ndarray, n: int | None = None) -> np.ndarray:
         krons(Q1, Q2) @ vecs(M) == vecs(0.5 * (Q1 @ M @ Q2.T + Q2 @ M @ Q1.T))
 
     Q1 and Q2 must be square of equal dimension; they need not be symmetric.
-    The optional ``n`` cross-checks the expected dimension.
     """
     Q1 = np.asarray(Q1, dtype=float)
     Q2 = np.asarray(Q2, dtype=float)
@@ -151,8 +150,6 @@ def krons(Q1: np.ndarray, Q2: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionError(f"krons: Q1 must be square, got shape {Q1.shape}")
     if Q2.shape != Q1.shape:
         raise DimensionError(f"krons: Q1 {Q1.shape} and Q2 {Q2.shape} differ")
-    if n is not None and n != Q1.shape[0]:
-        raise DimensionError(f"krons: matrices are {Q1.shape[0]}x{Q1.shape[0]}, expected n={n}")
     # Column k is the image of the basis matrix mats(e_k): for the entry
     # (a, b) that is (e_a e_b' + e_b e_a') / sqrt(2) off the diagonal and
     # e_a e_a' on it. Its (i, j) entry under the product, times the vecs

@@ -15,10 +15,9 @@ from credible_sdp.monitor import (
     LOOP_IDS,
     THETA,
     _fold,
+    anchor,
     check_initialization,
     check_iteration,
-    init_anchor,
-    loop_anchor,
 )
 from credible_sdp.problem import SdpProblem
 from credible_sdp.solver import (
@@ -29,7 +28,6 @@ from credible_sdp.solver import (
     initialize,
     solve,
 )
-from credible_sdp.symvec import vecs_stack
 
 F1 = np.diag([1.0, -1.0])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -38,11 +36,7 @@ F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 def _unchecked_problem(f0, fs, b) -> SdpProblem:
     """A problem built without validation or admission, as build_problem
     would assemble it."""
-    stack = np.array(fs, dtype=float)
-    return SdpProblem(
-        n=stack.shape[1], m=len(stack), f0=np.asarray(f0, dtype=float), fs=stack,
-        b=np.asarray(b, dtype=float), fmat=vecs_stack(stack),
-    )
+    return SdpProblem(f0=np.asarray(f0, dtype=float), fs=fs, b=np.asarray(b, dtype=float))
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -70,26 +64,26 @@ def test_constants():
 
 
 def test_anchor_substitutes_contraction_margin():
-    assert loop_anchor("I3", 0.75) == "phi-0.76*phim<0"
-    assert loop_anchor("I3", 0.5) == "phi-0.51*phim<0"
+    assert anchor("I3", 0.75) == "phi-0.76*phim<0"
+    assert anchor("I3", 0.5) == "phi-0.51*phim<0"
 
 
 def test_anchor_substitutes_sigma_and_ceiling():
-    assert loop_anchor("I8", 0.75) == "trace(X*Z)-0.75*trace(Xm*Zm)==0"
-    assert loop_anchor("I2", 0.75) == "phi>0 && phi<=0.1"
-    assert init_anchor("init-gap-upper", 0.75) == "trace(X*Z)<=0.1"
-    assert init_anchor("init-sigma-constant", 0.75) == "sigma==0.75"
-    assert init_anchor("init-phim-seed", 0.75) == "phi-0.76*phim<0"
+    assert anchor("I8", 0.75) == "trace(X*Z)-0.75*trace(Xm*Zm)==0"
+    assert anchor("I2", 0.75) == "phi>0 && phi<=0.1"
+    assert anchor("init-gap-upper", 0.75) == "trace(X*Z)<=0.1"
+    assert anchor("init-sigma-constant", 0.75) == "sigma==0.75"
+    assert anchor("init-phim-seed", 0.75) == "phi-0.76*phim<0"
 
 
 def test_anchor_mentions_literal_bounds():
-    assert "0.3105" in loop_anchor("I4", 0.75)
-    assert "0.7" in loop_anchor("I5", 0.75)
+    assert "0.3105" in anchor("I4", 0.75)
+    assert "0.7" in anchor("I5", 0.75)
 
 
 def test_unknown_anchor_id_raises():
     with pytest.raises(KeyError):
-        loop_anchor("I99", 0.75)
+        anchor("I99", 0.75)
 
 
 # -- initialization sweep ------------------------------------------------------------
@@ -103,7 +97,7 @@ def test_initialization_sweep_passes_on_the_example(example_problem):
     assert all(rec.passed for rec in records)
     assert all(rec.phase == "init" and rec.iteration == 0 for rec in records)
     for rec in records:
-        assert rec.anchor == init_anchor(rec.id, opts.sigma)
+        assert rec.anchor == anchor(rec.id, opts.sigma)
 
 
 def _identity_state(n, m, sigma=0.75):
@@ -180,7 +174,7 @@ def test_iteration_sweep_passes_on_real_snapshots(example_report):
         assert all(rec.iteration == snap.state.iteration for rec in records)
         assert all(rec.phase == "loop" for rec in records)
         for rec in records:
-            assert rec.anchor == loop_anchor(rec.id, opts.sigma)
+            assert rec.anchor == anchor(rec.id, opts.sigma)
 
 
 def test_iteration_sweep_is_deterministic(example_report):
@@ -335,12 +329,11 @@ def test_sweeps_render_no_anchor_text(example_problem, monkeypatch):
     def refuse(*args):
         raise AssertionError("an anchor was rendered")
 
-    monkeypatch.setattr(monitor, "loop_anchor", refuse)
-    monkeypatch.setattr(monitor, "init_anchor", refuse)
+    monkeypatch.setattr(monitor, "anchor", refuse)
     report = solve(example_problem)
     assert check_trace(write_trace(report), example_problem).clean
     monkeypatch.undo()
     rec = report.snapshots[0].records[2]
-    assert rec.anchor == loop_anchor("I3", rec.sigma) == "phi-0.76*phim<0"
+    assert rec.anchor == anchor("I3", rec.sigma) == "phi-0.76*phim<0"
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.sigma = 0.5

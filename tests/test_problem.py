@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -14,7 +15,6 @@ from credible_sdp.problem import (
     ProblemFormatError,
     SdpProblem,
     build_problem,
-    compute_problem_hash,
     load_problem,
     load_problem_file,
     running_example,
@@ -241,19 +241,13 @@ def test_generated_and_golden_problems_are_admitted():
 def test_validation_can_be_bypassed_for_diagnostic_inputs():
     # deliberately broken data must be constructible so the initialization
     # contract sweep can run against it and report the failures
-    prob = SdpProblem(
-        n=2, m=3, f0=-np.eye(2), fs=(F1, F2, F3), b=B,
-        fmat=np.array([vecs(F1), vecs(F2), vecs(F3)]),
-    )
+    prob = SdpProblem(f0=-np.eye(2), fs=(F1, F2, F3), b=B)
     assert prob.n == 2
     assert not np.all(np.linalg.eigvalsh(prob.f0) > 0)
 
 
 def test_direct_dataclass_construction_skips_validation():
-    prob = SdpProblem(
-        n=2, m=1, f0=-np.eye(2), fs=(F1,), b=np.array([0.0]),
-        fmat=vecs(F1)[None, :],
-    )
+    prob = SdpProblem(f0=-np.eye(2), fs=(F1,), b=np.array([0.0]))
     assert prob.epsilon == 1e-8 and prob.nu is None
     # the matrices given are copied into one stack, and fs are its rows
     assert prob.fstack.shape == (1, 2, 2) and prob.fstack.flags.c_contiguous
@@ -280,8 +274,8 @@ def test_hash_changes_with_constraint_data():
 
 
 def test_hash_function_is_deterministic():
-    h1 = compute_problem_hash(2, 3, F0, (F1, F2, F3), B)
-    h2 = compute_problem_hash(2, 3, F0.copy(), (F1.copy(), F2.copy(), F3.copy()), B.copy())
+    h1 = SdpProblem(f0=F0, fs=(F1, F2, F3), b=B).problem_hash
+    h2 = SdpProblem(f0=F0.copy(), fs=(F1.copy(), F2.copy(), F3.copy()), b=B.copy()).problem_hash
     assert h1 == h2 and len(h1) == 64
 
 
@@ -292,10 +286,29 @@ def test_hash_is_sha256_of_the_little_endian_bytes():
     base = toy_problem().problem_hash
     assert base == hashlib.sha256(data).hexdigest()
     # row by row whatever the memory layout; equal bits, not equal values
-    assert compute_problem_hash(2, 3, np.asfortranarray(F0), (F1, F2, F3), B) == base
+    assert SdpProblem(f0=np.asfortranarray(F0), fs=(F1, F2, F3), b=B).problem_hash == base
     signed_zero = F1.copy()
     signed_zero[0, 1] = -0.0
-    assert compute_problem_hash(2, 3, F0, (signed_zero, F2, F3), B) != base
+    assert SdpProblem(f0=F0, fs=(signed_zero, F2, F3), b=B).problem_hash != base
+
+
+def test_replace_derives_the_hash_and_fmat_of_the_new_constraints(example_problem):
+    changed_b = dataclasses.replace(example_problem, b=1.01 * example_problem.b)
+    assert changed_b.problem_hash != example_problem.problem_hash
+    np.testing.assert_array_equal(changed_b.fmat, example_problem.fmat)
+    scaled = tuple(2.0 * Fi for Fi in example_problem.fs)
+    changed_f = dataclasses.replace(example_problem, fs=scaled)
+    np.testing.assert_array_equal(changed_f.fmat, 2.0 * example_problem.fmat)
+    assert changed_f.problem_hash != example_problem.problem_hash
+
+
+def test_direct_construction_derives_what_build_problem_does():
+    built = toy_problem()
+    direct = SdpProblem(f0=F0, fs=(F1, F2, F3), b=B)
+    assert (direct.n, direct.m) == (built.n, built.m) == (2, 3)
+    assert direct.problem_hash == built.problem_hash
+    assert direct.fmat.tobytes() == built.fmat.tobytes()
+    assert direct.text_hash == built.text_hash
 
 
 def _text_hash_by_generator(prob) -> str:
@@ -313,7 +326,7 @@ def test_text_hash_matches_the_generator_it_replaced(example_problem):
     tiny, huge = 5e-324, 1.7976931348623157e308
     odd = np.array([[-0.0, tiny], [-tiny, 1e308]])
     fs = (np.array([[-1e308, 2.2250738585072014e-308 / 3], [0.1, huge]]),)
-    prob = SdpProblem(n=2, m=1, f0=odd, fs=fs, b=np.array([-huge]), fmat=np.zeros((1, 3)))
+    prob = SdpProblem(f0=odd, fs=fs, b=np.array([-huge]))
     assert prob.text_hash == _text_hash_by_generator(prob)
 
 

@@ -26,7 +26,7 @@ from credible_sdp.solver import (
     take_step,
     validate_options,
 )
-from credible_sdp.symvec import krons, symmetrize, vecs, vecs_stack
+from credible_sdp.symvec import krons, symmetrize, vecs
 from problem_gen import random_problem
 
 # values frozen from an independent implementation of the same iteration
@@ -176,6 +176,18 @@ def test_initialize_names_an_indefinite_planted_dual_start(example_problem):
     assert "init-z0-pd (measured 5.000000e-01, bound -1.000000e-12)" in str(exc_info.value)
 
 
+@pytest.mark.parametrize(
+    "entry, value",
+    [((0, 0), np.nan), ((1, 1), np.inf), ((0, 1), -np.inf)],
+    ids=["nan", "inf-diagonal", "inf-off-diagonal"],
+)
+def test_solve_refuses_a_non_finite_warm_start_naming_x0(example_problem, entry, value):
+    X0 = example_problem.x0.copy()
+    X0[entry] = value
+    with pytest.raises(InitializationError, match="X0 has non-finite entries"):
+        solve(example_problem, X0=X0)
+
+
 def test_initialize_rejects_wrong_shape_warm_start(example_problem):
     with pytest.raises(InitializationError):
         initialize(example_problem, default_options(example_problem), X0=np.eye(3))
@@ -280,8 +292,7 @@ def test_unrepresentable_directions_raise_naming_the_equation(f0_in_span, equati
     with pytest.raises(ProblemFormatError, match=r"n = 3 needs 6, got m = 5"):
         build_problem(f0, fs, b, x0=X0)
     # unadmitted, the solve stops on the contract of the equation it misses
-    stack = np.array(fs)
-    prob = SdpProblem(n=3, m=5, f0=f0, fs=stack, b=b, fmat=vecs_stack(stack), x0=X0)
+    prob = SdpProblem(f0=f0, fs=fs, b=b, x0=X0)
     contract = CERTIFYING_CONTRACT[equation]
     if not f0_in_span:
         with pytest.raises(InitializationError, match=contract) as exc_info:

@@ -47,6 +47,11 @@ def test_require_symmetric_rejects_beyond_tolerance():
         require_symmetric(A, tol=1e-12)
 
 
+def test_require_symmetric_rejects_a_nan_asymmetry():
+    with pytest.raises(SymmetryError, match="nan"):
+        require_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]), what="X0")
+
+
 def test_require_symmetric_rejects_nonsquare():
     with pytest.raises(DimensionError):
         require_symmetric(np.zeros((2, 3)))
@@ -140,10 +145,3 @@ def test_krons_shape_validation():
         krons(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         krons(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionError):
-        krons(np.eye(2), np.eye(2), n=3)
-
-
-def test_krons_accepts_matching_dimension_hint():
-    K = krons(np.eye(2), np.eye(2), n=2)
-    assert K.shape == (3, 3)
