@@ -42,6 +42,7 @@ so listing, trace, and checker all speak the same contract catalog.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import monitor
-from .linalg import PD_TOL, sym_inv, sym_sqrt, trace_inner
+from .linalg import PD_TOL, sym_inv, sym_sqrt
 from .problem import SdpProblem, json_numbers
 from .solver import (
     IterateState,
@@ -103,7 +104,14 @@ _dumps = json.JSONEncoder(
 ).encode
 
 
-def _record_obj(rec: "monitor.InvariantRecord", schema: str = TRACE_SCHEMA) -> dict:
+def _record_obj(
+    rec: "monitor.InvariantRecord",
+    schema: str = TRACE_SCHEMA,
+    iteration: int | None = None,
+    sigma: float | None = None,
+) -> dict:
+    """A record line; a ``cts-1`` line also states the phase, the
+    ``iteration`` and the anchor at the run's ``sigma``."""
     obj = {
         "type": "record",
         "id": rec.id,
@@ -113,22 +121,34 @@ def _record_obj(rec: "monitor.InvariantRecord", schema: str = TRACE_SCHEMA) -> d
         "detail": rec.detail,
     }
     if schema == LEGACY_SCHEMA:
-        obj.update(phase=rec.phase, iteration=rec.iteration, anchor=rec.anchor)
+        phase = "loop" if rec.id in monitor.LOOP_IDS else "init"
+        obj.update(phase=phase, iteration=iteration, anchor=monitor.anchor(rec.id, sigma))
     return obj
 
 
-def _problem_hash(prob: SdpProblem, schema: str) -> str:
-    return prob.text_hash if schema == LEGACY_SCHEMA else prob.problem_hash
+def _text_hash(prob: SdpProblem) -> str:
+    """The problem hash a ``cts-1`` trace carries: SHA-256 of the constraint
+    data written as ``.17g`` text."""
+    parts = [f"n={prob.n}", f"m={prob.m}"]
+    named = [("F0", prob.f0), *((f"F{i}", Fi) for i, Fi in enumerate(prob.fs, 1))]
+    for name, M in [*named, ("b", prob.b)]:
+        values = tuple(np.asarray(M, dtype=float).ravel().tolist())
+        parts.append(f"{name}=[" + ("%.17g," * len(values) % values)[:-1] + "]")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 def _header_obj(
-    prob: SdpProblem, opts: SolverOptions, state: IterateState, schema: str = TRACE_SCHEMA
+    prob: SdpProblem,
+    opts: SolverOptions,
+    state: IterateState,
+    problem_hash: str,
+    schema: str = TRACE_SCHEMA,
 ) -> dict:
     obj = {
         "type": "header",
         "schema": schema,
         "tool": f"{TOOL_NAME} {TOOL_VERSION}",
-        "problem_hash": _problem_hash(prob, schema),
+        "problem_hash": problem_hash,
         "n": prob.n,
         "m": prob.m,
         "vectorization": VECTORIZATION,
@@ -157,7 +177,10 @@ def _header_obj(
     return obj
 
 
-def _iteration_obj(state: IterateState, step: NewtonStep, schema: str = TRACE_SCHEMA) -> dict:
+def _iteration_obj(
+    prev: IterateState, state: IterateState, step: NewtonStep, schema: str = TRACE_SCHEMA
+) -> dict:
+    """The line of the step from ``prev`` to ``state``."""
     obj = {
         "type": "iteration",
         "iteration": state.iteration,
@@ -167,9 +190,9 @@ def _iteration_obj(state: IterateState, step: NewtonStep, schema: str = TRACE_SC
     }
     if schema == LEGACY_SCHEMA:
         obj.update(
-            Xm=state.Xm,
-            Zm=state.Zm,
-            pm=state.pm,
+            Xm=prev.X,
+            Zm=prev.Z,
+            pm=prev.p,
             X=state.X,
             Z=state.Z,
             p=state.p,
@@ -204,13 +227,16 @@ def _footer_obj(
 
 def write_trace(report: SolveReport) -> bytes:
     """Serialize a solve report as a JSON-lines proof trace."""
-    lines = [_dumps(_header_obj(report.problem, report.options, report.initial_state))]
+    prob = report.problem
+    lines = [_dumps(_header_obj(prob, report.options, report.initial_state, prob.problem_hash))]
     for rec in report.init_records:
         lines.append(_dumps(_record_obj(rec)))
+    prev = report.initial_state
     for snap in report.snapshots:
-        lines.append(_dumps(_iteration_obj(snap.state, snap.step)))
+        lines.append(_dumps(_iteration_obj(prev, snap.state, snap.step)))
         for rec in snap.records:
             lines.append(_dumps(_record_obj(rec)))
+        prev = snap.state
     footer = _footer_obj(
         report.status.value,
         report.iterations,
@@ -455,7 +481,7 @@ def _state_from_header(header: dict, n: int, m: int) -> IterateState:
         mu, phi, phim = (float(json_numbers(init[key], shape=())) for key in ("mu", "phi", "phim"))
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"trace header init_state is malformed: {exc}") from None
-    return IterateState(X=X, Z=Z, p=p, Xm=X, Zm=Z, pm=p, mu=mu, phi=phi, phim=phim, iteration=0)
+    return IterateState(X=X, Z=Z, p=p, mu=mu, phi=phi, phim=phim, iteration=0)
 
 
 #: The arrays an iteration line stores: the directions, and in cts-1 also
@@ -472,6 +498,8 @@ def _compare_records(
     where: str,
     expected_ids: tuple[str, ...],
     schema: str,
+    iteration: int,
+    sigma: float,
     findings: list[Finding],
 ) -> None:
     stored_ids = [rec.get("id") for rec in stored]
@@ -491,7 +519,7 @@ def _compare_records(
         if ours is None:
             findings.append(Finding("catalog", where, rid, f"unknown record id {rid!r}"))
         else:
-            _diff(stored_rec, _record_obj(ours, schema), where, rid, findings)
+            _diff(stored_rec, _record_obj(ours, schema, iteration, sigma), where, rid, findings)
 
 
 def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
@@ -515,7 +543,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     schema = header["schema"]
 
     stored_hash = header.get("problem_hash")
-    problem_hash = _problem_hash(prob, schema)
+    problem_hash = _text_hash(prob) if schema == LEGACY_SCHEMA else prob.problem_hash
     if stored_hash != problem_hash:
         raise TraceFormatError(
             f"problem hash mismatch: {schema} trace was made for "
@@ -529,7 +557,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     failed: set[str] = set()
     records_checked = 0
 
-    expected = _header_obj(prob, opts, state0, schema)
+    expected = _header_obj(prob, opts, state0, problem_hash, schema)
     for key in ("tool", "backend"):  # these name the software that wrote the trace
         if isinstance(header.get(key), str):
             expected[key] = header[key]
@@ -540,7 +568,10 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     try:
         recomputed = monitor.check_initialization(prob, state0, opts)
         failed.update(rec.id for rec in recomputed if not rec.passed)
-        _compare_records(trace.init_records, recomputed, "init", monitor.INIT_IDS, schema, findings)
+        _compare_records(
+            trace.init_records, recomputed, "init", monitor.INIT_IDS, schema,
+            0, opts.sigma, findings,
+        )
         records_checked += len(trace.init_records)
     except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
         findings.append(Finding("error", "init", None, f"checker error: {exc}"))
@@ -563,20 +594,16 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
                 Zh = sym_sqrt(prev.Z)
                 scaled = (prev.Z, Zh, sym_inv(Zh))
             step = NewtonStep(
-                dX=arrays["dX"],
-                dZ=arrays["dZ"],
-                dp=arrays["dp"],
-                Zh=scaled[1],
-                Zhi=scaled[2],
-                mu=trace_inner(prev.X, prev.Z) / n,
-                sigma=opts.sigma,
+                dX=arrays["dX"], dZ=arrays["dZ"], dp=arrays["dp"], Zh=scaled[1], Zhi=scaled[2]
             )
             state = take_step(prob, prev, step)
-            _diff({**line, **arrays}, _iteration_obj(state, step, schema), where, None, findings)
-            recomputed = monitor.check_iteration(prob, state, step)
+            ours = _iteration_obj(prev, state, step, schema)
+            _diff({**line, **arrays}, ours, where, None, findings)
+            recomputed = monitor.check_iteration(prob, prev, state, step, opts.sigma)
             failed.update(rec.id for rec in recomputed if not rec.passed)
             _compare_records(
-                block["records"], recomputed, where, monitor.LOOP_IDS, schema, findings
+                block["records"], recomputed, where, monitor.LOOP_IDS, schema,
+                state.iteration, opts.sigma, findings,
             )
             records_checked += len(block["records"])
         except Exception as exc:  # noqa: BLE001
@@ -587,7 +614,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         if schema == LEGACY_SCHEMA:
             # A cts-1 line stores its point, and the next step starts from it,
             # so a tampered X is flagged here and again where the next line
-            # steps from it. take_step reads only X, Z, p and iteration.
+            # steps from it. Nothing reads more of prev than X, Z, p and iteration.
             prev = replace(prev, X=arrays["X"], Z=arrays["Z"], p=arrays["p"], iteration=k)
         else:
             prev = state
@@ -672,12 +699,9 @@ class AnnotatedListing:
 
 
 def _mat_literal(M: np.ndarray) -> str:
-    rows = np.asarray(M, dtype=float).tolist()
+    """``[a,b;c,d]``; a vector renders as a column, ``[a;b;c]``."""
+    rows = np.asarray(M, dtype=float).reshape(len(M), -1).tolist()
     return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
-
-
-def _vec_literal(v: np.ndarray) -> str:
-    return "[" + ";".join(map(repr, np.asarray(v, dtype=float).ravel().tolist())) + "]"
 
 
 def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
@@ -715,7 +739,7 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
         code(f"F{i} = {_mat_literal(Fi)};")
     rows = ";".join(f"vecs(F{i})" for i in range(1, prob.m + 1))
     code(f"F = [{rows}];")
-    code(f"b = {_vec_literal(prob.b)};")
+    code(f"b = {_mat_literal(prob.b)};")
     code(f"epsilon = {monitor.fmt_num(opts.epsilon)};")
     code(f"sigma = {monitor.fmt_num(sigma)};")
     req("init-f0-pd")

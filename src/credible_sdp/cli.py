@@ -28,6 +28,7 @@ from .annotator import (
     emit_annotated_listing,
     write_trace,
 )
+from .monitor import anchor
 from .problem import SdpProblem, load_problem_file, running_example
 from .solver import (
     DEFAULT_SIGMA,
@@ -107,11 +108,8 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
         lines.append("")
         lines.append("smallest contract slack (bound - measured), tightest first:")
         slacks = sorted(report.min_slacks().items(), key=lambda kv: kv[1])
-        by_id = {}
-        for rec in report.all_records():
-            by_id.setdefault(rec.id, rec.anchor)
         for rid, slack in slacks:
-            lines.append(f"  {rid:<26} {slack: .6e}  {by_id[rid]}")
+            lines.append(f"  {rid:<26} {slack: .6e}  {anchor(rid, opts.sigma)}")
         init_failed = [rec.id for rec in report.init_records if not rec.passed]
         if init_failed:
             lines.append(f"initialization: {len(report.init_records)} records, FAILED: {', '.join(init_failed)}")

@@ -3,12 +3,11 @@
 Each solver step is judged against a fixed catalog of contracts. A contract
 evaluation never raises: it produces an ``InvariantRecord`` holding the
 measured quantity, the bound it was compared against, and the verdict, so a
-failed contract is data, not control flow. A record's ``anchor`` is the
-contract as an expression in the annotation language used by the listing
-generator, which makes records, annotated listings, and trace checking all
-point at the same text. Anchors are derived, not stored: a record keeps the
-sigma its anchor is rendered with, and the text is built only when read (by
-the slack table of the verbose report and by ``cts-1`` traces).
+failed contract is data, not control flow. A record holds only what was
+measured; its iteration and the run's sigma are its holder's. A contract's
+``anchor(id, sigma)`` is its expression in the listing's annotation
+language, the text that records, listings and trace checking point at; it
+is rendered only when read (verbose report, listing, ``cts-1`` traces).
 
 Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
@@ -57,24 +56,14 @@ class InvariantRecord:
     ``measured`` and ``bound`` are oriented so that, up to the strictness
     noted in the anchor, passing means measured <= bound; ``detail`` carries
     auxiliary numbers (component residuals, eigenvalues, raw chain verdicts).
-    ``phase`` and ``anchor`` are properties, rendered from ``id`` and ``sigma``.
+    The contract's text is ``anchor(id, sigma)`` with the run's sigma.
     """
 
     id: str
-    iteration: int
-    sigma: float
     measured: float
     bound: float
     passed: bool
     detail: dict = field(default_factory=dict)
-
-    @property
-    def phase(self) -> str:
-        return "loop" if self.id in LOOP_IDS else "init"
-
-    @property
-    def anchor(self) -> str:
-        return anchor(self.id, self.sigma)
 
 
 _LOOP_TEMPLATES: list[tuple[str, str]] = [
@@ -164,10 +153,9 @@ def equality_bound(ref: float) -> float:
 
 
 class _Sweep:
-    """The records of one contract sweep, all of one iteration and sigma."""
+    """The records of one contract sweep."""
 
-    def __init__(self, iteration: int, sigma: float):
-        self.iteration, self.sigma = iteration, sigma
+    def __init__(self):
         self.records: list[InvariantRecord] = []
 
     def add(
@@ -176,8 +164,6 @@ class _Sweep:
         self.records.append(
             InvariantRecord(
                 id=rid,
-                iteration=self.iteration,
-                sigma=self.sigma,
                 measured=float(measured),
                 bound=float(bound),
                 passed=bool(passed),
@@ -198,26 +184,26 @@ class _Sweep:
 
 def check_iteration(
     prob: SdpProblem,
+    prev: IterateState,
     state: IterateState,
     step: NewtonStep,
+    sigma: float,
 ) -> list[InvariantRecord]:
     """Evaluate the twelve per-iteration contracts for one completed step.
 
-    ``state`` is the post-step state; it embeds the point that was stepped
-    from as (Xm, Zm, pm) and its gap as phim. ``step`` supplies the
-    directions, the scaling pair (Zh, Zhi), and the mu/sigma that built the
-    right-hand side. Only those attributes are read — never the assembled
-    system G/H/r — so a step reconstructed from a serialized trace is checked
-    by exactly the same code path as a live one.
+    ``prev`` is the point stepped from (Xm, Zm in the anchors), ``state`` the
+    point reached, ``step`` the directions and the scaling pair (Zh, Zhi).
+    mu is the listing's ``trace(Xm*Zm)/n``, derived from ``prev`` rather than
+    taken from the solver, so a step built with a wrong mu fails I7 and I10.
     """
     n = prob.n
     eye = np.eye(n)
-    Xm, Zm = state.Xm, state.Zm
+    Xm, Zm = prev.X, prev.Z
     X, Z = state.X, state.Z
     dX, dZ, dp = step.dX, step.dZ, step.dp
     Zh, Zhi = step.Zh, step.Zhi
-    sigma, mu = step.sigma, step.mu
-    out = _Sweep(state.iteration, sigma)
+    mu = trace_inner(Xm, Zm) / n
+    out = _Sweep()
 
     # I1: both iterates stay positive definite.
     lam_x = min_eigenvalue(X)
@@ -319,7 +305,7 @@ def check_initialization(
     sigma = opts.sigma
     phi_rec = trace_inner(X, Z)
     mu_rec = phi_rec / n
-    out = _Sweep(state.iteration, sigma)
+    out = _Sweep()
 
     out.pd("init-f0-pd", min_eigenvalue(prob.f0))
 

@@ -63,7 +63,7 @@ class SdpProblem:
     Derived, so ``dataclasses.replace`` cannot leave them stale: ``n`` and
     ``m`` from the shape of ``fstack``, and on first use ``fmat`` (row i is
     vecs(Fi), so dual feasibility reads fmat @ vecs(Z) + b == 0) and the
-    hashes.
+    problem hash.
     """
 
     f0: np.ndarray
@@ -106,18 +106,6 @@ class SdpProblem:
             digest.update(np.asarray(M, dtype="<f8").tobytes())
         return digest.hexdigest()
 
-    @cached_property
-    def text_hash(self) -> str:
-        """The problem hash a ``cts-1`` trace carries: SHA-256 of the
-        constraint data written as ``.17g`` text. Computed on first use, since
-        only the check of a ``cts-1`` trace needs it."""
-        parts = [f"n={self.n}", f"m={self.m}"]
-        named = [("F0", self.f0), *((f"F{i}", Fi) for i, Fi in enumerate(self.fs, 1))]
-        for name, M in [*named, ("b", self.b)]:
-            values = tuple(np.asarray(M, dtype=float).ravel().tolist())
-            parts.append(f"{name}=[" + ("%.17g," * len(values) % values)[:-1] + "]")
-        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
     # -- potentials ---------------------------------------------------------
 
     def potential_tanabe(self, X: np.ndarray, Z: np.ndarray, nu: float) -> float:
@@ -154,10 +142,17 @@ def build_problem(
     Admission: each Newton step solves sum(dp[i] * Fi) = -dX for a symmetric
     dX that can be any symmetric matrix, so F1..Fm must be a basis of the
     symmetric n x n matrices: m = n(n+1)/2 and linearly independent.
+    A non-finite entry in F0, any Fi, b or X0 is refused first, by name.
     """
     f0 = np.array(f0, dtype=float)
     fs = [np.asarray(Fi, dtype=float) for Fi in fs]
     b = np.array(b, dtype=float).ravel()
+    x0 = None if x0 is None else np.array(x0, dtype=float)
+    named = [("F0", f0), *((f"F{i}", Fi) for i, Fi in enumerate(fs, 1)), ("b", b), ("X0", x0)]
+    for name, M in named:
+        # before any arithmetic, which would turn inf into nan and misname the fault
+        if M is not None and not np.isfinite(M).all():
+            raise ProblemFormatError(f"{name} has non-finite entries")
     if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
         raise ProblemFormatError(f"F0 must be square, got shape {f0.shape}")
     n = f0.shape[0]
@@ -195,7 +190,6 @@ def build_problem(
     if nu is not None and (not np.isfinite(nu) or nu <= 0):
         raise ProblemFormatError(f"nu must be positive when given, got {nu}")
     if x0 is not None:
-        x0 = np.array(x0, dtype=float)
         if x0.shape != (n, n):
             raise ProblemFormatError(f"X0 has shape {x0.shape}, expected {(n, n)}")
         try:

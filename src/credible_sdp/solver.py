@@ -29,7 +29,8 @@ Every iteration is checked against its runtime contracts by the ``monitor``
 module; ``solve`` returns a report bundling the trajectory with the per-step
 contract records. The report stores each fact once: the iteration count, the
 final state and the final gap are read off its snapshots. Neither stores
-whether sigma came from nu: that is ``sigma == sigma_from_nu(n, nu)``.
+whether sigma came from nu: that is ``sigma == sigma_from_nu(n, nu)``. Nor
+does a state store its predecessor, or a step its mu and sigma.
 """
 
 from __future__ import annotations
@@ -141,21 +142,18 @@ def iteration_cap(opts: SolverOptions, budget: int) -> int:
 
 @dataclass(frozen=True)
 class IterateState:
-    """One point on the trajectory, together with its predecessor.
+    """The pair (X, Z, p) after ``iteration`` steps, its duality gap ``phi``,
+    ``mu = phi / n`` and ``phim``, the gap one step earlier (seeded to
+    ``phi / sigma`` at iteration 0, so the contraction contract holds
+    vacuously for the starting point). Its predecessor is held by the caller.
 
-    (X, Z, p) is the pair after ``iteration`` steps; (Xm, Zm, pm) the pair one
-    step earlier (equal to (X, Z, p) at iteration 0). ``phi`` and ``phim`` are
-    the corresponding duality gaps and ``mu = phi / n``. At iteration 0,
-    ``phim`` is seeded to ``phi / sigma`` so the contraction contract holds
-    vacuously for the starting point.
+    ``mu`` and ``phim`` are stored although derivable: ``init-mu-definition``,
+    ``init-phim-seed`` and the ``cts-1`` replay judge the values a run states.
     """
 
     X: np.ndarray
     Z: np.ndarray
     p: np.ndarray
-    Xm: np.ndarray
-    Zm: np.ndarray
-    pm: np.ndarray
     mu: float
     phi: float
     phim: float
@@ -167,8 +165,9 @@ class NewtonScaling:
     """The loop invariants of the Newton system, computed once per solve.
 
     The dual iterate Z never moves, so neither do its scaling pair (Zh, Zhi)
-    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``. H is kept for
-    inspection only: no step or contract reads it. ``ft_pinv`` is the
+    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``. No step or contract
+    reads H; it is kept, with its ``krons`` call, because the benchmark's
+    layer trace times a ``solver.krons`` span. ``ft_pinv`` is the
     pseudo-inverse of F': it maps a right-hand side to the minimum-norm dp,
     as lstsq would.
     """
@@ -179,15 +178,12 @@ class NewtonScaling:
     ft_pinv: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonStep:
-    """Scaled Newton system and its minimum-norm solution.
-
-    ``mu`` and ``sigma`` are the values used to build the right-hand side
-    (mu is the gap of the point being stepped FROM, divided by n). H and r
-    are kept for inspection only (H is the one array of the solve's
-    NewtonScaling); contract checking never reads them, so a step
-    reconstructed from a trace may leave them as None.
+    """The minimum-norm directions of one Newton step and the scaling pair
+    they were computed with. The monitor derives the right-hand side's mu from
+    the point stepped from and takes sigma from the run, so a step read back
+    from a trace is the same object as a live one.
     """
 
     dX: np.ndarray
@@ -195,10 +191,6 @@ class NewtonStep:
     dp: np.ndarray
     Zh: np.ndarray
     Zhi: np.ndarray
-    mu: float
-    sigma: float
-    H: np.ndarray | None = None
-    r: np.ndarray | None = None
 
 
 def prepare_newton(prob: SdpProblem, Z: np.ndarray) -> NewtonScaling:
@@ -217,35 +209,22 @@ def prepare_newton(prob: SdpProblem, Z: np.ndarray) -> NewtonScaling:
 
 def assemble_newton(
     prob: SdpProblem, state: IterateState, sigma: float, scaling: NewtonScaling
-) -> NewtonStep:
-    """Build the Newton right-hand side at ``state`` (directions left empty)."""
-    n = prob.n
-    mu = state.phi / n
+) -> np.ndarray:
+    """The right-hand side r = sigma * mu * I - Zh @ X @ Zh at ``state``."""
     Zh = scaling.Zh
-    return NewtonStep(
-        dX=np.zeros((n, n)),
-        dZ=np.zeros((n, n)),
-        dp=np.zeros(prob.m),
-        Zh=Zh,
-        Zhi=scaling.Zhi,
-        mu=mu,
-        sigma=sigma,
-        H=scaling.H,
-        r=symmetrize(sigma * mu * np.eye(n) - Zh @ state.X @ Zh),
-    )
+    return symmetrize(sigma * state.mu * np.eye(prob.n) - Zh @ state.X @ Zh)
 
 
-def solve_newton(prob: SdpProblem, step: NewtonStep, scaling: NewtonScaling) -> NewtonStep:
-    """Fill in dX and dp; dZ stays the zero ``assemble_newton`` set.
+def solve_newton(prob: SdpProblem, r: np.ndarray, scaling: NewtonScaling) -> NewtonStep:
+    """The minimum-norm directions for the right-hand side ``r``.
 
     dZ is the minimum-norm solution of F @ vecs(dZ) = 0, which is exactly 0.
     dX = Zhi @ r @ Zhi inverts H in closed form; dp is the minimum-norm
     solution of F' @ dp = -vecs(dX). Contracts I10 and I9 check both.
     """
-    dX = symmetrize(scaling.Zhi @ step.r @ scaling.Zhi)
-    step.dX = dX
-    step.dp = scaling.ft_pinv @ -vecs(dX)
-    return step
+    dX = symmetrize(scaling.Zhi @ r @ scaling.Zhi)
+    dp = scaling.ft_pinv @ -vecs(dX)
+    return NewtonStep(dX=dX, dZ=np.zeros_like(dX), dp=dp, Zh=scaling.Zh, Zhi=scaling.Zhi)
 
 
 def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> IterateState:
@@ -259,9 +238,6 @@ def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> Iterat
         X=X,
         Z=Z,
         p=p,
-        Xm=state.X,
-        Zm=state.Z,
-        pm=state.p,
         mu=phi / prob.n,
         phi=phi,
         phim=phim,
@@ -284,6 +260,10 @@ def initialize(
     result, in both modes: if any record fails, the error lists each failed
     id with its measured value and bound, and is a NeighborhoodViolation when
     ``init-neighborhood`` is among them.
+
+    Both solves stay ``lsqr_solve`` calls: the benchmark's layer trace times
+    a ``solver.lsqr_solve`` span, and every stored trace starts from lstsq's
+    bits.
     """
     from . import monitor
 
@@ -311,9 +291,6 @@ def initialize(
         X=X,
         Z=Z,
         p=p,
-        Xm=X,
-        Zm=Z,
-        pm=p,
         mu=phi / n,
         phi=phi,
         phim=phi / opts.sigma,
@@ -436,10 +413,10 @@ def solve(
         if len(snapshots) >= cap:
             status = SolveStatus.ITERATION_CAP
             break
-        step = assemble_newton(prob, state, opts.sigma, scaling)
-        step = solve_newton(prob, step, scaling)
+        r = assemble_newton(prob, state, opts.sigma, scaling)
+        step = solve_newton(prob, r, scaling)
         new_state = take_step(prob, state, step)
-        records = monitor.check_iteration(prob, new_state, step)
+        records = monitor.check_iteration(prob, state, new_state, step, opts.sigma)
         snapshots.append(IterationSnapshot(state=new_state, step=step, records=records))
         state = new_state
         if opts.mode == "strict":

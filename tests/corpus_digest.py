@@ -3,8 +3,9 @@
 For each of 31 problems (the bundled example, and ``bench/workload_gen.py``
 seeds 2001 and 7919 at n in {2, 3, 4, 8, 16}, indices 0-2) it prints one line:
 the problem's name and the sha256 of its proof trace, its pseudo-matlab and
-c-like listings, and its verbose report. Two versions of the package that
-print the same lines produce byte-identical artifacts on the corpus.
+c-like listings, its verbose report and what ``check_trace`` says of the
+trace. Two versions of the package that print the same lines produce
+byte-identical artifacts, and check them alike, on the corpus.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -44,20 +45,23 @@ def corpus():
 
 
 def digests(prob) -> list[str]:
-    """sha256 of the trace, both listing flavors and the verbose report."""
+    """sha256 of the trace, both listing flavors, the verbose report and the
+    trace check's description."""
     report = credible_sdp.solve(prob)
+    trace = credible_sdp.write_trace(report)
     artifacts = [
-        credible_sdp.write_trace(report),
+        trace,
         credible_sdp.emit_annotated_listing(prob, flavor="pseudo-matlab").text.encode(),
         credible_sdp.emit_annotated_listing(prob, flavor="c-like").text.encode(),
         render_report(report, verbose=True).encode(),
+        credible_sdp.check_trace(trace, prob).describe().encode(),
     ]
     return [hashlib.sha256(a).hexdigest() for a in artifacts]
 
 
 def main() -> int:
     print(f"package: {Path(credible_sdp.__file__).parent}", file=sys.stderr)
-    print("problem trace listing-m listing-c report")
+    print("problem trace listing-m listing-c report check")
     for name, prob in corpus():
         print(name, *digests(prob))
     return 0

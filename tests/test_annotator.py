@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from credible_sdp.annotator import (
     LISTING_FLAVORS,
     TRACE_SCHEMA,
     TraceFormatError,
+    _text_hash,
     check_trace,
     emit_annotated_listing,
     parse_trace,
@@ -20,7 +22,7 @@ from credible_sdp.annotator import (
 )
 from credible_sdp.linalg import sym_sqrt
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS
-from credible_sdp.problem import build_problem, load_problem
+from credible_sdp.problem import SdpProblem, build_problem, load_problem
 from credible_sdp.solver import NewtonStep, SolverOptions, assemble_newton, solve, take_step
 
 #: Proof traces of the bundled example, written by earlier solvers and kept
@@ -149,10 +151,10 @@ def test_trace_floats_roundtrip_exactly(example_trace, example_report):
             assert_same_bits(line[key], getattr(snap.step, key), f"{where} {key}")
         step = NewtonStep(
             dX=np.array(line["dX"]), dZ=np.array(line["dZ"]), dp=np.array(line["dp"]),
-            Zh=None, Zhi=None, mu=None, sigma=None,
+            Zh=None, Zhi=None,
         )
         state = take_step(prob, state, step)
-        for key in ("Xm", "Zm", "pm", "X", "Z", "p", "mu", "phi", "phim"):
+        for key in ("X", "Z", "p", "mu", "phi", "phim"):
             assert_same_bits(getattr(state, key), getattr(snap.state, key), f"{where} {key}")
         for stored, rec in zip(block["records"], snap.records, strict=True):
             assert stored.keys() == {"type", "id", "measured", "bound", "passed", "detail"}, where
@@ -273,11 +275,33 @@ def test_a_trace_read_under_the_other_schema_is_refused_or_flagged(
         check_trace(relabelled, example_problem)
     # with the hash that schema takes, the lines still do not fit it
     prob = example_problem
-    other_hash = prob.text_hash if to_schema == LEGACY_SCHEMA else prob.problem_hash
+    other_hash = _text_hash(prob) if to_schema == LEGACY_SCHEMA else prob.problem_hash
     forged = edit_line(relabelled, 0, lambda o: o.update(problem_hash=other_hash))
     result = check_trace(forged, example_problem)
     assert any(f.kind == "structure" for f in result.findings)
     assert any(f.where == "iteration 1" for f in result.findings)
+
+
+def _text_hash_by_generator(prob) -> str:
+    """The cts-1 hash exactly as the first solver wrote it."""
+    parts = [f"n={prob.n}", f"m={prob.m}"]
+    for name, M in [("F0", prob.f0), *[(f"F{i + 1}", Fi) for i, Fi in enumerate(prob.fs)]]:
+        entries = ",".join(f"{v:.17g}" for v in np.asarray(M, dtype=float).ravel())
+        parts.append(f"{name}=[{entries}]")
+    parts.append("b=[" + ",".join(f"{v:.17g}" for v in np.asarray(prob.b, dtype=float).ravel()) + "]")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def test_text_hash_matches_the_generator_it_replaced(example_problem):
+    assert _text_hash(example_problem) == _text_hash_by_generator(example_problem)
+    # a directly built problem of the same data carries the same hash
+    p = example_problem
+    assert _text_hash(SdpProblem(f0=p.f0, fs=list(p.fs), b=p.b)) == _text_hash(p)
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    odd = np.array([[-0.0, tiny], [-tiny, 1e308]])
+    fs = (np.array([[-1e308, 2.2250738585072014e-308 / 3], [0.1, huge]]),)
+    prob = SdpProblem(f0=odd, fs=fs, b=np.array([-huge]))
+    assert _text_hash(prob) == _text_hash_by_generator(prob)
 
 
 @pytest.mark.parametrize("field,value", [("epsilon", -1.0), ("mode", "bogus")])
@@ -568,9 +592,7 @@ def test_check_flags_infinite_values(example_trace, example_problem, target, mut
 
 
 def _negated_rhs(prob, state, sigma, scaling):
-    step = assemble_newton(prob, state, sigma, scaling)
-    step.r = -step.r
-    return step
+    return -assemble_newton(prob, state, sigma, scaling)
 
 
 #: Options that end a solve of the example in each status other than

@@ -108,9 +108,7 @@ def test_solve_iteration_cap_exit_code(capsys, problem_file):
 
 
 def _negated_rhs(prob, state, sigma, scaling):
-    step = assemble_newton(prob, state, sigma, scaling)
-    step.r = -step.r
-    return step
+    return -assemble_newton(prob, state, sigma, scaling)
 
 
 def test_solve_divergence_guard_exit_code(capsys, problem_file, monkeypatch):
@@ -142,10 +140,11 @@ def test_check_trace_exits_two_when_the_trace_records_failed_contracts(
     assert "no findings" in out
 
 
-def _skewed_operator(prob, step, scaling):
+def _skewed_operator(prob, r, scaling):
     # dX from a wrong inverse of H (Zhi 0.5 % too large); the step, and so
     # every contract, keeps the true scaling pair
-    return solve_newton(prob, step, dataclasses.replace(scaling, Zhi=1.005 * scaling.Zhi))
+    step = solve_newton(prob, r, dataclasses.replace(scaling, Zhi=1.005 * scaling.Zhi))
+    return dataclasses.replace(step, Zhi=scaling.Zhi)
 
 
 def test_a_wrong_direction_is_evidence_in_the_trace(capsys, problem_file, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from credible_sdp.monitor import (
     INIT_IDS,
     LOOP_IDS,
     THETA,
+    InvariantRecord,
     _fold,
     anchor,
     check_initialization,
@@ -22,7 +23,6 @@ from credible_sdp.monitor import (
 from credible_sdp.problem import SdpProblem
 from credible_sdp.solver import (
     IterateState,
-    NewtonStep,
     SolverOptions,
     default_options,
     initialize,
@@ -95,17 +95,18 @@ def test_initialization_sweep_passes_on_the_example(example_problem):
     records = check_initialization(example_problem, state, opts)
     assert [rec.id for rec in records] == list(INIT_IDS)
     assert all(rec.passed for rec in records)
-    assert all(rec.phase == "init" and rec.iteration == 0 for rec in records)
-    for rec in records:
-        assert rec.anchor == anchor(rec.id, opts.sigma)
+
+
+def test_a_record_holds_only_what_its_sweep_measured():
+    # where it was taken, its phase and the run's sigma are its holder's
+    names = [f.name for f in dataclasses.fields(InvariantRecord)]
+    assert names == ["id", "measured", "bound", "passed", "detail"]
 
 
 def _identity_state(n, m, sigma=0.75):
-    X = np.eye(n)
-    Z = np.eye(n)
     phi = float(n)
     return IterateState(
-        X=X, Z=Z, p=np.zeros(m), Xm=X, Zm=Z, pm=np.zeros(m),
+        X=np.eye(n), Z=np.eye(n), p=np.zeros(m),
         mu=phi / n, phi=phi, phim=phi / sigma, iteration=0,
     )
 
@@ -165,28 +166,30 @@ def test_pd_records_and_require_pd_agree_on_a_slightly_asymmetric_matrix(example
 # -- per-iteration sweep ---------------------------------------------------------------
 
 
+def _sweep(report, k, state=None, step=None):
+    """The loop sweep of step ``k`` (0-based) of ``report``, with the point
+    reached or the step replaced by ``state`` or ``step``."""
+    prev = report.snapshots[k - 1].state if k else report.initial_state
+    snap = report.snapshots[k]
+    return check_iteration(
+        report.problem, prev, state or snap.state, step or snap.step, report.options.sigma
+    )
+
+
 def test_iteration_sweep_passes_on_real_snapshots(example_report):
-    opts = example_report.options
-    for snap in example_report.snapshots[:3]:
-        records = check_iteration(example_report.problem, snap.state, snap.step)
+    for k in range(3):
+        records = _sweep(example_report, k)
         assert [rec.id for rec in records] == list(LOOP_IDS)
         assert all(rec.passed for rec in records)
-        assert all(rec.iteration == snap.state.iteration for rec in records)
-        assert all(rec.phase == "loop" for rec in records)
-        for rec in records:
-            assert rec.anchor == anchor(rec.id, opts.sigma)
 
 
 def test_iteration_sweep_is_deterministic(example_report):
-    snap = example_report.snapshots[0]
-    a = check_iteration(example_report.problem, snap.state, snap.step)
-    b = check_iteration(example_report.problem, snap.state, snap.step)
-    assert a == b
+    assert _sweep(example_report, 0) == _sweep(example_report, 0)
 
 
 def test_iteration_sweep_matches_recorded_outcomes(example_report):
     snap = example_report.snapshots[10]
-    fresh = check_iteration(example_report.problem, snap.state, snap.step)
+    fresh = _sweep(example_report, 10)
     for stored, again in zip(snap.records, fresh):
         assert stored.id == again.id
         assert stored.measured == again.measured
@@ -194,19 +197,10 @@ def test_iteration_sweep_matches_recorded_outcomes(example_report):
         assert stored.passed == again.passed
 
 
-def _copy_step(step, **overrides):
-    fields = dict(
-        dX=step.dX, dZ=step.dZ, dp=step.dp, Zh=step.Zh, Zhi=step.Zhi,
-        mu=step.mu, sigma=step.sigma,
-    )
-    fields.update(overrides)
-    return NewtonStep(**fields)
-
-
 def test_iteration_sweep_catches_scaled_primal_direction(example_report):
     snap = example_report.snapshots[0]
-    tampered = _copy_step(snap.step, dX=1.5 * snap.step.dX)
-    records = check_iteration(example_report.problem, snap.state, tampered)
+    tampered = dataclasses.replace(snap.step, dX=1.5 * snap.step.dX)
+    records = _sweep(example_report, 0, step=tampered)
     failed = {rec.id for rec in records if not rec.passed}
     assert failed == {"I7", "I9", "I10"}
 
@@ -214,7 +208,7 @@ def test_iteration_sweep_catches_scaled_primal_direction(example_report):
 def test_iteration_sweep_catches_drifted_state(example_report):
     snap = example_report.snapshots[0]
     drifted = dataclasses.replace(snap.state, X=snap.state.X + 0.05 * np.eye(2))
-    records = check_iteration(example_report.problem, drifted, snap.step)
+    records = _sweep(example_report, 0, state=drifted)
     by_id = {rec.id: rec for rec in records}
     assert not by_id["I4"].passed
     assert len(records) == 12
@@ -225,11 +219,12 @@ def test_iteration_sweep_respects_pd_margin(example_report):
     # land at PD_TOL / 2
     snap = example_report.snapshots[0]
     X = snap.state.X - (np.linalg.eigvalsh(snap.state.X)[0] - PD_TOL / 2) * np.eye(2)
-    dZ = -(1.0 - PD_TOL / 2) * snap.state.Zm
-    records = check_iteration(
-        example_report.problem,
-        dataclasses.replace(snap.state, X=X),
-        _copy_step(snap.step, dZ=dZ),
+    dZ = -(1.0 - PD_TOL / 2) * example_report.initial_state.Z
+    records = _sweep(
+        example_report,
+        0,
+        state=dataclasses.replace(snap.state, X=X),
+        step=dataclasses.replace(snap.step, dZ=dZ),
     )
     by_id = {rec.id: rec for rec in records}
     for rid, key in (("I1", "min_eigenvalue_X"), ("I12", "min_eigenvalue")):
@@ -259,8 +254,7 @@ def test_sweeps_never_raise_on_asymmetric_garbage(example_problem):
     n, m = example_problem.n, example_problem.m
     junk = np.array([[1.0, 5.0], [-5.0, 1.0]])
     state = IterateState(
-        X=junk, Z=np.eye(n), p=np.zeros(m), Xm=junk, Zm=np.eye(n), pm=np.zeros(m),
-        mu=1.0, phi=2.0, phim=2.0 / 0.75, iteration=0,
+        X=junk, Z=np.eye(n), p=np.zeros(m), mu=1.0, phi=2.0, phim=2.0 / 0.75, iteration=0
     )
     records = check_initialization(example_problem, state, SolverOptions())
     assert len(records) == len(INIT_IDS)
@@ -301,11 +295,11 @@ def test_i9_primal_residual_is_the_loop_residual_bit_for_bit():
     prob = random_problem(np.random.default_rng(7), n=6)
     report = solve(prob)
     rng = np.random.default_rng(1)
-    for snap in report.snapshots[:5]:
+    for k, snap in enumerate(report.snapshots[:5]):
         dp = snap.step.dp * 10.0 ** rng.uniform(-12, 2, size=prob.m)
         dp[rng.random(prob.m) < 0.2] = -0.0
-        for step in (snap.step, _copy_step(snap.step, dp=dp)):
-            by_id = {rec.id: rec for rec in check_iteration(prob, snap.state, step)}
+        for step in (snap.step, dataclasses.replace(snap.step, dp=dp)):
+            by_id = {rec.id: rec for rec in _sweep(report, k, step=step)}
             loop = float(np.linalg.norm(_loop_fold(0.0, step.dp, prob.fs) + step.dX, "fro"))
             assert by_id["I9"].detail["primal_residual"] == loop
 
@@ -322,7 +316,7 @@ def test_fi_symmetric_names_the_first_of_equally_asymmetric_matrices():
 
 def test_sweeps_render_no_anchor_text(example_problem, monkeypatch):
     # cts-2 traces store no anchors, so neither the solve nor its check
-    # renders one; a record renders its anchor only when it is read
+    # renders one; an anchor is rendered from the id and sigma when read
     from credible_sdp import monitor
     from credible_sdp.annotator import check_trace, write_trace
 
@@ -333,7 +327,6 @@ def test_sweeps_render_no_anchor_text(example_problem, monkeypatch):
     report = solve(example_problem)
     assert check_trace(write_trace(report), example_problem).clean
     monkeypatch.undo()
-    rec = report.snapshots[0].records[2]
-    assert rec.anchor == anchor("I3", rec.sigma) == "phi-0.76*phim<0"
+    assert anchor(report.snapshots[0].records[2].id, report.options.sigma) == "phi-0.76*phim<0"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        rec.sigma = 0.5
+        report.snapshots[0].records[2].passed = False

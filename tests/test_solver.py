@@ -114,7 +114,6 @@ def test_initialize_recovers_the_planted_dual_point(example_problem):
     assert state.mu == pytest.approx(EXAMPLE_INITIAL_GAP / 2, rel=1e-13)
     assert state.phim == pytest.approx(EXAMPLE_INITIAL_GAP / 0.75, rel=1e-13)
     assert state.iteration == 0
-    np.testing.assert_array_equal(state.Xm, state.X)
     assert len(records) == 16 and all(rec.passed for rec in records)
 
 
@@ -211,20 +210,27 @@ def first_step(example_problem):
     opts = default_options(example_problem)
     state, _ = initialize(example_problem, opts)
     scaling = prepare_newton(example_problem, state.Z)
-    step = assemble_newton(example_problem, state, opts.sigma, scaling)
-    step = solve_newton(example_problem, step, scaling)
-    return state, step
+    r = assemble_newton(example_problem, state, opts.sigma, scaling)
+    return state, solve_newton(example_problem, r, scaling)
 
 
 def test_prepare_newton_scaling_pair(first_step, example_problem):
     state, step = first_step
-    assert step.mu == pytest.approx(state.phi / example_problem.n, rel=1e-15)
-    assert step.sigma == 0.75
+    scaling = prepare_newton(example_problem, state.Z)
+    # the right-hand side is built with the state's mu and the given sigma
+    r = assemble_newton(example_problem, state, 0.75, scaling)
+    mu = state.phi / example_problem.n
+    np.testing.assert_allclose(
+        r, 0.75 * mu * np.eye(2) - scaling.Zh @ state.X @ scaling.Zh, rtol=1e-15, atol=0
+    )
+    np.testing.assert_array_equal(step.Zh, scaling.Zh)
+    np.testing.assert_array_equal(step.Zhi, scaling.Zhi)
     np.testing.assert_allclose(step.Zh @ step.Zh, state.Z, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(step.Zh @ step.Zhi, np.eye(2), rtol=0, atol=1e-13)
     # H is Zh (x) Zh, whose inverse is Zhi (x) Zhi
-    np.testing.assert_allclose(step.H, krons(step.Zh, step.Zh), rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(step.H @ krons(step.Zhi, step.Zhi), np.eye(3), rtol=0, atol=1e-12)
+    H = scaling.H
+    np.testing.assert_allclose(H, krons(step.Zh, step.Zh), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(H @ krons(step.Zhi, step.Zhi), np.eye(3), rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +248,6 @@ def test_scaling_is_one_set_of_arrays_per_solve(trajectory):
     for snap in trajectory.snapshots:
         assert snap.step.Zh is first.Zh
         assert snap.step.Zhi is first.Zhi
-        assert snap.step.H is first.H
     # the same values the trace checker recomputes from Zm at every iteration
     Zh = sym_sqrt(trajectory.initial_state.Z)
     np.testing.assert_array_equal(first.Zh, Zh)
@@ -250,10 +255,14 @@ def test_scaling_is_one_set_of_arrays_per_solve(trajectory):
 
 
 def test_newton_dx_satisfies_the_scaled_equation(trajectory):
+    prob, sigma = trajectory.problem, trajectory.options.sigma
+    scaling = prepare_newton(prob, trajectory.initial_state.Z)
+    prev = trajectory.initial_state
     for snap in trajectory.snapshots:
-        r = vecs(snap.step.r)
-        residual = np.linalg.norm(snap.step.H @ vecs(snap.step.dX) - r)
+        r = vecs(assemble_newton(prob, prev, sigma, scaling))
+        residual = np.linalg.norm(scaling.H @ vecs(snap.step.dX) - r)
         assert residual <= EQUALITY_TOL * max(1.0, float(np.linalg.norm(r)))
+        prev = snap.state
 
 
 def test_newton_dp_keeps_primal_feasibility(trajectory):
@@ -309,19 +318,19 @@ def test_unrepresentable_directions_raise_naming_the_equation(f0_in_span, equati
     assert strict.violation_id == contract
 
 
-def _one_step_records(prob, scaling_edit=None, step_edit=None):
+def _one_step_records(prob, scaling_edit=None, rhs_edit=None):
     """Contract records of the first step, with the scaling or the assembled
-    step replaced by ``scaling_edit(scaling)`` or ``step_edit(step)``."""
+    right-hand side replaced by ``scaling_edit(scaling)`` or ``rhs_edit(r)``."""
     opts = default_options(prob)
     state, _ = initialize(prob, opts)
     scaling = prepare_newton(prob, state.Z)
     if scaling_edit is not None:
         scaling = scaling_edit(scaling)
-    step = assemble_newton(prob, state, opts.sigma, scaling)
-    if step_edit is not None:
-        step = step_edit(step)
-    step = solve_newton(prob, step, scaling)
-    records = check_iteration(prob, take_step(prob, state, step), step)
+    r = assemble_newton(prob, state, opts.sigma, scaling)
+    if rhs_edit is not None:
+        r = rhs_edit(r)
+    step = solve_newton(prob, r, scaling)
+    records = check_iteration(prob, state, take_step(prob, state, step), step, opts.sigma)
     return {rec.id: rec for rec in records}
 
 
@@ -334,9 +343,7 @@ def test_newton_dx_check_fires_on_a_wrong_operator(example_problem):
     assert not doubled["I10"].passed
     # and recomputes the right-hand side, so a wrong r fails it too, while
     # dp still solves its equation for the wrong dX
-    negated = _one_step_records(
-        example_problem, step_edit=lambda st: dataclasses.replace(st, r=-st.r)
-    )
+    negated = _one_step_records(example_problem, rhs_edit=lambda r: -r)
     assert not negated["I10"].passed and negated["I9"].passed
 
 
@@ -386,7 +393,6 @@ def test_solve_keeps_the_dual_iterate_fixed(example_report, random_report):
         Z0 = report.initial_state.Z
         assert report.iterations > 0
         for snap in report.snapshots:
-            np.testing.assert_array_equal(snap.state.Zm, Z0)
             np.testing.assert_array_equal(snap.state.Z, Z0)
             assert np.all(snap.step.dZ == 0.0)
 
@@ -402,9 +408,6 @@ def test_solve_state_chain_is_connected(example_report):
     for k, snap in enumerate(example_report.snapshots, 1):
         s = snap.state
         assert s.iteration == k
-        np.testing.assert_array_equal(s.Xm, prev.X)
-        np.testing.assert_array_equal(s.Zm, prev.Z)
-        np.testing.assert_array_equal(s.pm, prev.p)
         assert s.phim == prev.phi
         prev = s
 
@@ -459,9 +462,7 @@ def test_solve_iteration_cap_reports_truncation(example_problem):
 def _sabotaged_assemble(prob, state, sigma, scaling):
     """Assemble a step whose right-hand side is negated: the update then moves
     away from the target point and the gap grows, tripping the guards."""
-    step = assemble_newton(prob, state, sigma, scaling)
-    step.r = -step.r
-    return step
+    return -assemble_newton(prob, state, sigma, scaling)
 
 
 def test_solve_divergence_guard_stops_growing_gap(example_problem, monkeypatch):
@@ -501,3 +502,19 @@ def test_solve_random_problem_without_perturbation():
     prob = random_problem(rng, n=3, perturb=False)
     rep = solve(prob)
     assert rep.status is SolveStatus.CONVERGED and rep.clean
+
+
+def _wrong_mu_assemble(prob, state, sigma, scaling):
+    """Assemble the right-hand side with a mu 1 % above the state's."""
+    return assemble_newton(prob, dataclasses.replace(state, mu=1.01 * state.mu), sigma, scaling)
+
+
+def test_a_right_hand_side_built_with_a_wrong_mu_fails_i7_and_i10(example_problem, monkeypatch):
+    # the monitor derives mu = trace(Xm*Zm)/n from the point stepped from, so
+    # the linearized gap identity and the Newton equation see the wrong mu
+    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _wrong_mu_assemble)
+    rep = solve(example_problem, SolverOptions(epsilon=example_problem.epsilon, mode="audit"))
+    first = {rec.id for rec in rep.snapshots[0].records if not rec.passed}
+    assert first == {"I7", "I8", "I10"}
+    failed = {rec.id for rec in rep.all_records() if not rec.passed}
+    assert {"I7", "I10"} <= failed
