@@ -9,7 +9,11 @@ Positive definiteness is decided in one place: ``min_eigenvalue`` measures
 the smallest eigenvalue of the symmetric part, and a matrix is positive
 definite when that exceeds ``PD_TOL``. ``require_pd`` raises on the same
 test; the catalog's PD records, admission's test of F0, ``sym_sqrt``,
-``sym_inv`` and the potential all read these two functions.
+``sym_inv`` and the potential all read these two functions. Each distinct
+matrix is decomposed once: ``min_eigenvalue`` keeps a small bounded memo
+keyed by the symmetric part's shape and bytes, so the matrices a run tests
+again bit for bit (the fixed Z, the identity of I12, Z0 inside ``sym_sqrt``)
+cost a lookup. The memo is exact: the same bits in give the same float out.
 
 Square roots and inverses of symmetric positive-definite matrices are
 computed spectrally (symmetric eigendecomposition), which yields the
@@ -19,6 +23,7 @@ free.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,8 +48,21 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def min_eigenvalue(S: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of S; never raises on asymmetry."""
-    return float(np.linalg.eigvalsh(symmetrize(S))[0])
+    """Smallest eigenvalue of the symmetric part of S; never raises on asymmetry.
+
+    Memoised on the symmetric part's shape and bytes (at most
+    ``_min_eigenvalue_of.cache_info().maxsize`` matrices), so a matrix seen
+    before, bit for bit, returns its earlier float without a decomposition.
+    Matrices that differ in any bit, the sign of a zero included, are
+    separate keys.
+    """
+    S = symmetrize(S)
+    return _min_eigenvalue_of(S.shape, S.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _min_eigenvalue_of(shape: tuple[int, ...], data: bytes) -> float:
+    return float(np.linalg.eigvalsh(np.frombuffer(data).reshape(shape))[0])
 
 
 def require_pd(S: np.ndarray, what: str = "matrix") -> float:
@@ -105,4 +123,4 @@ def trace_inner(A: np.ndarray, B: np.ndarray) -> float:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError(f"trace_inner: shapes {A.shape} and {B.shape} differ")
-    return float(np.sum(A * B))
+    return float((A * B).sum())

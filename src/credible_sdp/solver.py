@@ -382,6 +382,23 @@ class SolveReport:
         return min(drops) if drops else math.inf
 
 
+def step_exit(
+    opts: SolverOptions, state: IterateState, records: list["InvariantRecord"]
+) -> tuple[SolveStatus, str | None] | None:
+    """The exit ``solve`` takes right after a step to ``state`` whose sweep
+    gave ``records``: in strict mode the first failed record stops the run
+    (InvariantViolation, naming it), then a gap that grew stops it
+    (DivergenceGuard); None when the loop goes on. The trace checker
+    derives a footer's status with this same rule."""
+    if opts.mode == "strict":
+        bad = next((rec for rec in records if not rec.passed), None)
+        if bad is not None:
+            return SolveStatus.INVARIANT_VIOLATION, bad.id
+    if state.phi - state.phim > 0:
+        return SolveStatus.DIVERGENCE_GUARD, None
+    return None
+
+
 def solve(
     prob: SdpProblem,
     options: SolverOptions | None = None,
@@ -419,14 +436,9 @@ def solve(
         records = monitor.check_iteration(prob, state, new_state, step, opts.sigma)
         snapshots.append(IterationSnapshot(state=new_state, step=step, records=records))
         state = new_state
-        if opts.mode == "strict":
-            bad = next((rec for rec in records if not rec.passed), None)
-            if bad is not None:
-                status = SolveStatus.INVARIANT_VIOLATION
-                violation_id = bad.id
-                break
-        if new_state.phi - new_state.phim > 0:
-            status = SolveStatus.DIVERGENCE_GUARD
+        stop = step_exit(opts, new_state, records)
+        if stop is not None:
+            status, violation_id = stop
             break
 
     return SolveReport(

@@ -14,6 +14,7 @@ from credible_sdp.annotator import (
     LISTING_FLAVORS,
     TRACE_SCHEMA,
     TraceFormatError,
+    _mat_literal,
     _text_hash,
     check_trace,
     emit_annotated_listing,
@@ -32,11 +33,15 @@ from credible_sdp.solver import NewtonStep, SolverOptions, assemble_newton, solv
 #: GOLDEN_N6 is a cts-2 trace of a random n = 6, m = 21 problem (the file
 #: GOLDEN_N6_PROBLEM, ``problem_gen.random_problem`` with rng seed 7): at
 #: m > 3 the order in which sums over the constraints round shows in the
-#: stored measured values, which n = 2 cannot pin.
+#: stored measured values, which n = 2 cannot pin. GOLDEN_N6_LISTING is that
+#: problem's pseudo-matlab listing, written while every matrix entry was
+#: formatted on its own; its 23 matrices are symmetric bit for bit, so it pins
+#: the listing's mirrored formatting at a size where most entries are mirrors.
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
 GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_cts2.cts"
 GOLDEN_N6_PROBLEM = Path(__file__).parent / "golden" / "random_n6_problem.json"
+GOLDEN_N6_LISTING = Path(__file__).parent / "golden" / "random_n6_listing.m"
 
 
 @pytest.fixture(scope="module")
@@ -640,14 +645,39 @@ def _claim_passing_violation(footer: dict, last_records: list[dict]) -> None:
     footer["violation_id"] = next(rec["id"] for rec in last_records if rec["passed"])
 
 
+def _claim_later_violation(footer: dict, last_records: list[dict]) -> None:
+    # strict mode stops at the first failed record, so only that one may be named
+    failed = [rec["id"] for rec in last_records if not rec["passed"]]
+    assert len(failed) > 1
+    footer["violation_id"] = failed[1]
+
+
+def _claim_audit_violation(footer: dict, last_records: list[dict]) -> None:
+    # audit mode never stops on a failed record, whichever one is named
+    footer.update(
+        status="InvariantViolation",
+        violation_id=next(rec["id"] for rec in last_records if not rec["passed"]),
+    )
+
+
 @pytest.mark.parametrize(
     "status,forge",
     [
         ("InvariantViolation", _claim_passing_violation),
+        ("InvariantViolation", _claim_later_violation),
+        ("DivergenceGuard", _claim_audit_violation),
         ("Converged", lambda footer, _: footer.update(status="DivergenceGuard")),
+        ("Converged", lambda footer, _: footer.update(status="IterationCap")),
         ("IterationCap", lambda footer, _: footer.update(status="Converged")),
     ],
-    ids=["violation-id-names-a-passing-record", "divergence-without-growth", "converged-above-epsilon"],
+    ids=[
+        "violation-id-names-a-passing-record",
+        "violation-id-names-a-later-failed-record",
+        "violation-in-audit-mode",
+        "divergence-without-growth",
+        "cap-after-convergence",
+        "converged-above-epsilon",
+    ],
 )
 def test_check_flags_false_status_claims(traces_by_status, example_problem, status, forge):
     trace = traces_by_status[status]
@@ -655,6 +685,19 @@ def test_check_flags_false_status_claims(traces_by_status, example_problem, stat
     bad = edit_line(trace, len(trace_lines(trace)) - 1, lambda o: forge(o, last_records))
     result = check_trace(bad, example_problem)
     assert any(f.kind == "footer" for f in result.findings), result.describe()
+
+
+def test_check_flags_steps_after_the_loop_would_have_stopped(example_problem, monkeypatch):
+    # a solver that ignores its divergence guard: the gap grows on step 1,
+    # yet the run goes on to the cap and says so in its footer
+    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
+    monkeypatch.setattr("credible_sdp.solver.step_exit", lambda *args: None)
+    report = solve(example_problem, SolverOptions(epsilon=example_problem.epsilon, max_iterations=3))
+    assert report.status.value == "IterationCap" and report.iterations == 3
+    result = check_trace(write_trace(report), example_problem)
+    messages = [f.message for f in result.findings if f.kind == "footer"]
+    assert "the loop stops after iteration 1 (DivergenceGuard), but the trace goes on to iteration 3" in messages
+    assert "status: trace has 'IterationCap', expected 'DivergenceGuard'" in messages
 
 
 def _structural_mutations(obj: dict, path: tuple = ()):
@@ -789,6 +832,51 @@ def test_listing_rejects_unknown_flavor(example_problem):
     with pytest.raises(ValueError, match="flavor"):
         emit_annotated_listing(example_problem, flavor="fortran")
     assert LISTING_FLAVORS == ("pseudo-matlab", "c-like")
+
+
+def test_n6_listing_matches_its_golden():
+    prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
+    matrices = [prob.f0, *prob.fs, prob.x0]
+    assert len(matrices) == 23 and all(M.tobytes() == M.T.tobytes() for M in matrices)
+    assert emit_annotated_listing(prob).text == GOLDEN_N6_LISTING.read_text()
+
+
+def _per_entry_literal(M) -> str:
+    """The matrix literal as first rendered: every entry formatted on its own."""
+    rows = np.asarray(M, dtype=float).reshape(len(M), -1).tolist()
+    return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
+
+
+#: An F1 of the example whose triangles differ by 1e-15, which admission's
+#: relative symmetry tolerance accepts.
+_ASYMMETRIC_F1 = np.array([[-0.750999, 0.004990000000001], [0.00499, 0.0001]])
+
+
+@pytest.mark.parametrize(
+    "M,text",
+    [
+        (_ASYMMETRIC_F1, "[-0.750999,0.004990000000001;0.00499,0.0001]"),
+        (np.array([[1.0, 0.0], [-0.0, 2.0]]), "[1.0,0.0;-0.0,2.0]"),
+        (np.array([[0.5]]), "[0.5]"),
+        (np.array([0.4, -0.2, 0.2]), "[0.4;-0.2;0.2]"),
+        (np.array([[1.0, -0.0, 3.5], [-0.0, 2.0, 1e-300], [3.5, 1e-300, 0.1]]),
+         "[1.0,-0.0,3.5;-0.0,2.0,1e-300;3.5,1e-300,0.1]"),
+    ],
+    ids=["admitted-asymmetry", "signed-zero-mirror", "one-by-one", "b-column", "bitwise-symmetric"],
+)
+def test_mat_literal_matches_the_per_entry_renderer(M, text):
+    assert _mat_literal(M) == _per_entry_literal(M) == text
+
+
+def test_listing_prints_an_admitted_asymmetry_as_stored(example_problem):
+    prob = build_problem(
+        example_problem.f0,
+        [_ASYMMETRIC_F1, *example_problem.fs[1:]],
+        example_problem.b,
+        x0=example_problem.x0,
+    )
+    text = emit_annotated_listing(prob).text
+    assert "F1 = [-0.750999,0.004990000000001;0.00499,0.0001];" in text
 
 
 def test_listing_requires_a_warm_start():
