@@ -1,15 +1,18 @@
 """Proof-trace serialization, independent re-checking, and annotated listings.
 
-A *proof trace* is a JSON-lines account of one solver run. Schema ``cts-2``
+A *proof trace* is a JSON-lines account of one solver run. Schema ``cts-3``
 stores the claims and leaves out whatever the checker derives: a header
 (schema tag, problem hash, options, starting state), the initialization
 records, then per iteration one line with the directions (dX, dZ, dp)
 followed by its contract records (id, measured value, bound, verdict,
-detail), and a footer with the outcome. The iterates, gaps, contract anchors
-and record positions are not stored; records before the first iteration line
-are the initialization records. The problem hash is SHA-256 over the raw
-float64 bytes of the constraint data. Floats are written as their shortest
-exact repr, so every value round-trips bit-exactly.
+detail), and a footer with the outcome. dX and dZ are symmetric bit for bit,
+so each is stored as its upper triangle: the n(n+1)/2 entries with i <= j,
+row-major, unscaled; the writer refuses a direction whose triangles differ,
+and the checker mirrors each triangle back into the matrix. The iterates,
+gaps, contract anchors and record positions are not stored; records before
+the first iteration line are the initialization records. The problem hash is
+SHA-256 over the raw float64 bytes of the constraint data. Floats are written
+as their shortest exact repr, so every value round-trips bit-exactly.
 
 ``check_trace`` replays a trace against the problem file it claims to come
 from. It redoes each iteration with the solver's ``take_step`` from the
@@ -24,14 +27,16 @@ Discrepancies, missing and unexpected fields become ``Finding`` values in a
 malformed input (bad JSON, unknown schema, wrong problem hash, missing or
 invalid header fields) raises ``TraceFormatError``.
 
-Traces of the older schema ``cts-1`` are still read. Its lines are the
-``cts-2`` lines plus derived keys (each iteration line also stores the
-iterates, gaps and mu, each record its anchor, phase and iteration, the
-header ``options.lsqr_tol``, always ``LEGACY_LSQR_TOL``), and its problem
-hash is taken over the constraint data written as ``.17g`` text. The
-builders emit those keys when asked for ``cts-1``, and a ``cts-1`` replay
+Traces of the older schemas are still read. A ``cts-2`` trace is a
+``cts-3`` trace whose dX and dZ are stored as full n-by-n matrices. A
+``cts-1`` line is the ``cts-2`` line plus derived keys (each iteration line
+also stores the iterates, gaps and mu, each record its anchor, phase and
+iteration, the header ``options.lsqr_tol``, always ``LEGACY_LSQR_TOL``), and
+its problem hash is taken over the constraint data written as ``.17g`` text.
+The builders emit those keys when asked for ``cts-1``, and a ``cts-1`` replay
 steps from each line's stored point, so a tampered iterate is flagged where
-it is stored and where the next line steps from it.
+it is stored and where the next line steps from it. ``_SCHEMAS`` holds what
+differs between the three in the iteration lines.
 
 ``emit_annotated_listing`` renders the solver algorithm for a concrete
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
@@ -48,6 +53,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,12 +72,13 @@ from .solver import (
     take_step,
     validate_options,
 )
+from .symvec import _layout, sym_dim
 
 TOOL_NAME = "credible-sdp"
 TOOL_VERSION = "0.1.0"
 
-TRACE_SCHEMA = "cts-2"
-#: The earlier schema, still read: ``TRACE_SCHEMA`` lines plus derived keys.
+TRACE_SCHEMA = "cts-3"
+#: The first schema, still read: ``cts-2`` lines plus derived keys.
 LEGACY_SCHEMA = "cts-1"
 #: The least-squares tolerance every ``cts-1`` header states.
 LEGACY_LSQR_TOL = 1e-9
@@ -100,11 +107,21 @@ def _numpy_to_json(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a trace")
 
 
-#: Compact JSON with every float as its shortest exact repr; NaN and
-#: infinity raise ValueError, since strict JSON readers cannot take them.
-_dumps = json.JSONEncoder(
-    allow_nan=False, separators=(",", ":"), default=_numpy_to_json
-).encode
+# The C encoder that ``json.JSONEncoder(allow_nan=False, separators=(",", ":"),
+# default=_numpy_to_json).encode`` builds anew for every call, built once with
+# the same arguments but no circular-reference markers, since every line is a
+# tree. The arguments: markers, default, string encoder (ensure_ascii), indent,
+# key and item separators, sort_keys, skipkeys, allow_nan.
+_encode = json.encoder.c_make_encoder(
+    None, _numpy_to_json, json.encoder.encode_basestring_ascii, None, ":", ",",
+    False, False, False,
+)
+
+
+def _dumps(obj: dict) -> str:
+    """Compact JSON with every float as its shortest exact repr; NaN and
+    infinity raise ValueError, since strict JSON readers cannot take them."""
+    return "".join(_encode(obj, 0))
 
 
 def _record_obj(
@@ -180,18 +197,50 @@ def _header_obj(
     return obj
 
 
+class _Schema(NamedTuple):
+    """What an iteration line of one schema holds, and how the replay reads it."""
+
+    #: the arrays an iteration line stores
+    arrays: tuple[str, ...]
+    #: dX and dZ are stored as upper triangles (``_mirror_table`` order)
+    triangles: bool
+    #: each line stores its point, and the replay steps from it
+    stored_points: bool
+
+
+#: The directions of a step, as an iteration line names them.
+_DIRECTIONS = ("dX", "dZ", "dp")
+
+#: The schemas this tool reads, the one it writes first.
+_SCHEMAS = {
+    "cts-3": _Schema(_DIRECTIONS, triangles=True, stored_points=False),
+    "cts-2": _Schema(_DIRECTIONS, triangles=False, stored_points=False),
+    "cts-1": _Schema(
+        ("Xm", "Zm", "pm", *_DIRECTIONS, "X", "Z", "p"), triangles=False, stored_points=True
+    ),
+}
+
+
+def _triangle(M: np.ndarray, name: str) -> np.ndarray:
+    """The upper triangle of a direction that is symmetric bit for bit; any
+    other raises ValueError, so a trace never stores a cut-down direction."""
+    if M.tobytes() != M.T.tobytes():
+        raise ValueError(f"{name} is not symmetric bit for bit; a cts-3 trace stores one triangle")
+    return M.take(_mirror_table(len(M))[0])
+
+
 def _iteration_obj(
     prev: IterateState, state: IterateState, step: NewtonStep, schema: str = TRACE_SCHEMA
 ) -> dict:
-    """The line of the step from ``prev`` to ``state``."""
-    obj = {
-        "type": "iteration",
-        "iteration": state.iteration,
-        "dX": step.dX,
-        "dZ": step.dZ,
-        "dp": step.dp,
-    }
-    if schema == LEGACY_SCHEMA:
+    """The line of the step from ``prev`` to ``state``; in ``cts-3`` dX and dZ
+    are upper triangles, and a direction that is not symmetric bit for bit
+    raises ValueError."""
+    layout = _SCHEMAS[schema]
+    dX, dZ = step.dX, step.dZ
+    if layout.triangles:
+        dX, dZ = _triangle(dX, "dX"), _triangle(dZ, "dZ")
+    obj = {"type": "iteration", "iteration": state.iteration, "dX": dX, "dZ": dZ, "dp": step.dp}
+    if layout.stored_points:
         obj.update(
             Xm=prev.X,
             Zm=prev.Z,
@@ -273,8 +322,15 @@ def parse_trace(data: bytes) -> ProofTrace:
     Records before the first iteration line are the initialization records;
     every later record belongs to the iteration line above it. Raises
     TraceFormatError for anything that is not a well-formed trace of a
-    supported schema (``cts-2`` or ``cts-1``); content errors are left to
-    ``check_trace``.
+    supported schema (``cts-3``, ``cts-2`` or ``cts-1``); content errors are
+    left to ``check_trace``.
+
+    The lines are decoded in one ``json.loads`` call, as the items of one
+    array. When that call fails or yields another number of values than
+    there are lines, some line is not one JSON value, and a line-by-line
+    decode names it. (A file that both splits a value over two lines and
+    puts two values on one line can decode by its values; the checker then
+    judges those values like any others.)
     """
     try:
         text = data.decode("utf-8")
@@ -284,23 +340,23 @@ def parse_trace(data: bytes) -> ProofTrace:
     if not lines:
         raise TraceFormatError("trace is empty")
 
-    objs: list[dict] = []
-    for lineno, line in enumerate(lines, 1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
+    try:
+        objs = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        objs = None
+    if objs is None or len(objs) != len(lines):
+        objs = [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
+    for lineno, obj in enumerate(objs, 1):
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno} is not a JSON object")
-        objs.append(obj)
 
     header = objs[0]
     if header.get("type") != "header":
         raise TraceFormatError("first line must be the trace header")
-    if header.get("schema") not in (TRACE_SCHEMA, LEGACY_SCHEMA):
+    if header.get("schema") not in _SCHEMAS:
         raise TraceFormatError(
             f"unsupported trace schema {header.get('schema')!r}; "
-            f"this tool reads {TRACE_SCHEMA!r} and {LEGACY_SCHEMA!r}"
+            f"this tool reads {', '.join(map(repr, _SCHEMAS))}"
         )
     if len(objs) < 2 or objs[-1].get("type") != "footer":
         raise TraceFormatError("last line must be the trace footer")
@@ -324,6 +380,13 @@ def parse_trace(data: bytes) -> ProofTrace:
         else:
             raise TraceFormatError(f"line {lineno}: unexpected line type {kind!r}")
     return ProofTrace(header=header, init_records=init_records, iterations=iterations, footer=footer)
+
+
+def _decode_line(lineno: int, line: str) -> object:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -487,14 +550,6 @@ def _state_from_header(header: dict, n: int, m: int) -> IterateState:
     return IterateState(X=X, Z=Z, p=p, mu=mu, phi=phi, phim=phim, iteration=0)
 
 
-#: The arrays an iteration line stores: the directions, and in cts-1 also
-#: the iterates.
-_ARRAY_KEYS = {
-    TRACE_SCHEMA: ("dX", "dZ", "dp"),
-    LEGACY_SCHEMA: ("Xm", "Zm", "pm", "dX", "dZ", "dp", "X", "Z", "p"),
-}
-
-
 def _compare_records(
     stored: list[dict],
     recomputed: list["monitor.InvariantRecord"],
@@ -531,15 +586,19 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     The problem hash must match (TraceFormatError otherwise — a trace is only
     checkable against the constraints it was made from), and so must the
     header options pass ``validate_options``. Each iteration is then redone
-    with the solver's ``take_step`` and the stored directions, from the
-    recomputed previous point (``cts-2``, as the solver did) or from the
-    previous line's stored point (``cts-1``); a ``cts-2`` replay stops at the
+    with the solver's ``take_step`` and the stored directions (a ``cts-3``
+    triangle mirrored into its matrix, so a direction is symmetric by
+    construction), from the recomputed previous point (``cts-3`` and
+    ``cts-2``, as the solver did) or from the previous line's stored point
+    (``cts-1``); a replay that steps from recomputed points stops at the
     first step it cannot redo. Its contracts are re-evaluated by the monitor,
     and every stored line, the header included, is compared with the line
     the writer would emit in the trace's schema for the recomputed values
     (``_diff``, relative tolerance CHECK_RTOL), so tolerances are the
-    catalog's, not the trace's. Mismatches, missing and unexpected fields
-    come back as findings.
+    catalog's, not the trace's. The stored directions are the step itself,
+    so of them only the keys are compared; a changed direction shows in the
+    records and the footer. Mismatches, missing and unexpected fields come
+    back as findings.
     """
     trace = parse_trace(data)
     header = trace.header
@@ -579,7 +638,11 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
         findings.append(Finding("error", "init", None, f"checker error: {exc}"))
 
-    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in _ARRAY_KEYS[schema]}
+    layout = _SCHEMAS[schema]
+    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in layout.arrays}
+    if layout.triangles:
+        shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
+        mirror = _mirror_table(n)[1]
     state = prev = state0
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
     replayed: list[tuple[IterateState, list[monitor.InvariantRecord]]] = []
@@ -592,6 +655,8 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"unreadable iteration line: {exc}"))
             break
+        if layout.triangles:
+            arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
 
         try:
             if scaled is None or not np.array_equal(scaled[0], prev.Z):
@@ -602,7 +667,10 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             )
             state = take_step(prob, prev, step)
             ours = _iteration_obj(prev, state, step, schema)
-            _diff({**line, **arrays}, ours, where, None, findings)
+            stored = {**line, **arrays}
+            for key in _DIRECTIONS:  # the step itself: it can only match
+                del stored[key], ours[key]
+            _diff(stored, ours, where, None, findings)
             recomputed = monitor.check_iteration(prob, prev, state, step, opts.sigma)
             replayed.append((state, recomputed))
             failed.update(rec.id for rec in recomputed if not rec.passed)
@@ -613,10 +681,10 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             records_checked += len(block["records"])
         except Exception as exc:  # noqa: BLE001
             findings.append(Finding("error", where, None, f"checker error: {exc}"))
-            if schema == TRACE_SCHEMA:
+            if not layout.stored_points:
                 break  # every later point derives from this step
 
-        if schema == LEGACY_SCHEMA:
+        if layout.stored_points:
             # A cts-1 line stores its point, and the next step starts from it,
             # so a tampered X is flagged here and again where the next line
             # steps from it. Nothing reads more of prev than X, Z, p and iteration.
@@ -716,14 +784,20 @@ class AnnotatedListing:
 
 
 @functools.lru_cache(maxsize=64)
-def _mirror_table(n: int) -> tuple[np.ndarray, tuple[operator.itemgetter, ...]]:
-    """For n >= 2: the flat positions of an n-by-n matrix's upper triangle,
-    row-major, and per row a getter that picks that row's n entries, (i, j)
-    and its mirror (j, i) alike, from the list of upper-triangle entries."""
-    i, j = np.triu_indices(n)
+def _mirror_table(
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[operator.itemgetter, ...]]:
+    """The upper triangle of an n-by-n matrix in ``symvec._layout`` order
+    (i <= j, row-major): its flat positions, the (n, n) map that rebuilds the
+    matrix from the triangle, (i, j) and its mirror (j, i) alike, and, for
+    n >= 2, that map's rows as getters over a list of triangle entries. The
+    arrays are shared between calls, so they are read-only."""
+    i, j, _, _ = _layout(n)
+    upper = i * n + j
     pos = np.empty((n, n), dtype=np.intp)
     pos[i, j] = pos[j, i] = np.arange(i.size)
-    return i * n + j, tuple(operator.itemgetter(*row) for row in pos.tolist())
+    upper.flags.writeable = pos.flags.writeable = False
+    return upper, pos, tuple(operator.itemgetter(*row) for row in pos.tolist())
 
 
 def _mat_literal(M: np.ndarray) -> str:
@@ -740,7 +814,7 @@ def _mat_literal(M: np.ndarray) -> str:
     A = np.asarray(M, dtype=float)
     n = len(A)
     if n > 1 and A.shape == (n, n) and A.tobytes() == A.T.tobytes():
-        upper, rows = _mirror_table(n)
+        upper, _, rows = _mirror_table(n)
         text = list(map(repr, A.take(upper).tolist()))
         return "[" + ";".join([",".join(row(text)) for row in rows]) + "]"
     rows = A.reshape(n, -1).tolist()

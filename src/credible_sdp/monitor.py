@@ -34,7 +34,7 @@ import numpy as np
 from .linalg import PD_TOL, frob_norm, min_eigenvalue, trace_inner
 from .problem import SdpProblem
 from .solver import IterateState, NewtonStep, SolverOptions
-from .symvec import asymmetry, mats, sym_dim, symmetrize, vecs
+from .symvec import asymmetry, mats, sym_dim, symmetrize, vecs, vecs_stack
 
 #: Radius factor of the central-path neighborhood: ||X@Z - mu*I||_F <= THETA * mu.
 THETA = 0.3105
@@ -203,6 +203,9 @@ def check_iteration(
     dX, dZ, dp = step.dX, step.dZ, step.dp
     Zh, Zhi = step.Zh, step.Zhi
     mu = trace_inner(Xm, Zm) / n
+    target = sigma * mu * eye  # the central-path point the step aims at
+    XZ = X @ Z
+    scaled_dz = Zhi @ dZ @ Zhi
     out = _Sweep()
 
     # I1: both iterates stay positive definite.
@@ -224,11 +227,11 @@ def check_iteration(
     out.add("I3", v3, 0.0, v3 < 0.0, {"phi": state.phi, "phim": state.phim})
 
     # I4: the new pair stays in the central-path neighborhood (new mu).
-    dev4 = frob_norm(X @ Z - state.mu * eye)
+    dev4 = frob_norm(XZ - state.mu * eye)
     out.add("I4", dev4, THETA * state.mu, dev4 <= THETA * state.mu)
 
     # I5: scaled dual direction is small.
-    v5 = frob_norm(Zhi @ dZ @ Zhi)
+    v5 = frob_norm(scaled_dz)
     out.add("I5", v5, DZ_BOUND, v5 <= DZ_BOUND)
 
     # I6: second-order cross term is small (mu of the point stepped from).
@@ -246,7 +249,7 @@ def check_iteration(
     out.equal("I8", v8, state.phim, {"phi": state.phi, "phim": state.phim})
 
     # I9: directions preserve dual and primal feasibility.
-    r_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(dZ))))
+    r_dual = frob_norm(prob.fmat @ vecs_stack(dZ[None])[0])
     r_primal = frob_norm(_fold(0.0, np.asarray(dp, dtype=float).ravel(), prob.fstack) + dX)
     out.equal(
         "I9",
@@ -259,16 +262,14 @@ def check_iteration(
     lhs10 = 0.5 * (
         Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi
     )
-    rhs10 = sigma * mu * eye - Zh @ Xm @ Zh
+    rhs10 = target - Zh @ Xm @ Zh
     out.equal("I10", frob_norm(lhs10 - rhs10), frob_norm(rhs10))
 
     # I11: proximity chain for the new pair under the old scaling. The outer
     # comparison (first <= bound) is exact; the inner one (first <= middle)
     # gets the equality tolerance since both sides shrink to rounding level.
-    a11 = frob_norm(Zh @ X @ Zh - sigma * mu * eye)
-    b11 = 0.5 * frob_norm(
-        Zhi @ (Z @ X - sigma * mu * eye) @ Zh + Zh @ (X @ Z - sigma * mu * eye) @ Zhi
-    )
+    a11 = frob_norm(Zh @ X @ Zh - target)
+    b11 = 0.5 * frob_norm(Zhi @ (Z @ X - target) @ Zh + Zh @ (XZ - target) @ Zhi)
     c11 = THETA * sigma * mu
     out.add(
         "I11",
@@ -285,7 +286,7 @@ def check_iteration(
     )
 
     # I12: the scaled dual update keeps the next Z positive definite.
-    out.pd("I12", min_eigenvalue(eye + Zhi @ dZ @ Zhi))
+    out.pd("I12", min_eigenvalue(eye + scaled_dz))
 
     return out.records
 

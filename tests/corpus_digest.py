@@ -3,9 +3,11 @@
 For each of 31 problems (the bundled example, and ``bench/workload_gen.py``
 seeds 2001 and 7919 at n in {2, 3, 4, 8, 16}, indices 0-2) it prints one line:
 the problem's name and the sha256 of its proof trace, its pseudo-matlab and
-c-like listings, its verbose report and what ``check_trace`` says of the
-trace. Two versions of the package that print the same lines produce
-byte-identical artifacts, and check them alike, on the corpus.
+c-like listings, its verbose report, what ``check_trace`` says of the trace,
+and the trace's record and footer lines alone. Two versions of the package
+that print the same lines produce byte-identical artifacts, and check them
+alike, on the corpus. The last column lets a change to how the header or
+the directions are written show that the contract records did not move.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -19,6 +21,7 @@ The problems are generated in memory; nothing under ``bench/`` is written.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -45,23 +48,28 @@ def corpus():
 
 
 def digests(prob) -> list[str]:
-    """sha256 of the trace, both listing flavors, the verbose report and the
-    trace check's description."""
+    """sha256 of the trace, both listing flavors, the verbose report, the
+    trace check's description and the trace's record and footer lines."""
     report = credible_sdp.solve(prob)
     trace = credible_sdp.write_trace(report)
+    claims = [
+        line for line in trace.splitlines()
+        if json.loads(line)["type"] in ("record", "footer")
+    ]
     artifacts = [
         trace,
         credible_sdp.emit_annotated_listing(prob, flavor="pseudo-matlab").text.encode(),
         credible_sdp.emit_annotated_listing(prob, flavor="c-like").text.encode(),
         render_report(report, verbose=True).encode(),
         credible_sdp.check_trace(trace, prob).describe().encode(),
+        b"\n".join(claims),
     ]
     return [hashlib.sha256(a).hexdigest() for a in artifacts]
 
 
 def main() -> int:
     print(f"package: {Path(credible_sdp.__file__).parent}", file=sys.stderr)
-    print("problem trace listing-m listing-c report check")
+    print("problem trace listing-m listing-c report check records")
     for name, prob in corpus():
         print(name, *digests(prob))
     return 0

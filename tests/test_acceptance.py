@@ -37,8 +37,9 @@ GOLDEN = {
     "c-like": Path(__file__).parent / "golden" / "running_example_listing.c",
 }
 
-#: The cts-1 proof trace of the bundled example, kept byte for byte.
+#: The cts-1 and cts-2 proof traces of the bundled example, kept byte for byte.
 GOLDEN_CTS1 = Path(__file__).parent / "golden" / "running_example.cts"
+GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
 
 
 def _ok(num: int, text: str) -> None:
@@ -236,12 +237,13 @@ def _detected(trace: bytes, prob) -> bool:
 
 
 def test_criterion_07_trace_tamper_detection(example_trace, example_problem):
-    # the cts-2 trace this solver writes, and a cts-1 trace that stores every iterate
-    for trace in (example_trace, GOLDEN_CTS1.read_bytes()):
+    # the cts-3 trace this solver writes, a cts-2 trace that stores full
+    # direction matrices, and a cts-1 trace that stores every iterate
+    for trace in (example_trace, GOLDEN_CTS2.read_bytes(), GOLDEN_CTS1.read_bytes()):
         _sweep(trace, example_problem)
     _ok(7, "round-trip is clean; 100/100 random field mutations and "
            f"{len(INIT_IDS) + len(LOOP_IDS)}/28 single-record removals detected, "
-           "on a cts-2 and a cts-1 trace")
+           "on a cts-3, a cts-2 and a cts-1 trace")
 
 
 def _sweep(trace: bytes, prob) -> None:

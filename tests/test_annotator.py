@@ -14,7 +14,9 @@ from credible_sdp.annotator import (
     LISTING_FLAVORS,
     TRACE_SCHEMA,
     TraceFormatError,
+    _dumps,
     _mat_literal,
+    _numpy_to_json,
     _text_hash,
     check_trace,
     emit_annotated_listing,
@@ -24,12 +26,20 @@ from credible_sdp.annotator import (
 from credible_sdp.linalg import sym_sqrt
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS
 from credible_sdp.problem import SdpProblem, build_problem, load_problem
-from credible_sdp.solver import NewtonStep, SolverOptions, assemble_newton, solve, take_step
+from credible_sdp.solver import (
+    NewtonStep,
+    SolverOptions,
+    assemble_newton,
+    solve,
+    solve_newton,
+    take_step,
+)
 
 #: Proof traces of the bundled example, written by earlier solvers and kept
 #: byte for byte: traces already in the wild must keep re-checking clean.
 #: Never regenerate them to make a test pass. GOLDEN_TRACE is schema cts-1,
-#: which stores every iterate; GOLDEN_CTS2 is the first cts-2 trace.
+#: which stores every iterate; GOLDEN_CTS2 is the first cts-2 trace, whose
+#: directions are full matrices; GOLDEN_CTS3 is the first cts-3 trace.
 #: GOLDEN_N6 is a cts-2 trace of a random n = 6, m = 21 problem (the file
 #: GOLDEN_N6_PROBLEM, ``problem_gen.random_problem`` with rng seed 7): at
 #: m > 3 the order in which sums over the constraints round shows in the
@@ -39,6 +49,7 @@ from credible_sdp.solver import NewtonStep, SolverOptions, assemble_newton, solv
 #: the listing's mirrored formatting at a size where most entries are mirrors.
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
+GOLDEN_CTS3 = Path(__file__).parent / "golden" / "running_example_cts3.cts"
 GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_cts2.cts"
 GOLDEN_N6_PROBLEM = Path(__file__).parent / "golden" / "random_n6_problem.json"
 GOLDEN_N6_LISTING = Path(__file__).parent / "golden" / "random_n6_listing.m"
@@ -47,6 +58,13 @@ GOLDEN_N6_LISTING = Path(__file__).parent / "golden" / "random_n6_listing.m"
 @pytest.fixture(scope="module")
 def golden_trace() -> bytes:
     return GOLDEN_TRACE.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def direction_traces(example_trace) -> list[bytes]:
+    """A trace of each layout of the directions: the fresh cts-3 trace, whose
+    dX and dZ are upper triangles, and the cts-2 golden's full matrices."""
+    return [example_trace, GOLDEN_CTS2.read_bytes()]
 
 
 # -- line surgery helpers ------------------------------------------------------
@@ -93,6 +111,33 @@ def find_iteration(trace: bytes, k: int) -> int:
     return find_line(trace, lambda o: o.get("type") == "iteration" and o.get("iteration") == k)
 
 
+def full_matrix(stored, n: int) -> np.ndarray:
+    """A stored direction as its n-by-n matrix: a cts-3 upper triangle
+    (i <= j, row-major) is mirrored, a cts-2 matrix is read as it is."""
+    a = np.asarray(stored, dtype=float)
+    if a.ndim == 2:
+        return a
+    i, j = np.triu_indices(n)
+    M = np.empty((n, n))
+    M[i, j] = M[j, i] = a
+    return M
+
+
+def with_entry(v: list, k: int, value) -> list:
+    """A stored array (a list, or a list of rows) with its k-th entry,
+    row-major, replaced by ``value``."""
+    if isinstance(v[0], list):
+        rows = [list(row) for row in v]
+        rows[k // len(v[0])][k % len(v[0])] = value
+        return rows
+    return [*v[:k], value, *v[k + 1:]]
+
+
+def each_entry(v, f):
+    """``f`` applied to every entry of a stored array, at any depth."""
+    return [each_entry(x, f) for x in v] if isinstance(v, list) else f(v)
+
+
 # -- serialization --------------------------------------------------------------
 
 
@@ -134,8 +179,12 @@ def assert_record_roundtrips(stored: dict, rec, where: str) -> None:
             assert_same_bits(stored["detail"][key], value, f"{what} detail {key}")
 
 
-def test_trace_floats_roundtrip_exactly(example_trace, example_report):
-    trace = parse_trace(example_trace)
+def test_trace_floats_roundtrip_exactly(direction_traces, example_report):
+    for data in direction_traces:
+        _assert_floats_roundtrip(parse_trace(data), example_report)
+
+
+def _assert_floats_roundtrip(trace, example_report) -> None:
     prob = example_report.problem
 
     init = trace.header["init_state"]
@@ -152,12 +201,10 @@ def test_trace_floats_roundtrip_exactly(example_trace, example_report):
     for block, snap in zip(trace.iterations, example_report.snapshots, strict=True):
         line, where = block["state"], f"iteration {snap.state.iteration}"
         assert line.keys() == {"type", "iteration", "dX", "dZ", "dp"}, where
-        for key in ("dX", "dZ", "dp"):
-            assert_same_bits(line[key], getattr(snap.step, key), f"{where} {key}")
-        step = NewtonStep(
-            dX=np.array(line["dX"]), dZ=np.array(line["dZ"]), dp=np.array(line["dp"]),
-            Zh=None, Zhi=None,
-        )
+        dX, dZ = full_matrix(line["dX"], prob.n), full_matrix(line["dZ"], prob.n)
+        for key, value in (("dX", dX), ("dZ", dZ), ("dp", line["dp"])):
+            assert_same_bits(value, getattr(snap.step, key), f"{where} {key}")
+        step = NewtonStep(dX=dX, dZ=dZ, dp=np.array(line["dp"]), Zh=None, Zhi=None)
         state = take_step(prob, state, step)
         for key in ("X", "Z", "p", "mu", "phi", "phim"):
             assert_same_bits(getattr(state, key), getattr(snap.state, key), f"{where} {key}")
@@ -183,6 +230,40 @@ def test_write_trace_refuses_unknown_detail_objects(example_report):
         write_trace(broken)
 
 
+@pytest.mark.parametrize("key", ["dX", "dZ"])
+def test_write_trace_refuses_an_asymmetric_direction(example_problem, monkeypatch, key):
+    # a cts-3 line stores one triangle: a direction whose triangles differ in
+    # one bit would be cut down, so it is refused instead
+    def skewed(prob, r, scaling):
+        step = solve_newton(prob, r, scaling)
+        M = getattr(step, key).copy()
+        M[0, 1] = np.nextafter(M[0, 1], np.inf)
+        return replace(step, **{key: M})
+
+    monkeypatch.setattr("credible_sdp.solver.solve_newton", skewed)
+    report = solve(example_problem, SolverOptions(epsilon=example_problem.epsilon, max_iterations=3))
+    with pytest.raises(ValueError, match=f"{key} is not symmetric bit for bit"):
+        write_trace(report)
+
+
+def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report, monkeypatch):
+    # every line object of a trace, numpy arrays and scalars included
+    objs = []
+
+    def recorded(obj):
+        objs.append(obj)
+        return _dumps(obj)
+
+    monkeypatch.setattr("credible_sdp.annotator._dumps", recorded)
+    prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
+    write_trace(example_report)
+    write_trace(solve(prob))
+    assert len(objs) == 2 * 2 + 16 * 2 + 13 * (example_report.iterations + 30)
+    for obj in objs:
+        reference = json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_numpy_to_json)
+        assert _dumps(obj) == reference
+
+
 def test_parse_trace_collects_iteration_blocks(example_trace):
     trace = parse_trace(example_trace)
     assert len(trace.init_records) == 16
@@ -204,6 +285,27 @@ def test_parse_rejects_non_json_line(example_trace):
     lines = trace_lines(example_trace)
     lines[3] = "not json at all"
     with pytest.raises(TraceFormatError):
+        parse_trace(reassemble(lines))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{} {}", "line 4 is not valid JSON"),
+        ("{},{}", "line 4 is not valid JSON"),
+        (None, "line 4 is not valid JSON"),  # a JSON string split over lines 4 and 5
+        ("1", "line 4 is not a JSON object"),
+    ],
+    ids=["two-objects", "two-objects-comma", "split-string", "number"],
+)
+def test_parse_names_the_line_that_is_not_one_json_object(example_trace, text, message):
+    lines = trace_lines(example_trace)
+    if text is None:
+        cut = lines[3].index('"id":"') + len('"id":"') + 2
+        lines[3:4] = [lines[3][:cut], lines[3][cut:]]
+    else:
+        lines[3] = text
+    with pytest.raises(TraceFormatError, match=f"^{message}"):
         parse_trace(reassemble(lines))
 
 
@@ -261,6 +363,15 @@ def test_golden_cts2_trace_checks_clean(example_problem):
     assert result.records_checked == 16 + 56 * 12
 
 
+def test_golden_cts3_trace_checks_clean(example_problem):
+    data = GOLDEN_CTS3.read_bytes()
+    assert parse_trace(data).header["schema"] == "cts-3"
+    result = check_trace(data, example_problem)
+    assert result.findings == []
+    assert result.iterations == 56
+    assert result.records_checked == 16 + 56 * 12
+
+
 def test_golden_n6_trace_checks_clean():
     prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
     assert (prob.n, prob.m) == (6, 21)
@@ -270,7 +381,7 @@ def test_golden_n6_trace_checks_clean():
     assert result.records_checked == 16 + 30 * 12
 
 
-@pytest.mark.parametrize("to_schema", [LEGACY_SCHEMA, TRACE_SCHEMA])
+@pytest.mark.parametrize("to_schema", [LEGACY_SCHEMA, "cts-2", "cts-3"])
 def test_a_trace_read_under_the_other_schema_is_refused_or_flagged(
     example_trace, golden_trace, example_problem, to_schema
 ):
@@ -285,6 +396,28 @@ def test_a_trace_read_under_the_other_schema_is_refused_or_flagged(
     result = check_trace(forged, example_problem)
     assert any(f.kind == "structure" for f in result.findings)
     assert any(f.where == "iteration 1" for f in result.findings)
+
+
+def test_directions_read_under_the_other_layout_are_unreadable(direction_traces, example_problem):
+    # cts-2 and cts-3 share their hash, so only the direction layout tells them apart
+    for trace, other in zip(direction_traces, ("cts-2", "cts-3")):
+        relabelled = edit_line(trace, 0, lambda o: o.update(schema=other))
+        result = check_trace(relabelled, example_problem)
+        errors = [f for f in result.findings if f.kind == "error"]
+        assert [f.where for f in errors] == ["iteration 1"]
+        assert "unreadable iteration line" in errors[0].message
+
+
+@pytest.mark.parametrize("length", [4, 2], ids=["n-squared", "one-short"])
+@pytest.mark.parametrize("key", ["dX", "dZ"])
+def test_a_cts3_direction_of_the_wrong_length_is_unreadable(
+    example_trace, example_problem, key, length
+):
+    idx = find_iteration(example_trace, 5)
+    bad = edit_line(example_trace, idx, lambda o: o.update({key: [*o[key], 0.0][:length]}))
+    result = check_trace(bad, example_problem)
+    errors = [(f.where, f.message) for f in result.findings if f.kind == "error"]
+    assert errors == [("iteration 5", "unreadable iteration line: shape (%d,), expected (3,)" % length)]
 
 
 def _text_hash_by_generator(prob) -> str:
@@ -346,24 +479,28 @@ def test_replay_rescales_when_a_stored_z_moves(golden_trace, example_problem, mo
     assert len(calls) == 2
 
 
-def test_replay_rescales_when_a_stored_dz_moves_z(example_trace, example_problem, monkeypatch):
-    idx = find_iteration(example_trace, 55)
-
-    def move_z(obj):
-        obj["dZ"][0][0] = 1e-9
-
+def test_replay_rescales_when_a_stored_dz_moves_z(direction_traces, example_problem, monkeypatch):
     calls = _count_sym_sqrt(monkeypatch)
-    result = check_trace(edit_line(example_trace, idx, move_z), example_problem)
-    assert any(f.kind == "recompute" and f.where == "iteration 55" for f in result.findings)
-    assert len(calls) == 2
+    for trace in direction_traces:
+        idx = find_iteration(trace, 55)
+        calls.clear()
+        result = check_trace(
+            edit_line(trace, idx, lambda o: o.update(dZ=with_entry(o["dZ"], 0, 1e-9))),
+            example_problem,
+        )
+        assert any(f.kind == "recompute" and f.where == "iteration 55" for f in result.findings)
+        assert len(calls) == 2
 
 
-def test_replay_stops_at_a_step_it_cannot_redo(example_trace, golden_trace, example_problem):
-    # a dZ that makes the next Z indefinite: no later cts-2 point can be derived
-    idx = find_iteration(example_trace, 10)
-    bad = edit_line(example_trace, idx, lambda o: o.update(dZ=[[-5.0, 0.0], [0.0, 0.0]]))
-    errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
-    assert errors == ["iteration 11"]
+def test_replay_stops_at_a_step_it_cannot_redo(direction_traces, golden_trace, example_problem):
+    # a dZ that makes the next Z indefinite: no later point can be derived
+    for trace in direction_traces:
+        idx = find_iteration(trace, 10)
+        bad = edit_line(
+            trace, idx, lambda o: o.update(dZ=with_entry(each_entry(o["dZ"], lambda _: 0.0), 0, -5.0))
+        )
+        errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
+        assert errors == ["iteration 11"]
     # a cts-1 replay steps on from the next stored point
     idx = find_iteration(golden_trace, 10)
     bad = edit_line(golden_trace, idx, lambda o: o.update(Z=[[-5.0, 0.0], [0.0, 0.2]]))
@@ -559,20 +696,22 @@ def test_check_refuses_header_numbers_the_writer_cannot_emit(
 @pytest.mark.parametrize(
     "keys,mutate",
     [
-        (("dX", "dX"), lambda v: [[str(x) for x in row] for row in v]),
+        (("dX", "dX"), lambda v: each_entry(v, str)),
         (("p", "dp"), lambda v: [[x] for x in v]),
-        (("Z", "dZ"), lambda v: [[bool(x) for x in row] for row in v]),
-        (("X", "dX"), lambda v: [[v[0][0], True], v[1]]),
-        (("X", "dX"), lambda v: [[v[0][0], float("nan")], v[1]]),
-        (("p", "dp"), lambda v: [float("inf"), *v[1:]]),
+        (("Z", "dZ"), lambda v: each_entry(v, bool)),
+        (("X", "dX"), lambda v: with_entry(v, 1, True)),
+        (("X", "dX"), lambda v: with_entry(v, 1, float("nan"))),
+        (("p", "dp"), lambda v: with_entry(v, 0, float("inf"))),
     ],
     ids=["dX-strings", "p-column", "Z-bools", "dX-one-bool", "dX-one-nan", "dp-one-inf"],
 )
 def test_check_flags_iteration_arrays_the_writer_cannot_emit(
-    example_trace, golden_trace, example_problem, keys, mutate
+    direction_traces, golden_trace, example_problem, keys, mutate
 ):
-    # the array on a cts-1 line, and the cts-2 array of the same shape
-    for trace, key in zip((golden_trace, example_trace), keys):
+    # the array on a cts-1 line, and the direction of the same kind on a
+    # cts-3 and a cts-2 line
+    pairs = zip((golden_trace, *direction_traces), (keys[0], keys[1], keys[1]))
+    for trace, key in pairs:
         idx = find_iteration(trace, 5)
         bad = edit_line(trace, idx, lambda o: o.update({key: mutate(o[key])}))
         result = check_trace(bad, example_problem)
