@@ -15,13 +15,16 @@ SHA-256 over the raw float64 bytes of the constraint data. Floats are written
 as their shortest exact repr, so every value round-trips bit-exactly.
 
 ``check_trace`` replays a trace against the problem file it claims to come
-from. It redoes each iteration with the solver's ``take_step`` from the
-recomputed previous point and the stored directions, as the solver did,
-re-evaluates the contracts with the same monitor code the solver used, and
-compares every stored line with the line the writer's own builders
-(``_header_obj``, ``_iteration_obj``, ``_record_obj``, ``_footer_obj``)
-would emit for the recomputed values and the catalog's tolerances, so the
-trace format is stated once, by the writer, and no trace sets its own rules.
+from. It runs the solver's own loop, ``solver.iterate``, with the stored
+directions in place of Newton's: each step starts from the recomputed
+previous point, as the solver's did, the contracts are re-evaluated with the
+same monitor code, and the replay stops where the solver's loop would. The
+replay is a ``SolveReport``, so the footer's exit and budget follow the same
+rule as a run's. Every stored line is compared with the line the writer's
+own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
+``_footer_obj``) would emit for the recomputed values and the catalog's
+tolerances, so the trace format is stated once, by the writer, and no trace
+sets its own rules.
 Discrepancies, missing and unexpected fields become ``Finding`` values in a
 ``CheckReport`` — a tampered trace yields findings, never a crash. Only
 malformed input (bad JSON, unknown schema, wrong problem hash, missing or
@@ -33,10 +36,10 @@ Traces of the older schemas are still read. A ``cts-2`` trace is a
 also stores the iterates, gaps and mu, each record its anchor, phase and
 iteration, the header ``options.lsqr_tol``, always ``LEGACY_LSQR_TOL``), and
 its problem hash is taken over the constraint data written as ``.17g`` text.
-The builders emit those keys when asked for ``cts-1``, and a ``cts-1`` replay
-steps from each line's stored point, so a tampered iterate is flagged where
-it is stored and where the next line steps from it. ``_SCHEMAS`` holds what
-differs between the three in the iteration lines.
+The builders emit those keys when asked for ``cts-1``; the replay steps from
+recomputed points in every schema, so a tampered ``cts-1`` iterate is
+flagged where it is stored. ``_SCHEMAS`` holds what differs between the
+three in the iteration lines.
 
 ``emit_annotated_listing`` renders the solver algorithm for a concrete
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
@@ -52,7 +55,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +70,7 @@ from .solver import (
     SolveStatus,
     SolverOptions,
     default_options,
-    iteration_bound,
-    step_exit,
-    take_step,
+    iterate,
     validate_options,
 )
 from .symvec import _layout, sym_dim
@@ -198,14 +199,12 @@ def _header_obj(
 
 
 class _Schema(NamedTuple):
-    """What an iteration line of one schema holds, and how the replay reads it."""
+    """What an iteration line of one schema holds."""
 
     #: the arrays an iteration line stores
     arrays: tuple[str, ...]
     #: dX and dZ are stored as upper triangles (``_mirror_table`` order)
     triangles: bool
-    #: each line stores its point, and the replay steps from it
-    stored_points: bool
 
 
 #: The directions of a step, as an iteration line names them.
@@ -213,11 +212,9 @@ _DIRECTIONS = ("dX", "dZ", "dp")
 
 #: The schemas this tool reads, the one it writes first.
 _SCHEMAS = {
-    "cts-3": _Schema(_DIRECTIONS, triangles=True, stored_points=False),
-    "cts-2": _Schema(_DIRECTIONS, triangles=False, stored_points=False),
-    "cts-1": _Schema(
-        ("Xm", "Zm", "pm", *_DIRECTIONS, "X", "Z", "p"), triangles=False, stored_points=True
-    ),
+    "cts-3": _Schema(_DIRECTIONS, triangles=True),
+    "cts-2": _Schema(_DIRECTIONS, triangles=False),
+    "cts-1": _Schema(("Xm", "Zm", "pm", *_DIRECTIONS, "X", "Z", "p"), triangles=False),
 }
 
 
@@ -230,17 +227,19 @@ def _triangle(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def _iteration_obj(
-    prev: IterateState, state: IterateState, step: NewtonStep, schema: str = TRACE_SCHEMA
+    prev: IterateState, state: IterateState, step: NewtonStep | None, schema: str = TRACE_SCHEMA
 ) -> dict:
     """The line of the step from ``prev`` to ``state``; in ``cts-3`` dX and dZ
     are upper triangles, and a direction that is not symmetric bit for bit
-    raises ValueError."""
-    layout = _SCHEMAS[schema]
-    dX, dZ = step.dX, step.dZ
-    if layout.triangles:
-        dX, dZ = _triangle(dX, "dX"), _triangle(dZ, "dZ")
-    obj = {"type": "iteration", "iteration": state.iteration, "dX": dX, "dZ": dZ, "dp": step.dp}
-    if layout.stored_points:
+    raises ValueError. Without a ``step`` the line leaves out the directions:
+    the checker steps with the stored ones, so they can only match."""
+    obj = {"type": "iteration", "iteration": state.iteration}
+    if step is not None:
+        dX, dZ = step.dX, step.dZ
+        if _SCHEMAS[schema].triangles:
+            dX, dZ = _triangle(dX, "dX"), _triangle(dZ, "dZ")
+        obj.update(dX=dX, dZ=dZ, dp=step.dp)
+    if schema == LEGACY_SCHEMA:
         obj.update(
             Xm=prev.X,
             Zm=prev.Z,
@@ -323,14 +322,8 @@ def parse_trace(data: bytes) -> ProofTrace:
     every later record belongs to the iteration line above it. Raises
     TraceFormatError for anything that is not a well-formed trace of a
     supported schema (``cts-3``, ``cts-2`` or ``cts-1``); content errors are
-    left to ``check_trace``.
-
-    The lines are decoded in one ``json.loads`` call, as the items of one
-    array. When that call fails or yields another number of values than
-    there are lines, some line is not one JSON value, and a line-by-line
-    decode names it. (A file that both splits a value over two lines and
-    puts two values on one line can decode by its values; the checker then
-    judges those values like any others.)
+    left to ``check_trace``. Each non-blank line must hold exactly one JSON
+    value, an object.
     """
     try:
         text = data.decode("utf-8")
@@ -339,21 +332,12 @@ def parse_trace(data: bytes) -> ProofTrace:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise TraceFormatError("trace is empty")
-
-    try:
-        objs = json.loads("[" + ",".join(lines) + "]")
-    except json.JSONDecodeError:
-        objs = None
-    if objs is None or len(objs) != len(lines):
-        objs = [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
-    for lineno, obj in enumerate(objs, 1):
-        if not isinstance(obj, dict):
-            raise TraceFormatError(f"line {lineno} is not a JSON object")
+    objs = [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
 
     header = objs[0]
     if header.get("type") != "header":
         raise TraceFormatError("first line must be the trace header")
-    if header.get("schema") not in _SCHEMAS:
+    if not isinstance(header.get("schema"), str) or header["schema"] not in _SCHEMAS:
         raise TraceFormatError(
             f"unsupported trace schema {header.get('schema')!r}; "
             f"this tool reads {', '.join(map(repr, _SCHEMAS))}"
@@ -382,11 +366,21 @@ def parse_trace(data: bytes) -> ProofTrace:
     return ProofTrace(header=header, init_records=init_records, iterations=iterations, footer=footer)
 
 
-def _decode_line(lineno: int, line: str) -> object:
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(lineno: int, line: str) -> dict:
+    """The one JSON object on a line, with JSON whitespace around it."""
+    value = line.strip(" \t")  # splitlines leaves no other JSON whitespace
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj, end = _raw_decode(value)
+        if end < len(value):
+            raise json.JSONDecodeError("Extra data", value, end)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"line {lineno} is not a JSON object")
+    return obj
 
 
 # --------------------------------------------------------------------------
@@ -573,7 +567,7 @@ def _compare_records(
     by_id = {rec.id: rec for rec in recomputed}
     for stored_rec in stored:
         rid = stored_rec.get("id")
-        ours = by_id.get(rid)
+        ours = by_id.get(rid) if isinstance(rid, str) else None
         if ours is None:
             findings.append(Finding("catalog", where, rid, f"unknown record id {rid!r}"))
         else:
@@ -585,18 +579,18 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
 
     The problem hash must match (TraceFormatError otherwise — a trace is only
     checkable against the constraints it was made from), and so must the
-    header options pass ``validate_options``. Each iteration is then redone
-    with the solver's ``take_step`` and the stored directions (a ``cts-3``
-    triangle mirrored into its matrix, so a direction is symmetric by
-    construction), from the recomputed previous point (``cts-3`` and
-    ``cts-2``, as the solver did) or from the previous line's stored point
-    (``cts-1``); a replay that steps from recomputed points stops at the
-    first step it cannot redo. Its contracts are re-evaluated by the monitor,
-    and every stored line, the header included, is compared with the line
-    the writer would emit in the trace's schema for the recomputed values
-    (``_diff``, relative tolerance CHECK_RTOL), so tolerances are the
-    catalog's, not the trace's. The stored directions are the step itself,
-    so of them only the keys are compared; a changed direction shows in the
+    header options pass ``validate_options``. The replay is the solver's own
+    loop, ``solver.iterate``, fed with the stored directions in place of
+    Newton's (a ``cts-3`` triangle mirrored into its matrix, so a direction
+    is symmetric by construction): in every schema each step starts from the
+    recomputed previous point, as the solver's did, the monitor re-evaluates
+    its contracts, and the replay stops where the solver's loop would, or at
+    the first step it cannot redo. Every stored line, the header included, is
+    compared with the line the writer would emit in the trace's schema for
+    the recomputed values (``_diff``, relative tolerance CHECK_RTOL), so
+    tolerances are the catalog's, not the trace's, and a ``cts-1`` iterate is
+    judged where it is stored. The stored directions are the step itself, so
+    of them only the keys are compared; a changed direction shows in the
     records and the footer. Mismatches, missing and unexpected fields come
     back as findings.
     """
@@ -627,11 +621,12 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     init = {**header["init_state"], "X": state0.X, "Z": state0.Z, "p": state0.p}
     _diff({**header, "init_state": init}, expected, "header", None, findings)
 
+    replay = SolveReport(prob, opts, state0, init_records=[], snapshots=[])
     try:
-        recomputed = monitor.check_initialization(prob, state0, opts)
-        failed.update(rec.id for rec in recomputed if not rec.passed)
+        replay.init_records = monitor.check_initialization(prob, state0, opts)
+        failed.update(rec.id for rec in replay.init_records if not rec.passed)
         _compare_records(
-            trace.init_records, recomputed, "init", monitor.INIT_IDS, schema,
+            trace.init_records, replay.init_records, "init", monitor.INIT_IDS, schema,
             0, opts.sigma, findings,
         )
         records_checked += len(trace.init_records)
@@ -643,57 +638,54 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     if layout.triangles:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
         mirror = _mirror_table(n)[1]
-    state = prev = state0
+    arrays: dict[str, np.ndarray] = {}  # those of the line stepped with last
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
-    replayed: list[tuple[IterateState, list[monitor.InvariantRecord]]] = []
 
-    for k, block in enumerate(trace.iterations, 1):
-        where = f"iteration {k}"
-        line = block["state"]
+    def stored_step(prev: IterateState) -> NewtonStep | None:
+        """The step the next iteration line stores, scaled at ``prev.Z``;
+        None past the last line."""
+        nonlocal scaled
+        if prev.iteration == len(trace.iterations):
+            return None
+        line = trace.iterations[prev.iteration]["state"]
         try:
-            arrays = {key: json_numbers(line[key], shape=shape) for key, shape in shapes.items()}
+            arrays.update({key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()})
         except Exception as exc:  # noqa: BLE001
-            findings.append(Finding("error", where, None, f"unreadable iteration line: {exc}"))
-            break
+            raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if layout.triangles:
             arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
+        if scaled is None or not np.array_equal(scaled[0], prev.Z):
+            Zh = sym_sqrt(prev.Z)
+            scaled = (prev.Z, Zh, sym_inv(Zh))
+        return NewtonStep(
+            dX=arrays["dX"], dZ=arrays["dZ"], dp=arrays["dp"], Zh=scaled[1], Zhi=scaled[2]
+        )
 
-        try:
-            if scaled is None or not np.array_equal(scaled[0], prev.Z):
-                Zh = sym_sqrt(prev.Z)
-                scaled = (prev.Z, Zh, sym_inv(Zh))
-            step = NewtonStep(
-                dX=arrays["dX"], dZ=arrays["dZ"], dp=arrays["dp"], Zh=scaled[1], Zhi=scaled[2]
-            )
-            state = take_step(prob, prev, step)
-            ours = _iteration_obj(prev, state, step, schema)
-            stored = {**line, **arrays}
-            for key in _DIRECTIONS:  # the step itself: it can only match
-                del stored[key], ours[key]
+    cut = False  # the replay stopped at a step it could not redo
+    try:
+        for snap in iterate(prob, opts, state0, stored_step):
+            k = snap.state.iteration
+            where, block = f"iteration {k}", trace.iterations[k - 1]
+            # the stored directions are the step itself: they can only match
+            stored = {**block["state"], **arrays}
+            for key in _DIRECTIONS:
+                del stored[key]
+            ours = _iteration_obj(replay.final_state, snap.state, None, schema)
             _diff(stored, ours, where, None, findings)
-            recomputed = monitor.check_iteration(prob, prev, state, step, opts.sigma)
-            replayed.append((state, recomputed))
-            failed.update(rec.id for rec in recomputed if not rec.passed)
+            failed.update(rec.id for rec in snap.records if not rec.passed)
             _compare_records(
-                block["records"], recomputed, where, monitor.LOOP_IDS, schema,
-                state.iteration, opts.sigma, findings,
+                block["records"], snap.records, where, monitor.LOOP_IDS, schema,
+                k, opts.sigma, findings,
             )
             records_checked += len(block["records"])
-        except Exception as exc:  # noqa: BLE001
-            findings.append(Finding("error", where, None, f"checker error: {exc}"))
-            if not layout.stored_points:
-                break  # every later point derives from this step
-
-        if layout.stored_points:
-            # A cts-1 line stores its point, and the next step starts from it,
-            # so a tampered X is flagged here and again where the next line
-            # steps from it. Nothing reads more of prev than X, Z, p and iteration.
-            prev = replace(prev, X=arrays["X"], Z=arrays["Z"], p=arrays["p"], iteration=k)
-        else:
-            prev = state
+            replay.snapshots.append(snap)
+    except Exception as exc:  # noqa: BLE001
+        message = str(exc) if isinstance(exc, TraceFormatError) else f"checker error: {exc}"
+        findings.append(Finding("error", f"iteration {replay.iterations + 1}", None, message))
+        cut = True
 
     try:
-        _check_footer(trace, state0, state, opts, replayed, findings)
+        _check_footer(trace, replay, cut, findings)
     except Exception as exc:  # noqa: BLE001
         findings.append(Finding("error", "footer", None, f"checker error: {exc}"))
     return CheckReport(
@@ -704,63 +696,36 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     )
 
 
-def _replayed_exit(
-    opts: SolverOptions,
-    initial: IterateState,
-    replayed: list[tuple[IterateState, list["monitor.InvariantRecord"]]],
-) -> tuple[int, str, str | None]:
-    """Where and why ``solve``'s loop stops on the replayed steps: (steps
-    taken, status, violation_id). The loop runs while the gap exceeds
-    epsilon and stops after a step by ``step_exit``. The cap is not in the
-    trace, so steps that run out above epsilon read as IterationCap."""
-    state = initial
-    for k, (new, records) in enumerate(replayed):
-        if not state.phi > opts.epsilon:
-            return k, SolveStatus.CONVERGED.value, None
-        stop = step_exit(opts, new, records)
-        if stop is not None:
-            return k + 1, stop[0].value, stop[1]
-        state = new
-    status = SolveStatus.ITERATION_CAP if state.phi > opts.epsilon else SolveStatus.CONVERGED
-    return len(replayed), status.value, None
-
-
 def _check_footer(
-    trace: ProofTrace,
-    initial: IterateState,
-    final: IterateState,
-    opts: SolverOptions,
-    replayed: list[tuple[IterateState, list["monitor.InvariantRecord"]]],
-    findings: list[Finding],
+    trace: ProofTrace, replay: SolveReport, cut: bool, findings: list[Finding]
 ) -> None:
     """Compare the footer with the one the writer would emit for the replay.
 
-    The status and a strict-mode ``violation_id`` are derived from the
-    replayed steps (``_replayed_exit``), so a footer can claim no exit its
-    run could not take. A replay cut short has already made a finding; the
-    footer's own status then stands in for the derived one.
+    The status, a strict-mode ``violation_id``, the budget and the final gap
+    are the replay report's, whose exit its steps give, so a footer can
+    claim no exit its run could not take; the counts are the trace's lines.
+    A loop that stops before the trace's last line is a finding. A replay
+    ``cut`` short has already made one; the footer's own status then stands
+    in for the derived one.
     """
     footer = trace.footer
     iterations = len(trace.iterations)
-    if len(replayed) == iterations:
-        stop, status, violation_id = _replayed_exit(opts, initial, replayed)
-        if stop < iterations:
-            findings.append(
-                Finding(
-                    "footer",
-                    "footer",
-                    None,
-                    f"the loop stops after iteration {stop} ({status}), "
-                    f"but the trace goes on to iteration {iterations}",
-                )
-            )
-    else:
+    if cut:
         status = footer.get("status")
         violating = status == SolveStatus.INVARIANT_VIOLATION.value
         violation_id = footer.get("violation_id") if violating else None
+    else:
+        status, violation_id = replay.status.value, replay.violation_id
+        if replay.iterations < iterations:
+            message = (
+                f"the loop stops after iteration {replay.iterations} ({status}), "
+                f"but the trace goes on to iteration {iterations}"
+            )
+            findings.append(Finding("footer", "footer", None, message))
     records = len(trace.init_records) + sum(len(b["records"]) for b in trace.iterations)
-    budget = iteration_bound(initial.phi, opts.epsilon, opts.sigma)
-    expected = _footer_obj(status, iterations, final.phi, budget, records, violation_id)
+    expected = _footer_obj(
+        status, iterations, replay.final_gap, replay.budget, records, violation_id
+    )
     _diff(footer, expected, "footer", None, findings, kind="footer")
 
 

@@ -25,20 +25,23 @@ checks dZ and dp against the feasibility equations. Every problem that
 ``problem.build_problem`` admits has m = n(n+1)/2 independent constraints,
 so F' is invertible and dp solves its equation for any dX.
 
-Every iteration is checked against its runtime contracts by the ``monitor``
-module; ``solve`` returns a report bundling the trajectory with the per-step
-contract records. The report stores each fact once: the iteration count, the
-final state and the final gap are read off its snapshots. Neither stores
-whether sigma came from nu: that is ``sigma == sigma_from_nu(n, nu)``. Nor
-does a state store its predecessor, or a step its mu and sigma.
+The loop is written once, in ``iterate``: it steps, has the ``monitor``
+module check each step's contracts, and stops on the exit rule. ``solve``
+drives it with Newton directions, the trace checker with those a trace
+stores. A report stores each fact once: the iteration count, the final
+state, the budget and the exit are read off its start and its snapshots.
+Whether sigma came from nu is ``sigma == sigma_from_nu(n, nu)``; a state
+does not store its predecessor, nor a step its mu and sigma.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -98,8 +101,12 @@ class SolverOptions:
 def validate_options(opts: SolverOptions) -> None:
     if opts.mode not in ("strict", "audit"):
         raise ValueError(f"mode must be 'strict' or 'audit', got {opts.mode!r}")
-    if not (math.isfinite(opts.epsilon) and opts.epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {opts.epsilon}")
+    # below the normal floats, the budget's initial_gap / epsilon overflows
+    if not (math.isfinite(opts.epsilon) and opts.epsilon >= sys.float_info.min):
+        raise ValueError(
+            f"epsilon must be positive and normal (at least {sys.float_info.min}), "
+            f"got {opts.epsilon}"
+        )
     if not (math.isfinite(opts.sigma) and 0 < opts.sigma < 1):
         raise ValueError(f"sigma must lie strictly between 0 and 1, got {opts.sigma}")
     if not (math.isfinite(opts.nu) and opts.nu > 0):
@@ -147,8 +154,8 @@ class IterateState:
     ``phi / sigma`` at iteration 0, so the contraction contract holds
     vacuously for the starting point). Its predecessor is held by the caller.
 
-    ``mu`` and ``phim`` are stored although derivable: ``init-mu-definition``,
-    ``init-phim-seed`` and the ``cts-1`` replay judge the values a run states.
+    ``mu`` and ``phim`` are stored although derivable: ``init-mu-definition``
+    and ``init-phim-seed`` judge the values a run states.
     """
 
     X: np.ndarray
@@ -323,17 +330,43 @@ class IterationSnapshot:
 
 @dataclass
 class SolveReport:
-    """Full account of one solver run. The iteration count, the final state
-    and the final gap are read off the snapshots."""
+    """Full account of one solver run: the starting point with its records
+    and one snapshot per step. The iteration count, the final state and gap,
+    the certified budget and the exit (``status``, ``violation_id``) are read
+    off these, so a report cut down, or a trace's replay, states the exit of
+    its own steps."""
 
     problem: SdpProblem
     options: SolverOptions
-    status: SolveStatus
     initial_state: IterateState
-    budget: int
     init_records: list["InvariantRecord"]
     snapshots: list[IterationSnapshot]
-    violation_id: str | None = None
+
+    @property
+    def budget(self) -> int:
+        opts = self.options
+        return iteration_bound(self.initial_state.phi, opts.epsilon, opts.sigma)
+
+    @property
+    def _exit(self) -> tuple[SolveStatus, str | None]:
+        """(status, violation_id): the ``step_exit`` of the last step, else
+        IterationCap if the steps ran out above epsilon, else Converged."""
+        if self.snapshots:
+            last = self.snapshots[-1]
+            stop = step_exit(self.options, last.state, last.records)
+            if stop is not None:
+                return stop
+        if self.final_gap > self.options.epsilon:
+            return SolveStatus.ITERATION_CAP, None
+        return SolveStatus.CONVERGED, None
+
+    @property
+    def status(self) -> SolveStatus:
+        return self._exit[0]
+
+    @property
+    def violation_id(self) -> str | None:
+        return self._exit[1]
 
     @property
     def iterations(self) -> int:
@@ -385,11 +418,10 @@ class SolveReport:
 def step_exit(
     opts: SolverOptions, state: IterateState, records: list["InvariantRecord"]
 ) -> tuple[SolveStatus, str | None] | None:
-    """The exit ``solve`` takes right after a step to ``state`` whose sweep
+    """The exit the loop takes right after a step to ``state`` whose sweep
     gave ``records``: in strict mode the first failed record stops the run
     (InvariantViolation, naming it), then a gap that grew stops it
-    (DivergenceGuard); None when the loop goes on. The trace checker
-    derives a footer's status with this same rule."""
+    (DivergenceGuard); None when the loop goes on."""
     if opts.mode == "strict":
         bad = next((rec for rec in records if not rec.passed), None)
         if bad is not None:
@@ -397,6 +429,33 @@ def step_exit(
     if state.phi - state.phim > 0:
         return SolveStatus.DIVERGENCE_GUARD, None
     return None
+
+
+def iterate(
+    prob: SdpProblem,
+    opts: SolverOptions,
+    state: IterateState,
+    next_step: Callable[[IterateState], NewtonStep | None],
+) -> Iterator[IterationSnapshot]:
+    """The short-step iteration from ``state``, one snapshot per step.
+
+    While the gap exceeds epsilon: take the step ``next_step(state)`` (None
+    ends the loop), sweep the loop contracts, yield the snapshot, and stop
+    after a step for which ``step_exit`` gives an exit. The caller caps the
+    number of steps.
+    """
+    from . import monitor
+
+    while state.phi > opts.epsilon:
+        step = next_step(state)
+        if step is None:
+            return
+        new_state = take_step(prob, state, step)
+        records = monitor.check_iteration(prob, state, new_state, step, opts.sigma)
+        yield IterationSnapshot(state=new_state, step=step, records=records)
+        if step_exit(opts, new_state, records) is not None:
+            return
+        state = new_state
 
 
 def solve(
@@ -411,43 +470,15 @@ def solve(
     budget), a strict-mode abort on the first failed contract record, and a
     divergence guard that stops if the gap ever increases.
     """
-    from . import monitor
-
     opts = options if options is not None else default_options(prob)
     validate_options(opts)
 
     state, init_records = initialize(prob, opts, X0=X0)
-    initial_state = state
     scaling = prepare_newton(prob, state.Z)
-    budget = iteration_bound(state.phi, opts.epsilon, opts.sigma)
-    cap = iteration_cap(opts, budget)
-
-    snapshots: list[IterationSnapshot] = []
-    status = SolveStatus.CONVERGED
-    violation_id: str | None = None
-
-    while state.phi > opts.epsilon:
-        if len(snapshots) >= cap:
-            status = SolveStatus.ITERATION_CAP
-            break
-        r = assemble_newton(prob, state, opts.sigma, scaling)
-        step = solve_newton(prob, r, scaling)
-        new_state = take_step(prob, state, step)
-        records = monitor.check_iteration(prob, state, new_state, step, opts.sigma)
-        snapshots.append(IterationSnapshot(state=new_state, step=step, records=records))
-        state = new_state
-        stop = step_exit(opts, new_state, records)
-        if stop is not None:
-            status, violation_id = stop
-            break
-
-    return SolveReport(
-        problem=prob,
-        options=opts,
-        status=status,
-        initial_state=initial_state,
-        budget=budget,
-        init_records=init_records,
-        snapshots=snapshots,
-        violation_id=violation_id,
+    newton = lambda s: solve_newton(  # noqa: E731
+        prob, assemble_newton(prob, s, opts.sigma, scaling), scaling
     )
+    report = SolveReport(prob, opts, state, init_records, snapshots=[])
+    cap = iteration_cap(opts, report.budget)
+    report.snapshots.extend(islice(iterate(prob, opts, state, newton), cap))
+    return report

@@ -14,6 +14,7 @@ from credible_sdp.annotator import (
     LISTING_FLAVORS,
     TRACE_SCHEMA,
     TraceFormatError,
+    _check_footer,
     _dumps,
     _mat_literal,
     _numpy_to_json,
@@ -29,6 +30,7 @@ from credible_sdp.problem import SdpProblem, build_problem, load_problem
 from credible_sdp.solver import (
     NewtonStep,
     SolverOptions,
+    SolveStatus,
     assemble_newton,
     solve,
     solve_newton,
@@ -309,6 +311,25 @@ def test_parse_names_the_line_that_is_not_one_json_object(example_trace, text, m
         parse_trace(reassemble(lines))
 
 
+def test_parse_refuses_values_whose_line_breaks_cancel():
+    # record line 4 split at the comma before "bound": and lines 5 and 6
+    # joined by a comma: as many lines as values, and joined by commas the
+    # lines are the genuine values, but line 4 alone is not a value
+    genuine = trace_lines(GOLDEN_CTS3.read_bytes())
+    cut = genuine[3].index(',"bound":')
+    lines = [*genuine[:3], genuine[3][:cut], genuine[3][cut + 1:], genuine[4] + "," + genuine[5]]
+    lines += genuine[6:]
+    assert json.loads("[" + ",".join(lines) + "]") == [json.loads(line) for line in genuine]
+    with pytest.raises(TraceFormatError, match="^line 4 is not valid JSON"):
+        parse_trace(reassemble(lines))
+
+
+def test_parse_reads_json_whitespace_around_a_line(example_trace, example_problem):
+    lines = [f" \t{line}\t " for line in trace_lines(example_trace)]
+    assert parse_trace(reassemble(lines)) == parse_trace(example_trace)
+    assert check_trace(reassemble(lines), example_problem).clean
+
+
 def test_parse_rejects_unknown_schema(example_trace):
     bad = edit_line(example_trace, 0, lambda obj: obj.update(schema="cts-99"))
     with pytest.raises(TraceFormatError):
@@ -466,8 +487,9 @@ def test_replay_scales_once_while_z_stays_fixed(example_trace, example_problem, 
     assert len(calls) == 1
 
 
-def test_replay_rescales_when_a_stored_z_moves(golden_trace, example_problem, monkeypatch):
-    # only a cts-1 line stores Z
+def test_replay_does_not_rescale_when_a_stored_z_moves(golden_trace, example_problem, monkeypatch):
+    # only a cts-1 line stores Z; the replay steps from the recomputed Z,
+    # which never moves, so a moved stored Z is flagged but never rescaled
     idx = find_iteration(golden_trace, 55)
 
     def move_z(obj):
@@ -476,7 +498,7 @@ def test_replay_rescales_when_a_stored_z_moves(golden_trace, example_problem, mo
     calls = _count_sym_sqrt(monkeypatch)
     result = check_trace(edit_line(golden_trace, idx, move_z), example_problem)
     assert any(f.kind == "chain" and f.where == "iteration 55" for f in result.findings)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_replay_rescales_when_a_stored_dz_moves_z(direction_traces, example_problem, monkeypatch):
@@ -492,20 +514,48 @@ def test_replay_rescales_when_a_stored_dz_moves_z(direction_traces, example_prob
         assert len(calls) == 2
 
 
+def _off_diagonal_dz(obj: dict, value: float) -> None:
+    """dZ := [[0, value], [value, 0]] in either layout of the directions."""
+    dZ = each_entry(obj["dZ"], lambda _: 0.0)
+    if isinstance(dZ[0], list):
+        dZ[0][1] = dZ[1][0] = value
+    else:
+        dZ[1] = value
+    obj["dZ"] = dZ
+
+
 def test_replay_stops_at_a_step_it_cannot_redo(direction_traces, golden_trace, example_problem):
-    # a dZ that makes the next Z indefinite: no later point can be derived
+    # a dZ that makes the next Z indefinite while the gap still shrinks: the
+    # loop goes on, and no later point can be derived
+    for trace in direction_traces:
+        idx = find_iteration(trace, 10)
+        bad = edit_line(trace, idx, lambda o: _off_diagonal_dz(o, -0.5))
+        errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
+        assert errors == ["iteration 11"]
+    # a cts-1 replay steps from recomputed points too: a stored Z that no
+    # step can come from is flagged where it is stored, and the replay goes on
+    idx = find_iteration(golden_trace, 10)
+    bad = edit_line(golden_trace, idx, lambda o: o.update(Z=[[-5.0, 0.0], [0.0, 0.2]]))
+    findings = check_trace(bad, example_problem).findings
+    assert [(f.kind, f.where, f.message) for f in findings] == [
+        ("chain", "iteration 10", "Z does not match its recomputation")
+    ]
+
+
+def test_replay_stops_where_the_loop_would(direction_traces, example_problem):
+    # a dZ that drives the gap below zero: the loop ends after that step
+    # (Converged), so the later lines are steps the run could not have taken
     for trace in direction_traces:
         idx = find_iteration(trace, 10)
         bad = edit_line(
             trace, idx, lambda o: o.update(dZ=with_entry(each_entry(o["dZ"], lambda _: 0.0), 0, -5.0))
         )
-        errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
-        assert errors == ["iteration 11"]
-    # a cts-1 replay steps on from the next stored point
-    idx = find_iteration(golden_trace, 10)
-    bad = edit_line(golden_trace, idx, lambda o: o.update(Z=[[-5.0, 0.0], [0.0, 0.2]]))
-    errors = [f.where for f in check_trace(bad, example_problem).findings if f.kind == "error"]
-    assert errors == ["iteration 11"]
+        result = check_trace(bad, example_problem)
+        assert not any(f.kind == "error" for f in result.findings)
+        assert (
+            f"the loop stops after iteration 10 (Converged), but the trace goes on to iteration "
+            f"{len(parse_trace(trace).iterations)}"
+        ) in [f.message for f in result.findings]
 
 
 def test_check_trace_rejects_wrong_problem(example_trace):
@@ -574,10 +624,11 @@ def test_check_flags_broken_iterate_chain(golden_trace, example_problem):
 
     bad = edit_line(golden_trace, idx, bump_x)
     result = check_trace(bad, example_problem)
-    assert not result.clean
-    assert any(f.kind == "chain" and f.where == "iteration 5" for f in result.findings)
-    # the next block's (Xm == previous X) link must snap as well
-    assert any(f.kind == "chain" and f.where == "iteration 6" for f in result.findings)
+    # the replay steps from the recomputed X, so the stored one is flagged
+    # where it is stored, and nowhere else
+    assert [(f.kind, f.where, f.message) for f in result.findings] == [
+        ("chain", "iteration 5", "X does not match its recomputation")
+    ]
 
 
 def test_check_flags_tampered_scalar_recompute(golden_trace, example_problem):
@@ -780,6 +831,35 @@ def test_check_names_the_contracts_a_clean_trace_records_as_failed(
     assert result.describe().startswith("trace OK") == (not result.failed_ids)
 
 
+@pytest.mark.parametrize("status", ["Converged", *NON_CONVERGED])
+def test_the_replay_derives_the_exit_of_the_run(traces_by_status, example_problem, status, monkeypatch):
+    replays = []
+
+    def spy(trace, replay, cut, findings):
+        replays.append((replay, cut))
+        return _check_footer(trace, replay, cut, findings)
+
+    monkeypatch.setattr("credible_sdp.annotator._check_footer", spy)
+    trace = traces_by_status[status]
+    assert check_trace(trace, example_problem).clean
+    [(replay, cut)] = replays
+    footer = parse_trace(trace).footer
+    assert not cut and replay.status.value == status
+    assert (replay.violation_id, replay.budget, replay.iterations) == (
+        footer.get("violation_id"), footer["budget"], footer["iterations"]
+    )
+
+
+def test_a_cut_down_report_states_the_exit_of_its_steps(example_report, example_problem):
+    cut = replace(example_report, snapshots=example_report.snapshots[:3])
+    assert example_report.status is SolveStatus.CONVERGED
+    assert cut.status is SolveStatus.ITERATION_CAP and cut.violation_id is None
+    assert cut.final_gap > cut.options.epsilon and cut.budget == example_report.budget
+    trace = write_trace(cut)
+    assert parse_trace(trace).footer["status"] == "IterationCap"
+    assert check_trace(trace, example_problem).findings == []
+
+
 def _claim_passing_violation(footer: dict, last_records: list[dict]) -> None:
     footer["violation_id"] = next(rec["id"] for rec in last_records if rec["passed"])
 
@@ -826,22 +906,30 @@ def test_check_flags_false_status_claims(traces_by_status, example_problem, stat
     assert any(f.kind == "footer" for f in result.findings), result.describe()
 
 
-def test_check_flags_steps_after_the_loop_would_have_stopped(example_problem, monkeypatch):
+def test_check_flags_steps_after_the_loop_would_have_stopped(example_problem):
     # a solver that ignores its divergence guard: the gap grows on step 1,
-    # yet the run goes on to the cap and says so in its footer
-    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
-    monkeypatch.setattr("credible_sdp.solver.step_exit", lambda *args: None)
-    report = solve(example_problem, SolverOptions(epsilon=example_problem.epsilon, max_iterations=3))
-    assert report.status.value == "IterationCap" and report.iterations == 3
-    result = check_trace(write_trace(report), example_problem)
+    # yet the run goes on to the cap and says so in its footer; the checker
+    # shares the loop and its exit rule, so only the run is patched
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
+        mp.setattr("credible_sdp.solver.step_exit", lambda *args: None)
+        report = solve(example_problem, SolverOptions(epsilon=example_problem.epsilon, max_iterations=3))
+        assert report.status.value == "IterationCap" and report.iterations == 3
+        trace = write_trace(report)
+    result = check_trace(trace, example_problem)
     messages = [f.message for f in result.findings if f.kind == "footer"]
     assert "the loop stops after iteration 1 (DivergenceGuard), but the trace goes on to iteration 3" in messages
     assert "status: trace has 'IterationCap', expected 'DivergenceGuard'" in messages
 
 
+#: Header strings that name the software that wrote a trace: any string passes.
+SOFTWARE_NAMES = (("tool",), ("backend",))
+
+
 def _structural_mutations(obj: dict, path: tuple = ()):
     """(label, mutate) pairs: delete each key, add one key to each object,
-    flip each bool and edit each string, at every depth of ``obj``."""
+    flip each bool, edit each string but the software names and put a list
+    and an object in its place, at every depth of ``obj``."""
 
     def at(root, keys):
         for key in keys:
@@ -855,7 +943,10 @@ def _structural_mutations(obj: dict, path: tuple = ()):
         if isinstance(value, bool):
             yield f"flip {here}", lambda root, p=path, k=key: at(root, p).update({k: not at(root, p)[k]})
         elif isinstance(value, str):
-            yield f"edit {here}", lambda root, p=path, k=key: at(root, p).update({k: at(root, p)[k] + "x"})
+            if here not in SOFTWARE_NAMES:
+                yield f"edit {here}", lambda root, p=path, k=key: at(root, p).update({k: at(root, p)[k] + "x"})
+            for label, other in (("list", [value]), ("object", {"value": value})):
+                yield f"{label} at {here}", lambda root, p=path, k=key, o=other: at(root, p).update({k: o})
         elif isinstance(value, dict):
             yield from _structural_mutations(value, here)
 
@@ -868,6 +959,7 @@ def _detected(trace: bytes, prob) -> bool:
 
 
 STRUCTURE_TARGETS = {
+    "header": lambda trace: 0,
     "iteration line": lambda trace: find_iteration(trace, 5),
     "loop record": lambda trace: find_record(trace, "I11", 5),
     "footer": lambda trace: len(trace_lines(trace)) - 1,
@@ -899,6 +991,24 @@ def test_a_cts1_key_on_a_cts2_line_is_unexpected(example_trace, golden_trace, ex
     idx = STRUCTURE_TARGETS[target](example_trace)
     result = check_trace(edit_line(example_trace, idx, lambda o: o.update({key: value})), example_problem)
     assert [(f.kind, f.message) for f in result.findings] == [("structure", f"unexpected key {key}")]
+
+
+@pytest.mark.parametrize("rid", [["I3"], {"id": "I3"}], ids=["array", "object"])
+def test_an_unhashable_record_id_is_unknown_and_the_replay_goes_on(
+    example_trace, example_problem, rid
+):
+    idx = find_record(example_trace, "I3", 1)
+    result = check_trace(edit_line(example_trace, idx, lambda o: o.update(id=rid)), example_problem)
+    ids = list(LOOP_IDS)
+    assert [(f.kind, f.where, f.message) for f in result.findings] == [
+        (
+            "catalog",
+            "iteration 1",
+            f"record ids {[rid if i == 'I3' else i for i in ids]} do not match the catalog {ids}",
+        ),
+        ("catalog", "iteration 1", f"unknown record id {rid!r}"),
+    ]
+    assert result.records_checked == check_trace(example_trace, example_problem).records_checked
 
 
 @pytest.mark.parametrize("value", ["no", 1, [0]], ids=repr)

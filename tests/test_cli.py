@@ -178,13 +178,26 @@ def test_solve_strict_mode_violation_exit_code(capsys, problem_file, monkeypatch
 
 
 def test_exit_codes_cover_every_status(example_report):
-    assert exit_code_for(example_report) == 0
-    assert exit_code_for(dataclasses.replace(example_report, status=SolveStatus.ITERATION_CAP)) == 4
-    assert exit_code_for(dataclasses.replace(example_report, status=SolveStatus.DIVERGENCE_GUARD)) == 3
-    assert (
-        exit_code_for(dataclasses.replace(example_report, status=SolveStatus.INVARIANT_VIOLATION))
-        == 2
-    )
+    # a report's status is derived from its steps: cut the run after step 3,
+    # then let that step grow the gap, or fail a record in strict mode
+    snaps = example_report.snapshots[:3]
+    last = snaps[-1]
+    grown = dataclasses.replace(last, state=dataclasses.replace(last.state, phi=2 * last.state.phim))
+    failing = dataclasses.replace(last, records=[dataclasses.replace(last.records[0], passed=False)])
+    strict = dataclasses.replace(example_report.options, mode="strict")
+    reports = {
+        SolveStatus.CONVERGED: (example_report, 0),
+        SolveStatus.ITERATION_CAP: (dataclasses.replace(example_report, snapshots=snaps), 4),
+        SolveStatus.DIVERGENCE_GUARD: (
+            dataclasses.replace(example_report, snapshots=[*snaps[:-1], grown]), 3
+        ),
+        SolveStatus.INVARIANT_VIOLATION: (
+            dataclasses.replace(example_report, options=strict, snapshots=[*snaps[:-1], failing]), 2
+        ),
+    }
+    for status, (report, code) in reports.items():
+        assert report.status is status
+        assert exit_code_for(report) == code
     failed = dataclasses.replace(example_report.init_records[0], passed=False)
     dirty = dataclasses.replace(example_report, init_records=[failed])
     assert exit_code_for(dirty) == 2  # converged but not clean
@@ -306,6 +319,38 @@ def test_problem_numbers_numpy_would_coerce_exit_one(capsys, tmp_path, problem_f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["flag", "problem file"])
+def test_subnormal_epsilon_exits_one_naming_it(capsys, tmp_path, problem_file, where):
+    # gap / epsilon overflows below the normal floats, so no budget exists
+    args = ["solve", "--problem", str(problem_file)]
+    if where == "flag":
+        args += ["--epsilon", "1e-320"]
+    else:
+        data = json.loads(problem_file.read_text())
+        data["epsilon"] = 1e-320
+        problem_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: epsilon must be positive and normal") and "1e-320" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("schema", [{"name": "cts-3"}, ["cts-3"]], ids=["object", "array"])
+def test_check_trace_refuses_an_unhashable_schema(capsys, problem_file, tmp_path, schema):
+    trace_path = tmp_path / "run.trace"
+    run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["schema"] = schema
+    lines[0] = json.dumps(header)
+    trace_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(trace_path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: unsupported trace schema") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "fs,rule",
     [
@@ -388,7 +433,7 @@ def test_check_trace_against_wrong_problem(capsys, problem_file, tmp_path):
     assert "hash" in err
 
 
-@pytest.mark.parametrize("field,value", [("epsilon", -1.0), ("mode", "bogus")])
+@pytest.mark.parametrize("field,value", [("epsilon", -1.0), ("mode", "bogus"), ("epsilon", 1e-320)])
 def test_check_trace_refuses_invalid_header_options(capsys, problem_file, tmp_path, field, value):
     trace_path = tmp_path / "run.trace"
     run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
