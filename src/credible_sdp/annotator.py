@@ -71,7 +71,6 @@ from .solver import (
     SolverOptions,
     default_options,
     iterate,
-    validate_options,
 )
 from .symvec import _layout, sym_dim
 
@@ -519,16 +518,14 @@ def _options_from_header(header: dict) -> SolverOptions:
     if not isinstance(options, dict):
         raise TraceFormatError("trace header is missing its options object")
     try:
-        opts = SolverOptions(
+        return SolverOptions(
             epsilon=float(json_numbers(options["epsilon"], shape=())),
             nu=float(json_numbers(options["nu"], shape=())),
             sigma=float(json_numbers(options["sigma"], shape=())),
             mode=options["mode"],
         )
-        validate_options(opts)
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"trace header options are invalid: {exc}") from None
-    return opts
 
 
 def _state_from_header(header: dict, n: int, m: int) -> IterateState:
@@ -578,8 +575,8 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     """Replay a trace against a problem and report every discrepancy.
 
     The problem hash must match (TraceFormatError otherwise — a trace is only
-    checkable against the constraints it was made from), and so must the
-    header options pass ``validate_options``. The replay is the solver's own
+    checkable against the constraints it was made from), and ``SolverOptions``
+    must accept the header options. The replay is the solver's own
     loop, ``solver.iterate``, fed with the stored directions in place of
     Newton's (a ``cts-3`` triangle mirrored into its matrix, so a direction
     is symmetric by construction): in every schema each step starts from the

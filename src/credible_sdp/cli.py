@@ -51,14 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_options(args: argparse.Namespace, prob: SdpProblem) -> SolverOptions:
-    """Resolve options: flags over ``default_options(prob)``.
+def _build_options(args: argparse.Namespace, prob: SdpProblem, **flags) -> SolverOptions:
+    """Resolve options: ``flags`` and the solver flags over ``default_options(prob)``.
 
     --sigma wins outright; --nu without --sigma derives sigma from the
     potential weight; a nu stored in the problem file only sets the potential
     weight and never changes sigma.
     """
-    flags = {"mode": args.mode, "max_iterations": getattr(args, "max_iterations", None)}
     if args.epsilon is not None:
         flags["epsilon"] = args.epsilon
     if args.nu is not None:
@@ -120,7 +119,7 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     prob = load_problem_file(args.problem)
-    opts = _build_options(args, prob)
+    opts = _build_options(args, prob, mode=args.mode, max_iterations=args.max_iterations)
     report = solve(prob, opts)
     if args.trace:
         Path(args.trace).write_bytes(write_trace(report))
@@ -178,8 +177,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="potential weight; without --sigma it also derives sigma")
     sub.add_argument("--sigma", type=float, default=None,
                      help=f"gap contraction factor per step (default {DEFAULT_SIGMA})")
-    sub.add_argument("--mode", choices=("strict", "audit"), default="audit",
-                     help="strict aborts on the first failed contract; audit records and continues")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser("solve", help="run the solver on a problem file")
     p_solve.add_argument("--problem", required=True, help="problem JSON file")
     _add_config_flags(p_solve)
+    p_solve.add_argument("--mode", choices=("strict", "audit"), default="audit",
+                         help="strict aborts on the first failed contract; audit records and continues")
     p_solve.add_argument("--max-iterations", type=int, default=None,
                          help="iteration cap (default: 10x the certified budget)")
     p_solve.add_argument("--trace", default=None, help="write the proof trace here")

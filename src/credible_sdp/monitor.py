@@ -250,7 +250,7 @@ def check_iteration(
 
     # I9: directions preserve dual and primal feasibility.
     r_dual = frob_norm(prob.fmat @ vecs_stack(dZ[None])[0])
-    r_primal = frob_norm(_fold(0.0, np.asarray(dp, dtype=float).ravel(), prob.fstack) + dX)
+    r_primal = frob_norm(_fold(0.0, np.asarray(dp, dtype=float).ravel(), prob.fs) + dX)
     out.equal(
         "I9",
         max(r_dual, r_primal),
@@ -311,7 +311,7 @@ def check_initialization(
     out.pd("init-f0-pd", min_eigenvalue(prob.f0))
 
     if m:
-        F = prob.fstack
+        F = prob.fs
         asyms = asymmetry(F)
         worst = int(np.argmax(asyms))
         v = float(asyms[worst])
@@ -351,7 +351,7 @@ def check_initialization(
             {"reshaped": False, "note": "p reshapes to a square matrix only when m == n*(n+1)/2"},
         )
 
-    res_primal = frob_norm(_fold(prob.f0, p_arr, prob.fstack) + X)
+    res_primal = frob_norm(_fold(prob.f0, p_arr, prob.fs) + X)
     out.equal("init-primal-feasibility", res_primal, frob_norm(prob.f0), {"residual": res_primal})
 
     eps = opts.epsilon

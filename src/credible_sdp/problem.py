@@ -16,13 +16,15 @@ together with its primal
 validation, so checkers can be exercised on deliberately broken data.
 ``build_problem`` and ``load_problem`` are the validating entry points. They
 also admit only problems the solver can solve: m = n(n+1)/2 linearly
-independent F1..Fm, so that every Newton direction has an exact dp.
+independent F1..Fm, so that every Newton direction has an exact dp. Each
+input rule is stated once: one symmetry test for all n x n input matrices,
+``admit_x0`` for X0 and ``solver.SolverOptions`` for epsilon and nu.
 
-The constraint matrices F1..Fm are held once, in one C-contiguous (m, n, n)
-array, so checks over all of them are single numpy expressions. Every value
-they determine (n, m, the assembled constraint matrix ``fmat`` and the
-problem hash) is derived from them, never stored beside them, so no problem
-can carry a hash or an ``fmat`` of other constraints.
+The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
+(m, n, n) array, so checks over all of them are single numpy expressions.
+Every value they determine (n, m, the assembled constraint matrix ``fmat``
+and the problem hash) is derived from them, never stored beside them, so no
+problem can carry a hash or an ``fmat`` of other constraints.
 """
 
 from __future__ import annotations
@@ -30,19 +32,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Any
 
 import numpy as np
 
-from . import symvec
 from .linalg import NotPositiveDefiniteError, require_pd, trace_inner
-from .symvec import asymmetry, require_symmetric, vecs_stack
+from .symvec import asymmetry, sym_dim, vecs_stack
 
-#: Tolerance for symmetry of matrices arriving from files.
+#: Symmetry tolerance of every n x n input matrix, relative to max(1, max|a|).
 LOAD_SYMMETRY_TOL = 1e-12
+#: Default convergence threshold on the duality gap.
+DEFAULT_EPSILON = 1e-8
 
 
 class ProblemFormatError(ValueError):
@@ -55,41 +58,37 @@ class SdpProblem:
 
     Stored: ``f0``, ``fs``, ``b``, an optional primal warm start ``x0``, the
     convergence threshold ``epsilon`` on trace(X @ Z) and an optional
-    potential-function weight ``nu``. ``fs`` may be a sequence of n x n
-    matrices or an (m, n, n) array; it is copied into the C-contiguous stack
-    ``fstack`` unless it already is one, and ``fs`` becomes the tuple of its
-    rows (views), so the data is held once.
+    potential-function weight ``nu``. ``fs`` (F1..Fm) may be given as n x n
+    matrices or an (m, n, n) array; it is held as one C-contiguous (m, n, n)
+    stack, copied only if it is not one already.
 
     Derived, so ``dataclasses.replace`` cannot leave them stale: ``n`` and
-    ``m`` from the shape of ``fstack``, and on first use ``fmat`` (row i is
+    ``m`` from the shape of ``fs``, and on first use ``fmat`` (row i is
     vecs(Fi), so dual feasibility reads fmat @ vecs(Z) + b == 0) and the
     problem hash.
     """
 
     f0: np.ndarray
-    fs: tuple[np.ndarray, ...]
+    fs: np.ndarray
     b: np.ndarray
     x0: np.ndarray | None = None
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPSILON
     nu: float | None = None
-    fstack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        stack = np.ascontiguousarray(self.fs, dtype=float)
-        object.__setattr__(self, "fstack", stack)
-        object.__setattr__(self, "fs", tuple(stack))
+        object.__setattr__(self, "fs", np.ascontiguousarray(self.fs, dtype=float))
 
     @property
     def n(self) -> int:
-        return self.fstack.shape[1]
+        return self.fs.shape[1]
 
     @property
     def m(self) -> int:
-        return self.fstack.shape[0]
+        return self.fs.shape[0]
 
     @cached_property
     def fmat(self) -> np.ndarray:
-        return vecs_stack(self.fstack)
+        return vecs_stack(self.fs)
 
     @cached_property
     def problem_hash(self) -> str:
@@ -102,7 +101,7 @@ class SdpProblem:
         differ.
         """
         digest = hashlib.sha256(np.array([self.n, self.m], dtype="<i8").tobytes())
-        for M in (self.f0, self.fstack, self.b):
+        for M in (self.f0, self.fs, self.b):
             digest.update(np.asarray(M, dtype="<f8").tobytes())
         return digest.hexdigest()
 
@@ -128,13 +127,34 @@ def _logdet(S: np.ndarray, what: str) -> float:
 # -- construction ----------------------------------------------------------
 
 
+def _refuse_asymmetric(stack: np.ndarray, names: list[str]) -> None:
+    """The load symmetry rule, on each (finite) matrix of a (k, n, n) stack."""
+    asym = asymmetry(stack)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise ProblemFormatError(f"{names[i]} is not symmetric: max |a - a.T| = {asym[i]:.3e}")
+
+
+def admit_x0(x0: Any, n: int) -> np.ndarray:
+    """X0 as a new float array, refused unless finite (tested first), (n, n) and symmetric."""
+    x0 = np.array(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ProblemFormatError("X0 has non-finite entries")
+    if x0.shape != (n, n):
+        raise ProblemFormatError(f"X0 has shape {x0.shape}, expected {(n, n)}")
+    _refuse_asymmetric(x0[None], ["X0"])
+    return x0
+
+
 def build_problem(
     f0: np.ndarray,
     fs: list[np.ndarray] | tuple[np.ndarray, ...],
     b: np.ndarray,
     *,
     x0: np.ndarray | None = None,
-    epsilon: float = 1e-8,
+    epsilon: float = DEFAULT_EPSILON,
     nu: float | None = None,
 ) -> SdpProblem:
     """Validate, admit and assemble an SdpProblem from its constituent arrays.
@@ -142,16 +162,16 @@ def build_problem(
     Admission: each Newton step solves sum(dp[i] * Fi) = -dX for a symmetric
     dX that can be any symmetric matrix, so F1..Fm must be a basis of the
     symmetric n x n matrices: m = n(n+1)/2 and linearly independent.
-    A non-finite entry in F0, any Fi, b or X0 is refused first, by name.
+    A non-finite entry in F0, any Fi or b is refused first, by name.
     """
+    from .solver import DEFAULT_NU, SolverOptions  # solver imports this module
     f0 = np.array(f0, dtype=float)
     fs = [np.asarray(Fi, dtype=float) for Fi in fs]
     b = np.array(b, dtype=float).ravel()
-    x0 = None if x0 is None else np.array(x0, dtype=float)
-    named = [("F0", f0), *((f"F{i}", Fi) for i, Fi in enumerate(fs, 1)), ("b", b), ("X0", x0)]
+    named = [("F0", f0), *((f"F{i}", Fi) for i, Fi in enumerate(fs, 1)), ("b", b)]
     for name, M in named:
         # before any arithmetic, which would turn inf into nan and misname the fault
-        if M is not None and not np.isfinite(M).all():
+        if not np.isfinite(M).all():
             raise ProblemFormatError(f"{name} has non-finite entries")
     if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
         raise ProblemFormatError(f"F0 must be square, got shape {f0.shape}")
@@ -166,10 +186,7 @@ def build_problem(
         raise ProblemFormatError(
             f"b has length {b.shape[0]} but there are {m} constraint matrices"
         )
-    try:
-        f0 = require_symmetric(f0, tol=LOAD_SYMMETRY_TOL, what="F0")
-    except symvec.SymmetryError as exc:
-        raise ProblemFormatError(str(exc)) from None
+    _refuse_asymmetric(f0[None], ["F0"])
     try:
         require_pd(f0, what="F0")
     except NotPositiveDefiniteError as exc:
@@ -178,33 +195,21 @@ def build_problem(
         if Fi.shape != (n, n):
             raise ProblemFormatError(f"F{i + 1} has shape {Fi.shape}, expected {(n, n)}")
     stack = np.array(fs, dtype=float).reshape(m, n, n)
-    # require_symmetric's test, on every matrix of the stack at once
-    asym = asymmetry(stack)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
-    if bad.size:
-        i = bad[0]
-        raise ProblemFormatError(f"F{i + 1} is not symmetric: max |a - a.T| = {asym[i]:.3e}")
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise ProblemFormatError(f"epsilon must be positive, got {epsilon}")
-    if nu is not None and (not np.isfinite(nu) or nu <= 0):
-        raise ProblemFormatError(f"nu must be positive when given, got {nu}")
-    if x0 is not None:
-        if x0.shape != (n, n):
-            raise ProblemFormatError(f"X0 has shape {x0.shape}, expected {(n, n)}")
-        try:
-            x0 = require_symmetric(x0, tol=LOAD_SYMMETRY_TOL, what="X0")
-        except symvec.SymmetryError as exc:
-            raise ProblemFormatError(str(exc)) from None
+    _refuse_asymmetric(stack, [f"F{i}" for i in range(1, m + 1)])
+    try:
+        opts = SolverOptions(epsilon=float(epsilon), nu=DEFAULT_NU if nu is None else float(nu))
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
+    x0 = None if x0 is None else admit_x0(x0, n)
 
-    if m != symvec.sym_dim(n):
+    if m != sym_dim(n):
         raise ProblemFormatError(
             f"m = n(n+1)/2 constraint matrices are required, so that every "
             f"symmetric direction dX is a combination of F1..Fm: n = {n} needs "
-            f"{symvec.sym_dim(n)}, got m = {m}"
+            f"{sym_dim(n)}, got m = {m}"
         )
-    nu = None if nu is None else float(nu)
-    prob = SdpProblem(f0=f0, fs=stack, b=b, x0=x0, epsilon=float(epsilon), nu=nu)
+    nu = None if nu is None else opts.nu
+    prob = SdpProblem(f0=f0, fs=stack, b=b, x0=x0, epsilon=opts.epsilon, nu=nu)
     # matrix_rank's test, keeping the singular values for cond(F)
     sv = np.linalg.svd(prob.fmat, compute_uv=False)
     rank = int(np.count_nonzero(sv > sv[0] * m * np.finfo(float).eps))
@@ -286,11 +291,9 @@ def load_problem(source: str | bytes) -> SdpProblem:
     fs = [as_matrix(Fi, f"F{i + 1}") for i, Fi in enumerate(data["F"])]
     b = numbers(data["b"], '"b"', "a numeric vector", None).ravel()
     x0 = as_matrix(data["X0"], "X0") if data.get("X0") is not None else None
-    epsilon = numbers(data.get("epsilon", 1e-8), '"epsilon"', "a number", 0)
-    nu = data.get("nu")
-    if nu is not None:
-        nu = float(numbers(nu, '"nu"', "a number", 0))
-    return build_problem(f0, fs, b, x0=x0, epsilon=float(epsilon), nu=nu)
+    epsilon = numbers(data.get("epsilon", DEFAULT_EPSILON), '"epsilon"', "a number", 0)
+    nu = numbers(data["nu"], '"nu"', "a number", 0) if data.get("nu") is not None else None
+    return build_problem(f0, fs, b, x0=x0, epsilon=epsilon, nu=nu)
 
 
 def load_problem_file(path: str) -> SdpProblem:
@@ -305,9 +308,11 @@ def running_example() -> SdpProblem:
 
 
 __all__ = [
+    "DEFAULT_EPSILON",
     "LOAD_SYMMETRY_TOL",
     "ProblemFormatError",
     "SdpProblem",
+    "admit_x0",
     "build_problem",
     "json_numbers",
     "load_problem",

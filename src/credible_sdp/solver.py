@@ -23,7 +23,8 @@ The solver does not check the directions itself: contract I10 checks dX
 against the Newton equation with its right-hand side recomputed, and I9
 checks dZ and dp against the feasibility equations. Every problem that
 ``problem.build_problem`` admits has m = n(n+1)/2 independent constraints,
-so F' is invertible and dp solves its equation for any dX.
+so F' is invertible and dp solves its equation for any dX. Options are
+valid by construction: ``SolverOptions`` raises ValueError on a bad value.
 
 The loop is written once, in ``iterate``: it steps, has the ``monitor``
 module check each step's contracts, and stops on the exit rule. ``solve``
@@ -46,8 +47,8 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from .linalg import lsqr_solve, sym_inv, sym_sqrt, trace_inner
-from .problem import SdpProblem
-from .symvec import krons, mats, require_symmetric, symmetrize, vecs
+from .problem import DEFAULT_EPSILON, ProblemFormatError, SdpProblem, admit_x0
+from .symvec import krons, mats, symmetrize, vecs
 
 if TYPE_CHECKING:
     from .monitor import InvariantRecord
@@ -82,8 +83,9 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Settings of one ``solve`` run. The contract tolerances are constants
-    of the catalog (``monitor``, ``linalg``), not settings.
+    """Settings of one ``solve`` run, valid by construction (a bad value
+    raises ValueError). The contract tolerances are constants of the catalog
+    (``monitor``, ``linalg``), not settings.
 
     ``mode`` selects what happens when a per-iteration contract fails:
     "strict" aborts the run with status InvariantViolation, "audit" records
@@ -91,28 +93,27 @@ class SolverOptions:
     both modes.
     """
 
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPSILON
     nu: float = DEFAULT_NU
     sigma: float = DEFAULT_SIGMA
     mode: str = "audit"
     max_iterations: int | None = None
 
-
-def validate_options(opts: SolverOptions) -> None:
-    if opts.mode not in ("strict", "audit"):
-        raise ValueError(f"mode must be 'strict' or 'audit', got {opts.mode!r}")
-    # below the normal floats, the budget's initial_gap / epsilon overflows
-    if not (math.isfinite(opts.epsilon) and opts.epsilon >= sys.float_info.min):
-        raise ValueError(
-            f"epsilon must be positive and normal (at least {sys.float_info.min}), "
-            f"got {opts.epsilon}"
-        )
-    if not (math.isfinite(opts.sigma) and 0 < opts.sigma < 1):
-        raise ValueError(f"sigma must lie strictly between 0 and 1, got {opts.sigma}")
-    if not (math.isfinite(opts.nu) and opts.nu > 0):
-        raise ValueError(f"nu must be positive, got {opts.nu}")
-    if opts.max_iterations is not None and opts.max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
+    def __post_init__(self) -> None:
+        if self.mode not in ("strict", "audit"):
+            raise ValueError(f"mode must be 'strict' or 'audit', got {self.mode!r}")
+        # below the normal floats, the budget's initial_gap / epsilon overflows
+        if not (math.isfinite(self.epsilon) and self.epsilon >= sys.float_info.min):
+            raise ValueError(
+                f"epsilon must be positive and normal (at least {sys.float_info.min}), "
+                f"got {self.epsilon}"
+            )
+        if not (math.isfinite(self.sigma) and 0 < self.sigma < 1):
+            raise ValueError(f"sigma must lie strictly between 0 and 1, got {self.sigma}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be positive, got {self.nu}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 def default_options(prob: SdpProblem) -> SolverOptions:
@@ -261,8 +262,8 @@ def initialize(
 
     Z solves the dual-feasibility equations by minimum-norm least squares
     (and stays fixed thereafter); X comes from the explicit warm start
-    (argument wins over the problem file), refused before any arithmetic on
-    it unless every entry is finite; p solves the primal-feasibility
+    (argument wins over the problem file), admitted by ``problem.admit_x0``
+    and refused as InitializationError; p solves the primal-feasibility
     equations for that X. The initialization contract sweep alone judges the
     result, in both modes: if any record fails, the error lists each failed
     id with its measured value and bound, and is a NeighborhoodViolation when
@@ -284,12 +285,10 @@ def initialize(
         raise InitializationError(
             "no primal warm start: pass X0 or include one in the problem file"
         )
-    X = np.array(X0, dtype=float)
-    if not np.isfinite(X).all():
-        raise InitializationError("X0 has non-finite entries")
-    X = require_symmetric(X, what="X0")
-    if X.shape != (n, n):
-        raise InitializationError(f"X0 has shape {X.shape}, expected {(n, n)}")
+    try:
+        X = admit_x0(X0, n)
+    except ProblemFormatError as exc:
+        raise InitializationError(str(exc)) from None
 
     p = lsqr_solve(prob.fmat.T, -vecs(symmetrize(prob.f0 + X)), equation="initial primal solve")
 
@@ -471,7 +470,6 @@ def solve(
     divergence guard that stops if the gap ever increases.
     """
     opts = options if options is not None else default_options(prob)
-    validate_options(opts)
 
     state, init_records = initialize(prob, opts, X0=X0)
     scaling = prepare_newton(prob, state.Z)

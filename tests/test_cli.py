@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credible_sdp.cli import exit_code_for, main, render_report
+from credible_sdp.cli import build_parser, exit_code_for, main, render_report
 from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
 
 README = Path(__file__).parent.parent / "README.md"
@@ -246,6 +247,17 @@ def test_annotate_rejects_unknown_flavor(capsys, problem_file):
     assert "error" in err
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "listing-file"])
+def test_annotate_refuses_options_solve_refuses(capsys, problem_file, tmp_path, to_file):
+    # a listing must not print values under the contracts they break
+    out_path = tmp_path / "listing.m"
+    args = ["annotate", "--problem", str(problem_file), "--epsilon", "-1", "--sigma", "7"]
+    code, out, err = run_cli(capsys, *args, *(["--listing", str(out_path)] if to_file else []))
+    assert code == 1 and out == ""
+    assert err.startswith("error: epsilon must be positive and normal")
+    assert "Traceback" not in err and not out_path.exists()
+
+
 # -- demo and misc -------------------------------------------------------------------
 
 
@@ -266,6 +278,37 @@ def test_readme_quick_start_matches_the_demo(capsys):
     assert code == 0
     missing = [line for line in expected if line not in out.splitlines()]
     assert not missing, f"README quick start lines not in the demo output: {missing}"
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """The flags README's "Command line" section gives each subcommand: those
+    on its usage line, and each bullet under a line ending "(on `a` and `b`):"."""
+    section = re.search(r"^## Command line\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
+    flags: dict[str, set[str]] = {}
+    owners: list[str] = []
+    for line in section.splitlines():
+        usage = re.match(r"credible-sdp ([a-z-]+) (.*)", line)
+        bullet = re.match(r"- `(--[a-z-]+)", line)
+        if usage:
+            flags.setdefault(usage.group(1), set()).update(re.findall(r"--[a-z-]+", usage.group(2)))
+        elif re.search(r"\(on .*\):$", line):
+            owners = re.findall(r"`([a-z-]+)`", line[line.rindex("(on ") :])
+        elif bullet:
+            for sub in owners:
+                flags[sub].add(bullet.group(1))
+        elif line and not line.startswith(" "):
+            owners = []
+    return flags
+
+
+def test_readme_names_every_flag_each_subcommand_takes():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {s for action in sub._actions for s in action.option_strings if s.startswith("--")}
+        - {"--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert _readme_flags() == parsed
 
 
 def test_version_flag(capsys):
@@ -333,6 +376,20 @@ def test_subnormal_epsilon_exits_one_naming_it(capsys, tmp_path, problem_file, w
     assert code == 1 and out == ""
     assert err.startswith("error: epsilon must be positive and normal") and "1e-320" in err
     assert "Traceback" not in err
+
+
+def test_check_trace_refuses_a_problem_file_solve_refuses(capsys, problem_file, tmp_path):
+    # the hash covers the constraints only, so the trace still matches them
+    trace_path = tmp_path / "run.trace"
+    run_cli(capsys, "solve", "--problem", str(problem_file), "--trace", str(trace_path))
+    data = json.loads(problem_file.read_text())
+    data["epsilon"] = 1e-320
+    problem_file.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(trace_path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: epsilon must be positive and normal") and "1e-320" in err
 
 
 @pytest.mark.parametrize("schema", [{"name": "cts-3"}, ["cts-3"]], ids=["object", "array"])

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from credible_sdp import problem
 from credible_sdp.linalg import PD_TOL
 from credible_sdp.problem import (
+    LOAD_SYMMETRY_TOL,
     ProblemFormatError,
     SdpProblem,
     build_problem,
@@ -19,7 +21,8 @@ from credible_sdp.problem import (
     load_problem_file,
     running_example,
 )
-from credible_sdp.symvec import require_symmetric, sym_dim, symmetrize, vecs
+from credible_sdp.solver import SolverOptions, default_options, initialize
+from credible_sdp.symvec import sym_dim, symmetrize, vecs
 
 GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_problem.json"
 
@@ -78,29 +81,46 @@ def test_constraints_are_one_c_contiguous_stack(order):
     fs[3][0, 1], fs[3][1, 0] = -0.0, 0.0
     fs[4][1, 2] += 1e-15
     prob = build_problem(np.eye(n), fs, rng.normal(size=m))
-    assert prob.fstack.shape == (m, n, n)
-    assert prob.fstack.flags.c_contiguous and prob.fmat.flags.c_contiguous
-    assert isinstance(prob.fs, tuple) and len(prob.fs) == m
+    assert isinstance(prob.fs, np.ndarray) and prob.fs.shape == (m, n, n)
+    assert prob.fs.flags.c_contiguous and prob.fmat.flags.c_contiguous
+    assert len(prob.fs) == m
     for Fi_in, Fi, row in zip(fs, prob.fs, prob.fmat):
-        assert np.shares_memory(Fi, prob.fstack)
         np.testing.assert_array_equal(_bits(Fi), _bits(Fi_in))
         np.testing.assert_array_equal(_bits(row), _bits(vecs(symmetrize(Fi))))
 
 
 def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
-    # F0 and X0 are tested by require_symmetric; the m constraint matrices by
-    # one test over their stack
+    # one rule for every input matrix: F0, the stack of F1..Fm in one test,
+    # and X0, whether it comes from the file or is passed to initialize
     calls = []
+    rule = problem._refuse_asymmetric
 
-    def counted(a, *args, **kwargs):
-        calls.append(kwargs.get("what"))
-        return require_symmetric(a, *args, **kwargs)
+    def counted(a, names):
+        calls.append((a.shape, list(names)))
+        rule(a, names)
 
-    for module in ("symvec", "problem", "linalg"):
-        monkeypatch.setattr(f"credible_sdp.{module}.require_symmetric", counted)
+    monkeypatch.setattr(problem, "_refuse_asymmetric", counted)
     prob = load_problem(GOLDEN_N6.read_text())
-    assert prob.m == 21
-    assert sorted(calls) == ["F0", "X0"]
+    stack_names = [f"F{i}" for i in range(1, 22)]
+    assert calls == [((1, 6, 6), ["F0"]), ((21, 6, 6), stack_names), ((1, 6, 6), ["X0"])]
+    calls.clear()
+    initialize(prob, default_options(prob), X0=prob.x0)
+    assert calls == [((1, 6, 6), ["X0"])]
+
+
+@pytest.mark.parametrize("name", ["F0", "F3", "X0"])
+def test_every_input_matrix_meets_the_same_symmetry_tolerance(example_problem, name):
+    # 1e-12 * max(1, max |a|), with the same message for each matrix
+    p = example_problem
+    data = {"F0": p.f0.copy(), "F3": p.fs[2].copy(), "X0": p.x0.copy()}
+
+    def build(skew):
+        edited = {**data, name: data[name] + [[0.0, skew], [0.0, 0.0]]}
+        return build_problem(edited["F0"], [*p.fs[:2], edited["F3"]], p.b, x0=edited["X0"])
+
+    assert build(0.5 * LOAD_SYMMETRY_TOL).m == 3
+    with pytest.raises(ProblemFormatError, match=f"^{name} is not symmetric: max "):
+        build(2.0 * LOAD_SYMMETRY_TOL)
 
 
 # -- construction and validation ----------------------------------------------
@@ -188,6 +208,17 @@ def test_build_rejects_bad_scalars():
         toy_problem(nu=-1.0)
 
 
+@pytest.mark.parametrize("key,value", [("epsilon", 1e-320), ("epsilon", -1.0), ("nu", 0.0)])
+def test_file_epsilon_and_nu_follow_the_option_rules(key, value):
+    # the message is the one SolverOptions gives for the same value
+    data = {**json.loads(running_example_json()), key: value}
+    with pytest.raises(ValueError) as expected:
+        SolverOptions(**{key: value})
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(json.dumps(data))
+    assert str(exc.value) == str(expected.value)
+
+
 def test_build_rejects_bad_x0():
     with pytest.raises(ProblemFormatError):
         toy_problem(x0=np.eye(3))
@@ -262,10 +293,12 @@ def test_validation_can_be_bypassed_for_diagnostic_inputs():
 def test_direct_dataclass_construction_skips_validation():
     prob = SdpProblem(f0=-np.eye(2), fs=(F1,), b=np.array([0.0]))
     assert prob.epsilon == 1e-8 and prob.nu is None
-    # the matrices given are copied into one stack, and fs are its rows
-    assert prob.fstack.shape == (1, 2, 2) and prob.fstack.flags.c_contiguous
+    # the matrices given are copied into one stack, held as fs
+    assert prob.fs.shape == (1, 2, 2) and prob.fs.flags.c_contiguous
     np.testing.assert_array_equal(prob.fs[0], F1)
-    assert np.shares_memory(prob.fs[0], prob.fstack)
+    # a C-contiguous float stack is held as given, not copied
+    stack = np.stack([F1, F2, F3])
+    assert SdpProblem(f0=F0, fs=stack, b=B).fs is stack
 
 
 # -- hashing --------------------------------------------------------------------

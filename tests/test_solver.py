@@ -24,7 +24,6 @@ from credible_sdp.solver import (
     solve,
     solve_newton,
     take_step,
-    validate_options,
 )
 from credible_sdp.symvec import krons, symmetrize, vecs
 from problem_gen import random_problem
@@ -55,27 +54,30 @@ def test_default_options_pull_problem_scalars(example_problem):
 @pytest.mark.parametrize(
     "bad",
     [
-        SolverOptions(mode="paranoid"),
-        SolverOptions(epsilon=0.0),
-        SolverOptions(epsilon=float("inf")),
-        SolverOptions(sigma=0.0),
-        SolverOptions(sigma=1.0),
-        SolverOptions(nu=-0.1),
+        dict(mode="paranoid"),
+        dict(epsilon=0.0),
+        dict(epsilon=float("inf")),
+        dict(sigma=0.0),
+        dict(sigma=1.0),
+        dict(nu=-0.1),
         # a trace header can spell these (json reads NaN and Infinity)
-        SolverOptions(epsilon=float("nan")),
-        SolverOptions(sigma=float("nan")),
-        SolverOptions(nu=float("inf")),
-        SolverOptions(nu=float("nan")),
-        SolverOptions(max_iterations=0),
+        dict(epsilon=float("nan")),
+        dict(sigma=float("nan")),
+        dict(nu=float("inf")),
+        dict(nu=float("nan")),
+        dict(max_iterations=0),
     ],
 )
 def test_validate_options_rejects_bad_values(bad):
+    # options validate on construction, so no SolverOptions holds these
     with pytest.raises(ValueError):
-        validate_options(bad)
+        SolverOptions(**bad)
+    with pytest.raises(ValueError):
+        dataclasses.replace(SolverOptions(), **bad)
 
 
 def test_validate_options_accepts_defaults():
-    validate_options(SolverOptions())
+    assert SolverOptions() == SolverOptions(epsilon=1e-8, nu=DEFAULT_NU, sigma=DEFAULT_SIGMA)
 
 
 def test_sigma_from_nu_matches_its_closed_form():
@@ -188,8 +190,16 @@ def test_solve_refuses_a_non_finite_warm_start_naming_x0(example_problem, entry,
 
 
 def test_initialize_rejects_wrong_shape_warm_start(example_problem):
-    with pytest.raises(InitializationError):
+    with pytest.raises(InitializationError, match=r"X0 has shape \(3, 3\), expected \(2, 2\)"):
         initialize(example_problem, default_options(example_problem), X0=np.eye(3))
+
+
+def test_solve_holds_a_warm_start_to_the_load_symmetry_rule(example_problem):
+    # a problem file with this X0 is refused, so a passed X0 is too
+    X0 = example_problem.x0.copy()
+    X0[0, 1] += 5e-11
+    with pytest.raises(InitializationError, match=r"X0 is not symmetric: max \|a - a.T\| = 5"):
+        solve(example_problem, X0=X0)
 
 
 def test_initialize_gap_above_ceiling_names_the_contract(example_problem):
