@@ -1,7 +1,11 @@
 """Credible semidefinite programming: a short-step primal-dual solver whose
 every iteration is checked against an explicit contract catalog, with
 serialized proof traces, an independent trace checker, and annotated-listing
-generation."""
+generation.
+
+The root exports the names README's "Library use" section documents. The
+algebra, the contract catalog and the solver's steps are imported from their
+own modules (``symvec``, ``linalg``, ``monitor``, ``solver``)."""
 
 from .annotator import (
     AnnotatedListing,
@@ -15,23 +19,8 @@ from .annotator import (
     parse_trace,
     write_trace,
 )
-from .linalg import (
-    NotPositiveDefiniteError,
-    lsqr_solve,
-    min_eigenvalue,
-    require_pd,
-    sym_inv,
-    sym_sqrt,
-    trace_inner,
-)
-from .monitor import (
-    INIT_IDS,
-    LOOP_IDS,
-    THETA,
-    InvariantRecord,
-    check_initialization,
-    check_iteration,
-)
+from .linalg import NotPositiveDefiniteError
+from .monitor import InvariantRecord
 from .problem import (
     ProblemFormatError,
     SdpProblem,
@@ -49,34 +38,19 @@ from .solver import (
     SolveReport,
     SolveStatus,
     SolverOptions,
-    initialize,
-    iteration_bound,
-    sigma_from_nu,
     solve,
 )
-from .symvec import (
-    DimensionError,
-    SymmetryError,
-    krons,
-    mats,
-    smat,
-    svec,
-    sym_dim,
-    symmetrize,
-    vecs,
-)
+from .symvec import DimensionError, SymmetryError
 
 __all__ = [
     "AnnotatedListing",
     "CheckReport",
     "DimensionError",
     "Finding",
-    "INIT_IDS",
     "InitializationError",
     "InvariantRecord",
     "IterateState",
     "IterationSnapshot",
-    "LOOP_IDS",
     "NeighborhoodViolation",
     "NewtonStep",
     "NotPositiveDefiniteError",
@@ -87,34 +61,15 @@ __all__ = [
     "SolveStatus",
     "SolverOptions",
     "SymmetryError",
-    "THETA",
     "TraceFormatError",
     "__version__",
     "build_problem",
-    "check_initialization",
-    "check_iteration",
     "check_trace",
     "emit_annotated_listing",
-    "initialize",
-    "iteration_bound",
-    "krons",
     "load_problem",
     "load_problem_file",
-    "lsqr_solve",
-    "mats",
-    "min_eigenvalue",
     "parse_trace",
-    "require_pd",
     "running_example",
-    "sigma_from_nu",
-    "smat",
     "solve",
-    "svec",
-    "sym_dim",
-    "sym_inv",
-    "sym_sqrt",
-    "symmetrize",
-    "trace_inner",
-    "vecs",
     "write_trace",
 ]

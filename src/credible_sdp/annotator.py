@@ -72,7 +72,7 @@ from .solver import (
     default_options,
     iterate,
 )
-from .symvec import _layout, sym_dim
+from .symvec import layout, sym_dim
 
 TOOL_NAME = "credible-sdp"
 TOOL_VERSION = "0.1.0"
@@ -202,7 +202,7 @@ class _Schema(NamedTuple):
 
     #: the arrays an iteration line stores
     arrays: tuple[str, ...]
-    #: dX and dZ are stored as upper triangles (``_mirror_table`` order)
+    #: dX and dZ are stored as upper triangles (``symvec.layout`` order)
     triangles: bool
 
 
@@ -222,7 +222,8 @@ def _triangle(M: np.ndarray, name: str) -> np.ndarray:
     other raises ValueError, so a trace never stores a cut-down direction."""
     if M.tobytes() != M.T.tobytes():
         raise ValueError(f"{name} is not symmetric bit for bit; a cts-3 trace stores one triangle")
-    return M.take(_mirror_table(len(M))[0])
+    i, j, _, _ = layout(len(M))
+    return M[i, j]
 
 
 def _iteration_obj(
@@ -321,14 +322,16 @@ def parse_trace(data: bytes) -> ProofTrace:
     every later record belongs to the iteration line above it. Raises
     TraceFormatError for anything that is not a well-formed trace of a
     supported schema (``cts-3``, ``cts-2`` or ``cts-1``); content errors are
-    left to ``check_trace``. Each non-blank line must hold exactly one JSON
-    value, an object.
+    left to ``check_trace``. Lines end at ``"\n"`` only, as in JSON Lines,
+    so a string may hold any other line separator. Each line that is not
+    blank must hold exactly one JSON value, an object, with JSON whitespace
+    (space, tab, CR) around it.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"trace is not valid UTF-8: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip(_JSON_BLANK)]
     if not lines:
         raise TraceFormatError("trace is empty")
     objs = [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
@@ -366,11 +369,13 @@ def parse_trace(data: bytes) -> ProofTrace:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+#: The JSON whitespace a line may hold around its value, after the split at "\n".
+_JSON_BLANK = " \t\r"
 
 
 def _decode_line(lineno: int, line: str) -> dict:
     """The one JSON object on a line, with JSON whitespace around it."""
-    value = line.strip(" \t")  # splitlines leaves no other JSON whitespace
+    value = line.strip(_JSON_BLANK)
     try:
         obj, end = _raw_decode(value)
         if end < len(value):
@@ -630,11 +635,11 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
         findings.append(Finding("error", "init", None, f"checker error: {exc}"))
 
-    layout = _SCHEMAS[schema]
-    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in layout.arrays}
-    if layout.triangles:
+    spec = _SCHEMAS[schema]
+    shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in spec.arrays}
+    if spec.triangles:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
-        mirror = _mirror_table(n)[1]
+        _, _, _, mirror = layout(n)
     arrays: dict[str, np.ndarray] = {}  # those of the line stepped with last
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
 
@@ -649,7 +654,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             arrays.update({key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()})
         except Exception as exc:  # noqa: BLE001
             raise TraceFormatError(f"unreadable iteration line: {exc}") from None
-        if layout.triangles:
+        if spec.triangles:
             arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
         if scaled is None or not np.array_equal(scaled[0], prev.Z):
             Zh = sym_sqrt(prev.Z)
@@ -746,20 +751,11 @@ class AnnotatedListing:
 
 
 @functools.lru_cache(maxsize=64)
-def _mirror_table(
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, tuple[operator.itemgetter, ...]]:
-    """The upper triangle of an n-by-n matrix in ``symvec._layout`` order
-    (i <= j, row-major): its flat positions, the (n, n) map that rebuilds the
-    matrix from the triangle, (i, j) and its mirror (j, i) alike, and, for
-    n >= 2, that map's rows as getters over a list of triangle entries. The
-    arrays are shared between calls, so they are read-only."""
-    i, j, _, _ = _layout(n)
-    upper = i * n + j
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    upper.flags.writeable = pos.flags.writeable = False
-    return upper, pos, tuple(operator.itemgetter(*row) for row in pos.tolist())
+def _row_getters(n: int) -> tuple[operator.itemgetter, ...]:
+    """For n >= 2, the rows of ``symvec.layout``'s (n, n) map to triangle
+    slots, as getters over a list of upper-triangle entries."""
+    _, _, _, pos = layout(n)
+    return tuple(operator.itemgetter(*row) for row in pos.tolist())
 
 
 def _mat_literal(M: np.ndarray) -> str:
@@ -769,16 +765,16 @@ def _mat_literal(M: np.ndarray) -> str:
     symmetric bit for bit (``==`` would equate ``0.0`` and ``-0.0``) formats
     only its upper triangle and copies each string to the mirror position,
     n(n+1)/2 calls instead of n². Vectors, and matrices that admission
-    accepts as symmetric within ``LOAD_SYMMETRY_TOL`` although their
-    triangles differ in some bits, format every stored entry, so the listing
-    prints the data exactly as stored.
+    accepts under ``symvec``'s symmetry rule although their triangles differ
+    in some bits, format every stored entry, so the listing prints the data
+    exactly as stored.
     """
     A = np.asarray(M, dtype=float)
     n = len(A)
     if n > 1 and A.shape == (n, n) and A.tobytes() == A.T.tobytes():
-        upper, _, rows = _mirror_table(n)
-        text = list(map(repr, A.take(upper).tolist()))
-        return "[" + ";".join([",".join(row(text)) for row in rows]) + "]"
+        i, j, _, _ = layout(n)
+        text = list(map(repr, A[i, j].tolist()))
+        return "[" + ";".join([",".join(row(text)) for row in _row_getters(n)]) + "]"
     rows = A.reshape(n, -1).tolist()
     return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
 

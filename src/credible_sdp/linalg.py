@@ -8,12 +8,12 @@ of the catalog (``monitor``), recorded where the trace checker sees it.
 Positive definiteness is decided in one place: ``min_eigenvalue`` measures
 the smallest eigenvalue of the symmetric part, and a matrix is positive
 definite when that exceeds ``PD_TOL``. ``require_pd`` raises on the same
-test; the catalog's PD records, admission's test of F0, ``sym_sqrt``,
-``sym_inv`` and the potential all read these two functions. Each distinct
-matrix is decomposed once: ``min_eigenvalue`` keeps a small bounded memo
-keyed by the symmetric part's shape and bytes, so the matrices a run tests
-again bit for bit (the fixed Z, the identity of I12, Z0 inside ``sym_sqrt``)
-cost a lookup. The memo is exact: the same bits in give the same float out.
+test; the catalog's PD records, admission's test of F0, ``sym_sqrt`` and
+``sym_inv`` all read these two functions. Each distinct matrix is
+decomposed once: ``min_eigenvalue`` keeps a small bounded memo keyed by the
+symmetric part's shape and bytes, so the matrices a run tests again bit for
+bit (the fixed Z, the identity of I12, Z0 inside ``sym_sqrt``) cost a
+lookup. The memo is exact: the same bits in give the same float out.
 
 Square roots and inverses of symmetric positive-definite matrices are
 computed spectrally (symmetric eigendecomposition), which yields the

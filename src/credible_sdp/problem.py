@@ -17,8 +17,9 @@ validation, so checkers can be exercised on deliberately broken data.
 ``build_problem`` and ``load_problem`` are the validating entry points. They
 also admit only problems the solver can solve: m = n(n+1)/2 linearly
 independent F1..Fm, so that every Newton direction has an exact dp. Each
-input rule is stated once: one symmetry test for all n x n input matrices,
-``admit_x0`` for X0 and ``solver.SolverOptions`` for epsilon and nu.
+input rule is stated once: ``symvec``'s symmetry rule for all n x n input
+matrices, ``admit_x0`` for X0 and ``solver.SolverOptions`` for epsilon and
+nu.
 
 The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
 (m, n, n) array, so checks over all of them are single numpy expressions.
@@ -39,11 +40,9 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, require_pd, trace_inner
-from .symvec import asymmetry, sym_dim, vecs_stack
+from .linalg import NotPositiveDefiniteError, require_pd
+from .symvec import asymmetry, is_symmetric, sym_dim, vecs_stack
 
-#: Symmetry tolerance of every n x n input matrix, relative to max(1, max|a|).
-LOAD_SYMMETRY_TOL = 1e-12
 #: Default convergence threshold on the duality gap.
 DEFAULT_EPSILON = 1e-8
 
@@ -105,36 +104,17 @@ class SdpProblem:
             digest.update(np.asarray(M, dtype="<f8").tobytes())
         return digest.hexdigest()
 
-    # -- potentials ---------------------------------------------------------
-
-    def potential_tanabe(self, X: np.ndarray, Z: np.ndarray, nu: float) -> float:
-        """Weighted Tanabe-Todd-Ye potential for weight nu > 0."""
-        n = self.n
-        gap = trace_inner(X, Z)
-        return float(
-            (n + nu * np.sqrt(n)) * np.log(gap)
-            - _logdet(X, "potential X")
-            - _logdet(Z, "potential Z")
-            - n * np.log(n)
-        )
-
-
-def _logdet(S: np.ndarray, what: str) -> float:
-    require_pd(S, what=what)
-    return float(np.sum(np.log(np.linalg.eigvalsh(S))))
-
 
 # -- construction ----------------------------------------------------------
 
 
 def _refuse_asymmetric(stack: np.ndarray, names: list[str]) -> None:
-    """The load symmetry rule, on each (finite) matrix of a (k, n, n) stack."""
-    asym = asymmetry(stack)
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
-    bad = np.flatnonzero(asym > LOAD_SYMMETRY_TOL * scale)
+    """``symvec``'s symmetry rule, on each (finite) matrix of a (k, n, n) stack."""
+    bad = np.flatnonzero(~is_symmetric(stack))
     if bad.size:
         i = bad[0]
-        raise ProblemFormatError(f"{names[i]} is not symmetric: max |a - a.T| = {asym[i]:.3e}")
+        asym = asymmetry(stack[i])
+        raise ProblemFormatError(f"{names[i]} is not symmetric: max |a - a.T| = {asym:.3e}")
 
 
 def admit_x0(x0: Any, n: int) -> np.ndarray:
@@ -276,7 +256,7 @@ def load_problem(source: str | bytes) -> SdpProblem:
         if key not in data:
             raise ProblemFormatError(f"problem file is missing required key {key!r}")
 
-    def numbers(obj: Any, name: str, kind: str, ndim: int | None) -> np.ndarray:
+    def numbers(obj: Any, name: str, kind: str, ndim: int) -> np.ndarray:
         try:
             return json_numbers(obj, ndim)
         except ValueError as exc:
@@ -289,7 +269,7 @@ def load_problem(source: str | bytes) -> SdpProblem:
     if not isinstance(data["F"], list) or not data["F"]:
         raise ProblemFormatError('"F" must be a non-empty list of matrices')
     fs = [as_matrix(Fi, f"F{i + 1}") for i, Fi in enumerate(data["F"])]
-    b = numbers(data["b"], '"b"', "a numeric vector", None).ravel()
+    b = numbers(data["b"], '"b"', "a numeric vector", 1)
     x0 = as_matrix(data["X0"], "X0") if data.get("X0") is not None else None
     epsilon = numbers(data.get("epsilon", DEFAULT_EPSILON), '"epsilon"', "a number", 0)
     nu = numbers(data["nu"], '"nu"', "a number", 0) if data.get("nu") is not None else None
@@ -309,7 +289,6 @@ def running_example() -> SdpProblem:
 
 __all__ = [
     "DEFAULT_EPSILON",
-    "LOAD_SYMMETRY_TOL",
     "ProblemFormatError",
     "SdpProblem",
     "admit_x0",

@@ -402,17 +402,6 @@ class SolveReport:
                 out[rec.id] = slack
         return out
 
-    def min_potential_drop(self, nu: float | None = None) -> float:
-        """Smallest per-iteration decrease of the weighted potential."""
-        weight = self.options.nu if nu is None else nu
-        pot = lambda s: self.problem.potential_tanabe(s.X, s.Z, weight)  # noqa: E731
-        drops = []
-        prev = self.initial_state
-        for snap in self.snapshots:
-            drops.append(pot(prev) - pot(snap.state))
-            prev = snap.state
-        return min(drops) if drops else math.inf
-
 
 def step_exit(
     opts: SolverOptions, state: IterateState, records: list["InvariantRecord"]

@@ -1,17 +1,18 @@
-"""Symmetric-matrix vectorization algebra.
+"""Symmetric-matrix vectorization algebra: the one home of the
+upper-triangle layout and of the symmetry rule.
 
-Two isometric vectorizations of the space of n-by-n symmetric matrices are
-used, differing only in how off-diagonal entries are scaled:
+``vecs`` / ``mats`` vectorize the space of n-by-n symmetric matrices with
+off-diagonal entries multiplied by sqrt(2). The map is an isometry for the
+trace inner product: dot(vecs(A), vecs(B)) == Tr(A@B).
 
-* ``vecs`` / ``mats`` — off-diagonals multiplied by sqrt(2). This variant is
-  an isometry for the trace inner product: dot(vecs(A), vecs(B)) == Tr(A@B).
-* ``svec`` / ``smat`` — off-diagonals multiplied by 2 (halved on the way
-  back). The solver, monitor and annotated listings all use ``vecs``; this
-  pair is kept as public algebra.
+Entries are enumerated row-major over the upper triangle (i <= j). ``layout``
+states that ordering once, per n, and every function in this module reads it,
+including the column layout of the symmetric Kronecker product ``krons``.
+Other modules that store or print a triangle read ``layout`` too.
 
-Entries are enumerated row-major over the upper triangle (i <= j). Every
-function in this module shares that ordering, including the column layout of
-the symmetric Kronecker product ``krons``.
+A matrix is symmetric when max|a - a.T| <= SYMMETRY_TOL * max(1, max|a|)
+(``is_symmetric``). ``require_symmetric`` raises ``SymmetryError`` on that
+test, and problem admission refuses its input matrices on it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ import math
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+
+#: Symmetry tolerance of every matrix required to be symmetric, relative to
+#: max(1, max|a|).
+SYMMETRY_TOL = 1e-12
 
 
 class DimensionError(ValueError):
@@ -38,15 +43,19 @@ def sym_dim(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle indices (i, j) and the vecs and svec scales, per n.
+def layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangle of an n-by-n symmetric matrix in vectorization
+    order, as (i, j, scale, pos): the row and column of each entry (i <= j,
+    row-major), its vecs scale (1 on the diagonal, sqrt(2) off it), and the
+    (n, n) map from each matrix entry, (i, j) and (j, i) alike, to its slot.
 
     The arrays are shared between calls, so they are returned read-only.
     """
     i, j = np.triu_indices(n)
-    scale_vecs = np.where(i == j, 1.0, _SQRT2)
-    scale_svec = np.where(i == j, 1.0, 2.0)
-    out = (i, j, scale_vecs, scale_svec)
+    scale = np.where(i == j, 1.0, _SQRT2)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    out = (i, j, scale, pos)
     for a in out:
         a.flags.writeable = False
     return out
@@ -70,18 +79,24 @@ def asymmetry(a: np.ndarray) -> np.ndarray:
     return np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def require_symmetric(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square and symmetric within ``tol`` (relative).
+def is_symmetric(a: np.ndarray) -> np.ndarray:
+    """The symmetry rule, max|a - a.T| <= SYMMETRY_TOL * max(1, max|a|): one
+    bool for a matrix, one per matrix for a stack. A NaN asymmetry fails."""
+    a = np.asarray(a, dtype=float)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    return asymmetry(a) <= SYMMETRY_TOL * scale
+
+
+def require_symmetric(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` is square and passes the symmetry rule.
 
     Returns the array unchanged. Raises SymmetryError/DimensionError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
-    asym = float(asymmetry(a))
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if not asym <= tol * scale:  # a NaN asymmetry fails too
-        raise SymmetryError(f"{what} is not symmetric: max |a - a.T| = {asym:.3e}")
+    if not is_symmetric(a):
+        raise SymmetryError(f"{what} is not symmetric: max |a - a.T| = {asymmetry(a):.3e}")
     return a
 
 
@@ -91,7 +106,7 @@ def vecs(M: np.ndarray) -> np.ndarray:
     The result v satisfies dot(vecs(A), vecs(B)) == Tr(A@B).
     """
     M = require_symmetric(M, what="vecs input")
-    i, j, scale, _ = _layout(M.shape[0])
+    i, j, scale, _ = layout(M.shape[0])
     return M[i, j] * scale
 
 
@@ -100,7 +115,7 @@ def vecs_stack(S: np.ndarray) -> np.ndarray:
     the rows of one C-contiguous (m, n(n+1)/2) array, equal bit for bit to
     stacking the rows one by one. Symmetry is not checked."""
     S = np.asarray(S, dtype=float)
-    i, j, scale, _ = _layout(S.shape[-1])
+    i, j, scale, _ = layout(S.shape[-1])
     return np.ascontiguousarray(0.5 * (S[:, i, j] + S[:, j, i]) * scale)
 
 
@@ -109,30 +124,8 @@ def mats(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != sym_dim(n):
         raise DimensionError(f"mats: expected length {sym_dim(n)} for n={n}, got {v.shape[0]}")
-    i, j, scale, _ = _layout(n)
-    M = np.zeros((n, n))
-    M[i, j] = v / scale
-    M[j, i] = M[i, j]
-    return M
-
-
-def svec(M: np.ndarray) -> np.ndarray:
-    """Vectorize with off-diagonals multiplied by 2 instead of sqrt(2)."""
-    M = require_symmetric(M, what="svec input")
-    i, j, _, scale = _layout(M.shape[0])
-    return M[i, j] * scale
-
-
-def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``svec``: off-diagonal vector entries are halved."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != sym_dim(n):
-        raise DimensionError(f"smat: expected length {sym_dim(n)} for n={n}, got {v.shape[0]}")
-    i, j, _, scale = _layout(n)
-    M = np.zeros((n, n))
-    M[i, j] = v / scale
-    M[j, i] = M[i, j]
-    return M
+    _, _, scale, pos = layout(n)
+    return (v / scale)[pos]
 
 
 def krons(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
@@ -154,7 +147,7 @@ def krons(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
     # (a, b) that is (e_a e_b' + e_b e_a') / sqrt(2) off the diagonal and
     # e_a e_a' on it. Its (i, j) entry under the product, times the vecs
     # scale of row (i, j), gives every entry in one broadcast expression.
-    i, j, scale, _ = _layout(Q1.shape[0])
+    i, j, scale, _ = layout(Q1.shape[0])
     a, b = i, j
     cross = (
         Q1[np.ix_(i, a)] * Q2[np.ix_(j, b)]

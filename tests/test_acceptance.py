@@ -29,7 +29,7 @@ from credible_sdp.solver import (
     iteration_bound,
     solve,
 )
-from credible_sdp.symvec import krons, mats, smat, svec, sym_dim, symmetrize, vecs
+from credible_sdp.symvec import krons, mats, sym_dim, symmetrize, vecs
 from problem_gen import random_problem
 
 GOLDEN = {
@@ -143,10 +143,9 @@ def test_criterion_05_vectorization_identities():
         A = symmetrize(rng.normal(size=(n, n)))
         scale = max(1e-30, np.linalg.norm(A))
         worst = max(worst, np.linalg.norm(mats(vecs(A), n) - A) / scale)
-        worst = max(worst, np.linalg.norm(smat(svec(A), n) - A) / scale)
         v = rng.normal(size=(sym_dim(n),))
         worst = max(
-            worst, np.linalg.norm(svec(smat(v, n)) - v) / max(1e-30, np.linalg.norm(v))
+            worst, np.linalg.norm(vecs(mats(v, n)) - v) / max(1e-30, np.linalg.norm(v))
         )
 
     for _ in range(1000):
@@ -160,10 +159,10 @@ def test_criterion_05_vectorization_identities():
 
     assert worst < 1e-11
     np.testing.assert_array_equal(
-        smat(np.array([0.4, -0.2, 0.2]), 2), np.array([[0.4, -0.1], [-0.1, 0.2]])
+        vecs(np.array([[0.4, -0.1], [-0.1, 0.2]])), np.array([0.4, -0.1 * np.sqrt(2), 0.2])
     )
     _ok(5, f"3000 randomized vectorization identities hold (worst rel err {worst:.3e}); "
-           "worked smat example is exact")
+           "worked vecs example is exact")
 
 
 # 6 ---------------------------------------------------------------------------

@@ -325,9 +325,25 @@ def test_parse_refuses_values_whose_line_breaks_cancel():
 
 
 def test_parse_reads_json_whitespace_around_a_line(example_trace, example_problem):
-    lines = [f" \t{line}\t " for line in trace_lines(example_trace)]
-    assert parse_trace(reassemble(lines)) == parse_trace(example_trace)
-    assert check_trace(reassemble(lines), example_problem).clean
+    genuine = trace_lines(example_trace)
+    padded = [f" \t{line}\t " for line in genuine]
+    crlf = [f"{line}\r" for line in genuine]  # CRLF line ends
+    for lines in (padded, crlf):
+        assert parse_trace(reassemble(lines)) == parse_trace(example_trace)
+        assert check_trace(reassemble(lines), example_problem).clean
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+def test_only_a_newline_ends_a_trace_line(separator, example_problem):
+    # JSON strings may hold these raw; str.splitlines would end a line at them
+    lines = GOLDEN_CTS3.read_text(encoding="utf-8").split("\n")
+    header = json.loads(lines[0])
+    header["tool"] = f"credible-sdp{separator}fork"
+    lines[0] = json.dumps(header, ensure_ascii=False)
+    trace = "\n".join(lines).encode("utf-8")
+    assert separator in trace.decode("utf-8")
+    assert parse_trace(trace).header["tool"] == header["tool"]
+    assert check_trace(trace, example_problem).clean
 
 
 def test_parse_rejects_unknown_schema(example_trace):

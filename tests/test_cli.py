@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import credible_sdp
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
 from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
 
@@ -309,6 +310,19 @@ def test_readme_names_every_flag_each_subcommand_takes():
         for name, sub in subs.choices.items()
     }
     assert _readme_flags() == parsed
+
+
+def test_readme_library_use_documents_the_root_api_exactly():
+    """Every name the package root exports is named in code in README's
+    "Library use" section, and the section imports nothing else from it."""
+    section = re.search(r"^## Library use\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
+    code = re.findall(r"```python\n(.*?)```", section, re.S) + re.findall(r"`([^`\n]+)`", section)
+    named = {word for text in code for word in re.findall(r"\w+", text)}
+    undocumented = set(credible_sdp.__all__) - named
+    assert not undocumented, f"exported but not named in README's Library use: {undocumented}"
+    imports = re.findall(r"^from credible_sdp import (?:\(([^)]*)\)|(.*))$", section, re.M)
+    imported = {name for group in imports for name in re.findall(r"\w+", "".join(group))}
+    assert imported and imported <= set(credible_sdp.__all__)
 
 
 def test_version_flag(capsys):

@@ -13,7 +13,6 @@ import pytest
 from credible_sdp import problem
 from credible_sdp.linalg import PD_TOL
 from credible_sdp.problem import (
-    LOAD_SYMMETRY_TOL,
     ProblemFormatError,
     SdpProblem,
     build_problem,
@@ -22,7 +21,7 @@ from credible_sdp.problem import (
     running_example,
 )
 from credible_sdp.solver import SolverOptions, default_options, initialize
-from credible_sdp.symvec import sym_dim, symmetrize, vecs
+from credible_sdp.symvec import SYMMETRY_TOL, sym_dim, symmetrize, vecs
 
 GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_problem.json"
 
@@ -118,9 +117,9 @@ def test_every_input_matrix_meets_the_same_symmetry_tolerance(example_problem, n
         edited = {**data, name: data[name] + [[0.0, skew], [0.0, 0.0]]}
         return build_problem(edited["F0"], [*p.fs[:2], edited["F3"]], p.b, x0=edited["X0"])
 
-    assert build(0.5 * LOAD_SYMMETRY_TOL).m == 3
+    assert build(0.5 * SYMMETRY_TOL).m == 3
     with pytest.raises(ProblemFormatError, match=f"^{name} is not symmetric: max "):
-        build(2.0 * LOAD_SYMMETRY_TOL)
+        build(2.0 * SYMMETRY_TOL)
 
 
 # -- construction and validation ----------------------------------------------
@@ -406,6 +405,16 @@ def test_load_rejects_ragged_matrix():
         load_problem(json.dumps({"F0": [[1.0, 0.0], [0.0]], "F": [F1.tolist()], "b": [0.0]}))
 
 
+@pytest.mark.parametrize("b,depth", [([[0.4]], 2), (0.4, 0)], ids=["nested-list", "scalar"])
+def test_load_requires_b_as_a_flat_list(b, depth):
+    data = {"F0": [[2.0]], "F": [[[1.0]]]}
+    assert load_problem(json.dumps({**data, "b": [0.4]})).b.tolist() == [0.4]
+    with pytest.raises(ProblemFormatError, match=f'^"b" is not a numeric vector: {depth}-d, '):
+        load_problem(json.dumps({**data, "b": b}))
+    # the array entry point still ravels a numpy column
+    assert build_problem(np.array(data["F0"]), [np.eye(1)], np.array([[0.4]])).b.shape == (1,)
+
+
 def test_load_rejects_empty_constraint_list():
     with pytest.raises(ProblemFormatError):
         load_problem(json.dumps({"F0": F0.tolist(), "F": [], "b": []}))
@@ -465,34 +474,3 @@ def test_load_rejects_non_numeric_epsilon():
                "epsilon": "small"}
     with pytest.raises(ProblemFormatError):
         load_problem(json.dumps(payload))
-
-
-# -- potentials -------------------------------------------------------------------
-
-
-def test_potentials_match_their_closed_forms():
-    prob = toy_problem()
-    X = np.diag([0.5, 0.25])
-    Z = np.array([[2.0, 0.5], [0.5, 1.0]])
-    gap = float(np.trace(X @ Z))
-    logdet = lambda S: float(np.sum(np.log(np.linalg.eigvalsh(S))))  # noqa: E731
-    n = 2
-    for nu in (0.4714, 1.0, 3.0):
-        expected = (n + nu * np.sqrt(n)) * np.log(gap) - logdet(X) - logdet(Z) - n * np.log(n)
-        assert prob.potential_tanabe(X, Z, nu) == pytest.approx(expected, rel=1e-13)
-    # on the central path (X = mu * Z^-1) only the weighted log-gap term remains
-    mu = 0.01
-    on_path = mu * np.linalg.inv(Z)
-    assert prob.potential_tanabe(on_path, Z, 1.0) == pytest.approx(
-        np.sqrt(n) * np.log(n * mu), rel=1e-12
-    )
-
-
-def test_potentials_reject_indefinite_arguments():
-    prob = toy_problem()
-    from credible_sdp.linalg import NotPositiveDefiniteError
-
-    with pytest.raises(NotPositiveDefiniteError, match="potential X"):
-        prob.potential_tanabe(np.diag([2.0, -1.0]), np.eye(2), 1.0)
-    with pytest.raises(NotPositiveDefiniteError, match="potential Z"):
-        prob.potential_tanabe(np.eye(2), np.diag([2.0, -1.0]), 1.0)

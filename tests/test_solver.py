@@ -429,8 +429,18 @@ def test_solve_tracks_min_slacks(example_report):
         assert slacks[rid] > 0.0
 
 
+def _potential(X: np.ndarray, Z: np.ndarray, nu: float) -> float:
+    """The Tanabe-Todd-Ye potential (n + nu*sqrt(n))*log(tr(XZ)) - log det(XZ) - n*log(n)."""
+    n = len(X)
+    logdet = lambda S: float(np.sum(np.log(np.linalg.eigvalsh(S))))  # noqa: E731
+    return (n + nu * np.sqrt(n)) * np.log(np.sum(X * Z)) - logdet(X) - logdet(Z) - n * np.log(n)
+
+
 def test_solve_potential_decreases_every_iteration(example_report):
-    drop = example_report.min_potential_drop()
+    nu = example_report.options.nu
+    states = [example_report.initial_state, *(snap.state for snap in example_report.snapshots)]
+    psi = [_potential(s.X, s.Z, nu) for s in states]
+    drop = min(a - b for a, b in zip(psi, psi[1:]))
     assert drop == pytest.approx(EXAMPLE_MIN_POTENTIAL_DROP, rel=1e-9)
     assert drop > 0.19
 

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from credible_sdp.linalg import sym_inv, sym_sqrt
+from credible_sdp.problem import ProblemFormatError, build_problem
 from credible_sdp.symvec import (
+    SYMMETRY_TOL,
     DimensionError,
     SymmetryError,
     krons,
+    layout,
     mats,
     require_symmetric,
-    smat,
-    svec,
     sym_dim,
     symmetrize,
     vecs,
@@ -37,14 +39,27 @@ def test_symmetrize_is_exact_average():
 
 
 def test_require_symmetric_accepts_within_tolerance():
-    A = np.array([[1.0, 2.0 + 5e-11], [2.0, 1.0]])
-    require_symmetric(A)  # default tolerance 1e-10 (relative)
+    # the tolerance is relative to max(1, max|a|) = 2 here
+    A = np.array([[1.0, 2.0 + SYMMETRY_TOL], [2.0, 1.0]])
+    assert require_symmetric(A) is A
 
 
 def test_require_symmetric_rejects_beyond_tolerance():
-    A = np.array([[1.0, 2.0 + 5e-11], [2.0, 1.0]])
-    with pytest.raises(SymmetryError):
-        require_symmetric(A, tol=1e-12)
+    A = np.array([[1.0, 2.0 + 4 * SYMMETRY_TOL], [2.0, 1.0]])
+    with pytest.raises(SymmetryError, match="max \\|a - a.T\\| = 4.000e-12"):
+        require_symmetric(A)
+
+
+#: Off-diagonals 5e-11 apart: within 1e-10, beyond the rule's 1e-12.
+NEAR_SYMMETRIC = np.array([[2.0, 0.5 + 5e-11], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("fn", [vecs, sym_sqrt, sym_inv], ids=lambda fn: fn.__name__)
+def test_every_symmetric_input_obeys_the_one_rule(fn):
+    with pytest.raises(SymmetryError, match="is not symmetric"):
+        fn(NEAR_SYMMETRIC)
+    with pytest.raises(ProblemFormatError, match="F0 is not symmetric"):
+        build_problem(NEAR_SYMMETRIC, [np.eye(2)] * 3, np.zeros(3))
 
 
 def test_require_symmetric_rejects_a_nan_asymmetry():
@@ -72,19 +87,13 @@ def test_mats_rejects_wrong_length():
         mats(np.arange(4.0), 2)
 
 
-def test_svec_doubles_offdiagonals():
-    A = np.array([[1.0, 2.0], [2.0, 5.0]])
-    np.testing.assert_array_equal(svec(A), [1.0, 4.0, 5.0])
-
-
-def test_smat_halves_offdiagonal_entries_exactly():
-    v = np.array([0.4, -0.2, 0.2])
-    np.testing.assert_array_equal(smat(v, 2), [[0.4, -0.1], [-0.1, 0.2]])
-
-
-def test_smat_rejects_wrong_length():
-    with pytest.raises(DimensionError):
-        smat(np.arange(5.0), 2)
+def test_layout_maps_each_entry_to_its_triangle_slot():
+    i, j, scale, pos = layout(3)
+    np.testing.assert_array_equal(i, [0, 0, 0, 1, 1, 2])
+    np.testing.assert_array_equal(j, [0, 1, 2, 1, 2, 2])
+    np.testing.assert_array_equal(scale, [1, RT2, RT2, 1, RT2, 1])
+    np.testing.assert_array_equal(pos, [[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+    assert not any(a.flags.writeable for a in layout(3))
 
 
 @given(st.integers(1, 8), seeds)
@@ -97,12 +106,11 @@ def test_vecs_mats_roundtrip(n, seed):
 
 
 @given(st.integers(1, 8), seeds)
-def test_svec_smat_roundtrip_both_directions(n, seed):
-    rng = np.random.default_rng(seed)
-    A = random_symmetric(rng, n)
-    np.testing.assert_allclose(smat(svec(A), n), A, rtol=1e-13, atol=1e-13)
-    v = rng.normal(size=(sym_dim(n),))
-    np.testing.assert_allclose(svec(smat(v, n)), v, rtol=1e-13, atol=1e-13)
+def test_mats_vecs_roundtrip(n, seed):
+    v = np.random.default_rng(seed).normal(size=(sym_dim(n),))
+    M = mats(v, n)
+    assert M.tobytes() == M.T.tobytes()
+    np.testing.assert_allclose(vecs(M), v, rtol=1e-13, atol=1e-13)
 
 
 @given(st.integers(1, 8), seeds)
