@@ -112,9 +112,9 @@ def _numpy_to_json(obj):
 # the same arguments but no circular-reference markers, since every line is a
 # tree. The arguments: markers, default, string encoder (ensure_ascii), indent,
 # key and item separators, sort_keys, skipkeys, allow_nan.
+_encode_str = json.encoder.encode_basestring_ascii
 _encode = json.encoder.c_make_encoder(
-    None, _numpy_to_json, json.encoder.encode_basestring_ascii, None, ":", ",",
-    False, False, False,
+    None, _numpy_to_json, _encode_str, None, ":", ",", False, False, False
 )
 
 
@@ -122,6 +122,29 @@ def _dumps(obj: dict) -> str:
     """Compact JSON with every float as its shortest exact repr; NaN and
     infinity raise ValueError, since strict JSON readers cannot take them."""
     return "".join(_encode(obj, 0))
+
+
+def _record_line(rec: "monitor.InvariantRecord") -> str:
+    """``_dumps(_record_obj(rec))``, the ``cts-3`` line of a record. A record
+    as the monitor builds it (a str id, a finite float measured value and
+    bound, a bool verdict) has its frame written here, as the encoder writes
+    it, and only its detail encoded; any other record goes through the
+    encoder whole."""
+    rid, measured, bound, passed = rec.id, rec.measured, rec.bound, rec.passed
+    if (
+        type(rid) is str
+        and type(measured) is float
+        and type(bound) is float
+        and type(passed) is bool
+        and math.isfinite(measured)
+        and math.isfinite(bound)
+    ):
+        return (
+            f'{{"type":"record","id":{_encode_str(rid)},"measured":{measured!r},'
+            f'"bound":{bound!r},"passed":{"true" if passed else "false"},'
+            f'"detail":{_dumps(rec.detail)}}}'
+        )
+    return _dumps(_record_obj(rec))
 
 
 def _record_obj(
@@ -280,13 +303,11 @@ def write_trace(report: SolveReport) -> bytes:
     """Serialize a solve report as a JSON-lines proof trace."""
     prob = report.problem
     lines = [_dumps(_header_obj(prob, report.options, report.initial_state, prob.problem_hash))]
-    for rec in report.init_records:
-        lines.append(_dumps(_record_obj(rec)))
+    lines.extend(map(_record_line, report.init_records))
     prev = report.initial_state
     for snap in report.snapshots:
         lines.append(_dumps(_iteration_obj(prev, snap.state, snap.step)))
-        for rec in snap.records:
-            lines.append(_dumps(_record_obj(rec)))
+        lines.extend(map(_record_line, snap.records))
         prev = snap.state
     footer = _footer_obj(
         report.status.value,
@@ -656,12 +677,11 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if spec.triangles:
             arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
-        if scaled is None or not np.array_equal(scaled[0], prev.Z):
+        # every Z here is (n, n), so this is np.array_equal without its dispatch
+        if scaled is None or not (scaled[0] == prev.Z).all():
             Zh = sym_sqrt(prev.Z)
             scaled = (prev.Z, Zh, sym_inv(Zh))
-        return NewtonStep(
-            dX=arrays["dX"], dZ=arrays["dZ"], dp=arrays["dp"], Zh=scaled[1], Zhi=scaled[2]
-        )
+        return NewtonStep(arrays["dX"], arrays["dZ"], arrays["dp"], scaled[1], scaled[2])
 
     cut = False  # the replay stopped at a step it could not redo
     try:

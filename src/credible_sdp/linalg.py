@@ -11,9 +11,9 @@ definite when that exceeds ``PD_TOL``. ``require_pd`` raises on the same
 test; the catalog's PD records, admission's test of F0, ``sym_sqrt`` and
 ``sym_inv`` all read these two functions. Each distinct matrix is
 decomposed once: ``min_eigenvalue`` keeps a small bounded memo keyed by the
-symmetric part's shape and bytes, so the matrices a run tests again bit for
-bit (the fixed Z, the identity of I12, Z0 inside ``sym_sqrt``) cost a
-lookup. The memo is exact: the same bits in give the same float out.
+matrix's shape and bytes, so the matrices a run tests again bit for bit (the
+fixed Z, the identity of I12, Z0 inside ``sym_sqrt``) cost a lookup. The
+memo is exact: the same bits in give the same float out.
 
 Square roots and inverses of symmetric positive-definite matrices are
 computed spectrally (symmetric eigendecomposition), which yields the
@@ -50,19 +50,27 @@ class NotPositiveDefiniteError(ValueError):
 def min_eigenvalue(S: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of S; never raises on asymmetry.
 
-    Memoised on the symmetric part's shape and bytes (at most
+    Memoised on the shape and bytes of S (at most
     ``_min_eigenvalue_of.cache_info().maxsize`` matrices), so a matrix seen
-    before, bit for bit, returns its earlier float without a decomposition.
-    Matrices that differ in any bit, the sign of a zero included, are
-    separate keys.
+    before, bit for bit, returns its earlier float without forming its
+    symmetric part again. Matrices that differ in any bit, the sign of a zero
+    included, are separate keys.
     """
-    S = symmetrize(S)
+    S = np.asarray(S, dtype=float)
     return _min_eigenvalue_of(S.shape, S.tobytes())
 
 
 @functools.lru_cache(maxsize=8)
 def _min_eigenvalue_of(shape: tuple[int, ...], data: bytes) -> float:
-    return float(np.linalg.eigvalsh(np.frombuffer(data).reshape(shape))[0])
+    return float(np.linalg.eigvalsh(symmetrize(np.frombuffer(data).reshape(shape)))[0])
+
+
+@functools.lru_cache(maxsize=64)
+def identity(n: int) -> np.ndarray:
+    """The n-by-n identity, shared between calls and so read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def require_pd(S: np.ndarray, what: str = "matrix") -> float:
@@ -118,9 +126,11 @@ def frob_norm(M: np.ndarray) -> float:
 
 
 def trace_inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Trace inner product Tr(B.T @ A), i.e. the entrywise dot product."""
+    """Trace inner product Tr(B.T @ A), i.e. the entrywise dot product,
+    computed as ``(A * B).sum()`` computes it (same bits), without its
+    dispatch."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError(f"trace_inner: shapes {A.shape} and {B.shape} differ")
-    return float((A * B).sum())
+    return float(np.add.reduce(A * B, axis=None))

@@ -231,7 +231,7 @@ def json_numbers(
     if odd:
         raise ValueError("it holds " + ", ".join(sorted(t.__name__ for t in odd)))
     try:
-        arr = arr.astype(float)
+        arr = arr.astype(float, copy=False)
     except OverflowError:
         raise ValueError("an integer beyond the float range") from None
     if not np.isfinite(arr).all():

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .linalg import lsqr_solve, sym_inv, sym_sqrt, trace_inner
+from .linalg import identity, lsqr_solve, sym_inv, sym_sqrt, trace_inner
 from .problem import DEFAULT_EPSILON, ProblemFormatError, SdpProblem, admit_x0
 from .symvec import krons, mats, symmetrize, vecs
 
@@ -148,7 +148,7 @@ def iteration_cap(opts: SolverOptions, budget: int) -> int:
     return opts.max_iterations if opts.max_iterations is not None else max(10, 10 * budget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterateState:
     """The pair (X, Z, p) after ``iteration`` steps, its duality gap ``phi``,
     ``mu = phi / n`` and ``phim``, the gap one step earlier (seeded to
@@ -168,7 +168,7 @@ class IterateState:
     iteration: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewtonScaling:
     """The loop invariants of the Newton system, computed once per solve.
 
@@ -186,7 +186,7 @@ class NewtonScaling:
     ft_pinv: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewtonStep:
     """The minimum-norm directions of one Newton step and the scaling pair
     they were computed with. The monitor derives the right-hand side's mu from
@@ -220,7 +220,7 @@ def assemble_newton(
 ) -> np.ndarray:
     """The right-hand side r = sigma * mu * I - Zh @ X @ Zh at ``state``."""
     Zh = scaling.Zh
-    return symmetrize(sigma * state.mu * np.eye(prob.n) - Zh @ state.X @ Zh)
+    return symmetrize(sigma * state.mu * identity(prob.n) - Zh @ state.X @ Zh)
 
 
 def solve_newton(prob: SdpProblem, r: np.ndarray, scaling: NewtonScaling) -> NewtonStep:
@@ -232,7 +232,7 @@ def solve_newton(prob: SdpProblem, r: np.ndarray, scaling: NewtonScaling) -> New
     """
     dX = symmetrize(scaling.Zhi @ r @ scaling.Zhi)
     dp = scaling.ft_pinv @ -vecs(dX)
-    return NewtonStep(dX=dX, dZ=np.zeros_like(dX), dp=dp, Zh=scaling.Zh, Zhi=scaling.Zhi)
+    return NewtonStep(dX, np.zeros(dX.shape), dp, scaling.Zh, scaling.Zhi)
 
 
 def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> IterateState:
@@ -242,15 +242,7 @@ def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> Iterat
     p = state.p + step.dp
     phim = trace_inner(state.X, state.Z)
     phi = trace_inner(X, Z)
-    return IterateState(
-        X=X,
-        Z=Z,
-        p=p,
-        mu=phi / prob.n,
-        phi=phi,
-        phim=phim,
-        iteration=state.iteration + 1,
-    )
+    return IterateState(X, Z, p, phi / prob.n, phi, phim, state.iteration + 1)
 
 
 def initialize(

@@ -90,11 +90,16 @@ def is_symmetric(a: np.ndarray) -> np.ndarray:
 def require_symmetric(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is square and passes the symmetry rule.
 
-    Returns the array unchanged. Raises SymmetryError/DimensionError.
+    Returns the array unchanged. Raises SymmetryError/DimensionError. A
+    finite matrix that is symmetric bit for bit, such as the output of
+    ``symmetrize``, has asymmetry exactly 0 and passes without the rule's
+    reductions.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
+    if a.tobytes() == a.T.tobytes() and np.isfinite(a).all():
+        return a
     if not is_symmetric(a):
         raise SymmetryError(f"{what} is not symmetric: max |a - a.T| = {asymmetry(a):.3e}")
     return a
@@ -113,10 +118,11 @@ def vecs(M: np.ndarray) -> np.ndarray:
 def vecs_stack(S: np.ndarray) -> np.ndarray:
     """``vecs(symmetrize(Si))`` of every matrix Si of an (m, n, n) stack, as
     the rows of one C-contiguous (m, n(n+1)/2) array, equal bit for bit to
-    stacking the rows one by one. Symmetry is not checked."""
+    stacking the rows one by one; of a single (n, n) matrix, its one row.
+    Symmetry is not checked."""
     S = np.asarray(S, dtype=float)
     i, j, scale, _ = layout(S.shape[-1])
-    return np.ascontiguousarray(0.5 * (S[:, i, j] + S[:, j, i]) * scale)
+    return np.ascontiguousarray(0.5 * (S[..., i, j] + S[..., j, i]) * scale)
 
 
 def mats(v: np.ndarray, n: int) -> np.ndarray:

@@ -18,6 +18,8 @@ from credible_sdp.annotator import (
     _dumps,
     _mat_literal,
     _numpy_to_json,
+    _record_line,
+    _record_obj,
     _text_hash,
     check_trace,
     emit_annotated_listing,
@@ -25,8 +27,8 @@ from credible_sdp.annotator import (
     write_trace,
 )
 from credible_sdp.linalg import sym_sqrt
-from credible_sdp.monitor import INIT_IDS, LOOP_IDS
-from credible_sdp.problem import SdpProblem, build_problem, load_problem
+from credible_sdp.monitor import INIT_IDS, LOOP_IDS, InvariantRecord
+from credible_sdp.problem import SdpProblem, build_problem, load_problem, running_example
 from credible_sdp.solver import (
     NewtonStep,
     SolverOptions,
@@ -264,6 +266,40 @@ def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report, monkeypatc
     for obj in objs:
         reference = json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_numpy_to_json)
         assert _dumps(obj) == reference
+
+
+def _stdlib_line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_numpy_to_json)
+
+
+def test_record_lines_are_the_bytes_of_the_stdlib_encoder(example_report):
+    # the record frame is formatted without the encoder: every record of two
+    # runs, and records holding what the monitor never builds, still read as
+    # the encoder writes them
+    prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
+    records = [*example_report.all_records(), *solve(prob).all_records()]
+    rec = records[0]
+    odd = [
+        replace(rec, measured=np.float64(rec.measured), passed=np.True_),
+        replace(rec, measured=3, bound=-0.0, passed=False),
+        replace(rec, id='I"1\u00e9', detail={"note": "tab\there", "n": 2, "x": None}),
+    ]
+    for rec in [*records, *odd]:
+        assert _record_line(rec) == _stdlib_line(_record_obj(rec))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_record_lines_refuse_non_finite_values(bad):
+    for field in ("measured", "bound"):
+        rec = InvariantRecord("I1", **{"measured": 0.0, "bound": 0.0, field: bad}, passed=True)
+        with pytest.raises(ValueError):
+            _record_line(rec)
+
+
+def test_a_fresh_solve_writes_the_cts3_golden_byte_for_byte():
+    # the cts-3 golden came from the solver that introduced the schema: every
+    # later solver must step, sweep and write with the same arithmetic
+    assert write_trace(solve(running_example())) == GOLDEN_CTS3.read_bytes()
 
 
 def test_parse_trace_collects_iteration_blocks(example_trace):

@@ -11,6 +11,7 @@ from credible_sdp.linalg import (
     PD_TOL,
     NotPositiveDefiniteError,
     frob_norm,
+    identity,
     lsqr_solve,
     min_eigenvalue,
     require_pd,
@@ -213,6 +214,25 @@ def test_trace_inner_matches_trace_of_product(n, seed):
     A = symmetrize(rng.normal(size=(n, n)))
     B = symmetrize(rng.normal(size=(n, n)))
     assert trace_inner(A, B) == pytest.approx(float(np.trace(A @ B)), rel=1e-12, abs=1e-12)
+
+
+def test_trace_inner_gives_numpys_sum_bits_in_any_layout():
+    rng = np.random.default_rng(4)
+    for shape in ((1, 1), (2, 2), (6, 6), (16, 16), (3, 5), (7,)):
+        A = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        B = rng.normal(size=shape)
+        pairs = [(A, B), (np.asfortranarray(A), B), (A[::-1], B[::-1])]
+        if A.ndim == 2:
+            pairs.append((A.T, B.T))
+        for P, Q in pairs:
+            assert trace_inner(P, Q) == float((P * Q).sum())
+
+
+def test_identity_is_shared_and_read_only():
+    eye = identity(3)
+    assert eye is identity(3)
+    np.testing.assert_array_equal(eye, np.eye(3))
+    assert not eye.flags.writeable
 
 
 def test_trace_inner_rejects_shape_mismatch():

@@ -140,6 +140,18 @@ def test_initialization_sweep_flags_indefinite_x(example_problem):
     assert by_id["init-z0-pd"].passed
 
 
+def test_init_p_symmetric_holds_by_construction(example_problem):
+    # mats(p, n) mirrors one triangle, so P is symmetric bit for bit and the
+    # record measures exactly 0.0 for any p, as the monitor docstring states
+    opts = default_options(example_problem)
+    state, _ = initialize(example_problem, opts)
+    draws = 1e6 * np.random.default_rng(6).normal(size=(5, example_problem.m))
+    for p in (np.array([1.0, -7.0, 3.0]), *draws):
+        records = check_initialization(example_problem, dataclasses.replace(state, p=p), opts)
+        rec = {r.id: r for r in records}["init-p-symmetric"]
+        assert rec.measured == 0.0 and rec.passed
+
+
 def test_f0_with_minimum_eigenvalue_at_the_margin_fails_init_f0_pd(example_problem):
     opts = default_options(example_problem)
     state, _ = initialize(example_problem, opts)

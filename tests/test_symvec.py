@@ -18,6 +18,7 @@ from credible_sdp.symvec import (
     sym_dim,
     symmetrize,
     vecs,
+    vecs_stack,
 )
 
 RT2 = np.sqrt(2.0)
@@ -63,8 +64,30 @@ def test_every_symmetric_input_obeys_the_one_rule(fn):
 
 
 def test_require_symmetric_rejects_a_nan_asymmetry():
-    with pytest.raises(SymmetryError, match="nan"):
-        require_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]), what="X0")
+    # each is symmetric bit for bit, yet a NaN or infinite entry fails the
+    # rule, in require_symmetric and in vecs alike
+    for M in (
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+    ):
+        M = np.array(M)
+        with np.errstate(invalid="ignore"), pytest.raises(SymmetryError, match="nan"):
+            require_symmetric(M, what="X0")
+        with np.errstate(invalid="ignore"), pytest.raises(SymmetryError, match="nan"):
+            vecs(M)
+
+
+def test_vecs_stack_of_one_matrix_is_its_row_of_a_stack():
+    rng = np.random.default_rng(5)
+    S = rng.normal(size=(4, 3, 3))
+    rows = vecs_stack(S)
+    for k, M in enumerate(S):
+        one = vecs_stack(M)
+        assert one.shape == (6,) and one.flags.c_contiguous
+        assert one.tobytes() == rows[k].tobytes() == vecs(symmetrize(M)).tobytes()
 
 
 def test_require_symmetric_rejects_nonsquare():
