@@ -24,7 +24,9 @@ rule as a run's. Every stored line is compared with the line the writer's
 own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
 ``_footer_obj``) would emit for the recomputed values and the catalog's
 tolerances, so the trace format is stated once, by the writer, and no trace
-sets its own rules.
+sets its own rules. A record or iteration line that equals its builder's
+line key for key and type for type is accepted without the diff (``_same``);
+every other line goes through it.
 Discrepancies, missing and unexpected fields become ``Finding`` values in a
 ``CheckReport`` — a tampered trace yields findings, never a crash. Only
 malformed input (bad JSON, unknown schema, wrong problem hash, missing or
@@ -475,6 +477,26 @@ def _close_mat(A: np.ndarray, B: np.ndarray) -> bool:
 _SCALARS = (float, int, str, bool)
 
 
+def _same(stored: object, expected: dict) -> bool:
+    """Whether ``stored`` is the object ``expected`` exactly: the same keys,
+    each value of the same type as its counterpart and equal to it, nested
+    objects alike. Then ``_diff`` finds nothing; anything else goes to
+    ``_diff``, which alone writes findings.
+
+    Equal values of different types (``true`` and ``1``, ``5`` and ``5.0``)
+    fail on their types. ``expected`` holds JSON values only, no arrays, and
+    the replay's own objects, so no stored NaN is ever the very object that
+    the dict comparison would take as equal to itself.
+    """
+    if type(stored) is not dict or stored != expected:
+        return False
+    for key, mine in expected.items():
+        value = stored[key]
+        if type(value) is not type(mine) or (type(mine) is dict and not _same(value, mine)):
+            return False
+    return True
+
+
 def _diff(
     stored: object,
     expected: object,
@@ -593,8 +615,10 @@ def _compare_records(
         ours = by_id.get(rid) if isinstance(rid, str) else None
         if ours is None:
             findings.append(Finding("catalog", where, rid, f"unknown record id {rid!r}"))
-        else:
-            _diff(stored_rec, _record_obj(ours, schema, iteration, sigma), where, rid, findings)
+            continue
+        expected = _record_obj(ours, schema, iteration, sigma)
+        if not _same(stored_rec, expected):
+            _diff(stored_rec, expected, where, rid, findings)
 
 
 def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
@@ -612,10 +636,15 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     compared with the line the writer would emit in the trace's schema for
     the recomputed values (``_diff``, relative tolerance CHECK_RTOL), so
     tolerances are the catalog's, not the trace's, and a ``cts-1`` iterate is
-    judged where it is stored. The stored directions are the step itself, so
-    of them only the keys are compared; a changed direction shows in the
-    records and the footer. Mismatches, missing and unexpected fields come
-    back as findings.
+    judged where it is stored. A record or iteration line that matches
+    exactly, the same keys and each value of the same type and equal
+    (``_same``), is accepted without the diff; every mismatch still goes
+    through ``_diff``, which alone writes findings. The stored directions are
+    the step itself, so of them only the keys are compared; a changed
+    direction shows in the records and the footer. A ``cts-3`` line's three
+    directions are read as one (3, m) array, and again one by one when that
+    fails, so the error names the first bad one. Mismatches, missing and
+    unexpected fields come back as findings.
     """
     trace = parse_trace(data)
     header = trace.header
@@ -661,8 +690,22 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     if spec.triangles:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
         _, _, _, mirror = layout(n)
+    # a cts-3 line stores three directions of length m = n(n+1)/2, as
+    # admission requires, read as the rows of one (3, m) array
+    joint = spec.triangles and m == sym_dim(n)
     arrays: dict[str, np.ndarray] = {}  # those of the line stepped with last
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
+
+    def read_arrays(line: dict) -> dict[str, np.ndarray]:
+        """The arrays an iteration line stores; when the joint read fails,
+        read key by key, so the error is the first bad array's own."""
+        if joint:
+            try:
+                rows = json_numbers([line[key] for key in _DIRECTIONS], shape=(3, m))
+                return dict(zip(_DIRECTIONS, rows))
+            except Exception:  # noqa: BLE001 — the read key by key reports it
+                pass
+        return {key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()}
 
     def stored_step(prev: IterateState) -> NewtonStep | None:
         """The step the next iteration line stores, scaled at ``prev.Z``;
@@ -670,9 +713,8 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         nonlocal scaled
         if prev.iteration == len(trace.iterations):
             return None
-        line = trace.iterations[prev.iteration]["state"]
         try:
-            arrays.update({key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()})
+            arrays.update(read_arrays(trace.iterations[prev.iteration]["state"]))
         except Exception as exc:  # noqa: BLE001
             raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if spec.triangles:
@@ -693,7 +735,9 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             for key in _DIRECTIONS:
                 del stored[key]
             ours = _iteration_obj(replay.final_state, snap.state, None, schema)
-            _diff(stored, ours, where, None, findings)
+            # a cts-1 line also holds the iterates, which only _diff compares
+            if schema == LEGACY_SCHEMA or not _same(stored, ours):
+                _diff(stored, ours, where, None, findings)
             failed.update(rec.id for rec in snap.records if not rec.passed)
             _compare_records(
                 block["records"], snap.records, where, monitor.LOOP_IDS, schema,

@@ -4,10 +4,13 @@ For each of 31 problems (the bundled example, and ``bench/workload_gen.py``
 seeds 2001 and 7919 at n in {2, 3, 4, 8, 16}, indices 0-2) it prints one line:
 the problem's name and the sha256 of its proof trace, its pseudo-matlab and
 c-like listings, its verbose report, what ``check_trace`` says of the trace,
-and the trace's record and footer lines alone. Two versions of the package
-that print the same lines produce byte-identical artifacts, and check them
-alike, on the corpus. The last column lets a change to how the header or
-the directions are written show that the contract records did not move.
+the trace's record and footer lines alone, and what ``check_trace`` says of
+five tampered copies of the trace (``tampered``). Two versions of the
+package that print the same lines produce byte-identical artifacts, and
+check them alike, on the corpus. The ``records`` column lets a change to how
+the header or the directions are written show that the contract records did
+not move; the ``tampered`` column shows a checker change that moves any
+finding.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -47,9 +50,33 @@ def corpus():
                 yield f"seed{seed}-n{n}-i{index}", credible_sdp.load_problem(data)
 
 
+def tampered(trace: bytes) -> list[bytes]:
+    """Copies of a trace with one line edited each: iteration 1's I3 record
+    with its measured value scaled by 1 + 1e-6, its verdict flipped, or its
+    verdict written as 1; iteration line 1 numbered 2; iteration line 1 with
+    its first dX entry scaled by 1 + 1e-6."""
+    lines = trace.split(b"\n")
+    first = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == "iteration")
+    i3 = next(i for i in range(first, len(lines)) if json.loads(lines[i]).get("id") == "I3")
+
+    def edit(index: int, mutate) -> bytes:
+        obj = json.loads(lines[index])
+        mutate(obj)
+        return b"\n".join([*lines[:index], json.dumps(obj).encode(), *lines[index + 1:]])
+
+    return [
+        edit(i3, lambda o: o.update(measured=o["measured"] * (1 + 1e-6))),
+        edit(i3, lambda o: o.update(passed=not o["passed"])),
+        edit(i3, lambda o: o.update(passed=1)),
+        edit(first, lambda o: o.update(iteration=2)),
+        edit(first, lambda o: o["dX"].__setitem__(0, o["dX"][0] * (1 + 1e-6))),
+    ]
+
+
 def digests(prob) -> list[str]:
     """sha256 of the trace, both listing flavors, the verbose report, the
-    trace check's description and the trace's record and footer lines."""
+    trace check's description, the trace's record and footer lines, and the
+    check descriptions of the tampered copies."""
     report = credible_sdp.solve(prob)
     trace = credible_sdp.write_trace(report)
     claims = [
@@ -63,13 +90,14 @@ def digests(prob) -> list[str]:
         render_report(report, verbose=True).encode(),
         credible_sdp.check_trace(trace, prob).describe().encode(),
         b"\n".join(claims),
+        "\n".join(credible_sdp.check_trace(t, prob).describe() for t in tampered(trace)).encode(),
     ]
     return [hashlib.sha256(a).hexdigest() for a in artifacts]
 
 
 def main() -> int:
     print(f"package: {Path(credible_sdp.__file__).parent}", file=sys.stderr)
-    print("problem trace listing-m listing-c report check records")
+    print("problem trace listing-m listing-c report check records tampered")
     for name, prob in corpus():
         print(name, *digests(prob))
     return 0

@@ -20,6 +20,7 @@ from credible_sdp.annotator import (
     _numpy_to_json,
     _record_line,
     _record_obj,
+    _same,
     _text_hash,
     check_trace,
     emit_annotated_listing,
@@ -493,6 +494,26 @@ def test_a_cts3_direction_of_the_wrong_length_is_unreadable(
     assert errors == [("iteration 5", "unreadable iteration line: shape (%d,), expected (3,)" % length)]
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o: o.pop("dZ"), "'dZ'"),
+        (lambda o: o["dp"].__setitem__(1, True), "it holds bool"),
+        (lambda o: o["dX"].__setitem__(0, 10**400), "an integer beyond the float range"),
+        (lambda o: o["dp"].__setitem__(2, [1.0]), "ragged nesting"),
+        (lambda o: o.update(dX=[[1.0, 0.0], [0.0, 1.0]]), "shape (2, 2), expected (3,)"),
+    ],
+)
+def test_an_unreadable_direction_is_named_as_if_read_alone(
+    example_trace, example_problem, mutate, message
+):
+    # the three directions are read as one array; a failure reads them again
+    # one by one, so the error is the first bad direction's own
+    bad = edit_line(example_trace, find_iteration(example_trace, 4), mutate)
+    errors = [(f.where, f.message) for f in check_trace(bad, example_problem).findings]
+    assert errors[0] == ("iteration 4", f"unreadable iteration line: {message}")
+
+
 def _text_hash_by_generator(prob) -> str:
     """The cts-1 hash exactly as the first solver wrote it."""
     parts = [f"n={prob.n}", f"m={prob.m}"]
@@ -665,6 +686,87 @@ def test_check_flags_tampered_detail_value(example_trace, example_problem):
     )
     result = check_trace(bad, example_problem)
     assert any(f.kind == "recompute" and f.record_id == "I9" for f in result.findings)
+
+
+#: Edits of one line that equality alone cannot see (a value of another
+#: type that == equates), or that leave a line's values equal: each with the
+#: line it edits (record id or None for the iteration line, iteration) and
+#: the findings (kind, where, record id, message) it gives.
+_TYPE_SWAPS = {
+    "passed true->1": (("I8", 3), lambda o: o.update(passed=1), [
+        ("structure", "iteration 3", "I8", "passed: trace has 1, expected True"),
+    ]),
+    "detail true->1": (("I2", 4), lambda o: o["detail"].update(lower_ok=1), [
+        ("structure", "iteration 4", "I2", "detail.lower_ok: trace has 1, expected True"),
+    ]),
+    "detail float->true": (("I3", 2), lambda o: o["detail"].update(phi=True), [
+        ("structure", "iteration 2", "I3",
+         "detail.phi: trace has True, expected 0.05152840213714212"),
+    ]),
+    "measured 0.0->false": (("init-sigma-constant", 0), lambda o: o.update(measured=False), [
+        ("structure", "init", "init-sigma-constant", "measured: trace has False, expected 0.0"),
+    ]),
+    # a JSON int may stand for a float of its value: the exact match refuses
+    # it, and the diff accepts it
+    "measured 0.0->0": (("init-sigma-constant", 0), lambda o: o.update(measured=0), []),
+    "detail 1->1.0": (("init-fi-symmetric", 0), lambda o: o["detail"].update(worst_index=1.0), [
+        ("structure", "init", "init-fi-symmetric", "detail.worst_index: trace has 1.0, expected 1"),
+    ]),
+    "iteration 5->5.0": ((None, 5), lambda o: o.update(iteration=5.0), [
+        ("structure", "iteration 5", None, "iteration: trace has 5.0, expected 5"),
+    ]),
+    "measured NaN": (("I4", 7), lambda o: o.update(measured=float("nan")), [
+        ("recompute", "iteration 7", "I4",
+         "measured: trace has nan, recomputation gives 2.3054374261323624e-18"),
+    ]),
+    "detail NaN": (("I7", 7), lambda o: o["detail"].update(lhs=float("nan")), [
+        ("recompute", "iteration 7", "I7",
+         "detail.lhs: trace has nan, recomputation gives 0.01222793136652881"),
+    ]),
+    "detail key added": (("I5", 6), lambda o: o["detail"].update(extra=0.0), [
+        ("structure", "iteration 6", "I5", "unexpected key detail.extra"),
+    ]),
+    "detail key removed": (("I9", 6), lambda o: o["detail"].pop("dual_residual"), [
+        ("structure", "iteration 6", "I9", "detail.dual_residual is missing"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", _TYPE_SWAPS)
+def test_a_type_swap_gets_the_findings_of_the_diff(example_trace, example_problem, name):
+    (rid, k), mutate, expected = _TYPE_SWAPS[name]
+    idx = find_iteration(example_trace, k) if rid is None else find_record(example_trace, rid, k)
+    result = check_trace(edit_line(example_trace, idx, mutate), example_problem)
+    assert [(f.kind, f.where, f.record_id, f.message) for f in result.findings] == expected
+
+
+@pytest.mark.parametrize(
+    "stored, expected",
+    [
+        ({"passed": 1}, {"passed": True}),
+        ({"passed": 0}, {"passed": False}),
+        ({"passed": 0.0}, {"passed": False}),
+        ({"iteration": 5.0}, {"iteration": 5}),
+        ({"measured": 1}, {"measured": 1.0}),
+        ({"detail": {"x": True}}, {"detail": {"x": 1.0}}),
+        ({"detail": {"x": 1.0, "y": True}}, {"detail": {"x": True, "y": 1.0}}),
+        ({"detail": {"x": 0.5, "y": 0.5}}, {"detail": {"x": 0.5}}),
+        ({"detail": {}}, {"detail": {"x": 0.5}}),
+        ({"detail": []}, {"detail": {}}),
+        ({"measured": float("nan")}, {"measured": float("nan")}),
+        ({"id": "I1"}, {"id": "I1", "passed": True}),
+    ],
+)
+def test_the_exact_match_refuses_a_type_swap_or_a_key_change(stored, expected):
+    # each goes to the diff, whose findings the trace-level cases above pin
+    assert not _same(stored, expected)
+
+
+def test_every_line_of_a_genuine_trace_matches_exactly(example_trace, example_report):
+    trace = parse_trace(example_trace)
+    assert all(map(_same, trace.init_records, map(_record_obj, example_report.init_records)))
+    for block, snap in zip(trace.iterations, example_report.snapshots, strict=True):
+        assert all(map(_same, block["records"], map(_record_obj, snap.records)))
 
 
 def test_check_flags_broken_iterate_chain(golden_trace, example_problem):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import credible_sdp
+from credible_sdp import cli
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
 from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
 
@@ -335,6 +336,54 @@ def test_usage_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "solve")  # --problem is required
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([name, "--help"] for name in ("solve", "annotate", "check-trace", "demo")),
+        ["--help"],
+        [],
+        ["frobnicate"],
+        ["--version"],
+        ["solve"],
+        ["check-trace", "--trace", "t.cts"],
+        ["annotate", "--problem", "p.json", "--bogus"],
+        ["demo", "--mode", "lenient"],
+        ["demo", "--version"],
+        ["check-trace", "--problem", "p.json", "--trace", "t.cts", "extra"],
+        ["solve", "--problem", "p.json", "--max-iterations", "many"],
+    ],
+)
+def test_the_cli_prints_what_the_full_parser_prints(capsys, argv):
+    """Output and exit code match those of ``build_parser()``, which holds
+    every subcommand, when parsing ends the run."""
+    code, out, err = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (code, out, err) == (int(exc.value.code or 0), full.out, full.err)
+    assert out or err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "p.json", "--sig", "0.5", "--report", "--trace=t.cts"],
+        ["annotate", "--problem", "p.json", "--flavor", "c-like", "--nu", "3"],
+        ["check-trace", "--trace", "t.cts", "--problem", "p.json"],
+        ["demo"],
+    ],
+)
+def test_a_subcommand_is_parsed_without_the_full_parser(monkeypatch, argv):
+    full = vars(build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert vars(cli._parse_args(argv)) == full
 
 
 def test_unknown_command_exits_one(capsys):
