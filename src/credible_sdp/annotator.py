@@ -641,9 +641,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     (``_same``), is accepted without the diff; every mismatch still goes
     through ``_diff``, which alone writes findings. The stored directions are
     the step itself, so of them only the keys are compared; a changed
-    direction shows in the records and the footer. A ``cts-3`` line's three
-    directions are read as one (3, m) array, and again one by one when that
-    fails, so the error names the first bad one. Mismatches, missing and
+    direction shows in the records and the footer. Mismatches, missing and
     unexpected fields come back as findings.
     """
     trace = parse_trace(data)
@@ -690,22 +688,8 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     if spec.triangles:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
         _, _, _, mirror = layout(n)
-    # a cts-3 line stores three directions of length m = n(n+1)/2, as
-    # admission requires, read as the rows of one (3, m) array
-    joint = spec.triangles and m == sym_dim(n)
     arrays: dict[str, np.ndarray] = {}  # those of the line stepped with last
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
-
-    def read_arrays(line: dict) -> dict[str, np.ndarray]:
-        """The arrays an iteration line stores; when the joint read fails,
-        read key by key, so the error is the first bad array's own."""
-        if joint:
-            try:
-                rows = json_numbers([line[key] for key in _DIRECTIONS], shape=(3, m))
-                return dict(zip(_DIRECTIONS, rows))
-            except Exception:  # noqa: BLE001 — the read key by key reports it
-                pass
-        return {key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()}
 
     def stored_step(prev: IterateState) -> NewtonStep | None:
         """The step the next iteration line stores, scaled at ``prev.Z``;
@@ -713,8 +697,9 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         nonlocal scaled
         if prev.iteration == len(trace.iterations):
             return None
+        line = trace.iterations[prev.iteration]["state"]
         try:
-            arrays.update(read_arrays(trace.iterations[prev.iteration]["state"]))
+            arrays.update({key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()})
         except Exception as exc:  # noqa: BLE001
             raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if spec.triangles:

@@ -16,6 +16,7 @@ problems or traces, bad flags, hash or schema mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,6 @@ from pathlib import Path
 from .annotator import (
     BACKEND,
     LISTING_FLAVORS,
-    TOOL_NAME,
     TOOL_VERSION,
     check_trace,
     emit_annotated_listing,
@@ -180,88 +180,59 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help=f"gap contraction factor per step (default {DEFAULT_SIGMA})")
 
 
-def _solve_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", required=True, help="problem JSON file")
-    _add_config_flags(sub)
-    sub.add_argument("--mode", choices=("strict", "audit"), default="audit",
-                     help="strict aborts on the first failed contract; audit records and continues")
-    sub.add_argument("--max-iterations", type=int, default=None,
-                     help="iteration cap (default: 10x the certified budget)")
-    sub.add_argument("--trace", default=None, help="write the proof trace here")
-    sub.add_argument("--listing", default=None, help="write the annotated listing here")
-    sub.add_argument("--flavor", choices=LISTING_FLAVORS, default="pseudo-matlab",
-                     help="annotation style for --listing")
-    sub.add_argument("--report", action="store_true",
-                     help="include the per-contract slack table in the output")
-    sub.set_defaults(func=cmd_solve)
-
-
-def _annotate_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", required=True, help="problem JSON file")
-    _add_config_flags(sub)
-    sub.add_argument("--flavor", choices=LISTING_FLAVORS, default="pseudo-matlab",
-                     help="annotation style")
-    sub.add_argument("--listing", default=None,
-                     help="write the listing here instead of stdout")
-    sub.set_defaults(func=cmd_annotate)
-
-
-def _check_trace_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", required=True, help="problem JSON file")
-    sub.add_argument("--trace", required=True, help="trace file to check")
-    sub.set_defaults(func=cmd_check_trace)
-
-
-def _demo_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=("strict", "audit"), default="audit",
-                     help="contract failure handling")
-    sub.set_defaults(func=cmd_demo)
-
-
-#: Each subcommand: its help line and the function that adds its arguments.
-_COMMANDS = {
-    "solve": ("run the solver on a problem file", _solve_args),
-    "annotate": ("emit the annotated listing for a problem", _annotate_args),
-    "check-trace": ("replay a proof trace against its problem", _check_trace_args),
-    "demo": ("solve, trace, re-check, and annotate the bundled example", _demo_args),
-}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parsing leaves it as it
+    was, so each ``main`` call in a process after the first reuses it."""
     parser = _Parser(
-        prog=TOOL_NAME,
+        prog="credible-sdp",
         description="Short-step primal-dual SDP solver with runtime contract "
                     "monitoring, proof traces, and annotated listings.",
     )
-    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"credible-sdp {TOOL_VERSION}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in _COMMANDS.items():
-        add_args(subs.add_parser(name, help=help_text))
+
+    p_solve = subs.add_parser("solve", help="run the solver on a problem file")
+    p_solve.add_argument("--problem", required=True, help="problem JSON file")
+    _add_config_flags(p_solve)
+    p_solve.add_argument("--mode", choices=("strict", "audit"), default="audit",
+                         help="strict aborts on the first failed contract; audit records and continues")
+    p_solve.add_argument("--max-iterations", type=int, default=None,
+                         help="iteration cap (default: 10x the certified budget)")
+    p_solve.add_argument("--trace", default=None, help="write the proof trace here")
+    p_solve.add_argument("--listing", default=None, help="write the annotated listing here")
+    p_solve.add_argument("--flavor", choices=LISTING_FLAVORS, default="pseudo-matlab",
+                         help="annotation style for --listing")
+    p_solve.add_argument("--report", action="store_true",
+                         help="include the per-contract slack table in the output")
+    p_solve.set_defaults(func=cmd_solve)
+
+    p_ann = subs.add_parser("annotate", help="emit the annotated listing for a problem")
+    p_ann.add_argument("--problem", required=True, help="problem JSON file")
+    _add_config_flags(p_ann)
+    p_ann.add_argument("--flavor", choices=LISTING_FLAVORS, default="pseudo-matlab",
+                       help="annotation style")
+    p_ann.add_argument("--listing", default=None,
+                       help="write the listing here instead of stdout")
+    p_ann.set_defaults(func=cmd_annotate)
+
+    p_check = subs.add_parser("check-trace", help="replay a proof trace against its problem")
+    p_check.add_argument("--problem", required=True, help="problem JSON file")
+    p_check.add_argument("--trace", required=True, help="trace file to check")
+    p_check.set_defaults(func=cmd_check_trace)
+
+    p_demo = subs.add_parser("demo", help="solve, trace, re-check, and annotate the bundled example")
+    p_demo.add_argument("--mode", choices=("strict", "audit"), default="audit",
+                        help="contract failure handling")
+    p_demo.set_defaults(func=cmd_demo)
+
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the subcommand's
-    parser when ``argv`` starts with a subcommand's name.
-
-    The full parser hands such a subcommand everything after its name, and
-    the subcommand's parser (prog ``credible-sdp <name>``) prints its help
-    and its errors itself, so the standalone one prints the same bytes. Any
-    argument it leaves unread is an error of the full parser, which then
-    parses ``argv`` again to report it.
-    """
-    if argv and argv[0] in _COMMANDS:
-        sub = _Parser(prog=f"{TOOL_NAME} {argv[0]}")
-        _COMMANDS[argv[0]][1](sub)
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

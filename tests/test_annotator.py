@@ -494,26 +494,6 @@ def test_a_cts3_direction_of_the_wrong_length_is_unreadable(
     assert errors == [("iteration 5", "unreadable iteration line: shape (%d,), expected (3,)" % length)]
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda o: o.pop("dZ"), "'dZ'"),
-        (lambda o: o["dp"].__setitem__(1, True), "it holds bool"),
-        (lambda o: o["dX"].__setitem__(0, 10**400), "an integer beyond the float range"),
-        (lambda o: o["dp"].__setitem__(2, [1.0]), "ragged nesting"),
-        (lambda o: o.update(dX=[[1.0, 0.0], [0.0, 1.0]]), "shape (2, 2), expected (3,)"),
-    ],
-)
-def test_an_unreadable_direction_is_named_as_if_read_alone(
-    example_trace, example_problem, mutate, message
-):
-    # the three directions are read as one array; a failure reads them again
-    # one by one, so the error is the first bad direction's own
-    bad = edit_line(example_trace, find_iteration(example_trace, 4), mutate)
-    errors = [(f.where, f.message) for f in check_trace(bad, example_problem).findings]
-    assert errors[0] == ("iteration 4", f"unreadable iteration line: {message}")
-
-
 def _text_hash_by_generator(prob) -> str:
     """The cts-1 hash exactly as the first solver wrote it."""
     parts = [f"n={prob.n}", f"m={prob.m}"]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import credible_sdp
-from credible_sdp import cli
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
 from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
 
@@ -355,35 +354,23 @@ def test_usage_error_exits_one(capsys):
         ["solve", "--problem", "p.json", "--max-iterations", "many"],
     ],
 )
-def test_the_cli_prints_what_the_full_parser_prints(capsys, argv):
-    """Output and exit code match those of ``build_parser()``, which holds
-    every subcommand, when parsing ends the run."""
-    code, out, err = run_cli(capsys, *argv)
+def test_the_cli_prints_what_a_fresh_parser_prints(capsys, argv):
+    """``main`` reuses one parser per process; each run, the first or a
+    later one, prints and exits as a newly built parser does."""
+    runs = [run_cli(capsys, *argv) for _ in range(2)]
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
-    full = capsys.readouterr()
-    assert (code, out, err) == (int(exc.value.code or 0), full.out, full.err)
-    assert out or err
+        build_parser.__wrapped__().parse_args(argv)
+    fresh = capsys.readouterr()
+    assert runs == [(int(exc.value.code or 0), fresh.out, fresh.err)] * 2
+    assert fresh.out or fresh.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", "--problem", "p.json", "--sig", "0.5", "--report", "--trace=t.cts"],
-        ["annotate", "--problem", "p.json", "--flavor", "c-like", "--nu", "3"],
-        ["check-trace", "--trace", "t.cts", "--problem", "p.json"],
-        ["demo"],
-    ],
-)
-def test_a_subcommand_is_parsed_without_the_full_parser(monkeypatch, argv):
-    full = vars(build_parser().parse_args(argv))
-    assert full.pop("command") == argv[0]
-
-    def refuse():
-        raise AssertionError("the full parser was built")
-
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    assert vars(cli._parse_args(argv)) == full
+def test_a_parse_leaves_the_shared_parser_as_it_was():
+    parser = build_parser()
+    assert build_parser() is parser
+    parser.parse_args(["solve", "--problem", "p.json", "--sigma", "0.5", "--mode", "strict", "--report"])
+    for argv in (["solve", "--problem", "q.json"], ["demo"]):
+        assert vars(parser.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
 
 
 def test_unknown_command_exits_one(capsys):
