@@ -17,8 +17,9 @@ as their shortest exact repr, so every value round-trips bit-exactly.
 ``check_trace`` replays a trace against the problem file it claims to come
 from. It runs the solver's own loop, ``solver.iterate``, with the stored
 directions in place of Newton's: each step starts from the recomputed
-previous point, as the solver's did, the contracts are re-evaluated with the
-same monitor code, and the replay stops where the solver's loop would. The
+previous point, as the solver's did, the contracts of its steps are
+re-evaluated with the same monitor code in one sweep, as in a solve, and
+the replay stops where the solver's loop would. The
 replay is a ``SolveReport``, so the footer's exit and budget follow the same
 rule as a run's. Every stored line is compared with the line the writer's
 own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
@@ -631,18 +632,20 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     Newton's (a ``cts-3`` triangle mirrored into its matrix, so a direction
     is symmetric by construction): in every schema each step starts from the
     recomputed previous point, as the solver's did, the monitor re-evaluates
-    its contracts, and the replay stops where the solver's loop would, or at
-    the first step it cannot redo. Every stored line, the header included, is
-    compared with the line the writer would emit in the trace's schema for
-    the recomputed values (``_diff``, relative tolerance CHECK_RTOL), so
-    tolerances are the catalog's, not the trace's, and a ``cts-1`` iterate is
-    judged where it is stored. A record or iteration line that matches
-    exactly, the same keys and each value of the same type and equal
-    (``_same``), is accepted without the diff; every mismatch still goes
-    through ``_diff``, which alone writes findings. The stored directions are
-    the step itself, so of them only the keys are compared; a changed
-    direction shows in the records and the footer. Mismatches, missing and
-    unexpected fields come back as findings.
+    the contracts of the steps taken in one sweep, and the replay stops where
+    the solver's loop would, or at the first step it cannot redo, whose
+    error is reported after the steps before it. The loop reads ahead, so
+    the arrays of each line read are kept for its comparison. Every stored
+    line, the header included, is compared with the line the writer would
+    emit in the trace's schema for the recomputed values (``_diff``,
+    relative tolerance CHECK_RTOL), so tolerances are the catalog's, not the
+    trace's, and a ``cts-1`` iterate is judged where it is stored. A record
+    or iteration line that matches exactly, the same keys and each value of
+    the same type and equal (``_same``), is accepted without the diff; every
+    mismatch still goes through ``_diff``, which alone writes findings. The
+    stored directions are the step itself, so of them only the keys are
+    compared; a changed direction shows in the records and the footer.
+    Mismatches, missing and unexpected fields come back as findings.
     """
     trace = parse_trace(data)
     header = trace.header
@@ -688,22 +691,20 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     if spec.triangles:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
         _, _, _, mirror = layout(n)
-    arrays: dict[str, np.ndarray] = {}  # those of the line stepped with last
+    read: list[dict[str, np.ndarray]] = []  # the arrays of each line stepped with
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
 
-    def stored_step(prev: IterateState) -> NewtonStep | None:
-        """The step the next iteration line stores, scaled at ``prev.Z``;
-        None past the last line."""
+    def stored_step(prev: IterateState) -> NewtonStep:
+        """The step the next iteration line stores, scaled at ``prev.Z``."""
         nonlocal scaled
-        if prev.iteration == len(trace.iterations):
-            return None
         line = trace.iterations[prev.iteration]["state"]
         try:
-            arrays.update({key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()})
+            arrays = {key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()}
         except Exception as exc:  # noqa: BLE001
             raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if spec.triangles:
             arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
+        read.append(arrays)
         # every Z here is (n, n), so this is np.array_equal without its dispatch
         if scaled is None or not (scaled[0] == prev.Z).all():
             Zh = sym_sqrt(prev.Z)
@@ -712,11 +713,12 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
 
     cut = False  # the replay stopped at a step it could not redo
     try:
-        for snap in iterate(prob, opts, state0, stored_step):
+        # one step per stored line at most, so the lines cap the replay
+        for snap in iterate(prob, opts, state0, stored_step, len(trace.iterations)):
             k = snap.state.iteration
             where, block = f"iteration {k}", trace.iterations[k - 1]
             # the stored directions are the step itself: they can only match
-            stored = {**block["state"], **arrays}
+            stored = {**block["state"], **read[k - 1]}
             for key in _DIRECTIONS:
                 del stored[key]
             ours = _iteration_obj(replay.final_state, snap.state, None, schema)

@@ -9,11 +9,11 @@ Positive definiteness is decided in one place: ``min_eigenvalue`` measures
 the smallest eigenvalue of the symmetric part, and a matrix is positive
 definite when that exceeds ``PD_TOL``. ``require_pd`` raises on the same
 test; the catalog's PD records, admission's test of F0, ``sym_sqrt`` and
-``sym_inv`` all read these two functions. Each distinct matrix is
-decomposed once: ``min_eigenvalue`` keeps a small bounded memo keyed by the
-matrix's shape and bytes, so the matrices a run tests again bit for bit (the
-fixed Z, the identity of I12, Z0 inside ``sym_sqrt``) cost a lookup. The
-memo is exact: the same bits in give the same float out.
+``sym_inv`` all read these two functions.
+
+``min_eigenvalue``, ``frob_norm`` and ``trace_inner`` also take a (K, n, n)
+stack and then return one value per matrix, each with the bits the matrix
+alone gives: one LAPACK call, one dot product or one reduction per matrix.
 
 Square roots and inverses of symmetric positive-definite matrices are
 computed spectrally (symmetric eigendecomposition), which yields the
@@ -47,22 +47,12 @@ class NotPositiveDefiniteError(ValueError):
         self.tolerance = tolerance
 
 
-def min_eigenvalue(S: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of S; never raises on asymmetry.
-
-    Memoised on the shape and bytes of S (at most
-    ``_min_eigenvalue_of.cache_info().maxsize`` matrices), so a matrix seen
-    before, bit for bit, returns its earlier float without forming its
-    symmetric part again. Matrices that differ in any bit, the sign of a zero
-    included, are separate keys.
-    """
+def min_eigenvalue(S: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of the symmetric part of S, or of each matrix of a
+    stack; never raises on asymmetry."""
     S = np.asarray(S, dtype=float)
-    return _min_eigenvalue_of(S.shape, S.tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _min_eigenvalue_of(shape: tuple[int, ...], data: bytes) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(np.frombuffer(data).reshape(shape)))[0])
+    lam = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[..., 0]
+    return float(lam) if lam.ndim == 0 else lam
 
 
 @functools.lru_cache(maxsize=64)
@@ -118,19 +108,27 @@ def lsqr_solve(
     return x
 
 
-def frob_norm(M: np.ndarray) -> float:
+def frob_norm(M: np.ndarray) -> float | np.ndarray:
     """Frobenius norm, computed as ``np.linalg.norm(M, "fro")`` computes it
-    for a 2-d float array (same bits), without its dispatch."""
-    x = np.asarray(M, dtype=float).ravel(order="K")
+    for a 2-d float array (same bits), without its dispatch. Of a (K, a, b)
+    stack, the norm of each matrix: a (1, N) @ (N, 1) matmul is the same one
+    dot product."""
+    x = np.asarray(M, dtype=float)
+    if x.ndim == 3:
+        x = x.reshape(len(x), -1)
+        return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
+    x = x.ravel(order="K")
     return math.sqrt(x.dot(x))
 
 
-def trace_inner(A: np.ndarray, B: np.ndarray) -> float:
+def trace_inner(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     """Trace inner product Tr(B.T @ A), i.e. the entrywise dot product,
     computed as ``(A * B).sum()`` computes it (same bits), without its
-    dispatch."""
+    dispatch; of two stacks, that of each pair of matrices."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError(f"trace_inner: shapes {A.shape} and {B.shape} differ")
+    if A.ndim == 3:
+        return np.add.reduce(A * B, axis=(1, 2))
     return float(np.add.reduce(A * B, axis=None))

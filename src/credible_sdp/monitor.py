@@ -20,9 +20,18 @@ a positive-definiteness contract when ``linalg.min_eigenvalue`` exceeds
 ``linalg.PD_TOL``. Tolerances are
 constants of the catalog, so a trace is checked by rules it cannot state.
 
+The loop sweep (``check_iteration``) judges all the steps it is given at
+once: each matrix quantity of I1..I12 is one numpy expression over the
+steps stacked as (K, n, n) arrays, and the records are built per step from
+the resulting columns. Every stacked operation makes the same BLAS or
+LAPACK call per step that a one-step sweep makes, so a step's records have
+the same bits whether it is swept alone or with others.
+
 Sums over the constraint matrices run over the problem's (m, n, n) stack in
 one numpy expression that adds the terms in the same order, so they give
-the same bits as the loop ``acc = acc + p[i] * F[i]`` (see ``_fold``).
+the same bits as the loop ``acc = acc + p[i] * F[i]`` (see ``_fold``). I9's
+primal fold stays one per step: stacked over the steps it would hold
+K * m * n^2 floats at once.
 
 Rule for monitor arithmetic. A trace stores each record's ``measured``
 value, and the checker recomputes it with this code. So a change to how a
@@ -43,6 +52,7 @@ catalog changes only to become more rigorous, but it can catch no fault.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -195,34 +205,75 @@ class _Sweep:
 
 def check_iteration(
     prob: SdpProblem,
-    prev: IterateState,
-    state: IterateState,
-    step: NewtonStep,
+    states: Sequence[IterateState],
+    steps: Sequence[NewtonStep],
     sigma: float,
-) -> list[InvariantRecord]:
-    """Evaluate the twelve per-iteration contracts for one completed step.
+) -> list[list[InvariantRecord]]:
+    """Evaluate the twelve per-iteration contracts for K completed steps at
+    once; one record list per step.
 
-    ``prev`` is the point stepped from (Xm, Zm in the anchors), ``state`` the
-    point reached, ``step`` the directions and the scaling pair (Zh, Zhi).
-    mu is the listing's ``trace(Xm*Zm)/n``, derived from ``prev`` rather than
+    ``states`` holds the K + 1 points: step k goes from ``states[k - 1]``
+    (Xm, Zm in the anchors) to ``states[k]`` with the directions and the
+    scaling pair (Zh, Zhi) of ``steps[k - 1]``. mu is the listing's
+    ``trace(Xm*Zm)/n``, derived from the point stepped from rather than
     taken from the solver, so a step built with a wrong mu fails I7 and I10.
+
+    Each matrix quantity is one numpy expression over the (K, n, n) stacks
+    whose slice k has the bits of the same expression on step k alone: a
+    stacked ``@`` is one gemm per matrix, and ``min_eigenvalue``,
+    ``frob_norm`` and ``trace_inner`` take stacks alike. I9's dual residual
+    is one gemv per step (``fmat`` times a column). The scalar rules then run
+    per step on plain floats, as a one-step sweep runs them.
     """
     n = prob.n
     eye = identity(n)
-    Xm, Zm = prev.X, prev.Z
-    X, Z = state.X, state.Z
-    dX, dZ, dp = step.dX, step.dZ, step.dp
-    Zh, Zhi = step.Zh, step.Zhi
+    Xs = np.stack([s.X for s in states])
+    Zs = np.stack([s.Z for s in states])
+    Xm, X, Zm, Z = Xs[:-1], Xs[1:], Zs[:-1], Zs[1:]
+    dX, dZ, Zh, Zhi = (
+        np.stack([getattr(step, key) for step in steps]) for key in ("dX", "dZ", "Zh", "Zhi")
+    )
     gap = trace_inner(Xm, Zm)
     mu = gap / n
-    target = sigma * mu * eye  # the central-path point the step aims at
+    target = (sigma * mu)[:, None, None] * eye  # the central-path points the steps aim at
     XZ = X @ Z
     scaled_dz = Zhi @ dZ @ Zhi
+    lam_x = min_eigenvalue(X)  # I1
+    lam_z = min_eigenvalue(Z)
+    dev4 = frob_norm(XZ - np.array([s.mu for s in states[1:]])[:, None, None] * eye)  # I4
+    v5 = frob_norm(scaled_dz)  # I5
+    v6 = frob_norm(Zhi @ dX @ dZ @ Zh)  # I6
+    xm_dz = trace_inner(Xm, dZ)  # I7
+    dx_zm = trace_inner(dX, Zm)
+    r_dual = frob_norm(np.matmul(prob.fmat, vecs_stack(dZ)[:, :, None]))  # I9
+    folds = [_fold(0.0, np.asarray(s.dp, dtype=float).ravel(), prob.fs) for s in steps]
+    r_primal = frob_norm(np.stack(folds) + dX)
+    norm_dx = frob_norm(dX)
+    lhs10 = 0.5 * (  # I10
+        Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi
+    )
+    rhs10 = target - Zh @ Xm @ Zh
+    v10 = frob_norm(lhs10 - rhs10)
+    norm_rhs10 = frob_norm(rhs10)
+    a11 = frob_norm(Zh @ X @ Zh - target)  # I11
+    middle11 = frob_norm(Zhi @ (Z @ X - target) @ Zh + Zh @ (XZ - target) @ Zhi)
+    lam12 = min_eigenvalue(eye + scaled_dz)  # I12
+    columns = (
+        mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
+        r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12,
+    )
+    rows = zip(*(col.tolist() for col in columns))
+    return [_loop_records(sigma, n, state, *row) for state, row in zip(states[1:], rows)]
+
+
+def _loop_records(
+    sigma, n, state, mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
+    r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12,
+) -> list[InvariantRecord]:
+    """The records of one step from its measured values."""
     out = _Sweep()
 
     # I1: both iterates stay positive definite.
-    lam_x = min_eigenvalue(X)
-    lam_z = min_eigenvalue(Z)
     out.pd("I1", min(lam_x, lam_z), {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z})
 
     # I2: the gap stays positive and under the admission ceiling.
@@ -239,20 +290,17 @@ def check_iteration(
     out.add("I3", v3, 0.0, v3 < 0.0, {"phi": state.phi, "phim": state.phim})
 
     # I4: the new pair stays in the central-path neighborhood (new mu).
-    dev4 = frob_norm(XZ - state.mu * eye)
     out.add("I4", dev4, THETA * state.mu, dev4 <= THETA * state.mu)
 
     # I5: scaled dual direction is small.
-    v5 = frob_norm(scaled_dz)
     out.add("I5", v5, DZ_BOUND, v5 <= DZ_BOUND)
 
     # I6: second-order cross term is small (mu of the point stepped from).
-    v6 = frob_norm(Zhi @ dX @ dZ @ Zh)
     b6 = THETA * sigma * mu
     out.add("I6", v6, b6, v6 <= b6)
 
     # I7: linearized gap identity.
-    lhs7 = trace_inner(Xm, dZ) + trace_inner(dX, Zm) + gap
+    lhs7 = xm_dz + dx_zm + gap
     rhs7 = sigma * n * mu
     out.equal("I7", abs(lhs7 - rhs7), rhs7, {"lhs": lhs7, "rhs": rhs7})
 
@@ -261,27 +309,20 @@ def check_iteration(
     out.equal("I8", v8, state.phim, {"phi": state.phi, "phim": state.phim})
 
     # I9: directions preserve dual and primal feasibility.
-    r_dual = frob_norm(prob.fmat @ vecs_stack(dZ))
-    r_primal = frob_norm(_fold(0.0, np.asarray(dp, dtype=float).ravel(), prob.fs) + dX)
     out.equal(
         "I9",
         max(r_dual, r_primal),
-        frob_norm(dX),
+        norm_dx,
         {"dual_residual": r_dual, "primal_residual": r_primal},
     )
 
     # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
-    lhs10 = 0.5 * (
-        Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi
-    )
-    rhs10 = target - Zh @ Xm @ Zh
-    out.equal("I10", frob_norm(lhs10 - rhs10), frob_norm(rhs10))
+    out.equal("I10", v10, norm_rhs10)
 
     # I11: proximity chain for the new pair under the old scaling. The outer
     # comparison (first <= bound) is exact; the inner one (first <= middle)
     # gets the equality tolerance since both sides shrink to rounding level.
-    a11 = frob_norm(Zh @ X @ Zh - target)
-    b11 = 0.5 * frob_norm(Zhi @ (Z @ X - target) @ Zh + Zh @ (XZ - target) @ Zhi)
+    b11 = 0.5 * middle11
     c11 = THETA * sigma * mu
     out.add(
         "I11",
@@ -298,7 +339,7 @@ def check_iteration(
     )
 
     # I12: the scaled dual update keeps the next Z positive definite.
-    out.pd("I12", min_eigenvalue(eye + scaled_dz))
+    out.pd("I12", lam12)
 
     return out.records
 

@@ -26,8 +26,10 @@ checks dZ and dp against the feasibility equations. Every problem that
 so F' is invertible and dp solves its equation for any dX. Options are
 valid by construction: ``SolverOptions`` raises ValueError on a bad value.
 
-The loop is written once, in ``iterate``: it steps, has the ``monitor``
-module check each step's contracts, and stops on the exit rule. ``solve``
+The loop is written once, in ``iterate``: it steps until the point alone
+calls for an exit, has the ``monitor`` module check the contracts of all
+those steps in one sweep, and stops on the exit rule (``step_exit``); a
+strict run, which a failed record ends, sweeps after every step. ``solve``
 drives it with Newton directions, the trace checker with those a trace
 stores. A report stores each fact once: the iteration count, the final
 state, the budget and the exit are read off its start and its snapshots.
@@ -411,31 +413,82 @@ def step_exit(
     return None
 
 
+def _walk(
+    prob: SdpProblem,
+    opts: SolverOptions,
+    state: IterateState,
+    next_step: Callable[[IterateState], NewtonStep],
+    cap: int,
+) -> Iterator[tuple[IterateState, NewtonStep]]:
+    """The points and steps from ``state``, at most ``cap`` of them, while
+    the gap exceeds epsilon and until ``step_exit`` without records, which
+    judges the point alone, gives an exit."""
+    for _ in range(cap):
+        if state.phi <= opts.epsilon:
+            return
+        step = next_step(state)
+        state = take_step(prob, state, step)
+        yield state, step
+        if step_exit(opts, state, []) is not None:
+            return
+
+
 def iterate(
     prob: SdpProblem,
     opts: SolverOptions,
     state: IterateState,
-    next_step: Callable[[IterateState], NewtonStep | None],
+    next_step: Callable[[IterateState], NewtonStep],
+    cap: int,
 ) -> Iterator[IterationSnapshot]:
     """The short-step iteration from ``state``, one snapshot per step.
 
-    While the gap exceeds epsilon: take the step ``next_step(state)`` (None
-    ends the loop), sweep the loop contracts, yield the snapshot, and stop
-    after a step for which ``step_exit`` gives an exit. The caller caps the
-    number of steps.
+    It takes the steps ``next_step(state)`` while the gap exceeds epsilon,
+    until a step grows the gap or ``cap`` steps are taken, then sweeps the
+    loop contracts over all of them at once (``monitor.check_iteration``)
+    and yields their snapshots, stopping after a step for which
+    ``step_exit`` gives an exit. A failed record ends a strict run, so strict
+    mode sweeps after every step. An exception raised while stepping is
+    raised after the snapshots of the steps before it.
     """
+    walk = _walk(prob, opts, state, next_step, cap)
+    batch = 1 if opts.mode == "strict" else cap
+    while True:
+        states, steps, error = [state], [], None
+        try:
+            for state, step in islice(walk, batch):
+                states.append(state)
+                steps.append(step)
+        except Exception as exc:  # noqa: BLE001 — raised after the steps before it
+            error = exc
+        for snap in _sweep(prob, opts, states, steps):
+            yield snap
+            if step_exit(opts, snap.state, snap.records) is not None:
+                return
+        if error is not None:
+            raise error
+        if not steps:
+            return
+
+
+def _sweep(
+    prob: SdpProblem, opts: SolverOptions, states: list[IterateState], steps: list[NewtonStep]
+) -> Iterator[IterationSnapshot]:
+    """The snapshots of ``steps`` from one contract sweep over all of them;
+    if that raises, from one sweep per step, so the error surfaces at the
+    step that raises it."""
     from . import monitor
 
-    while state.phi > opts.epsilon:
-        step = next_step(state)
-        if step is None:
-            return
-        new_state = take_step(prob, state, step)
-        records = monitor.check_iteration(prob, state, new_state, step, opts.sigma)
-        yield IterationSnapshot(state=new_state, step=step, records=records)
-        if step_exit(opts, new_state, records) is not None:
-            return
-        state = new_state
+    if not steps:
+        return
+    try:
+        sweeps = monitor.check_iteration(prob, states, steps, opts.sigma)
+    except Exception:  # noqa: BLE001 — located by the sweeps below
+        sweeps = (
+            monitor.check_iteration(prob, states[k:k + 2], [step], opts.sigma)[0]
+            for k, step in enumerate(steps)
+        )
+    for state, step, records in zip(states[1:], steps, sweeps):
+        yield IterationSnapshot(state=state, step=step, records=records)
 
 
 def solve(
@@ -458,6 +511,5 @@ def solve(
         prob, assemble_newton(prob, s, opts.sigma, scaling), scaling
     )
     report = SolveReport(prob, opts, state, init_records, snapshots=[])
-    cap = iteration_cap(opts, report.budget)
-    report.snapshots.extend(islice(iterate(prob, opts, state, newton), cap))
+    report.snapshots.extend(iterate(prob, opts, state, newton, iteration_cap(opts, report.budget)))
     return report

@@ -494,6 +494,19 @@ def test_a_cts3_direction_of_the_wrong_length_is_unreadable(
     assert errors == [("iteration 5", "unreadable iteration line: shape (%d,), expected (3,)" % length)]
 
 
+def test_a_sweep_error_is_reported_at_its_step_after_the_steps_before_it(
+    example_trace, example_problem
+):
+    # squares of a dX entry of 1e200 overflow in the norms of step 3's
+    # contracts, which the test configuration turns into an exception
+    idx = find_iteration(example_trace, 3)
+    bad = edit_line(example_trace, idx, lambda o: o.update(dX=[v * 1e200 for v in o["dX"]]))
+    result = check_trace(bad, example_problem)
+    errors = [f.where for f in result.findings if f.kind == "error"]
+    assert errors == ["iteration 3"]
+    assert result.records_checked == 16 + 2 * 12
+
+
 def _text_hash_by_generator(prob) -> str:
     """The cts-1 hash exactly as the first solver wrote it."""
     parts = [f"n={prob.n}", f"m={prob.m}"]

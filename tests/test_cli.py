@@ -166,6 +166,40 @@ def test_a_wrong_direction_is_evidence_in_the_trace(capsys, problem_file, tmp_pa
     assert re.match(r"trace consistent, contracts FAILED: [^;]*\bI10\b[^;]*; .* no findings$", out)
 
 
+def test_a_strict_run_steps_no_further_than_its_first_failed_record(
+    capsys, problem_file, tmp_path, monkeypatch
+):
+    # the third step's dX comes from a skewed operator, so I7 (the first of
+    # I7, I8 and I10) fails there
+    calls = []
+
+    def skewed_third(prob, r, scaling):
+        calls.append(r)
+        return (_skewed_operator if len(calls) == 3 else solve_newton)(prob, r, scaling)
+
+    trace_path = tmp_path / "run.trace"
+    monkeypatch.setattr("credible_sdp.solver.solve_newton", skewed_third)
+    code, out, _ = run_cli(
+        capsys, "solve", "--problem", str(problem_file), "--mode", "strict",
+        "--trace", str(trace_path),
+    )
+    monkeypatch.undo()
+    assert code == 2 and "violation:   I7" in out
+    assert len(calls) == 3
+    # an unreadable line after the violation: the replay stops where the run
+    # did, so it never reads that line
+    lines = trace_path.read_bytes().splitlines()
+    unreadable = json.dumps({"type": "iteration", "iteration": 4, "dX": [], "dZ": [], "dp": []})
+    trace_path.write_bytes(b"\n".join([*lines[:-1], unreadable.encode(), lines[-1]]) + b"\n")
+    prob = credible_sdp.load_problem_file(problem_file)
+    report = credible_sdp.check_trace(trace_path.read_bytes(), prob)
+    assert [f.kind for f in report.findings] == ["footer", "footer"]
+    assert report.findings[0].message == (
+        "the loop stops after iteration 3 (InvariantViolation), "
+        "but the trace goes on to iteration 4"
+    )
+
+
 def test_solve_strict_mode_violation_exit_code(capsys, problem_file, monkeypatch):
     monkeypatch.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
     code, out, _ = run_cli(

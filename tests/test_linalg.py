@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from credible_sdp import linalg
 from credible_sdp.annotator import LEGACY_LSQR_TOL
 from credible_sdp.linalg import (
     PD_TOL,
@@ -73,41 +72,16 @@ def test_min_eigenvalue_reads_the_symmetric_part():
     assert require_pd(S) == lam
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """An empty PD memo, and the list of matrices ``eigvalsh`` is called on."""
-    linalg._min_eigenvalue_of.cache_clear()
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    yield calls
-    linalg._min_eigenvalue_of.cache_clear()
-
-
-def test_min_eigenvalue_decomposes_a_repeated_matrix_once(eigvalsh_calls):
-    S = random_spd(np.random.default_rng(11), 4)
-    first = min_eigenvalue(S)
-    again = min_eigenvalue(S.copy())
-    assert len(eigvalsh_calls) == 1
-    assert again is first
-    assert first == float(np.linalg.eigvalsh(S)[0])
-
-
-def test_min_eigenvalue_memo_stays_bounded(eigvalsh_calls):
-    size = linalg._min_eigenvalue_of.cache_info().maxsize
-    assert size is not None and size <= 64
-    rng = np.random.default_rng(12)
-    for _ in range(size + 5):
-        min_eigenvalue(random_spd(rng, 3))
-    assert len(eigvalsh_calls) == size + 5
-    assert linalg._min_eigenvalue_of.cache_info().currsize == size
-
-
-def test_min_eigenvalue_keys_a_signed_zero_apart(eigvalsh_calls):
-    S = np.array([[1.0, 0.0], [0.0, 2.0]])
-    T = np.array([[1.0, -0.0], [-0.0, 2.0]])
-    assert min_eigenvalue(S) == min_eigenvalue(T) == 1.0
-    assert len(eigvalsh_calls) == 2
+def test_measures_of_a_stack_are_those_of_its_matrices_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 8, 16):
+        A = rng.normal(size=(5, n, n)) * 10.0 ** rng.uniform(-8, 8, size=(5, n, n))
+        B = rng.normal(size=(5, n, n))
+        lam, norms, inners = min_eigenvalue(A), frob_norm(A), trace_inner(A, B)
+        for k in range(5):
+            assert lam[k] == min_eigenvalue(A[k])
+            assert norms[k] == frob_norm(A[k])
+            assert inners[k] == trace_inner(A[k], B[k])
 
 
 def test_require_pd_reports_the_offending_eigenvalue():

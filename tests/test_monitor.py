@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from problem_gen import random_problem
 
-from credible_sdp.linalg import PD_TOL, min_eigenvalue, require_pd
+from credible_sdp.linalg import PD_TOL, min_eigenvalue, require_pd, sym_inv, sym_sqrt
 from credible_sdp.monitor import (
     DZ_BOUND,
     EQUALITY_TOL,
@@ -23,11 +25,14 @@ from credible_sdp.monitor import (
 from credible_sdp.problem import SdpProblem
 from credible_sdp.solver import (
     IterateState,
+    NewtonStep,
     SolverOptions,
     default_options,
     initialize,
     solve,
+    take_step,
 )
+from credible_sdp.symvec import symmetrize
 
 F1 = np.diag([1.0, -1.0])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -183,9 +188,10 @@ def _sweep(report, k, state=None, step=None):
     reached or the step replaced by ``state`` or ``step``."""
     prev = report.snapshots[k - 1].state if k else report.initial_state
     snap = report.snapshots[k]
-    return check_iteration(
-        report.problem, prev, state or snap.state, step or snap.step, report.options.sigma
+    (records,) = check_iteration(
+        report.problem, [prev, state or snap.state], [step or snap.step], report.options.sigma
     )
+    return records
 
 
 def test_iteration_sweep_passes_on_real_snapshots(example_report):
@@ -342,3 +348,60 @@ def test_sweeps_render_no_anchor_text(example_problem, monkeypatch):
     assert anchor(report.snapshots[0].records[2].id, report.options.sigma) == "phi-0.76*phim<0"
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.snapshots[0].records[2].passed = False
+
+
+# -- loop sweep on steps that move Z ------------------------------------------------------
+
+#: Records of the loop sweep over ``_dual_run(n)``, one JSON line each,
+#: ``[n, iteration, id, measured, bound, passed, detail]``, written by the
+#: per-step sweep the stacked one replaced.
+DUAL_GOLDEN = Path(__file__).parent / "golden" / "loop_records_dz.jsonl"
+
+DUAL_SIZES = (1, 2, 3, 8)
+
+
+def _dual_run(n: int, steps: int = 6):
+    """(problem, states, steps, sigma): a fixed random walk of ``steps``
+    steps at size ``n`` whose dual direction dZ is nonzero, so Z, and with
+    it the scaling pair (Zh, Zhi), differs on every step. No admitted
+    problem's run moves Z, so only such a walk exercises the dual terms of
+    the loop contracts (I5, I6, I7, I9's dual residual, I10, I12)."""
+    rng = np.random.default_rng([2718, n])
+    prob = random_problem(rng, n=n)
+    opts = default_options(prob)
+    state, _ = initialize(prob, opts)
+    states, taken = [state], []
+    for _ in range(steps):
+        Zh = sym_sqrt(state.Z)
+        E, D = (symmetrize(rng.normal(size=(n, n))) for _ in range(2))
+        dZ = 0.2 * min_eigenvalue(state.Z) / np.abs(np.linalg.eigvalsh(D)).max() * D
+        step = NewtonStep(
+            dX=0.1 * state.mu * E,
+            dZ=dZ,
+            dp=1e-3 * rng.normal(size=prob.m),
+            Zh=Zh,
+            Zhi=sym_inv(Zh),
+        )
+        state = take_step(prob, state, step)
+        states.append(state)
+        taken.append(step)
+    return prob, states, taken, opts.sigma
+
+
+def _record_line(n: int, k: int, rec: InvariantRecord) -> str:
+    return json.dumps([n, k, rec.id, rec.measured, rec.bound, rec.passed, rec.detail])
+
+
+@pytest.mark.parametrize("n", DUAL_SIZES)
+def test_loop_sweep_keeps_the_record_bits_of_steps_that_move_z(n):
+    golden = [line for line in DUAL_GOLDEN.read_text().splitlines() if json.loads(line)[0] == n]
+    prob, states, steps, sigma = _dual_run(n)
+    stacked = check_iteration(prob, states, steps, sigma)
+    one_by_one = [
+        check_iteration(prob, states[k:k + 2], [step], sigma)[0] for k, step in enumerate(steps)
+    ]
+    for sweeps in (stacked, one_by_one):
+        lines = [
+            _record_line(n, k, rec) for k, records in enumerate(sweeps, start=1) for rec in records
+        ]
+        assert lines == golden

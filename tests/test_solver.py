@@ -340,7 +340,7 @@ def _one_step_records(prob, scaling_edit=None, rhs_edit=None):
     if rhs_edit is not None:
         r = rhs_edit(r)
     step = solve_newton(prob, r, scaling)
-    records = check_iteration(prob, state, take_step(prob, state, step), step, opts.sigma)
+    (records,) = check_iteration(prob, [state, take_step(prob, state, step)], [step], opts.sigma)
     return {rec.id: rec for rec in records}
 
 
