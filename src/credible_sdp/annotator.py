@@ -15,13 +15,16 @@ SHA-256 over the raw float64 bytes of the constraint data. Floats are written
 as their shortest exact repr, so every value round-trips bit-exactly.
 
 ``check_trace`` replays a trace against the problem file it claims to come
-from. It runs the solver's own loop, ``solver.iterate``, with the stored
-directions in place of Newton's: each step starts from the recomputed
-previous point, as the solver's did, the contracts of its steps are
-re-evaluated with the same monitor code in one sweep, as in a solve, and
-the replay stops where the solver's loop would. The
-replay is a ``SolveReport``, so the footer's exit and budget follow the same
-rule as a run's. Every stored line is compared with the line the writer's
+from, then compares. The replay runs first, under one floating-point rule:
+overflow, invalid operations and division by zero raise, whatever the
+warnings filter, so it stops at the first step whose arithmetic leaves the
+float range. It runs the solver's own loop, ``solver.iterate``, with the
+stored directions in place of Newton's: each step starts from the
+recomputed previous point, as the solver's did, the contracts of its steps
+are re-evaluated with the same monitor code in one sweep, as in a solve,
+and the replay stops where the solver's loop would. The replay is a
+``SolveReport``, so the footer's exit and budget follow the same rule as a
+run's. Only then is every stored line compared with the line the writer's
 own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
 ``_footer_obj``) would emit for the recomputed values and the catalog's
 tolerances, so the trace format is stated once, by the writer, and no trace
@@ -467,15 +470,15 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= CHECK_RTOL * max(abs(a), abs(b)) < math.inf
 
 
-def _close_mat(A: np.ndarray, B: np.ndarray) -> bool:
-    diff = float(np.max(np.abs(A - B))) if A.size else 0.0
+def _close_mat(A: object, B: np.ndarray) -> bool:
+    """Whether stored ``A``, an array or the JSON lists it was read from, is
+    within CHECK_RTOL of ``B``; a difference beyond the float range is not."""
+    with np.errstate(over="ignore"):
+        diff = float(np.max(np.abs(np.subtract(A, B)))) if B.size else 0.0
     if diff == 0.0:
         return True
     scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))))
     return diff <= CHECK_RTOL * scale < math.inf
-
-
-_SCALARS = (float, int, str, bool)
 
 
 def _same(stored: object, expected: dict) -> bool:
@@ -528,11 +531,7 @@ def _diff(
             if name not in expected:
                 findings.append(Finding(kind or "structure", where, rid, f"unexpected key {prefix}{name}"))
                 continue
-            mine = expected[name]
-            # a genuine trace stores every scalar bit for bit
-            if type(value) is type(mine) and type(mine) in _SCALARS and value == mine:
-                continue
-            _diff(value, mine, where, rid, findings, kind, prefix + name)
+            _diff(value, expected[name], where, rid, findings, kind, prefix + name)
         return
     if isinstance(expected, np.ndarray):
         if not _close_mat(stored, expected):
@@ -594,23 +593,22 @@ def _compare_records(
     stored: list[dict],
     recomputed: list["monitor.InvariantRecord"],
     where: str,
-    expected_ids: tuple[str, ...],
     schema: str,
     iteration: int,
     sigma: float,
     findings: list[Finding],
 ) -> None:
+    by_id = {rec.id: rec for rec in recomputed}  # in catalog order, as swept
     stored_ids = [rec.get("id") for rec in stored]
-    if stored_ids != list(expected_ids):
+    if stored_ids != list(by_id):
         findings.append(
             Finding(
                 "catalog",
                 where,
                 None,
-                f"record ids {stored_ids} do not match the catalog {list(expected_ids)}",
+                f"record ids {stored_ids} do not match the catalog {list(by_id)}",
             )
         )
-    by_id = {rec.id: rec for rec in recomputed}
     for stored_rec in stored:
         rid = stored_rec.get("id")
         ours = by_id.get(rid) if isinstance(rid, str) else None
@@ -627,25 +625,18 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
 
     The problem hash must match (TraceFormatError otherwise — a trace is only
     checkable against the constraints it was made from), and ``SolverOptions``
-    must accept the header options. The replay is the solver's own
-    loop, ``solver.iterate``, fed with the stored directions in place of
-    Newton's (a ``cts-3`` triangle mirrored into its matrix, so a direction
-    is symmetric by construction): in every schema each step starts from the
-    recomputed previous point, as the solver's did, the monitor re-evaluates
-    the contracts of the steps taken in one sweep, and the replay stops where
-    the solver's loop would, or at the first step it cannot redo, whose
-    error is reported after the steps before it. The loop reads ahead, so
-    the arrays of each line read are kept for its comparison. Every stored
-    line, the header included, is compared with the line the writer would
-    emit in the trace's schema for the recomputed values (``_diff``,
-    relative tolerance CHECK_RTOL), so tolerances are the catalog's, not the
-    trace's, and a ``cts-1`` iterate is judged where it is stored. A record
-    or iteration line that matches exactly, the same keys and each value of
-    the same type and equal (``_same``), is accepted without the diff; every
-    mismatch still goes through ``_diff``, which alone writes findings. The
-    stored directions are the step itself, so of them only the keys are
-    compared; a changed direction shows in the records and the footer.
-    Mismatches, missing and unexpected fields come back as findings.
+    must accept the header options. The replay runs first, under the
+    floating-point rule, fed with the stored directions in place of Newton's
+    (a ``cts-3`` triangle mirrored into its matrix, so a direction is
+    symmetric by construction). A step it cannot redo ends it with an
+    ``error`` finding, placed after the lines of the steps before it. The
+    comparison follows: every stored line, the header included, against the
+    line the writer would emit in the trace's schema for the replay
+    (``_diff``, relative tolerance CHECK_RTOL), so a ``cts-1`` iterate is
+    judged where it is stored. The stored directions are the step itself, so
+    of them only the keys are compared; a changed direction shows in the
+    records and the footer. The failed contracts and the record count are
+    the replay's.
     """
     trace = parse_trace(data)
     header = trace.header
@@ -662,36 +653,12 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     n, m = prob.n, prob.m
     opts = _options_from_header(header)
     state0 = _state_from_header(header, n, m)
-    findings: list[Finding] = []
-    failed: set[str] = set()
-    records_checked = 0
-
-    expected = _header_obj(prob, opts, state0, problem_hash, schema)
-    for key in ("tool", "backend"):  # these name the software that wrote the trace
-        if isinstance(header.get(key), str):
-            expected[key] = header[key]
-    # the starting arrays as read, since _diff compares arrays, not JSON lists
-    init = {**header["init_state"], "X": state0.X, "Z": state0.Z, "p": state0.p}
-    _diff({**header, "init_state": init}, expected, "header", None, findings)
-
-    replay = SolveReport(prob, opts, state0, init_records=[], snapshots=[])
-    try:
-        replay.init_records = monitor.check_initialization(prob, state0, opts)
-        failed.update(rec.id for rec in replay.init_records if not rec.passed)
-        _compare_records(
-            trace.init_records, replay.init_records, "init", monitor.INIT_IDS, schema,
-            0, opts.sigma, findings,
-        )
-        records_checked += len(trace.init_records)
-    except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
-        findings.append(Finding("error", "init", None, f"checker error: {exc}"))
 
     spec = _SCHEMAS[schema]
     shapes = {key: (m,) if key in ("pm", "dp", "p") else (n, n) for key in spec.arrays}
     if spec.triangles:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
         _, _, _, mirror = layout(n)
-    read: list[dict[str, np.ndarray]] = []  # the arrays of each line stepped with
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
 
     def stored_step(prev: IterateState) -> NewtonStep:
@@ -704,77 +671,86 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if spec.triangles:
             arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
-        read.append(arrays)
         # every Z here is (n, n), so this is np.array_equal without its dispatch
         if scaled is None or not (scaled[0] == prev.Z).all():
             Zh = sym_sqrt(prev.Z)
             scaled = (prev.Z, Zh, sym_inv(Zh))
         return NewtonStep(arrays["dX"], arrays["dZ"], arrays["dp"], scaled[1], scaled[2])
 
-    cut = False  # the replay stopped at a step it could not redo
-    try:
-        # one step per stored line at most, so the lines cap the replay
-        for snap in iterate(prob, opts, state0, stored_step, len(trace.iterations)):
-            k = snap.state.iteration
-            where, block = f"iteration {k}", trace.iterations[k - 1]
-            # the stored directions are the step itself: they can only match
-            stored = {**block["state"], **read[k - 1]}
-            for key in _DIRECTIONS:
-                del stored[key]
-            ours = _iteration_obj(replay.final_state, snap.state, None, schema)
-            # a cts-1 line also holds the iterates, which only _diff compares
-            if schema == LEGACY_SCHEMA or not _same(stored, ours):
-                _diff(stored, ours, where, None, findings)
-            failed.update(rec.id for rec in snap.records if not rec.passed)
-            _compare_records(
-                block["records"], snap.records, where, monitor.LOOP_IDS, schema,
-                k, opts.sigma, findings,
-            )
-            records_checked += len(block["records"])
-            replay.snapshots.append(snap)
-    except Exception as exc:  # noqa: BLE001
-        message = str(exc) if isinstance(exc, TraceFormatError) else f"checker error: {exc}"
-        findings.append(Finding("error", f"iteration {replay.iterations + 1}", None, message))
-        cut = True
+    replay = SolveReport(prob, opts, state0, init_records=[], snapshots=[])
+    init_error = stop = None  # the error findings of the replay
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            replay.init_records = monitor.check_initialization(prob, state0, opts)
+        except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
+            init_error = Finding("error", "init", None, f"checker error: {exc}")
+        try:
+            # one step per stored line at most, so the lines cap the replay;
+            # the snapshots yielded before an error stay in the list
+            replay.snapshots.extend(iterate(prob, opts, state0, stored_step, len(trace.iterations)))
+        except Exception as exc:  # noqa: BLE001
+            message = str(exc) if isinstance(exc, TraceFormatError) else f"checker error: {exc}"
+            stop = Finding("error", f"iteration {replay.iterations + 1}", None, message)
 
+    findings: list[Finding] = []
+    expected = _header_obj(prob, opts, state0, problem_hash, schema)
+    for key in ("tool", "backend"):  # these name the software that wrote the trace
+        if isinstance(header.get(key), str):
+            expected[key] = header[key]
+    _diff(header, expected, "header", None, findings)
+    if init_error is None:
+        _compare_records(trace.init_records, replay.init_records, "init", schema, 0, opts.sigma, findings)
+    else:
+        findings.append(init_error)
+    prev = state0
+    for snap, block in zip(replay.snapshots, trace.iterations):
+        k = snap.state.iteration
+        # the stored directions are the step itself: they can only match
+        stored = {key: value for key, value in block["state"].items() if key not in _DIRECTIONS}
+        ours = _iteration_obj(prev, snap.state, None, schema)
+        # a cts-1 line also holds the iterates, which only _diff compares
+        if schema == LEGACY_SCHEMA or not _same(stored, ours):
+            _diff(stored, ours, f"iteration {k}", None, findings)
+        _compare_records(block["records"], snap.records, f"iteration {k}", schema, k, opts.sigma, findings)
+        prev = snap.state
+    if stop is not None:
+        findings.append(stop)
     try:
-        _check_footer(trace, replay, cut, findings)
+        _check_footer(trace, replay, findings)
     except Exception as exc:  # noqa: BLE001
         findings.append(Finding("error", "footer", None, f"checker error: {exc}"))
     return CheckReport(
         findings=findings,
         iterations=len(trace.iterations),
-        records_checked=records_checked,
-        failed_ids=sorted(failed),
+        records_checked=replay.record_count,
+        failed_ids=sorted({rec.id for rec in replay.all_records() if not rec.passed}),
     )
 
 
-def _check_footer(
-    trace: ProofTrace, replay: SolveReport, cut: bool, findings: list[Finding]
-) -> None:
+def _check_footer(trace: ProofTrace, replay: SolveReport, findings: list[Finding]) -> None:
     """Compare the footer with the one the writer would emit for the replay.
 
     The status, a strict-mode ``violation_id``, the budget and the final gap
     are the replay report's, whose exit its steps give, so a footer can
     claim no exit its run could not take; the counts are the trace's lines.
     A loop that stops before the trace's last line is a finding. A replay
-    ``cut`` short has already made one; the footer's own status then stands
+    that stops short of the lines at ``IterationCap`` stopped at a step it
+    could not redo, already a finding; the footer's own status then stands
     in for the derived one.
     """
     footer = trace.footer
     iterations = len(trace.iterations)
-    if cut:
+    status, violation_id = replay.status.value, replay.violation_id
+    if replay.iterations < iterations and replay.status is SolveStatus.ITERATION_CAP:
         status = footer.get("status")
         violating = status == SolveStatus.INVARIANT_VIOLATION.value
         violation_id = footer.get("violation_id") if violating else None
-    else:
-        status, violation_id = replay.status.value, replay.violation_id
-        if replay.iterations < iterations:
-            message = (
-                f"the loop stops after iteration {replay.iterations} ({status}), "
-                f"but the trace goes on to iteration {iterations}"
-            )
-            findings.append(Finding("footer", "footer", None, message))
+    elif replay.iterations < iterations:
+        message = (
+            f"the loop stops after iteration {replay.iterations} ({status}), "
+            f"but the trace goes on to iteration {iterations}"
+        )
+        findings.append(Finding("footer", "footer", None, message))
     records = len(trace.init_records) + sum(len(b["records"]) for b in trace.iterations)
     expected = _footer_obj(
         status, iterations, replay.final_gap, replay.budget, records, violation_id

@@ -5,13 +5,16 @@ seeds 2001 and 7919 at n in {2, 3, 4, 8, 16}, indices 0-2) it prints one line:
 the problem's name and the sha256 of its proof trace, its pseudo-matlab and
 c-like listings, its verbose report, what ``check_trace`` says of the trace,
 the trace's record and footer lines alone, and what ``check_trace`` says of
-six tampered copies of the trace (``tampered``). Two versions of the
+seven tampered copies of the trace (``tampered``). Two versions of the
 package that print the same lines produce byte-identical artifacts, and
 check them alike, on the corpus. The ``records`` column lets a change to how
 the header or the directions are written show that the contract records did
 not move; the ``tampered`` column shows a checker change that moves any
 finding; its copy with a nonzero dZ is the corpus's only replay whose dual
-iterate moves, so it covers the dual terms of the loop contracts.
+iterate moves, so it covers the dual terms of the loop contracts. Its copy
+whose dZ overflows at iteration 3 pins the replay's floating-point rule: this
+script runs under Python's default warnings filter, so against a package
+whose replay follows that filter the ``tampered`` column differs, by design.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -56,9 +59,10 @@ def tampered(trace: bytes) -> list[bytes]:
     with its measured value scaled by 1 + 1e-6, its verdict flipped, or its
     verdict written as 1; iteration line 1 numbered 2; iteration line 1 with
     its first dX entry scaled by 1 + 1e-6, or with its first dZ entry set to
-    1e-6."""
+    1e-6; iteration line 3 with its first dZ entry set to 1e308."""
     lines = trace.split(b"\n")
-    first = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == "iteration")
+    steps = [i for i, line in enumerate(lines) if line and json.loads(line)["type"] == "iteration"]
+    first = steps[0]
     i3 = next(i for i in range(first, len(lines)) if json.loads(lines[i]).get("id") == "I3")
 
     def edit(index: int, mutate) -> bytes:
@@ -73,6 +77,7 @@ def tampered(trace: bytes) -> list[bytes]:
         edit(first, lambda o: o.update(iteration=2)),
         edit(first, lambda o: o["dX"].__setitem__(0, o["dX"][0] * (1 + 1e-6))),
         edit(first, lambda o: o["dZ"].__setitem__(0, 1e-6)),
+        edit(steps[2], lambda o: o["dZ"].__setitem__(0, 1e308)),
     ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -507,6 +508,68 @@ def test_a_sweep_error_is_reported_at_its_step_after_the_steps_before_it(
     assert result.records_checked == 16 + 2 * 12
 
 
+def _scaled_x0(obj: dict, scale: float) -> None:
+    obj["init_state"]["X"] = each_entry(obj["init_state"]["X"], lambda v: v * scale)
+
+
+#: Edits that carry the replay beyond the float range: (iteration line
+#: edited, 0 for the header; the edit; where the replay's errors are).
+OVERFLOWS = {
+    "dZ-1e308": (3, lambda o: o.update(dZ=with_entry(o["dZ"], 0, 1e308)), ["iteration 3"]),
+    "dX-times-1e200": (3, lambda o: o.update(dX=each_entry(o["dX"], lambda v: v * 1e200)), ["iteration 3"]),
+    "dp-plus-1e308": (3, lambda o: o.update(dp=each_entry(o["dp"], lambda _: 1e308)), ["iteration 3"]),
+    "dp-minus-1e308": (3, lambda o: o.update(dp=each_entry(o["dp"], lambda _: -1e308)), ["iteration 3"]),
+    "X0-times-1e200": (0, lambda o: _scaled_x0(o, 1e200), ["init", "iteration 1"]),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWS))
+def test_one_checker_whatever_the_warning_filter(example_trace, example_problem, name):
+    line, mutate, errors = OVERFLOWS[name]
+    bad = edit_line(example_trace, find_iteration(example_trace, line) if line else 0, mutate)
+    findings = {}
+    for mode in ("default", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(mode)
+            findings[mode] = check_trace(bad, example_problem).findings
+        assert caught == []
+    assert findings["default"] == findings["error"]
+    # the replay stops at the overflow, so the footer's gap is not reached
+    assert [(f.kind, f.where) for f in findings["error"]] == [
+        *(("error", where) for where in errors), ("footer", "footer")
+    ]
+    for f in findings["error"][:-1]:
+        assert f.message.startswith("checker error: overflow encountered in ")
+    assert findings["error"][-1].message.startswith("final_gap: ")
+
+
+@pytest.mark.parametrize(
+    "target,mutate,finding",
+    [
+        ("record", lambda o: o.update(detail=5), ("structure", "iteration 2", "detail is not an object")),
+        (
+            "record",
+            lambda o: o.update(measured=10**400),
+            ("recompute", "iteration 2", f"measured: trace has {10**400!r}, recomputation gives "),
+        ),
+        ("header", lambda o: _scaled_x0(o, 1e155), ("error", "init", "checker error: overflow ")),
+        (
+            "header",
+            lambda o: o["init_state"].update(phi=1e308),
+            ("error", "footer", "checker error: cannot convert float infinity to integer"),
+        ),
+    ],
+    ids=["detail-not-an-object", "measured-beyond-float", "init-sweep-raises", "budget-overflows"],
+)
+def test_each_failure_of_the_checker_is_a_finding(example_trace, example_problem, target, mutate, finding):
+    idx = find_record(example_trace, "I3", 2) if target == "record" else 0
+    findings = check_trace(edit_line(example_trace, idx, mutate), example_problem).findings
+    kind, where, message = finding
+    assert any(
+        (f.kind, f.where) == (kind, where) and f.message.startswith(message) for f in findings
+    ), findings
+
+
 def _text_hash_by_generator(prob) -> str:
     """The cts-1 hash exactly as the first solver wrote it."""
     parts = [f"n={prob.n}", f"m={prob.m}"]
@@ -982,16 +1045,16 @@ def test_check_names_the_contracts_a_clean_trace_records_as_failed(
 def test_the_replay_derives_the_exit_of_the_run(traces_by_status, example_problem, status, monkeypatch):
     replays = []
 
-    def spy(trace, replay, cut, findings):
-        replays.append((replay, cut))
-        return _check_footer(trace, replay, cut, findings)
+    def spy(trace, replay, findings):
+        replays.append(replay)
+        return _check_footer(trace, replay, findings)
 
     monkeypatch.setattr("credible_sdp.annotator._check_footer", spy)
     trace = traces_by_status[status]
     assert check_trace(trace, example_problem).clean
-    [(replay, cut)] = replays
+    [replay] = replays
     footer = parse_trace(trace).footer
-    assert not cut and replay.status.value == status
+    assert replay.status.value == status
     assert (replay.violation_id, replay.budget, replay.iterations) == (
         footer.get("violation_id"), footer["budget"], footer["iterations"]
     )

@@ -3,7 +3,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -620,3 +623,25 @@ def test_check_trace_refuses_header_numbers_beyond_float(
     assert code == 1
     assert err.startswith("error: trace header") and "Traceback" not in err
     assert out == ""
+
+
+def test_check_trace_reports_an_overflow_under_the_default_warning_filter(
+    problem_file, tmp_path, example_trace
+):
+    # the replay is held to one floating-point rule, so a trace whose start
+    # overflows gets the findings it gets under the test suite's filter, and
+    # no numpy warning reaches stderr
+    lines = example_trace.decode().splitlines()
+    header = json.loads(lines[0])
+    header["init_state"]["X"] = [[v * 1e200 for v in row] for row in header["init_state"]["X"]]
+    trace = tmp_path / "overflow.cts"
+    trace.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    src = str(Path(credible_sdp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "credible_sdp.cli", "check-trace",
+         "--problem", str(problem_file), "--trace", str(trace)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.startswith("trace FAILED: 3 finding(s)\n")
