@@ -22,7 +22,8 @@ float range. It runs the solver's own loop, ``solver.iterate``, with the
 stored directions in place of Newton's: each step starts from the
 recomputed previous point, as the solver's did, the contracts of its steps
 are re-evaluated with the same monitor code in one sweep, as in a solve,
-and the replay stops where the solver's loop would. The replay is a
+and the replay stops where the solver's loop would. The replay is the one
+part of a check that can end in an ``error`` finding. It is a
 ``SolveReport``, so the footer's exit and budget follow the same rule as a
 run's. Only then is every stored line compared with the line the writer's
 own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
@@ -427,7 +428,6 @@ class Finding:
     where: str
     record_id: str | None
     message: str
-    delta: float | None = None
 
 
 @dataclass
@@ -545,15 +545,8 @@ def _diff(
         except OverflowError:  # an int no float can hold matches nothing
             value = math.inf
         if not _close(value, expected):
-            findings.append(
-                Finding(
-                    kind or "recompute",
-                    where,
-                    rid,
-                    f"{key}: trace has {stored!r}, recomputation gives {expected!r}",
-                    delta=value - expected,
-                )
-            )
+            message = f"{key}: trace has {stored!r}, recomputation gives {expected!r}"
+            findings.append(Finding(kind or "recompute", where, rid, message))
         return
     default = "verdict" if isinstance(expected, bool) and type(stored) is bool else "structure"
     findings.append(
@@ -628,9 +621,11 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     must accept the header options. The replay runs first, under the
     floating-point rule, fed with the stored directions in place of Newton's
     (a ``cts-3`` triangle mirrored into its matrix, so a direction is
-    symmetric by construction). A step it cannot redo ends it with an
-    ``error`` finding, placed after the lines of the steps before it. The
-    comparison follows: every stored line, the header included, against the
+    symmetric by construction). It is the checker's only failure path: an
+    initialization sweep it cannot redo is an ``error`` finding at ``init``,
+    and a step it cannot redo ends it with an ``error`` finding, placed after
+    the lines of the steps before it. The comparison follows and raises
+    nothing: every stored line, the header and footer included, against the
     line the writer would emit in the trace's schema for the replay
     (``_diff``, relative tolerance CHECK_RTOL), so a ``cts-1`` iterate is
     judged where it is stored. The stored directions are the step itself, so
@@ -715,10 +710,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         prev = snap.state
     if stop is not None:
         findings.append(stop)
-    try:
-        _check_footer(trace, replay, findings)
-    except Exception as exc:  # noqa: BLE001
-        findings.append(Finding("error", "footer", None, f"checker error: {exc}"))
+    _check_footer(trace, replay, findings)
     return CheckReport(
         findings=findings,
         iterations=len(trace.iterations),
@@ -736,7 +728,10 @@ def _check_footer(trace: ProofTrace, replay: SolveReport, findings: list[Finding
     A loop that stops before the trace's last line is a finding. A replay
     that stops short of the lines at ``IterationCap`` stopped at a step it
     could not redo, already a finding; the footer's own status then stands
-    in for the derived one.
+    in for the derived one. A header gap so large that ``phi / epsilon``
+    overflows yields no budget (``iteration_bound`` would take the ceiling
+    of an infinite logarithm): that is a finding on ``budget`` alone, and
+    every other field is still compared.
     """
     footer = trace.footer
     iterations = len(trace.iterations)
@@ -752,9 +747,14 @@ def _check_footer(trace: ProofTrace, replay: SolveReport, findings: list[Finding
         )
         findings.append(Finding("footer", "footer", None, message))
     records = len(trace.init_records) + sum(len(b["records"]) for b in trace.iterations)
-    expected = _footer_obj(
-        status, iterations, replay.final_gap, replay.budget, records, violation_id
-    )
+    phi, epsilon = replay.initial_state.phi, replay.options.epsilon
+    if phi / epsilon < math.inf:
+        budget = replay.budget
+    else:
+        budget = footer.get("budget")
+        message = f"budget: the header's gap {phi!r} yields none at epsilon {epsilon!r}"
+        findings.append(Finding("footer", "footer", None, message))
+    expected = _footer_obj(status, iterations, replay.final_gap, budget, records, violation_id)
     _diff(footer, expected, "footer", None, findings, kind="footer")
 
 
@@ -767,7 +767,6 @@ def _check_footer(trace: ProofTrace, replay: SolveReport, findings: list[Finding
 class AnnotatedListing:
     """Rendered listing plus an index of where each contract landed."""
 
-    flavor: str
     lines: list[str]
     #: (record id, 1-based line number, "requires"/"ensures", expression)
     contract_index: list[tuple[str, int, str, str]] = field(default_factory=list)
@@ -982,4 +981,4 @@ def emit_annotated_listing(
         raise ValueError("an annotated listing needs the problem's primal warm start X0")
     options = opts if opts is not None else default_options(prob)
     lines, index = _render(_listing_items(prob, options), flavor)
-    return AnnotatedListing(flavor=flavor, lines=lines, contract_index=index)
+    return AnnotatedListing(lines=lines, contract_index=index)

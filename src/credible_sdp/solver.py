@@ -26,13 +26,14 @@ checks dZ and dp against the feasibility equations. Every problem that
 so F' is invertible and dp solves its equation for any dX. Options are
 valid by construction: ``SolverOptions`` raises ValueError on a bad value.
 
-The loop is written once, in ``iterate``: it steps until the point alone
-calls for an exit, has the ``monitor`` module check the contracts of all
-those steps in one sweep, and stops on the exit rule (``step_exit``); a
-strict run, which a failed record ends, sweeps after every step. ``solve``
-drives it with Newton directions, the trace checker with those a trace
-stores. A report stores each fact once: the iteration count, the final
-state, the budget and the exit are read off its start and its snapshots.
+The loop is written once, in one generator, ``iterate``: it takes the
+steps, has the ``monitor`` module check the contracts of the steps taken
+since the last sweep in one sweep (after every step in strict mode, which a
+failed record ends; else when a step grows the gap or the walk ends), and
+stops on the exit rule (``step_exit``). ``solve`` drives it with Newton
+directions, the trace checker with those a trace stores. A report stores
+each fact once: the iteration count, the final state, the budget and the
+exit are read off its start and its snapshots.
 Whether sigma came from nu is ``sigma == sigma_from_nu(n, nu)``; a state
 does not store its predecessor, nor a step its mu and sigma.
 """
@@ -43,8 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Generator, Iterator
 
 import numpy as np
 
@@ -413,26 +413,6 @@ def step_exit(
     return None
 
 
-def _walk(
-    prob: SdpProblem,
-    opts: SolverOptions,
-    state: IterateState,
-    next_step: Callable[[IterateState], NewtonStep],
-    cap: int,
-) -> Iterator[tuple[IterateState, NewtonStep]]:
-    """The points and steps from ``state``, at most ``cap`` of them, while
-    the gap exceeds epsilon and until ``step_exit`` without records, which
-    judges the point alone, gives an exit."""
-    for _ in range(cap):
-        if state.phi <= opts.epsilon:
-            return
-        step = next_step(state)
-        state = take_step(prob, state, step)
-        yield state, step
-        if step_exit(opts, state, []) is not None:
-            return
-
-
 def iterate(
     prob: SdpProblem,
     opts: SolverOptions,
@@ -443,43 +423,43 @@ def iterate(
     """The short-step iteration from ``state``, one snapshot per step.
 
     It takes the steps ``next_step(state)`` while the gap exceeds epsilon,
-    until a step grows the gap or ``cap`` steps are taken, then sweeps the
-    loop contracts over all of them at once (``monitor.check_iteration``)
-    and yields their snapshots, stopping after a step for which
-    ``step_exit`` gives an exit. A failed record ends a strict run, so strict
-    mode sweeps after every step. An exception raised while stepping is
-    raised after the snapshots of the steps before it.
+    at most ``cap`` of them. The loop contracts of the steps taken since the
+    last sweep are swept at once (``monitor.check_iteration``) when strict
+    mode needs their verdict, which is after every step, when a step grew
+    the gap, and when the walk ends; their snapshots are yielded, and the
+    iteration stops after a step for which ``step_exit`` gives an exit. An
+    exception raised while stepping is raised after the snapshots of the
+    steps before it.
     """
-    walk = _walk(prob, opts, state, next_step, cap)
-    batch = 1 if opts.mode == "strict" else cap
-    while True:
-        states, steps, error = [state], [], None
+    states, steps = [state], []
+    for _ in range(cap):
+        if state.phi <= opts.epsilon:
+            break
         try:
-            for state, step in islice(walk, batch):
-                states.append(state)
-                steps.append(step)
-        except Exception as exc:  # noqa: BLE001 — raised after the steps before it
-            error = exc
-        for snap in _sweep(prob, opts, states, steps):
-            yield snap
-            if step_exit(opts, snap.state, snap.records) is not None:
+            step = next_step(state)
+            state = take_step(prob, state, step)
+        except Exception:  # noqa: BLE001 — raised after the steps before it
+            yield from _sweep(prob, opts, states, steps)
+            raise
+        states.append(state)
+        steps.append(step)
+        if opts.mode == "strict" or step_exit(opts, state, []) is not None:
+            if (yield from _sweep(prob, opts, states, steps)):
                 return
-        if error is not None:
-            raise error
-        if not steps:
-            return
+            states, steps = [state], []
+    yield from _sweep(prob, opts, states, steps)
 
 
 def _sweep(
     prob: SdpProblem, opts: SolverOptions, states: list[IterateState], steps: list[NewtonStep]
-) -> Iterator[IterationSnapshot]:
-    """The snapshots of ``steps`` from one contract sweep over all of them;
-    if that raises, from one sweep per step, so the error surfaces at the
-    step that raises it."""
+) -> Generator[IterationSnapshot, None, bool]:
+    """Yield the snapshots of ``steps`` from one contract sweep over all of
+    them, or from one sweep per step if that raises, so the error surfaces
+    at the step that raises it; return whether one of them ends the run."""
     from . import monitor
 
     if not steps:
-        return
+        return False
     try:
         sweeps = monitor.check_iteration(prob, states, steps, opts.sigma)
     except Exception:  # noqa: BLE001 — located by the sweeps below
@@ -489,6 +469,9 @@ def _sweep(
         )
     for state, step, records in zip(states[1:], steps, sweeps):
         yield IterationSnapshot(state=state, step=step, records=records)
+        if step_exit(opts, state, records) is not None:
+            return True
+    return False
 
 
 def solve(

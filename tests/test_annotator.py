@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credible_sdp.annotator import (
     CHECK_RTOL,
@@ -15,7 +17,9 @@ from credible_sdp.annotator import (
     LISTING_FLAVORS,
     TRACE_SCHEMA,
     TraceFormatError,
+    _DIRECTIONS,
     _check_footer,
+    _close,
     _dumps,
     _mat_literal,
     _numpy_to_json,
@@ -556,7 +560,7 @@ def test_one_checker_whatever_the_warning_filter(example_trace, example_problem,
         (
             "header",
             lambda o: o["init_state"].update(phi=1e308),
-            ("error", "footer", "checker error: cannot convert float infinity to integer"),
+            ("footer", "footer", "budget: the header's gap 1e+308 yields none at epsilon 1e-08"),
         ),
     ],
     ids=["detail-not-an-object", "measured-beyond-float", "init-sweep-raises", "budget-overflows"],
@@ -568,6 +572,21 @@ def test_each_failure_of_the_checker_is_a_finding(example_trace, example_problem
     assert any(
         (f.kind, f.where) == (kind, where) and f.message.startswith(message) for f in findings
     ), findings
+
+
+def test_a_gap_that_yields_no_budget_leaves_the_rest_of_the_footer_checked(
+    example_trace, example_problem
+):
+    # phi / epsilon overflows, so no budget can be formed; the footer's other
+    # claims are still each compared with the replay's
+    bad = edit_line(example_trace, 0, lambda o: o["init_state"].update(phi=1e308))
+    footer = len(trace_lines(bad)) - 1
+    claims = dict(status="DivergenceGuard", iterations=3, final_gap=5.0, records=1)
+    findings = check_trace(edit_line(bad, footer, lambda o: o.update(claims)), example_problem).findings
+    assert not [f for f in findings if f.kind == "error"]
+    assert sorted(f.message.split(":")[0] for f in findings if f.kind == "footer") == [
+        "budget", "final_gap", "iterations", "records", "status"
+    ]
 
 
 def _text_hash_by_generator(prob) -> str:
@@ -1187,6 +1206,170 @@ def test_check_flags_structural_tampering(example_trace, golden_trace, example_p
             if not _detected(edit_line(trace, idx, mutate), example_problem)
         ]
         assert not missed, f"undetected: {missed}"
+
+
+# -- edits of the cts-3 golden, drawn at random ----------------------------------
+
+_CTS3 = GOLDEN_CTS3.read_bytes()
+_CTS3_LINES = trace_lines(_CTS3)
+
+
+def _line_places() -> tuple[list[str], dict[str, list[int]]]:
+    """Per line of the cts-3 golden, where the checker reports a finding on
+    it (``header``, ``init`` for an initialization record, ``iteration k``
+    for the iteration line k and its records, ``footer``), and the lines of
+    each kind."""
+    places, by_kind, block = [], {}, "init"
+    for i, line in enumerate(_CTS3_LINES):
+        kind = json.loads(line)["type"]
+        if kind == "iteration":
+            block = f"iteration {json.loads(line)['iteration']}"
+        elif kind == "record":
+            kind = "init record" if block == "init" else "loop record"
+        places.append(kind if kind in ("header", "footer") else block)
+        by_kind.setdefault(kind, []).append(i)
+    return places, by_kind
+
+
+_CTS3_PLACES, _CTS3_BY_KIND = _line_places()
+
+#: Header values the initialization records restate or read: an edit of one
+#: shows at ``init``. Every other header value shows at ``header``.
+_SHOWN_AT_INIT = {
+    ("init_state", "mu"), ("init_state", "phi"), ("init_state", "phim"),
+    ("options", "epsilon"), ("options", "sigma"),
+}
+
+
+def _may_check_clean(place: str, path: tuple) -> bool:
+    """Whether an edit at ``path`` may check clean: a stored direction is the
+    step itself and the stored start (X, Z, p) the run's input, so a change
+    to either can leave every claim true; no contract reads ``options.nu``
+    (criterion 7's ``_UNCHECKED``)."""
+    if place == "header":
+        return path[:2] in {("init_state", "X"), ("init_state", "Z"), ("init_state", "p"),
+                            ("options", "nu")}
+    return place.startswith("iteration") and path[0] in _DIRECTIONS
+
+
+def _leaves(obj, path: tuple = ()):
+    """The path of every value in ``obj`` that is not an object or array."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _at(obj, path: tuple):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _check_or_refuse(trace: bytes, prob):
+    """The checker's report on ``trace``, or the TraceFormatError refusing it;
+    any other exception fails the test, and so does any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = check_trace(trace, prob)
+        except TraceFormatError as exc:
+            result = exc
+    assert caught == []
+    if not isinstance(result, TraceFormatError):
+        # an error finding is the replay's, at the start or at a step
+        assert all(
+            f.where == "init" or f.where.startswith("iteration ")
+            for f in result.findings if f.kind == "error"
+        ), result.findings
+    return result
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, 5e-324, 0.0, -0.0]),
+    st.integers(-10**6, 10**6),
+)
+_RELATIVE = st.floats(-1e-3, 1e-3).filter(bool)
+_OTHER_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def _field_edits(draw):
+    """(line, path, value): a leaf of one line of the cts-3 golden and the
+    value put in its place: a number (at any magnitude, or a relative nudge
+    of the stored one) or a value of another type."""
+    # loop records, which hold most of a trace's claims, twice as often
+    kind = draw(st.sampled_from(["loop record", *_CTS3_BY_KIND]))
+    idx = draw(st.sampled_from(_CTS3_BY_KIND[kind]))
+    obj = json.loads(_CTS3_LINES[idx])
+    path = draw(st.sampled_from(list(_leaves(obj))))
+    old = _at(obj, path)
+    values = {"number": _NUMBERS, "other type": _OTHER_TYPES}
+    if type(old) is float:
+        values["nudge"] = _RELATIVE.map(lambda r: old * (1 + r))
+    # a number twice as often as a value of another type
+    choice = draw(st.sampled_from(["number", *values]))
+    return idx, path, draw(values[choice])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_field_edits())
+def test_a_drawn_field_edit_is_a_finding_where_it_was_made(example_problem, edit):
+    idx, path, value = edit
+    obj = json.loads(_CTS3_LINES[idx])
+    old = _at(obj, path)
+    _at(obj, path[:-1])[path[-1]] = value
+    lines = list(_CTS3_LINES)
+    lines[idx] = json.dumps(obj)
+    result = _check_or_refuse(reassemble(lines), example_problem)
+    place = _CTS3_PLACES[idx]
+    if _may_check_clean(place, path) or isinstance(result, TraceFormatError):
+        return
+    if {type(value), type(old)} <= {int, float}:
+        # a number is a finding where it was stored, unless within CHECK_RTOL
+        if not _close(float(value), float(old)):
+            if place == "header" and path[:2] in _SHOWN_AT_INIT:
+                place = "init"
+            assert place in {f.where for f in result.findings}, (path, value, result.findings)
+    elif (type(value), value) != (type(old), old) and not (
+        path in SOFTWARE_NAMES and isinstance(value, str)
+    ):
+        assert not result.clean, (path, value)
+
+
+@st.composite
+def _line_edits(draw):
+    """The cts-3 golden with one line deleted, duplicated, swapped with
+    another or truncated, or with every line from one on cut off."""
+    lines = list(_CTS3_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "duplicate", "swap", "truncate line", "truncate trace"]))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "truncate line":
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))]
+    else:
+        lines = lines[:i]
+    return reassemble(lines)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_line_edits())
+def test_a_drawn_line_edit_is_refused_or_a_finding(example_problem, trace):
+    result = _check_or_refuse(trace, example_problem)
+    if trace != _CTS3:
+        assert isinstance(result, TraceFormatError) or not result.clean
 
 
 #: Keys only a cts-1 line carries, by line kind.

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from credible_sdp.annotator import check_trace, write_trace
 from credible_sdp.linalg import sym_inv, sym_sqrt
 from credible_sdp.monitor import EQUALITY_TOL, LOOP_IDS, THETA, check_iteration
 from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
@@ -501,6 +502,55 @@ def test_solve_strict_mode_aborts_on_first_violation(example_problem, monkeypatc
     assert rep.violation_id in LOOP_IDS
     assert rep.iterations == 1
     assert not rep.clean
+
+
+# -- the sweep schedule -------------------------------------------------------------
+
+
+def _count_sweeps_and_steps(monkeypatch) -> dict:
+    """Count the calls of ``monitor.check_iteration`` (one per contract sweep)
+    and of ``solver.take_step``, each calling through to the real function."""
+    counts = {"sweeps": 0, "steps": 0}
+
+    def sweep(*args):
+        counts["sweeps"] += 1
+        return check_iteration(*args)
+
+    def step(*args):
+        counts["steps"] += 1
+        return take_step(*args)
+
+    monkeypatch.setattr("credible_sdp.monitor.check_iteration", sweep)
+    monkeypatch.setattr("credible_sdp.solver.take_step", step)
+    return counts
+
+
+@pytest.mark.parametrize("mode, sweeps", [("audit", 1), ("strict", EXAMPLE_BUDGET)])
+def test_a_solve_sweeps_once_or_after_every_step(example_problem, monkeypatch, mode, sweeps):
+    # an audit run needs no verdict before its walk ends; a strict run needs
+    # each step's, since a failed record ends it
+    counts = _count_sweeps_and_steps(monkeypatch)
+    opts = dataclasses.replace(default_options(example_problem), mode=mode)
+    rep = solve(example_problem, opts)
+    assert rep.clean and rep.iterations == EXAMPLE_BUDGET
+    assert counts == {"sweeps": sweeps, "steps": EXAMPLE_BUDGET}
+
+
+def test_a_step_that_grows_the_gap_is_swept_at_once(example_problem, monkeypatch):
+    monkeypatch.setattr("credible_sdp.solver.assemble_newton", _sabotaged_assemble)
+    counts = _count_sweeps_and_steps(monkeypatch)
+    rep = solve(example_problem, SolverOptions(epsilon=1e-8, mode="audit"))
+    assert rep.status is SolveStatus.DIVERGENCE_GUARD
+    assert counts == {"sweeps": 1, "steps": 1}
+
+
+@pytest.mark.parametrize("mode, sweeps", [("audit", 1), ("strict", EXAMPLE_BUDGET)])
+def test_a_check_sweeps_as_the_run_it_replays(example_problem, monkeypatch, mode, sweeps):
+    opts = dataclasses.replace(default_options(example_problem), mode=mode)
+    trace = write_trace(solve(example_problem, opts))
+    counts = _count_sweeps_and_steps(monkeypatch)
+    assert check_trace(trace, example_problem).clean
+    assert counts == {"sweeps": sweeps, "steps": EXAMPLE_BUDGET}
 
 
 # -- generated problems -----------------------------------------------------------
