@@ -24,6 +24,7 @@ from .monitor import InvariantRecord
 from .problem import (
     ProblemFormatError,
     SdpProblem,
+    SolverOptions,
     build_problem,
     load_problem,
     load_problem_file,
@@ -37,7 +38,6 @@ from .solver import (
     NewtonStep,
     SolveReport,
     SolveStatus,
-    SolverOptions,
     solve,
 )
 from .symvec import DimensionError, SymmetryError

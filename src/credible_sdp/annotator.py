@@ -69,13 +69,12 @@ import numpy as np
 
 from . import monitor
 from .linalg import PD_TOL, sym_inv, sym_sqrt
-from .problem import SdpProblem, json_numbers
+from .problem import SdpProblem, SolverOptions, json_numbers
 from .solver import (
     IterateState,
     NewtonStep,
     SolveReport,
     SolveStatus,
-    SolverOptions,
     default_options,
     iterate,
 )
@@ -917,7 +916,7 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     items.append(("end",))
     blank()
     comment("On exit trace(X*Z)<=epsilon. Under the contraction contract the pass")
-    comment("count never exceeds ceil(log(trace(X0*Z0)/epsilon)/log(1/sigma)).")
+    comment(f"count never exceeds {BUDGET_BASIS}.")
     return items
 
 

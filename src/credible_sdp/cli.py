@@ -30,13 +30,11 @@ from .annotator import (
     write_trace,
 )
 from .monitor import anchor
-from .problem import SdpProblem, load_problem_file, running_example
+from .problem import DEFAULT_SIGMA, SdpProblem, SolverOptions, load_problem_file, running_example
 from .solver import (
-    DEFAULT_SIGMA,
     InitializationError,
     SolveReport,
     SolveStatus,
-    SolverOptions,
     default_options,
     iteration_cap,
     sigma_from_nu,

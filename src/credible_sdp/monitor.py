@@ -43,23 +43,48 @@ cheaper keeps the same numpy operations in the same order, so every
 measured value keeps its bits; ``tests/corpus_digest.py`` shows whether it
 did.
 
-Some records hold by construction. ``init-p-symmetric`` rebuilds P with
-``symvec.mats``, which mirrors one triangle, so P is symmetric bit for bit
-and its measured value is exactly 0.0 for every p. It is kept, since the
-catalog changes only to become more rigorous, but it can catch no fault.
+Six initialization contracts hold before the loop starts, whatever the
+solver does. They are kept, since the catalog changes only to become more
+rigorous, but none of them can catch a fault of the solver.
+
+By construction, on every run:
+
+- ``init-p-symmetric`` rebuilds P with ``symvec.mats``, which mirrors one
+  triangle, so P is symmetric bit for bit and its measured value is
+  exactly 0.0 for every p.
+- ``init-sigma-constant`` is recorded as 0.0 <= 0.0 and passes, since its
+  anchor substitutes the run's own sigma.
+- ``init-epsilon-positive``: ``SolverOptions`` refuses every epsilon below
+  the smallest normal float.
+
+By admission, on every problem ``problem.build_problem`` admits (a problem
+built directly can fail each of them):
+
+- ``init-size``: admission refuses n < 1 and m < 1.
+- ``init-fi-symmetric``: admission's per-matrix rule,
+  1e-12 * max(1, max|Fi|), is tighter than the contract's
+  1e-9 * max(1, max|F|).
+- ``init-f0-pd``: admission runs the same ``min_eigenvalue > PD_TOL`` test
+  on the same array.
+
+The module imports the solver's ``IterateState`` and ``NewtonStep`` for
+annotations only: ``solver`` imports this module, and the options and the
+problem come from ``problem``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .linalg import PD_TOL, frob_norm, identity, min_eigenvalue, trace_inner
-from .problem import SdpProblem
-from .solver import IterateState, NewtonStep, SolverOptions
+from .problem import SdpProblem, SolverOptions
 from .symvec import asymmetry, mats, sym_dim, symmetrize, vecs, vecs_stack
+
+if TYPE_CHECKING:
+    from .solver import IterateState, NewtonStep
 
 #: Radius factor of the central-path neighborhood: ||X@Z - mu*I||_F <= THETA * mu.
 THETA = 0.3105
@@ -72,6 +97,10 @@ GAP_CEILING = 0.1
 
 #: Relative tolerance of the equality contracts, scaled by max(1, |reference|).
 EQUALITY_TOL = 1e-9
+
+#: Margin of the contraction contracts (I3, init-phim-seed) over sigma:
+#: phi < (sigma + CONTRACTION_MARGIN) * phim.
+CONTRACTION_MARGIN = 0.01
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +180,8 @@ def fmt_num(x: float) -> str:
 def anchor(record_id: str, sigma: float) -> str:
     """The annotation-language expression of a contract, with ``sigma``
     substituted; KeyError for an id of neither catalog."""
-    return _TEMPLATES[record_id].format(sigma=fmt_num(sigma), sigma1=fmt_num(sigma + 0.01))
+    sigma1 = sigma + CONTRACTION_MARGIN
+    return _TEMPLATES[record_id].format(sigma=fmt_num(sigma), sigma1=fmt_num(sigma1))
 
 
 def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -285,8 +315,8 @@ def _loop_records(
         {"lower_ok": state.phi > 0.0},
     )
 
-    # I3: strict contraction with a one-percent margin over sigma.
-    v3 = state.phi - (sigma + 0.01) * state.phim
+    # I3: strict contraction with a margin over sigma.
+    v3 = state.phi - (sigma + CONTRACTION_MARGIN) * state.phim
     out.add("I3", v3, 0.0, v3 < 0.0, {"phi": state.phi, "phim": state.phim})
 
     # I4: the new pair stays in the central-path neighborhood (new mu).
@@ -419,7 +449,7 @@ def check_initialization(
         {"stored": state.phi, "recomputed": phi_rec},
     )
 
-    v_seed = state.phi - (sigma + 0.01) * state.phim
+    v_seed = state.phi - (sigma + CONTRACTION_MARGIN) * state.phim
     out.add("init-phim-seed", v_seed, 0.0, v_seed < 0.0, {"phi": state.phi, "phim": state.phim})
 
     out.equal("init-mu-definition", abs(n * state.mu - phi_rec), phi_rec, {"stored": state.mu})

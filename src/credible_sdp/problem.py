@@ -16,10 +16,14 @@ together with its primal
 validation, so checkers can be exercised on deliberately broken data.
 ``build_problem`` and ``load_problem`` are the validating entry points. They
 also admit only problems the solver can solve: m = n(n+1)/2 linearly
-independent F1..Fm, so that every Newton direction has an exact dp. Each
-input rule is stated once: ``symvec``'s symmetry rule for all n x n input
-matrices, ``admit_x0`` for X0 and ``solver.SolverOptions`` for epsilon and
-nu.
+independent F1..Fm, so that every Newton direction has an exact dp.
+
+This module admits every input of a run, and each input has one source.
+Each rule is stated once: ``symvec``'s symmetry rule for all n x n input
+matrices, ``admit_x0`` for X0 and ``SolverOptions`` for epsilon, nu, sigma,
+the mode and the iteration cap. The warm start is the problem's ``x0``
+alone; a run from another start solves ``dataclasses.replace(prob, x0=...)``,
+whose X0 ``solver.initialize`` admits by the same rule.
 
 The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
 (m, n, n) array, so checks over all of them are single numpy expressions.
@@ -33,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -46,9 +52,51 @@ from .symvec import asymmetry, is_symmetric, sym_dim, vecs_stack
 #: Default convergence threshold on the duality gap.
 DEFAULT_EPSILON = 1e-8
 
+#: Default gap-contraction factor per iteration.
+DEFAULT_SIGMA = 0.75
+
+#: Default potential-function weight; for n = 2 it implies a contraction
+#: factor of about 0.75 via ``solver.sigma_from_nu``.
+DEFAULT_NU = 0.4714
+
 
 class ProblemFormatError(ValueError):
     """Problem data is malformed: wrong shapes, asymmetry, or bad scalars."""
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Settings of one ``solve`` run, valid by construction (a bad value
+    raises ValueError). The contract tolerances are constants of the catalog
+    (``monitor``, ``linalg``), not settings.
+
+    ``mode`` selects what happens when a per-iteration contract fails:
+    "strict" aborts the run with status InvariantViolation, "audit" records
+    the failure and keeps iterating. Initialization contracts are enforced in
+    both modes.
+    """
+
+    epsilon: float = DEFAULT_EPSILON
+    nu: float = DEFAULT_NU
+    sigma: float = DEFAULT_SIGMA
+    mode: str = "audit"
+    max_iterations: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("strict", "audit"):
+            raise ValueError(f"mode must be 'strict' or 'audit', got {self.mode!r}")
+        # below the normal floats, the budget's initial_gap / epsilon overflows
+        if not (math.isfinite(self.epsilon) and self.epsilon >= sys.float_info.min):
+            raise ValueError(
+                f"epsilon must be positive and normal (at least {sys.float_info.min}), "
+                f"got {self.epsilon}"
+            )
+        if not (math.isfinite(self.sigma) and 0 < self.sigma < 1):
+            raise ValueError(f"sigma must lie strictly between 0 and 1, got {self.sigma}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be positive, got {self.nu}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +192,6 @@ def build_problem(
     symmetric n x n matrices: m = n(n+1)/2 and linearly independent.
     A non-finite entry in F0, any Fi or b is refused first, by name.
     """
-    from .solver import DEFAULT_NU, SolverOptions  # solver imports this module
     f0 = np.array(f0, dtype=float)
     fs = [np.asarray(Fi, dtype=float) for Fi in fs]
     b = np.array(b, dtype=float).ravel()
@@ -289,8 +336,11 @@ def running_example() -> SdpProblem:
 
 __all__ = [
     "DEFAULT_EPSILON",
+    "DEFAULT_NU",
+    "DEFAULT_SIGMA",
     "ProblemFormatError",
     "SdpProblem",
+    "SolverOptions",
     "admit_x0",
     "build_problem",
     "json_numbers",

@@ -23,8 +23,11 @@ The solver does not check the directions itself: contract I10 checks dX
 against the Newton equation with its right-hand side recomputed, and I9
 checks dZ and dp against the feasibility equations. Every problem that
 ``problem.build_problem`` admits has m = n(n+1)/2 independent constraints,
-so F' is invertible and dp solves its equation for any dX. Options are
-valid by construction: ``SolverOptions`` raises ValueError on a bad value.
+so F' is invertible and dp solves its equation for any dX. Every input of a
+run is admitted by ``problem``: the problem by ``build_problem``, its warm
+start X0 by ``admit_x0`` and the options by ``problem.SolverOptions``, which
+raises ValueError on a bad value. The warm start is the problem's ``x0``
+alone; ``solve`` and ``initialize`` take no other.
 
 The loop is written once, in one generator, ``iterate``: it takes the
 steps, has the ``monitor`` module check the contracts of the steps taken
@@ -41,26 +44,23 @@ does not store its predecessor, nor a step its mu and sigma.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Generator, Iterator
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
+from . import monitor
 from .linalg import identity, lsqr_solve, sym_inv, sym_sqrt, trace_inner
-from .problem import DEFAULT_EPSILON, ProblemFormatError, SdpProblem, admit_x0
+from .problem import (  # noqa: F401 — DEFAULT_SIGMA is re-exported
+    DEFAULT_NU,
+    DEFAULT_SIGMA,
+    ProblemFormatError,
+    SdpProblem,
+    SolverOptions,
+    admit_x0,
+)
 from .symvec import krons, mats, symmetrize, vecs
-
-if TYPE_CHECKING:
-    from .monitor import InvariantRecord
-
-#: Default gap-contraction factor per iteration.
-DEFAULT_SIGMA = 0.75
-
-#: Default potential-function weight; for n = 2 it implies a contraction
-#: factor of about 0.75 via ``sigma_from_nu``.
-DEFAULT_NU = 0.4714
 
 
 class InitializationError(RuntimeError):
@@ -81,41 +81,6 @@ class SolveStatus(str, Enum):
     DIVERGENCE_GUARD = "DivergenceGuard"
     ITERATION_CAP = "IterationCap"
     INVARIANT_VIOLATION = "InvariantViolation"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Settings of one ``solve`` run, valid by construction (a bad value
-    raises ValueError). The contract tolerances are constants of the catalog
-    (``monitor``, ``linalg``), not settings.
-
-    ``mode`` selects what happens when a per-iteration contract fails:
-    "strict" aborts the run with status InvariantViolation, "audit" records
-    the failure and keeps iterating. Initialization contracts are enforced in
-    both modes.
-    """
-
-    epsilon: float = DEFAULT_EPSILON
-    nu: float = DEFAULT_NU
-    sigma: float = DEFAULT_SIGMA
-    mode: str = "audit"
-    max_iterations: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("strict", "audit"):
-            raise ValueError(f"mode must be 'strict' or 'audit', got {self.mode!r}")
-        # below the normal floats, the budget's initial_gap / epsilon overflows
-        if not (math.isfinite(self.epsilon) and self.epsilon >= sys.float_info.min):
-            raise ValueError(
-                f"epsilon must be positive and normal (at least {sys.float_info.min}), "
-                f"got {self.epsilon}"
-            )
-        if not (math.isfinite(self.sigma) and 0 < self.sigma < 1):
-            raise ValueError(f"sigma must lie strictly between 0 and 1, got {self.sigma}")
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 def default_options(prob: SdpProblem) -> SolverOptions:
@@ -248,39 +213,33 @@ def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> Iterat
 
 
 def initialize(
-    prob: SdpProblem,
-    opts: SolverOptions,
-    X0: np.ndarray | None = None,
-) -> tuple[IterateState, list["InvariantRecord"]]:
+    prob: SdpProblem, opts: SolverOptions
+) -> tuple[IterateState, list[monitor.InvariantRecord]]:
     """Construct and certify the starting point.
 
     Z solves the dual-feasibility equations by minimum-norm least squares
-    (and stays fixed thereafter); X comes from the explicit warm start
-    (argument wins over the problem file), admitted by ``problem.admit_x0``
-    and refused as InitializationError; p solves the primal-feasibility
-    equations for that X. The initialization contract sweep alone judges the
-    result, in both modes: if any record fails, the error lists each failed
-    id with its measured value and bound, and is a NeighborhoodViolation when
-    ``init-neighborhood`` is among them.
+    (and stays fixed thereafter); X is the problem's warm start ``x0``,
+    admitted here by ``problem.admit_x0`` (an X0 set by ``replace`` has not
+    been) and refused as InitializationError; p solves the
+    primal-feasibility equations for that X. The initialization contract
+    sweep alone judges the result, in both modes: if any record fails, the
+    error lists each failed id with its measured value and bound, and is a
+    NeighborhoodViolation when ``init-neighborhood`` is among them.
 
     Both solves stay ``lsqr_solve`` calls: the benchmark's layer trace times
     a ``solver.lsqr_solve`` span, and every stored trace starts from lstsq's
     bits.
     """
-    from . import monitor
-
     n = prob.n
     z_vec = lsqr_solve(prob.fmat, -prob.b, equation="initial dual solve")
     Z = mats(z_vec, n)
 
-    if X0 is None:
-        X0 = prob.x0
-    if X0 is None:
+    if prob.x0 is None:
         raise InitializationError(
-            "no primal warm start: pass X0 or include one in the problem file"
+            "no primal warm start: the problem has no X0; include one in the problem file"
         )
     try:
-        X = admit_x0(X0, n)
+        X = admit_x0(prob.x0, n)
     except ProblemFormatError as exc:
         raise InitializationError(str(exc)) from None
 
@@ -318,7 +277,7 @@ class IterationSnapshot:
 
     state: IterateState
     step: NewtonStep
-    records: list["InvariantRecord"]
+    records: list[monitor.InvariantRecord]
 
 
 @dataclass
@@ -332,7 +291,7 @@ class SolveReport:
     problem: SdpProblem
     options: SolverOptions
     initial_state: IterateState
-    init_records: list["InvariantRecord"]
+    init_records: list[monitor.InvariantRecord]
     snapshots: list[IterationSnapshot]
 
     @property
@@ -382,7 +341,7 @@ class SolveReport:
     def record_count(self) -> int:
         return len(self.init_records) + sum(len(s.records) for s in self.snapshots)
 
-    def all_records(self) -> Iterator["InvariantRecord"]:
+    def all_records(self) -> Iterator[monitor.InvariantRecord]:
         yield from self.init_records
         for snap in self.snapshots:
             yield from snap.records
@@ -398,7 +357,7 @@ class SolveReport:
 
 
 def step_exit(
-    opts: SolverOptions, state: IterateState, records: list["InvariantRecord"]
+    opts: SolverOptions, state: IterateState, records: list[monitor.InvariantRecord]
 ) -> tuple[SolveStatus, str | None] | None:
     """The exit the loop takes right after a step to ``state`` whose sweep
     gave ``records``: in strict mode the first failed record stops the run
@@ -456,8 +415,6 @@ def _sweep(
     """Yield the snapshots of ``steps`` from one contract sweep over all of
     them, or from one sweep per step if that raises, so the error surfaces
     at the step that raises it; return whether one of them ends the run."""
-    from . import monitor
-
     if not steps:
         return False
     try:
@@ -474,11 +431,7 @@ def _sweep(
     return False
 
 
-def solve(
-    prob: SdpProblem,
-    options: SolverOptions | None = None,
-    X0: np.ndarray | None = None,
-) -> SolveReport:
+def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SolveReport:
     """Run the short-step iteration to convergence or abort.
 
     Iterates while the duality gap exceeds epsilon, subject to three guards:
@@ -488,7 +441,7 @@ def solve(
     """
     opts = options if options is not None else default_options(prob)
 
-    state, init_records = initialize(prob, opts, X0=X0)
+    state, init_records = initialize(prob, opts)
     scaling = prepare_newton(prob, state.Z)
     newton = lambda s: solve_newton(  # noqa: E731
         prob, assemble_newton(prob, s, opts.sigma, scaling), scaling

@@ -7,6 +7,7 @@ sections); a violated criterion fails its test in the ordinary pytest way.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -303,7 +304,7 @@ def test_criterion_08_annotated_listing_stability(example_problem):
 
 def test_criterion_09_degenerate_inputs(example_problem):
     with pytest.raises(NeighborhoodViolation):
-        solve(example_problem, X0=100.0 * np.eye(2))
+        solve(dataclasses.replace(example_problem, x0=100.0 * np.eye(2)))
 
     report = solve(example_problem, SolverOptions(epsilon=0.2))
     assert report.status is SolveStatus.CONVERGED

@@ -325,6 +325,12 @@ def test_parse_rejects_empty_input():
         parse_trace(b"")
 
 
+def test_parse_rejects_a_trace_that_is_not_utf8(example_trace):
+    broken = example_trace.replace(b'"type"', b'"\xfftype"', 1)
+    with pytest.raises(TraceFormatError, match="^trace is not valid UTF-8: .* position 2:"):
+        parse_trace(broken)
+
+
 def test_parse_rejects_non_json_line(example_trace):
     lines = trace_lines(example_trace)
     lines[3] = "not json at all"

@@ -247,6 +247,8 @@ def test_render_report_mentions_failed_ids(example_report):
     dirty = dataclasses.replace(example_report, init_records=[failed])
     text = render_report(dirty)
     assert "FAILED" in text and failed.id in text
+    verbose = render_report(dirty, verbose=True).splitlines()
+    assert verbose[-1] == f"initialization: 1 records, FAILED: {failed.id}"
 
 
 # -- annotate ----------------------------------------------------------------------

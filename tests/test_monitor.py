@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from credible_sdp.monitor import (
     check_initialization,
     check_iteration,
 )
-from credible_sdp.problem import SdpProblem
+from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
 from credible_sdp.solver import (
     IterateState,
     NewtonStep,
@@ -36,6 +38,7 @@ from credible_sdp.symvec import symmetrize
 
 F1 = np.diag([1.0, -1.0])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+F3 = np.eye(2)
 
 
 def _unchecked_problem(f0, fs, b) -> SdpProblem:
@@ -155,6 +158,71 @@ def test_init_p_symmetric_holds_by_construction(example_problem):
         records = check_initialization(example_problem, dataclasses.replace(state, p=p), opts)
         rec = {r.id: r for r in records}["init-p-symmetric"]
         assert rec.measured == 0.0 and rec.passed
+
+
+def test_initialization_sweep_on_a_problem_without_constraints():
+    # m = 0 only by direct construction: admission refuses it
+    prob = _unchecked_problem(np.eye(2), np.zeros((0, 2, 2)), [])
+    records = check_initialization(prob, _identity_state(2, 0), SolverOptions())
+    by_id = {rec.id: rec for rec in records}
+    assert list(by_id) == list(INIT_IDS)
+    fi = by_id["init-fi-symmetric"]
+    assert fi.passed and fi.detail == {"note": "no constraint matrices"}
+    size = by_id["init-size"]
+    assert (size.measured, size.bound, size.passed) == (0.0, -1.0, False)
+    assert size.detail == {"n": 2, "m": 0}
+    # with no terms the primal fold is F0 alone: ||F0 + X||_F = ||2 I||_F
+    assert by_id["init-primal-feasibility"].measured == pytest.approx(math.sqrt(8.0))
+    failed = {rec.id for rec in records if not rec.passed}
+    assert failed == {"init-size", "init-primal-feasibility", "init-gap-upper"}
+
+
+# The contracts the monitor docstring names as holding by admission.
+BY_ADMISSION = ("init-size", "init-fi-symmetric", "init-f0-pd")
+
+
+@pytest.mark.parametrize("epsilon", [sys.float_info.min, sys.float_info.max])
+@pytest.mark.parametrize("sigma", [5e-324, math.nextafter(1.0, 0.0)])
+def test_init_contracts_held_by_construction_pass_at_extreme_options(
+    example_report, epsilon, sigma
+):
+    opts = SolverOptions(epsilon=epsilon, sigma=sigma)
+    records = check_initialization(example_report.problem, example_report.initial_state, opts)
+    by_id = {rec.id: rec for rec in records}
+    sigma_rec = by_id["init-sigma-constant"]
+    assert (sigma_rec.measured, sigma_rec.bound, sigma_rec.passed) == (0.0, 0.0, True)
+    assert by_id["init-epsilon-positive"].passed
+    # the one epsilon that could fail it is refused before any sweep
+    with pytest.raises(ValueError, match="epsilon must be positive and normal"):
+        SolverOptions(epsilon=math.nextafter(sys.float_info.min, 0.0))
+
+
+def test_init_contracts_held_by_admission_pass_on_the_corpus():
+    from corpus_digest import corpus
+
+    for name, prob in corpus():
+        _, records = initialize(prob, default_options(prob))
+        by_id = {rec.id: rec for rec in records}
+        assert all(by_id[rid].passed for rid in BY_ADMISSION), name
+
+
+@pytest.mark.parametrize(
+    "rid, f0, fs",
+    [
+        ("init-size", np.eye(2), np.zeros((0, 2, 2))),
+        ("init-fi-symmetric", np.eye(2), [F1 + np.triu(F2) * 1e-3, F2, F3]),
+        ("init-f0-pd", -np.eye(2), [F1, F2, F3]),
+    ],
+    ids=["no-constraints", "asymmetric-fi", "indefinite-f0"],
+)
+def test_init_contracts_held_by_admission_fail_on_a_direct_problem(rid, f0, fs):
+    b = np.zeros(len(fs))
+    with pytest.raises(ProblemFormatError):
+        build_problem(f0, list(fs), b, x0=np.eye(2))
+    prob = _unchecked_problem(f0, fs, b)
+    records = check_initialization(prob, _identity_state(2, prob.m), SolverOptions())
+    failed = {rec.id for rec in records if not rec.passed}
+    assert failed & set(BY_ADMISSION) == {rid}
 
 
 def test_f0_with_minimum_eigenvalue_at_the_margin_fails_init_f0_pd(example_problem):
@@ -283,7 +351,7 @@ def test_sweeps_never_raise_on_asymmetric_garbage(example_problem):
 
 def _loop_fold(start, coeffs, fs):
     """The per-constraint loop the stacked sums replaced."""
-    acc = np.array(start, dtype=float) + np.zeros(fs[0].shape)
+    acc = np.array(start, dtype=float) + np.zeros(fs.shape[1:])
     for ci, Fi in zip(coeffs, fs):
         acc = acc + ci * Fi
     return acc
@@ -294,10 +362,11 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
-@pytest.mark.parametrize("m", [1, 3, 9, 21, 40])
+@pytest.mark.parametrize("m", [0, 1, 3, 9, 21, 40])
 def test_fold_adds_left_to_right_like_the_loop(n, m):
     # nine or more terms is where a pairwise sum would start to differ; 1 x 1
-    # matrices are where numpy's axis-0 reduce would sum pairwise
+    # matrices are where numpy's axis-0 reduce would sum pairwise; with no
+    # terms the fold is its start
     rng = np.random.default_rng([n, m])
     for _ in range(20):
         F = rng.normal(size=(m, n, n)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1, 1))
@@ -305,7 +374,7 @@ def test_fold_adds_left_to_right_like_the_loop(n, m):
         coeffs[rng.random(m) < 0.2] = -0.0
         F[rng.random(F.shape) < 0.1] = 0.0
         for start in (0.0, rng.normal(size=(n, n))):
-            expected = _loop_fold(start, coeffs, list(F))
+            expected = _loop_fold(start, coeffs, F)
             np.testing.assert_array_equal(_bits(_fold(start, coeffs, F)), _bits(expected))
 
 

@@ -90,7 +90,7 @@ def test_constraints_are_one_c_contiguous_stack(order):
 
 def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
     # one rule for every input matrix: F0, the stack of F1..Fm in one test,
-    # and X0, whether it comes from the file or is passed to initialize
+    # and X0, whether it comes from the file or is set by replace
     calls = []
     rule = problem._refuse_asymmetric
 
@@ -103,7 +103,7 @@ def test_load_tests_each_constraint_for_symmetry_once(monkeypatch):
     stack_names = [f"F{i}" for i in range(1, 22)]
     assert calls == [((1, 6, 6), ["F0"]), ((21, 6, 6), stack_names), ((1, 6, 6), ["X0"])]
     calls.clear()
-    initialize(prob, default_options(prob), X0=prob.x0)
+    initialize(dataclasses.replace(prob, x0=prob.x0.copy()), default_options(prob))
     assert calls == [((1, 6, 6), ["X0"])]
 
 
@@ -154,8 +154,10 @@ def test_build_rejects_f0_with_minimum_eigenvalue_at_the_margin():
 
 
 def test_build_rejects_empty_constraint_list():
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError, match="^at least one constraint matrix is required$"):
         build_problem(F0, [], [])
+    with pytest.raises(ProblemFormatError, match="^matrix dimension must be at least 1$"):
+        build_problem(np.zeros((0, 0)), [], [])
 
 
 def test_build_rejects_wrong_b_length():

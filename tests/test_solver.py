@@ -129,8 +129,8 @@ def test_initialize_primal_point_is_feasible(example_problem):
 
 def test_initialize_explicit_warm_start_wins_over_file(example_problem):
     mu = 0.04 / 2
-    X0 = mu * np.linalg.inv(EXAMPLE_Z0)
-    state, _ = initialize(example_problem, default_options(example_problem), X0=X0)
+    prob = dataclasses.replace(example_problem, x0=mu * np.linalg.inv(EXAMPLE_Z0))
+    state, _ = initialize(prob, default_options(prob))
     assert state.phi == pytest.approx(0.04, rel=1e-10)
 
 
@@ -142,13 +142,15 @@ def test_initialize_requires_some_warm_start():
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
         [-2.0, -1.0, 0.0],
     )
-    with pytest.raises(InitializationError, match="warm start"):
+    message = "^no primal warm start: the problem has no X0; include one in the problem file$"
+    with pytest.raises(InitializationError, match=message):
         initialize(prob, default_options(prob))
 
 
 def test_initialize_rejects_far_off_center_warm_start(example_problem):
+    prob = dataclasses.replace(example_problem, x0=100.0 * np.eye(2))
     with pytest.raises(NeighborhoodViolation) as exc_info:
-        initialize(example_problem, default_options(example_problem), X0=100.0 * np.eye(2))
+        initialize(prob, default_options(prob))
     # the message lists every failed record with its measured value and bound
     failed = [rec for rec in exc_info.value.records if not rec.passed]
     assert "init-neighborhood" in [rec.id for rec in failed]
@@ -159,8 +161,9 @@ def test_initialize_rejects_far_off_center_warm_start(example_problem):
 
 
 def test_initialize_rejects_indefinite_warm_start(example_problem):
+    prob = dataclasses.replace(example_problem, x0=-np.eye(2))
     with pytest.raises(InitializationError) as exc_info:
-        initialize(example_problem, default_options(example_problem), X0=-np.eye(2))
+        initialize(prob, default_options(prob))
     failed = [rec.id for rec in exc_info.value.records if not rec.passed]
     assert "init-x0-pd" in failed
     assert "init-x0-pd (measured 1.000000e+00, bound -1.000000e-12)" in str(exc_info.value)
@@ -186,28 +189,32 @@ def test_initialize_names_an_indefinite_planted_dual_start(example_problem):
 def test_solve_refuses_a_non_finite_warm_start_naming_x0(example_problem, entry, value):
     X0 = example_problem.x0.copy()
     X0[entry] = value
+    prob = dataclasses.replace(example_problem, x0=X0)
     with pytest.raises(InitializationError, match="X0 has non-finite entries"):
-        solve(example_problem, X0=X0)
+        solve(prob)
 
 
 def test_initialize_rejects_wrong_shape_warm_start(example_problem):
+    prob = dataclasses.replace(example_problem, x0=np.eye(3))
     with pytest.raises(InitializationError, match=r"X0 has shape \(3, 3\), expected \(2, 2\)"):
-        initialize(example_problem, default_options(example_problem), X0=np.eye(3))
+        initialize(prob, default_options(prob))
 
 
 def test_solve_holds_a_warm_start_to_the_load_symmetry_rule(example_problem):
-    # a problem file with this X0 is refused, so a passed X0 is too
+    # a problem file with this X0 is refused, so a replaced X0 is too
     X0 = example_problem.x0.copy()
     X0[0, 1] += 5e-11
+    prob = dataclasses.replace(example_problem, x0=X0)
     with pytest.raises(InitializationError, match=r"X0 is not symmetric: max \|a - a.T\| = 5"):
-        solve(example_problem, X0=X0)
+        solve(prob)
 
 
 def test_initialize_gap_above_ceiling_names_the_contract(example_problem):
     # exactly central (so the neighborhood gate passes) but the gap is 0.2
     X0 = (0.2 / 2) * np.linalg.inv(EXAMPLE_Z0)
+    prob = dataclasses.replace(example_problem, x0=X0)
     with pytest.raises(InitializationError) as exc_info:
-        initialize(example_problem, default_options(example_problem), X0=X0)
+        initialize(prob, default_options(prob))
     assert "init-gap-upper" in str(exc_info.value)
     failed = [rec.id for rec in exc_info.value.records if not rec.passed]
     assert failed == ["init-gap-upper"]
