@@ -714,7 +714,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         findings=findings,
         iterations=len(trace.iterations),
         records_checked=replay.record_count,
-        failed_ids=sorted({rec.id for rec in replay.all_records() if not rec.passed}),
+        failed_ids=replay.failed_ids,
     )
 
 

@@ -30,7 +30,9 @@ from .annotator import (
     write_trace,
 )
 from .monitor import anchor
-from .problem import DEFAULT_SIGMA, SdpProblem, SolverOptions, load_problem_file, running_example
+from .problem import (
+    DEFAULT_SIGMA, MODES, SdpProblem, SolverOptions, load_problem_file, running_example,
+)
 from .solver import (
     InitializationError,
     SolveReport,
@@ -78,10 +80,14 @@ def exit_code_for(report: SolveReport) -> int:
     return 4  # SolveStatus.ITERATION_CAP
 
 
+def _tally(label: str, count: int, failed_ids: list[str]) -> str:
+    """A report line counting records and naming the failed contracts."""
+    verdict = f"FAILED: {', '.join(failed_ids)}" if failed_ids else "all passed"
+    return f"{label}{count} records, {verdict}"
+
+
 def render_report(report: SolveReport, verbose: bool = False) -> str:
     opts = report.options
-    total = report.record_count
-    failed_ids = sorted({rec.id for rec in report.all_records() if not rec.passed})
     cap = iteration_cap(opts, report.budget)
     implied = sigma_from_nu(report.problem.n, opts.nu)
     origin = "derived from nu" if opts.sigma == implied else "fixed"
@@ -91,11 +97,8 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
         f"iterations:  {report.iterations} (budget {report.budget}, cap {cap})",
         f"final gap:   {report.final_gap:.12e} (epsilon {opts.epsilon:g})",
         f"sigma:       {opts.sigma!r} ({origin}; nu={opts.nu!r} would imply {implied:.10g})",
+        _tally("contracts:   ", report.record_count, report.failed_ids),
     ]
-    if failed_ids:
-        lines.append(f"contracts:   {total} records, FAILED: {', '.join(failed_ids)}")
-    else:
-        lines.append(f"contracts:   {total} records, all passed")
     if report.violation_id is not None:
         lines.append(f"violation:   {report.violation_id} (strict mode abort)")
     lines.append(
@@ -109,10 +112,7 @@ def render_report(report: SolveReport, verbose: bool = False) -> str:
         for rid, slack in slacks:
             lines.append(f"  {rid:<26} {slack: .6e}  {anchor(rid, opts.sigma)}")
         init_failed = [rec.id for rec in report.init_records if not rec.passed]
-        if init_failed:
-            lines.append(f"initialization: {len(report.init_records)} records, FAILED: {', '.join(init_failed)}")
-        else:
-            lines.append(f"initialization: {len(report.init_records)} records, all passed")
+        lines.append(_tally("initialization: ", len(report.init_records), init_failed))
     return "\n".join(lines)
 
 
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser("solve", help="run the solver on a problem file")
     p_solve.add_argument("--problem", required=True, help="problem JSON file")
     _add_config_flags(p_solve)
-    p_solve.add_argument("--mode", choices=("strict", "audit"), default="audit",
+    p_solve.add_argument("--mode", choices=MODES, default="audit",
                          help="strict aborts on the first failed contract; audit records and continues")
     p_solve.add_argument("--max-iterations", type=int, default=None,
                          help="iteration cap (default: 10x the certified budget)")
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check_trace)
 
     p_demo = subs.add_parser("demo", help="solve, trace, re-check, and annotate the bundled example")
-    p_demo.add_argument("--mode", choices=("strict", "audit"), default="audit",
+    p_demo.add_argument("--mode", choices=MODES, default="audit",
                         help="contract failure handling")
     p_demo.set_defaults(func=cmd_demo)
 

@@ -13,12 +13,18 @@ Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
 I1..I12 (phase "loop"). They share no id, so one table maps every id to its
 anchor template (``anchor``), and a record's phase follows from its id.
-Both sweeps build their records with one builder (``_Sweep``), which states
-each kind of rule once: an equality contract passes when its residual is
-within ``equality_bound`` (``EQUALITY_TOL`` scaled by max(1, |reference|)),
-a positive-definiteness contract when ``linalg.min_eigenvalue`` exceeds
-``linalg.PD_TOL``. Tolerances are
-constants of the catalog, so a trace is checked by rules it cannot state.
+Each sweep returns its records as one list in catalog order, and each record
+is built by one of four rules, which derive the verdict from the measured
+value and the bound the record stores: ``_le`` (measured <= bound, the
+contracts whose anchor compares with ``<=``, ``>=`` or ``==``), ``_lt``
+(measured < bound, the strict ones), ``_pd`` (``_lt`` on -lambda_min against
+-``linalg.PD_TOL``, for ``linalg.min_eigenvalue``) and ``_equal`` (``_le``
+on a residual against ``equality_bound``, ``EQUALITY_TOL`` scaled by
+max(1, |reference|)). Only the two compound contracts state their own
+verdict (``_record``): I2 (phi > 0 and phi <= GAP_CEILING) and I11 (a
+chain of two comparisons). Tolerances and bounds are constants of the
+catalog, and the anchor templates print them from those constants, so a
+trace is checked by rules it cannot state.
 
 The loop sweep (``check_iteration``) judges all the steps it is given at
 once: each matrix quantity of I1..I12 is one numpy expression over the
@@ -67,6 +73,24 @@ built directly can fail each of them):
 - ``init-f0-pd``: admission runs the same ``min_eigenvalue > PD_TOL`` test
   on the same array.
 
+Each loop contract falls in one of three classes for the loop body every
+admitted problem runs: m = n(n+1)/2 independent Fi, so dZ = 0 and F' is
+invertible. ``tests/test_monitor.py`` evaluates that body exactly, in
+``fractions``, at random rational points; a quantity that is 0 at all of
+them is an identity of the body (polynomial identity testing, Schwartz,
+J. ACM 27(4), 1980).
+
+- Identities: the residuals of I7, I8 and I10; I9's primal residual, under
+  the assumption that F' is invertible (its dual residual is F*vecs(0));
+  I4's measured XZ - mu*I; and both measured terms of I11's chain. In exact
+  arithmetic each is 0 for every input, so these checks catch rounding and
+  faults of the implementation (a wrong mu, a skewed operator, an edited
+  direction), not a failure of the theory.
+- Zero by construction, since dZ = 0: I5's and I6's measured values are 0
+  and I12's matrix is the identity.
+- Neither: I1, I2 and I3 depend on the start and the run. I3 follows from
+  I8 whenever phim > 0, since then phi = sigma*phim.
+
 The module imports the solver's ``IterateState`` and ``NewtonStep`` for
 annotations only: ``solver`` imports this module, and the options and the
 problem come from ``problem``.
@@ -108,8 +132,11 @@ class InvariantRecord:
     """Outcome of evaluating one contract at one point of the run.
 
     ``measured`` and ``bound`` are oriented so that, up to the strictness
-    noted in the anchor, passing means measured <= bound; ``detail`` carries
-    auxiliary numbers (component residuals, eigenvalues, raw chain verdicts).
+    noted in the anchor, passing means measured <= bound. This holds by
+    construction: every record but I2's and I11's is built by a rule that
+    derives ``passed`` from the two (``_le``, ``_lt``, ``_pd``, ``_equal``).
+    ``detail`` carries auxiliary numbers (component residuals, eigenvalues,
+    raw chain verdicts).
     The contract's text is ``anchor(id, sigma)`` with the run's sigma.
     """
 
@@ -122,11 +149,11 @@ class InvariantRecord:
 
 _LOOP_TEMPLATES: list[tuple[str, str]] = [
     ("I1", "X>0 && Z>0"),
-    ("I2", "phi>0 && phi<=0.1"),
+    ("I2", "phi>0 && phi<={gap_ceiling}"),
     ("I3", "phi-{sigma1}*phim<0"),
-    ("I4", "norm(X*Z-mu*eye(n,n),'fro')<=0.3105*mu"),
-    ("I5", "norm(Zhi*mats(dZm,n)*Zhi,'fro')<=0.7"),
-    ("I6", "norm(Zhi*mats(dXm,n)*mats(dZm,n)*Zh,'fro')<=0.3105*sigma*mu"),
+    ("I4", "norm(X*Z-mu*eye(n,n),'fro')<={theta}*mu"),
+    ("I5", "norm(Zhi*mats(dZm,n)*Zhi,'fro')<={dz_bound}"),
+    ("I6", "norm(Zhi*mats(dXm,n)*mats(dZm,n)*Zh,'fro')<={theta}*sigma*mu"),
     ("I7", "trace(Xm*mats(dZm,n))+trace(mats(dXm,n)*Zm)+trace(Xm*Zm)-sigma*n*mu==0"),
     ("I8", "trace(X*Z)-{sigma}*trace(Xm*Zm)==0"),
     ("I9", "F*dZm==zeros(m,1) && sum(dpm(i)*Fi,i,1,m)+mats(dXm,n)==0"),
@@ -141,7 +168,7 @@ _LOOP_TEMPLATES: list[tuple[str, str]] = [
         "norm(Zh*X*Zh-sigma*mu*eye(n,n),'fro')"
         "<=0.5*norm(Zhi*(Z*X-sigma*mu*eye(n,n))*Zh"
         "+Zh*(X*Z-sigma*mu*eye(n,n))*Zhi,'fro')"
-        "<=0.3105*sigma*mu",
+        "<={theta}*sigma*mu",
     ),
     ("I12", "eye(n,n)+Zhi*mats(dZm,n)*Zhi>0"),
 ]
@@ -153,8 +180,8 @@ _INIT_TEMPLATES: list[tuple[str, str]] = [
     ("init-z0-pd", "Z>0"),
     ("init-dual-feasibility", "F*vecs(Z)+b==zeros(m,1)"),
     ("init-x0-pd", "X>0"),
-    ("init-neighborhood", "norm(X*Z-(trace(X*Z)/n)*eye(n,n),'fro')<=0.3105*(trace(X*Z)/n)"),
-    ("init-gap-upper", "trace(X*Z)<=0.1"),
+    ("init-neighborhood", "norm(X*Z-(trace(X*Z)/n)*eye(n,n),'fro')<={theta}*(trace(X*Z)/n)"),
+    ("init-gap-upper", "trace(X*Z)<={gap_ceiling}"),
     ("init-gap-positive", "trace(X*Z)>0"),
     ("init-p-symmetric", "transpose(P)==P"),
     ("init-primal-feasibility", "F0+sum(p(i)*Fi,i,1,m)+X==0"),
@@ -178,10 +205,16 @@ def fmt_num(x: float) -> str:
 
 
 def anchor(record_id: str, sigma: float) -> str:
-    """The annotation-language expression of a contract, with ``sigma``
+    """The annotation-language expression of a contract, with ``sigma`` and
+    the catalog constants (THETA, DZ_BOUND, GAP_CEILING, CONTRACTION_MARGIN)
     substituted; KeyError for an id of neither catalog."""
-    sigma1 = sigma + CONTRACTION_MARGIN
-    return _TEMPLATES[record_id].format(sigma=fmt_num(sigma), sigma1=fmt_num(sigma1))
+    return _TEMPLATES[record_id].format(
+        sigma=fmt_num(sigma),
+        sigma1=fmt_num(sigma + CONTRACTION_MARGIN),
+        theta=fmt_num(THETA),
+        dz_bound=fmt_num(DZ_BOUND),
+        gap_ceiling=fmt_num(GAP_CEILING),
+    )
 
 
 def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -207,30 +240,31 @@ def equality_bound(ref: float) -> float:
     return EQUALITY_TOL * max(1.0, abs(ref))
 
 
-class _Sweep:
-    """The records of one contract sweep."""
+def _record(rid: str, measured: float, bound: float, passed: bool, detail: dict) -> InvariantRecord:
+    """A record whose contract states its own verdict (I2, I11)."""
+    return InvariantRecord(rid, float(measured), float(bound), bool(passed), detail)
 
-    def __init__(self):
-        self.records: list[InvariantRecord] = []
 
-    def add(
-        self, rid: str, measured: float, bound: float, passed: bool, detail: dict | None = None
-    ):
-        self.records.append(
-            InvariantRecord(
-                rid, float(measured), float(bound), bool(passed), {} if detail is None else detail
-            )
-        )
+def _le(rid: str, measured: float, bound: float, detail: dict | None = None) -> InvariantRecord:
+    """A non-strict contract (``<=``, ``>=``, ``==``): passes when measured <= bound."""
+    measured, bound = float(measured), float(bound)
+    return InvariantRecord(rid, measured, bound, measured <= bound, detail or {})
 
-    def pd(self, rid: str, lam: float, detail: dict | None = None):
-        """Positive definiteness: the minimum eigenvalue ``lam`` exceeds PD_TOL."""
-        detail = detail if detail is not None else {"min_eigenvalue": lam}
-        self.add(rid, -lam, -PD_TOL, lam > PD_TOL, detail)
 
-    def equal(self, rid: str, residual: float, ref: float, detail: dict | None = None):
-        """An equality whose ``residual`` is within ``equality_bound(ref)``."""
-        bound = equality_bound(ref)
-        self.add(rid, residual, bound, residual <= bound, detail)
+def _lt(rid: str, measured: float, bound: float, detail: dict | None = None) -> InvariantRecord:
+    """A strict contract (``<``, ``>``): passes when measured < bound."""
+    measured, bound = float(measured), float(bound)
+    return InvariantRecord(rid, measured, bound, measured < bound, detail or {})
+
+
+def _pd(rid: str, lam: float, detail: dict | None = None) -> InvariantRecord:
+    """Positive definiteness: the minimum eigenvalue ``lam`` exceeds PD_TOL."""
+    return _lt(rid, -lam, -PD_TOL, detail or {"min_eigenvalue": lam})
+
+
+def _equal(rid: str, residual: float, ref: float, detail: dict | None = None) -> InvariantRecord:
+    """An equality whose ``residual`` is within ``equality_bound(ref)``."""
+    return _le(rid, residual, equality_bound(ref), detail)
 
 
 def check_iteration(
@@ -300,78 +334,58 @@ def _loop_records(
     sigma, n, state, mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
     r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12,
 ) -> list[InvariantRecord]:
-    """The records of one step from its measured values."""
-    out = _Sweep()
-
-    # I1: both iterates stay positive definite.
-    out.pd("I1", min(lam_x, lam_z), {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z})
-
-    # I2: the gap stays positive and under the admission ceiling.
-    out.add(
-        "I2",
-        state.phi,
-        GAP_CEILING,
-        (state.phi > 0.0) and (state.phi <= GAP_CEILING),
-        {"lower_ok": state.phi > 0.0},
-    )
-
-    # I3: strict contraction with a margin over sigma.
-    v3 = state.phi - (sigma + CONTRACTION_MARGIN) * state.phim
-    out.add("I3", v3, 0.0, v3 < 0.0, {"phi": state.phi, "phim": state.phim})
-
-    # I4: the new pair stays in the central-path neighborhood (new mu).
-    out.add("I4", dev4, THETA * state.mu, dev4 <= THETA * state.mu)
-
-    # I5: scaled dual direction is small.
-    out.add("I5", v5, DZ_BOUND, v5 <= DZ_BOUND)
-
-    # I6: second-order cross term is small (mu of the point stepped from).
-    b6 = THETA * sigma * mu
-    out.add("I6", v6, b6, v6 <= b6)
-
-    # I7: linearized gap identity.
+    """The records of one step from its measured values, in catalog order."""
+    phi, phim = state.phi, state.phim
     lhs7 = xm_dz + dx_zm + gap
     rhs7 = sigma * n * mu
-    out.equal("I7", abs(lhs7 - rhs7), rhs7, {"lhs": lhs7, "rhs": rhs7})
-
-    # I8: realized gap contraction equals sigma exactly.
-    v8 = abs(state.phi - sigma * state.phim)
-    out.equal("I8", v8, state.phim, {"phi": state.phi, "phim": state.phim})
-
-    # I9: directions preserve dual and primal feasibility.
-    out.equal(
-        "I9",
-        max(r_dual, r_primal),
-        norm_dx,
-        {"dual_residual": r_dual, "primal_residual": r_primal},
-    )
-
-    # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
-    out.equal("I10", v10, norm_rhs10)
-
-    # I11: proximity chain for the new pair under the old scaling. The outer
-    # comparison (first <= bound) is exact; the inner one (first <= middle)
-    # gets the equality tolerance since both sides shrink to rounding level.
+    # I11: the outer comparison (first <= bound) is exact; the inner one
+    # (first <= middle) gets the equality tolerance since both sides shrink
+    # to rounding level.
     b11 = 0.5 * middle11
     c11 = THETA * sigma * mu
-    out.add(
-        "I11",
-        a11,
-        c11,
-        (a11 <= c11) and (a11 <= b11 + equality_bound(b11)),
-        {
-            "chain_first": a11,
-            "chain_middle": b11,
-            "chain_bound": c11,
-            "first_leq_middle": bool(a11 <= b11),
-            "middle_leq_bound": bool(b11 <= c11),
-        },
-    )
-
-    # I12: the scaled dual update keeps the next Z positive definite.
-    out.pd("I12", lam12)
-
-    return out.records
+    return [
+        # I1: both iterates stay positive definite.
+        _pd("I1", min(lam_x, lam_z), {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z}),
+        # I2: the gap stays positive and under the admission ceiling.
+        _record("I2", phi, GAP_CEILING, phi > 0.0 and phi <= GAP_CEILING, {"lower_ok": phi > 0.0}),
+        # I3: strict contraction with a margin over sigma.
+        _lt("I3", phi - (sigma + CONTRACTION_MARGIN) * phim, 0.0, {"phi": phi, "phim": phim}),
+        # I4: the new pair stays in the central-path neighborhood (new mu).
+        _le("I4", dev4, THETA * state.mu),
+        # I5: scaled dual direction is small.
+        _le("I5", v5, DZ_BOUND),
+        # I6: second-order cross term is small (mu of the point stepped from).
+        _le("I6", v6, THETA * sigma * mu),
+        # I7: linearized gap identity.
+        _equal("I7", abs(lhs7 - rhs7), rhs7, {"lhs": lhs7, "rhs": rhs7}),
+        # I8: realized gap contraction equals sigma exactly.
+        _equal("I8", abs(phi - sigma * phim), phim, {"phi": phi, "phim": phim}),
+        # I9: directions preserve dual and primal feasibility.
+        _equal(
+            "I9",
+            max(r_dual, r_primal),
+            norm_dx,
+            {"dual_residual": r_dual, "primal_residual": r_primal},
+        ),
+        # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
+        _equal("I10", v10, norm_rhs10),
+        # I11: proximity chain for the new pair under the old scaling.
+        _record(
+            "I11",
+            a11,
+            c11,
+            a11 <= c11 and a11 <= b11 + equality_bound(b11),
+            {
+                "chain_first": a11,
+                "chain_middle": b11,
+                "chain_bound": c11,
+                "first_leq_middle": a11 <= b11,
+                "middle_leq_bound": b11 <= c11,
+            },
+        ),
+        # I12: the scaled dual update keeps the next Z positive definite.
+        _pd("I12", lam12),
+    ]
 
 
 def check_initialization(
@@ -379,79 +393,71 @@ def check_initialization(
     state: IterateState,
     opts: SolverOptions,
 ) -> list[InvariantRecord]:
-    """Evaluate the sixteen initialization contracts on the starting point.
+    """Evaluate the sixteen initialization contracts on the starting point;
+    the records in catalog order, each quantity computed in that order.
 
     Works on any SdpProblem, validated or not, so deliberately broken data
     (say, an indefinite F0) yields failing records rather than exceptions.
     """
     n, m = prob.n, prob.m
-    X, Z, p = state.X, state.Z, state.p
-    sigma = opts.sigma
+    X, Z = state.X, state.Z
+    p = np.asarray(state.p, dtype=float).ravel()
     phi_rec = trace_inner(X, Z)
     mu_rec = phi_rec / n
-    out = _Sweep()
-
-    out.pd("init-f0-pd", min_eigenvalue(prob.f0))
-
-    if m:
-        F = prob.fs
-        asyms = asymmetry(F)
-        worst = int(np.argmax(asyms))
-        v = float(asyms[worst])
-        out.equal("init-fi-symmetric", v, float(np.abs(F).max()), {"worst_index": worst + 1})
-    else:
-        out.add("init-fi-symmetric", 0.0, 0.0, True, {"note": "no constraint matrices"})
-
-    out.add("init-size", -min(n, m), -1.0, n >= 1 and m >= 1, {"n": n, "m": m})
-
-    out.pd("init-z0-pd", min_eigenvalue(Z))
-
-    res_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b))
-    out.equal(
-        "init-dual-feasibility", res_dual, float(np.linalg.norm(prob.b)), {"residual": res_dual}
-    )
-
-    out.pd("init-x0-pd", min_eigenvalue(X))
-
-    dev = frob_norm(X @ Z - mu_rec * identity(n))
-    out.add("init-neighborhood", dev, THETA * mu_rec, dev <= THETA * mu_rec)
-
-    out.add("init-gap-upper", phi_rec, GAP_CEILING, phi_rec <= GAP_CEILING)
-
-    out.add("init-gap-positive", -phi_rec, 0.0, phi_rec > 0.0, {"gap": phi_rec})
-
-    p_arr = np.asarray(p, dtype=float).ravel()
-    if m == sym_dim(n) and p_arr.shape[0] == m:
-        P = mats(p_arr, n)
-        v_p = float(asymmetry(P))
-        out.equal("init-p-symmetric", v_p, float(np.max(np.abs(P))), {"reshaped": True})
-    else:
-        out.add(
-            "init-p-symmetric",
+    return [
+        _pd("init-f0-pd", min_eigenvalue(prob.f0)),
+        _fi_symmetric(prob.fs),
+        _le("init-size", -min(n, m), -1.0, {"n": n, "m": m}),
+        _pd("init-z0-pd", min_eigenvalue(Z)),
+        _equal(
+            "init-dual-feasibility",
+            res_dual := float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b)),
+            np.linalg.norm(prob.b),
+            {"residual": res_dual},
+        ),
+        _pd("init-x0-pd", min_eigenvalue(X)),
+        _le("init-neighborhood", frob_norm(X @ Z - mu_rec * identity(n)), THETA * mu_rec),
+        _le("init-gap-upper", phi_rec, GAP_CEILING),
+        _lt("init-gap-positive", -phi_rec, 0.0, {"gap": phi_rec}),
+        _p_symmetric(p, n, m),
+        _equal(
+            "init-primal-feasibility",
+            res_primal := frob_norm(_fold(prob.f0, p, prob.fs) + X),
+            frob_norm(prob.f0),
+            {"residual": res_primal},
+        ),
+        _lt("init-epsilon-positive", -opts.epsilon, 0.0, {"epsilon": opts.epsilon}),
+        _le("init-sigma-constant", 0.0, 0.0, {"sigma": opts.sigma}),
+        _equal(
+            "init-phi-definition",
+            abs(state.phi - phi_rec),
+            phi_rec,
+            {"stored": state.phi, "recomputed": phi_rec},
+        ),
+        _lt(
+            "init-phim-seed",
+            state.phi - (opts.sigma + CONTRACTION_MARGIN) * state.phim,
             0.0,
-            0.0,
-            True,
-            {"reshaped": False, "note": "p reshapes to a square matrix only when m == n*(n+1)/2"},
-        )
+            {"phi": state.phi, "phim": state.phim},
+        ),
+        _equal("init-mu-definition", abs(n * state.mu - phi_rec), phi_rec, {"stored": state.mu}),
+    ]
 
-    res_primal = frob_norm(_fold(prob.f0, p_arr, prob.fs) + X)
-    out.equal("init-primal-feasibility", res_primal, frob_norm(prob.f0), {"residual": res_primal})
 
-    eps = opts.epsilon
-    out.add("init-epsilon-positive", -eps, 0.0, eps > 0.0, {"epsilon": eps})
+def _fi_symmetric(fs: Sequence[np.ndarray]) -> InvariantRecord:
+    """``init-fi-symmetric``, measured on the most asymmetric Fi (the first
+    of equals)."""
+    if not len(fs):
+        return _le("init-fi-symmetric", 0.0, 0.0, {"note": "no constraint matrices"})
+    asyms = asymmetry(fs)
+    worst = int(np.argmax(asyms))
+    return _equal("init-fi-symmetric", asyms[worst], np.abs(fs).max(), {"worst_index": worst + 1})
 
-    out.add("init-sigma-constant", 0.0, 0.0, True, {"sigma": sigma})
 
-    out.equal(
-        "init-phi-definition",
-        abs(state.phi - phi_rec),
-        phi_rec,
-        {"stored": state.phi, "recomputed": phi_rec},
-    )
-
-    v_seed = state.phi - (sigma + CONTRACTION_MARGIN) * state.phim
-    out.add("init-phim-seed", v_seed, 0.0, v_seed < 0.0, {"phi": state.phi, "phim": state.phim})
-
-    out.equal("init-mu-definition", abs(n * state.mu - phi_rec), phi_rec, {"stored": state.mu})
-
-    return out.records
+def _p_symmetric(p: np.ndarray, n: int, m: int) -> InvariantRecord:
+    """``init-p-symmetric`` on P = mats(p, n), where p has that shape."""
+    if not (m == sym_dim(n) and p.shape[0] == m):
+        note = "p reshapes to a square matrix only when m == n*(n+1)/2"
+        return _le("init-p-symmetric", 0.0, 0.0, {"reshaped": False, "note": note})
+    P = mats(p, n)
+    return _equal("init-p-symmetric", asymmetry(P), np.max(np.abs(P)), {"reshaped": True})

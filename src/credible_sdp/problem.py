@@ -59,6 +59,9 @@ DEFAULT_SIGMA = 0.75
 #: factor of about 0.75 via ``solver.sigma_from_nu``.
 DEFAULT_NU = 0.4714
 
+#: The run modes of ``SolverOptions.mode``.
+MODES = ("strict", "audit")
+
 
 class ProblemFormatError(ValueError):
     """Problem data is malformed: wrong shapes, asymmetry, or bad scalars."""
@@ -83,7 +86,7 @@ class SolverOptions:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("strict", "audit"):
+        if self.mode not in MODES:
             raise ValueError(f"mode must be 'strict' or 'audit', got {self.mode!r}")
         # below the normal floats, the budget's initial_gap / epsilon overflows
         if not (math.isfinite(self.epsilon) and self.epsilon >= sys.float_info.min):

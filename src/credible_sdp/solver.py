@@ -333,9 +333,15 @@ class SolveReport:
         return self.final_state.phi
 
     @property
+    def failed_ids(self) -> list[str]:
+        """The sorted ids of the contracts with a failed record,
+        initialization included."""
+        return sorted({rec.id for rec in self.all_records() if not rec.passed})
+
+    @property
     def clean(self) -> bool:
         """True when every contract record, initialization included, passed."""
-        return all(rec.passed for rec in self.all_records())
+        return not self.failed_ids
 
     @property
     def record_count(self) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credible_sdp import monitor
 from credible_sdp.annotator import (
     CHECK_RTOL,
     LEGACY_SCHEMA,
@@ -1539,3 +1541,47 @@ def test_listing_requires_a_warm_start():
 
 def test_check_rtol_is_tight():
     assert CHECK_RTOL == 1e-12
+
+
+# -- the scaling pair, computed by the solver and by the replay ------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _workload_problem(n: int):
+    """``bench/workload_gen.py``'s problem at seed 2001, index 0, size n."""
+    spec = importlib.util.spec_from_file_location("workload_gen", BENCH / "workload_gen.py")
+    workload_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload_gen)
+    return load_problem(workload_gen.problem_bytes(2001, n, 0))
+
+
+def _scaling_pairs(monkeypatch, run) -> dict[int, tuple[bytes, bytes]]:
+    """The bytes of (Zh, Zhi) of every step that ``monitor.check_iteration``
+    sweeps while ``run()`` runs, by iteration."""
+    pairs = {}
+    sweep = monitor.check_iteration
+
+    def spy(prob, states, steps, sigma):
+        for state, step in zip(states[1:], steps):
+            pairs[state.iteration] = (step.Zh.tobytes(), step.Zhi.tobytes())
+        return sweep(prob, states, steps, sigma)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monitor, "check_iteration", spy)
+        run()
+    return pairs
+
+
+@pytest.mark.parametrize("n", [None, 8, 16])
+def test_the_replay_scales_each_step_with_the_solvers_bits(monkeypatch, n):
+    # the rule Zh = sym_sqrt(Z), Zhi = sym_inv(Zh) is written twice, in
+    # solver.prepare_newton and in check_trace's step source; this pins them
+    # to the same bits
+    prob = running_example() if n is None else _workload_problem(n)
+    runs = []
+    solved = _scaling_pairs(monkeypatch, lambda: runs.append(solve(prob)))
+    (report,) = runs
+    replayed = _scaling_pairs(monkeypatch, lambda: check_trace(write_trace(report), prob))
+    assert sorted(solved) == list(range(1, report.iterations + 1))
+    assert replayed == solved

@@ -14,6 +14,7 @@ import pytest
 
 import credible_sdp
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
+from credible_sdp.problem import MODES
 from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
 
 README = Path(__file__).parent.parent / "README.md"
@@ -349,6 +350,13 @@ def test_readme_names_every_flag_each_subcommand_takes():
         for name, sub in subs.choices.items()
     }
     assert _readme_flags() == parsed
+
+
+def test_each_mode_flag_offers_the_run_modes():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("solve", "demo"):
+        (mode,) = [action for action in subs.choices[name]._actions if action.dest == "mode"]
+        assert mode.choices == MODES and mode.default in MODES
 
 
 def test_readme_library_use_documents_the_root_api_exactly():

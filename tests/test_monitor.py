@@ -3,7 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +23,11 @@ from credible_sdp.monitor import (
     THETA,
     InvariantRecord,
     _fold,
+    _TEMPLATES,
     anchor,
     check_initialization,
     check_iteration,
+    fmt_num,
 )
 from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
 from credible_sdp.solver import (
@@ -87,6 +92,16 @@ def test_anchor_substitutes_sigma_and_ceiling():
 def test_anchor_mentions_literal_bounds():
     assert "0.3105" in anchor("I4", 0.75)
     assert "0.7" in anchor("I5", 0.75)
+
+
+def test_no_anchor_template_spells_a_catalog_constant():
+    # the templates print THETA, DZ_BOUND and GAP_CEILING from the constants,
+    # as they print sigma + CONTRACTION_MARGIN
+    for rid, template in _TEMPLATES.items():
+        for constant in (THETA, DZ_BOUND, GAP_CEILING):
+            assert fmt_num(constant) not in template, (rid, constant)
+    assert "{theta}" in _TEMPLATES["I4"] and "{dz_bound}" in _TEMPLATES["I5"]
+    assert "{gap_ceiling}" in _TEMPLATES["I2"] and "{gap_ceiling}" in _TEMPLATES["init-gap-upper"]
 
 
 def test_unknown_anchor_id_raises():
@@ -474,3 +489,157 @@ def test_loop_sweep_keeps_the_record_bits_of_steps_that_move_z(n):
             _record_line(n, k, rec) for k, records in enumerate(sweeps, start=1) for rec in records
         ]
         assert lines == golden
+
+
+# -- one verdict rule per contract -------------------------------------------------------
+
+#: The verdict rule of each contract: "le" passes when measured <= bound,
+#: "lt" when measured < bound; a "compound" contract states its own verdict.
+RULES = {
+    "init-f0-pd": "lt",
+    "init-fi-symmetric": "le",
+    "init-size": "le",
+    "init-z0-pd": "lt",
+    "init-dual-feasibility": "le",
+    "init-x0-pd": "lt",
+    "init-neighborhood": "le",
+    "init-gap-upper": "le",
+    "init-gap-positive": "lt",
+    "init-p-symmetric": "le",
+    "init-primal-feasibility": "le",
+    "init-epsilon-positive": "lt",
+    "init-sigma-constant": "le",
+    "init-phi-definition": "le",
+    "init-phim-seed": "lt",
+    "init-mu-definition": "le",
+    "I1": "lt",
+    "I2": "compound",
+    "I3": "lt",
+    "I4": "le",
+    "I5": "le",
+    "I6": "le",
+    "I7": "le",
+    "I8": "le",
+    "I9": "le",
+    "I10": "le",
+    "I11": "compound",
+    "I12": "lt",
+}
+
+_RULE_OPS = {"le": operator.le, "lt": operator.lt}
+
+
+def test_each_simple_contract_has_the_rule_its_anchor_states():
+    assert list(RULES) == list(INIT_IDS + LOOP_IDS)
+    assert [rid for rid, rule in RULES.items() if rule == "compound"] == ["I2", "I11"]
+    for rid, rule in RULES.items():
+        comparisons = re.findall(r"<=|>=|==|<|>|isposdef", anchor(rid, 0.75))
+        strict = {op in ("<", ">", "isposdef") for op in comparisons}
+        if rule != "compound":
+            assert strict == {rule == "lt"}, (rid, comparisons)
+
+
+def _rule_holds(records):
+    for rec in records:
+        if RULES[rec.id] != "compound":
+            assert rec.passed is _RULE_OPS[RULES[rec.id]](rec.measured, rec.bound), rec
+
+
+def test_every_record_is_its_rule_applied_to_its_measured_value_and_bound(example_report):
+    _rule_holds(example_report.all_records())
+    # failing records too: a broken start and steps that move Z
+    prob = _unchecked_problem(-np.eye(2), [F1, F2], [0.5, -0.25])
+    _rule_holds(check_initialization(prob, _identity_state(2, 2), SolverOptions()))
+    for n in (2, 3):
+        prob, states, steps, sigma = _dual_run(n)
+        for records in check_iteration(prob, states, steps, sigma):
+            _rule_holds(records)
+
+
+# -- which loop contracts are identities of the square loop body ---------------------------
+#
+# Polynomial identity testing (Schwartz, J. ACM 27(4), 1980): a rational
+# function that is not identically zero is nonzero at a random point with
+# high probability, so one that is exactly zero at random rational points is
+# an identity of the loop body. Every admitted problem has m = n(n+1)/2
+# independent Fi, so dZ = 0 and F' is invertible; the loop body is evaluated
+# exactly with those inputs.
+
+
+def _rational(rng, shape):
+    """Random rationals a / b with |a| < 10 and 0 < b < 8, as an object array."""
+    pairs = zip(rng.integers(-9, 10, shape).ravel(), rng.integers(1, 8, shape).ravel())
+    return np.array([Fraction(int(a), int(b)) for a, b in pairs], dtype=object).reshape(shape)
+
+
+def _eye(n):
+    return np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
+
+
+def _rational_spd(rng, n):
+    A = _rational(rng, (n, n))
+    return A @ A.T + _eye(n)
+
+
+def _solve_exact(A, B):
+    """X with A @ X == B exactly, by Gauss-Jordan elimination; A invertible."""
+    k = len(A)
+    rows = [list(A[i]) + list(np.atleast_1d(B[i])) for i in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return np.array([row[k:] for row in rows], dtype=object).reshape(B.shape)
+
+
+def _tr(A):
+    return sum(A[i, i] for i in range(len(A)))
+
+
+def _square_loop_body(rng, n):
+    """The quantities of one exact step of the square loop body at a random
+    rational point: symmetric PD Zh and Xm, sigma in (0, 1) and m = n(n+1)/2
+    symmetric F1..Fm. Z = Zh^2 and Zhi = Zh^-1; dZ = 0; dX = Zhi r Zhi with
+    r = sigma mu I - Zh Xm Zh; dp solves sum(dp_i Fi) = -dX on the upper
+    triangle, where the sqrt(2) of ``vecs`` cancels."""
+    m = n * (n + 1) // 2
+    eye = _eye(n)
+    Zh, Xm = _rational_spd(rng, n), _rational_spd(rng, n)
+    sigma = Fraction(int(rng.integers(1, 10)), 10)
+    fs = [A + A.T for A in (_rational(rng, (n, n)) for _ in range(m))]
+    Z = Zm = Zh @ Zh
+    Zhi = _solve_exact(Zh, eye)
+    dZ = 0 * eye
+    mu = _tr(Xm @ Zm) / n
+    target = sigma * mu * eye
+    dX = Zhi @ (target - Zh @ Xm @ Zh) @ Zhi
+    i, j = np.triu_indices(n)
+    dp = _solve_exact(np.array([F[i, j] for F in fs]).T, -dX[i, j])
+    X = Xm + dX
+    gap, phi = _tr(Xm @ Zm), _tr(X @ Z)
+    return {
+        "I7": _tr(Xm @ dZ) + _tr(dX @ Zm) + gap - sigma * n * mu,
+        "I8": phi - sigma * gap,
+        "I9 primal": sum(c * F for c, F in zip(dp, fs)) + dX,
+        "I10": Fraction(1, 2) * (Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi)
+        - (target - Zh @ Xm @ Zh),
+        "I4 measured": X @ Z - (phi / n) * eye,
+        "I11 first": Zh @ X @ Zh - target,
+        "I11 middle": Zhi @ (Z @ X - target) @ Zh + Zh @ (X @ Z - target) @ Zhi,
+        "control": X @ Z - mu * eye,  # the old mu: XZ - mu I = (sigma - 1) mu I
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_square_loop_body_makes_the_equality_contracts_identities(n):
+    rng = np.random.default_rng([1980, n])
+    for _ in range(3):
+        values = _square_loop_body(rng, n)
+        control = values.pop("control")
+        for name, value in values.items():
+            assert all(type(v) is Fraction and v == 0 for v in np.ravel(value)), name
+        assert any(v != 0 for v in np.ravel(control))

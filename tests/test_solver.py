@@ -437,6 +437,27 @@ def test_solve_tracks_min_slacks(example_report):
         assert slacks[rid] > 0.0
 
 
+def test_failed_ids_are_the_sorted_ids_of_the_failed_records(example_report):
+    assert example_report.failed_ids == [] and example_report.clean
+
+    def fail(records, ids):
+        return [
+            dataclasses.replace(rec, passed=rec.passed and rec.id not in ids) for rec in records
+        ]
+
+    snaps = [
+        dataclasses.replace(snap, records=fail(snap.records, {"I3"})) if k in (2, 5) else snap
+        for k, snap in enumerate(example_report.snapshots)
+    ]
+    dirty = dataclasses.replace(
+        example_report,
+        init_records=fail(example_report.init_records, {"init-size", "init-f0-pd"}),
+        snapshots=snaps,
+    )
+    assert dirty.failed_ids == ["I3", "init-f0-pd", "init-size"]
+    assert not dirty.clean
+
+
 def _potential(X: np.ndarray, Z: np.ndarray, nu: float) -> float:
     """The Tanabe-Todd-Ye potential (n + nu*sqrt(n))*log(tr(XZ)) - log det(XZ) - n*log(n)."""
     n = len(X)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "credible_sdp"
 
@@ -90,3 +92,15 @@ def test_a_failing_property_does_not_end_the_run(tmp_path):
     out = run.stdout + run.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_the_package_version_is_stated_once():
+    # pyproject.toml takes the version from the string every trace header
+    # and listing names, rather than repeating it
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "credible_sdp.annotator.TOOL_VERSION"
+    }
