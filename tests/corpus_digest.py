@@ -22,13 +22,22 @@ Run it against the package on ``PYTHONPATH``, once per version, and diff::
     PYTHONPATH=<other checkout>/src python tests/corpus_digest.py > parent.txt
     diff parent.txt change.txt
 
+or in one command, which runs both in subprocesses, prints the unified diff
+of their lines (the ``package:`` line aside) and exits 1 on any difference::
+
+    PYTHONPATH=src python tests/corpus_digest.py --against <other checkout>/src
+
 The problems are generated in memory; nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,7 +112,37 @@ def digests(prob) -> list[str]:
     return [hashlib.sha256(a).hexdigest() for a in artifacts]
 
 
-def main() -> int:
+def run_against(other_src: str) -> int:
+    """Digest the package on the import path and the one under ``other_src``,
+    each in its own process; print the unified diff, 1 if they differ."""
+    ours = str(Path(credible_sdp.__file__).resolve().parent.parent)
+    runs = {}
+    for src in (other_src, ours):
+        env = {**os.environ, "PYTHONPATH": src}
+        runs[src] = subprocess.Popen(
+            [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True
+        )
+    lines = {}
+    for src, proc in runs.items():
+        out, _ = proc.communicate()
+        if proc.returncode:
+            raise SystemExit(f"the digest of {src} exited with {proc.returncode}")
+        lines[src] = out.splitlines(keepends=True)
+    diff = list(difflib.unified_diff(lines[other_src], lines[ours], other_src, ours))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--against",
+        metavar="OTHER_SRC",
+        help="the src directory of another version: print the diff of the two digests",
+    )
+    args = parser.parse_args(argv)
+    if args.against:
+        return run_against(args.against)
     print(f"package: {Path(credible_sdp.__file__).parent}", file=sys.stderr)
     print("problem trace listing-m listing-c report check records tampered")
     for name, prob in corpus():
