@@ -654,15 +654,26 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         shapes.update(dX=(sym_dim(n),), dZ=(sym_dim(n),))
         _, _, _, mirror = layout(n)
     scaled = None  # (Z, Zh, Zhi), redone only when the Z stepped from changes
+    lines = [block["state"] for block in trace.iterations]
+    try:  # each key of all lines at once; a fault is named line by line, in the replay
+        all_lines = {
+            key: json_numbers([line[key] for line in lines], shape=(len(lines), *sh))
+            for key, sh in shapes.items()
+        }
+    except Exception:  # noqa: BLE001
+        all_lines = None
 
     def stored_step(prev: IterateState) -> NewtonStep:
         """The step the next iteration line stores, scaled at ``prev.Z``."""
         nonlocal scaled
-        line = trace.iterations[prev.iteration]["state"]
-        try:
-            arrays = {key: json_numbers(line[key], shape=sh) for key, sh in shapes.items()}
-        except Exception as exc:  # noqa: BLE001
-            raise TraceFormatError(f"unreadable iteration line: {exc}") from None
+        k = prev.iteration
+        if all_lines is not None:
+            arrays = {key: all_lines[key][k] for key in shapes}
+        else:
+            try:
+                arrays = {key: json_numbers(lines[k][key], shape=sh) for key, sh in shapes.items()}
+            except Exception as exc:  # noqa: BLE001
+                raise TraceFormatError(f"unreadable iteration line: {exc}") from None
         if spec.triangles:
             arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
         # every Z here is (n, n), so this is np.array_equal without its dispatch

@@ -14,6 +14,9 @@ test; the catalog's PD records, admission's test of F0, ``sym_sqrt`` and
 ``min_eigenvalue``, ``frob_norm`` and ``trace_inner`` also take a (K, n, n)
 stack and then return one value per matrix, each with the bits the matrix
 alone gives: one LAPACK call, one dot product or one reduction per matrix.
+A stack of two or more matrices that are all equal bit for bit (the dual
+iterate, which never moves) is decomposed once; nothing is memoised across
+calls.
 
 Square roots and inverses of symmetric positive-definite matrices are
 computed spectrally (symmetric eigendecomposition), which yields the
@@ -49,8 +52,11 @@ class NotPositiveDefiniteError(ValueError):
 
 def min_eigenvalue(S: np.ndarray) -> float | np.ndarray:
     """Smallest eigenvalue of the symmetric part of S, or of each matrix of a
-    stack; never raises on asymmetry."""
+    stack; never raises on asymmetry. A stack whose matrices are all equal
+    bit for bit is decomposed once."""
     S = np.asarray(S, dtype=float)
+    if S.ndim == 3 and len(S) > 1 and (S.view(np.int64) == S[:1].view(np.int64)).all():
+        return np.repeat(min_eigenvalue(S[:1]), len(S))
     lam = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[..., 0]
     return float(lam) if lam.ndim == 0 else lam
 

@@ -36,8 +36,12 @@ the same bits whether it is swept alone or with others.
 Sums over the constraint matrices run over the problem's (m, n, n) stack in
 one numpy expression that adds the terms in the same order, so they give
 the same bits as the loop ``acc = acc + p[i] * F[i]`` (see ``_fold``). I9's
-primal fold stays one per step: stacked over the steps it would hold
-K * m * n^2 floats at once.
+primal fold, one per step, runs over the problem's ``fold_plan`` instead:
+the m x E stack of the upper triangle's entries and of the lower entries
+that differ from their mirrors, E = n(n+1)/2 for a stack symmetric bit for
+bit. Each step's products go to one m x E buffer that the sweep reuses, and
+the E sums are gathered back to n x n, so every entry gets the multiply-adds
+of the full fold in the same order.
 
 Rule for monitor arithmetic. A trace stores each record's ``measured``
 value, and the checker recomputes it with this code. So a change to how a
@@ -217,22 +221,41 @@ def anchor(record_id: str, sigma: float) -> str:
     )
 
 
-def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _fold(
+    start: np.ndarray | float,
+    coeffs: np.ndarray,
+    F: np.ndarray,
+    terms: np.ndarray | None = None,
+) -> np.ndarray:
     """start + c[0]*F[0] + c[1]*F[1] + ..., added left to right, bit for bit
-    the loop ``acc = start; acc = acc + c[i] * F[i]``.
+    the loop ``acc = start; acc = acc + c[i] * F[i]``, over a stack F of
+    matrices or of rows; the products go to ``terms`` if given, a buffer of
+    F's shape.
 
-    Reducing the leading axis of a C-contiguous stack whose matrices have two
-    or more entries is that running sum, entry by entry. With 1 x 1 matrices
-    numpy would sum the column pairwise instead, so they take ``accumulate``,
-    which is a running sum by definition.
+    Reducing the leading axis of a C-contiguous stack whose items have two
+    or more entries is that running sum, entry by entry. With one entry per
+    item numpy would sum the column pairwise instead, so such a stack takes
+    ``accumulate``, which is a running sum by definition.
     """
-    terms = coeffs[:, None, None] * F
+    terms = np.multiply(coeffs.reshape((-1,) + (1,) * (F.ndim - 1)), F, out=terms)
     if not len(terms):
         return start + np.zeros(F.shape[1:])
     terms[0] += start
     if terms[0].size > 1:
         return np.add.reduce(terms, axis=0)
     return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _primal_folds(prob: SdpProblem, dps: Sequence[np.ndarray]) -> np.ndarray:
+    """``_fold(0.0, dp, prob.fs)`` for each dp, as a (K, n, n) stack, folded
+    over the columns of ``prob.fold_plan`` only: each fold's products go to
+    one m x E buffer, and the K x E sums are gathered back to n x n."""
+    columns, entry = prob.fold_plan
+    terms = np.empty(columns.shape)
+    sums = np.empty((len(dps), columns.shape[1]))
+    for k, dp in enumerate(dps):
+        sums[k] = _fold(0.0, np.asarray(dp, dtype=float).ravel(), columns, terms)
+    return sums[:, entry].reshape(len(dps), prob.n, prob.n)
 
 
 def equality_bound(ref: float) -> float:
@@ -310,8 +333,7 @@ def check_iteration(
     xm_dz = trace_inner(Xm, dZ)  # I7
     dx_zm = trace_inner(dX, Zm)
     r_dual = frob_norm(np.matmul(prob.fmat, vecs_stack(dZ)[:, :, None]))  # I9
-    folds = [_fold(0.0, np.asarray(s.dp, dtype=float).ravel(), prob.fs) for s in steps]
-    r_primal = frob_norm(np.stack(folds) + dX)
+    r_primal = frob_norm(_primal_folds(prob, [step.dp for step in steps]) + dX)
     norm_dx = frob_norm(dX)
     lhs10 = 0.5 * (  # I10
         Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi

@@ -27,9 +27,10 @@ whose X0 ``solver.initialize`` admits by the same rule.
 
 The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
 (m, n, n) array, so checks over all of them are single numpy expressions.
-Every value they determine (n, m, the assembled constraint matrix ``fmat``
-and the problem hash) is derived from them, never stored beside them, so no
-problem can carry a hash or an ``fmat`` of other constraints.
+Every value they determine (n, m, the assembled constraint matrix ``fmat``,
+the ``fold_plan`` and the problem hash) is derived from them, never stored
+beside them, so no problem can carry a hash or an ``fmat`` of other
+constraints.
 """
 
 from __future__ import annotations
@@ -139,6 +140,29 @@ class SdpProblem:
     @cached_property
     def fmat(self) -> np.ndarray:
         return vecs_stack(self.fs)
+
+    @cached_property
+    def fold_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, entry): the entries of F1..Fm a sum over them computes.
+
+        ``columns`` is the C-contiguous (m, E) stack of the upper triangle's
+        entries and of each lower entry that differs from its mirror, bit for
+        bit, in some Fi (so 0.0 and -0.0 differ); ``entry[i * n + j]`` is the
+        column that holds entry (i, j), its mirror's where they never differ.
+        A sum of terms c[k] * Fk over the columns, gathered through
+        ``entry``, has the bits of the same sum over the full matrices.
+        """
+        m, n = self.m, self.n
+        flat = self.fs.reshape(m, n * n)
+        row, col = np.divmod(np.arange(n * n), n)
+        mirror = col * n + row
+        bits = flat.view(np.int64)
+        own = (row <= col) | (bits != bits[:, mirror]).any(axis=0)
+        cols = np.flatnonzero(own)
+        entry = np.empty(n * n, dtype=np.intp)
+        entry[cols] = np.arange(len(cols))
+        entry[~own] = entry[mirror[~own]]  # mirrors of lower entries are upper ones
+        return np.ascontiguousarray(flat[:, cols]), entry
 
     @cached_property
     def problem_hash(self) -> str:
@@ -265,7 +289,28 @@ def json_numbers(
     Ragged nesting, the wrong depth or shape, any entry but a JSON int or
     float, an integer beyond the float range and a non-finite value each
     raise ValueError, whose message says which.
+
+    A regular nesting of JSON ints and floats of the asked depth or shape is
+    read in one pass: its entries are flattened, their types checked at once
+    and converted by one ``np.array(flat, dtype=float)``, each number as
+    ``float`` reads it, which are the bits numpy's nested read gives. Any
+    other input, or a finiteness check that fails, takes the nested read,
+    whose messages name the fault.
     """
+    regular = _regular(obj)
+    if regular is not None:
+        found, flat = regular
+        if (
+            (ndim is None or len(found) == ndim)
+            and (shape is None or found == shape)
+            and set(map(type, flat)) <= {int, float}
+        ):
+            try:
+                arr = np.array(flat, dtype=float).reshape(found)
+            except OverflowError:  # an integer beyond the float range: named below
+                arr = None
+            if arr is not None and np.isfinite(arr).all():
+                return arr
     try:
         arr = np.array(obj)
     except ValueError:
@@ -287,6 +332,25 @@ def json_numbers(
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     return arr
+
+
+def _regular(obj: Any) -> tuple[tuple[int, ...], list] | None:
+    """(shape, entries in row-major order) of a number or of lists nested
+    regularly, the shape read down the first items; None if some item at a
+    depth above the last is not a list of that depth's length."""
+    found = []
+    item = obj
+    while type(item) is list:
+        found.append(len(item))
+        if not item:
+            break
+        item = item[0]
+    flat = [obj]
+    for size in found:
+        if set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
+            return None
+        flat = list(itertools.chain.from_iterable(flat))
+    return tuple(found), flat
 
 
 def load_problem(source: str | bytes) -> SdpProblem:
@@ -318,7 +382,10 @@ def load_problem(source: str | bytes) -> SdpProblem:
     f0 = as_matrix(data["F0"], "F0")
     if not isinstance(data["F"], list) or not data["F"]:
         raise ProblemFormatError('"F" must be a non-empty list of matrices')
-    fs = [as_matrix(Fi, f"F{i + 1}") for i, Fi in enumerate(data["F"])]
+    try:  # all of F at once; a fault is named matrix by matrix
+        fs = json_numbers(data["F"], 3)
+    except ValueError:
+        fs = [as_matrix(Fi, f"F{i + 1}") for i, Fi in enumerate(data["F"])]
     b = numbers(data["b"], '"b"', "a numeric vector", 1)
     x0 = as_matrix(data["X0"], "X0") if data.get("X0") is not None else None
     epsilon = numbers(data.get("epsilon", DEFAULT_EPSILON), '"epsilon"', "a number", 0)

@@ -84,6 +84,33 @@ def test_measures_of_a_stack_are_those_of_its_matrices_bit_for_bit():
             assert inners[k] == trace_inner(A[k], B[k])
 
 
+def _stack_cases():
+    rng = np.random.default_rng(19)
+    A = random_spd(rng, 5)
+    A[0, 3] = A[3, 0] = 0.0
+    nudged, signed = A.copy(), A.copy()
+    nudged[2, 2] = np.nextafter(A[2, 2], np.inf)
+    signed[0, 3] = -0.0  # equal to A under ==, not bit for bit
+    return {
+        "all-equal": (np.stack([A] * 6), 1),
+        "one-differs-in-the-last-bit": (np.stack([A, A, A, nudged, A, A]), 6),
+        "one-differs-in-a-zero-sign": (np.stack([A, A, signed, A]), 4),
+        "one-matrix": (A[None], 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_stack_cases()))
+def test_an_equal_stack_is_decomposed_once_with_the_bits_of_each_matrix(case, monkeypatch):
+    S, decomposed = _stack_cases()[case]
+    expected = [min_eigenvalue(M) for M in S]
+    eigvalsh, sizes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: sizes.append(len(M)) or eigvalsh(M))
+    lam = min_eigenvalue(S)
+    assert sizes == [decomposed]
+    assert lam.shape == (len(S),)
+    np.testing.assert_array_equal(lam.view(np.int64), np.array(expected).view(np.int64))
+
+
 def test_require_pd_reports_the_offending_eigenvalue():
     with pytest.raises(NotPositiveDefiniteError) as exc_info:
         require_pd(np.diag([2.0, -3.0]), what="test matrix")

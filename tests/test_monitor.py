@@ -23,6 +23,7 @@ from credible_sdp.monitor import (
     THETA,
     InvariantRecord,
     _fold,
+    _primal_folds,
     _TEMPLATES,
     anchor,
     check_initialization,
@@ -39,7 +40,7 @@ from credible_sdp.solver import (
     solve,
     take_step,
 )
-from credible_sdp.symvec import symmetrize
+from credible_sdp.symvec import SYMMETRY_TOL, is_symmetric, sym_dim, symmetrize
 
 F1 = np.diag([1.0, -1.0])
 F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -391,6 +392,53 @@ def test_fold_adds_left_to_right_like_the_loop(n, m):
         for start in (0.0, rng.normal(size=(n, n))):
             expected = _loop_fold(start, coeffs, F)
             np.testing.assert_array_equal(_bits(_fold(start, coeffs, F)), _bits(expected))
+
+
+def _full_stack_fold(start, coeffs, F):
+    """The stacked fold over all n x n entries of an (m, n, n) stack, as I9
+    folded each step before the fold plan: the reference of the plan fold."""
+    terms = coeffs[:, None, None] * F
+    if not len(terms):
+        return start + np.zeros(F.shape[1:])
+    terms[0] += start
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _plan_stacks():
+    """(name, stack, plan width) for each kind of stack the fold plan meets."""
+    rng = np.random.default_rng(24)
+    A = rng.normal(size=(21, 6, 6)) * 10.0 ** rng.uniform(-3, 3, size=(21, 1, 1))
+    sym = 0.5 * (A + A.swapaxes(1, 2))
+    near = sym.copy()  # symmetric within SYMMETRY_TOL only: one lower entry moved
+    near[4, 5, 1] += 0.5 * SYMMETRY_TOL * abs(near[4, 1, 5])
+    signed = sym.copy()  # a mirror pair 0.0 / -0.0 in one Fi, 0.0 in the others
+    signed[:, 3, 0] = signed[:, 0, 3] = 0.0
+    signed[7, 3, 0] = -0.0
+    return [
+        ("bit-symmetric", sym, sym_dim(6)),
+        ("within-tolerance", near, sym_dim(6) + 1),
+        ("signed-zero-pair", signed, sym_dim(6) + 1),
+        ("n-1", rng.normal(size=(21, 1, 1)), 1),
+        ("m-0", np.zeros((0, 3, 3)), sym_dim(3)),
+    ]
+
+
+@pytest.mark.parametrize("name,fs,width", _plan_stacks(), ids=[c[0] for c in _plan_stacks()])
+def test_the_plan_fold_is_the_full_stack_fold_bit_for_bit(name, fs, width):
+    m, n = fs.shape[:2]
+    assert is_symmetric(fs).all()  # each is a stack admission accepts
+    prob = _unchecked_problem(np.eye(n), fs, np.zeros(m))
+    columns, entry = prob.fold_plan
+    assert columns.shape == (m, width) and columns.flags.c_contiguous
+    rng = np.random.default_rng([m, n])
+    dps = rng.normal(size=(9, m)) * 10.0 ** rng.uniform(-12, 2, size=(9, m))
+    dps[rng.random(dps.shape) < 0.2] = -0.0
+    dps[0] = -0.0
+    expected = np.stack([_full_stack_fold(0.0, dp, fs) for dp in dps])
+    for k in (1, 9):  # a one-step sweep and a longer one
+        np.testing.assert_array_equal(_bits(_primal_folds(prob, dps[:k])), _bits(expected[:k]))
 
 
 def test_i9_primal_residual_is_the_loop_residual_bit_for_bit():

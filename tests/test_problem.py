@@ -2,18 +2,23 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import struct
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credible_sdp import problem
 from credible_sdp.linalg import PD_TOL
 from credible_sdp.problem import (
     ProblemFormatError,
+    json_numbers,
     SdpProblem,
     build_problem,
     load_problem,
@@ -469,6 +474,87 @@ def test_load_still_reads_integers_within_float_range():
     prob = load_problem(json.dumps(data))
     assert prob.b.tolist() == [1e30, 0.0, -(2.0**63)]
     assert prob.epsilon == 1.0 and type(prob.epsilon) is float
+
+
+def _json_numbers_before(obj, ndim=None, shape=None):
+    """``json_numbers`` before its one-pass path: numpy's nested read of
+    every input, the reference whose bits and messages the new one keeps."""
+    try:
+        arr = np.array(obj)
+    except ValueError:
+        raise ValueError("ragged nesting") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{arr.ndim}-d, expected {ndim}-d")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"shape {arr.shape}, expected {shape}")
+    entries = [obj] if arr.ndim == 0 else obj
+    for _ in range(arr.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    odd = set(map(type, entries)) - {int, float}
+    if odd:
+        raise ValueError("it holds " + ", ".join(sorted(t.__name__ for t in odd)))
+    try:
+        arr = arr.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError("an integer beyond the float range") from None
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries")
+    return arr
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.0, -0.0, 2**53 + 1, -(2**63), 2**64 - 1]),
+)
+#: the entries a JSON parse yields that are not numbers of the float range
+_ODD = st.sampled_from(
+    [float("inf"), None, 10**400, True, float("nan"), "1", float("-inf"), -(10**400), False, ""]
+)
+
+
+@st.composite
+def _nestings(draw):
+    """A regular nesting of numbers, sometimes with one odd entry, one
+    sub-list cut short (ragged) or one entry wrapped in a list (too deep);
+    or any nesting of lists at all."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.recursive(st.one_of(_NUMBERS, _ODD), lambda kids: st.lists(kids, max_size=3)))
+    shape = draw(st.lists(st.integers(0, 3), max_size=4))
+    flat = draw(st.lists(_NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    edit = draw(st.sampled_from(["none", "odd", "ragged", "deeper"]))
+    if flat and edit in ("odd", "deeper"):
+        i = draw(st.integers(0, len(flat) - 1))
+        flat[i] = draw(_ODD) if edit == "odd" else [flat[i]]
+    entries = iter(flat)
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else next(entries)
+
+    obj = build(shape)
+    if edit == "ragged" and len(shape) >= 2 and shape[0] and shape[1]:
+        obj[-1].pop()
+    return obj
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_nestings(), st.sampled_from(["any", "ndim", "shape", "other-ndim", "other-shape"]))
+def test_json_numbers_keeps_the_nested_reads_bits_and_messages(obj, ask):
+    try:  # the nesting's own shape, as numpy finds it
+        own = np.array(obj, dtype=object).shape
+    except ValueError:
+        own = (1, 2)
+    ndim = {"ndim": len(own), "other-ndim": len(own) + 1}.get(ask)
+    shape = {"shape": own, "other-shape": (*own, 1)}.get(ask)
+
+    def outcome(read):
+        try:
+            arr = read(obj, ndim, shape)
+        except ValueError as exc:
+            return "raises", str(exc)
+        return arr.shape, arr.dtype.str, arr.flags.c_contiguous, arr.tobytes()
+
+    assert outcome(json_numbers) == outcome(_json_numbers_before)
 
 
 def test_load_rejects_non_numeric_epsilon():
