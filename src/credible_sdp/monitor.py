@@ -3,7 +3,9 @@
 Each solver step is judged against a fixed catalog of contracts. A contract
 evaluation never raises: it produces an ``InvariantRecord`` holding the
 measured quantity, the bound it was compared against, and the verdict, so a
-failed contract is data, not control flow. A record holds only what was
+failed contract is data, not control flow. Under a floating-point rule that
+raises, as the trace checker's does, a sweep's FloatingPointError ends with
+the contract and quantity it was computing, e.g. ``(I9 primal residual)``. A record holds only what was
 measured; its iteration and the run's sigma are its holder's. A contract's
 ``anchor(id, sigma)`` is its expression in the listing's annotation
 language, the text that records, listings and trace checking point at; it
@@ -320,30 +322,45 @@ def check_iteration(
     dX, dZ, Zh, Zhi = (
         np.stack([getattr(step, key) for step in steps]) for key in ("dX", "dZ", "Zh", "Zhi")
     )
-    gap = trace_inner(Xm, Zm)
-    mu = gap / n
-    target = (sigma * mu)[:, None, None] * eye  # the central-path points the steps aim at
-    XZ = X @ Z
-    scaled_dz = Zhi @ dZ @ Zhi
-    lam_x = min_eigenvalue(X)  # I1
-    lam_z = min_eigenvalue(Z)
-    dev4 = frob_norm(XZ - np.array([s.mu for s in states[1:]])[:, None, None] * eye)  # I4
-    v5 = frob_norm(scaled_dz)  # I5
-    v6 = frob_norm(Zhi @ dX @ dZ @ Zh)  # I6
-    xm_dz = trace_inner(Xm, dZ)  # I7
-    dx_zm = trace_inner(dX, Zm)
-    r_dual = frob_norm(np.matmul(prob.fmat, vecs_stack(dZ)[:, :, None]))  # I9
-    r_primal = frob_norm(_primal_folds(prob, [step.dp for step in steps]) + dX)
-    norm_dx = frob_norm(dX)
-    lhs10 = 0.5 * (  # I10
-        Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi
-    )
-    rhs10 = target - Zh @ Xm @ Zh
-    v10 = frob_norm(lhs10 - rhs10)
-    norm_rhs10 = frob_norm(rhs10)
-    a11 = frob_norm(Zh @ X @ Zh - target)  # I11
-    middle11 = frob_norm(Zhi @ (Z @ X - target) @ Zh + Zh @ (XZ - target) @ Zhi)
-    lam12 = min_eigenvalue(eye + scaled_dz)  # I12
+    what = "mu of the points stepped from"  # the quantity computed, for an error
+    try:
+        gap = trace_inner(Xm, Zm)
+        mu = gap / n
+        target = (sigma * mu)[:, None, None] * eye  # the central-path points the steps aim at
+        what = "I4 X*Z"
+        XZ = X @ Z
+        what = "I5 scaled dZ"
+        scaled_dz = Zhi @ dZ @ Zhi
+        what = "I1 min eigenvalues"
+        lam_x = min_eigenvalue(X)
+        lam_z = min_eigenvalue(Z)
+        what = "I4 deviation from mu*I"
+        dev4 = frob_norm(XZ - np.array([s.mu for s in states[1:]])[:, None, None] * eye)
+        what = "I5 norm"
+        v5 = frob_norm(scaled_dz)
+        what = "I6 cross term"
+        v6 = frob_norm(Zhi @ dX @ dZ @ Zh)
+        what = "I7 trace terms"
+        xm_dz = trace_inner(Xm, dZ)
+        dx_zm = trace_inner(dX, Zm)
+        what = "I9 dual residual"
+        r_dual = frob_norm(np.matmul(prob.fmat, vecs_stack(dZ)[:, :, None]))
+        what = "I9 primal residual"
+        r_primal = frob_norm(_primal_folds(prob, [step.dp for step in steps]) + dX)
+        what = "I9 norm of dX"
+        norm_dx = frob_norm(dX)
+        what = "I10 residual"
+        lhs10 = 0.5 * (Zhi @ (dZ @ Xm + Zm @ dX) @ Zh + Zh @ (Xm @ dZ + dX @ Zm) @ Zhi)
+        rhs10 = target - Zh @ Xm @ Zh
+        v10 = frob_norm(lhs10 - rhs10)
+        norm_rhs10 = frob_norm(rhs10)
+        what = "I11 chain"
+        a11 = frob_norm(Zh @ X @ Zh - target)
+        middle11 = frob_norm(Zhi @ (Z @ X - target) @ Zh + Zh @ (XZ - target) @ Zhi)
+        what = "I12 min eigenvalue"
+        lam12 = min_eigenvalue(eye + scaled_dz)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} ({what})") from None
     columns = (
         mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
         r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12,
@@ -424,30 +441,42 @@ def check_initialization(
     n, m = prob.n, prob.m
     X, Z = state.X, state.Z
     p = np.asarray(state.p, dtype=float).ravel()
-    phi_rec = trace_inner(X, Z)
-    mu_rec = phi_rec / n
+    what = "the gap trace(X*Z)"  # the quantity computed, for an error
+    try:
+        phi_rec = trace_inner(X, Z)
+        mu_rec = phi_rec / n
+        what = "init-f0-pd min eigenvalue"
+        lam_f0 = min_eigenvalue(prob.f0)
+        what = "init-fi-symmetric asymmetry"
+        fi_symmetric = _fi_symmetric(prob.fs)
+        what = "init-z0-pd min eigenvalue"
+        lam_z = min_eigenvalue(Z)
+        what = "init-dual-feasibility residual"
+        res_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b))
+        norm_b = np.linalg.norm(prob.b)
+        what = "init-x0-pd min eigenvalue"
+        lam_x = min_eigenvalue(X)
+        what = "init-neighborhood deviation from mu*I"
+        dev = frob_norm(X @ Z - mu_rec * identity(n))
+        what = "init-p-symmetric asymmetry"
+        p_symmetric = _p_symmetric(p, n, m)
+        what = "init-primal-feasibility residual"
+        res_primal = frob_norm(_fold(prob.f0, p, prob.fs) + X)
+        norm_f0 = frob_norm(prob.f0)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} ({what})") from None
     return [
-        _pd("init-f0-pd", min_eigenvalue(prob.f0)),
-        _fi_symmetric(prob.fs),
+        _pd("init-f0-pd", lam_f0),
+        fi_symmetric,
         _le("init-size", -min(n, m), -1.0, {"n": n, "m": m}),
-        _pd("init-z0-pd", min_eigenvalue(Z)),
-        _equal(
-            "init-dual-feasibility",
-            res_dual := float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b)),
-            np.linalg.norm(prob.b),
-            {"residual": res_dual},
-        ),
-        _pd("init-x0-pd", min_eigenvalue(X)),
-        _le("init-neighborhood", frob_norm(X @ Z - mu_rec * identity(n)), THETA * mu_rec),
+        _pd("init-z0-pd", lam_z),
+        _equal("init-dual-feasibility", res_dual, norm_b, {"residual": res_dual}),
+        _pd("init-x0-pd", lam_x),
+        _le("init-neighborhood", dev, THETA * mu_rec),
         _le("init-gap-upper", phi_rec, GAP_CEILING),
         _lt("init-gap-positive", -phi_rec, 0.0, {"gap": phi_rec}),
-        _p_symmetric(p, n, m),
-        _equal(
-            "init-primal-feasibility",
-            res_primal := frob_norm(_fold(prob.f0, p, prob.fs) + X),
-            frob_norm(prob.f0),
-            {"residual": res_primal},
-        ),
+        p_symmetric,
+        _equal("init-primal-feasibility", res_primal, norm_f0, {"residual": res_primal}),
         _lt("init-epsilon-positive", -opts.epsilon, 0.0, {"epsilon": opts.epsilon}),
         _le("init-sigma-constant", 0.0, 0.0, {"sigma": opts.sigma}),
         _equal(

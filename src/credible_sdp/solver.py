@@ -204,11 +204,18 @@ def solve_newton(prob: SdpProblem, r: np.ndarray, scaling: NewtonScaling) -> New
 
 def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> IterateState:
     """Advance by the full Newton step and recompute gaps."""
-    X = state.X + step.dX
-    Z = state.Z + step.dZ
-    p = state.p + step.dp
-    phim = trace_inner(state.X, state.Z)
-    phi = trace_inner(X, Z)
+    what = "step X + dX"  # the quantity computed, for an error
+    try:
+        X = state.X + step.dX
+        what = "step Z + dZ"
+        Z = state.Z + step.dZ
+        what = "step p + dp"
+        p = state.p + step.dp
+        what = "step gaps"
+        phim = trace_inner(state.X, state.Z)
+        phi = trace_inner(X, Z)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} ({what})") from None
     return IterateState(X, Z, p, phi / prob.n, phi, phim, state.iteration + 1)
 
 

@@ -555,6 +555,34 @@ def test_one_checker_whatever_the_warning_filter(example_trace, example_problem,
     assert findings["error"][-1].message.startswith("final_gap: ")
 
 
+#: What each OVERFLOWS edit's error findings say after numpy's "overflow
+#: encountered in": the operation, then the contract and quantity it computed.
+OVERFLOW_MESSAGES = {
+    "dZ-1e308": ["matmul (I5 scaled dZ)"],
+    "dX-times-1e200": ["matmul (I4 deviation from mu*I)"],
+    "dp-plus-1e308": ["matmul (I9 primal residual)"],
+    "dp-minus-1e308": ["matmul (I9 primal residual)"],
+    "X0-times-1e200": ["dot (init-neighborhood deviation from mu*I)", "matmul (I4 deviation from mu*I)"],
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWS))
+def test_a_replay_error_names_its_contract_and_quantity(example_trace, example_problem, name):
+    line, mutate, _ = OVERFLOWS[name]
+    bad = edit_line(example_trace, find_iteration(example_trace, line) if line else 0, mutate)
+    errors = [f.message for f in check_trace(bad, example_problem).findings if f.kind == "error"]
+    assert errors == [f"checker error: overflow encountered in {m}" for m in OVERFLOW_MESSAGES[name]]
+
+
+def test_a_step_error_names_its_quantity(example_report):
+    state = example_report.initial_state
+    step = example_report.snapshots[0].step
+    huge = replace(step, dp=np.full_like(step.dp, 1e308))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as exc_info:
+        take_step(example_report.problem, replace(state, p=np.full_like(state.p, 1e308)), huge)
+    assert str(exc_info.value) == "overflow encountered in add (step p + dp)"
+
+
 @pytest.mark.parametrize(
     "target,mutate,finding",
     [
