@@ -153,16 +153,14 @@ class SdpProblem:
         ``entry``, has the bits of the same sum over the full matrices.
         """
         m, n = self.m, self.n
-        flat = self.fs.reshape(m, n * n)
+        bits = self.fs.view(np.int64)
         row, col = np.divmod(np.arange(n * n), n)
-        mirror = col * n + row
-        bits = flat.view(np.int64)
-        own = (row <= col) | (bits != bits[:, mirror]).any(axis=0)
+        own = (row <= col) | (bits != bits.transpose(0, 2, 1)).any(axis=0).ravel()
         cols = np.flatnonzero(own)
         entry = np.empty(n * n, dtype=np.intp)
         entry[cols] = np.arange(len(cols))
-        entry[~own] = entry[mirror[~own]]  # mirrors of lower entries are upper ones
-        return np.ascontiguousarray(flat[:, cols]), entry
+        entry[~own] = entry[(col * n + row)[~own]]  # mirrors of lower entries are upper ones
+        return np.ascontiguousarray(self.fs.reshape(m, n * n)[:, cols]), entry
 
     @cached_property
     def problem_hash(self) -> str:
