@@ -63,13 +63,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import monitor
 from .linalg import PD_TOL, sym_inv, sym_sqrt
-from .problem import SdpProblem, SolverOptions, json_numbers
+from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike, read_json
 from .solver import (
     IterateState,
     NewtonStep,
@@ -354,14 +354,7 @@ def parse_trace(data: bytes) -> ProofTrace:
     blank must hold exactly one JSON value, an object, with JSON whitespace
     (space, tab, CR) around it.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"trace is not valid UTF-8: {exc}") from None
-    lines = [line for line in text.split("\n") if line.strip(_JSON_BLANK)]
-    if not lines:
-        raise TraceFormatError("trace is empty")
-    objs = [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
+    objs = _read_lines(data)
 
     header = objs[0]
     if header.get("type") != "header":
@@ -400,17 +393,44 @@ _raw_decode = json.JSONDecoder().raw_decode
 _JSON_BLANK = " \t\r"
 
 
-def _decode_line(lineno: int, line: str) -> dict:
-    """The one JSON object on a line, with JSON whitespace around it."""
+def _read_lines(data: bytes) -> list[dict]:
+    """The JSON object on each line of a trace that is not blank.
+
+    The lines are read by ``read_json`` if ``orjson_reads_alike`` holds for
+    the whole trace, integers included, else by the standard decoder alone;
+    either way each value and error is the standard decoder's. They are read
+    in order, and the first that is not a JSON object ends the read, so no
+    line after it is read on the strength of a test it spoiled.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace is not valid UTF-8: {exc}") from None
+    lines = [line for line in text.split("\n") if line.strip(_JSON_BLANK)]
+    if not lines:
+        raise TraceFormatError("trace is empty")
+    fast = orjson_reads_alike(data, ints=True)
+    return [_decode_line(lineno, line, fast) for lineno, line in enumerate(lines, 1)]
+
+
+def _decode_line(lineno: int, line: str, fast: bool) -> dict:
+    """The one JSON object on a line, with JSON whitespace around it; read
+    by orjson if ``fast``, where it reads the line at all."""
     value = line.strip(_JSON_BLANK)
     try:
-        obj, end = _raw_decode(value)
-        if end < len(value):
-            raise json.JSONDecodeError("Extra data", value, end)
+        obj = read_json(value, _decode_value, alike=fast)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {lineno} is not a JSON object")
+    return obj
+
+
+def _decode_value(value: str) -> Any:
+    """The one JSON value ``value`` holds, read by the standard decoder."""
+    obj, end = _raw_decode(value)
+    if end < len(value):
+        raise json.JSONDecodeError("Extra data", value, end)
     return obj
 
 

@@ -40,12 +40,14 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .linalg import NotPositiveDefiniteError, require_pd
 from .symvec import asymmetry, is_symmetric, sym_dim, vecs_stack
@@ -216,15 +218,22 @@ def build_problem(
     dX that can be any symmetric matrix, so F1..Fm must be a basis of the
     symmetric n x n matrices: m = n(n+1)/2 and linearly independent.
     A non-finite entry in F0, any Fi or b is refused first, by name.
+    F1..Fm given as one float (m, n, n) array are held as they are, not copied.
     """
     f0 = np.array(f0, dtype=float)
-    fs = [np.asarray(Fi, dtype=float) for Fi in fs]
+    fs = _constraint_stack(fs)
     b = np.array(b, dtype=float).ravel()
-    named = [("F0", f0), *((f"F{i}", Fi) for i, Fi in enumerate(fs, 1)), ("b", b)]
-    for name, M in named:
-        # before any arithmetic, which would turn inf into nan and misname the fault
-        if not np.isfinite(M).all():
-            raise ProblemFormatError(f"{name} has non-finite entries")
+    # before any arithmetic, which would turn inf into nan and misname the fault
+    if not np.isfinite(f0).all():
+        raise ProblemFormatError("F0 has non-finite entries")
+    if isinstance(fs, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(fs).all(axis=(1, 2)))
+    else:
+        bad = [i for i, Fi in enumerate(fs) if not np.isfinite(Fi).all()]
+    if len(bad):
+        raise ProblemFormatError(f"F{bad[0] + 1} has non-finite entries")
+    if not np.isfinite(b).all():
+        raise ProblemFormatError("b has non-finite entries")
     if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
         raise ProblemFormatError(f"F0 must be square, got shape {f0.shape}")
     n = f0.shape[0]
@@ -243,11 +252,12 @@ def build_problem(
         require_pd(f0, what="F0")
     except NotPositiveDefiniteError as exc:
         raise ProblemFormatError(f"F0 must be positive definite: {exc}") from None
-    for i, Fi in enumerate(fs):
-        if Fi.shape != (n, n):
-            raise ProblemFormatError(f"F{i + 1} has shape {Fi.shape}, expected {(n, n)}")
-    stack = np.array(fs, dtype=float).reshape(m, n, n)
-    _refuse_asymmetric(stack, [f"F{i}" for i in range(1, m + 1)])
+    shapes = [Fi.shape for Fi in fs] if isinstance(fs, list) else [fs.shape[1:]]
+    for i, shape in enumerate(shapes):
+        if shape != (n, n):
+            raise ProblemFormatError(f"F{i + 1} has shape {shape}, expected {(n, n)}")
+    # matrices of one shape are a stack, so fs is one from here on
+    _refuse_asymmetric(fs, [f"F{i}" for i in range(1, m + 1)])
     try:
         opts = SolverOptions(epsilon=float(epsilon), nu=DEFAULT_NU if nu is None else float(nu))
     except ValueError as exc:
@@ -261,7 +271,7 @@ def build_problem(
             f"{sym_dim(n)}, got m = {m}"
         )
     nu = None if nu is None else opts.nu
-    prob = SdpProblem(f0=f0, fs=stack, b=b, x0=x0, epsilon=opts.epsilon, nu=nu)
+    prob = SdpProblem(f0=f0, fs=fs, b=b, x0=x0, epsilon=opts.epsilon, nu=nu)
     # matrix_rank's test, keeping the singular values for cond(F)
     sv = np.linalg.svd(prob.fmat, compute_uv=False)
     rank = int(np.count_nonzero(sv > sv[0] * m * np.finfo(float).eps))
@@ -274,6 +284,19 @@ def build_problem(
         )
 
     return prob
+
+
+def _constraint_stack(fs: Any) -> np.ndarray | list[np.ndarray]:
+    """F1..Fm as one float (m, k, l) array, taken as it is if it is one; as a
+    list of float arrays where they are not matrices of one shape."""
+    fs = fs if isinstance(fs, np.ndarray) else list(fs)
+    try:
+        stack = np.asarray(fs, dtype=float)
+    except (TypeError, ValueError):  # of several shapes, or not numbers: read one by one below
+        stack = None
+    if stack is not None and stack.ndim == 3:
+        return stack
+    return [np.asarray(Fi, dtype=float) for Fi in fs]
 
 
 def json_numbers(
@@ -351,15 +374,98 @@ def _regular(obj: Any) -> tuple[tuple[int, ...], list] | None:
     return tuple(found), flat
 
 
+# -- reading JSON ----------------------------------------------------------
+
+#: Text nested deeper than this is read by ``json`` (see ``orjson_reads_alike``).
+MAX_ORJSON_DEPTH = 64
+
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+_OPENS_CLOSES = bytes.maketrans(b"{}", b"[]")
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_LONG_DIGITS = b"0" * len(str(2**63))  # the fewest digits of an int outside int64
+
+
+def orjson_reads_alike(data: bytes, ints: bool = False) -> bool:
+    """Whether ``orjson.loads`` reads each JSON text in ``data`` (one, or one
+    per line) as ``json.loads`` does, wherever it reads it at all.
+
+    orjson refuses NaN, Infinity, numbers beyond the float range and lone
+    surrogates, which ``json`` reads; ``read_json``'s fallback reads those.
+    Two differences remain where orjson reads the text. It nests without a
+    depth limit, and deep enough it overflows the C stack where ``json``
+    raises RecursionError; and it reads an integer outside [-2**63, 2**64) as
+    the float nearest it. So this is False unless every value nests at most
+    ``MAX_ORJSON_DEPTH`` deep, and, with ``ints``, unless the text holds no
+    run of 19 digits that does not follow a ".". It may refuse text that
+    orjson would read alike (a string with an escape or a bracket, a long
+    fraction, a string of digits), never the other way.
+
+    Depth is read from the brackets outside strings. Where no backslash is,
+    no quote is escaped, and a string holds no bracket just if its quotes
+    are adjacent once all but brackets and quotes are taken out (any other
+    pairing of adjacent quotes leaves the first quote unpaired). Pairs "[]"
+    are then removed once per level, so text of depth k is left empty after
+    k rounds, and text whose brackets do not balance is never left empty.
+    Of JSON lines this holds for each line before the first one that is
+    not JSON, whose quotes may pair the later ones wrongly, so a reader of
+    the lines must stop at that one.
+    """
+    nesting = data.translate(None, _NOT_NESTING).replace(b'""', b"")
+    if b'"' in nesting or b"\\" in nesting:
+        return False
+    nesting = nesting.translate(_OPENS_CLOSES)
+    for _ in range(MAX_ORJSON_DEPTH):
+        if not nesting:
+            break
+        nesting = nesting.replace(b"[]", b"")
+    if nesting:
+        return False
+    if not ints:
+        return True
+    zeros = data.translate(_DIGITS_TO_ZERO)
+    at = zeros.find(_LONG_DIGITS)
+    while at > 0 and zeros[at - 1] == ord("."):  # a fraction's digits
+        at = zeros.find(_LONG_DIGITS, at + len(_LONG_DIGITS))
+    return at < 0
+
+
+def read_json(
+    data: str | bytes, fallback: Callable[[Any], Any] = json.loads, alike: bool | None = None
+) -> Any:
+    """``fallback(data)``, read by orjson where ``alike`` holds and orjson
+    reads ``data`` at all.
+
+    ``alike`` says whether ``orjson_reads_alike`` holds for ``data``, or for
+    the text that holds it; it is tested here if None. The value is then
+    ``fallback``'s, every type and float bit, but for integers outside
+    [-2**63, 2**64), which read as the float nearest them unless ``alike``
+    was tested with ``ints``. As ``fallback`` reads all text orjson refuses,
+    each error is ``fallback``'s. orjson's number parser is trusted to give
+    the bits of CPython's, which the test suite pins.
+    """
+    if alike is None:
+        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+        alike = orjson_reads_alike(raw)
+    if alike:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return fallback(data)
+
+
 def load_problem(source: str | bytes) -> SdpProblem:
     """Parse a problem from JSON text.
 
     Expected keys: "F0" (n x n nested lists), "F" (list of m such matrices),
     "b" (length-m list). Optional: "X0", "epsilon", "nu". Every entry must be
     a JSON number within the float range; ``true`` is not read as 1.
+    The text is read by ``read_json``, as ``json.loads`` reads it: an
+    integer it reads as the float nearest it is read as that float here in
+    any case.
     """
     try:
-        data = json.loads(source)
+        data = read_json(source)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -406,6 +512,7 @@ __all__ = [
     "DEFAULT_EPSILON",
     "DEFAULT_NU",
     "DEFAULT_SIGMA",
+    "MAX_ORJSON_DEPTH",
     "ProblemFormatError",
     "SdpProblem",
     "SolverOptions",
@@ -414,5 +521,7 @@ __all__ = [
     "json_numbers",
     "load_problem",
     "load_problem_file",
+    "orjson_reads_alike",
+    "read_json",
     "running_example",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -104,3 +105,28 @@ def test_the_package_version_is_stated_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "credible_sdp.annotator.TOOL_VERSION"
     }
+
+
+def _third_party_imports(package: Path) -> set[str]:
+    """The top-level modules the package imports that are neither its own
+    nor in the standard library."""
+    names = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", PACKAGE.name}
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    # a module the package imports cannot go undeclared, nor a declared
+    # one stay after its last use
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+        for spec in config["project"]["dependencies"]
+    }
+    assert _third_party_imports(PACKAGE) == declared
