@@ -12,7 +12,12 @@ and the checker mirrors each triangle back into the matrix. The iterates,
 gaps, contract anchors and record positions are not stored; records before
 the first iteration line are the initialization records. The problem hash is
 SHA-256 over the raw float64 bytes of the constraint data. Floats are written
-as their shortest exact repr, so every value round-trips bit-exactly.
+as their shortest exact repr, so every value round-trips bit-exactly. The
+directions of all the iteration lines, like the listing's matrices, are
+formatted by one orjson call (``_float_reprs``): orjson writes ``repr``'s
+shortest digits in its own notation, which is rewritten into ``repr``'s, so
+the bytes are those of the standard encoder; the rewrite can change notation
+but never a value.
 
 ``check_trace`` replays a trace against the problem file it claims to come
 from, then compares. The replay runs first, under one floating-point rule:
@@ -66,12 +71,15 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
+import orjson
 
 from . import monitor
 from .linalg import PD_TOL, sym_inv, sym_sqrt
 from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike, read_json
 from .solver import (
+    FLOAT_RULE,
     IterateState,
+    IterationSnapshot,
     NewtonStep,
     SolveReport,
     SolveStatus,
@@ -128,6 +136,39 @@ def _dumps(obj: dict) -> str:
     """Compact JSON with every float as its shortest exact repr; NaN and
     infinity raise ValueError, since strict JSON readers cannot take them."""
     return "".join(_encode(obj, 0))
+
+
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every entry of a float array, in row-major order; NaN and
+    infinity raise ValueError, as the encoder does.
+
+    One ``orjson.dumps`` call writes the digits, which are ``repr``'s: the
+    shortest that read back to the same float, the nearest of those on a
+    tie. Only its notation differs, and is rewritten here; no digit moves.
+    An exponent gets its sign and two digits (``1e-6`` -> ``1e-06``,
+    ``1e16`` -> ``1e+16``) in one ``np.insert`` over the bytes. orjson
+    writes a value in [1e-5, 1e-4) in fixed notation (``0.00001``), where
+    ``repr`` already takes the exponent (``1e-05``); those few entries are
+    written by ``repr`` itself.
+    """
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not a.size:
+        return []
+    buf = np.frombuffer(orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
+    e = np.flatnonzero(buf == ord("e"))
+    negative = buf[e + 1] == ord("-")
+    first = e + 1 + negative  # the exponent's first digit
+    after = buf[first + 1]
+    plus, zero = e[~negative] + 1, first[(after == ord(",")) | (after == ord("]"))]
+    fill = np.repeat(np.frombuffer(b"+0", np.uint8), [len(plus), len(zero)])
+    buf = np.insert(buf, np.concatenate([plus, zero]), fill)
+    text = buf[1:-1].tobytes().decode("ascii").split(",")
+    magnitude = np.abs(a)
+    for k in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        text[k] = repr(float(a[k]))
+    return text
 
 
 def _record_line(rec: "monitor.InvariantRecord") -> str:
@@ -247,12 +288,13 @@ _SCHEMAS = {
 
 
 def _triangle(M: np.ndarray, name: str) -> np.ndarray:
-    """The upper triangle of a direction that is symmetric bit for bit; any
-    other raises ValueError, so a trace never stores a cut-down direction."""
-    if M.tobytes() != M.T.tobytes():
+    """The upper triangle of a direction that is symmetric bit for bit, or
+    of each in a stack; any other raises ValueError, so a trace never stores
+    a cut-down direction."""
+    if M.tobytes() != np.swapaxes(M, -1, -2).tobytes():
         raise ValueError(f"{name} is not symmetric bit for bit; a cts-3 trace stores one triangle")
-    i, j, _, _ = layout(len(M))
-    return M[i, j]
+    i, j, _, _ = layout(M.shape[-1])
+    return M[..., i, j]
 
 
 def _iteration_obj(
@@ -305,16 +347,35 @@ def _footer_obj(
     return obj
 
 
+def _iteration_lines(snapshots: list[IterationSnapshot]) -> list[str]:
+    """``_dumps(_iteration_obj(...))`` of each snapshot, the ``cts-3`` line
+    of its step. The frames are written here, as the encoder writes them,
+    and the directions of all the steps are formatted in one
+    ``_float_reprs`` call."""
+    if not snapshots:
+        return []
+    steps = [snap.step for snap in snapshots]
+    dX = _triangle(np.stack([step.dX for step in steps]), "dX")
+    dZ = _triangle(np.stack([step.dZ for step in steps]), "dZ")
+    rows = np.concatenate([dX, dZ, np.stack([step.dp for step in steps])], axis=1)
+    text = _float_reprs(rows)
+    width, t = rows.shape[1], dX.shape[1]
+    return [
+        f'{{"type":"iteration","iteration":{snap.state.iteration},'
+        f'"dX":[{",".join(text[at:at + t])}],"dZ":[{",".join(text[at + t:at + 2 * t])}],'
+        f'"dp":[{",".join(text[at + 2 * t:at + width])}]}}'
+        for snap, at in zip(snapshots, range(0, len(text), width))
+    ]
+
+
 def write_trace(report: SolveReport) -> bytes:
     """Serialize a solve report as a JSON-lines proof trace."""
     prob = report.problem
     lines = [_dumps(_header_obj(prob, report.options, report.initial_state, prob.problem_hash))]
     lines.extend(map(_record_line, report.init_records))
-    prev = report.initial_state
-    for snap in report.snapshots:
-        lines.append(_dumps(_iteration_obj(prev, snap.state, snap.step)))
+    for snap, line in zip(report.snapshots, _iteration_lines(report.snapshots)):
+        lines.append(line)
         lines.extend(map(_record_line, snap.records))
-        prev = snap.state
     footer = _footer_obj(
         report.status.value,
         report.iterations,
@@ -421,6 +482,8 @@ def _decode_line(lineno: int, line: str, fast: bool) -> dict:
         obj = read_json(value, _decode_value, alike=fast)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TraceFormatError(f"line {lineno} is nested too deep") from None
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {lineno} is not a JSON object")
     return obj
@@ -704,7 +767,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
 
     replay = SolveReport(prob, opts, state0, init_records=[], snapshots=[])
     init_error = stop = None  # the error findings of the replay
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with np.errstate(**FLOAT_RULE):
         try:
             replay.init_records = monitor.check_initialization(prob, state0, opts)
         except Exception as exc:  # noqa: BLE001 — tampered data must not crash the checker
@@ -814,25 +877,34 @@ def _row_getters(n: int) -> tuple[operator.itemgetter, ...]:
     return tuple(operator.itemgetter(*row) for row in pos.tolist())
 
 
-def _mat_literal(M: np.ndarray) -> str:
-    """``[a,b;c,d]``; a vector renders as a column, ``[a;b;c]``.
+def _mat_literals(*arrays: np.ndarray) -> list[str]:
+    """``[a,b;c,d]`` of each matrix; a vector renders as a column, ``[a;b;c]``.
 
-    Every entry is written as its shortest exact ``repr``. A matrix that is
-    symmetric bit for bit (``==`` would equate ``0.0`` and ``-0.0``) formats
-    only its upper triangle and copies each string to the mirror position,
-    n(n+1)/2 calls instead of n². Vectors, and matrices that admission
-    accepts under ``symvec``'s symmetry rule although their triangles differ
-    in some bits, format every stored entry, so the listing prints the data
-    exactly as stored.
+    Every entry is written as its shortest exact ``repr``, the entries of
+    all the arrays in one ``_float_reprs`` call. A matrix that is symmetric
+    bit for bit (``==`` would equate ``0.0`` and ``-0.0``) has only its
+    upper triangle formatted, each string then copied to the mirror
+    position. Vectors, and matrices that admission accepts under
+    ``symvec``'s symmetry rule although their triangles differ in some bits,
+    format every stored entry, so the listing prints the data exactly as
+    stored.
     """
-    A = np.asarray(M, dtype=float)
-    n = len(A)
-    if n > 1 and A.shape == (n, n) and A.tobytes() == A.T.tobytes():
-        i, j, _, _ = layout(n)
-        text = list(map(repr, A[i, j].tolist()))
-        return "[" + ";".join([",".join(row(text)) for row in _row_getters(n)]) + "]"
-    rows = A.reshape(n, -1).tolist()
-    return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
+    arrays = [np.asarray(A, dtype=float) for A in arrays]
+    mirrored = [
+        len(A) > 1 and A.shape == (len(A), len(A)) and A.tobytes() == A.T.tobytes() for A in arrays
+    ]
+    parts = [A[layout(len(A))[:2]] if mirror else A.ravel() for A, mirror in zip(arrays, mirrored)]
+    text = _float_reprs(np.concatenate(parts))
+    literals, at = [], 0
+    for A, part, mirror in zip(arrays, parts, mirrored):
+        own, at = text[at:at + len(part)], at + len(part)
+        if mirror:
+            rows = [",".join(row(own)) for row in _row_getters(len(A))]
+        else:
+            width = A.size // len(A)
+            rows = [",".join(own[k:k + width]) for k in range(0, A.size, width)]
+        literals.append("[" + ";".join(rows) + "]")
+    return literals
 
 
 def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
@@ -864,13 +936,14 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     comment("id under which the solver records the matching runtime check.")
     blank()
     comment("--- problem data -------------------------------------------------------")
+    f0, *fs, b, x0 = _mat_literals(prob.f0, *prob.fs, prob.b, prob.x0)
     code(f"n = {prob.n}; m = {prob.m};")
-    code(f"F0 = {_mat_literal(prob.f0)};")
-    for i, Fi in enumerate(prob.fs, 1):
-        code(f"F{i} = {_mat_literal(Fi)};")
+    code(f"F0 = {f0};")
+    for i, Fi in enumerate(fs, 1):
+        code(f"F{i} = {Fi};")
     rows = ";".join(f"vecs(F{i})" for i in range(1, prob.m + 1))
     code(f"F = [{rows}];")
-    code(f"b = {_mat_literal(prob.b)};")
+    code(f"b = {b};")
     code(f"epsilon = {monitor.fmt_num(opts.epsilon)};")
     code(f"sigma = {monitor.fmt_num(sigma)};")
     req("init-f0-pd")
@@ -880,7 +953,7 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     req("init-sigma-constant")
     blank()
     comment("--- starting point -----------------------------------------------------")
-    code(f"X = {_mat_literal(prob.x0)};")
+    code(f"X = {x0};")
     ens("init-x0-pd")
     code("Z = mats(lsqr(F,-b),n);")
     comment("Z solves the dual equations at minimum norm and never moves again:")

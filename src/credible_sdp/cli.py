@@ -235,8 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # ValueError covers the format, symmetry, dimension and PD errors
-    except (OSError, ValueError, InitializationError) as exc:
+    # ValueError covers the format, symmetry, dimension and PD errors, and
+    # FloatingPointError a solve whose loop leaves the float range
+    except (OSError, ValueError, InitializationError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

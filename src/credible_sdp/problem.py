@@ -468,6 +468,8 @@ def load_problem(source: str | bytes) -> SdpProblem:
         data = read_json(source)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProblemFormatError("problem file is nested too deep") from None
     if not isinstance(data, dict):
         raise ProblemFormatError("problem file must contain a JSON object")
     for key in ("F0", "F", "b"):

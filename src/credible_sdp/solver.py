@@ -39,6 +39,11 @@ each fact once: the iteration count, the final state, the budget and the
 exit are read off its start and its snapshots.
 Whether sigma came from nu is ``sigma == sigma_from_nu(n, nu)``; a state
 does not store its predecessor, nor a step its mu and sigma.
+
+A solve runs under the trace checker's floating-point rule, ``FLOAT_RULE``,
+so its outcome does not depend on the warnings filter: a starting point
+whose contracts overflow is an InitializationError, and an overflow in the
+loop raises FloatingPointError, naming the contract or step quantity.
 """
 
 from __future__ import annotations
@@ -61,6 +66,12 @@ from .problem import (  # noqa: F401 — DEFAULT_SIGMA is re-exported
     admit_x0,
 )
 from .symvec import krons, mats, symmetrize, vecs
+
+
+#: The floating-point rule of a solve and of a trace check: an overflow, an
+#: invalid operation or a division by zero raises FloatingPointError, under
+#: every warnings filter. ``np.errstate(**FLOAT_RULE)``.
+FLOAT_RULE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class InitializationError(RuntimeError):
@@ -219,24 +230,8 @@ def take_step(prob: SdpProblem, state: IterateState, step: NewtonStep) -> Iterat
     return IterateState(X, Z, p, phi / prob.n, phi, phim, state.iteration + 1)
 
 
-def initialize(
-    prob: SdpProblem, opts: SolverOptions
-) -> tuple[IterateState, list[monitor.InvariantRecord]]:
-    """Construct and certify the starting point.
-
-    Z solves the dual-feasibility equations by minimum-norm least squares
-    (and stays fixed thereafter); X is the problem's warm start ``x0``,
-    admitted here by ``problem.admit_x0`` (an X0 set by ``replace`` has not
-    been) and refused as InitializationError; p solves the
-    primal-feasibility equations for that X. The initialization contract
-    sweep alone judges the result, in both modes: if any record fails, the
-    error lists each failed id with its measured value and bound, and is a
-    NeighborhoodViolation when ``init-neighborhood`` is among them.
-
-    Both solves stay ``lsqr_solve`` calls: the benchmark's layer trace times
-    a ``solver.lsqr_solve`` span, and every stored trace starts from lstsq's
-    bits.
-    """
+def _starting_point(prob: SdpProblem, opts: SolverOptions) -> IterateState:
+    """The starting point ``initialize`` certifies."""
     n = prob.n
     z_vec = lsqr_solve(prob.fmat, -prob.b, equation="initial dual solve")
     Z = mats(z_vec, n)
@@ -253,17 +248,35 @@ def initialize(
     p = lsqr_solve(prob.fmat.T, -vecs(symmetrize(prob.f0 + X)), equation="initial primal solve")
 
     phi = trace_inner(X, Z)
-    state = IterateState(
-        X=X,
-        Z=Z,
-        p=p,
-        mu=phi / n,
-        phi=phi,
-        phim=phi / opts.sigma,
-        iteration=0,
-    )
+    return IterateState(X=X, Z=Z, p=p, mu=phi / n, phi=phi, phim=phi / opts.sigma, iteration=0)
 
-    records = monitor.check_initialization(prob, state, opts)
+
+def initialize(
+    prob: SdpProblem, opts: SolverOptions
+) -> tuple[IterateState, list[monitor.InvariantRecord]]:
+    """Construct and certify the starting point.
+
+    Z solves the dual-feasibility equations by minimum-norm least squares
+    (and stays fixed thereafter); X is the problem's warm start ``x0``,
+    admitted here by ``problem.admit_x0`` (an X0 set by ``replace`` has not
+    been) and refused as InitializationError; p solves the
+    primal-feasibility equations for that X. The initialization contract
+    sweep alone judges the result, in both modes: if any record fails, the
+    error lists each failed id with its measured value and bound, and is a
+    NeighborhoodViolation when ``init-neighborhood`` is among them. It runs
+    under ``FLOAT_RULE``: a quantity that leaves the float range is an
+    InitializationError naming it.
+
+    Both solves stay ``lsqr_solve`` calls: the benchmark's layer trace times
+    a ``solver.lsqr_solve`` span, and every stored trace starts from lstsq's
+    bits.
+    """
+    try:
+        with np.errstate(**FLOAT_RULE):
+            state = _starting_point(prob, opts)
+            records = monitor.check_initialization(prob, state, opts)
+    except FloatingPointError as exc:
+        raise InitializationError(f"starting point cannot be evaluated: {exc}") from None
     failed = [rec for rec in records if not rec.passed]
     if failed:
         ids = {rec.id for rec in failed}
@@ -455,10 +468,12 @@ def solve(prob: SdpProblem, options: SolverOptions | None = None) -> SolveReport
     opts = options if options is not None else default_options(prob)
 
     state, init_records = initialize(prob, opts)
-    scaling = prepare_newton(prob, state.Z)
-    newton = lambda s: solve_newton(  # noqa: E731
-        prob, assemble_newton(prob, s, opts.sigma, scaling), scaling
-    )
     report = SolveReport(prob, opts, state, init_records, snapshots=[])
-    report.snapshots.extend(iterate(prob, opts, state, newton, iteration_cap(opts, report.budget)))
+    with np.errstate(**FLOAT_RULE):
+        scaling = prepare_newton(prob, state.Z)
+        newton = lambda s: solve_newton(  # noqa: E731
+            prob, assemble_newton(prob, s, opts.sigma, scaling), scaling
+        )
+        cap = iteration_cap(opts, report.budget)
+        report.snapshots.extend(iterate(prob, opts, state, newton, cap))
     return report

@@ -3,11 +3,14 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,11 @@ from credible_sdp.annotator import (
     _check_footer,
     _close,
     _dumps,
-    _mat_literal,
+    _float_reprs,
+    _footer_obj,
+    _header_obj,
+    _iteration_obj,
+    _mat_literals,
     _numpy_to_json,
     _record_line,
     _record_obj,
@@ -57,8 +64,9 @@ from credible_sdp.solver import (
 #: m > 3 the order in which sums over the constraints round shows in the
 #: stored measured values, which n = 2 cannot pin. GOLDEN_N6_LISTING is that
 #: problem's pseudo-matlab listing, written while every matrix entry was
-#: formatted on its own; its 23 matrices are symmetric bit for bit, so it pins
-#: the listing's mirrored formatting at a size where most entries are mirrors.
+#: formatted on its own by ``repr``; its 23 matrices are symmetric bit for
+#: bit, and a later listing formatted only their upper triangles and mirrored
+#: the text, so it pins each of those ways of writing the data.
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
 GOLDEN_CTS3 = Path(__file__).parent / "golden" / "running_example_cts3.cts"
@@ -258,26 +266,111 @@ def test_write_trace_refuses_an_asymmetric_direction(example_problem, monkeypatc
         write_trace(report)
 
 
-def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report, monkeypatch):
-    # every line object of a trace, numpy arrays and scalars included
-    objs = []
-
-    def recorded(obj):
-        objs.append(obj)
-        return _dumps(obj)
-
-    monkeypatch.setattr("credible_sdp.annotator._dumps", recorded)
-    prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
-    write_trace(example_report)
-    write_trace(solve(prob))
-    assert len(objs) == 2 * 2 + 16 * 2 + 13 * (example_report.iterations + 30)
-    for obj in objs:
-        reference = json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_numpy_to_json)
-        assert _dumps(obj) == reference
-
-
 def _stdlib_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_numpy_to_json)
+
+
+def _builder_objs(report) -> list[dict]:
+    """The object of every line of the report's trace, from the builders."""
+    prob, state = report.problem, report.initial_state
+    objs = [_header_obj(prob, report.options, state, prob.problem_hash)]
+    objs += map(_record_obj, report.init_records)
+    for snap in report.snapshots:
+        objs.append(_iteration_obj(state, snap.state, snap.step))
+        objs += map(_record_obj, snap.records)
+        state = snap.state
+    footer = (report.iterations, report.final_gap, report.budget, report.record_count)
+    objs.append(_footer_obj(report.status.value, *footer, report.violation_id))
+    return objs
+
+
+def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report):
+    # every line of three traces, each written without the encoder where it
+    # can be, is the line the stdlib encoder writes for its builder's object;
+    # at n = 16 the directions cross [1e-5, 1e-4), where orjson's notation
+    # departs from repr's most, and reach exponents below -9
+    large = solve(_workload_problem(16))
+    steps = np.concatenate([np.r_[s.step.dX.ravel(), s.step.dp] for s in large.snapshots])
+    assert np.any((1e-5 <= np.abs(steps)) & (np.abs(steps) < 1e-4))
+    assert 0 < np.abs(steps[steps != 0]).min() < 1e-10
+    for report in (example_report, solve(load_problem(GOLDEN_N6_PROBLEM.read_text())), large):
+        objs = _builder_objs(report)
+        assert write_trace(report).decode().split("\n") == [*map(_stdlib_line, objs), ""]
+        for obj in objs[:1] + objs[-1:]:
+            assert _dumps(obj) == _stdlib_line(obj)
+
+
+# -- the float formatter ---------------------------------------------------------
+
+
+def _reprs(a) -> list[str]:
+    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_float_reprs_are_repr_for_any_float64(bits):
+    # raw bit patterns reach every exponent, subnormals and both zeros
+    a = np.array(bits, dtype=np.uint64).view(np.float64)
+    a = a[np.isfinite(a)]
+    assert _float_reprs(a) == _reprs(a)
+
+
+def _with_neighbours(values) -> list[float]:
+    near = [(math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)) for v in values]
+    return [x for group in near for x in group if math.isfinite(x)]
+
+
+#: Where orjson's notation and repr's meet: the zeros, the ends of the float
+#: range, each decade boundary of a rewrite with its neighbours, and fixed
+#: notation whose digits hold the rewritten decade's text.
+_FLOAT_TABLE = [
+    *_with_neighbours([0.0, -0.0, 5e-324, sys.float_info.max, sys.float_info.min]),
+    *_with_neighbours([1e-5, 1e-4, 1e16]),
+    float(2**53), 10.00001, 100.00001234, -10.00001, 1e-06, 1e-10, 1e-100, 1e22, 1e100,
+]
+
+
+def test_float_reprs_are_repr_on_the_notation_boundaries():
+    table = np.array(_FLOAT_TABLE)
+    assert _float_reprs(table) == _reprs(table)
+    assert _float_reprs(-table) == _reprs(-table)
+    for value in _FLOAT_TABLE:  # one at a time: the first and last entries of the text
+        assert _float_reprs(np.array([value])) == [repr(value)]
+    assert _float_reprs(np.array([])) == []
+
+
+def test_float_reprs_read_2d_input_row_major():
+    M = np.array([[1e-5, 2.5, -0.0], [1e16, 3e-7, 10.00001]])
+    assert _float_reprs(M) == _reprs(M) == ["1e-05", "2.5", "-0.0", "1e+16", "3e-07", "10.00001"]
+    assert _float_reprs(M.T) == _reprs(M.T)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_float_reprs_refuse_non_finite_values(bad):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _float_reprs(np.array([1.0, bad]))
+
+
+def test_orjson_writes_the_float_notation_the_formatter_rewrites():
+    # _float_reprs rewrites exactly these spellings into repr's; an orjson
+    # that writes floats otherwise must fail here, not as a golden diff
+    values = np.array([1e-6, 5e-5, 1e16, 1.5e-300, 0.0001, 1e15, -2.5e22])
+    written = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    expected = b"[1e-6,0.00005,1e16,1.5e-300,0.0001,1000000000000000.0,-2.5e22]"
+    assert written == expected, f"orjson {orjson.__version__} changed its float notation"
+
+
+@pytest.mark.parametrize("key", ["dX", "dp"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_write_trace_refuses_non_finite_directions(example_report, key, bad):
+    snaps = list(example_report.snapshots)
+    step = snaps[1].step
+    value = getattr(step, key).copy()
+    value[(0,) * value.ndim] = bad  # a diagonal entry, so dX stays symmetric
+    snaps[1] = replace(snaps[1], step=replace(step, **{key: value}))
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_trace(replace(example_report, snapshots=snaps))
 
 
 def test_record_lines_are_the_bytes_of_the_stdlib_encoder(example_report):
@@ -1543,7 +1636,12 @@ _ASYMMETRIC_F1 = np.array([[-0.750999, 0.004990000000001], [0.00499, 0.0001]])
     ids=["admitted-asymmetry", "signed-zero-mirror", "one-by-one", "b-column", "bitwise-symmetric"],
 )
 def test_mat_literal_matches_the_per_entry_renderer(M, text):
-    assert _mat_literal(M) == _per_entry_literal(M) == text
+    assert _mat_literals(M) == [_per_entry_literal(M)] == [text]
+
+
+def test_mat_literals_of_arrays_formatted_together_are_those_formatted_apart():
+    arrays = [_ASYMMETRIC_F1, np.array([0.4, -2e-5, 1e16]), np.array([[5e-324]]), -_ASYMMETRIC_F1]
+    assert _mat_literals(*arrays) == [_per_entry_literal(M) for M in arrays]
 
 
 def test_listing_prints_an_admitted_asymmetry_as_stored(example_problem):

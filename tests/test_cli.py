@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -655,3 +656,61 @@ def test_check_trace_reports_an_overflow_under_the_default_warning_filter(
     )
     assert (proc.returncode, proc.stderr) == (2, "")
     assert proc.stdout.startswith("trace FAILED: 3 finding(s)\n")
+
+
+def _cli_under_filter(warning_filter: str, *argv: str) -> subprocess.CompletedProcess:
+    """``credible-sdp *argv`` in a fresh interpreter under ``-W warning_filter``."""
+    src = str(Path(credible_sdp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-W", warning_filter, "-m", "credible_sdp.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "field,quantity",
+    [("X0", "init-neighborhood deviation from mu*I"), ("b", "init-dual-feasibility residual")],
+)
+def test_solve_reports_an_overflow_alike_under_every_warning_filter(
+    problem_file, tmp_path, field, quantity
+):
+    # a solve is held to the checker's floating-point rule: the start of the
+    # example with X0 or b times 1e300 overflows in its contract sweep, which
+    # ends the run with the quantity named, whatever the warnings filter
+    data = json.loads(problem_file.read_text())
+    data[field] = (np.array(data[field]) * 1e300).tolist()
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    expected = f"error: starting point cannot be evaluated: overflow encountered in dot ({quantity})\n"
+    for warning_filter in ("default", "error"):
+        proc = _cli_under_filter(warning_filter, "solve", "--problem", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+
+
+def _overflowing_step(prob, r, scaling):
+    step = solve_newton(prob, r, scaling)
+    return dataclasses.replace(step, dX=np.full_like(step.dX, 1e308))
+
+
+@pytest.mark.parametrize("warning_filter", ["default", "error"])
+def test_a_loop_that_overflows_exits_one_naming_the_quantity(
+    capsys, problem_file, monkeypatch, warning_filter
+):
+    monkeypatch.setattr("credible_sdp.solver.solve_newton", _overflowing_step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        code, out, err = run_cli(capsys, "solve", "--problem", str(problem_file))
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: overflow encountered in add (I1 min eigenvalues)\n"
+
+
+def test_files_nested_too_deep_exit_one(capsys, problem_file, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, "solve", "--problem", str(deep))
+    assert (code, out, err) == (1, "", "error: problem file is nested too deep\n")
+    code, out, err = run_cli(
+        capsys, "check-trace", "--problem", str(problem_file), "--trace", str(deep)
+    )
+    assert (code, out, err) == (1, "", "error: line 1 is nested too deep\n")

@@ -370,18 +370,23 @@ DEEP = """
 import sys
 from credible_sdp import annotator, problem
 text = sys.argv[1] * 200000 + "1" + sys.argv[2] * 200000
+try:
+    problem.read_json(text)
+except RecursionError:
+    print("RecursionError")
 for read in (problem.load_problem, lambda t: annotator.parse_trace(t.encode())):
     try:
         read(text)
-    except RecursionError:
-        print("RecursionError")
+    except ValueError as exc:
+        print(f"{type(exc).__name__}: {exc}")
 """
 
 
 @pytest.mark.parametrize("opens, closes", [("[", "]"), ('{"a":', "}")], ids=["lists", "objects"])
 def test_text_nested_deep_is_read_by_json(opens, closes):
     # orjson nests without a limit and overflows the C stack at this depth
-    # (a segmentation fault); json raises RecursionError, and so must the reader
+    # (a segmentation fault); json raises RecursionError, and so must the
+    # reader, while the problem and trace readers name the fault
     run = subprocess.run(
         [sys.executable, "-c", DEEP, opens, closes],
         capture_output=True,
@@ -390,7 +395,11 @@ def test_text_nested_deep_is_read_by_json(opens, closes):
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.split() == ["RecursionError", "RecursionError"]
+    assert run.stdout.splitlines() == [
+        "RecursionError",
+        "ProblemFormatError: problem file is nested too deep",
+        "TraceFormatError: line 1 is nested too deep",
+    ]
 
 
 def test_common_faults_keep_the_standard_decoder_s_messages():
