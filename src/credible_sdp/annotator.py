@@ -24,11 +24,11 @@ from, then compares. The replay runs first, under one floating-point rule:
 overflow, invalid operations and division by zero raise, whatever the
 warnings filter, so it stops at the first step whose arithmetic leaves the
 float range. It runs the solver's own loop, ``solver.iterate``, with the
-stored directions in place of Newton's: each step starts from the
-recomputed previous point, as the solver's did, the contracts of its steps
-are re-evaluated with the same monitor code in one sweep, as in a solve,
-and the replay stops where the solver's loop would. The replay is the one
-part of a check that can end in an ``error`` finding. It is a
+stored directions (all read at once) in place of Newton's: each step starts
+from the recomputed previous point, as the solver's did, the contracts of
+its steps are re-evaluated with the same monitor code in one sweep, as in a
+solve, and the replay stops where the solver's loop would. The replay is the
+one part of a check that can end in an ``error`` finding. It is a
 ``SolveReport``, so the footer's exit and budget follow the same rule as a
 run's. Only then is every stored line compared with the line the writer's
 own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
@@ -68,14 +68,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import orjson
 
 from . import monitor
 from .linalg import PD_TOL, sym_inv, sym_sqrt
-from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike, read_json
+from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike
 from .solver import (
     FLOAT_RULE,
     IterateState,
@@ -457,11 +457,13 @@ _JSON_BLANK = " \t\r"
 def _read_lines(data: bytes) -> list[dict]:
     """The JSON object on each line of a trace that is not blank.
 
-    The lines are read by ``read_json`` if ``orjson_reads_alike`` holds for
-    the whole trace, integers included, else by the standard decoder alone;
-    either way each value and error is the standard decoder's. They are read
-    in order, and the first that is not a JSON object ends the read, so no
-    line after it is read on the strength of a test it spoiled.
+    If ``orjson_reads_alike`` holds for the whole trace, integers included,
+    orjson reads every line, each on its own: lines are never joined, since
+    a joined read accepts a file whose line breaks are off in ways that
+    cancel. That read stands if every line is a JSON object, for then no
+    line spoiled the test. Otherwise the standard decoder reads the lines in
+    order, and the first that is not a JSON object ends the read with its
+    error; so each value and error is the standard decoder's.
     """
     try:
         text = data.decode("utf-8")
@@ -470,30 +472,30 @@ def _read_lines(data: bytes) -> list[dict]:
     lines = [line for line in text.split("\n") if line.strip(_JSON_BLANK)]
     if not lines:
         raise TraceFormatError("trace is empty")
-    fast = orjson_reads_alike(data, ints=True)
-    return [_decode_line(lineno, line, fast) for lineno, line in enumerate(lines, 1)]
+    if orjson_reads_alike(data, ints=True):
+        try:
+            objs = list(map(orjson.loads, lines))
+            if all(type(obj) is dict for obj in objs):
+                return objs
+        except orjson.JSONDecodeError:
+            pass
+    return [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
 
 
-def _decode_line(lineno: int, line: str, fast: bool) -> dict:
-    """The one JSON object on a line, with JSON whitespace around it; read
-    by orjson if ``fast``, where it reads the line at all."""
+def _decode_line(lineno: int, line: str) -> dict:
+    """The one JSON object on a line, with JSON whitespace around it, read by
+    the standard decoder."""
     value = line.strip(_JSON_BLANK)
     try:
-        obj = read_json(value, _decode_value, alike=fast)
+        obj, end = _raw_decode(value)
+        if end < len(value):
+            raise json.JSONDecodeError("Extra data", value, end)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
     except RecursionError:
         raise TraceFormatError(f"line {lineno} is nested too deep") from None
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {lineno} is not a JSON object")
-    return obj
-
-
-def _decode_value(value: str) -> Any:
-    """The one JSON value ``value`` holds, read by the standard decoder."""
-    obj, end = _raw_decode(value)
-    if end < len(value):
-        raise json.JSONDecodeError("Extra data", value, end)
     return obj
 
 
@@ -676,14 +678,8 @@ def _compare_records(
     by_id = {rec.id: rec for rec in recomputed}  # in catalog order, as swept
     stored_ids = [rec.get("id") for rec in stored]
     if stored_ids != list(by_id):
-        findings.append(
-            Finding(
-                "catalog",
-                where,
-                None,
-                f"record ids {stored_ids} do not match the catalog {list(by_id)}",
-            )
-        )
+        message = f"record ids {stored_ids} do not match the catalog {list(by_id)}"
+        findings.append(Finding("catalog", where, None, message))
     for stored_rec in stored:
         rid = stored_rec.get("id")
         ours = by_id.get(rid) if isinstance(rid, str) else None
@@ -698,22 +694,22 @@ def _compare_records(
 def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     """Replay a trace against a problem and report every discrepancy.
 
-    The problem hash must match (TraceFormatError otherwise — a trace is only
-    checkable against the constraints it was made from), and ``SolverOptions``
-    must accept the header options. The replay runs first, under the
-    floating-point rule, fed with the stored directions in place of Newton's
-    (a ``cts-3`` triangle mirrored into its matrix, so a direction is
-    symmetric by construction). It is the checker's only failure path: an
-    initialization sweep it cannot redo is an ``error`` finding at ``init``,
-    and a step it cannot redo ends it with an ``error`` finding, placed after
-    the lines of the steps before it. The comparison follows and raises
-    nothing: every stored line, the header and footer included, against the
-    line the writer would emit in the trace's schema for the replay
-    (``_diff``, relative tolerance CHECK_RTOL), so a ``cts-1`` iterate is
-    judged where it is stored. The stored directions are the step itself, so
-    of them only the keys are compared; a changed direction shows in the
-    records and the footer. The failed contracts and the record count are
-    the replay's.
+    The problem hash must match (TraceFormatError otherwise — a trace is
+    only checkable against the constraints it was made from), and
+    ``SolverOptions`` must accept the header options. The replay runs first,
+    under the floating-point rule, fed with the stored directions in place
+    of Newton's (``cts-3`` triangles mirrored into (K, n, n) stacks by one
+    gather each, so a direction is symmetric by construction). It is the
+    checker's only failure path: an initialization sweep it cannot redo is
+    an ``error`` finding at ``init``, and a step it cannot redo ends it with
+    an ``error`` finding, placed after the lines of the steps before it. The
+    comparison follows and raises nothing: every stored line, the header and
+    footer included, against the line the writer would emit in the trace's
+    schema for the replay (``_diff``, relative tolerance CHECK_RTOL), so a
+    ``cts-1`` iterate is judged where it is stored. The stored directions
+    are the step itself, so of them only the keys are compared; a changed
+    direction shows in the records and the footer. The failed contracts and
+    the record count are the replay's.
     """
     trace = parse_trace(data)
     header = trace.header
@@ -743,6 +739,8 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             key: json_numbers([line[key] for line in lines], shape=(len(lines), *sh))
             for key, sh in shapes.items()
         }
+        if spec.triangles:  # every line's triangles mirrored by one gather each
+            all_lines.update(dX=all_lines["dX"][:, mirror], dZ=all_lines["dZ"][:, mirror])
     except Exception:  # noqa: BLE001
         all_lines = None
 
@@ -757,8 +755,8 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
                 arrays = {key: json_numbers(lines[k][key], shape=sh) for key, sh in shapes.items()}
             except Exception as exc:  # noqa: BLE001
                 raise TraceFormatError(f"unreadable iteration line: {exc}") from None
-        if spec.triangles:
-            arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
+            if spec.triangles:
+                arrays.update(dX=arrays["dX"][mirror], dZ=arrays["dZ"][mirror])
         # every Z here is (n, n), so this is np.array_equal without its dispatch
         if scaled is None or not (scaled[0] == prev.Z).all():
             Zh = sym_sqrt(prev.Z)

@@ -5,18 +5,20 @@ evaluation never raises: it produces an ``InvariantRecord`` holding the
 measured quantity, the bound it was compared against, and the verdict, so a
 failed contract is data, not control flow. Under a floating-point rule that
 raises, as the trace checker's does, a sweep's FloatingPointError ends with
-the contract and quantity it was computing, e.g. ``(I9 primal residual)``. A record holds only what was
-measured; its iteration and the run's sigma are its holder's. A contract's
-``anchor(id, sigma)`` is its expression in the listing's annotation
-language, the text that records, listings and trace checking point at; it
-is rendered only when read (verbose report, listing, ``cts-1`` traces).
+the contract and quantity it was computing, e.g. ``(I9 primal residual)``.
+A record holds only what was measured; its iteration and the run's sigma
+are its holder's. A contract's ``anchor(id, sigma)`` is its expression in
+the listing's annotation language, the text that records, listings and
+trace checking point at; it is rendered only when read (verbose report,
+listing, ``cts-1`` traces).
 
 Two catalogs exist: sixteen initialization contracts (phase "init",
 evaluated once on the starting point) and twelve per-iteration contracts
 I1..I12 (phase "loop"). They share no id, so one table maps every id to its
 anchor template (``anchor``), and a record's phase follows from its id.
 Each sweep returns its records as one list in catalog order, and each record
-is built by one of four rules, which derive the verdict from the measured
+is built by one of four rules, which take columns (one entry per step, or
+one entry at initialization) and derive each verdict from the measured
 value and the bound the record stores: ``_le`` (measured <= bound, the
 contracts whose anchor compares with ``<=``, ``>=`` or ``==``), ``_lt``
 (measured < bound, the strict ones), ``_pd`` (``_lt`` on -lambda_min against
@@ -30,20 +32,20 @@ trace is checked by rules it cannot state.
 
 The loop sweep (``check_iteration``) judges all the steps it is given at
 once: each matrix quantity of I1..I12 is one numpy expression over the
-steps stacked as (K, n, n) arrays, and the records are built per step from
-the resulting columns. Every stacked operation makes the same BLAS or
-LAPACK call per step that a one-step sweep makes, so a step's records have
-the same bits whether it is swept alone or with others.
+steps stacked as (K, n, n) arrays, and each rule runs once over the
+resulting columns (``_loop_sweep``). Every stacked operation makes the same
+BLAS or LAPACK call per step that a one-step sweep makes, so a step's
+records have the same bits whether it is swept alone or with others.
 
 Sums over the constraint matrices run over the problem's (m, n, n) stack in
 one numpy expression that adds the terms in the same order, so they give
 the same bits as the loop ``acc = acc + p[i] * F[i]`` (see ``_fold``). I9's
-primal fold, one per step, runs over the problem's ``fold_plan`` instead:
-the m x E stack of the upper triangle's entries and of the lower entries
-that differ from their mirrors, E = n(n+1)/2 for a stack symmetric bit for
-bit. Each step's products go to one m x E buffer that the sweep reuses, and
-the E sums are gathered back to n x n, so every entry gets the multiply-adds
-of the full fold in the same order.
+primal folds run over the problem's ``fold_plan`` instead: the m x E stack
+of the upper triangle's entries and of the lower entries that differ from
+their mirrors, E = n(n+1)/2 for a stack symmetric bit for bit. The products
+of a chunk of steps go to one (k, m, E) buffer, reduced over m, and each
+step's E sums are gathered back to n x n, so every entry gets the
+multiply-adds of the full fold in the same order.
 
 Rule for monitor arithmetic. A trace stores each record's ``measured``
 value, and the checker recomputes it with this code. So a change to how a
@@ -131,6 +133,9 @@ EQUALITY_TOL = 1e-9
 #: Margin of the contraction contracts (I3, init-phim-seed) over sigma:
 #: phi < (sigma + CONTRACTION_MARGIN) * phim.
 CONTRACTION_MARGIN = 0.01
+
+#: Entries (256 KB) of I9's primal fold buffer, the (k, m, E) products of k >= 1 steps.
+FOLD_CHUNK = 2**15
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,23 +228,17 @@ def anchor(record_id: str, sigma: float) -> str:
     )
 
 
-def _fold(
-    start: np.ndarray | float,
-    coeffs: np.ndarray,
-    F: np.ndarray,
-    terms: np.ndarray | None = None,
-) -> np.ndarray:
+def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
     """start + c[0]*F[0] + c[1]*F[1] + ..., added left to right, bit for bit
     the loop ``acc = start; acc = acc + c[i] * F[i]``, over a stack F of
-    matrices or of rows; the products go to ``terms`` if given, a buffer of
-    F's shape.
+    matrices or of rows.
 
     Reducing the leading axis of a C-contiguous stack whose items have two
     or more entries is that running sum, entry by entry. With one entry per
     item numpy would sum the column pairwise instead, so such a stack takes
     ``accumulate``, which is a running sum by definition.
     """
-    terms = np.multiply(coeffs.reshape((-1,) + (1,) * (F.ndim - 1)), F, out=terms)
+    terms = coeffs.reshape((-1,) + (1,) * (F.ndim - 1)) * F
     if not len(terms):
         return start + np.zeros(F.shape[1:])
     terms[0] += start
@@ -249,47 +248,64 @@ def _fold(
 
 
 def _primal_folds(prob: SdpProblem, dps: Sequence[np.ndarray]) -> np.ndarray:
-    """``_fold(0.0, dp, prob.fs)`` for each dp, as a (K, n, n) stack, folded
-    over the columns of ``prob.fold_plan`` only: each fold's products go to
-    one m x E buffer, and the K x E sums are gathered back to n x n."""
+    """``_fold(0.0, dp, prob.fs)`` for each dp, as a (K, n, n) stack. Reducing
+    axis 1 of a chunk's (k, m, E) products is ``_fold``'s running sum entry
+    by entry; with E = 1 numpy would sum that axis pairwise, so it takes
+    ``accumulate``."""
     columns, entry = prob.fold_plan
-    terms = np.empty(columns.shape)
-    sums = np.empty((len(dps), columns.shape[1]))
-    for k, dp in enumerate(dps):
-        sums[k] = _fold(0.0, np.asarray(dp, dtype=float).ravel(), columns, terms)
+    m, width = columns.shape
+    dps = np.asarray(dps, dtype=float).reshape(len(dps), m)
+    sums = np.zeros((len(dps), width))
+    if m:
+        chunk = max(1, FOLD_CHUNK // columns.size)
+        terms = np.empty((min(chunk, len(dps)), m, width))
+        for lo in range(0, len(dps), chunk):
+            part = np.multiply(dps[lo:lo + chunk, :, None], columns, out=terms[: len(dps) - lo])
+            part[:, 0] += 0.0  # _fold's start
+            sums[lo:lo + chunk] = (
+                np.add.reduce(part, axis=1) if width > 1 else np.add.accumulate(part, axis=1)[:, -1]
+            )
     return sums[:, entry].reshape(len(dps), prob.n, prob.n)
 
 
-def equality_bound(ref: float) -> float:
-    """The bound of an equality contract whose reference magnitude is ``ref``."""
-    return EQUALITY_TOL * max(1.0, abs(ref))
+def equality_bound(ref):
+    """The bound of an equality contract whose reference magnitude is ``ref``,
+    a number or a column: EQUALITY_TOL * max(1.0, abs(ref)), which keeps 1.0
+    unless abs(ref) > 1.0 (so for NaN)."""
+    size = np.abs(ref)
+    return EQUALITY_TOL * np.where(size > 1.0, size, 1.0)
 
 
-def _record(rid: str, measured: float, bound: float, passed: bool, detail: dict) -> InvariantRecord:
-    """A record whose contract states its own verdict (I2, I11)."""
-    return InvariantRecord(rid, float(measured), float(bound), bool(passed), detail)
+def _record(rid: str, measured, bound, passed, details=None) -> list[InvariantRecord]:
+    """One record per entry of the columns ``measured`` and ``passed`` (a
+    number ``bound`` holds for all), of Python floats and bools, with empty
+    details unless given. I2 and I11 state their verdict here; the rules
+    below derive the others'."""
+    measured, bound = np.asarray(measured, dtype=float).tolist(), np.asarray(bound, dtype=float)
+    bound = bound.tolist() if bound.ndim else [float(bound)] * len(measured)
+    details = details or [{} for _ in measured]
+    return list(map(InvariantRecord, [rid] * len(measured), measured, bound, passed.tolist(), details))
 
 
-def _le(rid: str, measured: float, bound: float, detail: dict | None = None) -> InvariantRecord:
+def _le(rid: str, measured, bound, details=None) -> list[InvariantRecord]:
     """A non-strict contract (``<=``, ``>=``, ``==``): passes when measured <= bound."""
-    measured, bound = float(measured), float(bound)
-    return InvariantRecord(rid, measured, bound, measured <= bound, detail or {})
+    return _record(rid, measured, bound, np.asarray(measured, dtype=float) <= bound, details)
 
 
-def _lt(rid: str, measured: float, bound: float, detail: dict | None = None) -> InvariantRecord:
+def _lt(rid: str, measured, bound, details=None) -> list[InvariantRecord]:
     """A strict contract (``<``, ``>``): passes when measured < bound."""
-    measured, bound = float(measured), float(bound)
-    return InvariantRecord(rid, measured, bound, measured < bound, detail or {})
+    return _record(rid, measured, bound, np.asarray(measured, dtype=float) < bound, details)
 
 
-def _pd(rid: str, lam: float, detail: dict | None = None) -> InvariantRecord:
+def _pd(rid: str, lam, details=None) -> list[InvariantRecord]:
     """Positive definiteness: the minimum eigenvalue ``lam`` exceeds PD_TOL."""
-    return _lt(rid, -lam, -PD_TOL, detail or {"min_eigenvalue": lam})
+    lam = np.asarray(lam, dtype=float)
+    return _lt(rid, -lam, -PD_TOL, details or [{"min_eigenvalue": x} for x in lam.tolist()])
 
 
-def _equal(rid: str, residual: float, ref: float, detail: dict | None = None) -> InvariantRecord:
+def _equal(rid: str, residual, ref, details=None) -> list[InvariantRecord]:
     """An equality whose ``residual`` is within ``equality_bound(ref)``."""
-    return _le(rid, residual, equality_bound(ref), detail)
+    return _le(rid, residual, equality_bound(ref), details)
 
 
 def check_iteration(
@@ -311,8 +327,8 @@ def check_iteration(
     whose slice k has the bits of the same expression on step k alone: a
     stacked ``@`` is one gemm per matrix, and ``min_eigenvalue``,
     ``frob_norm`` and ``trace_inner`` take stacks alike. I9's dual residual
-    is one gemv per step (``fmat`` times a column). The scalar rules then run
-    per step on plain floats, as a one-step sweep runs them.
+    is one gemv per step (``fmat`` times a column). The rules then run once
+    each over the K-entry columns (``_loop_sweep``).
     """
     n = prob.n
     eye = identity(n)
@@ -322,6 +338,7 @@ def check_iteration(
     dX, dZ, Zh, Zhi = (
         np.stack([getattr(step, key) for step in steps]) for key in ("dX", "dZ", "Zh", "Zhi")
     )
+    mu_next, phi, phim = (np.array([getattr(s, k) for s in states[1:]]) for k in ("mu", "phi", "phim"))
     what = "mu of the points stepped from"  # the quantity computed, for an error
     try:
         gap = trace_inner(Xm, Zm)
@@ -335,7 +352,7 @@ def check_iteration(
         lam_x = min_eigenvalue(X)
         lam_z = min_eigenvalue(Z)
         what = "I4 deviation from mu*I"
-        dev4 = frob_norm(XZ - np.array([s.mu for s in states[1:]])[:, None, None] * eye)
+        dev4 = frob_norm(XZ - mu_next[:, None, None] * eye)
         what = "I5 norm"
         v5 = frob_norm(scaled_dz)
         what = "I6 cross term"
@@ -361,70 +378,68 @@ def check_iteration(
         lam12 = min_eigenvalue(eye + scaled_dz)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} ({what})") from None
-    columns = (
-        mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
+    return _loop_sweep(
+        sigma, n, mu_next, phi, phim, mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
         r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12,
     )
-    rows = zip(*(col.tolist() for col in columns))
-    return [_loop_records(sigma, n, state, *row) for state, row in zip(states[1:], rows)]
 
 
-def _loop_records(
-    sigma, n, state, mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
+def _loop_sweep(
+    sigma, n, mu_next, phi, phim, mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz, dx_zm,
     r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12,
-) -> list[InvariantRecord]:
-    """The records of one step from its measured values, in catalog order."""
-    phi, phim = state.phi, state.phim
-    lhs7 = xm_dz + dx_zm + gap
-    rhs7 = sigma * n * mu
-    # I11: the outer comparison (first <= bound) is exact; the inner one
-    # (first <= middle) gets the equality tolerance since both sides shrink
-    # to rounding level.
-    b11 = 0.5 * middle11
-    c11 = THETA * sigma * mu
-    return [
-        # I1: both iterates stay positive definite.
-        _pd("I1", min(lam_x, lam_z), {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z}),
-        # I2: the gap stays positive and under the admission ceiling.
-        _record("I2", phi, GAP_CEILING, phi > 0.0 and phi <= GAP_CEILING, {"lower_ok": phi > 0.0}),
-        # I3: strict contraction with a margin over sigma.
-        _lt("I3", phi - (sigma + CONTRACTION_MARGIN) * phim, 0.0, {"phi": phi, "phim": phim}),
-        # I4: the new pair stays in the central-path neighborhood (new mu).
-        _le("I4", dev4, THETA * state.mu),
-        # I5: scaled dual direction is small.
-        _le("I5", v5, DZ_BOUND),
-        # I6: second-order cross term is small (mu of the point stepped from).
-        _le("I6", v6, THETA * sigma * mu),
-        # I7: linearized gap identity.
-        _equal("I7", abs(lhs7 - rhs7), rhs7, {"lhs": lhs7, "rhs": rhs7}),
-        # I8: realized gap contraction equals sigma exactly.
-        _equal("I8", abs(phi - sigma * phim), phim, {"phi": phi, "phim": phim}),
-        # I9: directions preserve dual and primal feasibility.
-        _equal(
-            "I9",
-            max(r_dual, r_primal),
-            norm_dx,
-            {"dual_residual": r_dual, "primal_residual": r_primal},
-        ),
-        # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
-        _equal("I10", v10, norm_rhs10),
-        # I11: proximity chain for the new pair under the old scaling.
-        _record(
-            "I11",
-            a11,
-            c11,
-            a11 <= c11 and a11 <= b11 + equality_bound(b11),
-            {
-                "chain_first": a11,
-                "chain_middle": b11,
-                "chain_bound": c11,
-                "first_leq_middle": a11 <= b11,
-                "middle_leq_bound": b11 <= c11,
-            },
-        ),
-        # I12: the scaled dual update keeps the next Z positive definite.
-        _pd("I12", lam12),
-    ]
+) -> list[list[InvariantRecord]]:
+    """Each step's records, in catalog order, from the measured columns
+    (``mu_next``, ``phi``, ``phim`` of the points stepped to). Each rule runs
+    once over the columns, with its scalar formula's operations in order,
+    under Python's float rule (no flag raises) and tie rule for min and max."""
+    with np.errstate(all="ignore"):
+        lhs7, rhs7 = xm_dz + dx_zm + gap, sigma * n * mu
+        # I11: the outer comparison (first <= bound) is exact; the inner one
+        # (first <= middle) gets the equality tolerance since both sides
+        # shrink to rounding level.
+        b11, c11 = 0.5 * middle11, THETA * sigma * mu
+        gaps = [{"phi": a, "phim": b} for a, b in zip(phi.tolist(), phim.tolist())]
+        sweep = [
+            # I1: both iterates stay positive definite; min(lam_x, lam_z).
+            _pd("I1", np.where(lam_z < lam_x, lam_z, lam_x), [
+                {"min_eigenvalue_X": x, "min_eigenvalue_Z": z}
+                for x, z in zip(lam_x.tolist(), lam_z.tolist())
+            ]),
+            # I2: the gap stays positive and under the admission ceiling.
+            _record("I2", phi, GAP_CEILING, (phi > 0.0) & (phi <= GAP_CEILING), [
+                {"lower_ok": ok} for ok in (phi > 0.0).tolist()
+            ]),
+            # I3: strict contraction with a margin over sigma.
+            _lt("I3", phi - (sigma + CONTRACTION_MARGIN) * phim, 0.0, gaps),
+            # I4: the new pair stays in the central-path neighborhood (new mu).
+            _le("I4", dev4, THETA * mu_next),
+            # I5: scaled dual direction is small.
+            _le("I5", v5, DZ_BOUND),
+            # I6: second-order cross term is small (mu of the point stepped from).
+            _le("I6", v6, THETA * sigma * mu),
+            # I7: linearized gap identity.
+            _equal("I7", np.abs(lhs7 - rhs7), rhs7, [
+                {"lhs": a, "rhs": b} for a, b in zip(lhs7.tolist(), rhs7.tolist())
+            ]),
+            # I8: realized gap contraction equals sigma exactly.
+            _equal("I8", np.abs(phi - sigma * phim), phim, [dict(d) for d in gaps]),  # I3's, copied
+            # I9: directions preserve dual and primal feasibility; max(r_dual, r_primal).
+            _equal("I9", np.where(r_primal > r_dual, r_primal, r_dual), norm_dx, [
+                {"dual_residual": a, "primal_residual": b}
+                for a, b in zip(r_dual.tolist(), r_primal.tolist())
+            ]),
+            # I10: the directions satisfy the scaled Newton equation (rhs recomputed).
+            _equal("I10", v10, norm_rhs10),
+            # I11: proximity chain for the new pair under the old scaling.
+            _record("I11", a11, c11, (a11 <= c11) & (a11 <= b11 + equality_bound(b11)), [
+                {"chain_first": a, "chain_middle": b, "chain_bound": c,
+                 "first_leq_middle": a <= b, "middle_leq_bound": b <= c}
+                for a, b, c in zip(a11.tolist(), b11.tolist(), c11.tolist())
+            ]),
+            # I12: the scaled dual update keeps the next Z positive definite.
+            _pd("I12", lam12),
+        ]
+    return [list(records) for records in zip(*sweep)]
 
 
 def check_initialization(
@@ -465,50 +480,45 @@ def check_initialization(
         norm_f0 = frob_norm(prob.f0)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} ({what})") from None
-    return [
-        _pd("init-f0-pd", lam_f0),
+    records = (  # each rule over length-one columns, so every verdict is decided there
+        _pd("init-f0-pd", [lam_f0]),
         fi_symmetric,
-        _le("init-size", -min(n, m), -1.0, {"n": n, "m": m}),
-        _pd("init-z0-pd", lam_z),
-        _equal("init-dual-feasibility", res_dual, norm_b, {"residual": res_dual}),
-        _pd("init-x0-pd", lam_x),
-        _le("init-neighborhood", dev, THETA * mu_rec),
-        _le("init-gap-upper", phi_rec, GAP_CEILING),
-        _lt("init-gap-positive", -phi_rec, 0.0, {"gap": phi_rec}),
+        _le("init-size", [-min(n, m)], -1.0, [{"n": n, "m": m}]),
+        _pd("init-z0-pd", [lam_z]),
+        _equal("init-dual-feasibility", [res_dual], norm_b, [{"residual": res_dual}]),
+        _pd("init-x0-pd", [lam_x]),
+        _le("init-neighborhood", [dev], THETA * mu_rec),
+        _le("init-gap-upper", [phi_rec], GAP_CEILING),
+        _lt("init-gap-positive", [-phi_rec], 0.0, [{"gap": phi_rec}]),
         p_symmetric,
-        _equal("init-primal-feasibility", res_primal, norm_f0, {"residual": res_primal}),
-        _lt("init-epsilon-positive", -opts.epsilon, 0.0, {"epsilon": opts.epsilon}),
-        _le("init-sigma-constant", 0.0, 0.0, {"sigma": opts.sigma}),
-        _equal(
-            "init-phi-definition",
-            abs(state.phi - phi_rec),
-            phi_rec,
-            {"stored": state.phi, "recomputed": phi_rec},
-        ),
-        _lt(
-            "init-phim-seed",
-            state.phi - (opts.sigma + CONTRACTION_MARGIN) * state.phim,
-            0.0,
-            {"phi": state.phi, "phim": state.phim},
-        ),
-        _equal("init-mu-definition", abs(n * state.mu - phi_rec), phi_rec, {"stored": state.mu}),
-    ]
+        _equal("init-primal-feasibility", [res_primal], norm_f0, [{"residual": res_primal}]),
+        _lt("init-epsilon-positive", [-opts.epsilon], 0.0, [{"epsilon": opts.epsilon}]),
+        _le("init-sigma-constant", [0.0], 0.0, [{"sigma": opts.sigma}]),
+        _equal("init-phi-definition", [abs(state.phi - phi_rec)], phi_rec, [
+            {"stored": state.phi, "recomputed": phi_rec}
+        ]),
+        _lt("init-phim-seed", [state.phi - (opts.sigma + CONTRACTION_MARGIN) * state.phim], 0.0, [
+            {"phi": state.phi, "phim": state.phim}
+        ]),
+        _equal("init-mu-definition", [abs(n * state.mu - phi_rec)], phi_rec, [{"stored": state.mu}]),
+    )
+    return [rec for (rec,) in records]
 
 
-def _fi_symmetric(fs: Sequence[np.ndarray]) -> InvariantRecord:
+def _fi_symmetric(fs: Sequence[np.ndarray]) -> list[InvariantRecord]:
     """``init-fi-symmetric``, measured on the most asymmetric Fi (the first
     of equals)."""
     if not len(fs):
-        return _le("init-fi-symmetric", 0.0, 0.0, {"note": "no constraint matrices"})
+        return _le("init-fi-symmetric", [0.0], 0.0, [{"note": "no constraint matrices"}])
     asyms = asymmetry(fs)
     worst = int(np.argmax(asyms))
-    return _equal("init-fi-symmetric", asyms[worst], np.abs(fs).max(), {"worst_index": worst + 1})
+    return _equal("init-fi-symmetric", [asyms[worst]], np.abs(fs).max(), [{"worst_index": worst + 1}])
 
 
-def _p_symmetric(p: np.ndarray, n: int, m: int) -> InvariantRecord:
+def _p_symmetric(p: np.ndarray, n: int, m: int) -> list[InvariantRecord]:
     """``init-p-symmetric`` on P = mats(p, n), where p has that shape."""
     if not (m == sym_dim(n) and p.shape[0] == m):
         note = "p reshapes to a square matrix only when m == n*(n+1)/2"
-        return _le("init-p-symmetric", 0.0, 0.0, {"reshaped": False, "note": note})
+        return _le("init-p-symmetric", [0.0], 0.0, [{"reshaped": False, "note": note}])
     P = mats(p, n)
-    return _equal("init-p-symmetric", asymmetry(P), np.max(np.abs(P)), {"reshaped": True})
+    return _equal("init-p-symmetric", [asymmetry(P)], np.max(np.abs(P)), [{"reshaped": True}])

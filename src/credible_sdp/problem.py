@@ -40,7 +40,6 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -429,29 +428,22 @@ def orjson_reads_alike(data: bytes, ints: bool = False) -> bool:
     return at < 0
 
 
-def read_json(
-    data: str | bytes, fallback: Callable[[Any], Any] = json.loads, alike: bool | None = None
-) -> Any:
-    """``fallback(data)``, read by orjson where ``alike`` holds and orjson
-    reads ``data`` at all.
+def read_json(data: str | bytes) -> Any:
+    """``json.loads(data)``, read by orjson where ``orjson_reads_alike``
+    holds for ``data`` and orjson reads it at all.
 
-    ``alike`` says whether ``orjson_reads_alike`` holds for ``data``, or for
-    the text that holds it; it is tested here if None. The value is then
-    ``fallback``'s, every type and float bit, but for integers outside
-    [-2**63, 2**64), which read as the float nearest them unless ``alike``
-    was tested with ``ints``. As ``fallback`` reads all text orjson refuses,
-    each error is ``fallback``'s. orjson's number parser is trusted to give
-    the bits of CPython's, which the test suite pins.
+    The value is then ``json``'s, every type and float bit, but for integers
+    outside [-2**63, 2**64), which read as the float nearest them. As
+    ``json`` reads all text orjson refuses, each error is ``json``'s.
+    orjson's number parser is trusted to give the bits of CPython's, which
+    the test suite pins.
     """
-    if alike is None:
-        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-        alike = orjson_reads_alike(raw)
-    if alike:
+    if orjson_reads_alike(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:
             pass
-    return fallback(data)
+    return json.loads(data)
 
 
 def load_problem(source: str | bytes) -> SdpProblem:

@@ -25,6 +25,7 @@ from credible_sdp.annotator import (
     _DIRECTIONS,
     _check_footer,
     _close,
+    _decode_line,
     _dumps,
     _float_reprs,
     _footer_obj,
@@ -32,6 +33,7 @@ from credible_sdp.annotator import (
     _iteration_obj,
     _mat_literals,
     _numpy_to_json,
+    _read_lines,
     _record_line,
     _record_obj,
     _same,
@@ -43,7 +45,13 @@ from credible_sdp.annotator import (
 )
 from credible_sdp.linalg import sym_sqrt
 from credible_sdp.monitor import INIT_IDS, LOOP_IDS, InvariantRecord
-from credible_sdp.problem import SdpProblem, build_problem, load_problem, running_example
+from credible_sdp.problem import (
+    SdpProblem,
+    build_problem,
+    load_problem,
+    orjson_reads_alike,
+    running_example,
+)
 from credible_sdp.solver import (
     NewtonStep,
     SolverOptions,
@@ -463,8 +471,53 @@ def test_parse_refuses_values_whose_line_breaks_cancel():
     lines = [*genuine[:3], genuine[3][:cut], genuine[3][cut + 1:], genuine[4] + "," + genuine[5]]
     lines += genuine[6:]
     assert json.loads("[" + ",".join(lines) + "]") == [json.loads(line) for line in genuine]
+    assert orjson_reads_alike(reassemble(lines), ints=True)  # so orjson reads the lines first
     with pytest.raises(TraceFormatError, match="^line 4 is not valid JSON"):
         parse_trace(reassemble(lines))
+
+
+def _per_line(trace: bytes) -> list[dict]:
+    """The lines of a trace read one by one by the standard decoder alone."""
+    lines = [line for line in trace.decode("utf-8").split("\n") if line.strip(" \t\r")]
+    return [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, 10**20, "caf\u00e9\n"],
+    ids=["nan", "20-digit-integer", "escape"],
+)
+def test_lines_orjson_refuses_read_as_the_per_line_path(value):
+    # each refused mid-trace line sends the trace through the per-line read,
+    # which reads the same objects and words the same errors
+    genuine = trace_lines(GOLDEN_CTS3.read_bytes())
+    obj = json.loads(genuine[20])
+    obj["detail"]["edited"] = value
+    lines = [*genuine[:20], json.dumps(obj), *genuine[21:]]
+    trace = reassemble(lines)
+    objs = _read_lines(trace)
+    assert json.dumps(objs) == json.dumps(_per_line(trace))
+    assert type(objs[20]["detail"]["edited"]) is type(value)
+    broken = reassemble([*lines[:30], lines[30][:-1], *lines[31:]])
+    for read in (_read_lines, _per_line):
+        with pytest.raises(TraceFormatError, match="^line 31 is not valid JSON: Expecting ',' delimiter"):
+            read(broken)
+
+
+def test_a_line_that_is_no_object_ends_the_read_with_its_message():
+    genuine = trace_lines(GOLDEN_CTS3.read_bytes())
+    lines = [*genuine[:20], "[1, 2]", *genuine[21:]]
+    assert orjson_reads_alike(reassemble(lines), ints=True)
+    with pytest.raises(TraceFormatError, match="^line 21 is not a JSON object$"):
+        _read_lines(reassemble(lines))
+
+
+def test_orjson_reads_every_line_of_the_goldens_as_the_standard_decoder():
+    for path in (GOLDEN_TRACE, GOLDEN_CTS2, GOLDEN_CTS3, GOLDEN_N6):
+        trace = path.read_bytes()
+        objs = _read_lines(trace)
+        assert objs == _per_line(trace)
+        assert json.dumps(objs) == json.dumps(_per_line(trace))
 
 
 def test_parse_reads_json_whitespace_around_a_line(example_trace, example_problem):

@@ -714,3 +714,41 @@ def test_files_nested_too_deep_exit_one(capsys, problem_file, tmp_path):
         capsys, "check-trace", "--problem", str(problem_file), "--trace", str(deep)
     )
     assert (code, out, err) == (1, "", "error: line 1 is nested too deep\n")
+
+
+#: A solve with trace and listing, then its check, at each size, through
+#: ``cli.main`` in one interpreter; the sentinel is printed after the last.
+_EXIT_CLEAN_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from problem_gen import random_problem
+from credible_sdp.cli import main
+work = Path(sys.argv[1])
+for n in (2, 8, 16):
+    prob = random_problem(np.random.default_rng(n), n=n)
+    data = {"F0": prob.f0.tolist(), "F": prob.fs.tolist(), "b": prob.b.tolist(),
+            "X0": prob.x0.tolist(), "epsilon": prob.epsilon}
+    problem, trace = work / f"p{n}.json", work / f"t{n}.cts"
+    problem.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(problem), "--trace", str(trace),
+                 "--listing", str(work / f"l{n}.m")]) == 0
+    assert main(["check-trace", "--problem", str(problem), "--trace", str(trace)]) == 0
+print("SENTINEL exit-clean")
+"""
+
+
+def test_solve_and_check_leave_nothing_to_run_at_interpreter_exit(tmp_path):
+    # whatever runs at exit (a finalizer, a thread, a file left open that
+    # development mode warns of) would write after the last line a caller
+    # reads as the result; under -W error such a warning is an error on stderr
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(credible_sdp.__file__).resolve().parents[1])
+    path = [src, tests, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _EXIT_CLEAN_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "SENTINEL exit-clean"

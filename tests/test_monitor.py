@@ -5,16 +5,23 @@ import json
 import math
 import operator
 import re
+import struct
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from problem_gen import random_problem
 
+from credible_sdp import monitor
 from credible_sdp.linalg import PD_TOL, min_eigenvalue, require_pd, sym_inv, sym_sqrt
 from credible_sdp.monitor import (
+    CONTRACTION_MARGIN,
     DZ_BOUND,
     EQUALITY_TOL,
     GAP_CEILING,
@@ -23,11 +30,13 @@ from credible_sdp.monitor import (
     THETA,
     InvariantRecord,
     _fold,
+    _loop_sweep,
     _primal_folds,
     _TEMPLATES,
     anchor,
     check_initialization,
     check_iteration,
+    equality_bound,
     fmt_num,
 )
 from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
@@ -441,6 +450,46 @@ def test_the_plan_fold_is_the_full_stack_fold_bit_for_bit(name, fs, width):
         np.testing.assert_array_equal(_bits(_primal_folds(prob, dps[:k])), _bits(expected[:k]))
 
 
+#: Entries of the fold property: signed zeros, subnormals, the ends of the
+#: float range, whose products overflow, and ordinary values.
+_FOLD_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0, -3.0]
+) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _fold_cases(draw):
+    """(fs, dps, chunk): an (m, n, n) stack, symmetric bit for bit or not,
+    K coefficient rows and a FOLD_CHUNK that cuts the K steps into chunks."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 20 if n == 1 else 8))  # 9 or more terms tell a pairwise sum
+    fs = draw(arrays(float, (m, n, n), elements=_FOLD_ENTRIES))
+    if draw(st.booleans()):
+        upper = np.arange(n)[:, None] <= np.arange(n)
+        fs = np.where(upper, fs, fs.swapaxes(1, 2))
+    dps = draw(arrays(float, (draw(st.integers(1, 9)), m), elements=_FOLD_ENTRIES))
+    return fs, dps, draw(st.integers(1, 60))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_fold_cases())
+def test_the_batched_primal_folds_are_the_per_step_folds_bit_for_bit(case):
+    # E = 1 (n = 1) takes accumulate, m = 0 folds to zeros, and a small
+    # FOLD_CHUNK puts chunk boundaries inside the K steps
+    fs, dps, chunk = case
+    prob = _unchecked_problem(np.eye(fs.shape[1]), fs, np.zeros(len(fs)))
+    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(monitor, "FOLD_CHUNK", chunk):
+        batched = _primal_folds(prob, dps)
+        expected = np.stack([_fold(0.0, dp, prob.fs) for dp in dps])
+    np.testing.assert_array_equal(_bits(batched), _bits(expected))
+
+
+def test_the_fold_buffer_holds_one_step_at_n_16():
+    prob = random_problem(np.random.default_rng(16), n=16)
+    assert prob.fold_plan[0].size <= monitor.FOLD_CHUNK < 2 * prob.fold_plan[0].size
+    assert monitor.FOLD_CHUNK * 8 <= 256 * 1024
+
+
 def test_i9_primal_residual_is_the_loop_residual_bit_for_bit():
     prob = random_problem(np.random.default_rng(7), n=6)
     report = solve(prob)
@@ -452,6 +501,153 @@ def test_i9_primal_residual_is_the_loop_residual_bit_for_bit():
             by_id = {rec.id: rec for rec in _sweep(report, k, step=step)}
             loop = float(np.linalg.norm(_loop_fold(0.0, step.dp, prob.fs) + step.dX, "fro"))
             assert by_id["I9"].detail["primal_residual"] == loop
+
+
+# -- the loop rules over columns ----------------------------------------------------
+
+#: The measured columns ``_loop_sweep`` takes, in its order.
+_COLUMNS = (
+    "mu_next", "phi", "phim", "mu", "gap", "lam_x", "lam_z", "dev4", "v5", "v6", "xm_dz",
+    "dx_zm", "r_dual", "r_primal", "norm_dx", "v10", "norm_rhs10", "a11", "middle11", "lam12",
+)
+
+
+def _scalar_records(sigma, n, mu_next, phi, phim, mu, gap, lam_x, lam_z, dev4, v5, v6, xm_dz,
+                    dx_zm, r_dual, r_primal, norm_dx, v10, norm_rhs10, a11, middle11, lam12):
+    """One step's records by the scalar formulas on Python floats, as the
+    per-step sweep built them: the reference of the column rules."""
+
+    def record(rid, measured, bound, passed, detail=None):
+        return InvariantRecord(rid, float(measured), float(bound), bool(passed), detail or {})
+
+    def le(rid, measured, bound, detail=None):
+        return record(rid, measured, bound, float(measured) <= float(bound), detail)
+
+    def lt(rid, measured, bound, detail=None):
+        return record(rid, measured, bound, float(measured) < float(bound), detail)
+
+    def pd(rid, lam, detail=None):
+        return lt(rid, -lam, -PD_TOL, detail or {"min_eigenvalue": lam})
+
+    def eq_bound(ref):
+        return EQUALITY_TOL * max(1.0, abs(ref))
+
+    def equal(rid, residual, ref, detail=None):
+        return le(rid, residual, eq_bound(ref), detail)
+
+    lhs7, rhs7 = xm_dz + dx_zm + gap, sigma * n * mu
+    b11, c11 = 0.5 * middle11, THETA * sigma * mu
+    return [
+        pd("I1", min(lam_x, lam_z), {"min_eigenvalue_X": lam_x, "min_eigenvalue_Z": lam_z}),
+        record("I2", phi, GAP_CEILING, phi > 0.0 and phi <= GAP_CEILING, {"lower_ok": phi > 0.0}),
+        lt("I3", phi - (sigma + CONTRACTION_MARGIN) * phim, 0.0, {"phi": phi, "phim": phim}),
+        le("I4", dev4, THETA * mu_next),
+        le("I5", v5, DZ_BOUND),
+        le("I6", v6, THETA * sigma * mu),
+        equal("I7", abs(lhs7 - rhs7), rhs7, {"lhs": lhs7, "rhs": rhs7}),
+        equal("I8", abs(phi - sigma * phim), phim, {"phi": phi, "phim": phim}),
+        equal("I9", max(r_dual, r_primal), norm_dx, {"dual_residual": r_dual, "primal_residual": r_primal}),
+        equal("I10", v10, norm_rhs10),
+        record(
+            "I11", a11, c11, a11 <= c11 and a11 <= b11 + eq_bound(b11),
+            {"chain_first": a11, "chain_middle": b11, "chain_bound": c11,
+             "first_leq_middle": a11 <= b11, "middle_leq_bound": b11 <= c11},
+        ),
+        pd("I12", lam12),
+    ]
+
+
+def _exactly(value):
+    """A value with its type and, for a float, its bits: equal only if identical."""
+    return (type(value), struct.pack("<d", value) if type(value) is float else value)
+
+
+def _assert_records_are_the_scalar_ones(sigma, n, rows):
+    columns = {key: np.array([row[key] for row in rows], dtype=float) for key in _COLUMNS}
+    with np.errstate(all="raise"):  # the rules raise no flag, as Python floats raise none
+        sweeps = _loop_sweep(sigma, n, **columns)
+    assert len(sweeps) == len(rows)
+    for records, row in zip(sweeps, rows):
+        expected = _scalar_records(sigma, n, **{key: float(row[key]) for key in _COLUMNS})
+        assert [r.id for r in records] == list(LOOP_IDS)
+        for rec, ref in zip(records, expected):
+            assert (rec.id, _exactly(rec.measured), _exactly(rec.bound), _exactly(rec.passed)) == (
+                ref.id, _exactly(ref.measured), _exactly(ref.bound), _exactly(ref.passed)
+            )
+            assert list(rec.detail) == list(ref.detail)
+            assert [_exactly(v) for v in rec.detail.values()] == [_exactly(v) for v in ref.detail.values()]
+    return sweeps
+
+
+#: A step that passes every loop contract at sigma = 0.5, n = 2.
+_PASSING_ROW = dict(
+    mu_next=0.01, phi=0.01, phim=0.02, mu=0.02, gap=0.04, lam_x=0.5, lam_z=0.25, dev4=0.0,
+    v5=0.0, v6=0.0, xm_dz=0.0, dx_zm=-0.02, r_dual=0.0, r_primal=1e-18, norm_dx=0.1,
+    v10=1e-18, norm_rhs10=0.1, a11=1e-18, middle11=4e-18, lam12=1.0,
+)
+
+
+def test_column_rules_decide_edge_columns_as_the_scalar_formulas():
+    sigma, n = 0.5, 2
+    b11 = 0.5 * 0.25
+    rows = [
+        _PASSING_ROW,
+        # measured exactly at its bound: passes <= (I4, I5, I6), fails < (I3, I12)
+        {**_PASSING_ROW, "dev4": THETA * 0.01, "v5": DZ_BOUND, "v6": THETA * sigma * 0.02,
+         "phi": (sigma + CONTRACTION_MARGIN) * 0.02, "lam12": PD_TOL},
+        # min and max keep their first argument on a tie of signed zeros
+        {**_PASSING_ROW, "lam_x": 0.0, "lam_z": -0.0, "r_dual": 0.0, "r_primal": -0.0},
+        {**_PASSING_ROW, "lam_x": -0.0, "lam_z": 0.0, "r_dual": -0.0, "r_primal": 0.0},
+        {**_PASSING_ROW, "r_dual": 1e-12, "r_primal": 1e-12},
+        # |ref| == 1.0 in equality_bound (rhs7 = sigma*n*mu = 1.0, phim = -1.0),
+        # I9's and I10's residuals at that bound
+        {**_PASSING_ROW, "mu": 1.0, "gap": 1.0, "dx_zm": 0.0, "phim": -1.0, "phi": sigma * -1.0,
+         "norm_dx": 1.0, "r_primal": EQUALITY_TOL, "norm_rhs10": -1.0, "v10": EQUALITY_TOL},
+        # ties in I11's chain: first == middle == bound (THETA*sigma*mu), and
+        # first exactly at middle plus its equality bound
+        {**_PASSING_ROW, "mu": 1.0, "a11": THETA * sigma * 1.0, "middle11": 2 * THETA * sigma},
+        {**_PASSING_ROW, "mu": 1.0, "middle11": 0.25, "a11": b11 + EQUALITY_TOL * max(1.0, b11)},
+    ]
+    sweeps = _assert_records_are_the_scalar_ones(sigma, n, rows)
+    verdicts = [{rec.id: rec.passed for rec in records} for records in sweeps]
+    assert all(verdicts[0].values())
+    assert (verdicts[1]["I4"], verdicts[1]["I5"], verdicts[1]["I6"]) == (True, True, True)
+    assert (verdicts[1]["I3"], verdicts[1]["I12"]) == (False, False)
+    by_id = [{rec.id: rec for rec in records} for records in sweeps]
+    assert _exactly(by_id[2]["I1"].measured) == _exactly(-0.0)  # -min(0.0, -0.0)
+    assert _exactly(by_id[3]["I1"].measured) == _exactly(0.0)  # -min(-0.0, 0.0)
+    assert _exactly(by_id[2]["I9"].measured) == _exactly(0.0)
+    assert _exactly(by_id[3]["I9"].measured) == _exactly(-0.0)
+    assert [by_id[5][rid].bound for rid in ("I7", "I8", "I9", "I10")] == [EQUALITY_TOL] * 4
+    assert all(by_id[5][rid].passed for rid in ("I7", "I8", "I9", "I10"))
+    chain = by_id[6]["I11"]
+    assert chain.passed and chain.detail["first_leq_middle"] and chain.detail["middle_leq_bound"]
+    assert by_id[7]["I11"].passed and not by_id[7]["I11"].detail["first_leq_middle"]
+
+
+def test_equality_bound_keeps_one_unless_the_reference_is_past_it():
+    refs = [1.0, -1.0, np.nextafter(1.0, 2.0), 0.5, -0.0, np.nan, np.inf]
+    expected = [EQUALITY_TOL * max(1.0, abs(ref)) for ref in refs]
+    assert _bits(equality_bound(np.array(refs))).tolist() == _bits(expected).tolist()
+    assert [float(equality_bound(ref)) for ref in refs[:4]] == expected[:4]
+
+
+#: Column entries of the rule property: signed zeros, the catalog's
+#: constants, values at one, and values whose sums overflow.
+_RULE_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 0.25, THETA, DZ_BOUND, PD_TOL, -PD_TOL, GAP_CEILING, 0.51,
+     EQUALITY_TOL, 5e-324, 1e308, -1e308]
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([0.5, 0.75]),
+    st.integers(1, 3),
+    st.lists(st.fixed_dictionaries({key: _RULE_ENTRIES for key in _COLUMNS}), min_size=1, max_size=4),
+)
+def test_column_rules_are_the_scalar_formulas_entry_by_entry(sigma, n, rows):
+    _assert_records_are_the_scalar_ones(sigma, n, rows)
 
 
 def test_fi_symmetric_names_the_first_of_equally_asymmetric_matrices():
