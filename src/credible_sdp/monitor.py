@@ -37,15 +37,15 @@ resulting columns (``_loop_sweep``). Every stacked operation makes the same
 BLAS or LAPACK call per step that a one-step sweep makes, so a step's
 records have the same bits whether it is swept alone or with others.
 
-Sums over the constraint matrices run over the problem's (m, n, n) stack in
-one numpy expression that adds the terms in the same order, so they give
-the same bits as the loop ``acc = acc + p[i] * F[i]`` (see ``_fold``). I9's
-primal folds run over the problem's ``fold_plan`` instead: the m x E stack
-of the upper triangle's entries and of the lower entries that differ from
-their mirrors, E = n(n+1)/2 for a stack symmetric bit for bit. The products
-of a chunk of steps go to one (k, m, E) buffer, reduced over m, and each
-step's E sums are gathered back to n x n, so every entry gets the
-multiply-adds of the full fold in the same order.
+The two sums over the constraint matrices, init-primal-feasibility's
+F0 + sum p[i]*Fi and I9's sum dp[i]*Fi, run through one fold
+(``_primal_folds``) over the problem's ``fold_plan``: the m x E stack of the
+upper triangle's entries and of the lower entries that differ from their
+mirrors in F0 or some Fi, E = n(n+1)/2 for a problem symmetric bit for bit.
+The products of a chunk of steps go to one (k, m, E) buffer, the start is
+added to the first, the buffer is reduced over m, and each step's E sums
+are gathered back to n x n, so every entry gets the multiply-adds of the
+loop ``acc = start; acc = acc + p[i] * F[i]`` in the same order.
 
 Rule for monitor arithmetic. A trace stores each record's ``measured``
 value, and the checker recomputes it with this code. So a change to how a
@@ -228,40 +228,32 @@ def anchor(record_id: str, sigma: float) -> str:
     )
 
 
-def _fold(start: np.ndarray | float, coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """start + c[0]*F[0] + c[1]*F[1] + ..., added left to right, bit for bit
-    the loop ``acc = start; acc = acc + c[i] * F[i]``, over a stack F of
-    matrices or of rows.
+def _primal_folds(
+    prob: SdpProblem, dps: Sequence[np.ndarray], start: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """start + dp[0]*F1 + dp[1]*F2 + ... for each dp, as a (K, n, n) stack:
+    bit for bit the loop ``acc = start; acc = acc + dp[i] * Fi`` over the
+    full matrices, with ``start`` added to the first product (start + 0.0
+    if m = 0). ``start`` is 0.0 or ``prob.f0``, whose lower entries the fold
+    plan keeps in columns of their own where their bits differ from their
+    mirrors'.
 
-    Reducing the leading axis of a C-contiguous stack whose items have two
-    or more entries is that running sum, entry by entry. With one entry per
-    item numpy would sum the column pairwise instead, so such a stack takes
-    ``accumulate``, which is a running sum by definition.
+    Reducing axis 1 of a chunk's (k, m, E) products is that running sum
+    entry by entry; with E = 1 numpy would sum the axis pairwise, so it
+    takes ``accumulate``, a running sum by definition.
     """
-    terms = coeffs.reshape((-1,) + (1,) * (F.ndim - 1)) * F
-    if not len(terms):
-        return start + np.zeros(F.shape[1:])
-    terms[0] += start
-    if terms[0].size > 1:
-        return np.add.reduce(terms, axis=0)
-    return np.add.accumulate(terms, axis=0)[-1]
-
-
-def _primal_folds(prob: SdpProblem, dps: Sequence[np.ndarray]) -> np.ndarray:
-    """``_fold(0.0, dp, prob.fs)`` for each dp, as a (K, n, n) stack. Reducing
-    axis 1 of a chunk's (k, m, E) products is ``_fold``'s running sum entry
-    by entry; with E = 1 numpy would sum that axis pairwise, so it takes
-    ``accumulate``."""
     columns, entry = prob.fold_plan
     m, width = columns.shape
     dps = np.asarray(dps, dtype=float).reshape(len(dps), m)
-    sums = np.zeros((len(dps), width))
+    first = np.zeros(width)  # start by column: a column's entries have the same bits in it
+    first[entry] = np.ravel(start)
+    sums = first + np.zeros((len(dps), width))
     if m:
         chunk = max(1, FOLD_CHUNK // columns.size)
         terms = np.empty((min(chunk, len(dps)), m, width))
         for lo in range(0, len(dps), chunk):
             part = np.multiply(dps[lo:lo + chunk, :, None], columns, out=terms[: len(dps) - lo])
-            part[:, 0] += 0.0  # _fold's start
+            part[:, 0] += first
             sums[lo:lo + chunk] = (
                 np.add.reduce(part, axis=1) if width > 1 else np.add.accumulate(part, axis=1)[:, -1]
             )
@@ -476,7 +468,7 @@ def check_initialization(
         what = "init-p-symmetric asymmetry"
         p_symmetric = _p_symmetric(p, n, m)
         what = "init-primal-feasibility residual"
-        res_primal = frob_norm(_fold(prob.f0, p, prob.fs) + X)
+        res_primal = frob_norm(_primal_folds(prob, [p], prob.f0)[0] + X)
         norm_f0 = frob_norm(prob.f0)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} ({what})") from None

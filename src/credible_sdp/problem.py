@@ -28,9 +28,9 @@ whose X0 ``solver.initialize`` admits by the same rule.
 The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
 (m, n, n) array, so checks over all of them are single numpy expressions.
 Every value they determine (n, m, the assembled constraint matrix ``fmat``,
-the ``fold_plan`` and the problem hash) is derived from them, never stored
-beside them, so no problem can carry a hash or an ``fmat`` of other
-constraints.
+the ``fold_plan``, which also reads F0, and the problem hash) is derived
+from them, never stored beside them, so no problem can carry a hash or an
+``fmat`` of other constraints.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ DEFAULT_NU = 0.4714
 
 #: The run modes of ``SolverOptions.mode``.
 MODES = ("strict", "audit")
+
+#: The floating-point rule of admission, of a solve and of a trace check: an
+#: overflow, an invalid operation or a division by zero raises
+#: FloatingPointError, under every warnings filter. ``np.errstate(**FLOAT_RULE)``.
+FLOAT_RULE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class ProblemFormatError(ValueError):
@@ -148,15 +153,17 @@ class SdpProblem:
 
         ``columns`` is the C-contiguous (m, E) stack of the upper triangle's
         entries and of each lower entry that differs from its mirror, bit for
-        bit, in some Fi (so 0.0 and -0.0 differ); ``entry[i * n + j]`` is the
-        column that holds entry (i, j), its mirror's where they never differ.
-        A sum of terms c[k] * Fk over the columns, gathered through
-        ``entry``, has the bits of the same sum over the full matrices.
+        bit, in F0 or some Fi (so 0.0 and -0.0 differ); ``entry[i * n + j]``
+        is the column that holds entry (i, j), its mirror's where they never
+        differ. A sum F0 + c[0] * F1 + ... (or one without F0) over the
+        columns, gathered through ``entry``, has the bits of the same sum
+        over the full matrices.
         """
         m, n = self.m, self.n
         bits = self.fs.view(np.int64)
+        f0 = np.asarray(self.f0, dtype=float).view(np.int64)
         row, col = np.divmod(np.arange(n * n), n)
-        own = (row <= col) | (bits != bits.transpose(0, 2, 1)).any(axis=0).ravel()
+        own = (row <= col) | ((bits != bits.transpose(0, 2, 1)).any(axis=0) | (f0 != f0.T)).ravel()
         cols = np.flatnonzero(own)
         entry = np.empty(n * n, dtype=np.intp)
         entry[cols] = np.arange(len(cols))
@@ -218,7 +225,20 @@ def build_problem(
     symmetric n x n matrices: m = n(n+1)/2 and linearly independent.
     A non-finite entry in F0, any Fi or b is refused first, by name.
     F1..Fm given as one float (m, n, n) array are held as they are, not copied.
+
+    The tests run under ``FLOAT_RULE``: data that a test takes beyond the
+    float range (an F0 + F0.T that overflows, say) are refused whatever the
+    warnings filter, before an infinity reaches LAPACK.
     """
+    try:
+        with np.errstate(**FLOAT_RULE):
+            return _admit(f0, fs, b, x0, epsilon, nu)
+    except FloatingPointError as exc:
+        raise ProblemFormatError(f"problem data leave the float range in admission: {exc}") from None
+
+
+def _admit(f0, fs, b, x0, epsilon, nu) -> SdpProblem:
+    """``build_problem``'s tests, in their order, and its problem."""
     f0 = np.array(f0, dtype=float)
     fs = _constraint_stack(fs)
     b = np.array(b, dtype=float).ravel()
@@ -275,7 +295,7 @@ def build_problem(
     sv = np.linalg.svd(prob.fmat, compute_uv=False)
     rank = int(np.count_nonzero(sv > sv[0] * m * np.finfo(float).eps))
     if rank < m:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # an infinite cond(F) is reported as inf
             cond = sv[0] / sv[-1]
         raise ProblemFormatError(
             f"F1..Fm must be linearly independent: rank(F) = {rank} < m = {m} "
@@ -298,6 +318,10 @@ def _constraint_stack(fs: Any) -> np.ndarray | list[np.ndarray]:
     return [np.asarray(Fi, dtype=float) for Fi in fs]
 
 
+#: The most dimensions numpy (2 and later) gives an array.
+_MAX_DIMS = 64
+
+
 def json_numbers(
     obj: Any, ndim: int | None = None, shape: tuple[int, ...] | None = None
 ) -> np.ndarray:
@@ -306,47 +330,30 @@ def json_numbers(
 
     Entry types are checked as parsed, because numpy would read a JSON
     ``true`` as 1.0 and keep an integer beyond the float range as an object.
-    Ragged nesting, the wrong depth or shape, any entry but a JSON int or
-    float, an integer beyond the float range and a non-finite value each
-    raise ValueError, whose message says which.
+    Each fault raises ValueError, and the first one found in this order
+    names it: ragged nesting (lists of unequal lengths, a list among the
+    entries, or more than ``_MAX_DIMS`` levels, all of which numpy refuses
+    to read as one array), the wrong depth or shape, an entry other than a
+    JSON int or float, an integer beyond the float range, a non-finite value.
 
-    A regular nesting of JSON ints and floats of the asked depth or shape is
-    read in one pass: its entries are flattened, their types checked at once
-    and converted by one ``np.array(flat, dtype=float)``, each number as
-    ``float`` reads it, which are the bits numpy's nested read gives. Any
-    other input, or a finiteness check that fails, takes the nested read,
-    whose messages name the fault.
+    One walk reads the shape and the entries (``_regular``), whose types are
+    taken once; one ``np.array(flat, dtype=float)`` converts them, each
+    number as ``float`` reads it, which are the bits numpy's nested read of
+    ``obj`` gives.
     """
-    regular = _regular(obj)
-    if regular is not None:
-        found, flat = regular
-        if (
-            (ndim is None or len(found) == ndim)
-            and (shape is None or found == shape)
-            and set(map(type, flat)) <= {int, float}
-        ):
-            try:
-                arr = np.array(flat, dtype=float).reshape(found)
-            except OverflowError:  # an integer beyond the float range: named below
-                arr = None
-            if arr is not None and np.isfinite(arr).all():
-                return arr
-    try:
-        arr = np.array(obj)
-    except ValueError:
-        raise ValueError("ragged nesting") from None
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{arr.ndim}-d, expected {ndim}-d")
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"shape {arr.shape}, expected {shape}")
-    entries = [obj] if arr.ndim == 0 else obj
-    for _ in range(arr.ndim - 1):
-        entries = itertools.chain.from_iterable(entries)
-    odd = set(map(type, entries)) - {int, float}
+    found, flat = _regular(obj)
+    kinds = set(map(type, flat))
+    if found is None or list in kinds or len(found) > _MAX_DIMS:
+        raise ValueError("ragged nesting")
+    if ndim is not None and len(found) != ndim:
+        raise ValueError(f"{len(found)}-d, expected {ndim}-d")
+    if shape is not None and found != shape:
+        raise ValueError(f"shape {found}, expected {shape}")
+    odd = kinds - {int, float}
     if odd:
         raise ValueError("it holds " + ", ".join(sorted(t.__name__ for t in odd)))
     try:
-        arr = arr.astype(float, copy=False)
+        arr = np.array(flat, dtype=float).reshape(found)
     except OverflowError:
         raise ValueError("an integer beyond the float range") from None
     if not np.isfinite(arr).all():
@@ -354,10 +361,10 @@ def json_numbers(
     return arr
 
 
-def _regular(obj: Any) -> tuple[tuple[int, ...], list] | None:
+def _regular(obj: Any) -> tuple[tuple[int, ...] | None, list]:
     """(shape, entries in row-major order) of a number or of lists nested
-    regularly, the shape read down the first items; None if some item at a
-    depth above the last is not a list of that depth's length."""
+    regularly, the shape read down the first items; (None, []) if some item
+    at a depth above the last is not a list of that depth's length."""
     found = []
     item = obj
     while type(item) is list:
@@ -368,7 +375,7 @@ def _regular(obj: Any) -> tuple[tuple[int, ...], list] | None:
     flat = [obj]
     for size in found:
         if set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
-            return None
+            return None, []
         flat = list(itertools.chain.from_iterable(flat))
     return tuple(found), flat
 
@@ -506,6 +513,7 @@ __all__ = [
     "DEFAULT_EPSILON",
     "DEFAULT_NU",
     "DEFAULT_SIGMA",
+    "FLOAT_RULE",
     "MAX_ORJSON_DEPTH",
     "ProblemFormatError",
     "SdpProblem",

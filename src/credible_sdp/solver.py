@@ -60,18 +60,13 @@ from .linalg import identity, lsqr_solve, sym_inv, sym_sqrt, trace_inner
 from .problem import (  # noqa: F401 — DEFAULT_SIGMA is re-exported
     DEFAULT_NU,
     DEFAULT_SIGMA,
+    FLOAT_RULE,
     ProblemFormatError,
     SdpProblem,
     SolverOptions,
     admit_x0,
 )
 from .symvec import krons, mats, symmetrize, vecs
-
-
-#: The floating-point rule of a solve and of a trace check: an overflow, an
-#: invalid operation or a division by zero raises FloatingPointError, under
-#: every warnings filter. ``np.errstate(**FLOAT_RULE)``.
-FLOAT_RULE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class InitializationError(RuntimeError):

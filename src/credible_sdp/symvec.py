@@ -74,10 +74,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 def asymmetry(a: np.ndarray) -> np.ndarray:
     """max |a - a.T| over the last two axes: one value for a matrix, one per
-    matrix for a stack, 0.0 for an empty matrix; NaN, without a warning, where
-    an infinite entry meets its mirror (inf - inf)."""
+    matrix for a stack, 0.0 for an empty matrix; inf where a - a.T overflows
+    and NaN where an infinite entry meets its mirror (inf - inf), each
+    without a warning or a floating-point error."""
     a = np.asarray(a, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import credible_sdp
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
@@ -373,6 +378,12 @@ def test_readme_library_use_documents_the_root_api_exactly():
     assert imported and imported <= set(credible_sdp.__all__)
 
 
+def test_readme_benchmark_table_has_a_row_for_each_bench_file():
+    section = re.search(r"^## Benchmark\n(.*)", README.read_text(), re.S | re.M).group(1)
+    rows = set(re.findall(r"^\| `(BENCH_\w+\.json)` \|", section, re.M))
+    assert rows == {path.name for path in README.parent.glob("BENCH_*.json")}
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
@@ -688,6 +699,36 @@ def test_solve_reports_an_overflow_alike_under_every_warning_filter(
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
 
 
+_OUT_OF_RANGE = "problem data leave the float range in admission: overflow encountered in"
+
+
+@pytest.mark.parametrize(
+    "edit,expected",
+    [
+        ({"F0": [[1.0, 1e308], [1e308, 0.1]]}, f"{_OUT_OF_RANGE} add"),  # F0's PD test
+        ({"F": [[[-0.750999, 1e308], [1e308, 0.0001]]]}, f"{_OUT_OF_RANGE} add"),  # fmat
+        ({"F": [[[-7.50999e307, 4.99e199], [4.99e199, 0.0001]]]}, f"{_OUT_OF_RANGE} scalar multiply"),
+        ({"F0": [[1.0, 1e308], [-1e308, 0.1]]}, "F0 is not symmetric: max |a - a.T| = inf"),
+    ],
+    ids=["f0-pd-test", "constraint-matrix", "rank-test", "antisymmetric-pair"],
+)
+def test_admission_that_overflows_exits_one_alike_under_every_warning_filter(
+    problem_file, tmp_path, edit, expected
+):
+    # admission runs under the solve's floating-point rule: the warnings
+    # filter changes nothing, and no infinity reaches LAPACK, which would
+    # print its own complaint to the terminal
+    data = json.loads(problem_file.read_text())
+    for key, value in edit.items():
+        data[key] = value + data[key][len(value):]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    message = f"error: {expected}\n"
+    for warning_filter in ("default", "error"):
+        proc = _cli_under_filter(warning_filter, "solve", "--problem", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 def _overflowing_step(prob, r, scaling):
     step = solve_newton(prob, r, scaling)
     return dataclasses.replace(step, dX=np.full_like(step.dX, 1e308))
@@ -714,6 +755,104 @@ def test_files_nested_too_deep_exit_one(capsys, problem_file, tmp_path):
         capsys, "check-trace", "--problem", str(problem_file), "--trace", str(deep)
     )
     assert (code, out, err) == (1, "", "error: line 1 is nested too deep\n")
+
+
+#: JSON values an edit of a problem file puts in: numbers of every magnitude
+#: up to 1e308 (and integers past it), non-finite floats and other types.
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.floats(-1e308, 1e308),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=3),
+    ),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """The path of ``node`` and of everything inside it, a key or index a step."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _edited_problem_files(draw):
+    """The running example's problem file with one to three edits (a number
+    set to any float up to 1e308 or scaled by 10**k, alone or with its
+    mirror so that a matrix stays symmetric; a value replaced by any JSON
+    value; nested 1 to 3,000 lists deeper; or a key dropped or added), then
+    sometimes cut short."""
+    text = resources.files("credible_sdp").joinpath("data/running_example.json").read_text()
+    doc = json.loads(text)
+    deep = None
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(_paths(doc), key=len, reverse=True)))  # entries first
+        *parent_path, last = path or (None,)
+        parent = doc
+        for key in parent_path:
+            parent = parent[key]
+        old = parent[last] if path else doc
+        edit = draw(st.sampled_from(["scale-pair", "scale", "replace", "nest", "drop", "add"]))
+        if edit.startswith("scale") and type(old) in (int, float):
+            k = draw(st.sampled_from([308, 307, 300, -308, -320]) | st.integers(-330, 308))  # the ends too
+            new = draw(st.just(old * 10.0**k) | st.floats(-1e308, 1e308))
+            if edit == "scale-pair" and len(path) >= 2:
+                matrix = doc
+                for key in path[:-2]:
+                    matrix = matrix[key]
+                try:
+                    matrix[path[-1]][path[-2]] = new
+                except (LookupError, TypeError):  # no mirror entry
+                    pass
+        elif edit == "nest" and deep is None:
+            deep, new = draw(st.integers(1, 3000)), "DEEP"
+        elif edit in ("drop", "add") and isinstance(parent, dict) and path:
+            if edit == "drop":
+                del parent[last]
+                continue
+            new, last = draw(_JSON_VALUES), draw(st.text(max_size=3))
+        else:
+            new = draw(_JSON_VALUES)
+        if path:
+            parent[last] = new
+        else:
+            doc = new
+    text = json.dumps(doc)
+    if deep is not None:
+        text = text.replace('"DEEP"', "[" * deep + draw(st.sampled_from(["", "0.5", "{}"])) + "]" * deep, 1)
+    if draw(st.integers(0, 3)) == 3:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_edited_problem_files())
+def test_solve_on_any_edit_of_a_problem_file_exits_by_the_map(tmp_path_factory, text):
+    # whatever the file holds, solve ends with a documented exit code and no
+    # traceback or warning, and the warnings filter changes nothing
+    path = tmp_path_factory.getbasetemp() / "edited.json"
+    path.write_text(text)
+    outcomes = []
+    for warning_filter in ("default", "error"):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter(warning_filter)
+            code = main(["solve", "--problem", str(path)])
+        assert caught == []
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    code, out, err = outcomes[0]
+    assert outcomes[1] == outcomes[0]
+    assert code in (0, 1, 2, 3, 4) and "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out.startswith("status:")
 
 
 #: A solve with trace and listing, then its check, at each size, through

@@ -29,7 +29,6 @@ from credible_sdp.monitor import (
     LOOP_IDS,
     THETA,
     InvariantRecord,
-    _fold,
     _loop_sweep,
     _primal_folds,
     _TEMPLATES,
@@ -386,21 +385,30 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def _mirrored(a):
+    """``a``'s upper triangles mirrored onto the lower ones: symmetric bit for bit."""
+    n = a.shape[-1]
+    return np.where(np.arange(n)[:, None] <= np.arange(n), a, a.swapaxes(-1, -2))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 @pytest.mark.parametrize("m", [0, 1, 3, 9, 21, 40])
 def test_fold_adds_left_to_right_like_the_loop(n, m):
     # nine or more terms is where a pairwise sum would start to differ; 1 x 1
     # matrices are where numpy's axis-0 reduce would sum pairwise; with no
-    # terms the fold is its start
+    # terms the fold is its start; a start F0 asymmetric bit for bit over a
+    # stack symmetric bit for bit needs columns of its own
     rng = np.random.default_rng([n, m])
-    for _ in range(20):
+    for k in range(20):
         F = rng.normal(size=(m, n, n)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1, 1))
         coeffs = rng.normal(size=m) * 10.0 ** rng.uniform(-12, 2, size=m)
         coeffs[rng.random(m) < 0.2] = -0.0
         F[rng.random(F.shape) < 0.1] = 0.0
-        for start in (0.0, rng.normal(size=(n, n))):
-            expected = _loop_fold(start, coeffs, F)
-            np.testing.assert_array_equal(_bits(_fold(start, coeffs, F)), _bits(expected))
+        prob = _unchecked_problem(rng.normal(size=(n, n)), _mirrored(F) if k % 2 else F, np.zeros(m))
+        for start in (0.0, prob.f0):
+            expected = _loop_fold(start, coeffs, prob.fs)
+            folded = _primal_folds(prob, [coeffs], start)[0]
+            np.testing.assert_array_equal(_bits(folded), _bits(expected))
 
 
 def _full_stack_fold(start, coeffs, F):
@@ -416,7 +424,7 @@ def _full_stack_fold(start, coeffs, F):
 
 
 def _plan_stacks():
-    """(name, stack, plan width) for each kind of stack the fold plan meets."""
+    """(name, F0, stack, plan width) for each kind of stack the fold plan meets."""
     rng = np.random.default_rng(24)
     A = rng.normal(size=(21, 6, 6)) * 10.0 ** rng.uniform(-3, 3, size=(21, 1, 1))
     sym = 0.5 * (A + A.swapaxes(1, 2))
@@ -425,29 +433,34 @@ def _plan_stacks():
     signed = sym.copy()  # a mirror pair 0.0 / -0.0 in one Fi, 0.0 in the others
     signed[:, 3, 0] = signed[:, 0, 3] = 0.0
     signed[7, 3, 0] = -0.0
+    f0_signed = np.eye(6)  # a mirror pair 0.0 / -0.0 in F0 alone
+    f0_signed[3, 0] = -0.0
     return [
-        ("bit-symmetric", sym, sym_dim(6)),
-        ("within-tolerance", near, sym_dim(6) + 1),
-        ("signed-zero-pair", signed, sym_dim(6) + 1),
-        ("n-1", rng.normal(size=(21, 1, 1)), 1),
-        ("m-0", np.zeros((0, 3, 3)), sym_dim(3)),
+        ("bit-symmetric", np.eye(6), sym, sym_dim(6)),
+        ("within-tolerance", np.eye(6), near, sym_dim(6) + 1),
+        ("signed-zero-pair", np.eye(6), signed, sym_dim(6) + 1),
+        ("f0-signed-zero-pair", f0_signed, sym, sym_dim(6) + 1),
+        ("n-1", np.eye(1), rng.normal(size=(21, 1, 1)), 1),
+        ("m-0", np.eye(3), np.zeros((0, 3, 3)), sym_dim(3)),
     ]
 
 
-@pytest.mark.parametrize("name,fs,width", _plan_stacks(), ids=[c[0] for c in _plan_stacks()])
-def test_the_plan_fold_is_the_full_stack_fold_bit_for_bit(name, fs, width):
+@pytest.mark.parametrize("name,f0,fs,width", _plan_stacks(), ids=[c[0] for c in _plan_stacks()])
+def test_the_plan_fold_is_the_full_stack_fold_bit_for_bit(name, f0, fs, width):
     m, n = fs.shape[:2]
-    assert is_symmetric(fs).all()  # each is a stack admission accepts
-    prob = _unchecked_problem(np.eye(n), fs, np.zeros(m))
+    assert is_symmetric(fs).all() and is_symmetric(f0)  # each is a problem admission accepts
+    prob = _unchecked_problem(f0, fs, np.zeros(m))
     columns, entry = prob.fold_plan
     assert columns.shape == (m, width) and columns.flags.c_contiguous
     rng = np.random.default_rng([m, n])
     dps = rng.normal(size=(9, m)) * 10.0 ** rng.uniform(-12, 2, size=(9, m))
     dps[rng.random(dps.shape) < 0.2] = -0.0
     dps[0] = -0.0
-    expected = np.stack([_full_stack_fold(0.0, dp, fs) for dp in dps])
-    for k in (1, 9):  # a one-step sweep and a longer one
-        np.testing.assert_array_equal(_bits(_primal_folds(prob, dps[:k])), _bits(expected[:k]))
+    for start in (0.0, prob.f0):
+        expected = np.stack([_full_stack_fold(start, dp, fs) for dp in dps])
+        for k in (1, 9):  # a one-step sweep and a longer one
+            folded = _primal_folds(prob, dps[:k], start)
+            np.testing.assert_array_equal(_bits(folded), _bits(expected[:k]))
 
 
 #: Entries of the fold property: signed zeros, subnormals, the ends of the
@@ -459,29 +472,38 @@ _FOLD_ENTRIES = st.sampled_from(
 
 @st.composite
 def _fold_cases(draw):
-    """(fs, dps, chunk): an (m, n, n) stack, symmetric bit for bit or not,
-    K coefficient rows and a FOLD_CHUNK that cuts the K steps into chunks."""
+    """(f0, fs, dps, chunk): an n x n F0 and an (m, n, n) stack, each
+    symmetric bit for bit or not, or F0 symmetric but for one 0.0 / -0.0
+    mirror pair; K coefficient rows and a FOLD_CHUNK that cuts the K steps
+    into chunks."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(0, 20 if n == 1 else 8))  # 9 or more terms tell a pairwise sum
     fs = draw(arrays(float, (m, n, n), elements=_FOLD_ENTRIES))
     if draw(st.booleans()):
-        upper = np.arange(n)[:, None] <= np.arange(n)
-        fs = np.where(upper, fs, fs.swapaxes(1, 2))
+        fs = _mirrored(fs)
+    f0 = draw(arrays(float, (n, n), elements=_FOLD_ENTRIES))
+    f0_kind = draw(st.sampled_from(["any", "symmetric", "signed-zero-pair"]))
+    if f0_kind != "any":
+        f0 = _mirrored(f0)
+    if f0_kind == "signed-zero-pair" and n > 1:
+        f0[0, -1], f0[-1, 0] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
     dps = draw(arrays(float, (draw(st.integers(1, 9)), m), elements=_FOLD_ENTRIES))
-    return fs, dps, draw(st.integers(1, 60))
+    return f0, fs, dps, draw(st.integers(1, 60))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_fold_cases())
 def test_the_batched_primal_folds_are_the_per_step_folds_bit_for_bit(case):
-    # E = 1 (n = 1) takes accumulate, m = 0 folds to zeros, and a small
-    # FOLD_CHUNK puts chunk boundaries inside the K steps
-    fs, dps, chunk = case
-    prob = _unchecked_problem(np.eye(fs.shape[1]), fs, np.zeros(len(fs)))
+    # E = 1 (n = 1) takes accumulate, m = 0 folds to its start plus 0.0, a
+    # small FOLD_CHUNK puts chunk boundaries inside the K steps, and each
+    # step starts from 0.0 (I9) or from F0 (init-primal-feasibility)
+    f0, fs, dps, chunk = case
+    prob = _unchecked_problem(f0, fs, np.zeros(len(fs)))
     with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(monitor, "FOLD_CHUNK", chunk):
-        batched = _primal_folds(prob, dps)
-        expected = np.stack([_fold(0.0, dp, prob.fs) for dp in dps])
-    np.testing.assert_array_equal(_bits(batched), _bits(expected))
+        for start in (0.0, prob.f0):
+            batched = _primal_folds(prob, dps, start)
+            expected = np.stack([_full_stack_fold(start, dp, prob.fs) for dp in dps])
+            np.testing.assert_array_equal(_bits(batched), _bits(expected))
 
 
 def test_the_fold_buffer_holds_one_step_at_n_16():
