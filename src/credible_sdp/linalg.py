@@ -102,7 +102,9 @@ def lsqr_solve(
     """Minimum-2-norm least-squares solution of A @ x = b.
 
     A and b must agree in shape and be finite. The residual is not checked
-    here: the callers' equations are contracts of the catalog.
+    here: the callers' equations are contracts of the catalog. A solution
+    beyond the float range raises FloatingPointError naming the equation,
+    since LAPACK returns it without a floating-point error.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -111,6 +113,8 @@ def lsqr_solve(
     if not np.all(np.isfinite(b)) or not np.all(np.isfinite(A)):
         raise ValueError(f"lsqr_solve({equation}): non-finite input")
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"overflow encountered in lsqr_solve ({equation})")
     return x
 
 

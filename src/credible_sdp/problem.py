@@ -336,15 +336,26 @@ def json_numbers(
     to read as one array), the wrong depth or shape, an entry other than a
     JSON int or float, an integer beyond the float range, a non-finite value.
 
-    One walk reads the shape and the entries (``_regular``), whose types are
-    taken once; one ``np.array(flat, dtype=float)`` converts them, each
-    number as ``float`` reads it, which are the bits numpy's nested read of
-    ``obj`` gives.
+    One walk reads the shape down the first items and then the entries level
+    by level, in row-major order; their types are taken once, and one
+    ``np.array(flat, dtype=float)`` converts them, each number as ``float``
+    reads it, which are the bits numpy's nested read of ``obj`` gives.
     """
-    found, flat = _regular(obj)
+    found, item = [], obj
+    while type(item) is list:
+        found.append(len(item))
+        if not item:
+            break
+        item = item[0]
+    flat = [obj]
+    for size in found:
+        if set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
+            raise ValueError("ragged nesting")
+        flat = list(itertools.chain.from_iterable(flat))
     kinds = set(map(type, flat))
-    if found is None or list in kinds or len(found) > _MAX_DIMS:
+    if list in kinds or len(found) > _MAX_DIMS:
         raise ValueError("ragged nesting")
+    found = tuple(found)
     if ndim is not None and len(found) != ndim:
         raise ValueError(f"{len(found)}-d, expected {ndim}-d")
     if shape is not None and found != shape:
@@ -359,25 +370,6 @@ def json_numbers(
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     return arr
-
-
-def _regular(obj: Any) -> tuple[tuple[int, ...] | None, list]:
-    """(shape, entries in row-major order) of a number or of lists nested
-    regularly, the shape read down the first items; (None, []) if some item
-    at a depth above the last is not a list of that depth's length."""
-    found = []
-    item = obj
-    while type(item) is list:
-        found.append(len(item))
-        if not item:
-            break
-        item = item[0]
-    flat = [obj]
-    for size in found:
-        if set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
-            return None, []
-        flat = list(itertools.chain.from_iterable(flat))
-    return tuple(found), flat
 
 
 # -- reading JSON ----------------------------------------------------------

@@ -716,7 +716,7 @@ def test_admission_that_overflows_exits_one_alike_under_every_warning_filter(
     problem_file, tmp_path, edit, expected
 ):
     # admission runs under the solve's floating-point rule: the warnings
-    # filter changes nothing, and no infinity reaches LAPACK, which would
+    # filter changes nothing, and no infinity reaches LAPACK, which can
     # print its own complaint to the terminal
     data = json.loads(problem_file.read_text())
     for key, value in edit.items():
@@ -727,6 +727,25 @@ def test_admission_that_overflows_exits_one_alike_under_every_warning_filter(
     for warning_filter in ("default", "error"):
         proc = _cli_under_filter(warning_filter, "solve", "--problem", str(path))
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+@pytest.mark.parametrize("warning_filter", ["default", "error"])
+def test_a_dual_start_beyond_the_float_range_exits_one_naming_the_solve(
+    capsys, problem_file, tmp_path, warning_filter
+):
+    # lstsq returns Z0 with an infinite entry and no floating-point error
+    data = json.loads(problem_file.read_text())
+    data["b"][0] = -1e308
+    data["F"][2][1][1] = 4.014626750006103e-298
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        code, out, err = run_cli(capsys, "solve", "--problem", str(path))
+    assert (code, out, caught) == (1, "", [])
+    assert err == (
+        "error: starting point cannot be evaluated: overflow encountered in lsqr_solve (initial dual solve)\n"
+    )
 
 
 def _overflowing_step(prob, r, scaling):

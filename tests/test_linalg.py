@@ -181,6 +181,12 @@ def test_lsqr_rejects_shape_mismatch():
         lsqr_solve(np.eye(2), np.ones(3))
 
 
+def test_lsqr_refuses_a_solution_beyond_the_float_range():
+    # lstsq returns [inf, 0.0] here and raises no floating-point error
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=r"in lsqr_solve \(dual\)$"):
+        lsqr_solve(np.eye(2) * 1e-10, np.array([1e300, 0.0]), equation="dual")
+
+
 def test_lsqr_rejects_non_finite_input():
     with pytest.raises(ValueError):
         lsqr_solve(np.eye(2), np.array([1.0, np.nan]))
