@@ -13,11 +13,14 @@ gaps, contract anchors and record positions are not stored; records before
 the first iteration line are the initialization records. The problem hash is
 SHA-256 over the raw float64 bytes of the constraint data. Floats are written
 as their shortest exact repr, so every value round-trips bit-exactly. The
-directions of all the iteration lines, like the listing's matrices, are
-formatted by one orjson call (``_float_reprs``): orjson writes ``repr``'s
-shortest digits in its own notation, which is rewritten into ``repr``'s, so
-the bytes are those of the standard encoder; the rewrite can change notation
-but never a value.
+directions of all the iteration lines are formatted by one orjson call
+(``_float_reprs``), the floats of the steps' contract records by one more
+and the listing's matrices by a third: orjson writes ``repr``'s shortest
+digits in its own notation, which is rewritten into ``repr``'s, so the bytes
+are those of the standard encoder; the rewrite can change notation but never
+a value. The records of the steps are written by the column, each catalog
+position over the steps from one frame, where their values allow; every
+other line is written by the standard library's C encoder.
 
 ``check_trace`` replays a trace against the problem file it claims to come
 from, then compares. The replay runs first, under one floating-point rule:
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -172,26 +176,63 @@ def _float_reprs(values: np.ndarray) -> list[str]:
 
 
 def _record_line(rec: "monitor.InvariantRecord") -> str:
-    """``_dumps(_record_obj(rec))``, the ``cts-3`` line of a record. A record
-    as the monitor builds it (a str id, a finite float measured value and
-    bound, a bool verdict) has its frame written here, as the encoder writes
-    it, and only its detail encoded; any other record goes through the
-    encoder whole."""
-    rid, measured, bound, passed = rec.id, rec.measured, rec.bound, rec.passed
-    if (
-        type(rid) is str
-        and type(measured) is float
-        and type(bound) is float
-        and type(passed) is bool
-        and math.isfinite(measured)
-        and math.isfinite(bound)
-    ):
-        return (
-            f'{{"type":"record","id":{_encode_str(rid)},"measured":{measured!r},'
-            f'"bound":{bound!r},"passed":{"true" if passed else "false"},'
-            f'"detail":{_dumps(rec.detail)}}}'
-        )
+    """The ``cts-3`` line of one record. The records of a trace's steps are
+    written by the column (``_loop_record_lines``) where their values allow;
+    every other record is written here, by the encoder."""
     return _dumps(_record_obj(rec))
+
+
+def _column_frame(column: list) -> tuple[str, list[list]] | None:
+    """The line template of a column of records and its value columns in
+    template order (measured, bound, passed, the detail values), a bool
+    column as its text. None unless the records share one id and one order
+    of detail keys, the id and the keys of type str and the detail of type
+    dict, and each value column holds only finite values of type float or
+    only values of type bool."""
+    ids = [rec.id for rec in column]
+    details = [rec.detail for rec in column]
+    if not ({*map(type, ids)} == {str} and len({*ids}) == 1 and {*map(type, details)} == {dict}):
+        return None
+    order = tuple(details[0])
+    keys = tuple(itertools.chain.from_iterable(details))
+    if not ({*map(type, keys)} <= {str} and keys == order * len(details)):
+        return None
+    flat = list(itertools.chain.from_iterable(map(dict.values, details)))
+    slots = [[rec.measured for rec in column], [rec.bound for rec in column]]
+    slots += [[rec.passed for rec in column], *(flat[i :: len(order)] for i in range(len(order)))]
+    for i, values in enumerate(slots):
+        kinds = {*map(type, values)}
+        if kinds == {bool}:
+            slots[i] = ["true" if value else "false" for value in values]
+        elif kinds != {float} or not all(map(math.isfinite, values)):
+            return None
+    detail = ",".join(_encode_str(key).replace("%", "%%") + ":%s" for key in order)
+    head = '{"type":"record","id":' + _encode_str(ids[0]).replace("%", "%%")
+    return f'{head},"measured":%s,"bound":%s,"passed":%s,"detail":{{{detail}}}}}', slots
+
+
+def _loop_record_lines(snapshots: list[IterationSnapshot]) -> list[list[str]]:
+    """``_record_line`` of every record of the steps, step by step. The
+    records are read as columns, one per position in a step's block. Each
+    column that ``_column_frame`` takes is written from its template, with
+    the floats of all such columns formatted in one ``_float_reprs`` call;
+    the records of every other column go through ``_record_line`` in trace
+    order, so a record that cannot be written raises what it raises there."""
+    blocks = [snap.records for snap in snapshots]
+    width = max(map(len, blocks), default=0)
+    columns = [[block[j] for block in blocks if len(block) > j] for j in range(width)]
+    frames = list(map(_column_frame, columns))
+    floats = [slot for frame in frames if frame for slot in frame[1] if type(slot[0]) is float]
+    text = iter(_float_reprs(np.array([*itertools.chain.from_iterable(floats)], dtype=float)))
+    lines = []
+    for column, frame in zip(columns, frames):
+        if frame is None:
+            lines.append(map(_record_line, column))  # lazy: run in trace order below
+        else:
+            template, slots = frame
+            slots = [[*itertools.islice(text, len(s))] if type(s[0]) is float else s for s in slots]
+            lines.append(map(template.__mod__, zip(*slots)))
+    return [list(map(next, lines[: len(block)])) for block in blocks]
 
 
 def _record_obj(
@@ -373,9 +414,10 @@ def write_trace(report: SolveReport) -> bytes:
     prob = report.problem
     lines = [_dumps(_header_obj(prob, report.options, report.initial_state, prob.problem_hash))]
     lines.extend(map(_record_line, report.init_records))
-    for snap, line in zip(report.snapshots, _iteration_lines(report.snapshots)):
+    steps = zip(_iteration_lines(report.snapshots), _loop_record_lines(report.snapshots))
+    for line, records in steps:
         lines.append(line)
-        lines.extend(map(_record_line, snap.records))
+        lines.extend(records)
     footer = _footer_obj(
         report.status.value,
         report.iterations,

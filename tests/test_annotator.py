@@ -292,20 +292,126 @@ def _builder_objs(report) -> list[dict]:
     return objs
 
 
-def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report):
-    # every line of three traces, each written without the encoder where it
+def _with_records(report, edits: dict) -> object:
+    """``report`` with loop records replaced: ``edits`` maps (step index,
+    catalog position) to the fields that change, or a step index to the
+    number of records its block keeps."""
+    snaps = list(report.snapshots)
+    for where, change in edits.items():
+        if isinstance(where, int):
+            snaps[where] = replace(snaps[where], records=snaps[where].records[:change])
+        else:
+            k, j = where
+            block = list(snaps[k].records)
+            block[j] = replace(block[j], **change)
+            snaps[k] = replace(snaps[k], records=block)
+    return replace(report, snapshots=snaps)
+
+
+def _odd_record_reports(report) -> list:
+    """Copies of ``report`` in each of which one loop column holds a record
+    that the column writer must leave to ``_record_line``, or whose value
+    lies where orjson's float notation departs from repr's; in the first,
+    one whole column has an id and detail keys that the encoder escapes."""
+    rec = report.snapshots[1].records
+    escaped = {"id": 'I3"\u00e9%s', "detail": {"phi%%": 1.0, "ph\\im\n": False}}
+    return [
+        _with_records(report, {(k, 2): escaped for k in range(len(report.snapshots))}),
+        _with_records(report, {(1, 0): {"measured": np.float64(rec[0].measured)}}),
+        _with_records(report, {(2, 3): {"bound": 3}}),
+        _with_records(report, {(0, 4): {"measured": -0.0}, (3, 5): {"bound": -0.0}}),
+        _with_records(report, {(3, 5): {"measured": 5e-324}, (4, 0): {"detail": {
+            "min_eigenvalue_X": 2.5e-310, "min_eigenvalue_Z": rec[0].detail["min_eigenvalue_Z"]}}}),
+        _with_records(report, {(1, 6): {"measured": 2.5e-5}, (2, 8): {"detail": {
+            "dual_residual": 1.5e-5, "primal_residual": -9.99e-5}}}),
+        _with_records(report, {(1, 2): {"id": 'I3"\u00e9%s'}}),
+        _with_records(report, {(2, 2): {"detail": {"phi%s": 1.0, "ph\\im\n": 2.0}}}),
+        _with_records(report, {(1, 4): {"id": "I4"}}),
+        _with_records(report, {(4, 8): {"detail": {"n": 2, "x": None, "note": "tab\there"}}}),
+        _with_records(report, {(3, 2): {"detail": {"phim": 1.0, "phi": 2.0}}}),
+        _with_records(report, {(3, 10): {"detail": {**rec[10].detail, "extra": True}}}),
+        _with_records(report, {(5, 1): {"detail": {"lower_ok": 1.0}}}),
+        _with_records(report, {(2, 7): {"passed": np.True_}, (6, 9): {"passed": None}}),
+        _with_records(report, {(2, 11): {"measured": 1, "bound": None}}),
+        _with_records(report, {2: 1}),
+        _with_records(report, {0: 5, 3: 0, len(report.snapshots) - 1: 11}),
+    ]
+
+
+def _strict_report(prob, monkeypatch):
+    """A strict run of ``prob`` that stops at its first violated contract."""
+    with monkeypatch.context() as mp:
+        mp.setattr("credible_sdp.solver.assemble_newton", _negated_rhs)
+        report = solve(prob, SolverOptions(epsilon=prob.epsilon, mode="strict"))
+    assert report.status is SolveStatus.INVARIANT_VIOLATION
+    assert not all(rec.passed for rec in report.snapshots[-1].records)
+    return report
+
+
+def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report, monkeypatch):
+    # every line of these traces, each written without the encoder where it
     # can be, is the line the stdlib encoder writes for its builder's object;
     # at n = 16 the directions cross [1e-5, 1e-4), where orjson's notation
-    # departs from repr's most, and reach exponents below -9
+    # departs from repr's most, and reach exponents below -9; the odd records
+    # are written one by one, and their columns' other records by the column
     large = solve(_workload_problem(16))
     steps = np.concatenate([np.r_[s.step.dX.ravel(), s.step.dp] for s in large.snapshots])
     assert np.any((1e-5 <= np.abs(steps)) & (np.abs(steps) < 1e-4))
     assert 0 < np.abs(steps[steps != 0]).min() < 1e-10
-    for report in (example_report, solve(load_problem(GOLDEN_N6_PROBLEM.read_text())), large):
+    workloads = [solve(_workload_problem(n, seed)) for n in (2, 8) for seed in (2001, 7919)]
+    reports = [
+        example_report,
+        solve(load_problem(GOLDEN_N6_PROBLEM.read_text())),
+        large,
+        solve(_workload_problem(16, 7919)),
+        *workloads,
+        _strict_report(example_report.problem, monkeypatch),
+        *_odd_record_reports(example_report),
+    ]
+    for report in reports:
         objs = _builder_objs(report)
         assert write_trace(report).decode().split("\n") == [*map(_stdlib_line, objs), ""]
         for obj in objs[:1] + objs[-1:]:
             assert _dumps(obj) == _stdlib_line(obj)
+
+
+def _stdlib_error(obj) -> Exception:
+    with pytest.raises((ValueError, TypeError)) as caught:
+        _stdlib_line(obj)
+    return caught.value
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"measured": float("nan")},
+        {"bound": float("inf")},
+        {"measured": np.float64(-np.inf)},
+        {"detail": {"phi": float("nan"), "phim": 1.0}},
+        {"detail": {"opaque": object()}},
+        {"detail": {(1, 2): 1.0}},
+    ],
+    ids=["nan-measured", "inf-bound", "numpy-inf", "nan-detail", "object", "tuple-key"],
+)
+def test_a_loop_record_that_cannot_be_written_raises_what_the_encoder_raises(example_report, change):
+    report = _with_records(example_report, {(3, 2): change})
+    expected = _stdlib_error(_record_obj(report.snapshots[3].records[2]))
+    with pytest.raises(type(expected)) as caught:
+        write_trace(report)
+    assert str(caught.value) == str(expected)
+
+
+def test_the_first_record_that_cannot_be_written_in_trace_order_raises(example_report):
+    # the records of other columns are written by the column first, but an
+    # odd record raises in the order of the trace's lines
+    nan, opaque = {"measured": float("nan")}, {"detail": {"opaque": object()}}
+    for edits, error in [
+        ({(1, 5): nan, (3, 0): opaque}, ValueError),
+        ({(1, 5): opaque, (3, 0): nan}, TypeError),
+        ({(2, 7): nan, (2, 3): opaque}, TypeError),
+    ]:
+        with pytest.raises(error):
+            write_trace(_with_records(example_report, edits))
 
 
 # -- the float formatter ---------------------------------------------------------
@@ -382,9 +488,8 @@ def test_write_trace_refuses_non_finite_directions(example_report, key, bad):
 
 
 def test_record_lines_are_the_bytes_of_the_stdlib_encoder(example_report):
-    # the record frame is formatted without the encoder: every record of two
-    # runs, and records holding what the monitor never builds, still read as
-    # the encoder writes them
+    # every record of two runs, and records holding what the monitor never
+    # builds, read as the stdlib encoder writes them
     prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
     records = [*example_report.all_records(), *solve(prob).all_records()]
     rec = records[0]
@@ -1727,12 +1832,12 @@ def test_check_rtol_is_tight():
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _workload_problem(n: int):
-    """``bench/workload_gen.py``'s problem at seed 2001, index 0, size n."""
+def _workload_problem(n: int, seed: int = 2001):
+    """``bench/workload_gen.py``'s problem at ``seed``, index 0, size n."""
     spec = importlib.util.spec_from_file_location("workload_gen", BENCH / "workload_gen.py")
     workload_gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workload_gen)
-    return load_problem(workload_gen.problem_bytes(2001, n, 0))
+    return load_problem(workload_gen.problem_bytes(seed, n, 0))
 
 
 def _scaling_pairs(monkeypatch, run) -> dict[int, tuple[bytes, bytes]]:

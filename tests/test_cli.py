@@ -874,6 +874,88 @@ def test_solve_on_any_edit_of_a_problem_file_exits_by_the_map(tmp_path_factory, 
         assert err == "" and out.startswith("status:")
 
 
+#: The running example's first cts-3 trace, a (line type, line) pair per line.
+_CTS3_LINES = [
+    (json.loads(line)["type"], line)
+    for line in (Path(__file__).parent / "golden" / "running_example_cts3.cts").read_text().splitlines()
+]
+
+
+@st.composite
+def _edited_traces(draw):
+    """The running example's cts-3 trace with one to three edits (in the
+    header, a record, an iteration line or the footer: a value set to any
+    JSON value, or a number set to any float up to 1e308 or scaled by 10**k;
+    a value nested 1 to 3,000 lists deeper; a key dropped or added; or the
+    line dropped or duplicated), then sometimes cut short."""
+    lines = list(_CTS3_LINES)
+    deep = None
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["header", "record", "iteration", "footer"]))
+        at = [i for i, (k, _) in enumerate(lines) if k == kind]
+        if not at:
+            continue
+        i = draw(st.sampled_from(at))
+        edit = draw(st.sampled_from(["set", "scale", "nest", "drop", "add", "drop-line", "copy-line"]))
+        if edit.endswith("-line"):
+            lines[i : i + 1] = [] if edit == "drop-line" else [lines[i]] * 2
+            continue
+        obj = json.loads(lines[i][1])
+        path = draw(st.sampled_from(sorted(_paths(obj), key=len, reverse=True)[:-1]))
+        *parent_path, last = path
+        parent = obj
+        for key in parent_path:
+            parent = parent[key]
+        old = parent[last]
+        if edit == "scale" and type(old) in (int, float):
+            k = draw(st.sampled_from([308, 300, -308, -320]) | st.integers(-330, 308))
+            new = draw(st.just(old * 10.0**k) | st.floats(-1e308, 1e308))
+        elif edit == "nest" and deep is None:
+            deep, new = draw(st.integers(1, 3000)), "DEEP"
+        elif edit in ("drop", "add") and isinstance(parent, dict):
+            if edit == "drop":
+                del parent[last]
+                lines[i] = (kind, json.dumps(obj, separators=(",", ":")))
+                continue
+            new, last = draw(_JSON_VALUES), draw(st.text(max_size=3))
+        else:
+            new = draw(_JSON_VALUES)
+        parent[last] = new
+        lines[i] = (kind, json.dumps(obj, separators=(",", ":")))
+    text = "".join(line + "\n" for _, line in lines)
+    if deep is not None:
+        text = text.replace('"DEEP"', "[" * deep + draw(st.sampled_from(["", "0.5", "{}"])) + "]" * deep, 1)
+    if draw(st.integers(0, 3)) == 3:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_edited_traces())
+def test_check_trace_on_any_edit_of_a_trace_exits_by_the_map(tmp_path_factory, text):
+    # whatever the trace holds, check-trace ends with a documented exit code
+    # and no traceback or warning, and the warnings filter changes nothing
+    base = tmp_path_factory.getbasetemp()
+    problem, trace = base / "example.json", base / "edited.cts"
+    problem.write_bytes(resources.files("credible_sdp").joinpath("data/running_example.json").read_bytes())
+    trace.write_text(text)
+    outcomes = []
+    for warning_filter in ("default", "error"):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter(warning_filter)
+            code = main(["check-trace", "--problem", str(problem), "--trace", str(trace)])
+        assert caught == []
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    code, out, err = outcomes[0]
+    assert outcomes[1] == outcomes[0]
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out.startswith(("trace OK", "trace FAILED", "trace consistent"))
+
+
 #: A solve with trace and listing, then its check, at each size, through
 #: ``cli.main`` in one interpreter; the sentinel is printed after the last.
 _EXIT_CLEAN_SCRIPT = """
