@@ -11,16 +11,12 @@ row-major, unscaled; the writer refuses a direction whose triangles differ,
 and the checker mirrors each triangle back into the matrix. The iterates,
 gaps, contract anchors and record positions are not stored; records before
 the first iteration line are the initialization records. The problem hash is
-SHA-256 over the raw float64 bytes of the constraint data. Floats are written
-as their shortest exact repr, so every value round-trips bit-exactly. The
-directions of all the iteration lines are formatted by one orjson call
-(``_float_reprs``), the floats of the steps' contract records by one more
-and the listing's matrices by a third: orjson writes ``repr``'s shortest
-digits in its own notation, which is rewritten into ``repr``'s, so the bytes
-are those of the standard encoder; the rewrite can change notation but never
-a value. The records of the steps are written by the column, each catalog
-position over the steps from one frame, where their values allow; every
-other line is written by the standard library's C encoder.
+SHA-256 over the raw float64 bytes of the constraint data. Each line is
+its builder's object written by one orjson call (``_line``): a float as its
+shortest digits, which read back to the same float bit for bit, in orjson's
+notation (``1e-6``, ``1e16``, ``0.00001``). The checker compares values, not
+notation. orjson writes NaN and infinity as ``null``, so a line that holds
+``null`` is searched for them, and a non-finite float raises ValueError.
 
 ``check_trace`` replays a trace against the problem file it claims to come
 from, then compares. The replay runs first, under one floating-point rule:
@@ -67,12 +63,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import orjson
@@ -83,7 +78,6 @@ from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike
 from .solver import (
     FLOAT_RULE,
     IterateState,
-    IterationSnapshot,
     NewtonStep,
     SolveReport,
     SolveStatus,
@@ -115,124 +109,6 @@ class TraceFormatError(ValueError):
 # --------------------------------------------------------------------------
 # JSON-lines writing
 # --------------------------------------------------------------------------
-
-
-def _numpy_to_json(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a trace")
-
-
-# The C encoder that ``json.JSONEncoder(allow_nan=False, separators=(",", ":"),
-# default=_numpy_to_json).encode`` builds anew for every call, built once with
-# the same arguments but no circular-reference markers, since every line is a
-# tree. The arguments: markers, default, string encoder (ensure_ascii), indent,
-# key and item separators, sort_keys, skipkeys, allow_nan.
-_encode_str = json.encoder.encode_basestring_ascii
-_encode = json.encoder.c_make_encoder(
-    None, _numpy_to_json, _encode_str, None, ":", ",", False, False, False
-)
-
-
-def _dumps(obj: dict) -> str:
-    """Compact JSON with every float as its shortest exact repr; NaN and
-    infinity raise ValueError, since strict JSON readers cannot take them."""
-    return "".join(_encode(obj, 0))
-
-
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of every entry of a float array, in row-major order; NaN and
-    infinity raise ValueError, as the encoder does.
-
-    One ``orjson.dumps`` call writes the digits, which are ``repr``'s: the
-    shortest that read back to the same float, the nearest of those on a
-    tie. Only its notation differs, and is rewritten here; no digit moves.
-    An exponent gets its sign and two digits (``1e-6`` -> ``1e-06``,
-    ``1e16`` -> ``1e+16``) in one ``np.insert`` over the bytes. orjson
-    writes a value in [1e-5, 1e-4) in fixed notation (``0.00001``), where
-    ``repr`` already takes the exponent (``1e-05``); those few entries are
-    written by ``repr`` itself.
-    """
-    a = np.ascontiguousarray(values, dtype=float).ravel()
-    if not np.isfinite(a).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    if not a.size:
-        return []
-    buf = np.frombuffer(orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
-    e = np.flatnonzero(buf == ord("e"))
-    negative = buf[e + 1] == ord("-")
-    first = e + 1 + negative  # the exponent's first digit
-    after = buf[first + 1]
-    plus, zero = e[~negative] + 1, first[(after == ord(",")) | (after == ord("]"))]
-    fill = np.repeat(np.frombuffer(b"+0", np.uint8), [len(plus), len(zero)])
-    buf = np.insert(buf, np.concatenate([plus, zero]), fill)
-    text = buf[1:-1].tobytes().decode("ascii").split(",")
-    magnitude = np.abs(a)
-    for k in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
-        text[k] = repr(float(a[k]))
-    return text
-
-
-def _record_line(rec: "monitor.InvariantRecord") -> str:
-    """The ``cts-3`` line of one record. The records of a trace's steps are
-    written by the column (``_loop_record_lines``) where their values allow;
-    every other record is written here, by the encoder."""
-    return _dumps(_record_obj(rec))
-
-
-def _column_frame(column: list) -> tuple[str, list[list]] | None:
-    """The line template of a column of records and its value columns in
-    template order (measured, bound, passed, the detail values), a bool
-    column as its text. None unless the records share one id and one order
-    of detail keys, the id and the keys of type str and the detail of type
-    dict, and each value column holds only finite values of type float or
-    only values of type bool."""
-    ids = [rec.id for rec in column]
-    details = [rec.detail for rec in column]
-    if not ({*map(type, ids)} == {str} and len({*ids}) == 1 and {*map(type, details)} == {dict}):
-        return None
-    order = tuple(details[0])
-    keys = tuple(itertools.chain.from_iterable(details))
-    if not ({*map(type, keys)} <= {str} and keys == order * len(details)):
-        return None
-    flat = list(itertools.chain.from_iterable(map(dict.values, details)))
-    slots = [[rec.measured for rec in column], [rec.bound for rec in column]]
-    slots += [[rec.passed for rec in column], *(flat[i :: len(order)] for i in range(len(order)))]
-    for i, values in enumerate(slots):
-        kinds = {*map(type, values)}
-        if kinds == {bool}:
-            slots[i] = ["true" if value else "false" for value in values]
-        elif kinds != {float} or not all(map(math.isfinite, values)):
-            return None
-    detail = ",".join(_encode_str(key).replace("%", "%%") + ":%s" for key in order)
-    head = '{"type":"record","id":' + _encode_str(ids[0]).replace("%", "%%")
-    return f'{head},"measured":%s,"bound":%s,"passed":%s,"detail":{{{detail}}}}}', slots
-
-
-def _loop_record_lines(snapshots: list[IterationSnapshot]) -> list[list[str]]:
-    """``_record_line`` of every record of the steps, step by step. The
-    records are read as columns, one per position in a step's block. Each
-    column that ``_column_frame`` takes is written from its template, with
-    the floats of all such columns formatted in one ``_float_reprs`` call;
-    the records of every other column go through ``_record_line`` in trace
-    order, so a record that cannot be written raises what it raises there."""
-    blocks = [snap.records for snap in snapshots]
-    width = max(map(len, blocks), default=0)
-    columns = [[block[j] for block in blocks if len(block) > j] for j in range(width)]
-    frames = list(map(_column_frame, columns))
-    floats = [slot for frame in frames if frame for slot in frame[1] if type(slot[0]) is float]
-    text = iter(_float_reprs(np.array([*itertools.chain.from_iterable(floats)], dtype=float)))
-    lines = []
-    for column, frame in zip(columns, frames):
-        if frame is None:
-            lines.append(map(_record_line, column))  # lazy: run in trace order below
-        else:
-            template, slots = frame
-            slots = [[*itertools.islice(text, len(s))] if type(s[0]) is float else s for s in slots]
-            lines.append(map(template.__mod__, zip(*slots)))
-    return [list(map(next, lines[: len(block)])) for block in blocks]
 
 
 def _record_obj(
@@ -388,37 +264,40 @@ def _footer_obj(
     return obj
 
 
-def _iteration_lines(snapshots: list[IterationSnapshot]) -> list[str]:
-    """``_dumps(_iteration_obj(...))`` of each snapshot, the ``cts-3`` line
-    of its step. The frames are written here, as the encoder writes them,
-    and the directions of all the steps are formatted in one
-    ``_float_reprs`` call."""
-    if not snapshots:
-        return []
-    steps = [snap.step for snap in snapshots]
-    dX = _triangle(np.stack([step.dX for step in steps]), "dX")
-    dZ = _triangle(np.stack([step.dZ for step in steps]), "dZ")
-    rows = np.concatenate([dX, dZ, np.stack([step.dp for step in steps])], axis=1)
-    text = _float_reprs(rows)
-    width, t = rows.shape[1], dX.shape[1]
-    return [
-        f'{{"type":"iteration","iteration":{snap.state.iteration},'
-        f'"dX":[{",".join(text[at:at + t])}],"dZ":[{",".join(text[at + t:at + 2 * t])}],'
-        f'"dp":[{",".join(text[at + 2 * t:at + width])}]}}'
-        for snap, at in zip(snapshots, range(0, len(text), width))
-    ]
+def _finite(value: object) -> bool:
+    """Whether no float in a line's object, at any depth, is NaN or infinite."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, (float, np.floating, np.ndarray)) or bool(np.isfinite(value).all())
 
 
-def write_trace(report: SolveReport) -> bytes:
-    """Serialize a solve report as a JSON-lines proof trace."""
-    prob = report.problem
-    lines = [_dumps(_header_obj(prob, report.options, report.initial_state, prob.problem_hash))]
-    lines.extend(map(_record_line, report.init_records))
-    steps = zip(_iteration_lines(report.snapshots), _loop_record_lines(report.snapshots))
-    for line, records in steps:
-        lines.append(line)
-        lines.extend(records)
-    footer = _footer_obj(
+def _line(obj: dict) -> bytes:
+    """One trace line: ``obj`` written by one orjson call. orjson writes NaN
+    and infinity as ``null``, so a line that holds ``null`` is searched for
+    them, and one raises ValueError, as a strict JSON writer does; ``None``
+    is written as ``null``. An object orjson cannot write raises its
+    ``JSONEncodeError``, a TypeError. orjson also refuses integers outside
+    [-2**63, 2**64), which no builder's field reaches: the largest is the
+    budget, at most log(sys.float_info.max) / -log1p(-2**-53), the sigma
+    nearest 1, about 6.4e18 < 2**63."""
+    line = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"null" in line and not _finite(obj):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return line
+
+
+def _trace_objs(report: SolveReport) -> Iterator[dict]:
+    """The builders' object of each line of the report's trace, in order."""
+    prob, state = report.problem, report.initial_state
+    yield _header_obj(prob, report.options, state, prob.problem_hash)
+    yield from map(_record_obj, report.init_records)
+    for snap in report.snapshots:
+        yield _iteration_obj(state, snap.state, snap.step)
+        yield from map(_record_obj, snap.records)
+        state = snap.state
+    yield _footer_obj(
         report.status.value,
         report.iterations,
         report.final_gap,
@@ -426,8 +305,13 @@ def write_trace(report: SolveReport) -> bytes:
         report.record_count,
         report.violation_id,
     )
-    lines.append(_dumps(footer))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_trace(report: SolveReport) -> bytes:
+    """Serialize a solve report as a JSON-lines proof trace, one ``_line``
+    per builder's object, in trace order: the first line that cannot be
+    written raises."""
+    return b"\n".join(map(_line, _trace_objs(report))) + b"\n"
 
 
 # --------------------------------------------------------------------------
@@ -907,6 +791,39 @@ class AnnotatedListing:
     @property
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
+
+
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every entry of a float array, in row-major order, for the
+    listing; NaN and infinity raise ValueError.
+
+    One ``orjson.dumps`` call writes the digits, which are ``repr``'s: the
+    shortest that read back to the same float, the nearest of those on a
+    tie. Only its notation differs, and is rewritten here; no digit moves.
+    An exponent gets its sign and two digits (``1e-6`` -> ``1e-06``,
+    ``1e16`` -> ``1e+16``) in one ``np.insert`` over the bytes. orjson
+    writes a value in [1e-5, 1e-4) in fixed notation (``0.00001``), where
+    ``repr`` already takes the exponent (``1e-05``); those few entries are
+    written by ``repr`` itself.
+    """
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not a.size:
+        return []
+    buf = np.frombuffer(orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
+    e = np.flatnonzero(buf == ord("e"))
+    negative = buf[e + 1] == ord("-")
+    first = e + 1 + negative  # the exponent's first digit
+    after = buf[first + 1]
+    plus, zero = e[~negative] + 1, first[(after == ord(",")) | (after == ord("]"))]
+    fill = np.repeat(np.frombuffer(b"+0", np.uint8), [len(plus), len(zero)])
+    buf = np.insert(buf, np.concatenate([plus, zero]), fill)
+    text = buf[1:-1].tobytes().decode("ascii").split(",")
+    magnitude = np.abs(a)
+    for k in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        text[k] = repr(float(a[k]))
+    return text
 
 
 @functools.lru_cache(maxsize=64)

@@ -26,15 +26,13 @@ from credible_sdp.annotator import (
     _check_footer,
     _close,
     _decode_line,
-    _dumps,
     _float_reprs,
     _footer_obj,
     _header_obj,
     _iteration_obj,
     _mat_literals,
-    _numpy_to_json,
     _read_lines,
-    _record_line,
+    _line,
     _record_obj,
     _same,
     _text_hash,
@@ -274,7 +272,17 @@ def test_write_trace_refuses_an_asymmetric_direction(example_problem, monkeypatc
         write_trace(report)
 
 
+def _numpy_to_json(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a trace")
+
+
 def _stdlib_line(obj) -> str:
+    """The reference encoding of a line's object: the stdlib encoder, compact,
+    strict about NaN and infinity, numpy values as Python's."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_numpy_to_json)
 
 
@@ -309,10 +317,11 @@ def _with_records(report, edits: dict) -> object:
 
 
 def _odd_record_reports(report) -> list:
-    """Copies of ``report`` in each of which one loop column holds a record
-    that the column writer must leave to ``_record_line``, or whose value
-    lies where orjson's float notation departs from repr's; in the first,
-    one whole column has an id and detail keys that the encoder escapes."""
+    """Copies of ``report`` in each of which loop records hold what the
+    monitor never builds (numpy scalars, ints, ``None`` and strings, other
+    detail keys, short blocks) or values where orjson's float notation
+    departs from repr's; in the first, one whole column has an id and detail
+    keys that an encoder escapes."""
     rec = report.snapshots[1].records
     escaped = {"id": 'I3"\u00e9%s', "detail": {"phi%%": 1.0, "ph\\im\n": False}}
     return [
@@ -348,12 +357,12 @@ def _strict_report(prob, monkeypatch):
     return report
 
 
-def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report, monkeypatch):
-    # every line of these traces, each written without the encoder where it
-    # can be, is the line the stdlib encoder writes for its builder's object;
-    # at n = 16 the directions cross [1e-5, 1e-4), where orjson's notation
-    # departs from repr's most, and reach exponents below -9; the odd records
-    # are written one by one, and their columns' other records by the column
+def test_every_trace_line_reads_back_as_its_builders_object(example_report, monkeypatch):
+    # each written line, read back and re-encoded by the stdlib encoder, is
+    # that encoder's line of the builder's object: every float bit, every
+    # type and the key order; at n = 16 the directions cross [1e-5, 1e-4),
+    # where orjson's notation departs from repr's most, and reach exponents
+    # below -9
     large = solve(_workload_problem(16))
     steps = np.concatenate([np.r_[s.step.dX.ravel(), s.step.dp] for s in large.snapshots])
     assert np.any((1e-5 <= np.abs(steps)) & (np.abs(steps) < 1e-4))
@@ -369,41 +378,79 @@ def test_dumps_writes_the_bytes_of_the_stdlib_encoder(example_report, monkeypatc
         *_odd_record_reports(example_report),
     ]
     for report in reports:
-        objs = _builder_objs(report)
-        assert write_trace(report).decode().split("\n") == [*map(_stdlib_line, objs), ""]
-        for obj in objs[:1] + objs[-1:]:
-            assert _dumps(obj) == _stdlib_line(obj)
+        expected = "".join(_stdlib_line(obj) + "\n" for obj in _builder_objs(report))
+        assert _reencoded(write_trace(report)) == expected.encode()
 
 
-def _stdlib_error(obj) -> Exception:
-    with pytest.raises((ValueError, TypeError)) as caught:
-        _stdlib_line(obj)
-    return caught.value
+#: What writing a line that holds NaN or infinity raises.
+OUT_OF_RANGE = "^Out of range float values are not JSON compliant$"
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change,error",
     [
-        {"measured": float("nan")},
-        {"bound": float("inf")},
-        {"measured": np.float64(-np.inf)},
-        {"detail": {"phi": float("nan"), "phim": 1.0}},
-        {"detail": {"opaque": object()}},
-        {"detail": {(1, 2): 1.0}},
+        ({"measured": float("nan")}, ValueError),
+        ({"bound": float("inf")}, ValueError),
+        ({"measured": np.float64(-np.inf)}, ValueError),
+        ({"detail": {"phi": float("nan"), "phim": 1.0}}, ValueError),
+        ({"detail": {"opaque": object()}}, TypeError),
+        ({"detail": {(1, 2): 1.0}}, TypeError),
     ],
     ids=["nan-measured", "inf-bound", "numpy-inf", "nan-detail", "object", "tuple-key"],
 )
-def test_a_loop_record_that_cannot_be_written_raises_what_the_encoder_raises(example_report, change):
-    report = _with_records(example_report, {(3, 2): change})
-    expected = _stdlib_error(_record_obj(report.snapshots[3].records[2]))
-    with pytest.raises(type(expected)) as caught:
-        write_trace(report)
-    assert str(caught.value) == str(expected)
+def test_a_loop_record_that_cannot_be_written_raises_what_the_encoder_raises(
+    example_report, change, error
+):
+    # orjson's JSONEncodeError is a TypeError
+    with pytest.raises(error, match=OUT_OF_RANGE if error is ValueError else None):
+        write_trace(_with_records(example_report, {(3, 2): change}))
+
+
+#: The kinds of line a value is put in by ``_spoiled``, in trace order.
+_LINE_KINDS = ("header", "init-record", "dp", "loop-detail", "footer")
+
+
+def _spoiled(report, kind: str, value) -> object:
+    """``report`` with ``value`` in one line of its trace: the header's
+    ``init_state.mu``, the first init record's bound, step 2's first dp
+    entry, an added detail value of step 3's first record, or the footer's
+    ``final_gap`` (the last step's gap)."""
+    snaps = list(report.snapshots)
+    if kind == "header":
+        return replace(report, initial_state=replace(report.initial_state, mu=value))
+    if kind == "init-record":
+        records = [replace(report.init_records[0], bound=value), *report.init_records[1:]]
+        return replace(report, init_records=records)
+    if kind == "loop-detail":
+        detail = {**snaps[2].records[0].detail, "extra": value}
+        return _with_records(report, {(2, 0): {"detail": detail}})
+    if kind == "dp":
+        step = snaps[1].step
+        snaps[1] = replace(snaps[1], step=replace(step, dp=np.array([value, *step.dp[1:]])))
+    else:
+        snaps[-1] = replace(snaps[-1], state=replace(snaps[-1].state, phi=value))
+    return replace(report, snapshots=snaps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", _LINE_KINDS)
+def test_a_non_finite_value_in_any_line_raises(example_report, kind, bad):
+    # orjson writes NaN and infinity as null; the writer refuses them instead
+    for value in [np.float64(bad), np.float32(bad)] if kind == "loop-detail" else [bad]:
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            write_trace(_spoiled(example_report, kind, value))
+
+
+def test_none_and_the_text_null_are_written_as_they_are(example_report):
+    # a line that holds null is searched for NaN and infinity, and has none
+    detail = {"x": None, "null": 1.0, "nullable": "null", "nan": None}
+    trace = parse_trace(write_trace(_with_records(example_report, {(2, 0): {"detail": detail}})))
+    assert list(trace.iterations[2]["records"][0]["detail"].items()) == list(detail.items())
 
 
 def test_the_first_record_that_cannot_be_written_in_trace_order_raises(example_report):
-    # the records of other columns are written by the column first, but an
-    # odd record raises in the order of the trace's lines
+    # each line is written, and checked, before the next is built: between
+    # records of one step and of two, and between lines of each kind
     nan, opaque = {"measured": float("nan")}, {"detail": {"opaque": object()}}
     for edits, error in [
         ({(1, 5): nan, (3, 0): opaque}, ValueError),
@@ -412,6 +459,10 @@ def test_the_first_record_that_cannot_be_written_in_trace_order_raises(example_r
     ]:
         with pytest.raises(error):
             write_trace(_with_records(example_report, edits))
+    for first, then in zip(_LINE_KINDS, _LINE_KINDS[1:]):
+        for early, late, error in [(math.nan, object(), ValueError), (object(), math.nan, TypeError)]:
+            with pytest.raises(error):
+                write_trace(_spoiled(_spoiled(example_report, first, early), then, late))
 
 
 # -- the float formatter ---------------------------------------------------------
@@ -487,33 +538,31 @@ def test_write_trace_refuses_non_finite_directions(example_report, key, bad):
         write_trace(replace(example_report, snapshots=snaps))
 
 
-def test_record_lines_are_the_bytes_of_the_stdlib_encoder(example_report):
-    # every record of two runs, and records holding what the monitor never
-    # builds, read as the stdlib encoder writes them
-    prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
-    records = [*example_report.all_records(), *solve(prob).all_records()]
-    rec = records[0]
-    odd = [
-        replace(rec, measured=np.float64(rec.measured), passed=np.True_),
-        replace(rec, measured=3, bound=-0.0, passed=False),
-        replace(rec, id='I"1\u00e9', detail={"note": "tab\there", "n": 2, "x": None}),
-    ]
-    for rec in [*records, *odd]:
-        assert _record_line(rec) == _stdlib_line(_record_obj(rec))
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_record_lines_refuse_non_finite_values(bad):
     for field in ("measured", "bound"):
         rec = InvariantRecord("I1", **{"measured": 0.0, "bound": 0.0, field: bad}, passed=True)
         with pytest.raises(ValueError):
-            _record_line(rec)
+            _line(_record_obj(rec))
+
+
+def _reencoded(trace: bytes) -> bytes:
+    """A trace with each line read and written again by ``_stdlib_line``:
+    the same bytes for the same values, types and key order, whatever the
+    float notation."""
+    lines = trace.decode().split("\n")
+    assert lines.pop() == ""
+    return "".join(_stdlib_line(json.loads(line)) + "\n" for line in lines).encode()
 
 
 def test_a_fresh_solve_writes_the_cts3_golden_byte_for_byte():
     # the cts-3 golden came from the solver that introduced the schema: every
-    # later solver must step, sweep and write with the same arithmetic
-    assert write_trace(solve(running_example())) == GOLDEN_CTS3.read_bytes()
+    # later solver must step, sweep and write with the same arithmetic. The
+    # golden was written in repr's notation by the stdlib encoder, so it is
+    # its own re-encoding, and the fresh trace re-encoded is the golden
+    golden = GOLDEN_CTS3.read_bytes()
+    assert _reencoded(golden) == golden
+    assert _reencoded(write_trace(solve(running_example()))) == golden
 
 
 def test_parse_trace_collects_iteration_blocks(example_trace):
