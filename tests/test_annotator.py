@@ -382,6 +382,30 @@ def test_every_trace_line_reads_back_as_its_builders_object(example_report, monk
         assert _reencoded(write_trace(report)) == expected.encode()
 
 
+def test_every_record_line_reads_back_as_its_records_object(example_report):
+    # every record of two runs, and init records holding what the monitor
+    # never builds, read back as the stdlib encoder's line of _record_obj
+    rec = example_report.init_records[0]
+    odd = [
+        replace(rec, measured=np.float64(rec.measured), passed=np.True_),
+        replace(rec, measured=3, bound=-0.0, passed=False),
+        replace(rec, id='I"1\u00e9', detail={"note": "tab\there", "n": 2, "x": None}),
+    ]
+    init = [*odd, *example_report.init_records[len(odd):]]
+    reports = [
+        replace(example_report, init_records=init),
+        solve(load_problem(GOLDEN_N6_PROBLEM.read_text())),
+    ]
+    checked = 0
+    for report in reports:
+        lines = _reencoded(write_trace(report)).decode().split("\n")[:-1]
+        for obj, line in zip(_builder_objs(report), lines, strict=True):
+            if obj["type"] == "record":
+                assert line == _stdlib_line(obj)
+                checked += 1
+    assert checked == sum(len([*r.all_records()]) for r in reports)
+
+
 #: What writing a line that holds NaN or infinity raises.
 OUT_OF_RANGE = "^Out of range float values are not JSON compliant$"
 
