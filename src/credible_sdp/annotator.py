@@ -56,16 +56,17 @@ three in the iteration lines.
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
 (``%%`` contract lines) or "c-like" (``/*@ ... */`` contract lines). Each
 annotation carries the id under which the monitor records its runtime check,
-so listing, trace, and checker all speak the same contract catalog.
+so listing, trace, and checker all speak the same contract catalog. The
+problem data is written by the trace's writer, ``_line``, every entry as
+stored; the catalog's text keeps ``monitor.fmt_num`` (``repr``), since
+``cts-1`` traces store its anchors.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -170,9 +171,9 @@ def _header_obj(
             "pd_margin": PD_TOL,
         },
         "init_state": {
-            "X": state.X,
-            "Z": state.Z,
-            "p": state.p,
+            "X": np.ascontiguousarray(state.X, dtype=float),
+            "Z": np.ascontiguousarray(state.Z, dtype=float),
+            "p": np.ascontiguousarray(state.p, dtype=float),
             "mu": state.mu,
             "phi": state.phi,
             "phim": state.phim,
@@ -223,10 +224,10 @@ def _iteration_obj(
     the checker steps with the stored ones, so they can only match."""
     obj = {"type": "iteration", "iteration": state.iteration}
     if step is not None:
-        dX, dZ = step.dX, step.dZ
+        dX, dZ, dp = (np.ascontiguousarray(a, dtype=float) for a in (step.dX, step.dZ, step.dp))
         if _SCHEMAS[schema].triangles:
             dX, dZ = _triangle(dX, "dX"), _triangle(dZ, "dZ")
-        obj.update(dX=dX, dZ=dZ, dp=step.dp)
+        obj.update(dX=dX, dZ=dZ, dp=dp)
     if schema == LEGACY_SCHEMA:
         obj.update(
             Xm=prev.X,
@@ -273,7 +274,7 @@ def _finite(value: object) -> bool:
     return not isinstance(value, (float, np.floating, np.ndarray)) or bool(np.isfinite(value).all())
 
 
-def _line(obj: dict) -> bytes:
+def _line(obj: object) -> bytes:
     """One trace line: ``obj`` written by one orjson call. orjson writes NaN
     and infinity as ``null``, so a line that holds ``null`` is searched for
     them, and one raises ValueError, as a strict JSON writer does; ``None``
@@ -281,7 +282,10 @@ def _line(obj: dict) -> bytes:
     ``JSONEncodeError``, a TypeError. orjson also refuses integers outside
     [-2**63, 2**64), which no builder's field reaches: the largest is the
     budget, at most log(sys.float_info.max) / -log1p(-2**-53), the sigma
-    nearest 1, about 6.4e18 < 2**63."""
+    nearest 1, about 6.4e18 < 2**63. orjson writes float32 and big-endian
+    arrays other than as float64 and refuses others not C-contiguous, so the
+    builders hand it C-contiguous float64 arrays; record values must be
+    Python floats or float64 scalars, as ``monitor`` builds them."""
     line = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
     if b"null" in line and not _finite(obj):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -793,74 +797,19 @@ class AnnotatedListing:
         return "\n".join(self.lines) + "\n"
 
 
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of every entry of a float array, in row-major order, for the
-    listing; NaN and infinity raise ValueError.
-
-    One ``orjson.dumps`` call writes the digits, which are ``repr``'s: the
-    shortest that read back to the same float, the nearest of those on a
-    tie. Only its notation differs, and is rewritten here; no digit moves.
-    An exponent gets its sign and two digits (``1e-6`` -> ``1e-06``,
-    ``1e16`` -> ``1e+16``) in one ``np.insert`` over the bytes. orjson
-    writes a value in [1e-5, 1e-4) in fixed notation (``0.00001``), where
-    ``repr`` already takes the exponent (``1e-05``); those few entries are
-    written by ``repr`` itself.
-    """
-    a = np.ascontiguousarray(values, dtype=float).ravel()
-    if not np.isfinite(a).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    if not a.size:
-        return []
-    buf = np.frombuffer(orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
-    e = np.flatnonzero(buf == ord("e"))
-    negative = buf[e + 1] == ord("-")
-    first = e + 1 + negative  # the exponent's first digit
-    after = buf[first + 1]
-    plus, zero = e[~negative] + 1, first[(after == ord(",")) | (after == ord("]"))]
-    fill = np.repeat(np.frombuffer(b"+0", np.uint8), [len(plus), len(zero)])
-    buf = np.insert(buf, np.concatenate([plus, zero]), fill)
-    text = buf[1:-1].tobytes().decode("ascii").split(",")
-    magnitude = np.abs(a)
-    for k in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
-        text[k] = repr(float(a[k]))
-    return text
-
-
-@functools.lru_cache(maxsize=64)
-def _row_getters(n: int) -> tuple[operator.itemgetter, ...]:
-    """For n >= 2, the rows of ``symvec.layout``'s (n, n) map to triangle
-    slots, as getters over a list of upper-triangle entries."""
-    _, _, _, pos = layout(n)
-    return tuple(operator.itemgetter(*row) for row in pos.tolist())
-
-
 def _mat_literals(*arrays: np.ndarray) -> list[str]:
     """``[a,b;c,d]`` of each matrix; a vector renders as a column, ``[a;b;c]``.
 
-    Every entry is written as its shortest exact ``repr``, the entries of
-    all the arrays in one ``_float_reprs`` call. A matrix that is symmetric
-    bit for bit (``==`` would equate ``0.0`` and ``-0.0``) has only its
-    upper triangle formatted, each string then copied to the mirror
-    position. Vectors, and matrices that admission accepts under
-    ``symvec``'s symmetry rule although their triangles differ in some bits,
-    format every stored entry, so the listing prints the data exactly as
-    stored.
+    Each array is written by the trace's own writer, ``_line``: every entry
+    is printed as stored, in the trace's notation, and NaN or infinity
+    raises its ValueError. A matrix's ``],[`` become ``;`` and its outer
+    brackets go; a vector's ``,`` become ``;``.
     """
-    arrays = [np.asarray(A, dtype=float) for A in arrays]
-    mirrored = [
-        len(A) > 1 and A.shape == (len(A), len(A)) and A.tobytes() == A.T.tobytes() for A in arrays
-    ]
-    parts = [A[layout(len(A))[:2]] if mirror else A.ravel() for A, mirror in zip(arrays, mirrored)]
-    text = _float_reprs(np.concatenate(parts))
-    literals, at = [], 0
-    for A, part, mirror in zip(arrays, parts, mirrored):
-        own, at = text[at:at + len(part)], at + len(part)
-        if mirror:
-            rows = [",".join(row(own)) for row in _row_getters(len(A))]
-        else:
-            width = A.size // len(A)
-            rows = [",".join(own[k:k + width]) for k in range(0, A.size, width)]
-        literals.append("[" + ";".join(rows) + "]")
+    literals = []
+    for A in arrays:
+        A = np.ascontiguousarray(A, dtype=float)
+        text = _line(A).decode("ascii")
+        literals.append(text[1:-1].replace("],[", ";") if A.ndim == 2 else text.replace(",", ";"))
     return literals
 
 

@@ -4,14 +4,18 @@ For each of 31 problems (the bundled example, and ``bench/workload_gen.py``
 seeds 2001 and 7919 at n in {2, 3, 4, 8, 16}, indices 0-2) it prints one line:
 the problem's name and the sha256 of its proof trace, of the trace's values
 (``values``: each line read by ``json.loads`` and written again by the
-standard encoder), its pseudo-matlab and c-like listings, its verbose report, what ``check_trace`` says of the trace,
-the trace's record and footer lines alone, and what ``check_trace`` says of
-seven tampered copies of the trace (``tampered``). Two versions of the
-package that print the same lines produce byte-identical artifacts, and
-check them alike, on the corpus. A change of notation alone (how a float
-is spelled, whether text is escaped) moves ``trace`` and ``records`` and
-leaves ``values`` where it was, since ``values`` pins every float bit, type
-and key order but no spelling. The ``records`` column lets a change to how
+standard encoder), its pseudo-matlab and c-like listings, the listings'
+values (``listing-values``: both listings with every number token replaced
+by the hex of its float64 bits), its verbose report, what ``check_trace``
+says of the trace, the trace's record and footer lines alone, and what
+``check_trace`` says of seven tampered copies of the trace (``tampered``).
+Two versions of the package that print the same lines produce
+byte-identical artifacts, and check them alike, on the corpus. A change of
+notation alone (how a float is spelled, whether text is escaped) moves
+``trace`` and ``records`` and leaves ``values`` where it was, since
+``values`` pins every float bit, type and key order but no spelling; in the
+same way it moves ``listing-m`` and ``listing-c`` and leaves
+``listing-values`` where it was. The ``records`` column lets a change to how
 the header or the directions are written show that the contract records did
 not move; the ``tampered`` column shows a checker change that moves any
 finding; its copy with a nonzero dZ is the corpus's only replay whose dual
@@ -41,6 +45,8 @@ import difflib
 import hashlib
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -94,10 +100,22 @@ def tampered(trace: bytes) -> list[bytes]:
     ]
 
 
+#: A number in a listing: digits with an optional sign, fraction and
+#: exponent, not part of a name (``F0``) or of a longer token.
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def float_bits(text: str) -> str:
+    """The text with every number token replaced by the hex of its float64
+    bits, so two spellings of one float read alike."""
+    return NUMBER.sub(lambda m: struct.pack(">d", float(m.group())).hex(), text)
+
+
 def digests(prob) -> list[str]:
-    """sha256 of the trace, its values re-encoded, both listing flavors, the
-    verbose report, the trace check's description, the trace's record and
-    footer lines, and the check descriptions of the tampered copies."""
+    """sha256 of the trace, its values re-encoded, both listing flavors, their
+    numbers as float64 bits, the verbose report, the trace check's
+    description, the trace's record and footer lines, and the check
+    descriptions of the tampered copies."""
     report = credible_sdp.solve(prob)
     trace = credible_sdp.write_trace(report)
     claims = [
@@ -108,11 +126,15 @@ def digests(prob) -> list[str]:
         json.dumps(json.loads(line), separators=(",", ":"), allow_nan=False) + "\n"
         for line in trace.splitlines()
     )
+    listings = [
+        credible_sdp.emit_annotated_listing(prob, flavor=flavor).text
+        for flavor in ("pseudo-matlab", "c-like")
+    ]
     artifacts = [
         trace,
         values.encode(),
-        credible_sdp.emit_annotated_listing(prob, flavor="pseudo-matlab").text.encode(),
-        credible_sdp.emit_annotated_listing(prob, flavor="c-like").text.encode(),
+        *(text.encode() for text in listings),
+        "".join(map(float_bits, listings)).encode(),
         render_report(report, verbose=True).encode(),
         credible_sdp.check_trace(trace, prob).describe().encode(),
         b"\n".join(claims),
@@ -153,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.against:
         return run_against(args.against)
     print(f"package: {Path(credible_sdp.__file__).parent}", file=sys.stderr)
-    print("problem trace values listing-m listing-c report check records tampered")
+    print("problem trace values listing-m listing-c listing-values report check records tampered")
     for name, prob in corpus():
         print(name, *digests(prob))
     return 0

@@ -16,8 +16,8 @@
 n = 2; m = 3;
 F0 = [1.0,0.0;0.0,0.1];
 F1 = [-0.750999,0.00499;0.00499,0.0001];
-F2 = [0.03992,-0.999101;-0.999101,2e-05];
-F3 = [0.0016,4e-05;4e-05,-0.999999];
+F2 = [0.03992,-0.999101;-0.999101,0.00002];
+F3 = [0.0016,0.00004;0.00004,-0.999999];
 F = [vecs(F1);vecs(F2);vecs(F3)];
 b = [0.4;-0.2;0.2];
 epsilon = 1e-08;

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -26,7 +27,6 @@ from credible_sdp.annotator import (
     _check_footer,
     _close,
     _decode_line,
-    _float_reprs,
     _footer_obj,
     _header_obj,
     _iteration_obj,
@@ -69,10 +69,9 @@ from credible_sdp.solver import (
 #: GOLDEN_N6_PROBLEM, ``problem_gen.random_problem`` with rng seed 7): at
 #: m > 3 the order in which sums over the constraints round shows in the
 #: stored measured values, which n = 2 cannot pin. GOLDEN_N6_LISTING is that
-#: problem's pseudo-matlab listing, written while every matrix entry was
-#: formatted on its own by ``repr``; its 23 matrices are symmetric bit for
-#: bit, and a later listing formatted only their upper triangles and mirrored
-#: the text, so it pins each of those ways of writing the data.
+#: problem's pseudo-matlab listing; its data is spelled as the trace spells
+#: it, and it holds entries in [1e-5, 1e-4), which orjson writes in fixed
+#: notation (``0.000038077791330545025``).
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
 GOLDEN_CTS3 = Path(__file__).parent / "golden" / "running_example_cts3.cts"
@@ -489,20 +488,41 @@ def test_the_first_record_that_cannot_be_written_in_trace_order_raises(example_r
                 write_trace(_spoiled(_spoiled(example_report, first, early), then, late))
 
 
-# -- the float formatter ---------------------------------------------------------
+# -- the listing's numbers ---------------------------------------------------------
+
+#: A number token of a listing or a trace line: not part of a name (``F0``).
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
-def _reprs(a) -> list[str]:
-    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.uint64).ravel().tolist()
+
+
+def _literal_rows(literal: str) -> list[list[str]]:
+    """The tokens of a ``[a,b;c,d]`` literal, row by row."""
+    assert literal[0] == "[" and literal[-1] == "]", literal
+    return [row.split(",") for row in literal[1:-1].split(";")] if literal != "[]" else []
+
+
+def _assert_reads_back(literal: str, A) -> None:
+    """Every token of the literal gives back the stored float64 bits under
+    ``float()``: a matrix row by row, a vector as a column."""
+    A = np.asarray(A, dtype=float)
+    rows = _literal_rows(literal)
+    assert len(rows) == len(A)
+    assert all(len(row) == (A.shape[1] if A.ndim == 2 else 1) for row in rows)
+    assert _bits([float(t) for row in rows for t in row]) == _bits(A)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
-def test_float_reprs_are_repr_for_any_float64(bits):
+def test_mat_literals_read_back_any_float64_bit_for_bit(bits):
     # raw bit patterns reach every exponent, subnormals and both zeros
     a = np.array(bits, dtype=np.uint64).view(np.float64)
     a = a[np.isfinite(a)]
-    assert _float_reprs(a) == _reprs(a)
+    arrays = [a] if len(a) < 2 else [a, a[: len(a) // 2 * 2].reshape(2, -1)]
+    for A, literal in zip(arrays, _mat_literals(*arrays)):
+        _assert_reads_back(literal, A)
 
 
 def _with_neighbours(values) -> list[float]:
@@ -510,44 +530,79 @@ def _with_neighbours(values) -> list[float]:
     return [x for group in near for x in group if math.isfinite(x)]
 
 
-#: Where orjson's notation and repr's meet: the zeros, the ends of the float
-#: range, each decade boundary of a rewrite with its neighbours, and fixed
-#: notation whose digits hold the rewritten decade's text.
+#: Where notations meet: the zeros, subnormals, the ends of the float range,
+#: the band [1e-5, 1e-4) that orjson writes in fixed notation and repr does
+#: not, each decade boundary with its neighbours, and fixed notation whose
+#: digits hold another decade's text.
 _FLOAT_TABLE = [
     *_with_neighbours([0.0, -0.0, 5e-324, sys.float_info.max, sys.float_info.min]),
-    *_with_neighbours([1e-5, 1e-4, 1e16]),
+    *_with_neighbours([1e-5, 2e-5, 4e-5, 9.99e-5, 1e-4, 1e16]),
     float(2**53), 10.00001, 100.00001234, -10.00001, 1e-06, 1e-10, 1e-100, 1e22, 1e100,
 ]
 
 
-def test_float_reprs_are_repr_on_the_notation_boundaries():
+def test_mat_literals_read_back_the_notation_boundaries():
     table = np.array(_FLOAT_TABLE)
-    assert _float_reprs(table) == _reprs(table)
-    assert _float_reprs(-table) == _reprs(-table)
+    for values in (table, -table):
+        _assert_reads_back(*_mat_literals(values), values)
+        for M in (values.reshape(1, -1), values.reshape(-1, 1)):
+            _assert_reads_back(*_mat_literals(M), M)
     for value in _FLOAT_TABLE:  # one at a time: the first and last entries of the text
-        assert _float_reprs(np.array([value])) == [repr(value)]
-    assert _float_reprs(np.array([])) == []
+        _assert_reads_back(*_mat_literals(np.array([value])), [value])
+        _assert_reads_back(*_mat_literals(np.array([[value]])), [[value]])
+    assert _mat_literals(np.array([])) == ["[]"]
 
 
-def test_float_reprs_read_2d_input_row_major():
+def test_mat_literals_write_matrices_row_major_and_vectors_as_columns():
     M = np.array([[1e-5, 2.5, -0.0], [1e16, 3e-7, 10.00001]])
-    assert _float_reprs(M) == _reprs(M) == ["1e-05", "2.5", "-0.0", "1e+16", "3e-07", "10.00001"]
-    assert _float_reprs(M.T) == _reprs(M.T)
+    assert _mat_literals(M, M.T, M[0], M.astype(">f8")) == [
+        "[0.00001,2.5,-0.0;1e16,3e-7,10.00001]",
+        "[0.00001,1e16;2.5,3e-7;-0.0,10.00001]",
+        "[0.00001;2.5;-0.0]",
+        "[0.00001,2.5,-0.0;1e16,3e-7,10.00001]",
+    ]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_float_reprs_refuse_non_finite_values(bad):
-    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-        _float_reprs(np.array([1.0, bad]))
+def test_mat_literals_refuse_non_finite_values(bad):
+    for A in (np.array([1.0, bad]), np.array([[1.0, bad], [bad, 2.0]])):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _mat_literals(np.eye(2), A)
 
 
-def test_orjson_writes_the_float_notation_the_formatter_rewrites():
-    # _float_reprs rewrites exactly these spellings into repr's; an orjson
-    # that writes floats otherwise must fail here, not as a golden diff
+def test_orjson_writes_the_float_notation_of_traces_and_listings():
+    # traces and listings print floats as orjson spells them; an orjson that
+    # spells them otherwise must fail here, not as a golden diff
     values = np.array([1e-6, 5e-5, 1e16, 1.5e-300, 0.0001, 1e15, -2.5e22])
     written = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
     expected = b"[1e-6,0.00005,1e16,1.5e-300,0.0001,1000000000000000.0,-2.5e22]"
     assert written == expected, f"orjson {orjson.__version__} changed its float notation"
+
+
+def test_a_report_of_other_float_dtypes_is_written_as_float64(example_problem, monkeypatch):
+    # orjson writes a big-endian array's bytes wrongly, a float32 array in
+    # float32's digits and refuses a Fortran-ordered one; the builders hand
+    # it C-contiguous float64, so the trace holds the float64 bits of the
+    # values the report holds
+    steps = []
+
+    def float32_second_dp(*args):
+        step = solve_newton(*args)
+        steps.append(step)
+        return replace(step, dp=step.dp.astype(np.float32)) if len(steps) == 2 else step
+
+    monkeypatch.setattr("credible_sdp.solver.solve_newton", float32_second_dp)
+    report = solve(example_problem)
+    X = np.asfortranarray(report.initial_state.X.astype(">f8"))
+    report = replace(report, initial_state=replace(report.initial_state, X=X))
+    dp = report.snapshots[1].step.dp
+    assert dp.dtype == np.float32 and not X.flags.c_contiguous
+    assert report.status is SolveStatus.CONVERGED
+    trace = write_trace(report)
+    parsed = parse_trace(trace)
+    assert _bits(parsed.header["init_state"]["X"]) == _bits(X)
+    assert _bits(parsed.iterations[1]["state"]["dp"]) == _bits(dp.astype(float))
+    assert check_trace(trace, example_problem).clean
 
 
 @pytest.mark.parametrize("key", ["dX", "dp"])
@@ -1843,8 +1898,43 @@ def test_n6_listing_matches_its_golden():
     assert emit_annotated_listing(prob).text == GOLDEN_N6_LISTING.read_text()
 
 
+#: The listing goldens and the problems they print.
+_LISTING_GOLDENS = {
+    "running_example_listing.m": running_example,
+    "running_example_listing.c": running_example,
+    "random_n6_listing.m": lambda: load_problem(GOLDEN_N6_PROBLEM.read_text()),
+}
+
+
+@pytest.mark.parametrize("name", list(_LISTING_GOLDENS))
+def test_golden_listing_literals_read_back_as_the_problem_data(name):
+    prob = _LISTING_GOLDENS[name]()
+    data = {"F0": prob.f0, **{f"F{i}": Fi for i, Fi in enumerate(prob.fs, 1)}, "b": prob.b}
+    data["X"] = prob.x0
+    text = (GOLDEN_N6_LISTING.parent / name).read_text()
+    literals = re.findall(r"^(F\d+|b|X) = (\[.*\]);$", text, re.M)
+    assert [key for key, _ in literals] == list(data)
+    for key, literal in literals:
+        _assert_reads_back(literal, data[key])
+
+
+@pytest.mark.parametrize("name", ["example", "n6"])
+def test_the_listing_spells_x0_as_the_trace_header_does(name, example_problem, example_trace):
+    if name == "example":
+        prob, trace = example_problem, example_trace
+    else:
+        prob = load_problem(GOLDEN_N6_PROBLEM.read_text())
+        trace = write_trace(solve(prob))
+    header = trace.split(b"\n", 1)[0].decode()
+    stored = re.search(r'"init_state":\{"X":(\[\[.*?\]\])', header).group(1)
+    listed = re.search(r"^X = (\[.*\]);$", emit_annotated_listing(prob).text, re.M).group(1)
+    assert len(_NUMBER.findall(listed)) == prob.n**2
+    assert _NUMBER.findall(listed) == _NUMBER.findall(stored)
+
+
 def _per_entry_literal(M) -> str:
-    """The matrix literal as first rendered: every entry formatted on its own."""
+    """The matrix literal as first rendered: every entry formatted on its own
+    by ``repr``, whose notation on the entries below is the trace's."""
     rows = np.asarray(M, dtype=float).reshape(len(M), -1).tolist()
     return "[" + ";".join(",".join(map(repr, row)) for row in rows) + "]"
 
@@ -1870,9 +1960,14 @@ def test_mat_literal_matches_the_per_entry_renderer(M, text):
     assert _mat_literals(M) == [_per_entry_literal(M)] == [text]
 
 
-def test_mat_literals_of_arrays_formatted_together_are_those_formatted_apart():
+def test_mat_literals_of_several_arrays_read_back_each_as_stored():
+    # the admitted asymmetry prints each triangle as stored: nothing is mirrored
     arrays = [_ASYMMETRIC_F1, np.array([0.4, -2e-5, 1e16]), np.array([[5e-324]]), -_ASYMMETRIC_F1]
-    assert _mat_literals(*arrays) == [_per_entry_literal(M) for M in arrays]
+    literals = _mat_literals(*arrays)
+    assert literals == [_mat_literals(M)[0] for M in arrays]
+    for literal, M in zip(literals, arrays):
+        _assert_reads_back(literal, M)
+    assert literals[1] == "[0.4;-0.00002;1e16]"
 
 
 def test_listing_prints_an_admitted_asymmetry_as_stored(example_problem):
