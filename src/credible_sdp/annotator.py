@@ -33,9 +33,10 @@ run's. Only then is every stored line compared with the line the writer's
 own builders (``_header_obj``, ``_iteration_obj``, ``_record_obj``,
 ``_footer_obj``) would emit for the recomputed values and the catalog's
 tolerances, so the trace format is stated once, by the writer, and no trace
-sets its own rules. A record or iteration line that equals its builder's
-line key for key and type for type is accepted without the diff (``_same``);
-every other line goes through it.
+sets its own rules. One exact-match rule comes first (``_identical``): a
+block of record lines, or an iteration line without its directions, that the
+writer writes as it writes its builders' objects is accepted; anything else
+goes to the diff, which alone reports.
 Discrepancies, missing and unexpected fields become ``Finding`` values in a
 ``CheckReport`` — a tampered trace yields findings, never a crash. Only
 malformed input (bad JSON, unknown schema, wrong problem hash, missing or
@@ -495,24 +496,20 @@ def _close_mat(A: object, B: np.ndarray) -> bool:
     return diff <= CHECK_RTOL * scale < math.inf
 
 
-def _same(stored: object, expected: dict) -> bool:
-    """Whether ``stored`` is the object ``expected`` exactly: the same keys,
-    each value of the same type as its counterpart and equal to it, nested
-    objects alike. Then ``_diff`` finds nothing; anything else goes to
-    ``_diff``, which alone writes findings.
-
-    Equal values of different types (``true`` and ``1``, ``5`` and ``5.0``)
-    fail on their types. ``expected`` holds JSON values only, no arrays, and
-    the replay's own objects, so no stored NaN is ever the very object that
-    the dict comparison would take as equal to itself.
+def _identical(stored: object, expected: object) -> bool:
+    """Whether the writer writes ``stored`` as it writes ``expected``: then
+    both hold the same keys in the same order, each value of the same type
+    (orjson writes ``5``, ``5.0`` and ``true`` apart) and each float with
+    the same bits (shortest round-trip digits, ``-0.0`` kept), so ``_diff``
+    finds nothing. Anything else goes to ``_diff``, which alone writes
+    findings. A value the writer refuses on either side, NaN, infinity, or
+    a lone surrogate or integer past 64 bits that the standard decoder
+    read, is not identical to anything.
     """
-    if type(stored) is not dict or stored != expected:
+    try:
+        return _line(stored) == _line(expected)
+    except (TypeError, ValueError):
         return False
-    for key, mine in expected.items():
-        value = stored[key]
-        if type(value) is not type(mine) or (type(mine) is dict and not _same(value, mine)):
-            return False
-    return True
 
 
 def _diff(
@@ -605,20 +602,21 @@ def _compare_records(
     sigma: float,
     findings: list[Finding],
 ) -> None:
-    by_id = {rec.id: rec for rec in recomputed}  # in catalog order, as swept
+    # in catalog order, as swept; a block the writer writes alike is accepted whole
+    expected = {rec.id: _record_obj(rec, schema, iteration, sigma) for rec in recomputed}
+    if _identical(stored, list(expected.values())):
+        return
     stored_ids = [rec.get("id") for rec in stored]
-    if stored_ids != list(by_id):
-        message = f"record ids {stored_ids} do not match the catalog {list(by_id)}"
+    if stored_ids != list(expected):
+        message = f"record ids {stored_ids} do not match the catalog {list(expected)}"
         findings.append(Finding("catalog", where, None, message))
     for stored_rec in stored:
         rid = stored_rec.get("id")
-        ours = by_id.get(rid) if isinstance(rid, str) else None
+        ours = expected.get(rid) if isinstance(rid, str) else None
         if ours is None:
             findings.append(Finding("catalog", where, rid, f"unknown record id {rid!r}"))
-            continue
-        expected = _record_obj(ours, schema, iteration, sigma)
-        if not _same(stored_rec, expected):
-            _diff(stored_rec, expected, where, rid, findings)
+        else:
+            _diff(stored_rec, ours, where, rid, findings)
 
 
 def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
@@ -724,8 +722,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
         # the stored directions are the step itself: they can only match
         stored = {key: value for key, value in block["state"].items() if key not in _DIRECTIONS}
         ours = _iteration_obj(prev, snap.state, None, schema)
-        # a cts-1 line also holds the iterates, which only _diff compares
-        if schema == LEGACY_SCHEMA or not _same(stored, ours):
+        if not _identical(stored, ours):
             _diff(stored, ours, f"iteration {k}", None, findings)
         _compare_records(block["records"], snap.records, f"iteration {k}", schema, k, opts.sigma, findings)
         prev = snap.state

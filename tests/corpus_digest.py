@@ -8,7 +8,7 @@ standard encoder), its pseudo-matlab and c-like listings, the listings'
 values (``listing-values``: both listings with every number token replaced
 by the hex of its float64 bits), its verbose report, what ``check_trace``
 says of the trace, the trace's record and footer lines alone, and what
-``check_trace`` says of seven tampered copies of the trace (``tampered``).
+``check_trace`` says of eleven tampered copies of the trace (``tampered``).
 Two versions of the package that print the same lines produce
 byte-identical artifacts, and check them alike, on the corpus. A change of
 notation alone (how a float is spelled, whether text is escaped) moves
@@ -23,6 +23,11 @@ iterate moves, so it covers the dual terms of the loop contracts. Its copy
 whose dZ overflows at iteration 3 pins the replay's floating-point rule: this
 script runs under Python's default warnings filter, so against a package
 whose replay follows that filter the ``tampered`` column differs, by design.
+Four of its copies are lines that the checker's exact match refuses, so they
+pin what the diff says of them: a record with its keys reversed and a
+measured 0.0 written as -0.0 check clean; an id with a lone surrogate and a
+measured value too large for a 64-bit integer are read by the standard
+decoder and are findings.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -75,14 +80,20 @@ def corpus():
 
 def tampered(trace: bytes) -> list[bytes]:
     """Copies of a trace with one line edited each: iteration 1's I3 record
-    with its measured value scaled by 1 + 1e-6, its verdict flipped, or its
-    verdict written as 1; iteration line 1 numbered 2; iteration line 1 with
+    with its measured value scaled by 1 + 1e-6, its verdict flipped, its
+    verdict written as 1, its keys reversed, its id written as ``"I3\\ud800"``
+    (a lone surrogate), or its measured value written as the integer
+    100000000000000000000; iteration 1's I5 record with its measured value,
+    0.0, written as -0.0; iteration line 1 numbered 2; iteration line 1 with
     its first dX entry scaled by 1 + 1e-6, or with its first dZ entry set to
     1e-6; iteration line 3 with its first dZ entry set to 1e308."""
     lines = trace.split(b"\n")
     steps = [i for i, line in enumerate(lines) if line and json.loads(line)["type"] == "iteration"]
     first = steps[0]
-    i3 = next(i for i in range(first, len(lines)) if json.loads(lines[i]).get("id") == "I3")
+    i3, i5 = (
+        next(i for i in range(first, len(lines)) if json.loads(lines[i]).get("id") == rid)
+        for rid in ("I3", "I5")
+    )
 
     def edit(index: int, mutate) -> bytes:
         obj = json.loads(lines[index])
@@ -93,6 +104,10 @@ def tampered(trace: bytes) -> list[bytes]:
         edit(i3, lambda o: o.update(measured=o["measured"] * (1 + 1e-6))),
         edit(i3, lambda o: o.update(passed=not o["passed"])),
         edit(i3, lambda o: o.update(passed=1)),
+        edit(i3, lambda o: [o.update({key: o.pop(key)}) for key in reversed([*o])]),
+        edit(i3, lambda o: o.update(id="I3\ud800")),
+        edit(i3, lambda o: o.update(measured=10**20)),
+        edit(i5, lambda o: o.update(measured=-0.0)),
         edit(first, lambda o: o.update(iteration=2)),
         edit(first, lambda o: o["dX"].__setitem__(0, o["dX"][0] * (1 + 1e-6))),
         edit(first, lambda o: o["dZ"].__setitem__(0, 1e-6)),
@@ -138,7 +153,9 @@ def digests(prob) -> list[str]:
         render_report(report, verbose=True).encode(),
         credible_sdp.check_trace(trace, prob).describe().encode(),
         b"\n".join(claims),
-        "\n".join(credible_sdp.check_trace(t, prob).describe() for t in tampered(trace)).encode(),
+        "\n".join(credible_sdp.check_trace(t, prob).describe() for t in tampered(trace)).encode(
+            "utf-8", "surrogatepass"
+        ),
     ]
     return [hashlib.sha256(a).hexdigest() for a in artifacts]
 

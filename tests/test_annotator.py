@@ -27,14 +27,15 @@ from credible_sdp.annotator import (
     _check_footer,
     _close,
     _decode_line,
+    _diff,
     _footer_obj,
     _header_obj,
+    _identical,
     _iteration_obj,
     _mat_literals,
     _read_lines,
     _line,
     _record_obj,
-    _same,
     _text_hash,
     check_trace,
     emit_annotated_listing,
@@ -1245,18 +1246,71 @@ def test_a_type_swap_gets_the_findings_of_the_diff(example_trace, example_proble
         ({"detail": []}, {"detail": {}}),
         ({"measured": float("nan")}, {"measured": float("nan")}),
         ({"id": "I1"}, {"id": "I1", "passed": True}),
+        ({"passed": True, "id": "I1"}, {"id": "I1", "passed": True}),
+        ({"bound": -0.0}, {"bound": 0.0}),
+        ({"id": "I3\ud800"}, {"id": "I3"}),
+        ({"measured": 2**64}, {"measured": 1.8446744073709552e19}),
+        ({"measured": 10**20}, {"measured": 1e20}),
+        ({"measured": 1.0}, {"measured": float("inf")}),
+        ({"detail": {"x": float("nan")}}, {"detail": {"x": None}}),
     ],
 )
 def test_the_exact_match_refuses_a_type_swap_or_a_key_change(stored, expected):
-    # each goes to the diff, whose findings the trace-level cases above pin
-    assert not _same(stored, expected)
+    # each goes to the diff, whose findings the trace-level cases above pin;
+    # what the writer refuses, on either side, is refused without raising
+    assert not _identical(stored, expected)
 
 
-def test_every_line_of_a_genuine_trace_matches_exactly(example_trace, example_report):
-    trace = parse_trace(example_trace)
-    assert all(map(_same, trace.init_records, map(_record_obj, example_report.init_records)))
-    for block, snap in zip(trace.iterations, example_report.snapshots, strict=True):
-        assert all(map(_same, block["records"], map(_record_obj, snap.records)))
+_JSON_VALUES = st.recursive(
+    st.sampled_from([1, 1.0, True, None, 0.0, -0.0, float("nan")]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_JSON_VALUES, st.data())
+def test_what_the_exact_match_accepts_the_diff_accepts(expected, data):
+    # the stored value is the expected one, its JSON round trip, or any other
+    stored = data.draw(
+        st.sampled_from([expected, json.loads(json.dumps(expected))]) | _JSON_VALUES
+    )
+    findings = []
+    if _identical(stored, expected):
+        _diff(stored, expected, "here", None, findings)
+        assert findings == []
+
+
+def test_the_lines_of_genuine_traces_take_the_exact_match(example_report, monkeypatch):
+    # every record block and every iteration line without its directions is
+    # the writer's line of its builder's object, so a clean check sends only
+    # the header and footer through the diff: a builder whose order the
+    # replay does not keep would send every line there
+    prob = example_report.problem
+    reports = [
+        example_report,
+        solve(_workload_problem(8)),
+        solve(_workload_problem(16)),
+        _strict_report(prob, monkeypatch),
+        solve(prob, SolverOptions(epsilon=prob.epsilon, max_iterations=3)),
+    ]
+    for report in reports:
+        data = write_trace(report)
+        trace = parse_trace(data)
+        assert _identical(trace.init_records, [*map(_record_obj, report.init_records)])
+        prev = report.initial_state
+        for block, snap in zip(trace.iterations, report.snapshots, strict=True):
+            line = {key: v for key, v in block["state"].items() if key not in _DIRECTIONS}
+            assert _identical(line, _iteration_obj(prev, snap.state, None))
+            assert _identical(block["records"], [*map(_record_obj, snap.records)])
+            prev = snap.state
+        diffed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "credible_sdp.annotator._diff", lambda stored, exp, where, *a, **k: diffed.append(where)
+            )
+            assert check_trace(data, report.problem).clean
+        assert diffed == ["header", "footer"]
 
 
 def test_check_flags_broken_iterate_chain(golden_trace, example_problem):
