@@ -386,15 +386,14 @@ _JSON_BLANK = " \t\r"
 
 
 def _read_lines(data: bytes) -> list[dict]:
-    """The JSON object on each line of a trace that is not blank.
-
-    If ``orjson_reads_alike`` holds for the whole trace, integers included,
-    orjson reads every line, each on its own: lines are never joined, since
-    a joined read accepts a file whose line breaks are off in ways that
-    cancel. That read stands if every line is a JSON object, for then no
-    line spoiled the test. Otherwise the standard decoder reads the lines in
-    order, and the first that is not a JSON object ends the read with its
-    error; so each value and error is the standard decoder's.
+    """The JSON object on each line of a trace that is not blank, by
+    ``read_json``'s rule. If ``orjson_reads_alike`` holds for the whole
+    trace, orjson reads every line, each on its own: lines are never
+    joined, since a joined read accepts a file whose line breaks are off in
+    ways that cancel. That read stands if every line is a JSON object, for
+    then no line spoiled the test. Otherwise the standard decoder reads the
+    lines in order, and the first that is not a JSON object ends the read
+    with its error, as ``read_json`` reads a problem file.
     """
     try:
         text = data.decode("utf-8")
@@ -403,7 +402,7 @@ def _read_lines(data: bytes) -> list[dict]:
     lines = [line for line in text.split("\n") if line.strip(_JSON_BLANK)]
     if not lines:
         raise TraceFormatError("trace is empty")
-    if orjson_reads_alike(data, ints=True):
+    if orjson_reads_alike(data):
         try:
             objs = list(map(orjson.loads, lines))
             if all(type(obj) is dict for obj in objs):
@@ -503,8 +502,8 @@ def _identical(stored: object, expected: object) -> bool:
     the same bits (shortest round-trip digits, ``-0.0`` kept), so ``_diff``
     finds nothing. Anything else goes to ``_diff``, which alone writes
     findings. A value the writer refuses on either side, NaN, infinity, or
-    a lone surrogate or integer past 64 bits that the standard decoder
-    read, is not identical to anything.
+    a lone surrogate or integer outside [-2**63, 2**64) that only the
+    standard decoder reads, is not identical to anything.
     """
     try:
         return _line(stored) == _line(expected)

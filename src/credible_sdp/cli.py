@@ -148,7 +148,9 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
     prob = load_problem_file(args.problem)
     data = Path(args.trace).read_bytes()
     result = check_trace(data, prob)
-    print(result.describe())
+    # what stdout cannot encode (a lone surrogate in an id) is escaped, as on stderr
+    encoding = sys.stdout.encoding or "utf-8"
+    print(result.describe().encode(encoding, "backslashreplace").decode(encoding))
     return 0 if result.clean and not result.failed_ids else 2
 
 

@@ -57,7 +57,7 @@ def min_eigenvalue(S: np.ndarray) -> float | np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim == 3 and len(S) > 1 and (S.view(np.int64) == S[:1].view(np.int64)).all():
         return np.repeat(min_eigenvalue(S[:1]), len(S))
-    lam = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[..., 0]
+    lam = np.linalg.eigvalsh(symmetrize(S))[..., 0]
     return float(lam) if lam.ndim == 0 else lam
 
 
@@ -119,10 +119,10 @@ def lsqr_solve(
 
 
 def frob_norm(M: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm, computed as ``np.linalg.norm(M, "fro")`` computes it
-    for a 2-d float array (same bits), without its dispatch. Of a (K, a, b)
-    stack, the norm of each matrix: a (1, N) @ (N, 1) matmul is the same one
-    dot product."""
+    """Frobenius norm (a vector's 2-norm), computed as ``np.linalg.norm(M)``
+    computes it for a 1-d or 2-d float array (same bits), without its
+    dispatch. Of a (K, a, b) stack, the norm of each matrix: a (1, N) @
+    (N, 1) matmul is the same one dot product."""
     x = np.asarray(M, dtype=float)
     if x.ndim == 3:
         x = x.reshape(len(x), -1)

@@ -459,8 +459,8 @@ def check_initialization(
         what = "init-z0-pd min eigenvalue"
         lam_z = min_eigenvalue(Z)
         what = "init-dual-feasibility residual"
-        res_dual = float(np.linalg.norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b))
-        norm_b = np.linalg.norm(prob.b)
+        res_dual = frob_norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b)
+        norm_b = frob_norm(prob.b)
         what = "init-x0-pd min eigenvalue"
         lam_x = min_eigenvalue(X)
         what = "init-neighborhood deviation from mu*I"

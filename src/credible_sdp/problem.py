@@ -379,24 +379,19 @@ MAX_ORJSON_DEPTH = 64
 
 _NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
 _OPENS_CLOSES = bytes.maketrans(b"{}", b"[]")
-_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
-_LONG_DIGITS = b"0" * len(str(2**63))  # the fewest digits of an int outside int64
 
 
-def orjson_reads_alike(data: bytes, ints: bool = False) -> bool:
+def orjson_reads_alike(data: bytes) -> bool:
     """Whether ``orjson.loads`` reads each JSON text in ``data`` (one, or one
-    per line) as ``json.loads`` does, wherever it reads it at all.
+    per line) by ``read_json``'s rule, wherever it reads it at all.
 
     orjson refuses NaN, Infinity, numbers beyond the float range and lone
     surrogates, which ``json`` reads; ``read_json``'s fallback reads those.
-    Two differences remain where orjson reads the text. It nests without a
-    depth limit, and deep enough it overflows the C stack where ``json``
-    raises RecursionError; and it reads an integer outside [-2**63, 2**64) as
-    the float nearest it. So this is False unless every value nests at most
-    ``MAX_ORJSON_DEPTH`` deep, and, with ``ints``, unless the text holds no
-    run of 19 digits that does not follow a ".". It may refuse text that
-    orjson would read alike (a string with an escape or a bracket, a long
-    fraction, a string of digits), never the other way.
+    Where orjson reads the text, it nests without a depth limit, and deep
+    enough it overflows the C stack where ``json`` raises RecursionError.
+    So this is False unless every value nests at most ``MAX_ORJSON_DEPTH``
+    deep. It may refuse text that orjson would read alike (a string with an
+    escape or a bracket), never the other way.
 
     Depth is read from the brackets outside strings. Where no backslash is,
     no quote is escaped, and a string holds no bracket just if its quotes
@@ -416,26 +411,19 @@ def orjson_reads_alike(data: bytes, ints: bool = False) -> bool:
         if not nesting:
             break
         nesting = nesting.replace(b"[]", b"")
-    if nesting:
-        return False
-    if not ints:
-        return True
-    zeros = data.translate(_DIGITS_TO_ZERO)
-    at = zeros.find(_LONG_DIGITS)
-    while at > 0 and zeros[at - 1] == ord("."):  # a fraction's digits
-        at = zeros.find(_LONG_DIGITS, at + len(_LONG_DIGITS))
-    return at < 0
+    return not nesting
 
 
 def read_json(data: str | bytes) -> Any:
     """``json.loads(data)``, read by orjson where ``orjson_reads_alike``
-    holds for ``data`` and orjson reads it at all.
+    holds for ``data`` and orjson reads it at all. Problem files are read
+    by it, and trace lines by its rule (``annotator._read_lines``).
 
     The value is then ``json``'s, every type and float bit, but for integers
-    outside [-2**63, 2**64), which read as the float nearest them. As
-    ``json`` reads all text orjson refuses, each error is ``json``'s.
-    orjson's number parser is trusted to give the bits of CPython's, which
-    the test suite pins.
+    outside [-2**63, 2**64), which read as the floats nearest them, those
+    ``float()`` gives. As ``json`` reads all text orjson refuses, each error
+    is ``json``'s. orjson's number parser is trusted to give the bits of
+    CPython's, which the test suite pins.
     """
     if orjson_reads_alike(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data):
         try:

@@ -62,14 +62,14 @@ def layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Exact symmetric part 0.5*(a + a.T).
+    """Exact symmetric part 0.5*(a + a.T), or of each matrix of a stack.
 
     Used at construction sites where a product is symmetric in exact
     arithmetic but floating-point matrix multiplication leaves residue at
     rounding level.
     """
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def asymmetry(a: np.ndarray) -> np.ndarray:

@@ -25,9 +25,9 @@ script runs under Python's default warnings filter, so against a package
 whose replay follows that filter the ``tampered`` column differs, by design.
 Four of its copies are lines that the checker's exact match refuses, so they
 pin what the diff says of them: a record with its keys reversed and a
-measured 0.0 written as -0.0 check clean; an id with a lone surrogate and a
-measured value too large for a 64-bit integer are read by the standard
-decoder and are findings.
+measured 0.0 written as -0.0 check clean; an id with a lone surrogate, read
+by the standard decoder, and a measured value of 10**20, read as the float
+nearest it as in a problem file, are findings.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -36,7 +36,9 @@ Run it against the package on ``PYTHONPATH``, once per version, and diff::
     diff parent.txt change.txt
 
 or in one command, which runs both in subprocesses, prints the unified diff
-of their lines (the ``package:`` line aside) and exits 1 on any difference::
+of their lines (the ``package:`` line aside), then one line per column that
+differs with its count of problems (``differs: tampered 31/31``), and exits
+1 on any difference::
 
     PYTHONPATH=src python tests/corpus_digest.py --against <other checkout>/src
 
@@ -178,6 +180,12 @@ def run_against(other_src: str) -> int:
         lines[src] = out.splitlines(keepends=True)
     diff = list(difflib.unified_diff(lines[other_src], lines[ours], other_src, ours))
     sys.stdout.writelines(diff)
+    columns, *theirs = (line.split() for line in lines[other_src])
+    rows = [line.split() for line in lines[ours][1:]]
+    for col, name in enumerate(columns[1:], 1):
+        moved = sum(a[col] != b[col] for a, b in zip(theirs, rows))
+        if moved:
+            print(f"differs: {name} {moved}/{len(rows)}")
     return 1 if diff else 0
 
 

@@ -669,6 +669,30 @@ def test_check_trace_reports_an_overflow_under_the_default_warning_filter(
     assert proc.stdout.startswith("trace FAILED: 3 finding(s)\n")
 
 
+@pytest.mark.parametrize("edit", ["id", "key"], ids=["record-id", "detail-key"])
+def test_check_trace_lists_findings_that_stdout_cannot_encode(problem_file, tmp_path, example_trace, edit):
+    # a record id or detail key with a lone surrogate is escaped with a
+    # backslash, as stderr escapes it, so the findings are listed, exit 2
+    lines = example_trace.decode().splitlines()
+    at = next(i for i, line in enumerate(lines) if json.loads(line).get("id") == "I3")
+    obj = json.loads(lines[at])
+    if edit == "id":
+        obj["id"] = "I3\ud800"
+    else:
+        obj["detail"]["x\ud800"] = 1.0
+    lines[at] = json.dumps(obj)
+    trace = tmp_path / "surrogate.cts"
+    trace.write_text("\n".join(lines) + "\n")
+    argv = ["check-trace", "--problem", str(problem_file), "--trace", str(trace)]
+    proc = _cli_under_filter("error", *argv)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.startswith("trace FAILED: ") and "\\ud800" in proc.stdout
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 2
+    assert out.getvalue() == proc.stdout
+
+
 def _cli_under_filter(warning_filter: str, *argv: str) -> subprocess.CompletedProcess:
     """``credible-sdp *argv`` in a fresh interpreter under ``-W warning_filter``."""
     src = str(Path(credible_sdp.__file__).resolve().parents[1])

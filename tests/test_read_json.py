@@ -2,10 +2,12 @@
 
 ``problem.read_json`` decodes with orjson and falls back to ``json`` where
 orjson refuses the text, or where ``problem.orjson_reads_alike`` does not
-hold for it. Every value, type, float bit and error must be what the
-standard library gives, so each test compares the reader with ``json``
-itself: on drawn text, on fixed tables of floats and integers, and on text
-nested deep enough to overflow orjson's stack.
+hold for it; a trace's lines are read by the same rule. Every value, type,
+float bit and error must be what the standard library gives, but for an
+integer outside [-2**63, 2**64), which reads as the float nearest it. So
+each test compares the reader with ``json`` itself: on drawn text, on fixed
+tables of floats and integers, and on text nested deep enough to overflow
+orjson's stack; and a trace check with ``json``'s, finding by finding.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from credible_sdp.problem import (
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXAMPLE = SRC / "credible_sdp" / "data" / "running_example.json"
+GOLDEN_CTS3 = Path(__file__).resolve().parent / "golden" / "running_example_cts3.cts"
 
 
 def _outcome(read, data):
@@ -170,8 +173,8 @@ def test_read_json_gives_what_json_gives(text):
     for data in (text, raw):
         expected = _outcome(json.loads, data)
         got = _outcome(read_json, data)
-        # a problem file's numbers all become float64, so orjson's nearest
-        # float for a long integer is let stand there (pinned below)
+        # an integer outside [-2**63, 2**64) reads as the float nearest it,
+        # in a problem file as in a trace (pinned below)
         assert _same_outcome(expected, got, nearest=True), (data, expected, got)
         if expected[0] == "error" and expected[1] is json.JSONDecodeError:
             with pytest.raises(ProblemFormatError) as exc:
@@ -203,10 +206,10 @@ def _json_lines(data: bytes) -> list[dict]:
     return objs
 
 
-#: Values as a trace holds them: no integer of 19 digits, no escape in a string.
+#: Values as a trace holds them: no escape in a string.
 _PLAIN = st.recursive(
     st.one_of(
-        st.integers(-(10**18), 10**18).map(str),
+        st.integers(-(2**70), 2**70).map(str),
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.text("abcdef-_ ", max_size=8).map(json.dumps),
         st.sampled_from(["true", "false", "null"]),
@@ -236,7 +239,7 @@ def test_trace_lines_read_as_json_reads_them(lines, end):
     data = end.join(lines).encode("utf-8", "surrogatepass")
     expected = _outcome(_json_lines, data)
     got = _outcome(annotator._read_lines, data)
-    assert _same_outcome(expected, got), (data, expected, got)
+    assert _same_outcome(expected, got, nearest=True), (data, expected, got)
 
 
 # -- fixed tables ---------------------------------------------------------------
@@ -333,18 +336,72 @@ def test_long_integers_in_a_problem_file_load_as_floats():
     assert type(read_json(json.dumps(data))["b"][0]) is float
 
 
-def test_trace_integers_keep_their_type():
-    # a trace's integer fields must stay ints, so a long one sends the
-    # whole trace to the standard decoder
-    line = '{"type":"record","n":%d,"m":-%d}' % (2**64, 2**63 + 1)
-    assert not orjson_reads_alike(line.encode(), ints=True)
-    assert orjson_reads_alike(line.encode())
-    objs = annotator._read_lines((line + "\n" + '{"f":0.00012345678901234567}').encode())
-    assert objs[0]["n"] == 2**64 and type(objs[0]["n"]) is int
-    assert type(objs[0]["m"]) is int
-    # a fraction of 19 or more digits is not an integer
-    assert orjson_reads_alike(b'{"f":0.00012345678901234567}', ints=True)
-    assert orjson_reads_alike(b'{"n":-999999999999999999}', ints=True)
+def test_trace_integers_read_as_a_problem_file_s():
+    # one rule for every JSON input: an integer in [-2**63, 2**64) keeps its
+    # type and value, and one outside it reads as float(v), bit for bit
+    inside = [0, -1, 2**63 - 1, 2**63, -(2**63), 2**64 - 1]
+    outside = [2**64, -(2**63) - 1, 10**20, -(10**20), 2**64 + 2**11 + 1, 10**308]
+    line = json.dumps({"type": "record", "inside": inside, "outside": outside})
+    want = np.array([float(v) for v in outside]).view(np.uint64)
+    for got in (annotator._read_lines(line.encode())[0], read_json(line)):
+        assert [type(v) for v in got["inside"]] == [int] * len(inside)
+        assert got["inside"] == inside
+        assert [type(v) for v in got["outside"]] == [float] * len(outside)
+        np.testing.assert_array_equal(np.array(got["outside"]).view(np.uint64), want)
+    # a golden trace with one such integer in a record's detail reads as
+    # the standard decoder reads it, that integer aside
+    genuine = GOLDEN_CTS3.read_text().split("\n")
+    obj = json.loads(genuine[20])
+    obj["detail"]["edited"] = 10**20
+    trace = "\n".join([*genuine[:20], json.dumps(obj), *genuine[21:]]).encode()
+    objs = annotator._read_lines(trace)
+    assert objs[20]["detail"]["edited"] == 1e20 and type(objs[20]["detail"]["edited"]) is float
+    assert _same(_json_lines(trace), objs, nearest=True)
+
+
+#: Where a long integer goes in the example's trace: (line, field path).
+_INTEGER_FIELDS = {
+    "header-n": (lambda objs: 0, ("n",)),
+    "iteration-number": (lambda objs: _first(objs, type="iteration"), ("iteration",)),
+    "record-measured": (lambda objs: _first(objs, id="I3"), ("measured",)),
+    "detail-worst_index": (lambda objs: _first(objs, id="init-fi-symmetric"), ("detail", "worst_index")),
+    "footer-budget": (lambda objs: len(objs) - 1, ("budget",)),
+}
+
+
+def _first(objs: list[dict], **match) -> int:
+    return next(i for i, obj in enumerate(objs) if match.items() <= obj.items())
+
+
+def _shape(report) -> tuple:
+    """What a check decides: each finding's kind, place and record id, in
+    order (so their count), the failed contracts and the records checked."""
+    places = [(f.kind, f.where, f.record_id) for f in report.findings]
+    return places, report.failed_ids, report.records_checked
+
+
+@pytest.mark.parametrize("value", [10**20, -(2**63) - 1, 2**64], ids=["1e20", "below-int64", "2**64"])
+@pytest.mark.parametrize("field", _INTEGER_FIELDS.values(), ids=_INTEGER_FIELDS.keys())
+def test_a_long_integer_moves_no_finding(example_trace, example_problem, monkeypatch, field, value):
+    # a long integer reads as the float nearest it; a check of the copy
+    # finds what a check of its lines read by json.loads finds
+    locate, path = field
+    objs = [json.loads(line) for line in example_trace.splitlines()]
+    at = locate(objs)
+    obj = objs[at]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    trace = "\n".join(map(json.dumps, objs)).encode()
+    read = annotator._read_lines(trace)[at]
+    for key in path:
+        read = read[key]
+    assert read == float(value) and type(read) is float
+    ours = annotator.check_trace(trace, example_problem)
+    with monkeypatch.context() as patch:
+        patch.setattr(annotator, "_read_lines", _json_lines)
+        theirs = annotator.check_trace(trace, example_problem)
+    assert ours.findings and _shape(ours) == _shape(theirs)
 
 
 DEPTHS = {

@@ -39,6 +39,13 @@ def test_symmetrize_is_exact_average():
     np.testing.assert_array_equal(symmetrize(A), [[1.0, 2.0], [2.0, 2.0]])
 
 
+def test_symmetrize_of_a_stack_is_that_of_each_matrix():
+    stack = np.random.default_rng(7).normal(size=(5, 4, 4))
+    got = symmetrize(stack)
+    for k, M in enumerate(stack):
+        assert got[k].tobytes() == symmetrize(M).tobytes()
+
+
 def test_require_symmetric_accepts_within_tolerance():
     # the tolerance is relative to max(1, max|a|) = 2 here
     A = np.array([[1.0, 2.0 + SYMMETRY_TOL], [2.0, 1.0]])
