@@ -716,7 +716,13 @@ def _per_line(trace: bytes) -> list[dict]:
     return [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
 
 
-@pytest.mark.parametrize("value", [math.nan, "caf\u00e9\n"], ids=["nan", "escape"])
+@pytest.mark.parametrize(
+    "value",
+    # a 20-digit integer beside a NaN: on the per-line path it stays the int
+    # json reads, as in a problem file that orjson refuses
+    [math.nan, [math.nan, 10**20], "caf\u00e9\n"],
+    ids=["nan", "20-digit-integer", "escape"],
+)
 def test_lines_orjson_refuses_read_as_the_per_line_path(value):
     # each refused mid-trace line sends the trace through the per-line read,
     # which reads the same objects and words the same errors

@@ -336,16 +336,30 @@ def test_long_integers_in_a_problem_file_load_as_floats():
     assert type(read_json(json.dumps(data))["b"][0]) is float
 
 
-def test_trace_integers_read_as_a_problem_file_s():
-    # one rule for every JSON input: an integer in [-2**63, 2**64) keeps its
-    # type and value, and one outside it reads as float(v), bit for bit
-    inside = [0, -1, 2**63 - 1, 2**63, -(2**63), 2**64 - 1]
-    outside = [2**64, -(2**63) - 1, 10**20, -(10**20), 2**64 + 2**11 + 1, 10**308]
-    line = json.dumps({"type": "record", "inside": inside, "outside": outside})
-    want = np.array([float(v) for v in outside]).view(np.uint64)
-    for got in (annotator._read_lines(line.encode())[0], read_json(line)):
+def test_trace_integers_keep_their_type():
+    # a trace's integer fields are all below 2**63; an integer in
+    # [-2**63, 2**64) stays that int whether orjson reads the lines or the
+    # per-line path does (a NaN line sends the trace there), in a trace as in
+    # a problem file, and a fraction of 19 or more digits is no integer
+    inside = [0, -1, 2**63 - 1, 2**63, -(2**63), 2**64 - 1, -999999999999999999]
+    line = json.dumps({"type": "record", "inside": inside, "f": 0.00012345678901234567})
+    assert orjson_reads_alike(line.encode())
+    by_orjson = annotator._read_lines(line.encode())[0]
+    by_line = annotator._read_lines(f'{line}\n{{"x":NaN}}'.encode())[0]
+    refused = line[:-1] + ', "x": NaN}'
+    for got in (by_orjson, by_line, read_json(line), read_json(refused)):
         assert [type(v) for v in got["inside"]] == [int] * len(inside)
         assert got["inside"] == inside
+        assert got["f"] == 0.00012345678901234567 and type(got["f"]) is float
+
+
+def test_trace_integers_read_as_a_problem_file_s():
+    # one rule for every JSON input: an integer outside [-2**63, 2**64)
+    # reads as float(v), bit for bit, where orjson reads the text
+    outside = [2**64, -(2**63) - 1, 10**20, -(10**20), 2**64 + 2**11 + 1, 10**308]
+    line = json.dumps({"type": "record", "outside": outside})
+    want = np.array([float(v) for v in outside]).view(np.uint64)
+    for got in (annotator._read_lines(line.encode())[0], read_json(line)):
         assert [type(v) for v in got["outside"]] == [float] * len(outside)
         np.testing.assert_array_equal(np.array(got["outside"]).view(np.uint64), want)
     # a golden trace with one such integer in a record's detail reads as
