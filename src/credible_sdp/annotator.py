@@ -66,7 +66,6 @@ stored; the catalog's text keeps ``monitor.fmt_num`` (``repr``), since
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -76,7 +75,7 @@ import orjson
 
 from . import monitor
 from .linalg import PD_TOL, sym_inv, sym_sqrt
-from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike
+from .problem import SdpProblem, SolverOptions, json_numbers, orjson_reads_alike, read_json
 from .solver import (
     FLOAT_RULE,
     IterateState,
@@ -380,26 +379,21 @@ def parse_trace(data: bytes) -> ProofTrace:
     return ProofTrace(header=header, init_records=init_records, iterations=iterations, footer=footer)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-#: The JSON whitespace a line may hold around its value, after the split at "\n".
-_JSON_BLANK = " \t\r"
-
-
 def _read_lines(data: bytes) -> list[dict]:
-    """The JSON object on each line of a trace that is not blank, by
-    ``read_json``'s rule. If ``orjson_reads_alike`` holds for the whole
-    trace, orjson reads every line, each on its own: lines are never
-    joined, since a joined read accepts a file whose line breaks are off in
-    ways that cancel. That read stands if every line is a JSON object, for
-    then no line spoiled the test. Otherwise the standard decoder reads the
-    lines in order, and the first that is not a JSON object ends the read
-    with its error, as ``read_json`` reads a problem file.
+    """The JSON object on each line of a trace that is not blank, each line
+    read by ``read_json``. Where ``orjson_reads_alike`` holds for the whole
+    trace, orjson reads every line, each on its own, a faster route to the
+    values ``read_json`` gives: lines are never joined, since a joined read
+    accepts a file whose line breaks are off in ways that cancel. That read
+    stands if every line is a JSON object, for then no line spoiled the
+    test. Otherwise ``read_json`` reads the lines in order, and the first
+    that is not a JSON object ends the read with its error.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"trace is not valid UTF-8: {exc}") from None
-    lines = [line for line in text.split("\n") if line.strip(_JSON_BLANK)]
+    lines = [line for line in text.split("\n") if line.strip(" \t\r")]
     if not lines:
         raise TraceFormatError("trace is empty")
     if orjson_reads_alike(data):
@@ -409,17 +403,13 @@ def _read_lines(data: bytes) -> list[dict]:
                 return objs
         except orjson.JSONDecodeError:
             pass
-    return [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
+    return [_read_line(lineno, line) for lineno, line in enumerate(lines, 1)]
 
 
-def _decode_line(lineno: int, line: str) -> dict:
-    """The one JSON object on a line, with JSON whitespace around it, read by
-    the standard decoder."""
-    value = line.strip(_JSON_BLANK)
+def _read_line(lineno: int, line: str) -> dict:
+    """The one JSON object on a line, read by ``read_json``."""
     try:
-        obj, end = _raw_decode(value)
-        if end < len(value):
-            raise json.JSONDecodeError("Extra data", value, end)
+        obj = read_json(line)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
     except RecursionError:

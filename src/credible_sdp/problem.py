@@ -417,7 +417,7 @@ def orjson_reads_alike(data: bytes) -> bool:
 def read_json(data: str | bytes) -> Any:
     """``json.loads(data)``, read by orjson where ``orjson_reads_alike``
     holds for ``data`` and orjson reads it at all. Problem files are read
-    by it, and trace lines by its rule (``annotator._read_lines``).
+    by it, and every trace line (``annotator._read_lines``).
 
     The value is then ``json``'s, every type and float bit, but for integers
     outside [-2**63, 2**64), which read as the floats nearest them, those

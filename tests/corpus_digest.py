@@ -8,7 +8,7 @@ standard encoder), its pseudo-matlab and c-like listings, the listings'
 values (``listing-values``: both listings with every number token replaced
 by the hex of its float64 bits), its verbose report, what ``check_trace``
 says of the trace, the trace's record and footer lines alone, and what
-``check_trace`` says of eleven tampered copies of the trace (``tampered``).
+``check_trace`` says of twelve tampered copies of the trace (``tampered``).
 Two versions of the package that print the same lines produce
 byte-identical artifacts, and check them alike, on the corpus. A change of
 notation alone (how a float is spelled, whether text is escaped) moves
@@ -27,7 +27,10 @@ Four of its copies are lines that the checker's exact match refuses, so they
 pin what the diff says of them: a record with its keys reversed and a
 measured 0.0 written as -0.0 check clean; an id with a lone surrogate, read
 by the standard decoder, and a measured value of 10**20, read as the float
-nearest it as in a problem file, are findings.
+nearest it as in a problem file, are findings. One more copy holds that 10**20
+and a header whose tool ends in an escaped newline, which orjson's screen
+refuses: it is the only copy in which a long integer reaches the per-line
+read, and it pins that the integer reads as the same float there.
 
 Run it against the package on ``PYTHONPATH``, once per version, and diff::
 
@@ -85,7 +88,8 @@ def tampered(trace: bytes) -> list[bytes]:
     with its measured value scaled by 1 + 1e-6, its verdict flipped, its
     verdict written as 1, its keys reversed, its id written as ``"I3\\ud800"``
     (a lone surrogate), or its measured value written as the integer
-    100000000000000000000; iteration 1's I5 record with its measured value,
+    100000000000000000000, alone or with the header's tool ending in an
+    escaped newline; iteration 1's I5 record with its measured value,
     0.0, written as -0.0; iteration line 1 numbered 2; iteration line 1 with
     its first dX entry scaled by 1 + 1e-6, or with its first dZ entry set to
     1e-6; iteration line 3 with its first dZ entry set to 1e308."""
@@ -97,10 +101,12 @@ def tampered(trace: bytes) -> list[bytes]:
         for rid in ("I3", "I5")
     )
 
-    def edit(index: int, mutate) -> bytes:
+    def edit(index: int, mutate, lines: list[bytes] = lines) -> bytes:
         obj = json.loads(lines[index])
         mutate(obj)
         return b"\n".join([*lines[:index], json.dumps(obj).encode(), *lines[index + 1:]])
+
+    long_measured = edit(i3, lambda o: o.update(measured=10**20))
 
     return [
         edit(i3, lambda o: o.update(measured=o["measured"] * (1 + 1e-6))),
@@ -108,7 +114,8 @@ def tampered(trace: bytes) -> list[bytes]:
         edit(i3, lambda o: o.update(passed=1)),
         edit(i3, lambda o: [o.update({key: o.pop(key)}) for key in reversed([*o])]),
         edit(i3, lambda o: o.update(id="I3\ud800")),
-        edit(i3, lambda o: o.update(measured=10**20)),
+        long_measured,
+        edit(0, lambda o: o.update(tool=o["tool"] + "\n"), long_measured.split(b"\n")),
         edit(i5, lambda o: o.update(measured=-0.0)),
         edit(first, lambda o: o.update(iteration=2)),
         edit(first, lambda o: o["dX"].__setitem__(0, o["dX"][0] * (1 + 1e-6))),

@@ -26,7 +26,6 @@ from credible_sdp.annotator import (
     _DIRECTIONS,
     _check_footer,
     _close,
-    _decode_line,
     _diff,
     _footer_obj,
     _header_obj,
@@ -711,9 +710,15 @@ def test_parse_refuses_values_whose_line_breaks_cancel():
 
 
 def _per_line(trace: bytes) -> list[dict]:
-    """The lines of a trace read one by one by the standard decoder alone."""
+    """The lines of a trace read one by one by ``json.loads`` alone."""
     lines = [line for line in trace.decode("utf-8").split("\n") if line.strip(" \t\r")]
-    return [_decode_line(lineno, line) for lineno, line in enumerate(lines, 1)]
+    objs = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            objs.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
+    return objs
 
 
 @pytest.mark.parametrize(

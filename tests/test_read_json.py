@@ -2,7 +2,7 @@
 
 ``problem.read_json`` decodes with orjson and falls back to ``json`` where
 orjson refuses the text, or where ``problem.orjson_reads_alike`` does not
-hold for it; a trace's lines are read by the same rule. Every value, type,
+hold for it; it reads each line of a trace as well. Every value, type,
 float bit and error must be what the standard library gives, but for an
 integer outside [-2**63, 2**64), which reads as the float nearest it. So
 each test compares the reader with ``json`` itself: on drawn text, on fixed
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from credible_sdp import annotator
 from credible_sdp.annotator import TraceFormatError
+from credible_sdp.cli import main
 from credible_sdp.problem import (
     MAX_ORJSON_DEPTH,
     ProblemFormatError,
@@ -183,7 +184,7 @@ def test_read_json_gives_what_json_gives(text):
 
 
 def _json_lines(data: bytes) -> list[dict]:
-    """How a trace's lines read with the standard decoder alone."""
+    """How a trace's lines read with ``json.loads`` alone, line by line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -193,11 +194,8 @@ def _json_lines(data: bytes) -> list[dict]:
         raise TraceFormatError("trace is empty")
     objs = []
     for lineno, line in enumerate(lines, 1):
-        value = line.strip(" \t\r")
         try:
-            obj, end = json.JSONDecoder().raw_decode(value)
-            if end < len(value):
-                raise json.JSONDecodeError("Extra data", value, end)
+            obj = json.loads(line)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno} is not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
@@ -240,6 +238,41 @@ def test_trace_lines_read_as_json_reads_them(lines, end):
     expected = _outcome(_json_lines, data)
     got = _outcome(annotator._read_lines, data)
     assert _same_outcome(expected, got, nearest=True), (data, expected, got)
+
+
+#: A genuine trace's lines, and lines orjson refuses: a NaN (beside a long
+#: integer, which json keeps an int), an escape, a lone surrogate.
+_GENUINE = GOLDEN_CTS3.read_text(encoding="utf-8").splitlines()
+_REFUSED = st.sampled_from(
+    [
+        '{"type":"record","x":NaN,"n":' + str(10**20) + "}",
+        '{"type":"header","tool":"credible-sdp\\n"}',
+        '{"type":"record","id":"I3\\ud800"}',
+    ]
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_GENUINE),
+            _PLAIN.map(lambda v: '{"type":"record","v":' + v.replace("\n", " ") + "}"),
+            st.just('{"type":"record","id":"I3","measured":' + str(10**20) + "}"),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.none() | st.tuples(_REFUSED, st.integers(0, 6)),
+)
+def test_each_trace_line_reads_as_read_json_reads_it(lines, refused):
+    # the whole-trace batch is a faster route to read_json's value of each
+    # line, and a refused line changes how no other line reads
+    if refused is not None:
+        line, at = refused
+        lines = [*lines[:at], line, *lines[at:]]
+    objs = annotator._read_lines("\n".join(lines).encode("utf-8"))
+    assert _same(objs, [read_json(line) for line in lines])
 
 
 # -- fixed tables ---------------------------------------------------------------
@@ -338,9 +371,10 @@ def test_long_integers_in_a_problem_file_load_as_floats():
 
 def test_trace_integers_keep_their_type():
     # a trace's integer fields are all below 2**63; an integer in
-    # [-2**63, 2**64) stays that int whether orjson reads the lines or the
-    # per-line path does (a NaN line sends the trace there), in a trace as in
-    # a problem file, and a fraction of 19 or more digits is no integer
+    # [-2**63, 2**64) stays that int whether orjson reads the lines at once
+    # or read_json reads them one by one (a NaN line sends the trace there,
+    # and only that line on to json), in a trace as in a problem file, and a
+    # fraction of 19 or more digits is no integer
     inside = [0, -1, 2**63 - 1, 2**63, -(2**63), 2**64 - 1, -999999999999999999]
     line = json.dumps({"type": "record", "inside": inside, "f": 0.00012345678901234567})
     assert orjson_reads_alike(line.encode())
@@ -418,6 +452,31 @@ def test_a_long_integer_moves_no_finding(example_trace, example_problem, monkeyp
     assert ours.findings and _shape(ours) == _shape(theirs)
 
 
+@pytest.mark.parametrize("tool", ["", "\n"], ids=["plain-header", "escaped-header"])
+def test_a_long_integer_reads_alike_whichever_line_is_escaped(
+    example_trace, example_problem, tmp_path, capsys, tool
+):
+    # the header's escaped newline sends the trace to read_json line by
+    # line, and only the header on to json: I3's measured 10**20 reads as
+    # the float nearest it either way
+    objs = [json.loads(line) for line in example_trace.splitlines()]
+    objs[0]["tool"] += tool
+    at = _first(objs, id="I3")
+    objs[at]["measured"] = 10**20
+    trace = "\n".join(map(json.dumps, objs)).encode()
+    assert orjson_reads_alike(trace) is not bool(tool)
+    read = annotator._read_lines(trace)[at]["measured"]
+    assert read == 1e20 and type(read) is float
+    report = annotator.check_trace(trace, example_problem)
+    (finding,) = (f for f in report.findings if f.record_id == "I3")
+    assert finding.where == "iteration 1"
+    assert finding.message.startswith("measured: trace has 1e+20, ")
+    path = tmp_path / "edited.cts"
+    path.write_bytes(trace)
+    assert main(["check-trace", "--problem", str(EXAMPLE), "--trace", str(path)]) == 2
+    assert "trace has 1e+20, " in capsys.readouterr().out
+
+
 DEPTHS = {
     "at the bound": ("[" * MAX_ORJSON_DEPTH + "]" * MAX_ORJSON_DEPTH, True),
     "lists past it": ("[" * (MAX_ORJSON_DEPTH + 1) + "]" * (MAX_ORJSON_DEPTH + 1), False),
@@ -477,7 +536,10 @@ def test_common_faults_keep_the_standard_decoder_s_messages():
     expecting = r"Expecting value: line 1 column 1 \(char 0\)$"
     with pytest.raises(ProblemFormatError, match=r"^problem file is not valid JSON: " + expecting):
         load_problem("nope")
-    with pytest.raises(TraceFormatError, match=r"^line 1 is not valid JSON: " + expecting):
+    bom = r"Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1 \(char 0\)$"
+    with pytest.raises(TraceFormatError, match=r"^line 1 is not valid JSON: " + bom):
         annotator.parse_trace(b"\xef\xbb\xbf{}\n{}")  # a byte order mark
+    with pytest.raises(ProblemFormatError, match=r"^problem file is not valid JSON: " + bom):
+        load_problem("\ufeff{}")
     with pytest.raises(TraceFormatError, match=r"^line 2 is not valid JSON: Extra data: line 1 "):
         annotator.parse_trace(b'{"type":"header"}\n{} {}\n')
