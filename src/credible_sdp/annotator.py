@@ -1,6 +1,6 @@
 """Proof-trace serialization, independent re-checking, and annotated listings.
 
-A *proof trace* is a JSON-lines account of one solver run. Schema ``cts-3``
+A *proof trace* is a JSON-lines account of one solver run. Schema ``cts-4``
 stores the claims and leaves out whatever the checker derives: a header
 (schema tag, problem hash, options, starting state), the initialization
 records, then per iteration one line with the directions (dX, dZ, dp)
@@ -42,16 +42,20 @@ Discrepancies, missing and unexpected fields become ``Finding`` values in a
 malformed input (bad JSON, unknown schema, wrong problem hash, missing or
 invalid header fields) raises ``TraceFormatError``.
 
-Traces of the older schemas are still read. A ``cts-2`` trace is a
-``cts-3`` trace whose dX and dZ are stored as full n-by-n matrices. A
+Traces of the older schemas are still read. A ``cts-3`` trace is a
+``cts-4`` trace whose header also states a potential weight ``options.nu``
+and, as ``init_state.sigma``, a second copy of ``options.sigma``. No step or
+contract reads that weight, so the checker requires only that it be a
+positive JSON number and otherwise takes it as stored. A ``cts-2`` trace is
+a ``cts-3`` trace whose dX and dZ are stored as full n-by-n matrices. A
 ``cts-1`` line is the ``cts-2`` line plus derived keys (each iteration line
 also stores the iterates, gaps and mu, each record its anchor, phase and
 iteration, the header ``options.lsqr_tol``, always ``LEGACY_LSQR_TOL``), and
 its problem hash is taken over the constraint data written as ``.17g`` text.
-The builders emit those keys when asked for ``cts-1``; the replay steps from
-recomputed points in every schema, so a tampered ``cts-1`` iterate is
-flagged where it is stored. ``_SCHEMAS`` holds what differs between the
-three in the iteration lines.
+The builders emit those keys when asked for an older schema; the replay
+steps from recomputed points in every schema, so a tampered ``cts-1``
+iterate is flagged where it is stored. ``_SCHEMAS`` holds what differs
+between the schemas in the iteration lines.
 
 ``emit_annotated_listing`` renders the solver algorithm for a concrete
 problem as an annotated listing in one of two flavors: "pseudo-matlab"
@@ -90,7 +94,7 @@ from .symvec import layout, sym_dim
 TOOL_NAME = "credible-sdp"
 TOOL_VERSION = "0.1.0"
 
-TRACE_SCHEMA = "cts-3"
+TRACE_SCHEMA = "cts-4"
 #: The first schema, still read: ``cts-2`` lines plus derived keys.
 LEGACY_SCHEMA = "cts-1"
 #: The least-squares tolerance every ``cts-1`` header states.
@@ -151,7 +155,10 @@ def _header_obj(
     state: IterateState,
     problem_hash: str,
     schema: str = TRACE_SCHEMA,
+    weight: object = None,
 ) -> dict:
+    """The header line; one of an older schema also states the potential
+    ``weight``, as ``options.nu``, and, in ``init_state``, sigma a second time."""
     obj = {
         "type": "header",
         "schema": schema,
@@ -164,7 +171,6 @@ def _header_obj(
         "options": {
             "epsilon": opts.epsilon,
             "sigma": opts.sigma,
-            "nu": opts.nu,
             "mode": opts.mode,
             "gap_ceiling": monitor.GAP_CEILING,
             "equality_tol": monitor.EQUALITY_TOL,
@@ -177,9 +183,11 @@ def _header_obj(
             "mu": state.mu,
             "phi": state.phi,
             "phim": state.phim,
-            "sigma": opts.sigma,
         },
     }
+    if schema != TRACE_SCHEMA:
+        obj["options"]["nu"] = weight
+        obj["init_state"]["sigma"] = opts.sigma
     if schema == LEGACY_SCHEMA:
         obj["options"]["lsqr_tol"] = LEGACY_LSQR_TOL
     return obj
@@ -199,6 +207,7 @@ _DIRECTIONS = ("dX", "dZ", "dp")
 
 #: The schemas this tool reads, the one it writes first.
 _SCHEMAS = {
+    "cts-4": _Schema(_DIRECTIONS, triangles=True),
     "cts-3": _Schema(_DIRECTIONS, triangles=True),
     "cts-2": _Schema(_DIRECTIONS, triangles=False),
     "cts-1": _Schema(("Xm", "Zm", "pm", *_DIRECTIONS, "X", "Z", "p"), triangles=False),
@@ -210,7 +219,7 @@ def _triangle(M: np.ndarray, name: str) -> np.ndarray:
     of each in a stack; any other raises ValueError, so a trace never stores
     a cut-down direction."""
     if M.tobytes() != np.swapaxes(M, -1, -2).tobytes():
-        raise ValueError(f"{name} is not symmetric bit for bit; a cts-3 trace stores one triangle")
+        raise ValueError(f"{name} is not symmetric bit for bit; a trace stores one triangle")
     i, j, _, _ = layout(M.shape[-1])
     return M[..., i, j]
 
@@ -218,8 +227,8 @@ def _triangle(M: np.ndarray, name: str) -> np.ndarray:
 def _iteration_obj(
     prev: IterateState, state: IterateState, step: NewtonStep | None, schema: str = TRACE_SCHEMA
 ) -> dict:
-    """The line of the step from ``prev`` to ``state``; in ``cts-3`` dX and dZ
-    are upper triangles, and a direction that is not symmetric bit for bit
+    """The line of the step from ``prev`` to ``state``; from ``cts-3`` on dX and
+    dZ are upper triangles, and a direction that is not symmetric bit for bit
     raises ValueError. Without a ``step`` the line leaves out the directions:
     the checker steps with the stored ones, so they can only match."""
     obj = {"type": "iteration", "iteration": state.iteration}
@@ -339,8 +348,8 @@ def parse_trace(data: bytes) -> ProofTrace:
     Records before the first iteration line are the initialization records;
     every later record belongs to the iteration line above it. Raises
     TraceFormatError for anything that is not a well-formed trace of a
-    supported schema (``cts-3``, ``cts-2`` or ``cts-1``); content errors are
-    left to ``check_trace``. Lines end at ``"\n"`` only, as in JSON Lines,
+    supported schema (``cts-4``, ``cts-3``, ``cts-2`` or ``cts-1``); content
+    errors are left to ``check_trace``. Lines end at ``"\n"`` only, as in JSON Lines,
     so a string may hold any other line separator. Each line that is not
     blank must hold exactly one JSON value, an object, with JSON whitespace
     (space, tab, CR) around it.
@@ -555,13 +564,15 @@ def _diff(
 
 
 def _options_from_header(header: dict) -> SolverOptions:
+    """The header's options; an older schema's ``nu`` must be a positive number."""
     options = header.get("options")
     if not isinstance(options, dict):
         raise TraceFormatError("trace header is missing its options object")
     try:
+        if header["schema"] != TRACE_SCHEMA and not json_numbers(options["nu"], shape=()) > 0:
+            raise ValueError(f"nu must be positive, got {options['nu']!r}")
         return SolverOptions(
             epsilon=float(json_numbers(options["epsilon"], shape=())),
-            nu=float(json_numbers(options["nu"], shape=())),
             sigma=float(json_numbers(options["sigma"], shape=())),
             mode=options["mode"],
         )
@@ -615,7 +626,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
     only checkable against the constraints it was made from), and
     ``SolverOptions`` must accept the header options. The replay runs first,
     under the floating-point rule, fed with the stored directions in place
-    of Newton's (``cts-3`` triangles mirrored into (K, n, n) stacks by one
+    of Newton's (triangles mirrored into (K, n, n) stacks by one
     gather each, so a direction is symmetric by construction). It is the
     checker's only failure path: an initialization sweep it cannot redo is
     an ``error`` finding at ``init``, and a step it cannot redo ends it with
@@ -696,7 +707,7 @@ def check_trace(data: bytes, prob: SdpProblem) -> CheckReport:
             stop = Finding("error", f"iteration {replay.iterations + 1}", None, message)
 
     findings: list[Finding] = []
-    expected = _header_obj(prob, opts, state0, problem_hash, schema)
+    expected = _header_obj(prob, opts, state0, problem_hash, schema, header["options"].get("nu"))
     for key in ("tool", "backend"):  # these name the software that wrote the trace
         if isinstance(header.get(key), str):
             expected[key] = header[key]
@@ -853,6 +864,7 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     ens("init-z0-pd")
     ens("init-dual-feasibility")
     code("p = lsqr(transpose(F),vecs(-F0-X));")
+    code("P = mats(p,n);")
     ens("init-p-symmetric")
     ens("init-primal-feasibility")
     code("phi = trace(X*Z);")

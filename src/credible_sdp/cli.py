@@ -39,7 +39,6 @@ from .solver import (
     SolveStatus,
     default_options,
     iteration_cap,
-    sigma_from_nu,
     solve,
 )
 
@@ -53,20 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_options(args: argparse.Namespace, prob: SdpProblem, **flags) -> SolverOptions:
-    """Resolve options: ``flags`` and the solver flags over ``default_options(prob)``.
-
-    --sigma wins outright; --nu without --sigma derives sigma from the
-    potential weight; a nu stored in the problem file only sets the potential
-    weight and never changes sigma.
-    """
+    """Resolve options: ``flags`` and the solver flags over ``default_options(prob)``."""
     if args.epsilon is not None:
         flags["epsilon"] = args.epsilon
-    if args.nu is not None:
-        flags["nu"] = args.nu
     if args.sigma is not None:
         flags["sigma"] = args.sigma
-    elif args.nu is not None:
-        flags["sigma"] = sigma_from_nu(prob.n, args.nu)
     return replace(default_options(prob), **flags)
 
 
@@ -89,14 +79,12 @@ def _tally(label: str, count: int, failed_ids: list[str]) -> str:
 def render_report(report: SolveReport, verbose: bool = False) -> str:
     opts = report.options
     cap = iteration_cap(opts, report.budget)
-    implied = sigma_from_nu(report.problem.n, opts.nu)
-    origin = "derived from nu" if opts.sigma == implied else "fixed"
 
     lines = [
         f"status:      {report.status.value}",
         f"iterations:  {report.iterations} (budget {report.budget}, cap {cap})",
         f"final gap:   {report.final_gap:.12e} (epsilon {opts.epsilon:g})",
-        f"sigma:       {opts.sigma!r} ({origin}; nu={opts.nu!r} would imply {implied:.10g})",
+        f"sigma:       {opts.sigma!r}",
         _tally("contracts:   ", report.record_count, report.failed_ids),
     ]
     if report.violation_id is not None:
@@ -174,8 +162,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", type=float, default=None,
                      help="convergence threshold on the duality gap (default: problem file)")
-    sub.add_argument("--nu", type=float, default=None,
-                     help="potential weight; without --sigma it also derives sigma")
     sub.add_argument("--sigma", type=float, default=None,
                      help=f"gap contraction factor per step (default {DEFAULT_SIGMA})")
 

@@ -20,10 +20,10 @@ independent F1..Fm, so that every Newton direction has an exact dp.
 
 This module admits every input of a run, and each input has one source.
 Each rule is stated once: ``symvec``'s symmetry rule for all n x n input
-matrices, ``admit_x0`` for X0 and ``SolverOptions`` for epsilon, nu, sigma,
-the mode and the iteration cap. The warm start is the problem's ``x0``
-alone; a run from another start solves ``dataclasses.replace(prob, x0=...)``,
-whose X0 ``solver.initialize`` admits by the same rule.
+matrices, ``admit_x0`` for X0 and ``SolverOptions`` for epsilon, sigma, the
+mode and the iteration cap. The warm start is the problem's ``x0`` alone; a
+run from another start solves ``dataclasses.replace(prob, x0=...)``, whose
+X0 ``solver.initialize`` admits by the same rule.
 
 The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
 (m, n, n) array, so checks over all of them are single numpy expressions.
@@ -57,10 +57,6 @@ DEFAULT_EPSILON = 1e-8
 #: Default gap-contraction factor per iteration.
 DEFAULT_SIGMA = 0.75
 
-#: Default potential-function weight; for n = 2 it implies a contraction
-#: factor of about 0.75 via ``solver.sigma_from_nu``.
-DEFAULT_NU = 0.4714
-
 #: The run modes of ``SolverOptions.mode``.
 MODES = ("strict", "audit")
 
@@ -87,7 +83,6 @@ class SolverOptions:
     """
 
     epsilon: float = DEFAULT_EPSILON
-    nu: float = DEFAULT_NU
     sigma: float = DEFAULT_SIGMA
     mode: str = "audit"
     max_iterations: int | None = None
@@ -103,21 +98,18 @@ class SolverOptions:
             )
         if not (math.isfinite(self.sigma) and 0 < self.sigma < 1):
             raise ValueError(f"sigma must lie strictly between 0 and 1, got {self.sigma}")
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"nu must be positive, got {self.nu}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """An SDP instance: six stored values, and what they determine.
+    """An SDP instance: five stored values, and what they determine.
 
-    Stored: ``f0``, ``fs``, ``b``, an optional primal warm start ``x0``, the
-    convergence threshold ``epsilon`` on trace(X @ Z) and an optional
-    potential-function weight ``nu``. ``fs`` (F1..Fm) may be given as n x n
-    matrices or an (m, n, n) array; it is held as one C-contiguous (m, n, n)
-    stack, copied only if it is not one already.
+    Stored: ``f0``, ``fs``, ``b``, an optional primal warm start ``x0`` and
+    the convergence threshold ``epsilon`` on trace(X @ Z). ``fs`` (F1..Fm)
+    may be given as n x n matrices or an (m, n, n) array; it is held as one
+    C-contiguous (m, n, n) stack, copied only if it is not one already.
 
     Derived, so ``dataclasses.replace`` cannot leave them stale: ``n`` and
     ``m`` from the shape of ``fs``, and on first use ``fmat`` (row i is
@@ -130,7 +122,6 @@ class SdpProblem:
     b: np.ndarray
     x0: np.ndarray | None = None
     epsilon: float = DEFAULT_EPSILON
-    nu: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fs", np.ascontiguousarray(self.fs, dtype=float))
@@ -216,7 +207,6 @@ def build_problem(
     *,
     x0: np.ndarray | None = None,
     epsilon: float = DEFAULT_EPSILON,
-    nu: float | None = None,
 ) -> SdpProblem:
     """Validate, admit and assemble an SdpProblem from its constituent arrays.
 
@@ -232,12 +222,12 @@ def build_problem(
     """
     try:
         with np.errstate(**FLOAT_RULE):
-            return _admit(f0, fs, b, x0, epsilon, nu)
+            return _admit(f0, fs, b, x0, epsilon)
     except FloatingPointError as exc:
         raise ProblemFormatError(f"problem data leave the float range in admission: {exc}") from None
 
 
-def _admit(f0, fs, b, x0, epsilon, nu) -> SdpProblem:
+def _admit(f0, fs, b, x0, epsilon) -> SdpProblem:
     """``build_problem``'s tests, in their order, and its problem."""
     f0 = np.array(f0, dtype=float)
     fs = _constraint_stack(fs)
@@ -278,7 +268,7 @@ def _admit(f0, fs, b, x0, epsilon, nu) -> SdpProblem:
     # matrices of one shape are a stack, so fs is one from here on
     _refuse_asymmetric(fs, [f"F{i}" for i in range(1, m + 1)])
     try:
-        opts = SolverOptions(epsilon=float(epsilon), nu=DEFAULT_NU if nu is None else float(nu))
+        opts = SolverOptions(epsilon=float(epsilon))
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
     x0 = None if x0 is None else admit_x0(x0, n)
@@ -289,8 +279,7 @@ def _admit(f0, fs, b, x0, epsilon, nu) -> SdpProblem:
             f"symmetric direction dX is a combination of F1..Fm: n = {n} needs "
             f"{sym_dim(n)}, got m = {m}"
         )
-    nu = None if nu is None else opts.nu
-    prob = SdpProblem(f0=f0, fs=fs, b=b, x0=x0, epsilon=opts.epsilon, nu=nu)
+    prob = SdpProblem(f0=f0, fs=fs, b=b, x0=x0, epsilon=opts.epsilon)
     # matrix_rank's test, keeping the singular values for cond(F)
     sv = np.linalg.svd(prob.fmat, compute_uv=False)
     rank = int(np.count_nonzero(sv > sv[0] * m * np.finfo(float).eps))
@@ -437,8 +426,9 @@ def load_problem(source: str | bytes) -> SdpProblem:
     """Parse a problem from JSON text.
 
     Expected keys: "F0" (n x n nested lists), "F" (list of m such matrices),
-    "b" (length-m list). Optional: "X0", "epsilon", "nu". Every entry must be
-    a JSON number within the float range; ``true`` is not read as 1.
+    "b" (length-m list). Optional: "X0", "epsilon". Every entry must be a
+    JSON number within the float range; ``true`` is not read as 1. Any other
+    key is not read, and so is ignored.
     The text is read by ``read_json``, as ``json.loads`` reads it: an
     integer it reads as the float nearest it is read as that float here in
     any case.
@@ -474,8 +464,7 @@ def load_problem(source: str | bytes) -> SdpProblem:
     b = numbers(data["b"], '"b"', "a numeric vector", 1)
     x0 = as_matrix(data["X0"], "X0") if data.get("X0") is not None else None
     epsilon = numbers(data.get("epsilon", DEFAULT_EPSILON), '"epsilon"', "a number", 0)
-    nu = numbers(data["nu"], '"nu"', "a number", 0) if data.get("nu") is not None else None
-    return build_problem(f0, fs, b, x0=x0, epsilon=epsilon, nu=nu)
+    return build_problem(f0, fs, b, x0=x0, epsilon=epsilon)
 
 
 def load_problem_file(path: str) -> SdpProblem:
@@ -491,7 +480,6 @@ def running_example() -> SdpProblem:
 
 __all__ = [
     "DEFAULT_EPSILON",
-    "DEFAULT_NU",
     "DEFAULT_SIGMA",
     "FLOAT_RULE",
     "MAX_ORJSON_DEPTH",

@@ -36,9 +36,8 @@ failed record ends; else when a step grows the gap or the walk ends), and
 stops on the exit rule (``step_exit``). ``solve`` drives it with Newton
 directions, the trace checker with those a trace stores. A report stores
 each fact once: the iteration count, the final state, the budget and the
-exit are read off its start and its snapshots.
-Whether sigma came from nu is ``sigma == sigma_from_nu(n, nu)``; a state
-does not store its predecessor, nor a step its mu and sigma.
+exit are read off its start and its snapshots. A state does not store its
+predecessor, nor a step its mu and sigma.
 
 A solve runs under the trace checker's floating-point rule, ``FLOAT_RULE``,
 so its outcome does not depend on the warnings filter: a starting point
@@ -57,9 +56,7 @@ import numpy as np
 
 from . import monitor
 from .linalg import identity, lsqr_solve, sym_inv, sym_sqrt, trace_inner
-from .problem import (  # noqa: F401 — DEFAULT_SIGMA is re-exported
-    DEFAULT_NU,
-    DEFAULT_SIGMA,
+from .problem import (
     FLOAT_RULE,
     ProblemFormatError,
     SdpProblem,
@@ -90,20 +87,8 @@ class SolveStatus(str, Enum):
 
 
 def default_options(prob: SdpProblem) -> SolverOptions:
-    """Options with the problem file's epsilon and nu filled in."""
-    return SolverOptions(
-        epsilon=prob.epsilon,
-        nu=prob.nu if prob.nu is not None else DEFAULT_NU,
-    )
-
-
-def sigma_from_nu(n: int, nu: float) -> float:
-    """Contraction factor implied by potential weight nu: n / (n + nu * sqrt(n))."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"nu must be positive, got {nu}")
-    return n / (n + nu * math.sqrt(n))
+    """Options with the problem file's epsilon filled in."""
+    return SolverOptions(epsilon=prob.epsilon)
 
 
 def iteration_bound(initial_gap: float, epsilon: float, sigma: float) -> int:

@@ -37,6 +37,7 @@ Z = mats(lsqr(F,-b),n);
 /*@ ensures Z>0; */  // [init-z0-pd]
 /*@ ensures F*vecs(Z)+b==zeros(m,1); */  // [init-dual-feasibility]
 p = lsqr(transpose(F),vecs(-F0-X));
+P = mats(p,n);
 /*@ ensures transpose(P)==P; */  // [init-p-symmetric]
 /*@ ensures F0+sum(p(i)*Fi,i,1,m)+X==0; */  // [init-primal-feasibility]
 phi = trace(X*Z);

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from credible_sdp.annotator import (
+    TRACE_SCHEMA,
     TraceFormatError,
     check_trace,
     emit_annotated_listing,
@@ -41,6 +42,7 @@ GOLDEN = {
 #: The cts-1 and cts-2 proof traces of the bundled example, kept byte for byte.
 GOLDEN_CTS1 = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
+GOLDEN_CTS3 = Path(__file__).parent / "golden" / "running_example_cts3.cts"
 
 
 def _ok(num: int, text: str) -> None:
@@ -214,7 +216,7 @@ def _numeric_paths(obj, prefix=()):
             yield from _numeric_paths(item, prefix + (key,))
 
 
-# informational header fields no recomputation depends on
+# informational header fields no recomputation depends on, in schemas before cts-4
 _UNCHECKED = {("options", "nu")}
 
 
@@ -237,23 +239,27 @@ def _detected(trace: bytes, prob) -> bool:
 
 
 def test_criterion_07_trace_tamper_detection(example_trace, example_problem):
-    # the cts-3 trace this solver writes, a cts-2 trace that stores full
-    # direction matrices, and a cts-1 trace that stores every iterate
-    for trace in (example_trace, GOLDEN_CTS2.read_bytes(), GOLDEN_CTS1.read_bytes()):
+    # the cts-4 trace this solver writes, a cts-3 trace whose header also
+    # states nu, a cts-2 trace that stores full direction matrices, and a
+    # cts-1 trace that stores every iterate
+    goldens = (GOLDEN_CTS3, GOLDEN_CTS2, GOLDEN_CTS1)
+    for trace in (example_trace, *(path.read_bytes() for path in goldens)):
         _sweep(trace, example_problem)
     _ok(7, "round-trip is clean; 100/100 random field mutations and "
            f"{len(INIT_IDS) + len(LOOP_IDS)}/28 single-record removals detected, "
-           "on a cts-3, a cts-2 and a cts-1 trace")
+           "on a cts-4, a cts-3, a cts-2 and a cts-1 trace")
 
 
 def _sweep(trace: bytes, prob) -> None:
     assert check_trace(trace, prob).clean
 
     lines = trace.decode("utf-8").splitlines()
+    schema = json.loads(lines[0])["schema"]
     candidates = []
     for i, line in enumerate(lines):
         for path in _numeric_paths(json.loads(line)):
             if i == 0 and path[:2] in _UNCHECKED:
+                assert schema != TRACE_SCHEMA, f"a {schema} header has an unchecked field {path}"
                 continue
             candidates.append((i, path))
     assert len(candidates) > 100

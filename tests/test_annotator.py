@@ -65,6 +65,9 @@ from credible_sdp.solver import (
 #: Never regenerate them to make a test pass. GOLDEN_TRACE is schema cts-1,
 #: which stores every iterate; GOLDEN_CTS2 is the first cts-2 trace, whose
 #: directions are full matrices; GOLDEN_CTS3 is the first cts-3 trace.
+#: GOLDEN_CTS4 is the first cts-4 trace, whose header no longer states a
+#: potential weight nu or a second sigma; past the header its lines are
+#: GOLDEN_CTS3's.
 #: GOLDEN_N6 is a cts-2 trace of a random n = 6, m = 21 problem (the file
 #: GOLDEN_N6_PROBLEM, ``problem_gen.random_problem`` with rng seed 7): at
 #: m > 3 the order in which sums over the constraints round shows in the
@@ -75,6 +78,7 @@ from credible_sdp.solver import (
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "running_example.cts"
 GOLDEN_CTS2 = Path(__file__).parent / "golden" / "running_example_cts2.cts"
 GOLDEN_CTS3 = Path(__file__).parent / "golden" / "running_example_cts3.cts"
+GOLDEN_CTS4 = Path(__file__).parent / "golden" / "running_example_cts4.cts"
 GOLDEN_N6 = Path(__file__).parent / "golden" / "random_n6_cts2.cts"
 GOLDEN_N6_PROBLEM = Path(__file__).parent / "golden" / "random_n6_problem.json"
 GOLDEN_N6_LISTING = Path(__file__).parent / "golden" / "random_n6_listing.m"
@@ -87,7 +91,7 @@ def golden_trace() -> bytes:
 
 @pytest.fixture(scope="module")
 def direction_traces(example_trace) -> list[bytes]:
-    """A trace of each layout of the directions: the fresh cts-3 trace, whose
+    """A trace of each layout of the directions: the fresh cts-4 trace, whose
     dX and dZ are upper triangles, and the cts-2 golden's full matrices."""
     return [example_trace, GOLDEN_CTS2.read_bytes()]
 
@@ -137,7 +141,7 @@ def find_iteration(trace: bytes, k: int) -> int:
 
 
 def full_matrix(stored, n: int) -> np.ndarray:
-    """A stored direction as its n-by-n matrix: a cts-3 upper triangle
+    """A stored direction as its n-by-n matrix: a cts-3 or cts-4 upper triangle
     (i <= j, row-major) is mirrored, a cts-2 matrix is read as it is."""
     a = np.asarray(stored, dtype=float)
     if a.ndim == 2:
@@ -216,7 +220,10 @@ def _assert_floats_roundtrip(trace, example_report) -> None:
     state0 = example_report.initial_state
     for key in ("X", "Z", "p", "mu", "phi", "phim"):
         assert_same_bits(init[key], getattr(state0, key), f"init_state {key}")
-    assert_same_bits(init["sigma"], example_report.options.sigma, "init_state sigma")
+    if trace.header["schema"] == TRACE_SCHEMA:  # sigma is stated once, in the options
+        assert "sigma" not in init
+    else:
+        assert_same_bits(init["sigma"], example_report.options.sigma, "init_state sigma")
     for stored, rec in zip(trace.init_records, example_report.init_records, strict=True):
         assert_record_roundtrips(stored, rec, "init")
 
@@ -257,7 +264,7 @@ def test_write_trace_refuses_unknown_detail_objects(example_report):
 
 @pytest.mark.parametrize("key", ["dX", "dZ"])
 def test_write_trace_refuses_an_asymmetric_direction(example_problem, monkeypatch, key):
-    # a cts-3 line stores one triangle: a direction whose triangles differ in
+    # a cts-4 line stores one triangle: a direction whose triangles differ in
     # one bit would be cut down, so it is refused instead
     def skewed(prob, r, scaling):
         step = solve_newton(prob, r, scaling)
@@ -634,14 +641,16 @@ def _reencoded(trace: bytes) -> bytes:
     return "".join(_stdlib_line(json.loads(line)) + "\n" for line in lines).encode()
 
 
-def test_a_fresh_solve_writes_the_cts3_golden_byte_for_byte():
-    # the cts-3 golden came from the solver that introduced the schema: every
-    # later solver must step, sweep and write with the same arithmetic. The
-    # golden was written in repr's notation by the stdlib encoder, so it is
-    # its own re-encoding, and the fresh trace re-encoded is the golden
-    golden = GOLDEN_CTS3.read_bytes()
-    assert _reencoded(golden) == golden
-    assert _reencoded(write_trace(solve(running_example()))) == golden
+def test_a_fresh_solve_writes_the_cts4_golden_byte_for_byte():
+    golden = GOLDEN_CTS4.read_bytes()
+    assert write_trace(solve(running_example())) == golden
+    # past the header, the lines are the cts-3 golden's, which came from the
+    # solver that introduced that schema: every later solver must step, sweep
+    # and write with the same arithmetic. That golden was written in repr's
+    # notation by the stdlib encoder, so it is its own re-encoding
+    cts3 = GOLDEN_CTS3.read_bytes()
+    assert _reencoded(cts3) == cts3
+    assert _reencoded(golden).split(b"\n")[1:] == cts3.split(b"\n")[1:]
 
 
 def test_parse_trace_collects_iteration_blocks(example_trace):
@@ -855,11 +864,12 @@ def test_golden_n6_trace_checks_clean():
     assert result.records_checked == 16 + 30 * 12
 
 
-@pytest.mark.parametrize("to_schema", [LEGACY_SCHEMA, "cts-2", "cts-3"])
+@pytest.mark.parametrize("to_schema", [LEGACY_SCHEMA, "cts-2", "cts-3", "cts-4"])
 def test_a_trace_read_under_the_other_schema_is_refused_or_flagged(
-    example_trace, golden_trace, example_problem, to_schema
+    golden_trace, example_problem, to_schema
 ):
-    trace = example_trace if to_schema == LEGACY_SCHEMA else golden_trace
+    # a trace whose header the target schema reads: each older one needs a nu
+    trace = GOLDEN_CTS3.read_bytes() if to_schema == LEGACY_SCHEMA else golden_trace
     relabelled = edit_line(trace, 0, lambda o: o.update(schema=to_schema))
     with pytest.raises(TraceFormatError, match="hash"):
         check_trace(relabelled, example_problem)
@@ -872,9 +882,12 @@ def test_a_trace_read_under_the_other_schema_is_refused_or_flagged(
     assert any(f.where == "iteration 1" for f in result.findings)
 
 
-def test_directions_read_under_the_other_layout_are_unreadable(direction_traces, example_problem):
-    # cts-2 and cts-3 share their hash, so only the direction layout tells them apart
-    for trace, other in zip(direction_traces, ("cts-2", "cts-3")):
+def test_directions_read_under_the_other_layout_are_unreadable(example_problem):
+    # cts-2 to cts-4 share their hash, so only the direction layout tells them
+    # apart; each trace is one whose header the other schema reads
+    cts2 = GOLDEN_CTS2.read_bytes()
+    pairs = ((GOLDEN_CTS3.read_bytes(), "cts-2"), (cts2, "cts-3"), (cts2, "cts-4"))
+    for trace, other in pairs:
         relabelled = edit_line(trace, 0, lambda o: o.update(schema=other))
         result = check_trace(relabelled, example_problem)
         errors = [f for f in result.findings if f.kind == "error"]
@@ -1425,6 +1438,35 @@ def test_check_accepts_any_writer_name(example_trace, example_problem):
 
 
 @pytest.mark.parametrize(
+    "section,key,value", [("options", "nu", 0.4714), ("init_state", "sigma", 0.75)]
+)
+def test_a_cts4_header_that_states_an_older_key_has_one_finding(
+    example_trace, example_problem, section, key, value
+):
+    bad = edit_line(example_trace, 0, lambda o: o[section].update({key: value}))
+    findings = check_trace(bad, example_problem).findings
+    assert [(f.kind, f.where, f.message) for f in findings] == [
+        ("structure", "header", f"unexpected key {section}.{key}")
+    ]
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_TRACE, GOLDEN_CTS2, GOLDEN_CTS3], ids=lambda p: p.stem)
+def test_an_older_header_states_nu_as_a_positive_number_and_nothing_checks_more(
+    example_problem, golden
+):
+    data = golden.read_bytes()
+    assert parse_trace(data).header["schema"] != TRACE_SCHEMA
+    edits = [lambda o: o.pop("nu"), lambda o: o.update(nu="0.4714"),
+             lambda o: o.update(nu=-1), lambda o: o.update(nu=10**400)]
+    for edit in edits:
+        with pytest.raises(TraceFormatError, match="^trace header options are invalid: "):
+            check_trace(edit_line(data, 0, lambda o: edit(o["options"])), example_problem)
+    # no step or contract reads an older header's nu, so any positive number checks clean
+    nudged = edit_line(data, 0, lambda o: o["options"].update(nu=o["options"]["nu"] * (1 + 1e-6)))
+    assert check_trace(nudged, example_problem).findings == []
+
+
+@pytest.mark.parametrize(
     "section,field,value",
     [
         ("init_state", "mu", 10**400),
@@ -1465,7 +1507,7 @@ def test_check_flags_iteration_arrays_the_writer_cannot_emit(
     direction_traces, golden_trace, example_problem, keys, mutate
 ):
     # the array on a cts-1 line, and the direction of the same kind on a
-    # cts-3 and a cts-2 line
+    # cts-4 and a cts-2 line
     pairs = zip((golden_trace, *direction_traces), (keys[0], keys[1], keys[1]))
     for trace, key in pairs:
         idx = find_iteration(trace, 5)
@@ -1717,14 +1759,14 @@ _SHOWN_AT_INIT = {
 }
 
 
-def _may_check_clean(place: str, path: tuple) -> bool:
+def _may_check_clean(place: str, path: tuple, schema: str) -> bool:
     """Whether an edit at ``path`` may check clean: a stored direction is the
     step itself and the stored start (X, Z, p) the run's input, so a change
-    to either can leave every claim true; no contract reads ``options.nu``
-    (criterion 7's ``_UNCHECKED``)."""
+    to either can leave every claim true; no contract reads the ``options.nu``
+    of a schema older than ``cts-4`` (criterion 7's ``_UNCHECKED``)."""
     if place == "header":
-        return path[:2] in {("init_state", "X"), ("init_state", "Z"), ("init_state", "p"),
-                            ("options", "nu")}
+        exempt = {("init_state", "X"), ("init_state", "Z"), ("init_state", "p")}
+        return path[:2] in exempt or (schema != TRACE_SCHEMA and path[:2] == ("options", "nu"))
     return place.startswith("iteration") and path[0] in _DIRECTIONS
 
 
@@ -1805,7 +1847,7 @@ def test_a_drawn_field_edit_is_a_finding_where_it_was_made(example_problem, edit
     lines[idx] = json.dumps(obj)
     result = _check_or_refuse(reassemble(lines), example_problem)
     place = _CTS3_PLACES[idx]
-    if _may_check_clean(place, path) or isinstance(result, TraceFormatError):
+    if _may_check_clean(place, path, "cts-3") or isinstance(result, TraceFormatError):
         return
     if {type(value), type(old)} <= {int, float}:
         # a number is a finding where it was stored, unless within CHECK_RTOL
@@ -1950,6 +1992,36 @@ def test_listing_rejects_unknown_flavor(example_problem):
     with pytest.raises(ValueError, match="flavor"):
         emit_annotated_listing(example_problem, flavor="fortran")
     assert LISTING_FLAVORS == ("pseudo-matlab", "c-like")
+
+
+#: Names an annotation reads that no statement assigns: the annotation
+#: language's functions and keyword, and the index i of its
+#: ``sum(...,i,1,m)`` and ``for i=1..m``.
+_ANNOTATION_BUILTINS = {
+    "eye", "for", "i", "isposdef", "mats", "norm", "sum", "trace", "transpose", "vecs", "zeros",
+}
+
+
+@pytest.mark.parametrize("flavor", LISTING_FLAVORS)
+@pytest.mark.parametrize("problem", ["running-example", "n6"])
+def test_every_name_an_annotation_reads_is_assigned_before_it(flavor, problem):
+    prob = running_example() if problem == "running-example" else load_problem(
+        GOLDEN_N6_PROBLEM.read_text()
+    )
+    listing = emit_annotated_listing(prob, flavor=flavor)
+    annotations = {line: (rid, expr) for rid, line, _, expr in listing.contract_index}
+    every_fi = {f"F{i}" for i in range(1, prob.m + 1)}
+    assigned, undefined = set(), []
+    for number, text in enumerate(listing.lines, 1):
+        if number in annotations:
+            rid, expr = annotations[number]
+            names = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", re.sub(r"'[^']*'", "", expr)))
+            if every_fi <= assigned:  # Fi stands for each of F1..Fm
+                names.discard("Fi")
+            undefined += [(rid, name) for name in sorted(names - assigned - _ANNOTATION_BUILTINS)]
+        elif not text.lstrip().startswith(("%", "/")):
+            assigned |= set(re.findall(r"(?:^|;)\s*([A-Za-z_]\w*)\s*=(?!=)", text))
+    assert undefined == []
 
 
 def test_n6_listing_matches_its_golden():

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 import credible_sdp
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
-from credible_sdp.problem import MODES
-from credible_sdp.solver import SolveStatus, assemble_newton, solve_newton
+from credible_sdp.problem import MODES, load_problem_file
+from credible_sdp.solver import SolveStatus, assemble_newton, default_options, solve_newton
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -96,13 +96,34 @@ def test_check_trace_flags_tampering(capsys, problem_file, tmp_path):
 def test_solve_with_explicit_sigma(capsys, problem_file):
     code, out, _ = run_cli(capsys, "solve", "--problem", str(problem_file), "--sigma", "0.8")
     assert code == 0
-    assert "sigma:       0.8 (fixed" in out
+    assert "sigma:       0.8\n" in out
 
 
-def test_solve_derives_sigma_from_nu(capsys, problem_file):
-    code, out, _ = run_cli(capsys, "solve", "--problem", str(problem_file), "--nu", "0.4714")
-    assert code == 0
-    assert "derived from nu" in out
+@pytest.mark.parametrize("command", ["solve", "annotate"])
+def test_the_potential_weight_flag_is_gone(capsys, problem_file, command):
+    code, out, err = run_cli(capsys, command, "--problem", str(problem_file), "--nu", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: credible-sdp ")
+    assert err.endswith("credible-sdp: error: unrecognized arguments: --nu 0.5\n")
+
+
+@pytest.mark.parametrize("nu", [True, 10**400], ids=["true", "int1e400"])
+def test_a_file_nu_is_ignored_like_any_key_the_reader_does_not_read(
+    capsys, tmp_path, problem_file, nu
+):
+    data = json.loads(problem_file.read_text())
+    path = tmp_path / "with_nu.json"
+    path.write_text(json.dumps({**data, "nu": nu}))
+    with_nu, plain = load_problem_file(str(path)), load_problem_file(str(problem_file))
+    assert with_nu.problem_hash == plain.problem_hash
+    assert default_options(with_nu) == default_options(plain)
+    traces = [tmp_path / f"{problem.stem}.cts" for problem in (path, problem_file)]
+    runs = [
+        run_cli(capsys, "solve", "--problem", str(problem), "--trace", str(trace))
+        for problem, trace in zip((path, problem_file), traces)
+    ]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert traces[0].read_bytes() == traces[1].read_bytes()
 
 
 def test_solve_epsilon_flag_overrides_file(capsys, problem_file):
@@ -453,8 +474,8 @@ def test_malformed_problem_file(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("epsilon", 10**400), ("nu", 10**400), ("b", 10**400), ("epsilon", True), ("F0", True)],
-    ids=["epsilon-int1e400", "nu-int1e400", "b-int1e400", "epsilon-true", "F0-true"],
+    [("epsilon", 10**400), ("b", 10**400), ("epsilon", True), ("F0", True)],
+    ids=["epsilon-int1e400", "b-int1e400", "epsilon-true", "F0-true"],
 )
 def test_problem_numbers_numpy_would_coerce_exit_one(capsys, tmp_path, problem_file, field, value):
     data = json.loads(problem_file.read_text())

@@ -52,7 +52,6 @@ def test_running_example_shape_and_metadata(example_problem):
     prob = example_problem
     assert (prob.n, prob.m) == (2, 3)
     assert prob.epsilon == 1e-8
-    assert prob.nu is None
     assert prob.x0 is not None and prob.x0.shape == (2, 2)
     assert prob.fmat.shape == (3, sym_dim(2))
     assert len(prob.problem_hash) == 64
@@ -131,10 +130,9 @@ def test_every_input_matrix_meets_the_same_symmetry_tolerance(example_problem, n
 
 
 def test_build_assembles_consistent_problem():
-    prob = toy_problem(x0=np.eye(2), epsilon=1e-6, nu=0.5)
+    prob = toy_problem(x0=np.eye(2), epsilon=1e-6)
     assert (prob.n, prob.m) == (2, 3)
     assert prob.epsilon == 1e-6
-    assert prob.nu == 0.5
     np.testing.assert_array_equal(prob.x0, np.eye(2))
 
 
@@ -210,11 +208,9 @@ def test_build_rejects_bad_scalars():
         toy_problem(epsilon=0.0)
     with pytest.raises(ProblemFormatError):
         toy_problem(epsilon=float("nan"))
-    with pytest.raises(ProblemFormatError):
-        toy_problem(nu=-1.0)
 
 
-@pytest.mark.parametrize("key,value", [("epsilon", 1e-320), ("epsilon", -1.0), ("nu", 0.0)])
+@pytest.mark.parametrize("key,value", [("epsilon", 1e-320), ("epsilon", -1.0)])
 def test_file_epsilon_and_nu_follow_the_option_rules(key, value):
     # the message is the one SolverOptions gives for the same value
     data = {**json.loads(running_example_json()), key: value}
@@ -298,7 +294,7 @@ def test_validation_can_be_bypassed_for_diagnostic_inputs():
 
 def test_direct_dataclass_construction_skips_validation():
     prob = SdpProblem(f0=-np.eye(2), fs=(F1,), b=np.array([0.0]))
-    assert prob.epsilon == 1e-8 and prob.nu is None
+    assert prob.epsilon == 1e-8
     # the matrices given are copied into one stack, held as fs
     assert prob.fs.shape == (1, 2, 2) and prob.fs.flags.c_contiguous
     np.testing.assert_array_equal(prob.fs[0], F1)
@@ -314,7 +310,6 @@ def test_hash_covers_constraints_only():
     base = toy_problem()
     assert toy_problem(x0=np.eye(2)).problem_hash == base.problem_hash
     assert toy_problem(epsilon=1e-3).problem_hash == base.problem_hash
-    assert toy_problem(nu=1.0).problem_hash == base.problem_hash
 
 
 def test_hash_changes_with_constraint_data():
@@ -372,11 +367,10 @@ def test_load_problem_roundtrip(tmp_path):
         "b": B.tolist(),
         "X0": np.eye(2).tolist(),
         "epsilon": 1e-7,
-        "nu": 0.3,
     }
     prob = load_problem(json.dumps(payload))
     assert (prob.n, prob.m) == (2, 3)
-    assert prob.epsilon == 1e-7 and prob.nu == 0.3
+    assert prob.epsilon == 1e-7
     path = tmp_path / "p.json"
     path.write_text(json.dumps(payload))
     assert load_problem_file(str(path)).problem_hash == prob.problem_hash
@@ -433,7 +427,6 @@ def _example_payload() -> dict:
 
 _ENTRIES = [
     ("epsilon", ()),
-    ("nu", ()),
     ("b", (1,)),
     ("F0", (1, 1)),
     ("F", (2, 1, 1)),
@@ -449,7 +442,6 @@ _COERCED = {"true": True, "false": False, "int1e400": 10**400, "-int1e400": -(10
         pytest.param(field, path, value, id=f"{field}-{label}")
         for field, path in _ENTRIES
         for label, value in _COERCED.items()
-        if (field, value) != ("nu", None)  # "nu": null means no nu
     ],
 )
 def test_load_refuses_entries_numpy_would_coerce(field, path, value):

@@ -8,10 +8,8 @@ import pytest
 from credible_sdp.annotator import check_trace, write_trace
 from credible_sdp.linalg import sym_inv, sym_sqrt
 from credible_sdp.monitor import EQUALITY_TOL, LOOP_IDS, THETA, check_iteration
-from credible_sdp.problem import ProblemFormatError, SdpProblem, build_problem
+from credible_sdp.problem import DEFAULT_SIGMA, ProblemFormatError, SdpProblem, build_problem
 from credible_sdp.solver import (
-    DEFAULT_NU,
-    DEFAULT_SIGMA,
     InitializationError,
     NeighborhoodViolation,
     SolveStatus,
@@ -21,7 +19,6 @@ from credible_sdp.solver import (
     initialize,
     iteration_bound,
     prepare_newton,
-    sigma_from_nu,
     solve,
     solve_newton,
     take_step,
@@ -47,7 +44,6 @@ EXAMPLE_MIN_POTENTIAL_DROP = 0.19178620904497024
 def test_default_options_pull_problem_scalars(example_problem):
     opts = default_options(example_problem)
     assert opts.epsilon == example_problem.epsilon
-    assert opts.nu == DEFAULT_NU  # the bundled file carries no nu
     assert opts.sigma == DEFAULT_SIGMA
     assert opts.mode == "audit"
 
@@ -60,12 +56,9 @@ def test_default_options_pull_problem_scalars(example_problem):
         dict(epsilon=float("inf")),
         dict(sigma=0.0),
         dict(sigma=1.0),
-        dict(nu=-0.1),
         # a trace header can spell these (json reads NaN and Infinity)
         dict(epsilon=float("nan")),
         dict(sigma=float("nan")),
-        dict(nu=float("inf")),
-        dict(nu=float("nan")),
         dict(max_iterations=0),
     ],
 )
@@ -78,21 +71,10 @@ def test_validate_options_rejects_bad_values(bad):
 
 
 def test_validate_options_accepts_defaults():
-    assert SolverOptions() == SolverOptions(epsilon=1e-8, nu=DEFAULT_NU, sigma=DEFAULT_SIGMA)
-
-
-def test_sigma_from_nu_matches_its_closed_form():
-    assert sigma_from_nu(2, 0.4714) == pytest.approx(0.75, rel=1e-4)
-    for n in (1, 2, 3, 4):
-        for nu in (0.1, 0.4714, 2.0):
-            assert sigma_from_nu(n, nu) == pytest.approx(n / (n + nu * np.sqrt(n)), rel=1e-15)
-
-
-def test_sigma_from_nu_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        sigma_from_nu(0, 0.5)
-    with pytest.raises(ValueError):
-        sigma_from_nu(2, 0.0)
+    assert SolverOptions() == SolverOptions(epsilon=1e-8, sigma=DEFAULT_SIGMA)
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+        "epsilon", "sigma", "mode", "max_iterations"
+    ]
 
 
 def test_iteration_bound_worked_values():
@@ -466,7 +448,8 @@ def _potential(X: np.ndarray, Z: np.ndarray, nu: float) -> float:
 
 
 def test_solve_potential_decreases_every_iteration(example_report):
-    nu = example_report.options.nu
+    # the weight 0.4714 makes n / (n + nu * sqrt(n)) about the run's sigma, 0.75, at n = 2
+    nu = 0.4714
     states = [example_report.initial_state, *(snap.state for snap in example_report.snapshots)]
     psi = [_potential(s.X, s.Z, nu) for s in states]
     drop = min(a - b for a, b in zip(psi, psi[1:]))

@@ -1,8 +1,10 @@
-"""The package's import layering, and the suite's own settings."""
+"""The package's import layering, the code a check shares with a solve, and
+the suite's own settings."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import shutil
@@ -130,3 +132,67 @@ def test_runtime_dependencies_are_the_third_party_imports():
         for spec in config["project"]["dependencies"]
     }
     assert _third_party_imports(PACKAGE) == declared
+
+
+#: Run in a fresh interpreter, so that no cache a test filled earlier in the
+#: process (the CLI's parser, say) moves the count: ``solve --trace`` and then
+#: ``check-trace`` of the running example through ``cli.main``, each under
+#: ``sys.settrace``. It prints, as JSON, the distinct package lines that both
+#: commands execute, counted by module.
+SHARED_LINES = r"""
+import contextlib, io, json, os, sys, tempfile
+from collections import Counter
+from importlib import resources
+from pathlib import Path
+
+from credible_sdp import cli
+
+package = str(Path(cli.__file__).parent) + os.sep
+ran = []
+
+
+def trace_lines(frame, event, arg):
+    if event == "line":
+        ran[-1].add((frame.f_code.co_filename, frame.f_lineno))
+    return trace_lines
+
+
+def trace_calls(frame, event, arg):
+    return trace_lines if frame.f_code.co_filename.startswith(package) else None
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    problem, trace = Path(tmp, "problem.json"), str(Path(tmp, "run.cts"))
+    example = resources.files("credible_sdp").joinpath("data/running_example.json")
+    problem.write_bytes(example.read_bytes())
+    for argv in (["solve", "--problem", str(problem), "--trace", trace],
+                 ["check-trace", "--problem", str(problem), "--trace", trace]):
+        ran.append(set())
+        sys.settrace(trace_calls)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        finally:
+            sys.settrace(None)
+        assert code == 0, argv
+print(json.dumps(Counter(Path(name).stem for name, _ in ran[0] & ran[1])))
+"""
+
+#: The package lines a check of the running example shares with its solve
+#: (README, "Trusted code"). The checker is meant to be independent of the
+#: solver, so a change that moves checker work into shared code must raise
+#: this figure, and say so.
+SHARED_LINES_PINNED = 430
+
+
+def test_a_check_shares_no_more_lines_with_its_solve_than_pinned():
+    run = subprocess.run(
+        [sys.executable, "-c", SHARED_LINES],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    shared = json.loads(run.stdout)
+    assert sum(shared.values()) <= SHARED_LINES_PINNED, shared
