@@ -878,11 +878,10 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     ens("init-neighborhood")
     blank()
     comment("--- Newton system invariants -------------------------------------------")
-    comment("Z never moves, so its scaling pair, H and a factor of transpose(F) are")
-    comment("computed once. H is kept for inspection: no statement below reads it.")
+    comment("Z never moves, so its scaling pair and a factor of transpose(F) are")
+    comment("computed once, before the loop.")
     code("Zh = Z^0.5;")
     code("Zhi = Zh^-1;")
-    code("H = krons(Zhi*Z,Zh,n);")
     code("Fti = pinv(transpose(F));")
     blank()
     comment("--- main loop ----------------------------------------------------------")
@@ -894,8 +893,8 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     code("Xm = X; Zm = Z; pm = p;")
     code("mu = trace(Xm*Zm)/n;")
     code("r = sigma*mu*eye(n,n)-Zh*Xm*Zh;")
-    comment("minimum-norm solutions of H*dXm==vecs(r) and transpose(F)*dpm==-dXm;")
-    comment("inv(H) is krons(Zhi,Zhi,n). I10 checks the first equation, I9 the second.")
+    comment("minimum-norm solutions of krons(Zh,Zh,n)*dXm==vecs(r) (I10), by its")
+    comment("inverse krons(Zhi,Zhi,n), and of transpose(F)*dpm==-dXm (I9).")
     code("dZm = zeros(n*(n+1)/2,1);")
     code("dXm = vecs(Zhi*r*Zhi);")
     code("dpm = -Fti*dXm;")

@@ -113,7 +113,7 @@ import numpy as np
 
 from .linalg import PD_TOL, frob_norm, identity, min_eigenvalue, trace_inner
 from .problem import SdpProblem, SolverOptions
-from .symvec import asymmetry, mats, sym_dim, symmetrize, vecs, vecs_stack
+from .symvec import asymmetry, mats, sym_dim, vecs_stack
 
 if TYPE_CHECKING:
     from .solver import IterateState, NewtonStep
@@ -459,7 +459,7 @@ def check_initialization(
         what = "init-z0-pd min eigenvalue"
         lam_z = min_eigenvalue(Z)
         what = "init-dual-feasibility residual"
-        res_dual = frob_norm(prob.fmat @ vecs(symmetrize(Z)) + prob.b)
+        res_dual = frob_norm(prob.fmat @ vecs_stack(Z) + prob.b)
         norm_b = frob_norm(prob.b)
         what = "init-x0-pd min eigenvalue"
         lam_x = min_eigenvalue(X)

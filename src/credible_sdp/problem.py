@@ -49,7 +49,7 @@ import numpy as np
 import orjson
 
 from .linalg import NotPositiveDefiniteError, require_pd
-from .symvec import asymmetry, is_symmetric, sym_dim, vecs_stack
+from .symvec import asymmetry, is_symmetric, layout, sym_dim, vecs_stack
 
 #: Default convergence threshold on the duality gap.
 DEFAULT_EPSILON = 1e-8
@@ -143,23 +143,24 @@ class SdpProblem:
         """(columns, entry): the entries of F1..Fm a sum over them computes.
 
         ``columns`` is the C-contiguous (m, E) stack of the upper triangle's
-        entries and of each lower entry that differs from its mirror, bit for
-        bit, in F0 or some Fi (so 0.0 and -0.0 differ); ``entry[i * n + j]``
-        is the column that holds entry (i, j), its mirror's where they never
-        differ. A sum F0 + c[0] * F1 + ... (or one without F0) over the
-        columns, gathered through ``entry``, has the bits of the same sum
-        over the full matrices.
+        entries, in ``symvec.layout`` order, followed by each lower entry
+        that differs from its mirror, bit for bit, in F0 or some Fi (so 0.0
+        and -0.0 differ); ``entry[i * n + j]`` is the column that holds
+        entry (i, j): ``layout``'s slot of (i, j) unless the entry has a
+        column of its own. A sum F0 + c[0] * F1 + ... (or one without F0)
+        over the columns, gathered through ``entry``, has the bits of the
+        same sum over the full matrices.
         """
-        m, n = self.m, self.n
+        n = self.n
+        i, j, _, pos = layout(n)
         bits = self.fs.view(np.int64)
         f0 = np.asarray(self.f0, dtype=float).view(np.int64)
-        row, col = np.divmod(np.arange(n * n), n)
-        own = (row <= col) | ((bits != bits.transpose(0, 2, 1)).any(axis=0) | (f0 != f0.T)).ravel()
-        cols = np.flatnonzero(own)
-        entry = np.empty(n * n, dtype=np.intp)
-        entry[cols] = np.arange(len(cols))
-        entry[~own] = entry[(col * n + row)[~own]]  # mirrors of lower entries are upper ones
-        return np.ascontiguousarray(self.fs.reshape(m, n * n)[:, cols]), entry
+        differs = (bits != bits.transpose(0, 2, 1)).any(axis=0) | (f0 != f0.T)
+        lower = (j * n + i)[differs[i, j]]
+        entry = pos.flatten()
+        entry[lower] = np.arange(i.size, i.size + lower.size)
+        columns = self.fs.reshape(self.m, n * n)[:, np.concatenate([i * n + j, lower])]
+        return np.ascontiguousarray(columns), entry
 
     @cached_property
     def problem_hash(self) -> str:

@@ -13,11 +13,13 @@ a fixed factor ``sigma`` per step. Search directions solve the scaled
 
 each at minimum norm. The minimum-norm solution of the homogeneous dual
 equations is exactly dZ = 0, so the dual iterate never moves and the dX
-equation loses its dZ coupling term krons(Zhi, Zh @ X) @ vecs(dZ). Zh, Zhi,
-H and a factor of F' are therefore computed once per solve
+equation loses its dZ coupling term krons(Zhi, Zh @ X) @ vecs(dZ). Zh, Zhi
+and a factor of F' are therefore computed once per solve
 (``prepare_newton``). A step then costs O(n^3): krons(Zh, Zh) has the
 closed-form inverse krons(Zhi, Zhi), so dX = Zhi @ r @ Zhi, and dp comes from
-the stored pseudo-inverse of F'. The full step (length 1) is always taken.
+the stored pseudo-inverse of F'. Nothing reads H itself: ``prepare_newton``
+builds it only for the benchmark's ``solver.krons`` span. The full step
+(length 1) is always taken.
 
 The solver does not check the directions itself: contract I10 checks dX
 against the Newton equation with its right-hand side recomputed, and I9
@@ -63,7 +65,7 @@ from .problem import (
     SolverOptions,
     admit_x0,
 )
-from .symvec import krons, mats, symmetrize, vecs
+from .symvec import krons, mats, symmetrize, vecs, vecs_stack
 
 
 class InitializationError(RuntimeError):
@@ -131,11 +133,11 @@ class NewtonScaling:
     """The loop invariants of the Newton system, computed once per solve.
 
     The dual iterate Z never moves, so neither do its scaling pair (Zh, Zhi)
-    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``. No step or contract
-    reads H; it is kept, with its ``krons`` call, because the benchmark's
-    layer trace times a ``solver.krons`` span. ``ft_pinv`` is the
-    pseudo-inverse of F': it maps a right-hand side to the minimum-norm dp,
-    as lstsq would.
+    nor the scaled operator ``H = krons(Zhi @ Z, Zh)``. No step, contract or
+    listing statement reads H; it is kept, with its ``krons`` call, only
+    because the benchmark's layer trace times a ``solver.krons`` span.
+    ``ft_pinv`` is the pseudo-inverse of F': it maps a right-hand side to
+    the minimum-norm dp, as lstsq would.
     """
 
     Zh: np.ndarray
@@ -225,7 +227,7 @@ def _starting_point(prob: SdpProblem, opts: SolverOptions) -> IterateState:
     except ProblemFormatError as exc:
         raise InitializationError(str(exc)) from None
 
-    p = lsqr_solve(prob.fmat.T, -vecs(symmetrize(prob.f0 + X)), equation="initial primal solve")
+    p = lsqr_solve(prob.fmat.T, -vecs_stack(prob.f0 + X), equation="initial primal solve")
 
     phi = trace_inner(X, Z)
     return IterateState(X=X, Z=Z, p=p, mu=phi / n, phi=phi, phim=phi / opts.sigma, iteration=0)

@@ -6,9 +6,10 @@ off-diagonal entries multiplied by sqrt(2). The map is an isometry for the
 trace inner product: dot(vecs(A), vecs(B)) == Tr(A@B).
 
 Entries are enumerated row-major over the upper triangle (i <= j). ``layout``
-states that ordering once, per n, and every function in this module reads it,
-including the column layout of the symmetric Kronecker product ``krons``.
-Other modules that store or print a triangle read ``layout`` too.
+states that ordering once, per n, and every function in this module reads it;
+the symmetric Kronecker product ``krons`` is its definition applied to the
+basis ``mats(e_k)``. Other modules that store, fold or print a triangle read
+``layout`` too, and none enumerates it in index arithmetic of its own.
 
 A matrix is symmetric when max|a - a.T| <= SYMMETRY_TOL * max(1, max|a|)
 (``is_symmetric``). ``require_symmetric`` raises ``SymmetryError`` on that
@@ -144,7 +145,9 @@ def krons(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
 
         krons(Q1, Q2) @ vecs(M) == vecs(0.5 * (Q1 @ M @ Q2.T + Q2 @ M @ Q1.T))
 
-    Q1 and Q2 must be square of equal dimension; they need not be symmetric.
+    and computed by it: column k is ``vecs_stack(Q1 @ mats(e_k) @ Q2.T)``,
+    one batched product over the basis of the triangle. Q1 and Q2 must be
+    square of equal dimension; they need not be symmetric.
     """
     Q1 = np.asarray(Q1, dtype=float)
     Q2 = np.asarray(Q2, dtype=float)
@@ -152,17 +155,6 @@ def krons(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
         raise DimensionError(f"krons: Q1 must be square, got shape {Q1.shape}")
     if Q2.shape != Q1.shape:
         raise DimensionError(f"krons: Q1 {Q1.shape} and Q2 {Q2.shape} differ")
-    # Column k is the image of the basis matrix mats(e_k): for the entry
-    # (a, b) that is (e_a e_b' + e_b e_a') / sqrt(2) off the diagonal and
-    # e_a e_a' on it. Its (i, j) entry under the product, times the vecs
-    # scale of row (i, j), gives every entry in one broadcast expression.
-    i, j, scale, _ = layout(Q1.shape[0])
-    a, b = i, j
-    cross = (
-        Q1[np.ix_(i, a)] * Q2[np.ix_(j, b)]
-        + Q1[np.ix_(i, b)] * Q2[np.ix_(j, a)]
-        + Q2[np.ix_(i, a)] * Q1[np.ix_(j, b)]
-        + Q2[np.ix_(i, b)] * Q1[np.ix_(j, a)]
-    )
-    col_weight = np.where(a == b, 0.25, 0.5)
-    return (scale[:, None] / scale[None, :]) * col_weight[None, :] * cross
+    _, _, scale, pos = layout(Q1.shape[0])
+    basis = (np.eye(scale.size) / scale)[:, pos]  # basis[k] = mats(e_k)
+    return vecs_stack(Q1 @ basis @ Q2.T).T

@@ -51,11 +51,10 @@ mu = phi/n;
 /*@ ensures norm(X*Z-(trace(X*Z)/n)*eye(n,n),'fro')<=0.3105*(trace(X*Z)/n); */  // [init-neighborhood]
 
 // --- Newton system invariants -------------------------------------------
-// Z never moves, so its scaling pair, H and a factor of transpose(F) are
-// computed once. H is kept for inspection: no statement below reads it.
+// Z never moves, so its scaling pair and a factor of transpose(F) are
+// computed once, before the loop.
 Zh = Z^0.5;
 Zhi = Zh^-1;
-H = krons(Zhi*Z,Zh,n);
 Fti = pinv(transpose(F));
 
 // --- main loop ----------------------------------------------------------
@@ -67,8 +66,8 @@ while (phi > epsilon) {
   Xm = X; Zm = Z; pm = p;
   mu = trace(Xm*Zm)/n;
   r = sigma*mu*eye(n,n)-Zh*Xm*Zh;
-  // minimum-norm solutions of H*dXm==vecs(r) and transpose(F)*dpm==-dXm;
-  // inv(H) is krons(Zhi,Zhi,n). I10 checks the first equation, I9 the second.
+  // minimum-norm solutions of krons(Zh,Zh,n)*dXm==vecs(r) (I10), by its
+  // inverse krons(Zhi,Zhi,n), and of transpose(F)*dpm==-dXm (I9).
   dZm = zeros(n*(n+1)/2,1);
   dXm = vecs(Zhi*r*Zhi);
   dpm = -Fti*dXm;

@@ -2002,26 +2002,61 @@ _ANNOTATION_BUILTINS = {
 }
 
 
-@pytest.mark.parametrize("flavor", LISTING_FLAVORS)
-@pytest.mark.parametrize("problem", ["running-example", "n6"])
-def test_every_name_an_annotation_reads_is_assigned_before_it(flavor, problem):
+#: The target of each statement on a listing line: ``X = ...;`` or, after
+#: a semicolon, ``Zm = Z;``. A matrix literal's row separator is followed by
+#: a number, never by a name and ``=``.
+_TARGET = r"(?:^|;)\s*([A-Za-z_]\w*)\s*=(?!=)"
+
+
+def _names_read(expr: str) -> set[str]:
+    """The names an expression of the listing reads: each identifier outside
+    a quoted string (``'fro'``) and not part of a number (``1e-5``)."""
+    return set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", re.sub(r"'[^']*'", "", expr)))
+
+
+def _listing_of(problem: str, flavor: str):
     prob = running_example() if problem == "running-example" else load_problem(
         GOLDEN_N6_PROBLEM.read_text()
     )
-    listing = emit_annotated_listing(prob, flavor=flavor)
+    return prob, emit_annotated_listing(prob, flavor=flavor)
+
+
+@pytest.mark.parametrize("flavor", LISTING_FLAVORS)
+@pytest.mark.parametrize("problem", ["running-example", "n6"])
+def test_every_name_an_annotation_reads_is_assigned_before_it(flavor, problem):
+    prob, listing = _listing_of(problem, flavor)
     annotations = {line: (rid, expr) for rid, line, _, expr in listing.contract_index}
     every_fi = {f"F{i}" for i in range(1, prob.m + 1)}
     assigned, undefined = set(), []
     for number, text in enumerate(listing.lines, 1):
         if number in annotations:
             rid, expr = annotations[number]
-            names = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", re.sub(r"'[^']*'", "", expr)))
+            names = _names_read(expr)
             if every_fi <= assigned:  # Fi stands for each of F1..Fm
                 names.discard("Fi")
             undefined += [(rid, name) for name in sorted(names - assigned - _ANNOTATION_BUILTINS)]
         elif not text.lstrip().startswith(("%", "/")):
-            assigned |= set(re.findall(r"(?:^|;)\s*([A-Za-z_]\w*)\s*=(?!=)", text))
+            assigned |= set(re.findall(_TARGET, text))
     assert undefined == []
+
+
+@pytest.mark.parametrize("flavor", LISTING_FLAVORS)
+@pytest.mark.parametrize("problem", ["running-example", "n6"])
+def test_every_name_a_statement_assigns_is_read(flavor, problem):
+    # a statement whose result nothing reads is dead code to a verifier: its
+    # name must appear in another statement, an annotation or a loop or
+    # branch guard (comments do not count)
+    _, listing = _listing_of(problem, flavor)
+    annotations = {line: expr for _, line, _, expr in listing.contract_index}
+    assigned, read = set(), set()
+    for number, text in enumerate(listing.lines, 1):
+        if number in annotations:
+            read |= _names_read(annotations[number])
+        elif not text.lstrip().startswith(("%", "/")):
+            assigned |= set(re.findall(_TARGET, text))
+            read |= _names_read(re.sub(_TARGET, ";", text))
+    assert {"X", "Z", "p"} <= assigned
+    assert sorted(assigned - read) == []
 
 
 def test_n6_listing_matches_its_golden():

@@ -895,45 +895,54 @@ def _edited_problem_files(draw):
     return text
 
 
+#: The commands that read a problem file: the exit codes each may end with,
+#: and how its output starts when it is not an error.
+_PROBLEM_COMMANDS = {"solve": ((0, 1, 2, 3, 4), "status:"), "annotate": ((0, 1), "% ")}
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_edited_problem_files())
 def test_solve_on_any_edit_of_a_problem_file_exits_by_the_map(tmp_path_factory, text):
-    # whatever the file holds, solve ends with a documented exit code and no
-    # traceback or warning, and the warnings filter changes nothing
+    # whatever the file holds, solve and annotate each end with a documented
+    # exit code and no traceback or warning, and the warnings filter changes
+    # nothing
     path = tmp_path_factory.getbasetemp() / "edited.json"
     path.write_text(text)
-    outcomes = []
-    for warning_filter in ("default", "error"):
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter(warning_filter)
-            code = main(["solve", "--problem", str(path)])
-        assert caught == []
-        outcomes.append((code, out.getvalue(), err.getvalue()))
-    code, out, err = outcomes[0]
-    assert outcomes[1] == outcomes[0]
-    assert code in (0, 1, 2, 3, 4) and "Traceback" not in err
-    if code == 1:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert err == "" and out.startswith("status:")
+    for command, (codes, first_line) in _PROBLEM_COMMANDS.items():
+        outcomes = []
+        for warning_filter in ("default", "error"):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter(warning_filter)
+                code = main([command, "--problem", str(path)])
+            assert caught == []
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+        code, out, err = outcomes[0]
+        assert outcomes[1] == outcomes[0]
+        assert code in codes and "Traceback" not in err
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and out.startswith(first_line)
 
 
-#: The running example's first cts-3 trace, a (line type, line) pair per line.
-_CTS3_LINES = [
-    (json.loads(line)["type"], line)
-    for line in (Path(__file__).parent / "golden" / "running_example_cts3.cts").read_text().splitlines()
+#: The running example's first cts-3 and cts-4 traces, a (line type, line)
+#: pair per line.
+_GOLDEN = Path(__file__).parent / "golden"
+_TRACE_LINES = [
+    [(json.loads(line)["type"], line) for line in (_GOLDEN / name).read_text().splitlines()]
+    for name in ("running_example_cts3.cts", "running_example_cts4.cts")
 ]
 
 
 @st.composite
 def _edited_traces(draw):
-    """The running example's cts-3 trace with one to three edits (in the
-    header, a record, an iteration line or the footer: a value set to any
+    """The running example's cts-3 or cts-4 trace with one to three edits (in
+    the header, a record, an iteration line or the footer: a value set to any
     JSON value, or a number set to any float up to 1e308 or scaled by 10**k;
     a value nested 1 to 3,000 lists deeper; a key dropped or added; or the
     line dropped or duplicated), then sometimes cut short."""
-    lines = list(_CTS3_LINES)
+    lines = list(draw(st.sampled_from(_TRACE_LINES)))
     deep = None
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["header", "record", "iteration", "footer"]))
@@ -975,7 +984,7 @@ def _edited_traces(draw):
     return text
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_edited_traces())
 def test_check_trace_on_any_edit_of_a_trace_exits_by_the_map(tmp_path_factory, text):
     # whatever the trace holds, check-trace ends with a documented exit code

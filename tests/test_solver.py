@@ -48,20 +48,23 @@ def test_default_options_pull_problem_scalars(example_problem):
     assert opts.mode == "audit"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        dict(mode="paranoid"),
-        dict(epsilon=0.0),
-        dict(epsilon=float("inf")),
-        dict(sigma=0.0),
-        dict(sigma=1.0),
-        # a trace header can spell these (json reads NaN and Infinity)
-        dict(epsilon=float("nan")),
-        dict(sigma=float("nan")),
-        dict(max_iterations=0),
-    ],
-)
+#: Option values SolverOptions refuses, each under an id of its own, so that
+#: deleting a case renames no other. The ids keep the names the cases had
+#: when pytest numbered them by position.
+_BAD_OPTIONS = {
+    "bad0": dict(mode="paranoid"),
+    "bad1": dict(epsilon=0.0),
+    "bad2": dict(epsilon=float("inf")),
+    "bad3": dict(sigma=0.0),
+    "bad4": dict(sigma=1.0),
+    # a trace header can spell these (json reads NaN and Infinity)
+    "bad5": dict(epsilon=float("nan")),
+    "bad6": dict(sigma=float("nan")),
+    "bad7": dict(max_iterations=0),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_OPTIONS.values()), ids=list(_BAD_OPTIONS))
 def test_validate_options_rejects_bad_values(bad):
     # options validate on construction, so no SolverOptions holds these
     with pytest.raises(ValueError):

@@ -182,7 +182,7 @@ print(json.dumps(Counter(Path(name).stem for name, _ in ran[0] & ran[1])))
 #: (README, "Trusted code"). The checker is meant to be independent of the
 #: solver, so a change that moves checker work into shared code must raise
 #: this figure, and say so.
-SHARED_LINES_PINNED = 430
+SHARED_LINES_PINNED = 427
 
 
 def test_a_check_shares_no_more_lines_with_its_solve_than_pinned():
