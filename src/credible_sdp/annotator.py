@@ -476,22 +476,19 @@ class CheckReport:
         return "\n".join(out)
 
 
-def _close(a: float, b: float) -> bool:
-    if a == b:
+def _close(stored: object, expected: object) -> bool:
+    """Whether ``stored``, a float, an array or the JSON lists an array was
+    read from, is within CHECK_RTOL of the recomputed ``expected``. Equal
+    values pass, equal infinities and 0.0 against -0.0 among them; otherwise
+    the largest difference must be at most CHECK_RTOL times the largest
+    magnitude on either side, and that bound must be finite, or an infinite
+    value would pass for any other."""
+    a, b = np.asarray(stored, dtype=float), np.asarray(expected, dtype=float)
+    if (a == b).all():
         return True
-    # the tolerance must be finite, or an infinite value passes for any other
-    return abs(a - b) <= CHECK_RTOL * max(abs(a), abs(b)) < math.inf
-
-
-def _close_mat(A: object, B: np.ndarray) -> bool:
-    """Whether stored ``A``, an array or the JSON lists it was read from, is
-    within CHECK_RTOL of ``B``; a difference beyond the float range is not."""
-    with np.errstate(over="ignore"):
-        diff = float(np.max(np.abs(np.subtract(A, B)))) if B.size else 0.0
-    if diff == 0.0:
-        return True
-    scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    return diff <= CHECK_RTOL * scale < math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(a - b).max()
+        return bool(diff <= CHECK_RTOL * max(np.abs(a).max(), np.abs(b).max()) < math.inf)
 
 
 def _identical(stored: object, expected: object) -> bool:
@@ -522,8 +519,8 @@ def _diff(
     """Report every place where a stored value departs from the recomputed one.
 
     Objects are compared key by key, recursively; a missing or unexpected
-    key is a finding. Arrays compare with ``_close_mat`` and floats (stored
-    as JSON int or float) with ``_close``; everything else must be equal and
+    key is a finding. Arrays and floats (stored as JSON int or float) compare
+    by the one closeness rule, ``_close``; everything else must be equal and
     of the same type. The finding kind follows the recomputed value: array
     -> "chain", float -> "recompute", bool -> "verdict", anything else, or a
     stored value of the wrong type, -> "structure"; ``kind`` overrides it.
@@ -543,7 +540,7 @@ def _diff(
             _diff(value, expected[name], where, rid, findings, kind, prefix + name)
         return
     if isinstance(expected, np.ndarray):
-        if not _close_mat(stored, expected):
+        if not _close(stored, expected):
             findings.append(Finding(kind or "chain", where, rid, f"{key} does not match its recomputation"))
         return
     if type(stored) is type(expected) and stored == expected:

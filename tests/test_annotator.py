@@ -266,8 +266,8 @@ def test_write_trace_refuses_unknown_detail_objects(example_report):
 def test_write_trace_refuses_an_asymmetric_direction(example_problem, monkeypatch, key):
     # a cts-4 line stores one triangle: a direction whose triangles differ in
     # one bit would be cut down, so it is refused instead
-    def skewed(prob, r, scaling):
-        step = solve_newton(prob, r, scaling)
+    def skewed(r, scaling):
+        step = solve_newton(r, scaling)
         M = getattr(step, key).copy()
         M[0, 1] = np.nextafter(M[0, 1], np.inf)
         return replace(step, **{key: M})
@@ -1279,6 +1279,25 @@ def test_the_exact_match_refuses_a_type_swap_or_a_key_change(stored, expected):
     # each goes to the diff, whose findings the trace-level cases above pin;
     # what the writer refuses, on either side, is refused without raising
     assert not _identical(stored, expected)
+
+
+@pytest.mark.parametrize(
+    "stored, expected, close",
+    [
+        (1.0, 1.0 + 1e-13, True),
+        (1.0, 1.0 + 1e-11, False),
+        (0.0, -0.0, True),
+        (math.inf, math.inf, True),
+        (math.inf, -math.inf, False),
+        (1e308, math.inf, False),
+        (1e308, -1e308, False),
+        (math.nan, math.nan, False),
+        (0.0, 5e-324, False),
+    ],
+)
+def test_one_closeness_rule_decides_numbers_and_arrays_alike(stored, expected, close):
+    assert _close(stored, expected) is close
+    assert _close([[stored]], np.array([[expected]])) is close
 
 
 _JSON_VALUES = st.recursive(

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -21,7 +22,13 @@ from hypothesis import strategies as st
 import credible_sdp
 from credible_sdp.cli import build_parser, exit_code_for, main, render_report
 from credible_sdp.problem import MODES, load_problem_file
-from credible_sdp.solver import SolveStatus, assemble_newton, default_options, solve_newton
+from credible_sdp.solver import (
+    SolveStatus,
+    assemble_newton,
+    default_options,
+    solve_newton,
+    take_step,
+)
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -99,6 +106,35 @@ def test_solve_with_explicit_sigma(capsys, problem_file):
     assert "sigma:       0.8\n" in out
 
 
+@pytest.mark.parametrize(
+    "cap, code, steps", [(None, 1, 0), ("5", 4, 5), ("20000", 1, 0)], ids=["default", "5", "20000"]
+)
+def test_a_sigma_near_one_is_refused_unless_the_cap_bounds_the_run(
+    capsys, problem_file, monkeypatch, cap, code, steps
+):
+    # sigma 0.9999999 certifies about 1.6e8 steps, and the report would hold
+    # each one: the run is refused before its first step unless max_iterations
+    # keeps it within MAX_BUDGET
+    taken = []
+    monkeypatch.setattr(
+        "credible_sdp.solver.take_step", lambda *args: taken.append(1) or take_step(*args)
+    )
+    argv = ["solve", "--problem", str(problem_file), "--sigma", "0.9999999"]
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv, *(["--max-iterations", cap] if cap else []))
+    assert time.perf_counter() - start < 1.0
+    assert (result[0], len(taken)) == (code, steps)
+    if code == 1:
+        assert result[1] == ""
+        assert result[2] == (
+            "error: sigma 0.9999999 certifies 160304220 steps to epsilon 1e-08 and the cap is "
+            f"{cap or 1603042200}, more than the 10000 a solve may take: lower sigma, raise "
+            "epsilon or set max_iterations to at most 10000\n"
+        )
+    else:
+        assert "status:      IterationCap\niterations:  5 (budget 160304220, cap 5)\n" in result[1]
+
+
 @pytest.mark.parametrize("command", ["solve", "annotate"])
 def test_the_potential_weight_flag_is_gone(capsys, problem_file, command):
     code, out, err = run_cli(capsys, command, "--problem", str(problem_file), "--nu", "0.5")
@@ -173,10 +209,10 @@ def test_check_trace_exits_two_when_the_trace_records_failed_contracts(
     assert "no findings" in out
 
 
-def _skewed_operator(prob, r, scaling):
+def _skewed_operator(r, scaling):
     # dX from a wrong inverse of H (Zhi 0.5 % too large); the step, and so
     # every contract, keeps the true scaling pair
-    step = solve_newton(prob, r, dataclasses.replace(scaling, Zhi=1.005 * scaling.Zhi))
+    step = solve_newton(r, dataclasses.replace(scaling, Zhi=1.005 * scaling.Zhi))
     return dataclasses.replace(step, Zhi=scaling.Zhi)
 
 
@@ -204,9 +240,9 @@ def test_a_strict_run_steps_no_further_than_its_first_failed_record(
     # I7, I8 and I10) fails there
     calls = []
 
-    def skewed_third(prob, r, scaling):
+    def skewed_third(r, scaling):
         calls.append(r)
-        return (_skewed_operator if len(calls) == 3 else solve_newton)(prob, r, scaling)
+        return (_skewed_operator if len(calls) == 3 else solve_newton)(r, scaling)
 
     trace_path = tmp_path / "run.trace"
     monkeypatch.setattr("credible_sdp.solver.solve_newton", skewed_third)
@@ -793,8 +829,8 @@ def test_a_dual_start_beyond_the_float_range_exits_one_naming_the_solve(
     )
 
 
-def _overflowing_step(prob, r, scaling):
-    step = solve_newton(prob, r, scaling)
+def _overflowing_step(r, scaling):
+    step = solve_newton(r, scaling)
     return dataclasses.replace(step, dX=np.full_like(step.dX, 1e308))
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from problem_gen import random_problem
 
-from credible_sdp import monitor
+from credible_sdp import monitor, solver
+from credible_sdp.annotator import check_trace, write_trace
 from credible_sdp.linalg import PD_TOL, min_eigenvalue, require_pd, sym_inv, sym_sqrt
 from credible_sdp.monitor import (
     CONTRACTION_MARGIN,
@@ -909,3 +910,43 @@ def test_square_loop_body_makes_the_equality_contracts_identities(n):
         for name, value in values.items():
             assert all(type(v) is Fraction and v == 0 for v in np.ravel(value)), name
         assert any(v != 0 for v in np.ravel(control))
+
+
+# -- contract witnesses ------------------------------------------------------------------
+
+
+def _sqrt_by_power(power):
+    """``sym_sqrt`` with each eigenvalue w raised to ``power``, not 1/2."""
+
+    def fault(S):
+        w, V = np.linalg.eigh(S)
+        return symmetrize((V * w**power) @ V.T)
+
+    return lambda original: fault
+
+
+def _scaled(factor):
+    return lambda original: lambda S: factor * original(S)
+
+
+#: One row per injected fault (ROADMAP item 3): the ``solver`` module
+#: attribute it replaces, the fault as a function of the original, and the
+#: exact set of contracts that the running example's audit solve then fails.
+WITNESSES = {
+    "sym_sqrt x 1.001": ("sym_sqrt", _scaled(1.001), {"I7", "I8", "I10"}),
+    "sym_sqrt w^0.49": ("sym_sqrt", _sqrt_by_power(0.49), {"I7", "I8", "I10"}),
+    "sym_inv x 1.001": ("sym_inv", _scaled(1.001), {"I7", "I8", "I10"}),
+}
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_each_witness_fault_fails_exactly_its_contracts(example_problem, monkeypatch, name):
+    attribute, fault, failed = WITNESSES[name]
+    monkeypatch.setattr(solver, attribute, fault(getattr(solver, attribute)))
+    report = solve(example_problem)
+    monkeypatch.undo()
+    assert report.failed_ids == sorted(failed)
+    # the checker recomputes what the fault changed, so its trace is refused
+    result = check_trace(write_trace(report), example_problem)
+    assert result.failed_ids == sorted(failed)
+    assert result.findings

@@ -173,6 +173,18 @@ def test_build_rejects_constraint_shape_mismatch():
         build_problem(F0, [np.eye(3)], [0.0])
 
 
+@pytest.mark.parametrize("admit", ["build", "load"])
+def test_constraints_of_several_shapes_are_refused_by_the_first_misshapen_one(admit):
+    # matrices of several shapes are no stack: they are read one by one
+    fs, b = [np.eye(2), np.eye(3), F2], [0.0, 0.0, 0.0]
+    message = r"^F2 has shape \(3, 3\), expected \(2, 2\)$"
+    with pytest.raises(ProblemFormatError, match=message):
+        if admit == "build":
+            build_problem(np.eye(2), fs, b)
+        else:
+            load_problem(json.dumps({"F0": np.eye(2).tolist(), "F": [Fi.tolist() for Fi in fs], "b": b}))
+
+
 def test_build_rejects_asymmetric_constraint():
     with pytest.raises(ProblemFormatError):
         build_problem(F0, [np.array([[0.0, 1.0], [0.0, 0.0]])], [0.0])

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from credible_sdp.annotator import check_trace, write_trace
 from credible_sdp.linalg import sym_inv, sym_sqrt
-from credible_sdp.monitor import EQUALITY_TOL, LOOP_IDS, THETA, check_iteration
+from credible_sdp.monitor import EQUALITY_TOL, GAP_CEILING, LOOP_IDS, THETA, check_iteration
 from credible_sdp.problem import DEFAULT_SIGMA, ProblemFormatError, SdpProblem, build_problem
 from credible_sdp.solver import (
+    MAX_BUDGET,
     InitializationError,
     NeighborhoodViolation,
     SolveStatus,
@@ -85,6 +87,12 @@ def test_iteration_bound_worked_values():
     assert iteration_bound(EXAMPLE_INITIAL_GAP, 1e-8, 0.75) == EXAMPLE_BUDGET
     assert iteration_bound(1e-9, 1e-8, 0.75) == 0
     assert iteration_bound(1e-8, 1e-8, 0.75) == 0
+
+
+def test_the_default_sigma_is_never_refused_for_its_budget():
+    # the largest budget it certifies: the gap ceiling down to the smallest
+    # epsilon SolverOptions accepts
+    assert iteration_bound(GAP_CEILING, sys.float_info.min, DEFAULT_SIGMA) == 2455 <= MAX_BUDGET
 
 
 def test_iteration_bound_is_monotone_in_gap():
@@ -214,7 +222,7 @@ def first_step(example_problem):
     state, _ = initialize(example_problem, opts)
     scaling = prepare_newton(example_problem, state.Z)
     r = assemble_newton(example_problem, state, opts.sigma, scaling)
-    return state, solve_newton(example_problem, r, scaling)
+    return state, solve_newton(r, scaling)
 
 
 def test_prepare_newton_scaling_pair(first_step, example_problem):
@@ -332,7 +340,7 @@ def _one_step_records(prob, scaling_edit=None, rhs_edit=None):
     r = assemble_newton(prob, state, opts.sigma, scaling)
     if rhs_edit is not None:
         r = rhs_edit(r)
-    step = solve_newton(prob, r, scaling)
+    step = solve_newton(r, scaling)
     (records,) = check_iteration(prob, [state, take_step(prob, state, step)], [step], opts.sigma)
     return {rec.id: rec for rec in records}
 
