@@ -100,7 +100,7 @@ LEGACY_SCHEMA = "cts-1"
 #: The least-squares tolerance every ``cts-1`` header states.
 LEGACY_LSQR_TOL = 1e-9
 VECTORIZATION = "vecs-sqrt2"
-BACKEND = "numpy.linalg (eigh, lstsq, pinv)"
+BACKEND = "numpy.linalg (eigh, lstsq, qr)"
 BUDGET_BASIS = "ceil(log(trace(X0*Z0)/epsilon)/log(1/sigma))"
 
 #: Relative tolerance when comparing stored against recomputed floats.
@@ -860,7 +860,9 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     comment("every pass below produces dZm == 0, so dual feasibility is inherited.")
     ens("init-z0-pd")
     ens("init-dual-feasibility")
-    code("p = lsqr(transpose(F),vecs(-F0-X));")
+    comment("transpose(F) never changes: it is factored once, for p and every dpm.")
+    code("Fti = pinv(transpose(F));")
+    code("p = Fti*vecs(-F0-X);")
     code("P = mats(p,n);")
     ens("init-p-symmetric")
     ens("init-primal-feasibility")
@@ -875,11 +877,9 @@ def _listing_items(prob: SdpProblem, opts: SolverOptions) -> list[tuple]:
     ens("init-neighborhood")
     blank()
     comment("--- Newton system invariants -------------------------------------------")
-    comment("Z never moves, so its scaling pair and a factor of transpose(F) are")
-    comment("computed once, before the loop.")
+    comment("Z never moves, so its scaling pair is computed once, before the loop.")
     code("Zh = Z^0.5;")
     code("Zhi = Zh^-1;")
-    code("Fti = pinv(transpose(F));")
     blank()
     comment("--- main loop ----------------------------------------------------------")
     req("I1")

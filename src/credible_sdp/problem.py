@@ -28,9 +28,9 @@ X0 ``solver.initialize`` admits by the same rule.
 The constraint matrices F1..Fm are held once, as ``fs``: one C-contiguous
 (m, n, n) array, so checks over all of them are single numpy expressions.
 Every value they determine (n, m, the assembled constraint matrix ``fmat``,
-the ``fold_plan``, which also reads F0, and the problem hash) is derived
-from them, never stored beside them, so no problem can carry a hash or an
-``fmat`` of other constraints.
+its factor ``ft_pinv``, the ``fold_plan``, which also reads F0, and the
+problem hash) is derived from them, never stored beside them, so no problem
+can carry a hash or an ``fmat`` of other constraints.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class SdpProblem:
 
     Derived, so ``dataclasses.replace`` cannot leave them stale: ``n`` and
     ``m`` from the shape of ``fs``, and on first use ``fmat`` (row i is
-    vecs(Fi), so dual feasibility reads fmat @ vecs(Z) + b == 0) and the
-    problem hash.
+    vecs(Fi), so dual feasibility reads fmat @ vecs(Z) + b == 0), its factor
+    ``ft_pinv`` and the problem hash.
     """
 
     f0: np.ndarray
@@ -137,6 +137,18 @@ class SdpProblem:
     @cached_property
     def fmat(self) -> np.ndarray:
         return vecs_stack(self.fs)
+
+    @cached_property
+    def ft_pinv(self) -> np.ndarray:
+        """R^-1 @ Q.T of the reduced QR fmat.T = Q @ R: where F has full row
+        rank, as on every admitted problem, the pseudo-inverse of F' (to
+        rounding), which gives lstsq's p of F' @ p = rhs. LinAlgError where
+        R is singular or its inverse leaves the float range (F1..Fm dependent)."""
+        q, r = np.linalg.qr(self.fmat.T)
+        ft_pinv = np.linalg.solve(r, q.T)
+        if not np.isfinite(ft_pinv).all():
+            raise np.linalg.LinAlgError("R^-1 @ Q.T leaves the float range")
+        return ft_pinv
 
     @cached_property
     def fold_plan(self) -> tuple[np.ndarray, np.ndarray]:

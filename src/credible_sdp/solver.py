@@ -13,13 +13,14 @@ a fixed factor ``sigma`` per step. Search directions solve the scaled
 
 each at minimum norm. The minimum-norm solution of the homogeneous dual
 equations is exactly dZ = 0, so the dual iterate never moves and the dX
-equation loses its dZ coupling term krons(Zhi, Zh @ X) @ vecs(dZ). Zh, Zhi
-and a factor of F' are therefore computed once per solve
-(``prepare_newton``). A step then costs O(n^3): krons(Zh, Zh) has the
-closed-form inverse krons(Zhi, Zhi), so dX = Zhi @ r @ Zhi, and dp comes from
-the stored pseudo-inverse of F'. Nothing reads H itself: ``prepare_newton``
-builds it only for the benchmark's ``solver.krons`` span. The full step
-(length 1) is always taken.
+equation loses its dZ coupling term krons(Zhi, Zh @ X) @ vecs(dZ). Zh and
+Zhi are therefore computed once per solve (``prepare_newton``), and F',
+which never changes, is factored once per problem (``SdpProblem.ft_pinv``,
+one QR), for the start's p and every step's dp. A step then costs O(n^3):
+krons(Zh, Zh) has the closed-form inverse krons(Zhi, Zhi), so
+dX = Zhi @ r @ Zhi, and dp comes from the stored pseudo-inverse of F'.
+Nothing reads H itself: ``prepare_newton`` builds it only for the
+benchmark's ``solver.krons`` span. The full step (length 1) is always taken.
 
 The solver does not check the directions itself: contract I10 checks dX
 against the Newton equation with its right-hand side recomputed, and I9
@@ -34,7 +35,8 @@ alone; ``solve`` and ``initialize`` take no other.
 The loop is written once, in one generator, ``iterate``: it takes the
 steps, has the ``monitor`` module check the contracts of the steps taken
 since the last sweep in one sweep (after every step in strict mode, which a
-failed record ends; else when a step grows the gap or the walk ends), and
+failed record ends; else when a step grows the gap, when ``SWEEP_BLOCK``
+steps are pending or when the walk ends), and
 stops on the exit rule (``step_exit``). ``solve`` drives it with Newton
 directions, the trace checker with those a trace stores. A report stores
 each fact once: the iteration count, the final state, the budget and the
@@ -103,11 +105,17 @@ def iteration_bound(initial_gap: float, epsilon: float, sigma: float) -> int:
     return math.ceil(math.log(initial_gap / epsilon) / math.log(1.0 / sigma))
 
 
-#: The most steps a solve may take. A report holds every step, and its audit
-#: sweep peaks at about 6 KB a step at n = 2 and 40 KB at n = 16 (60 MB and
-#: 440 MB at this bound). The default sigma certifies at most 2,455 steps, at
-#: the smallest epsilon ``SolverOptions`` accepts and the 0.1 gap ceiling.
+#: The most steps a solve may take. A report holds every step: a solve of this
+#: many steps at n = 16 peaks at about 200 MB. The default sigma certifies at
+#: most 2,455 steps, at the smallest epsilon ``SolverOptions`` accepts and the
+#: 0.1 gap ceiling.
 MAX_BUDGET = 10**4
+
+#: The most steps the loop holds unswept: an audit run sweeps each block of
+#: this many steps as it fills, so its sweep's stacks stay bounded however
+#: long the run. The monitor gives a step the same bits whether it is swept
+#: alone or with others, so the block size moves no record.
+SWEEP_BLOCK = 256
 
 
 def iteration_cap(opts: SolverOptions, budget: int) -> int:
@@ -143,8 +151,8 @@ class NewtonScaling:
     nor the scaled operator ``H = krons(Zh, Zh)``. No step, contract or
     listing statement reads H; it is kept, with its ``krons`` call, only
     because the benchmark's layer trace times a ``solver.krons`` span.
-    ``ft_pinv`` is the pseudo-inverse of F': it maps a right-hand side to
-    the minimum-norm dp, as lstsq would.
+    ``ft_pinv`` is the problem's pseudo-inverse of F' (``SdpProblem.ft_pinv``):
+    it maps a right-hand side to the minimum-norm dp.
     """
 
     Zh: np.ndarray
@@ -172,14 +180,7 @@ def prepare_newton(prob: SdpProblem, Z: np.ndarray) -> NewtonScaling:
     """Compute the per-solve invariants of the Newton system at the fixed Z."""
     Zh = sym_sqrt(Z)
     Zhi = sym_inv(Zh)
-    # the singular-value cutoff lstsq uses with rcond=None
-    cutoff = max(prob.fmat.shape) * np.finfo(float).eps
-    return NewtonScaling(
-        Zh=Zh,
-        Zhi=Zhi,
-        H=krons(Zh, Zh),
-        ft_pinv=np.linalg.pinv(prob.fmat.T, rcond=cutoff),
-    )
+    return NewtonScaling(Zh=Zh, Zhi=Zhi, H=krons(Zh, Zh), ft_pinv=prob.ft_pinv)
 
 
 def assemble_newton(
@@ -234,7 +235,16 @@ def _starting_point(prob: SdpProblem, opts: SolverOptions) -> IterateState:
     except ProblemFormatError as exc:
         raise InitializationError(str(exc)) from None
 
-    p = lsqr_solve(prob.fmat.T, -vecs_stack(prob.f0 + X), equation="initial primal solve")
+    try:
+        ft_pinv = prob.ft_pinv
+    except np.linalg.LinAlgError as exc:
+        raise InitializationError(
+            f"F1..Fm are linearly dependent: the factor of F' is singular ({exc})"
+        ) from None
+    try:
+        p = ft_pinv @ -vecs_stack(prob.f0 + X)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} (initial primal solve)") from None
 
     phi = trace_inner(X, Z)
     return IterateState(X=X, Z=Z, p=p, mu=phi / n, phi=phi, phim=phi / opts.sigma, iteration=0)
@@ -256,9 +266,11 @@ def initialize(
     under ``FLOAT_RULE``: a quantity that leaves the float range is an
     InitializationError naming it.
 
-    Both solves stay ``lsqr_solve`` calls: the benchmark's layer trace times
+    Z's solve stays an ``lsqr_solve`` call: the benchmark's layer trace times
     a ``solver.lsqr_solve`` span, and every stored trace starts from lstsq's
-    bits.
+    Z. p is the problem's ``ft_pinv`` applied to the right-hand side, the
+    factor every step's dp reuses; a singular factor (F1..Fm dependent) is an
+    InitializationError.
     """
     try:
         with np.errstate(**FLOAT_RULE):
@@ -400,10 +412,10 @@ def iterate(
     at most ``cap`` of them. The loop contracts of the steps taken since the
     last sweep are swept at once (``monitor.check_iteration``) when strict
     mode needs their verdict, which is after every step, when a step grew
-    the gap, and when the walk ends; their snapshots are yielded, and the
-    iteration stops after a step for which ``step_exit`` gives an exit. An
-    exception raised while stepping is raised after the snapshots of the
-    steps before it.
+    the gap, when ``SWEEP_BLOCK`` steps are pending and when the walk ends;
+    their snapshots are yielded, and the iteration stops after a step for
+    which ``step_exit`` gives an exit. An exception raised while stepping is
+    raised after the snapshots of the steps before it.
     """
     states, steps = [state], []
     for _ in range(cap):
@@ -417,7 +429,7 @@ def iterate(
             raise
         states.append(state)
         steps.append(step)
-        if opts.mode == "strict" or step_exit(opts, state, []) is not None:
+        if opts.mode == "strict" or len(steps) >= SWEEP_BLOCK or step_exit(opts, state, []):
             if (yield from _sweep(prob, opts, states, steps)):
                 return
             states, steps = [state], []

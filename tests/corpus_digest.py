@@ -45,6 +45,20 @@ differs with its count of problems (``differs: tampered 31/31``), and exits
 
     PYTHONPATH=src python tests/corpus_digest.py --against <other checkout>/src
 
+With ``--fields`` the same command compares the two versions' traces value
+by value instead: for each trace-line kind and JSON path
+(``record:I9.measured``, ``iteration.dp``, ``header.init_state.p``) on which
+they differ, it prints the number of problems where that path differs and
+the largest relative difference, max |a - b| / max(|a|, |b|) over the
+path's values, and exits 1 on any difference. So a change meant to move
+named fields at rounding level alone shows exactly which fields moved, and
+by how much::
+
+    PYTHONPATH=src python tests/corpus_digest.py --fields --against <other checkout>/src
+
+``--traces`` prints each problem's name and trace as one JSON line; that is
+what ``--fields`` reads from each version.
+
 The problems are generated in memory; nothing under ``bench/`` is written.
 """
 
@@ -54,12 +68,15 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -173,18 +190,7 @@ def run_against(other_src: str) -> int:
     """Digest the package on the import path and the one under ``other_src``,
     each in its own process; print the unified diff, 1 if they differ."""
     ours = str(Path(credible_sdp.__file__).resolve().parent.parent)
-    runs = {}
-    for src in (other_src, ours):
-        env = {**os.environ, "PYTHONPATH": src}
-        runs[src] = subprocess.Popen(
-            [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True
-        )
-    lines = {}
-    for src, proc in runs.items():
-        out, _ = proc.communicate()
-        if proc.returncode:
-            raise SystemExit(f"the digest of {src} exited with {proc.returncode}")
-        lines[src] = out.splitlines(keepends=True)
+    lines = {src: out.splitlines(keepends=True) for src, out in _run_versions(other_src).items()}
     diff = list(difflib.unified_diff(lines[other_src], lines[ours], other_src, ours))
     sys.stdout.writelines(diff)
     columns, *theirs = (line.split() for line in lines[other_src])
@@ -196,6 +202,95 @@ def run_against(other_src: str) -> int:
     return 1 if diff else 0
 
 
+def _run_versions(other_src: str, *args: str) -> dict[str, str]:
+    """This script's output with ``args`` for the package under ``other_src``
+    and for the one on the import path, by src directory, each run in its
+    own process."""
+    ours = str(Path(credible_sdp.__file__).resolve().parent.parent)
+    runs = {}
+    for src in (other_src, ours):
+        env = {**os.environ, "PYTHONPATH": src}
+        runs[src] = subprocess.Popen(
+            [sys.executable, __file__, *args], env=env, stdout=subprocess.PIPE, text=True
+        )
+    out = {}
+    for src, proc in runs.items():
+        out[src], _ = proc.communicate()
+        if proc.returncode:
+            raise SystemExit(f"the digest of {src} exited with {proc.returncode}")
+    return out
+
+
+def line_fields(line: str) -> dict[str, object]:
+    """A trace line's values by path: its kind (``record:<id>`` for a
+    record), then its keys joined by dots (``record:I9.detail.primal_residual``)."""
+    obj = json.loads(line)
+    kind = f"record:{obj['id']}" if obj.get("type") == "record" else str(obj.get("type"))
+    fields = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}")
+        else:
+            fields[path] = value
+
+    walk(obj, kind)
+    return fields
+
+
+def relative_difference(a, b) -> float:
+    """max |a - b| / max(|a|, |b|) over two equal-shaped numeric values (0
+    for two zeros); NaN where they are not numbers of one shape."""
+    try:
+        x, y = (np.asarray(v, dtype=float) for v in (a, b))
+    except (TypeError, ValueError):
+        return math.nan
+    if x.shape != y.shape or isinstance(a, bool) or isinstance(b, bool):
+        return math.nan
+    scale = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+    return float(np.abs(x - y).max(initial=0.0) / scale) if scale else 0.0
+
+
+def field_differences(theirs: str, ours: str) -> dict[str, float]:
+    """The paths on which two traces differ, line by line, each with its
+    largest relative difference; ``(lines)`` when the line counts differ."""
+    out: dict[str, float] = {}
+    a_lines, b_lines = theirs.splitlines(), ours.splitlines()
+    if len(a_lines) != len(b_lines):
+        out["(lines)"] = math.nan
+    for a_line, b_line in zip(a_lines, b_lines):
+        a, b = line_fields(a_line), line_fields(b_line)
+        for path in a.keys() | b.keys():
+            if path not in a or path not in b:
+                out[path] = math.nan
+            elif json.dumps(a[path]) != json.dumps(b[path]):
+                rel = relative_difference(a[path], b[path])
+                # max(nan, x) is nan: a path once not numeric stays so
+                out[path] = math.nan if math.isnan(rel) else max(out.get(path, 0.0), rel)
+    return out
+
+
+def run_fields(other_src: str) -> int:
+    """Compare, path by path, the corpus traces of the package under
+    ``other_src`` and of the one on the import path; 1 if any path differs."""
+    out = _run_versions(other_src, "--traces")
+    theirs, ours = (
+        {row["name"]: row["trace"] for row in map(json.loads, text.splitlines())}
+        for text in out.values()
+    )
+    assert list(theirs) == list(ours), "the two versions digest different corpora"
+    moved: dict[str, list[float]] = {}
+    for name, trace in ours.items():
+        for path, rel in field_differences(theirs[name], trace).items():
+            moved.setdefault(path, []).append(rel)
+    print("field problems max-relative-difference")
+    for path, rels in sorted(moved.items()):
+        worst = "n/a" if any(map(math.isnan, rels)) else f"{max(rels):.3e}"
+        print(f"{path} {len(rels)}/{len(ours)} {worst}")
+    return 1 if moved else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -203,9 +298,24 @@ def main(argv: list[str] | None = None) -> int:
         metavar="OTHER_SRC",
         help="the src directory of another version: print the diff of the two digests",
     )
+    parser.add_argument(
+        "--fields",
+        action="store_true",
+        help="with --against: per trace field, the problems where it differs and by how much",
+    )
+    parser.add_argument(
+        "--traces", action="store_true", help="print each problem's name and trace as JSON lines"
+    )
     args = parser.parse_args(argv)
+    if args.fields and not args.against:
+        parser.error("--fields needs --against")
+    if args.traces:
+        for name, prob in corpus():
+            trace = credible_sdp.write_trace(credible_sdp.solve(prob)).decode()
+            print(json.dumps({"name": name, "trace": trace}))
+        return 0
     if args.against:
-        return run_against(args.against)
+        return run_fields(args.against) if args.fields else run_against(args.against)
     print(f"package: {Path(credible_sdp.__file__).parent}", file=sys.stderr)
     print("problem trace values listing-m listing-c listing-values report check records tampered")
     for name, prob in corpus():

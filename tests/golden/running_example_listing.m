@@ -36,7 +36,9 @@ Z = mats(lsqr(F,-b),n);
 % every pass below produces dZm == 0, so dual feasibility is inherited.
 %% ensures Z>0  [init-z0-pd]
 %% ensures F*vecs(Z)+b==zeros(m,1)  [init-dual-feasibility]
-p = lsqr(transpose(F),vecs(-F0-X));
+% transpose(F) never changes: it is factored once, for p and every dpm.
+Fti = pinv(transpose(F));
+p = Fti*vecs(-F0-X);
 P = mats(p,n);
 %% ensures transpose(P)==P  [init-p-symmetric]
 %% ensures F0+sum(p(i)*Fi,i,1,m)+X==0  [init-primal-feasibility]
@@ -51,11 +53,9 @@ mu = phi/n;
 %% ensures norm(X*Z-(trace(X*Z)/n)*eye(n,n),'fro')<=0.3105*(trace(X*Z)/n)  [init-neighborhood]
 
 % --- Newton system invariants -------------------------------------------
-% Z never moves, so its scaling pair and a factor of transpose(F) are
-% computed once, before the loop.
+% Z never moves, so its scaling pair is computed once, before the loop.
 Zh = Z^0.5;
 Zhi = Zh^-1;
-Fti = pinv(transpose(F));
 
 % --- main loop ----------------------------------------------------------
 %% requires X>0 && Z>0  [I1]

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from credible_sdp import running_example, solver
 from credible_sdp.annotator import check_trace, write_trace
 from credible_sdp.linalg import sym_inv, sym_sqrt
 from credible_sdp.monitor import EQUALITY_TOL, GAP_CEILING, LOOP_IDS, THETA, check_iteration
@@ -26,7 +27,7 @@ from credible_sdp.solver import (
     take_step,
 )
 from credible_sdp.symvec import krons, symmetrize, vecs
-from problem_gen import random_problem
+from problem_gen import random_problem, theta_problem
 
 # values frozen from an independent implementation of the same iteration
 EXAMPLE_INITIAL_GAP = 0.09160604824380833
@@ -282,6 +283,89 @@ def test_newton_dp_keeps_primal_feasibility(trajectory):
         dX = vecs(snap.step.dX)
         residual = np.linalg.norm(fmat.T @ snap.step.dp + dX)
         assert residual <= EQUALITY_TOL * max(1.0, float(np.linalg.norm(dX)))
+
+
+@pytest.mark.parametrize("name", ["example", "random", "theta-C5"])
+def test_the_factor_of_f_transpose_is_its_pseudo_inverse(name, example_problem):
+    # one QR of F', R^-1 Q^T, is pinv(F') wherever F has full row rank: the
+    # admitted square F and the theta problems' m < n(n+1)/2 alike
+    prob = {
+        "example": lambda: example_problem,
+        "random": lambda: random_problem(np.random.default_rng(2024), n=4),
+        "theta-C5": lambda: theta_problem(5, [(i, (i + 1) % 5) for i in range(5)]),
+    }[name]()
+    pinv = np.linalg.pinv(prob.fmat.T)
+    assert prob.ft_pinv.shape == pinv.shape
+    assert np.abs(prob.ft_pinv - pinv).max() <= 1e-12 * np.abs(pinv).max()
+    assert prepare_newton(prob, np.eye(prob.n)).ft_pinv is prob.ft_pinv
+
+
+def test_a_solve_factors_f_once(monkeypatch):
+    calls = {"lstsq": 0, "pinv": 0, "qr": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = solve(running_example())
+    assert report.clean and report.iterations == EXAMPLE_BUDGET
+    # Z0's lstsq; one QR gives the start's p and every step's dp
+    assert calls == {"lstsq": 1, "pinv": 0, "qr": 1}
+
+
+def _example_with_f3(f3, scale: float = 1.0) -> SdpProblem:
+    """The running example, unadmitted, with F1..Fm and b scaled by ``scale``
+    and F3 then replaced by ``f3(fs)``."""
+    prob = running_example()
+    fs = prob.fs * scale
+    fs[2] = f3(fs)
+    return dataclasses.replace(prob, fs=fs, b=prob.b * scale)
+
+
+@pytest.mark.parametrize(
+    "f3, scale, cause",
+    [
+        (lambda fs: 0.0, 1.0, "Singular matrix"),
+        # R's last pivot is subnormal (about -6e-321), so R^-1 overflows
+        (lambda fs: fs[1], 1e-300, "R\\^-1 @ Q.T leaves the float range"),
+    ],
+    ids=["F3=0", "F3=F2-scaled-1e-300"],
+)
+def test_a_singular_factor_is_an_initialization_error(f3, scale, cause):
+    message = f"F1..Fm are linearly dependent: .*{cause}"
+    with pytest.raises(InitializationError, match=message) as exc_info:
+        solve(_example_with_f3(f3, scale))
+    assert type(exc_info.value) is InitializationError
+
+
+def test_a_nearly_singular_factor_fails_primal_feasibility():
+    # F3 = F2 leaves R with a rounding-size pivot, not an exact zero: the
+    # start is built and its contracts refuse it
+    with pytest.raises(NeighborhoodViolation, match="cond\\(F\\)") as exc_info:
+        solve(_example_with_f3(lambda fs: fs[1]))
+    failed = {rec.id for rec in exc_info.value.records if not rec.passed}
+    assert {"init-primal-feasibility", "init-neighborhood"} <= failed
+
+
+def test_a_primal_start_that_overflows_names_its_equation():
+    # F and b scaled by 1e-300 keep Z0; the factor of F' grows by 1e300 and
+    # carries p0 past the float range for a warm start scaled by 1e10
+    prob = running_example()
+    prob = SdpProblem(prob.f0, prob.fs * 1e-300, prob.b * 1e-300, prob.x0 * 1e10, prob.epsilon)
+    message = r"overflow encountered in .*\(initial primal solve\)"
+    with pytest.raises(InitializationError, match=message):
+        solve(prob)
+
+
+def test_a_sweep_block_moves_no_byte_of_the_trace(example_problem, example_trace, monkeypatch):
+    # 56 steps in blocks of 7: eight sweeps, each with the bits of one
+    counts = _count_sweeps_and_steps(monkeypatch)
+    monkeypatch.setattr(solver, "SWEEP_BLOCK", 7)
+    assert write_trace(solve(example_problem)) == example_trace
+    assert counts == {"sweeps": EXAMPLE_BUDGET // 7, "steps": EXAMPLE_BUDGET}
 
 
 def _underdetermined_data(f0_in_span: bool):
